@@ -134,6 +134,23 @@ def exit_time_stats(records: Sequence[ExitRecord]) -> ExitStats:
     )
 
 
+def _rows_times_transpose(s) -> Callable[[np.ndarray], np.ndarray]:
+    """xi -> xi @ s.T through the same BLAS kernel for any number of rows.
+
+    numpy hands a one-row product to gemv, whose last bits differ from those
+    of the gemm that serves two rows or more, so a one-row block is padded
+    to two rows: a path's noise must not depend on the block size.
+    """
+    s_t = np.asarray(s, dtype=float).T
+
+    def shape(xi: np.ndarray) -> np.ndarray:
+        if len(xi) > 1:
+            return xi @ s_t
+        return (np.concatenate([xi, xi]) @ s_t)[:1]
+
+    return shape
+
+
 def _vectorized_first_exit(
     step_fn: Callable[[np.ndarray, np.ndarray, float], np.ndarray],
     x0: np.ndarray,
@@ -142,51 +159,70 @@ def _vectorized_first_exit(
     time_per_step: float,
     max_steps: int,
     block: int = 1024,
+    shape_noise: Callable[[np.ndarray], np.ndarray] | None = None,
+    step_scale: Callable[[float], float] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Step all paths in lockstep, retiring them as they leave the domain.
 
-    Noise is drawn per path from its private stream in fixed-size blocks, so
-    the result is independent of how paths are grouped into chunks.
+    Noise is drawn per path from its private stream in blocks of ``block``
+    steps, so the result is independent of how paths are grouped into
+    chunks and of the block size.  A block is time-major: ``buf[j, c]`` is
+    step j of the path in column c, so the noise of one step is the view
+    ``buf[j]``.  Each path's draws pass through ``shape_noise`` as they are
+    drawn; then, once per block and in place, step j is multiplied by
+    ``step_scale(s_j)``.  ``step_fn(x, noise, s)`` advances the alive states
+    by one step taken at time s.
+
+    Compaction invariant: ``x``, ``ids`` and ``cols`` hold exactly the alive
+    paths, in increasing path order, row for row: ``x[r]`` is the state of
+    path ``ids[r]``, whose noise is column ``cols[r]`` of the current block.
+    They are compacted only on a step where some path leaves.  ``cols`` is
+    None while it is the identity, from the start of each block to its
+    first exit.
     """
     n = len(gens)
     d = x0.size
     states = np.tile(x0, (n, 1))
     exit_step = np.full(n, -1, dtype=np.int64)
     exit_points = np.zeros((n, d))
-    alive = np.arange(n)
+    x = states.copy()
+    ids = np.arange(n)
     step0 = 0
     # Overflow to inf/nan is caught by the explicit guards below; the
     # intermediate warnings would only add noise.
     with np.errstate(over="ignore", invalid="ignore"):
-        while alive.size and step0 < max_steps:
+        while ids.size and step0 < max_steps:
             kblock = min(block, max_steps - step0)
-            buf = np.empty((alive.size, kblock, d))
-            for pos, i in enumerate(alive):
-                buf[pos] = gens[i].standard_normal((kblock, d))
-            x = states[alive].copy()
-            mask = np.ones(alive.size, dtype=bool)
+            buf = np.empty((kblock, ids.size, d))
+            for pos, i in enumerate(ids):
+                xi = gens[i].standard_normal((kblock, d))
+                buf[:, pos] = xi if shape_noise is None else shape_noise(xi)
+            times = [(step0 + j) * time_per_step for j in range(kblock)]
+            if step_scale is not None:
+                buf *= np.array([step_scale(s) for s in times])[:, None, None]
+            cols = None
             for j in range(kblock):
-                act = np.flatnonzero(mask)
-                if act.size == 0:
+                x = step_fn(x, buf[j] if cols is None else buf[j, cols], times[j])
+                inside = domain.contains(x)
+                if inside.all():
+                    continue
+                outside = ~inside
+                if not np.all(np.isfinite(x[outside])):
+                    raise NumericalError(
+                        f"non-finite state at step {step0 + j + 1}",
+                        step=step0 + j + 1,
+                    )
+                exit_step[ids[outside]] = step0 + j + 1
+                exit_points[ids[outside]] = x[outside]
+                x = x[inside]
+                ids = ids[inside]
+                cols = (np.arange(inside.size) if cols is None else cols)[inside]
+                if not ids.size:
                     break
-                xn = step_fn(x[act], buf[act, j], (step0 + j) * time_per_step)
-                x[act] = xn
-                outside = ~domain.contains(xn)
-                if outside.any():
-                    if not np.all(np.isfinite(xn[outside])):
-                        raise NumericalError(
-                            f"non-finite state at step {step0 + j + 1}",
-                            step=step0 + j + 1,
-                        )
-                    hit = act[outside]
-                    exit_step[alive[hit]] = step0 + j + 1
-                    exit_points[alive[hit]] = xn[outside]
-                    mask[hit] = False
             if not np.all(np.isfinite(x)):
                 raise NumericalError(f"non-finite state near step {step0}", step=step0)
-            states[alive] = x
-            alive = alive[mask]
             step0 += kblock
+    states[ids] = x
     return exit_step, exit_points, states
 
 
@@ -205,28 +241,47 @@ def hitting_time_mc(
     Exit is the first step whose state lies outside the closed domain; the
     recorded exit point is that first outside state.  Paths still inside at
     the horizon are returned censored with exit_time = horizon.  Records are
-    returned in path-index order.
+    returned in path-index order.  ``block`` (at least 1) is the number of
+    steps of noise drawn per path at a time; it sets memory and speed, never
+    the records.
     """
     x0 = np.atleast_1d(np.asarray(process.x0, dtype=float))
     if not domain.strictly_inside(x0):
         raise ValueError(f"start point {x0} is not strictly inside the domain")
     if horizon <= 0:
         raise ValueError(f"horizon must be positive, got {horizon}")
+    if block < 1:
+        raise ValueError(f"block must be at least 1, got {block}")
     base_seed = process.seed if seed is None else seed
     indices = list(path_indices if path_indices is not None else range(n_paths))
     gens = streams.path_streams(base_seed, experiment, indices)
 
+    shape_noise = step_scale = None
     if isinstance(process, SdeConfig):
         dt = process.dt
         sqrt_dt = math.sqrt(dt)
         diffusion = process.diffusion
+        drift = process.drift
+        if callable(diffusion):
 
-        def step_fn(x, xi, s):
-            return (
-                x
-                + process.drift(x) * dt
-                + process.amplitude(s) * sqrt_dt * apply_diffusion(diffusion, x, xi)
-            )
+            def step_fn(x, xi, s):
+                return (
+                    x
+                    + drift(x) * dt
+                    + process.amplitude(s) * sqrt_dt * apply_diffusion(diffusion, x, xi)
+                )
+
+        else:
+            # The increment (amplitude(s) sqrt(dt)) (S xi) is ready in the block.
+            if np.ndim(diffusion) == 0:
+                sigma = float(diffusion)
+                shape_noise = lambda xi: sigma * xi  # noqa: E731
+            else:
+                shape_noise = _rows_times_transpose(diffusion)
+            step_scale = lambda s: process.amplitude(s) * sqrt_dt  # noqa: E731
+
+            def step_fn(x, noise, s):
+                return x + drift(x) * dt + noise
 
         time_per_step = dt
         eta = process.eta
@@ -235,11 +290,11 @@ def hitting_time_mc(
         time_per_step = eta
         oracle = process.oracle
         if isinstance(oracle, AdditiveGaussianOracle) and not callable(oracle.covariance):
-            s_const = oracle.diffusion_at(x0)
             gradient = oracle.potential.gradient
+            shape_noise = _rows_times_transpose(oracle.diffusion_at(x0))
 
-            def step_fn(x, xi, s):
-                return x - eta * (gradient(x) + xi @ s_const.T)
+            def step_fn(x, noise, s):
+                return x - eta * (gradient(x) + noise)
 
         else:
             return _slow_chain_exits(
@@ -250,7 +305,15 @@ def hitting_time_mc(
 
     max_steps = int(math.ceil(horizon / time_per_step - 1e-12))
     exit_step, exit_points, states = _vectorized_first_exit(
-        step_fn, x0, domain, gens, time_per_step, max_steps, block=block
+        step_fn,
+        x0,
+        domain,
+        gens,
+        time_per_step,
+        max_steps,
+        block=block,
+        shape_noise=shape_noise,
+        step_scale=step_scale,
     )
     records = []
     for pos, idx in enumerate(indices):
@@ -979,6 +1042,8 @@ def anneal_experiment(
         raise ValueError(f"gamma must be non-negative, got {gamma}")
     if T <= 0 or epsilon <= 0 or dt <= 0:
         raise ValueError("T, epsilon and dt must all be positive")
+    if block < 1:
+        raise ValueError(f"block must be at least 1, got {block}")
     targets = np.stack([cp.location for cp in potential.global_minimizers()])
     if start is None:
         mins = potential.minimizers()

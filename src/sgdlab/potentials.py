@@ -207,7 +207,7 @@ def _double_well_value(tilt: float, x) -> np.ndarray:
 def _double_well_gradient(tilt: float, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     s = x[..., 0]
-    return (s ** 3 - s + tilt)[..., None]
+    return (s * s * s - s + tilt)[..., None]
 
 
 def _double_well_hessian(tilt: float, x) -> np.ndarray:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from sgdlab import anneal_experiment, builtin
+from sgdlab import anneal_experiment, builtin, streams
 
 TILTED = builtin("asym_double_well_1d", params=(-0.05,))
 
@@ -55,3 +55,13 @@ def test_runs_are_reproducible():
     b = anneal_experiment(TILTED, **kwargs)
     assert a.success_prob == b.success_prob
     np.testing.assert_array_equal(a.occupancy_fracs, b.occupancy_fracs)
+
+
+@pytest.mark.parametrize("block", [0, -3])
+def test_block_below_one_is_rejected(block, monkeypatch):
+    def no_streams(*args, **kwargs):
+        raise AssertionError("a stream was built before the arguments were checked")
+
+    monkeypatch.setattr(streams, "path_streams", no_streams)
+    with pytest.raises(ValueError, match="block"):
+        anneal_experiment(TILTED, gamma=0.4, T=1.0, n_paths=4, epsilon=0.25, block=block)

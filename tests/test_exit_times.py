@@ -1,15 +1,21 @@
 """Tests for exit-time machinery: the 1-D BVP oracle, Monte Carlo hitting
 times, deterministic-flow travel times, and the escape-scaling fits."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sgdlab import (
+    AdditiveGaussianOracle,
     Domain,
     ExitRecord,
+    NumericalError,
     SdeConfig,
+    SgdConfig,
     builtin,
     exit_time_stats,
     flow_exit_time,
@@ -19,7 +25,9 @@ from sgdlab import (
     mean_exit_bvp_1d,
     minimizer_scaling_fit,
     saddle_scaling_fit,
+    streams,
 )
+from sgdlab.sde import apply_diffusion
 
 WELL = builtin("quadratic_well")
 INVERTED = builtin("inverted_quadratic")
@@ -192,3 +200,221 @@ def test_hitting_mc_path_subsets_match_full_run():
         assert rec_full.path_index == rec_part.path_index
         assert rec_full.exit_time == rec_part.exit_time
         np.testing.assert_array_equal(rec_full.exit_point, rec_part.exit_point)
+
+
+# ---------------------------------------------------------------------------
+# The exit engine against the lockstep loop it replaced.
+# ---------------------------------------------------------------------------
+
+
+def _reference_first_exit(step_fn, x0, domain, gens, time_per_step, max_steps, block=1024):
+    """The earlier engine, kept verbatim: a path-major noise block and the
+    alive rows re-gathered with fancy indexing on every step."""
+    n = len(gens)
+    d = x0.size
+    states = np.tile(x0, (n, 1))
+    exit_step = np.full(n, -1, dtype=np.int64)
+    exit_points = np.zeros((n, d))
+    alive = np.arange(n)
+    step0 = 0
+    # Overflow to inf/nan is caught by the explicit guards below; the
+    # intermediate warnings would only add noise.
+    with np.errstate(over="ignore", invalid="ignore"):
+        while alive.size and step0 < max_steps:
+            kblock = min(block, max_steps - step0)
+            buf = np.empty((alive.size, kblock, d))
+            for pos, i in enumerate(alive):
+                buf[pos] = gens[i].standard_normal((kblock, d))
+            x = states[alive].copy()
+            mask = np.ones(alive.size, dtype=bool)
+            for j in range(kblock):
+                act = np.flatnonzero(mask)
+                if act.size == 0:
+                    break
+                xn = step_fn(x[act], buf[act, j], (step0 + j) * time_per_step)
+                x[act] = xn
+                outside = ~domain.contains(xn)
+                if outside.any():
+                    if not np.all(np.isfinite(xn[outside])):
+                        raise NumericalError(
+                            f"non-finite state at step {step0 + j + 1}",
+                            step=step0 + j + 1,
+                        )
+                    hit = act[outside]
+                    exit_step[alive[hit]] = step0 + j + 1
+                    exit_points[alive[hit]] = xn[outside]
+                    mask[hit] = False
+            if not np.all(np.isfinite(x)):
+                raise NumericalError(f"non-finite state near step {step0}", step=step0)
+            states[alive] = x
+            alive = alive[mask]
+            step0 += kblock
+    return exit_step, exit_points, states
+
+
+def _reference_records(process, domain, n_paths, horizon, seed, label, block):
+    """(exit_time, exit_point, censored) per path from the reference loop,
+    with the step functions the earlier hitting_time_mc built."""
+    x0 = process.x0
+    gens = streams.path_streams(seed, label, range(n_paths))
+    if isinstance(process, SdeConfig):
+        dt = process.dt
+        sqrt_dt = math.sqrt(dt)
+
+        def step_fn(x, xi, s):
+            return (
+                x
+                + process.drift(x) * dt
+                + process.amplitude(s) * sqrt_dt * apply_diffusion(process.diffusion, x, xi)
+            )
+
+        time_per_step = dt
+    else:
+        eta = process.eta
+        s_const = process.oracle.diffusion_at(x0)
+        gradient = process.oracle.potential.gradient
+
+        def step_fn(x, xi, s):
+            return x - eta * (gradient(x) + xi @ s_const.T)
+
+        time_per_step = eta
+    max_steps = int(math.ceil(horizon / time_per_step - 1e-12))
+    exit_step, exit_points, states = _reference_first_exit(
+        step_fn, x0, domain, gens, time_per_step, max_steps, block=block
+    )
+    return [
+        (horizon, states[i], True)
+        if exit_step[i] < 0
+        else (float(exit_step[i] * time_per_step), exit_points[i], False)
+        for i in range(n_paths)
+    ]
+
+
+BOX = Domain.box([-0.5, -0.5], [0.5, 0.5])
+BALL = Domain.ball([0.0, 0.0], 0.5)
+SADDLE_2D = builtin("saddle_2d")
+WELL_2D = builtin("quadratic_well", (1.0, 2.0))
+
+
+def _sde(potential, x0, **kw):
+    return SdeConfig(potential=potential, eta=0.5, dt=0.01, T=1.0, x0=np.array(x0), **kw)
+
+
+def _chain(covariance):
+    oracle = AdditiveGaussianOracle(SADDLE_2D, np.array(covariance))
+    return SgdConfig(eta=0.01, steps=1, x0=np.array([0.4, 0.0]), oracle=oracle)
+
+
+# Each case starts near the boundary with 30 steps to the horizon, so that,
+# with block = 7, some paths leave on the first step, others leave in later
+# blocks and at least two are censored.
+ENGINE_CASES = {
+    "interval-well": (_sde(WELL, [0.4]), Domain.interval(-0.5, 0.5)),
+    "interval-inverted": (_sde(INVERTED, [0.4]), Domain.interval(-0.5, 0.5)),
+    "noise-schedule": (
+        _sde(WELL, [0.4], noise_schedule=lambda s: 0.9 / math.sqrt(1.0 + 10.0 * s)),
+        Domain.interval(-0.5, 0.5),
+    ),
+    "box-matrix-diffusion": (
+        _sde(WELL_2D, [0.4, 0.0], diffusion=np.array([[0.6, 0.25], [-0.1, 0.4]])),
+        BOX,
+    ),
+    "state-dependent-diffusion": (
+        _sde(WELL, [0.4], diffusion=lambda x: np.array([[1.0 + x[0] * x[0]]])),
+        Domain.interval(-0.5, 0.5),
+    ),
+    "chain-isotropic": (
+        SgdConfig(
+            eta=0.01,
+            steps=1,
+            x0=np.array([0.4, 0.0]),
+            oracle=AdditiveGaussianOracle.isotropic(SADDLE_2D, 7.0),
+        ),
+        BALL,
+    ),
+    "chain-non-diagonal": (_chain([[40.0, 15.0], [15.0, 30.0]]), BALL),
+}
+ENGINE_PATHS = 48
+ENGINE_HORIZON = 0.3
+
+
+def _engine_records(case, block=1024, path_indices=None):
+    process, domain = ENGINE_CASES[case]
+    return hitting_time_mc(
+        process,
+        domain,
+        n_paths=ENGINE_PATHS,
+        horizon=ENGINE_HORIZON,
+        seed=13,
+        experiment=f"engine:{case}",
+        path_indices=path_indices,
+        block=block,
+    )
+
+
+def _assert_same_records(records, expected):
+    assert len(records) == len(expected)
+    for rec, (exit_time, exit_point, censored) in zip(records, expected):
+        assert rec.exit_time == exit_time
+        assert rec.censored == censored
+        np.testing.assert_array_equal(rec.exit_point, exit_point)
+
+
+@pytest.mark.parametrize("case", sorted(ENGINE_CASES))
+def test_exit_engine_matches_reference_loop(case):
+    process, domain = ENGINE_CASES[case]
+    records = _engine_records(case, block=7)
+    expected = _reference_records(
+        process, domain, ENGINE_PATHS, ENGINE_HORIZON, 13, f"engine:{case}", block=7
+    )
+    _assert_same_records(records, expected)
+    step = process.dt if isinstance(process, SdeConfig) else process.eta
+    exit_steps = [round(r.exit_time / step) for r in records if not r.censored]
+    assert min(exit_steps) == 1
+    assert max(exit_steps) > 14  # beyond the second block boundary
+    assert sum(r.censored for r in records) >= 2
+
+
+@functools.cache
+def _engine_baseline(case):
+    return [(r.exit_time, r.exit_point, r.censored) for r in _engine_records(case)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    case=st.sampled_from(sorted(ENGINE_CASES)),
+    block=st.integers(min_value=1, max_value=64),
+    cuts=st.sets(st.integers(min_value=1, max_value=ENGINE_PATHS - 1), max_size=6),
+)
+def test_exit_records_ignore_block_size_and_chunking(case, block, cuts):
+    bounds = [0, *sorted(cuts), ENGINE_PATHS]
+    records = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        chunk = _engine_records(case, block=block, path_indices=range(lo, hi))
+        assert [r.path_index for r in chunk] == list(range(lo, hi))
+        records.extend(chunk)
+    _assert_same_records(records, _engine_baseline(case))
+
+
+def test_non_finite_state_raises_numerical_error():
+    """The noiseless double-well map at dt = 10 from 1.5 overflows on its
+    sixth step, inside an interval wide enough to hold every finite iterate
+    before it."""
+    cfg = SdeConfig(
+        potential=DOUBLE_WELL, eta=0.1, dt=10.0, T=100.0, x0=np.array([1.5]), diffusion=0.0
+    )
+    with pytest.raises(NumericalError) as info:
+        hitting_time_mc(cfg, Domain.interval(-1e200, 1e200), n_paths=3, horizon=100.0, seed=0)
+    assert info.value.step == 6
+
+
+def _no_streams(*args, **kwargs):
+    raise AssertionError("a stream was built before the arguments were checked")
+
+
+@pytest.mark.parametrize("block", [0, -3])
+def test_hitting_mc_rejects_block_below_one(block, monkeypatch):
+    monkeypatch.setattr(streams, "path_streams", _no_streams)
+    cfg = SdeConfig(potential=WELL, eta=0.25, dt=1e-3, T=1.0, x0=np.array([0.0]))
+    with pytest.raises(ValueError, match="block"):
+        hitting_time_mc(cfg, UNIT, n_paths=4, horizon=1.0, seed=0, block=block)
