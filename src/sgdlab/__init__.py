@@ -40,7 +40,6 @@ from .oracles import (
     minibatch_covariance,
     population_covariance,
     psd_sqrt,
-    sample_gradient,
 )
 from .potentials import (
     CriticalPoint,
@@ -89,7 +88,6 @@ from .weak_error import (
     weak_error_ladder_linear,
     weak_error_linear,
     weak_error_mc,
-    weak_error_time_profile,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

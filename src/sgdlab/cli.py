@@ -73,7 +73,6 @@ from .sde import (
     flow_sup_gap,
 )
 from .sgd import SgdConfig, run_sgd_ensemble
-from .streams import seed_policy  # noqa: F401  (re-exported: the seeding contract)
 from .weak_error import weak_error_ladder_linear, weak_error_mc
 
 EXIT_OK = 0

@@ -18,13 +18,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .exit_times import Domain
-from .oracles import (
-    WITH_REPLACEMENT,
-    WITHOUT_REPLACEMENT,
-    AdditiveGaussianOracle,
-    GradientOracle,
-    MinibatchOracle,
-)
+from .oracles import WITH_REPLACEMENT, WITHOUT_REPLACEMENT
 from .potentials import FiniteSumSpec, PotentialSpec, builtin
 from .sde import FIRST_ORDER, SECOND_ORDER
 
@@ -106,9 +100,7 @@ KEY_SPECS: dict[str, tuple[Callable[[str, str], object], str]] = {
     "potential": (_parse_str, "builtin objective name"),
     "potential_params": (_parse_floats, "objective parameters, comma separated"),
     "dim": (_parse_int, "ambient dimension (finite-sum center reshape)"),
-    "oracle": (_choice(("additive_gaussian", "minibatch")), "gradient oracle kind"),
     "sigma": (_parse_float, "isotropic noise amplitude"),
-    "batch_size": (_parse_int, "mini-batch size m"),
     "batch_mode": (
         _choice((WITHOUT_REPLACEMENT, WITH_REPLACEMENT)),
         "mini-batch sampling mode",
@@ -324,8 +316,6 @@ def _cross_validate(experiment: str, values: dict[str, object]) -> None:
     elif kind == "ball":
         if "domain_center" not in values or "domain_radius" not in values:
             raise ConfigError("domain=ball requires domain_center and domain_radius")
-    if values.get("oracle") == "minibatch" and "batch_size" not in values:
-        raise ConfigError("oracle=minibatch requires batch_size")
 
 
 def load_config(path: Union[str, Path], overrides: Sequence[str] = ()) -> ExperimentConfig:
@@ -357,21 +347,6 @@ def build_potential(cfg: ExperimentConfig) -> Union[PotentialSpec, FiniteSumSpec
 
 def base_of(potential: Union[PotentialSpec, FiniteSumSpec]) -> PotentialSpec:
     return potential.base if isinstance(potential, FiniteSumSpec) else potential
-
-
-def build_oracle(
-    cfg: ExperimentConfig, potential: Union[PotentialSpec, FiniteSumSpec]
-) -> GradientOracle:
-    kind = cfg.get("oracle", "additive_gaussian")
-    if kind == "minibatch":
-        if not isinstance(potential, FiniteSumSpec):
-            raise ConfigError("oracle=minibatch requires a finite-sum potential")
-        return MinibatchOracle(
-            fs=potential,
-            m=cfg.get("batch_size"),
-            mode=cfg.get("batch_mode", WITHOUT_REPLACEMENT),
-        )
-    return AdditiveGaussianOracle.isotropic(base_of(potential), cfg.get("sigma", 1.0))
 
 
 def build_domain(cfg: ExperimentConfig) -> Domain:

@@ -21,10 +21,9 @@ from scipy.stats import beta as beta_dist
 
 from . import streams
 from .errors import NumericalError
-from .oracles import AdditiveGaussianOracle, MinibatchOracle
-from .potentials import MINIMIZER, PotentialSpec
-from .sde import FIRST_ORDER, SdeConfig, _rk4_step, apply_diffusion
-from .sgd import SgdConfig
+from .potentials import PotentialSpec
+from .sde import FIRST_ORDER, SdeConfig, _rk4_step, _time_grid, em_on_grid, sde_kernel
+from .sgd import SgdConfig, additive_gaussian_kernel, sgd_iterates
 
 TRANSFORM_ETA_LOG_T = "eta_log_T"
 TRANSFORM_T_OVER_LOG = "T_over_log_inv_eta"
@@ -68,12 +67,6 @@ class Domain:
         if lo.shape != hi.shape or np.any(lo >= hi):
             raise ValueError("box needs lo < hi componentwise")
         return cls(kind="box", lo=lo, hi=hi)
-
-    @property
-    def dim(self) -> int:
-        if self.kind == "ball":
-            return self.center.size
-        return self.lo.size
 
     def contains(self, x) -> np.ndarray:
         """Membership in the closed domain; vectorized over a leading axis."""
@@ -134,98 +127,6 @@ def exit_time_stats(records: Sequence[ExitRecord]) -> ExitStats:
     )
 
 
-def _rows_times_transpose(s) -> Callable[[np.ndarray], np.ndarray]:
-    """xi -> xi @ s.T through the same BLAS kernel for any number of rows.
-
-    numpy hands a one-row product to gemv, whose last bits differ from those
-    of the gemm that serves two rows or more, so a one-row block is padded
-    to two rows: a path's noise must not depend on the block size.
-    """
-    s_t = np.asarray(s, dtype=float).T
-
-    def shape(xi: np.ndarray) -> np.ndarray:
-        if len(xi) > 1:
-            return xi @ s_t
-        return (np.concatenate([xi, xi]) @ s_t)[:1]
-
-    return shape
-
-
-def _vectorized_first_exit(
-    step_fn: Callable[[np.ndarray, np.ndarray, float], np.ndarray],
-    x0: np.ndarray,
-    domain: Domain,
-    gens: list[np.random.Generator],
-    time_per_step: float,
-    max_steps: int,
-    block: int = 1024,
-    shape_noise: Callable[[np.ndarray], np.ndarray] | None = None,
-    step_scale: Callable[[float], float] | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Step all paths in lockstep, retiring them as they leave the domain.
-
-    Noise is drawn per path from its private stream in blocks of ``block``
-    steps, so the result is independent of how paths are grouped into
-    chunks and of the block size.  A block is time-major: ``buf[j, c]`` is
-    step j of the path in column c, so the noise of one step is the view
-    ``buf[j]``.  Each path's draws pass through ``shape_noise`` as they are
-    drawn; then, once per block and in place, step j is multiplied by
-    ``step_scale(s_j)``.  ``step_fn(x, noise, s)`` advances the alive states
-    by one step taken at time s.
-
-    Compaction invariant: ``x``, ``ids`` and ``cols`` hold exactly the alive
-    paths, in increasing path order, row for row: ``x[r]`` is the state of
-    path ``ids[r]``, whose noise is column ``cols[r]`` of the current block.
-    They are compacted only on a step where some path leaves.  ``cols`` is
-    None while it is the identity, from the start of each block to its
-    first exit.
-    """
-    n = len(gens)
-    d = x0.size
-    states = np.tile(x0, (n, 1))
-    exit_step = np.full(n, -1, dtype=np.int64)
-    exit_points = np.zeros((n, d))
-    x = states.copy()
-    ids = np.arange(n)
-    step0 = 0
-    # Overflow to inf/nan is caught by the explicit guards below; the
-    # intermediate warnings would only add noise.
-    with np.errstate(over="ignore", invalid="ignore"):
-        while ids.size and step0 < max_steps:
-            kblock = min(block, max_steps - step0)
-            buf = np.empty((kblock, ids.size, d))
-            for pos, i in enumerate(ids):
-                xi = gens[i].standard_normal((kblock, d))
-                buf[:, pos] = xi if shape_noise is None else shape_noise(xi)
-            times = [(step0 + j) * time_per_step for j in range(kblock)]
-            if step_scale is not None:
-                buf *= np.array([step_scale(s) for s in times])[:, None, None]
-            cols = None
-            for j in range(kblock):
-                x = step_fn(x, buf[j] if cols is None else buf[j, cols], times[j])
-                inside = domain.contains(x)
-                if inside.all():
-                    continue
-                outside = ~inside
-                if not np.all(np.isfinite(x[outside])):
-                    raise NumericalError(
-                        f"non-finite state at step {step0 + j + 1}",
-                        step=step0 + j + 1,
-                    )
-                exit_step[ids[outside]] = step0 + j + 1
-                exit_points[ids[outside]] = x[outside]
-                x = x[inside]
-                ids = ids[inside]
-                cols = (np.arange(inside.size) if cols is None else cols)[inside]
-                if not ids.size:
-                    break
-            if not np.all(np.isfinite(x)):
-                raise NumericalError(f"non-finite state near step {step0}", step=step0)
-            step0 += kblock
-    states[ids] = x
-    return exit_step, exit_points, states
-
-
 def hitting_time_mc(
     process: Union[SdeConfig, SgdConfig],
     domain: Domain,
@@ -256,64 +157,31 @@ def hitting_time_mc(
     indices = list(path_indices if path_indices is not None else range(n_paths))
     gens = streams.path_streams(base_seed, experiment, indices)
 
-    shape_noise = step_scale = None
+    eta = process.eta
     if isinstance(process, SdeConfig):
-        dt = process.dt
-        sqrt_dt = math.sqrt(dt)
-        diffusion = process.diffusion
-        drift = process.drift
-        if callable(diffusion):
-
-            def step_fn(x, xi, s):
-                return (
-                    x
-                    + drift(x) * dt
-                    + process.amplitude(s) * sqrt_dt * apply_diffusion(diffusion, x, xi)
-                )
-
-        else:
-            # The increment (amplitude(s) sqrt(dt)) (S xi) is ready in the block.
-            if np.ndim(diffusion) == 0:
-                sigma = float(diffusion)
-                shape_noise = lambda xi: sigma * xi  # noqa: E731
-            else:
-                shape_noise = _rows_times_transpose(diffusion)
-            step_scale = lambda s: process.amplitude(s) * sqrt_dt  # noqa: E731
-
-            def step_fn(x, noise, s):
-                return x + drift(x) * dt + noise
-
-        time_per_step = dt
-        eta = process.eta
+        dt = time_per_step = process.dt
+        kernel = sde_kernel(process, lambda k: k * dt, lambda k: dt)
     elif isinstance(process, SgdConfig):
-        eta = process.eta
         time_per_step = eta
-        oracle = process.oracle
-        if isinstance(oracle, AdditiveGaussianOracle) and not callable(oracle.covariance):
-            gradient = oracle.potential.gradient
-            shape_noise = _rows_times_transpose(oracle.diffusion_at(x0))
-
-            def step_fn(x, noise, s):
-                return x - eta * (gradient(x) + noise)
-
-        else:
-            return _slow_chain_exits(
-                process, domain, indices, gens, horizon, experiment
-            )
+        kernel = additive_gaussian_kernel(process)
     else:
         raise TypeError(f"unsupported process type {type(process).__name__}")
-
     max_steps = int(math.ceil(horizon / time_per_step - 1e-12))
-    exit_step, exit_points, states = _vectorized_first_exit(
+    if kernel is None:
+        return [
+            _chain_exit(process, domain, idx, gen, max_steps, horizon)
+            for idx, gen in zip(indices, gens)
+        ]
+    step_fn, shape_noise, step_scale = kernel
+    exit_step, exit_points, states = streams.lockstep(
         step_fn,
         x0,
-        domain,
         gens,
-        time_per_step,
         max_steps,
         block=block,
         shape_noise=shape_noise,
         step_scale=step_scale,
+        domain=domain,
     )
     records = []
     for pos, idx in enumerate(indices):
@@ -341,39 +209,20 @@ def hitting_time_mc(
     return records
 
 
-def _slow_chain_exits(
+def _chain_exit(
     process: SgdConfig,
     domain: Domain,
-    indices: list[int],
-    gens: list[np.random.Generator],
+    idx: int,
+    gen: np.random.Generator,
+    max_steps: int,
     horizon: float,
-    experiment: str,
-) -> list[ExitRecord]:
-    """Per-path fallback for oracles without a vectorized stepping form."""
-    from .oracles import sample_gradient
-    from .sgd import schedule_m
-
-    eta = process.eta
-    max_steps = int(math.ceil(horizon / eta - 1e-12))
-    records = []
-    for idx, gen in zip(indices, gens):
-        x = process.x0.copy()
-        rec = None
-        for k in range(max_steps):
-            m = None
-            if process.schedule is not None:
-                m = schedule_m(process.schedule, k * eta)
-            x = x - eta * sample_gradient(process.oracle, x, gen, m=m)
-            if not np.all(np.isfinite(x)):
-                raise NumericalError(f"non-finite state at step {k + 1}", step=k + 1)
-            if not domain.contains(x):
-                t_exit = (k + 1) * eta
-                rec = ExitRecord(idx, float(t_exit), float(k + 1), x.copy(), False)
-                break
-        if rec is None:
-            rec = ExitRecord(idx, horizon, horizon / eta, x.copy(), True)
-        records.append(rec)
-    return records
+) -> ExitRecord:
+    """First exit of one chain whose oracle has no vectorized stepping form."""
+    x = process.x0
+    for k, (x, _) in enumerate(sgd_iterates(process, gen, max_steps), start=1):
+        if not domain.contains(x):
+            return ExitRecord(idx, float(k * process.eta), float(k), x, False)
+    return ExitRecord(idx, horizon, horizon / process.eta, x, True)
 
 
 # ---------------------------------------------------------------------------
@@ -1051,20 +900,20 @@ def anneal_experiment(
             raise ValueError("pass a start point for a single-well objective")
         values = [float(potential.value(cp.location)) for cp in mins]
         start = mins[int(np.argmax(values))].location  # the shallow well
-    start = np.atleast_1d(np.asarray(start, dtype=float))
-    d = potential.dim
-
     if mode == "cooling":
         amp_fn = lambda s: math.sqrt(gamma / math.log(2.0 + s))
     else:
         const = math.sqrt(gamma / math.log(2.0 + T))
         amp_fn = lambda s: const
+    # eta is unused: the schedule sets the noise amplitude.
+    cfg = SdeConfig(
+        potential=potential, eta=1.0, dt=dt, T=T, x0=start, noise_schedule=amp_fn
+    )
 
     indices = list(path_indices if path_indices is not None else range(n_paths))
     gens = streams.path_streams(seed, f"{experiment}:{mode}", indices)
     n = len(gens)
-    n_steps = int(math.ceil(T / dt - 1e-12))
-    times = np.minimum(np.arange(n_steps + 1) * dt, T)
+    times = _time_grid(T, dt)
     check_times = np.linspace(0.0, T, n_checkpoints + 1)[1:] if n_checkpoints else np.array([])
     check_idx = 0
     occupancy = np.zeros(check_times.size)
@@ -1073,25 +922,13 @@ def anneal_experiment(
         dist2 = ((xs[:, None, :] - targets) ** 2).sum(axis=-1)
         return (dist2.min(axis=1) <= epsilon**2)
 
-    gradient = potential.gradient
-    x = np.tile(start, (n, 1))
-    step = 0
-    # Overflow to inf/nan is caught by the guard below; silence the noise.
-    with np.errstate(over="ignore", invalid="ignore"):
-        while step < n_steps:
-            kblock = min(block, n_steps - step)
-            buf = np.empty((n, kblock, d))
-            for pos, gen in enumerate(gens):
-                buf[pos] = gen.standard_normal((kblock, d))
-            for j in range(kblock):
-                h = times[step + 1] - times[step]
-                x = x - gradient(x) * h + amp_fn(times[step]) * math.sqrt(h) * buf[:, j]
-                step += 1
-                while check_idx < check_times.size and times[step] >= check_times[check_idx] - 1e-12:
-                    occupancy[check_idx] = in_target(x).mean() if n else 0.0
-                    check_idx += 1
-            if not np.all(np.isfinite(x)):
-                raise NumericalError(f"non-finite state near step {step}", step=step)
+    def checkpoint(k, x):
+        nonlocal check_idx
+        while check_idx < check_times.size and times[k] >= check_times[check_idx] - 1e-12:
+            occupancy[check_idx] = in_target(x).mean()
+            check_idx += 1
+
+    x = em_on_grid(cfg, times, gens, block=block, on_step=checkpoint)
     successes = int(in_target(x).sum())
     lo, hi = _binomial_ci(successes, n)
     return AnnealResult(

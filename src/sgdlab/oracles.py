@@ -155,13 +155,6 @@ class MinibatchOracle:
 GradientOracle = Union[AdditiveGaussianOracle, MinibatchOracle]
 
 
-def sample_gradient(
-    oracle: GradientOracle, x, rng: np.random.Generator, m: int | None = None
-) -> np.ndarray:
-    """One stochastic gradient draw; ``m`` overrides a mini-batch size."""
-    return oracle.sample(x, rng, m=m)
-
-
 def _check_batch_size(m: int, big: int, with_replacement: bool = False) -> None:
     if big < 1:
         raise ValueError(f"need at least one component, got M={big}")

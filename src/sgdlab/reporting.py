@@ -16,9 +16,7 @@ from typing import Iterable, Mapping, Sequence, Union
 import numpy as np
 
 from .exit_times import AnnealResult, ExitRecord, ScalingReport
-from .oracles import CovarianceReport
 from .sde import DeviationReport
-from .sgd import Trajectory
 from .weak_error import WeakErrorReport
 
 PathLike = Union[str, Path]
@@ -73,23 +71,6 @@ def write_gnuplot_dat(
         for i in range(cols[0].size):
             fh.write(" ".join(fmt(float(c[i])) for c in cols) + "\n")
     return path
-
-
-def write_trajectory_csv(path: PathLike, traj: Trajectory) -> Path:
-    """Columns: step,time,x_0..x_{d-1}; steps recovered from meta when present."""
-    steps = traj.meta.get("steps")
-    if steps is None:
-        eta = traj.meta.get("eta")
-        if eta:
-            steps = np.rint(traj.times / eta).astype(int)
-        else:
-            steps = np.arange(traj.times.size)
-    header = ["step", "time"] + [f"x_{j}" for j in range(traj.dim)]
-    rows = (
-        [int(steps[i]), float(traj.times[i])] + [float(v) for v in traj.states[i]]
-        for i in range(traj.times.size)
-    )
-    return write_csv(path, header, rows)
 
 
 def write_exit_records_csv(path: PathLike, records: Sequence[ExitRecord]) -> Path:
@@ -160,29 +141,6 @@ def write_weak_error_csv(path: PathLike, report: WeakErrorReport) -> Path:
     comments += [
         f"fitted_order={fmt(report.fitted_order)}",
         f"expected_order={fmt(report.expected_order)}",
-    ]
-    return write_csv(path, header, rows, footer_comments=comments)
-
-
-def write_covariance_csv(path: PathLike, report: CovarianceReport) -> Path:
-    d = report.formula.shape[0]
-    header = ["row", "col", "formula", "enumerated", "abs_diff"]
-    rows = (
-        [
-            i,
-            j,
-            float(report.formula[i, j]),
-            float(report.enumerated[i, j]),
-            float(abs(report.formula[i, j] - report.enumerated[i, j])),
-        ]
-        for i in range(d)
-        for j in range(d)
-    )
-    comments = [
-        f"M={report.M}",
-        f"m={report.m}",
-        f"mode={report.mode}",
-        f"max_abs_diff={fmt(report.max_abs_diff)}",
     ]
     return write_csv(path, header, rows, footer_comments=comments)
 

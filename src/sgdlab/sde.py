@@ -27,7 +27,7 @@ from . import streams
 from .errors import NumericalError
 from .oracles import GradientOracle
 from .potentials import PotentialSpec
-from .sgd import EnsembleResult, SgdConfig, Trajectory, run_sgd_ensemble
+from .sgd import SgdConfig, Trajectory, run_sgd_ensemble
 
 FIRST_ORDER = "first"
 SECOND_ORDER = "second"
@@ -89,47 +89,102 @@ class SdeConfig:
 def apply_diffusion(diffusion: Diffusion, x: np.ndarray, xi: np.ndarray) -> np.ndarray:
     """S(x) xi for batched states x (n, d) and draws xi (n, d)."""
     if callable(diffusion):
-        x2 = np.atleast_2d(x)
-        xi2 = np.atleast_2d(xi)
-        out = np.stack(
-            [np.asarray(diffusion(xr), dtype=float) @ xir for xr, xir in zip(x2, xi2)]
-        )
-        return out.reshape(np.shape(xi))
+        return np.stack([np.asarray(diffusion(xr), dtype=float) @ xir for xr, xir in zip(x, xi)])
     if np.ndim(diffusion) == 0:
         return float(diffusion) * xi
     s = np.asarray(diffusion, dtype=float)
     return xi @ s.T
 
 
-def _time_grid(T: float, dt: float) -> int:
-    return int(math.ceil(T / dt - 1e-12))
+def _time_grid(T: float, dt: float) -> np.ndarray:
+    """Uniform grid 0, dt, 2 dt, ... whose last step is shortened to end at T."""
+    n_steps = int(math.ceil(T / dt - 1e-12))
+    return np.minimum(np.arange(n_steps + 1) * dt, T)
+
+
+def sde_kernel(
+    cfg: SdeConfig,
+    time_of: Callable[[int], float],
+    step_of: Callable[[int], float],
+) -> tuple[Callable, Optional[Callable], Optional[Callable]]:
+    """Euler-Maruyama step k from time ``time_of(k)`` over ``step_of(k)``.
+
+    Returns ``(step_fn, shape_noise, step_scale)`` for ``streams.lockstep``.
+    A scalar or constant-matrix diffusion is applied to each path's draws as
+    they are drawn and the block is scaled by amplitude(t_k) sqrt(h_k), so
+    the step only adds the drift; a state-dependent diffusion is evaluated
+    inside the step.
+    """
+    diffusion = cfg.diffusion
+    drift = cfg.drift
+    if callable(diffusion):
+
+        def step_fn(x, xi, k):
+            h = step_of(k)
+            return (
+                x
+                + drift(x) * h
+                + cfg.amplitude(time_of(k)) * math.sqrt(h) * apply_diffusion(diffusion, x, xi)
+            )
+
+        return step_fn, None, None
+
+    if np.ndim(diffusion) == 0:
+        sigma = float(diffusion)
+        shape_noise = lambda xi: sigma * xi  # noqa: E731
+    else:
+        shape_noise = streams.rows_times_transpose(diffusion)
+
+    def step_scale(k):
+        return cfg.amplitude(time_of(k)) * math.sqrt(step_of(k))
+
+    def step_fn(x, noise, k):
+        return x + drift(x) * step_of(k) + noise
+
+    return step_fn, shape_noise, step_scale
+
+
+def em_on_grid(
+    cfg: SdeConfig,
+    times: np.ndarray,
+    gens: list[np.random.Generator],
+    block: int = 1024,
+    on_step: Callable[[int, np.ndarray], None] | None = None,
+) -> np.ndarray:
+    """Final states of Euler-Maruyama paths, one per generator, on ``times``.
+
+    ``block`` and ``on_step`` are passed to ``streams.lockstep``.
+    """
+    steps = np.diff(times)
+    step_fn, shape_noise, step_scale = sde_kernel(cfg, times.__getitem__, steps.__getitem__)
+    return streams.lockstep(
+        step_fn,
+        cfg.x0,
+        gens,
+        steps.size,
+        block=block,
+        shape_noise=shape_noise,
+        step_scale=step_scale,
+        on_step=on_step,
+    )[2]
 
 
 def euler_maruyama(cfg: SdeConfig, rng: np.random.Generator | None = None) -> Trajectory:
     """Integrate one path on a uniform grid (final step shortened to hit T)."""
     if rng is None:
-        rng = streams.generator(cfg.seed)
-    n_steps = _time_grid(cfg.T, cfg.dt)
-    d = cfg.potential.dim
-    x = cfg.x0.copy()
-    times = np.minimum(np.arange(n_steps + 1) * cfg.dt, cfg.T)
-    states = np.empty((n_steps + 1, d))
-    states[0] = x
-    for k in range(n_steps):
-        h = times[k + 1] - times[k]
-        xi = rng.standard_normal(d)
-        x = (
-            x
-            + cfg.drift(x) * h
-            + cfg.amplitude(times[k]) * math.sqrt(h) * apply_diffusion(cfg.diffusion, x, xi)
-        )
-        if not np.all(np.isfinite(x)):
-            raise NumericalError(f"non-finite state at step {k + 1}", step=k + 1)
-        states[k + 1] = x
+        rng = np.random.default_rng(cfg.seed)
+    times = _time_grid(cfg.T, cfg.dt)
+    states = np.empty((times.size, cfg.potential.dim))
+    states[0] = cfg.x0
+
+    def store(k, x):
+        states[k] = x[0]
+
+    em_on_grid(cfg, times, [rng], on_step=store)
     return Trajectory(
         times=times,
         states=states,
-        meta={"dt": cfg.dt, "seed": cfg.seed, "steps": np.arange(n_steps + 1)},
+        meta={"dt": cfg.dt, "seed": cfg.seed, "steps": np.arange(times.size)},
     )
 
 
@@ -142,24 +197,7 @@ def em_endpoints(
     """Endpoint states X(T) of many paths with private per-path streams."""
     indices = path_indices if path_indices is not None else range(n_paths)
     gens = streams.path_streams(cfg.seed, experiment, indices)
-    n = len(gens)
-    d = cfg.potential.dim
-    n_steps = _time_grid(cfg.T, cfg.dt)
-    noise = np.empty((n, n_steps, d))
-    for i, gen in enumerate(gens):
-        noise[i] = gen.standard_normal((n_steps, d))
-    times = np.minimum(np.arange(n_steps + 1) * cfg.dt, cfg.T)
-    x = np.tile(cfg.x0, (n, 1))
-    for k in range(n_steps):
-        h = times[k + 1] - times[k]
-        x = (
-            x
-            + cfg.drift(x) * h
-            + cfg.amplitude(times[k]) * math.sqrt(h) * apply_diffusion(cfg.diffusion, x, noise[:, k])
-        )
-        if not np.all(np.isfinite(x)):
-            raise NumericalError(f"non-finite state at step {k + 1}", step=k + 1)
-    return x
+    return em_on_grid(cfg, _time_grid(cfg.T, cfg.dt), gens)
 
 
 # ---------------------------------------------------------------------------
@@ -233,8 +271,8 @@ def gradient_flow(
         raise ValueError(f"need 0 < dt <= T, got dt={dt}, T={T}")
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     f = lambda y: -np.asarray(potential.gradient(y), dtype=float)
-    n_steps = _time_grid(T, dt)
-    times_all = np.minimum(np.arange(n_steps + 1) * dt, T)
+    times_all = _time_grid(T, dt)
+    n_steps = times_all.size - 1
     y = x0.copy()
     times = [0.0]
     states = [y.copy()]

@@ -14,13 +14,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from . import streams
 from .errors import NumericalError
-from .oracles import AdditiveGaussianOracle, GradientOracle, MinibatchOracle, sample_gradient
+from .oracles import AdditiveGaussianOracle, GradientOracle, MinibatchOracle
 
 
 @dataclass(frozen=True)
@@ -120,6 +120,44 @@ class SgdConfig:
             raise ValueError("a batch-size schedule requires a mini-batch oracle")
 
 
+def sgd_iterates(cfg: SgdConfig, rng: np.random.Generator, n_steps: int):
+    """Yield ``(x_k, m_k)`` for k = 1, ..., n_steps along one SGD path.
+
+    ``m_k`` is the batch size of step k under the config's schedule (None
+    without one).  Raises ``NumericalError`` if an iterate stops being
+    finite.  This is the one per-path stepping loop: ``run_sgd`` stores what
+    it yields and ``hitting_time_mc`` stops it at the first exit.
+    """
+    x = cfg.x0
+    for k in range(n_steps):
+        m = None if cfg.schedule is None else schedule_m(cfg.schedule, k * cfg.eta)
+        x = x - cfg.eta * cfg.oracle.sample(x, rng, m=m)
+        if not np.all(np.isfinite(x)):
+            raise NumericalError(
+                f"non-finite state at step {k + 1} (eta={cfg.eta})", step=k + 1
+            )
+        yield x, m
+
+
+def additive_gaussian_kernel(cfg: SgdConfig) -> tuple[Callable, Callable, None] | None:
+    """``(step_fn, shape_noise, step_scale)`` of the chain for ``streams.lockstep``.
+
+    Only an ``AdditiveGaussianOracle`` with constant covariance S S^T has
+    one (None otherwise): each path's draws are multiplied by S as they are
+    drawn, and step k is x - eta (grad F(x) + S xi_k), so no step is scaled.
+    """
+    oracle = cfg.oracle
+    if not isinstance(oracle, AdditiveGaussianOracle) or callable(oracle.covariance):
+        return None
+    eta = cfg.eta
+    gradient = oracle.potential.gradient
+
+    def step_fn(x, noise, k):
+        return x - eta * (gradient(x) + noise)
+
+    return step_fn, streams.rows_times_transpose(oracle.diffusion_at(cfg.x0)), None
+
+
 def run_sgd(cfg: SgdConfig, rng: np.random.Generator | None = None) -> Trajectory:
     """Simulate one SGD path.
 
@@ -131,27 +169,18 @@ def run_sgd(cfg: SgdConfig, rng: np.random.Generator | None = None) -> Trajector
     stops being finite.
     """
     if rng is None:
-        rng = streams.generator(cfg.seed)
-    x = cfg.x0.copy()
+        rng = np.random.default_rng(cfg.seed)
     times = [0.0]
-    states = [x.copy()]
+    states = [cfg.x0]
     steps_stored = [0]
     m_history: list[int] = []
-    for k in range(cfg.steps):
-        m = None
-        if cfg.schedule is not None:
-            m = schedule_m(cfg.schedule, k * cfg.eta)
+    for k, (x, m) in enumerate(sgd_iterates(cfg, rng, cfg.steps), start=1):
+        if m is not None:
             m_history.append(m)
-        g = sample_gradient(cfg.oracle, x, rng, m=m)
-        x = x - cfg.eta * g
-        if not np.all(np.isfinite(x)):
-            raise NumericalError(
-                f"non-finite state at step {k + 1} (eta={cfg.eta})", step=k + 1
-            )
-        if (k + 1) % cfg.store_every == 0 or (k + 1) == cfg.steps:
-            times.append((k + 1) * cfg.eta)
-            states.append(x.copy())
-            steps_stored.append(k + 1)
+        if k % cfg.store_every == 0 or k == cfg.steps:
+            times.append(k * cfg.eta)
+            states.append(x)
+            steps_stored.append(k)
     meta = {"eta": cfg.eta, "seed": cfg.seed, "steps": np.array(steps_stored)}
     if cfg.schedule is not None:
         meta["m_history"] = np.array(m_history, dtype=int)
@@ -192,12 +221,8 @@ def run_sgd_ensemble(
                 f"reference states shape {reference_states.shape} != ({cfg.steps + 1}, {d})"
             )
 
-    fast = (
-        isinstance(cfg.oracle, AdditiveGaussianOracle)
-        and not callable(cfg.oracle.covariance)
-        and cfg.schedule is None
-    )
-    if not fast:
+    kernel = additive_gaussian_kernel(cfg)
+    if kernel is None:
         endpoints = np.empty((n, d))
         gaps = np.zeros(n) if reference_states is not None else None
         for i, gen in enumerate(gens):
@@ -207,24 +232,16 @@ def run_sgd_ensemble(
                 gaps[i] = np.linalg.norm(traj.states - reference_states, axis=1).max()
         return EnsembleResult(endpoints=endpoints, sup_gaps=gaps)
 
-    diffusion = cfg.oracle.diffusion_at(cfg.x0)
-    gradient = cfg.oracle.potential.gradient
-    noise = np.empty((n, cfg.steps, d))
-    for i, gen in enumerate(gens):
-        noise[i] = gen.standard_normal((cfg.steps, d))
-    x = np.tile(cfg.x0, (n, 1))
-    gaps = np.zeros(n) if reference_states is not None else None
-    # Overflow to inf/nan is caught by the guard below; silence the noise.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(cfg.steps):
-            g = gradient(x) + noise[:, k] @ diffusion.T
-            x = x - cfg.eta * g
-            if not np.all(np.isfinite(x)):
-                raise NumericalError(
-                    f"non-finite state at step {k + 1} in ensemble", step=k + 1
-                )
-            if reference_states is not None:
-                np.maximum(
-                    gaps, np.linalg.norm(x - reference_states[k + 1], axis=1), out=gaps
-                )
-    return EnsembleResult(endpoints=x, sup_gaps=gaps)
+    track = None
+    gaps = None
+    if reference_states is not None:
+        gaps = np.zeros(n)
+
+        def track(k, x):
+            np.maximum(gaps, np.linalg.norm(x - reference_states[k], axis=1), out=gaps)
+
+    step_fn, shape_noise, _ = kernel
+    endpoints = streams.lockstep(
+        step_fn, cfg.x0, gens, cfg.steps, shape_noise=shape_noise, on_step=track
+    )[2]
+    return EnsembleResult(endpoints=endpoints, sup_gaps=gaps)

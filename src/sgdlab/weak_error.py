@@ -247,30 +247,6 @@ def weak_error_ladder_linear(
     )
 
 
-def weak_error_time_profile(
-    lam: float,
-    eta: float,
-    sigma: float,
-    x0: float,
-    k_list: Sequence[int],
-    drift_order: str = FIRST_ORDER,
-    suite: Sequence[TestFunction] = DEFAULT_SUITE,
-    gh_order: int = 64,
-) -> np.ndarray:
-    """Exact max weak error at each step count k (pseudo-times k * eta).
-
-    Useful for checking that the error stays uniformly bounded in time
-    instead of accumulating with the horizon.
-    """
-    out = np.empty(len(k_list))
-    for i, k in enumerate(k_list):
-        point = weak_error_linear(
-            lam, eta, sigma, k * eta, x0, drift_order, suite, gh_order
-        )
-        out[i] = point.max_error
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Order fitting.
 # ---------------------------------------------------------------------------

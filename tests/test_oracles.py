@@ -15,7 +15,6 @@ from sgdlab import (
     minibatch_covariance,
     population_covariance,
     psd_sqrt,
-    sample_gradient,
 )
 
 
@@ -102,7 +101,7 @@ def test_single_draw_law_m1():
     fs = gaussian_cloud(np.array([[1.0], [-1.0]]))
     oracle = MinibatchOracle(fs, 1)
     rng = np.random.default_rng(123)
-    draws = np.array([sample_gradient(oracle, np.zeros(1), rng)[0] for _ in range(4000)])
+    draws = np.array([oracle.sample(np.zeros(1), rng)[0] for _ in range(4000)])
     values = np.unique(draws)
     np.testing.assert_allclose(values, [-1.0, 1.0])
     frac = np.mean(draws > 0)
@@ -115,7 +114,7 @@ def test_sampled_gradients_are_unbiased():
     x = rng.normal(size=3)
     oracle = MinibatchOracle(fs, 3)
     n = 20000
-    draws = np.array([sample_gradient(oracle, x, rng) for _ in range(n)])
+    draws = np.array([oracle.sample(x, rng) for _ in range(n)])
     se = draws.std(axis=0, ddof=1) / math.sqrt(n)
     assert np.all(np.abs(draws.mean(axis=0) - fs.base.gradient(x)) < 4 * se + 1e-12)
 
@@ -126,6 +125,6 @@ def test_additive_gaussian_oracle_moments():
     x = np.array([2.0])
     rng = np.random.default_rng(5)
     n = 40000
-    draws = np.array([sample_gradient(oracle, x, rng)[0] for _ in range(n)])
+    draws = np.array([oracle.sample(x, rng)[0] for _ in range(n)])
     assert abs(draws.mean() - 2.0) < 4 * 0.5 / math.sqrt(n)
     assert abs(draws.var(ddof=1) - 0.25) < 0.01
