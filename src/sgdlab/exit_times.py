@@ -142,9 +142,9 @@ def hitting_time_mc(
     Exit is the first step whose state lies outside the closed domain; the
     recorded exit point is that first outside state.  Paths still inside at
     the horizon are returned censored with exit_time = horizon.  Records are
-    returned in path-index order.  ``block`` (at least 1) is the number of
-    steps of noise drawn per path at a time; it sets memory and speed, never
-    the records.
+    returned in path-index order.  Each path's noise is drawn at most
+    ``block`` (at least 1) steps at a time; the block sets memory and speed,
+    never the records.
     """
     x0 = np.atleast_1d(np.asarray(process.x0, dtype=float))
     if not domain.strictly_inside(x0):

@@ -31,6 +31,12 @@ from sgdlab import (
 )
 from sgdlab.sde import _time_grid, apply_diffusion, em_on_grid
 from sgdlab.sgd import additive_gaussian_kernel
+from test_exit_times import (
+    ENGINE_CASES,
+    _assert_same_records,
+    _engine_baseline,
+    _engine_records,
+)
 
 WELL = builtin("quadratic_well")
 WELL_2D = builtin("quadratic_well", (1.0, 2.0))
@@ -317,6 +323,29 @@ def test_fixed_horizon_results_ignore_block_size_and_chunking(case, block, cuts)
     if case.startswith("anneal"):
         total = total.sum(axis=0, keepdims=True)
     np.testing.assert_array_equal(total, _chunked_baseline(case))
+
+
+def test_noise_blocks_are_capped_in_bytes(monkeypatch):
+    monkeypatch.setattr(streams, "NOISE_BLOCK_BYTES", 8 * 2 * 16 * 5)  # 5 steps of 16 2-D paths
+    lengths = []
+
+    def step(x, noise, k):
+        lengths.append(len(noise.base))
+        return x + noise
+
+    streams.lockstep(step, np.zeros(2), streams.path_streams(0, "cap", range(16)), 12)
+    assert lengths == [5] * 10 + [2] * 2
+
+
+@pytest.mark.parametrize("cap", [1, 8 * N_PATHS * 5])
+def test_results_ignore_the_noise_block_byte_cap(cap, monkeypatch):
+    fixed = {case: _chunked_baseline(case) for case in CHUNKED}
+    exits = {case: _engine_baseline(case) for case in ENGINE_CASES}
+    monkeypatch.setattr(streams, "NOISE_BLOCK_BYTES", cap)
+    for case, expected in fixed.items():
+        np.testing.assert_array_equal(CHUNKED[case](1024, 0, N_PATHS), expected)
+    for case, expected in exits.items():
+        _assert_same_records(_engine_records(case), expected)
 
 
 # ---------------------------------------------------------------------------
