@@ -138,8 +138,18 @@ def sde_kernel(
     def step_scale(k):
         return cfg.amplitude(time_of(k)) * math.sqrt(step_of(k))
 
-    def step_fn(x, noise, k):
-        return x + drift(x) * step_of(k) + noise
+    if cfg.drift_order == FIRST_ORDER:
+        gradient = cfg.potential.gradient
+
+        # x + (-g) h + noise in the same bits, since IEEE negation is exact,
+        # without the drift call and the negated copy of g.
+        def step_fn(x, noise, k):
+            return x - np.asarray(gradient(x), dtype=float) * step_of(k) + noise
+
+    else:
+
+        def step_fn(x, noise, k):
+            return x + drift(x) * step_of(k) + noise
 
     return step_fn, shape_noise, step_scale
 

@@ -1,6 +1,7 @@
 """Tests for exit-time machinery: the 1-D BVP oracle, Monte Carlo hitting
 times, deterministic-flow travel times, and the escape-scaling fits."""
 
+import dataclasses
 import functools
 import math
 
@@ -14,6 +15,7 @@ from sgdlab import (
     Domain,
     ExitRecord,
     NumericalError,
+    PotentialSpec,
     SdeConfig,
     SgdConfig,
     builtin,
@@ -43,6 +45,24 @@ def test_bvp_brownian_interval_exact():
         u = mean_exit_bvp_1d(flat, eps, (-1.0, 1.0), x)
         exact = (1.0 - x * x) / eps
         assert abs(u - exact) / exact < 1e-6
+
+
+FLAT = PotentialSpec(
+    name="flat",
+    dim=1,
+    value=lambda x: np.zeros(np.shape(x)[:-1]),
+    gradient=np.zeros_like,
+    hessian=lambda x: np.zeros(np.shape(x) + (1,)),
+)
+
+
+@pytest.mark.parametrize("eps", [0.04, 0.5])
+def test_bvp_flat_potential_is_the_brownian_mean_exit(eps):
+    """Without drift u'' = -2 / eps, so u(x) = (x - l)(r - x) / eps."""
+    lo, hi = -0.3, 1.2
+    for x in (-0.29, 0.0, 0.45, 0.9, 1.19):
+        exact = (x - lo) * (hi - x) / eps
+        assert mean_exit_bvp_1d(FLAT, eps, (lo, hi), x) == pytest.approx(exact, rel=1e-6)
 
 
 def test_bvp_vanishes_toward_the_boundary():
@@ -406,6 +426,70 @@ def test_non_finite_state_raises_numerical_error():
     with pytest.raises(NumericalError) as info:
         hitting_time_mc(cfg, Domain.interval(-1e200, 1e200), n_paths=3, horizon=100.0, seed=0)
     assert info.value.step == 6
+
+
+def test_paths_that_diverge_after_their_exit_keep_their_records():
+    """Paths kicked out of the double well overflow a few steps after they
+    leave a wide interval.  The engine steps them to the end of their block,
+    so the gradient meets those non-finite states, but only exit points
+    count."""
+    finite = []
+
+    def recording(x):
+        finite.append(bool(np.all(np.isfinite(x))))
+        return DOUBLE_WELL.gradient(x)
+
+    potential = dataclasses.replace(DOUBLE_WELL, gradient=recording)
+    cfg = SdeConfig(
+        potential=DOUBLE_WELL, eta=0.1, dt=0.5, T=1.0, x0=np.array([1.0]), diffusion=3.0
+    )
+    domain = Domain.interval(-1e10, 1e10)
+    records = hitting_time_mc(
+        dataclasses.replace(cfg, potential=potential),
+        domain,
+        n_paths=24,
+        horizon=30.0,
+        seed=0,
+        experiment="diverge",
+        block=16,
+    )
+    _assert_same_records(records, _reference_records(cfg, domain, 24, 30.0, 0, "diverge", 16))
+    assert not all(finite)
+    assert 0 < sum(r.censored for r in records) < 24
+
+
+def test_non_finite_exit_is_reported_at_its_earliest_step():
+    """Three paths jump to inf at steps 5, 3 and 9 of one block."""
+    blow_up = np.array([[5], [3], [9]])
+
+    def step_fn(x, noise, k):
+        return np.where(k + 1 >= blow_up, np.inf, x)
+
+    gens = streams.path_streams(0, "blow-up", range(3))
+    with pytest.raises(NumericalError) as info:
+        streams.lockstep(step_fn, np.zeros(1), gens, 12, domain=UNIT)
+    assert info.value.step == 3
+
+
+@pytest.mark.parametrize("slab", [1, 7])
+def test_exit_records_ignore_the_scan_slab(slab, monkeypatch):
+    expected = {case: _engine_baseline(case) for case in ENGINE_CASES}
+    monkeypatch.setattr(streams, "SCAN_SLAB", slab)
+    for case in ENGINE_CASES:
+        _assert_same_records(_engine_records(case), expected[case])
+        _assert_same_records(_engine_records(case, block=7), expected[case])
+
+
+def test_lockstep_rejects_an_observer_with_a_domain():
+    with pytest.raises(ValueError, match="on_step"):
+        streams.lockstep(
+            lambda x, noise, k: x + noise,
+            np.zeros(1),
+            streams.path_streams(0, "observer", range(2)),
+            4,
+            domain=UNIT,
+            on_step=lambda k, x: None,
+        )
 
 
 def _no_streams(*args, **kwargs):

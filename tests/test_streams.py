@@ -5,10 +5,12 @@ pinned three ways: the first draws of a few streams, recorded once; the
 equality of each path's generator state with that of
 ``PCG64(SeedSequence(seed, spawn_key=label words + (index,)))``, which is
 the derivation's definition; and numpy's generator behaviours (pickling,
-deep copies, ``spawn``) on a path stream.
+deep copies, ``spawn``) on a path stream.  The last tests check that the
+garbage collector is paused while streams are built and then left as it was.
 """
 
 import copy
+import gc
 import pickle
 
 import numpy as np
@@ -16,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sgdlab import streams
 from sgdlab.streams import _label_words, path_streams, seed_policy
 
 # (base_seed, label, path index) -> three standard normals, then one integer
@@ -129,3 +132,43 @@ def test_spawned_children_match_seed_sequence():
     for _ in range(2):  # a second spawn gives fresh children, as numpy's does
         for child, ref_child in zip(gen.spawn(2), ref.spawn(2)):
             _assert_same_stream(child, ref_child)
+
+
+# ---------------------------------------------------------------------------
+# The garbage collector is paused while streams are built.
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def gc_state():
+    enabled = gc.isenabled()
+    yield
+    (gc.enable if enabled else gc.disable)()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_collector_state_is_restored_after_a_return(enabled, gc_state, monkeypatch):
+    seen = []
+    path_seed = streams._PathSeed
+
+    def recording(*args):
+        seen.append(gc.isenabled())
+        return path_seed(*args)
+
+    monkeypatch.setattr(streams, "_PathSeed", recording)
+    (gc.enable if enabled else gc.disable)()
+    assert len(path_streams(3, "gc", range(5))) == 5
+    assert seen == [False] * 5
+    assert gc.isenabled() is enabled
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_collector_state_is_restored_after_a_raise(enabled, gc_state, monkeypatch):
+    def failing(*args):
+        raise RuntimeError("no stream")
+
+    monkeypatch.setattr(streams, "_PathSeed", failing)
+    (gc.enable if enabled else gc.disable)()
+    with pytest.raises(RuntimeError, match="no stream"):
+        path_streams(3, "gc", range(5))
+    assert gc.isenabled() is enabled
