@@ -4,10 +4,13 @@ Each subcommand loads a flat key=value config, runs the corresponding
 library experiment, and writes result tables (`<prefix>*.csv`), headline
 constants (`<prefix>.summary.csv`), gnuplot-ready data (`<prefix>*.dat`),
 and finally a JSON manifest (`<prefix>.manifest`) with content digests of
-every emitted file.  Worker processes split path indices into contiguous
-chunks; since every path owns a private random stream and results are
-gathered in index order, the emitted CSV bytes do not depend on the worker
-count.
+every emitted file.  Parallelism enters through one hook: each run hands
+``Pool._scatter`` to the library experiment as its ``scatter``, which runs
+the library's module-level chunk functions over contiguous chunks of path
+indices, on worker processes when ``--workers`` is above 1.  Every path
+owns a private random stream and chunk results are combined in index order
+(exact integer counts for annealing), so the emitted CSV bytes do not
+depend on the worker count.
 
 Exit status: 0 success, 2 configuration error, 3 numerical failure
 (non-finite states), 4 threshold failure under --check.
@@ -41,9 +44,9 @@ from .config import (
     x0_array,
 )
 from .errors import ConfigError, NumericalError
+# hitting_time_mc is not called here; bench/test_bench.py reads it from this
+# module to check that the benchmark's tracer restores what it wrapped.
 from .exit_times import (
-    AnnealResult,
-    Domain,
     anneal_experiment,
     hitting_time_mc,
     kramers_predictor,
@@ -52,7 +55,7 @@ from .exit_times import (
     saddle_scaling_fit,
 )
 from .oracles import AdditiveGaussianOracle, covariance_report
-from .potentials import FiniteSumSpec, PotentialSpec
+from .potentials import FiniteSumSpec
 from .reporting import (
     fmt,
     write_anneal_csv,
@@ -64,15 +67,7 @@ from .reporting import (
     write_summary_csv,
     write_weak_error_csv,
 )
-from .sde import (
-    FIRST_ORDER,
-    SECOND_ORDER,
-    SdeConfig,
-    deviation_empirical,
-    em_endpoints,
-    flow_sup_gap,
-)
-from .sgd import SgdConfig, run_sgd_ensemble
+from .sde import FIRST_ORDER, SECOND_ORDER, deviation_empirical, flow_sup_gap
 from .weak_error import weak_error_ladder_linear, weak_error_mc
 
 EXIT_OK = 0
@@ -85,71 +80,17 @@ Check = tuple[str, bool]
 
 
 # ---------------------------------------------------------------------------
-# Worker-pool plumbing.  The chunk functions live at module level so the
-# process pool can pickle them; chunks are contiguous index ranges and are
-# gathered in submission order, which keeps aggregation index-ordered.
+# Worker pool.  ``Pool._scatter`` is the ``scatter`` every library ensemble
+# takes (see ``sgdlab.streams``): the library's chunk functions live at
+# module level so the process pool can pickle them, chunks are contiguous
+# index ranges, and results are gathered in submission order, which keeps
+# aggregation index-ordered.
 # ---------------------------------------------------------------------------
 
 
 def _chunk_ranges(n: int, workers: int) -> list[tuple[int, int]]:
     size = max(1, math.ceil(n / max(1, workers)))
     return [(lo, min(lo + size, n)) for lo in range(0, n, size)]
-
-
-def _w_exit_chunk(process, domain: Domain, horizon: float, label: str, lo: int, hi: int):
-    return hitting_time_mc(
-        process, domain, hi - lo, horizon, experiment=label, path_indices=range(lo, hi)
-    )
-
-
-def _w_sgd_endpoints(cfg: SgdConfig, label: str, lo: int, hi: int) -> np.ndarray:
-    return run_sgd_ensemble(
-        cfg, hi - lo, experiment=label, path_indices=range(lo, hi)
-    ).endpoints
-
-
-def _w_em_endpoints(cfg: SdeConfig, label: str, lo: int, hi: int) -> np.ndarray:
-    return em_endpoints(cfg, hi - lo, experiment=label, path_indices=range(lo, hi))
-
-
-def _w_sup_gaps(
-    cfg: SgdConfig, reference: np.ndarray, label: str, lo: int, hi: int
-) -> np.ndarray:
-    return run_sgd_ensemble(
-        cfg,
-        hi - lo,
-        experiment=label,
-        path_indices=range(lo, hi),
-        reference_states=reference,
-    ).sup_gaps
-
-
-def _w_anneal(
-    potential: PotentialSpec,
-    gamma: float,
-    T: float,
-    epsilon: float,
-    start,
-    mode: str,
-    seed: int,
-    dt: float,
-    n_checkpoints: int,
-    lo: int,
-    hi: int,
-) -> AnnealResult:
-    return anneal_experiment(
-        potential,
-        gamma,
-        T,
-        hi - lo,
-        epsilon,
-        start=start,
-        mode=mode,
-        seed=seed,
-        dt=dt,
-        path_indices=range(lo, hi),
-        n_checkpoints=n_checkpoints,
-    )
 
 
 class Pool:
@@ -172,28 +113,6 @@ class Pool:
             ]
             return [f.result() for f in futures]
 
-    def exit_records(self, process, domain: Domain, n: int, horizon: float, label: str):
-        parts = self._scatter(_w_exit_chunk, n, process, domain, horizon, label)
-        return [rec for part in parts for rec in part]
-
-    def sgd_endpoints(self, cfg: SgdConfig, n: int, label: str) -> np.ndarray:
-        return np.concatenate(self._scatter(_w_sgd_endpoints, n, cfg, label))
-
-    def em_endpoints(self, cfg: SdeConfig, n: int, label: str) -> np.ndarray:
-        return np.concatenate(self._scatter(_w_em_endpoints, n, cfg, label))
-
-    def sup_gaps(self, cfg: SgdConfig, reference, n: int, label: str) -> np.ndarray:
-        parts = self._scatter(_w_sup_gaps, n, cfg, reference, label)
-        return np.concatenate(parts)
-
-    def anneal(
-        self, potential, gamma, T, n, epsilon, start, mode, seed, dt, n_checkpoints
-    ) -> AnnealResult:
-        parts = self._scatter(
-            _w_anneal, n, potential, gamma, T, epsilon, start, mode, seed, dt, n_checkpoints
-        )
-        return parts[0] if len(parts) == 1 else AnnealResult.merge(parts)
-
 
 # ---------------------------------------------------------------------------
 # Experiment runners.  Each returns (files, summary, checks); all arithmetic
@@ -209,7 +128,7 @@ def _emit_records_files(out, report, files) -> None:
             files.append(write_exit_records_csv(f"{out}.records.eta{j}.csv", recs))
 
 
-def _run_weak_order(cfg: ExperimentConfig, out: str, pool: Pool):
+def _run_weak_order(cfg: ExperimentConfig, out: str, scatter: Callable):
     potential = base_of(build_potential(cfg))
     if potential.name != "quadratic_well" or potential.dim != 1:
         raise ConfigError("weak-order runs on the 1-D quadratic_well benchmark")
@@ -244,8 +163,7 @@ def _run_weak_order(cfg: ExperimentConfig, out: str, pool: Pool):
                 seed=seed,
                 experiment=f"weak:{order}",
                 dt_factor=cfg.get("dt_factor", 0.1),
-                sgd_endpoints_fn=pool.sgd_endpoints,
-                sde_endpoints_fn=pool.em_endpoints,
+                scatter=scatter,
             )
         files.append(write_weak_error_csv(f"{out}.{order}.csv", rep))
         files.append(
@@ -268,14 +186,7 @@ def _run_weak_order(cfg: ExperimentConfig, out: str, pool: Pool):
     return files, summary, checks
 
 
-def _scaling_runner(pool: Pool):
-    def runner(sde_cfg: SdeConfig, domain: Domain, n: int, label: str):
-        return pool.exit_records(sde_cfg, domain, n, sde_cfg.T, label)
-
-    return runner
-
-
-def _run_exit_min(cfg: ExperimentConfig, out: str, pool: Pool):
+def _run_exit_min(cfg: ExperimentConfig, out: str, scatter: Callable):
     potential = base_of(build_potential(cfg))
     domain = build_domain(cfg)
     x0 = cfg.get("x0")
@@ -290,7 +201,7 @@ def _run_exit_min(cfg: ExperimentConfig, out: str, pool: Pool):
         seed=cfg.get("seed", 0),
         dt=cfg.get("dt"),
         horizon=cfg.get("horizon"),
-        hitting_runner=_scaling_runner(pool),
+        scatter=scatter,
         keep_records=cfg.get("emit_records", False),
     )
     files = [write_scaling_csv(f"{out}.csv", report)]
@@ -327,7 +238,7 @@ def _run_exit_min(cfg: ExperimentConfig, out: str, pool: Pool):
     return files, summary, checks
 
 
-def _run_exit_saddle(cfg: ExperimentConfig, out: str, pool: Pool):
+def _run_exit_saddle(cfg: ExperimentConfig, out: str, scatter: Callable):
     potential = base_of(build_potential(cfg))
     domain = build_domain(cfg)
     report = saddle_scaling_fit(
@@ -341,7 +252,7 @@ def _run_exit_saddle(cfg: ExperimentConfig, out: str, pool: Pool):
         seed=cfg.get("seed", 0),
         dt=cfg.get("dt"),
         horizon=cfg.get("horizon"),
-        hitting_runner=_scaling_runner(pool),
+        scatter=scatter,
         keep_records=cfg.get("emit_records", False),
     )
     files = [write_scaling_csv(f"{out}.csv", report)]
@@ -376,7 +287,7 @@ def _run_exit_saddle(cfg: ExperimentConfig, out: str, pool: Pool):
     return files, summary, checks
 
 
-def _run_kramers(cfg: ExperimentConfig, out: str, pool: Pool):
+def _run_kramers(cfg: ExperimentConfig, out: str, scatter: Callable):
     potential = base_of(build_potential(cfg))
     if potential.dim != 1:
         raise ConfigError("kramers runs on 1-D double-well objectives")
@@ -437,23 +348,24 @@ def _run_kramers(cfg: ExperimentConfig, out: str, pool: Pool):
     return files, summary, checks
 
 
-def _run_anneal(cfg: ExperimentConfig, out: str, pool: Pool):
+def _run_anneal(cfg: ExperimentConfig, out: str, scatter: Callable):
     potential = base_of(build_potential(cfg))
     start = cfg.get("x0")
     start_arr = np.asarray(start, dtype=float) if start is not None else None
     results = {}
     for mode in ("cooling", "constant"):
-        results[mode] = pool.anneal(
+        results[mode] = anneal_experiment(
             potential,
             cfg.get("gamma"),
             cfg.get("T"),
             cfg.get("n_paths"),
             cfg.get("epsilon"),
-            start_arr,
-            mode,
-            cfg.get("seed", 0),
-            cfg.get("dt", 0.01),
-            cfg.get("n_checkpoints", 50),
+            start=start_arr,
+            mode=mode,
+            seed=cfg.get("seed", 0),
+            dt=cfg.get("dt", 0.01),
+            n_checkpoints=cfg.get("n_checkpoints", 50),
+            scatter=scatter,
         )
     rows = [
         [
@@ -505,7 +417,7 @@ def _run_anneal(cfg: ExperimentConfig, out: str, pool: Pool):
     return files, summary, checks
 
 
-def _run_deviation(cfg: ExperimentConfig, out: str, pool: Pool):
+def _run_deviation(cfg: ExperimentConfig, out: str, scatter: Callable):
     potential = base_of(build_potential(cfg))
     oracle = AdditiveGaussianOracle.isotropic(potential, cfg.get("sigma"))
     report = deviation_empirical(
@@ -516,7 +428,7 @@ def _run_deviation(cfg: ExperimentConfig, out: str, pool: Pool):
         x0_array(cfg, potential.dim),
         cfg.get("n_paths"),
         seed=cfg.get("seed", 0),
-        endpoints_fn=pool.sgd_endpoints,
+        scatter=scatter,
     )
     files = [write_deviation_csv(f"{out}.csv", report)]
     stderrs = np.sqrt(np.diag(report.empirical_cov) / report.n_paths)
@@ -545,7 +457,7 @@ def _run_deviation(cfg: ExperimentConfig, out: str, pool: Pool):
     return files, summary, checks
 
 
-def _run_batch_cov(cfg: ExperimentConfig, out: str, pool: Pool):
+def _run_batch_cov(cfg: ExperimentConfig, out: str, scatter: Callable):
     fs = build_potential(cfg)
     if not isinstance(fs, FiniteSumSpec):
         raise ConfigError("batch-cov needs a finite-sum potential")
@@ -581,7 +493,7 @@ def _run_batch_cov(cfg: ExperimentConfig, out: str, pool: Pool):
     return files, summary, checks
 
 
-def _run_ode_limit(cfg: ExperimentConfig, out: str, pool: Pool):
+def _run_ode_limit(cfg: ExperimentConfig, out: str, scatter: Callable):
     potential = base_of(build_potential(cfg))
     oracle = AdditiveGaussianOracle.isotropic(potential, cfg.get("sigma"))
     x0 = x0_array(cfg, potential.dim)
@@ -597,7 +509,7 @@ def _run_ode_limit(cfg: ExperimentConfig, out: str, pool: Pool):
             cfg.get("n_paths", 1000),
             seed=cfg.get("seed", 0),
             experiment=f"ode-limit:eta{j}",
-            gaps_fn=lambda c, ref, n, label: pool.sup_gaps(c, ref, n, label),
+            scatter=scatter,
         )
         means.append(mean)
         rows.append([eta, mean, stderr])
@@ -748,8 +660,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         cfg = _resolve_config(args)
         workers = _resolve_workers(cfg)
         out = cfg.get("out", "run")
-        pool = Pool(workers)
-        files, summary, checks = _RUNNERS[cfg.experiment](cfg, out, pool)
+        files, summary, checks = _RUNNERS[cfg.experiment](cfg, out, Pool(workers)._scatter)
         files.append(write_summary_csv(f"{out}.summary.csv", summary))
     except ConfigError as exc:
         print(f"sgdlab: config-error: {exc}", file=sys.stderr)

@@ -300,8 +300,12 @@ def _cross_validate(experiment: str, values: dict[str, object]) -> None:
         raise ConfigError("key 'seed': must be non-negative")
     if "workers" in values and values["workers"] < 1:
         raise ConfigError("key 'workers': must be >= 1")
-    if "n_paths" in values and values["n_paths"] < 1:
-        raise ConfigError("key 'n_paths': must be >= 1")
+    # These three report sample variances, which need two paths.
+    least = 2 if experiment in ("deviation", "ode-limit", "weak-order") else 1
+    if values.get("n_paths", least) < least:
+        raise ConfigError(f"key 'n_paths': must be >= {least} for {experiment}")
+    if values.get("n_checkpoints", 0) < 0:
+        raise ConfigError("key 'n_checkpoints': must be non-negative")
     for key in ("sigma", "T", "dt", "eta", "epsilon", "domain_radius", "dt_factor"):
         if key in values and values[key] <= 0:
             raise ConfigError(f"key {key!r}: must be positive")

@@ -209,6 +209,16 @@ def hitting_time_mc(
     return records
 
 
+def hitting_time_chunk(
+    process: Union[SdeConfig, SgdConfig], domain: Domain, horizon: float, experiment: str,
+    lo: int, hi: int,
+) -> list[ExitRecord]:
+    """``hitting_time_mc`` over paths lo, ..., hi - 1: a ``scatter`` chunk."""
+    return hitting_time_mc(
+        process, domain, hi - lo, horizon, experiment=experiment, path_indices=range(lo, hi)
+    )
+
+
 def _chain_exit(
     process: SgdConfig,
     domain: Domain,
@@ -587,13 +597,6 @@ class ScalingReport:
     extra: dict = field(default_factory=dict)
 
 
-HittingRunner = Callable[[SdeConfig, Domain, int, str], list[ExitRecord]]
-
-
-def _default_runner(cfg: SdeConfig, domain: Domain, n_paths: int, label: str):
-    return hitting_time_mc(cfg, domain, n_paths, horizon=cfg.T, experiment=label)
-
-
 def _fitted_constant(entries: Sequence[ScalingEntry]) -> float:
     ok = [e for e in entries if e.admissible]
     if not ok:
@@ -613,7 +616,7 @@ def minimizer_scaling_fit(
     dt: float | None = None,
     horizon: float | None = None,
     experiment: str = "exit-min",
-    hitting_runner: HittingRunner | None = None,
+    scatter: Callable[..., list] = streams.in_process,
     keep_records: bool = False,
 ) -> ScalingReport:
     """Escape-time scaling from a minimizer: eta * log E[T] against the
@@ -624,14 +627,14 @@ def minimizer_scaling_fit(
     1e-3) and a horizon of 20x the oracle prediction by default).  Entries
     with more than 1% censoring are marked inadmissible and excluded from
     the fitted constant, which is the transform value at the smallest
-    admissible eta.
+    admissible eta.  Monte Carlo rungs run through ``scatter`` (see
+    ``streams``).
     """
     if source not in ("bvp_1d", "mc"):
         raise ValueError(f"unknown source {source!r}")
     x_star = _resolve_minimizer(potential, domain, None)
     start = x_star if x0 is None else np.atleast_1d(np.asarray(x0, dtype=float))
     reference = quasi_potential_isotropic(potential, sigma, domain, x_star)
-    runner = hitting_runner or _default_runner
     entries = []
     records_by_eta: dict[float, list[ExitRecord]] = {}
     for j, eta in enumerate(eta_list):
@@ -677,7 +680,9 @@ def minimizer_scaling_fit(
             drift_order=FIRST_ORDER,
             seed=seed,
         )
-        recs = runner(cfg, domain, n_paths, f"{experiment}:eta{j}")
+        label = f"{experiment}:eta{j}"
+        parts = scatter(hitting_time_chunk, n_paths, cfg, domain, cfg.T, label)
+        recs = [rec for part in parts for rec in part]
         if keep_records:
             records_by_eta[float(eta)] = recs
         stats = exit_time_stats(recs)
@@ -722,7 +727,7 @@ def saddle_scaling_fit(
     dt: float | None = None,
     horizon: float | None = None,
     experiment: str = "exit-saddle",
-    hitting_runner: HittingRunner | None = None,
+    scatter: Callable[..., list] = streams.in_process,
     keep_records: bool = False,
 ) -> ScalingReport:
     """Escape-time scaling from an unstable point: E[T] / log(1/eta).
@@ -733,7 +738,8 @@ def saddle_scaling_fit(
     does, its exit time theta(x0) is reported (extra["theta"]) and the
     small-eta mean exit time should approach it instead of the log law.
     The chain-step bound 2 gamma1 E[T] / log(1/eta), which should not
-    exceed 1 + o(1), is reported per entry in extra["steps_bound"].
+    exceed 1 + o(1), is reported per entry in extra["steps_bound"].  Monte
+    Carlo rungs run through ``scatter`` (see ``streams``).
     """
     if source not in ("bvp_1d", "mc"):
         raise ValueError(f"unknown source {source!r}")
@@ -749,7 +755,6 @@ def saddle_scaling_fit(
     theta = None
     if np.linalg.norm(potential.gradient(start)) > 1e-12:
         theta = flow_exit_time(potential, start, domain, dt=1e-4, horizon=200.0 / gamma1)
-    runner = hitting_runner or _default_runner
     entries = []
     records_by_eta: dict[float, list[ExitRecord]] = {}
     for j, eta in enumerate(eta_list):
@@ -776,7 +781,9 @@ def saddle_scaling_fit(
                 drift_order=FIRST_ORDER,
                 seed=seed,
             )
-            recs = runner(cfg, domain, n_paths, f"{experiment}:eta{j}")
+            label = f"{experiment}:eta{j}"
+            parts = scatter(hitting_time_chunk, n_paths, cfg, domain, cfg.T, label)
+            recs = [rec for part in parts for rec in part]
             if keep_records:
                 records_by_eta[float(eta)] = recs
             stats = exit_time_stats(recs)
@@ -833,27 +840,6 @@ class AnnealResult:
     occupancy_times: np.ndarray
     occupancy_fracs: np.ndarray
 
-    @staticmethod
-    def merge(parts: Sequence["AnnealResult"]) -> "AnnealResult":
-        first = parts[0]
-        n = sum(p.n_paths for p in parts)
-        k = sum(p.successes for p in parts)
-        occ = sum(p.occupancy_fracs * p.n_paths for p in parts) / n
-        lo, hi = _binomial_ci(k, n)
-        return AnnealResult(
-            mode=first.mode,
-            gamma=first.gamma,
-            T=first.T,
-            epsilon=first.epsilon,
-            n_paths=n,
-            successes=k,
-            success_prob=k / n,
-            ci_low=lo,
-            ci_high=hi,
-            occupancy_times=first.occupancy_times,
-            occupancy_fracs=occ,
-        )
-
 
 def _binomial_ci(k: int, n: int, level: float = 0.95) -> tuple[float, float]:
     """Clopper-Pearson central interval."""
@@ -874,9 +860,9 @@ def anneal_experiment(
     seed: int = 0,
     dt: float = 0.01,
     experiment: str = "anneal",
-    path_indices: range | None = None,
     n_checkpoints: int = 50,
     block: int = 4096,
+    scatter: Callable[..., list] = streams.in_process,
 ) -> AnnealResult:
     """Simulate dX = -F'(X) ds + beta(s) dB and score arrival at the global well.
 
@@ -884,6 +870,8 @@ def anneal_experiment(
     control arm freezes beta at the cooling schedule's terminal value
     beta(T).  Success means the final state lies within ``epsilon`` of a
     global minimizer.  gamma = 0 degenerates to the plain gradient flow.
+    The paths run through ``scatter`` (see ``streams``) as ``anneal_chunk``
+    calls, whose integer counts are divided by ``n_paths`` once.
     """
     if mode not in ("cooling", "constant"):
         raise ValueError(f"unknown annealing mode {mode!r}")
@@ -893,13 +881,44 @@ def anneal_experiment(
         raise ValueError("T, epsilon and dt must all be positive")
     if block < 1:
         raise ValueError(f"block must be at least 1, got {block}")
-    targets = np.stack([cp.location for cp in potential.global_minimizers()])
     if start is None:
         mins = potential.minimizers()
         if len(mins) < 2:
             raise ValueError("pass a start point for a single-well objective")
         values = [float(potential.value(cp.location)) for cp in mins]
         start = mins[int(np.argmax(values))].location  # the shallow well
+    check_times = np.linspace(0.0, T, n_checkpoints + 1)[1:] if n_checkpoints else np.array([])
+    parts = scatter(
+        anneal_chunk, n_paths, potential, gamma, T, epsilon, start, mode, seed, dt,
+        experiment, check_times, block,
+    )
+    successes = sum(k for k, _ in parts)
+    lo, hi = _binomial_ci(successes, n_paths)
+    return AnnealResult(
+        mode=mode,
+        gamma=float(gamma),
+        T=float(T),
+        epsilon=float(epsilon),
+        n_paths=n_paths,
+        successes=successes,
+        success_prob=successes / n_paths,
+        ci_low=lo,
+        ci_high=hi,
+        occupancy_times=check_times,
+        occupancy_fracs=sum(counts for _, counts in parts) / n_paths,
+    )
+
+
+def anneal_chunk(
+    potential: PotentialSpec, gamma: float, T: float, epsilon: float, start: np.ndarray,
+    mode: str, seed: int, dt: float, experiment: str, check_times: np.ndarray, block: int,
+    lo: int, hi: int,
+) -> tuple[int, np.ndarray]:
+    """Paths lo, ..., hi - 1 of ``anneal_experiment``: a ``scatter`` chunk.
+
+    Returns the number of successes and, per checkpoint time, the number of
+    paths inside the target window.
+    """
     if mode == "cooling":
         amp_fn = lambda s: math.sqrt(gamma / math.log(2.0 + s))
     else:
@@ -909,14 +928,11 @@ def anneal_experiment(
     cfg = SdeConfig(
         potential=potential, eta=1.0, dt=dt, T=T, x0=start, noise_schedule=amp_fn
     )
-
-    indices = list(path_indices if path_indices is not None else range(n_paths))
-    gens = streams.path_streams(seed, f"{experiment}:{mode}", indices)
-    n = len(gens)
+    targets = np.stack([cp.location for cp in potential.global_minimizers()])
+    gens = streams.path_streams(seed, f"{experiment}:{mode}", range(lo, hi))
     times = _time_grid(T, dt)
-    check_times = np.linspace(0.0, T, n_checkpoints + 1)[1:] if n_checkpoints else np.array([])
     check_idx = 0
-    occupancy = np.zeros(check_times.size)
+    counts = np.zeros(check_times.size, dtype=np.int64)
 
     def in_target(xs: np.ndarray) -> np.ndarray:
         dist2 = ((xs[:, None, :] - targets) ** 2).sum(axis=-1)
@@ -925,22 +941,8 @@ def anneal_experiment(
     def checkpoint(k, x):
         nonlocal check_idx
         while check_idx < check_times.size and times[k] >= check_times[check_idx] - 1e-12:
-            occupancy[check_idx] = in_target(x).mean()
+            counts[check_idx] = in_target(x).sum()
             check_idx += 1
 
     x = em_on_grid(cfg, times, gens, block=block, on_step=checkpoint)
-    successes = int(in_target(x).sum())
-    lo, hi = _binomial_ci(successes, n)
-    return AnnealResult(
-        mode=mode,
-        gamma=float(gamma),
-        T=float(T),
-        epsilon=float(epsilon),
-        n_paths=n,
-        successes=successes,
-        success_prob=successes / n,
-        ci_low=lo,
-        ci_high=hi,
-        occupancy_times=check_times,
-        occupancy_fracs=occupancy,
-    )
+    return int(in_target(x).sum()), counts

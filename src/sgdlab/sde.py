@@ -27,7 +27,7 @@ from . import streams
 from .errors import NumericalError
 from .oracles import GradientOracle
 from .potentials import PotentialSpec
-from .sgd import SgdConfig, Trajectory, run_sgd_ensemble
+from .sgd import SgdConfig, Trajectory, sgd_ensemble_chunk
 
 FIRST_ORDER = "first"
 SECOND_ORDER = "second"
@@ -208,6 +208,11 @@ def em_endpoints(
     indices = path_indices if path_indices is not None else range(n_paths)
     gens = streams.path_streams(cfg.seed, experiment, indices)
     return em_on_grid(cfg, _time_grid(cfg.T, cfg.dt), gens)
+
+
+def em_endpoints_chunk(cfg: SdeConfig, experiment: str, lo: int, hi: int) -> np.ndarray:
+    """``em_endpoints`` over paths lo, ..., hi - 1: a ``scatter`` chunk."""
+    return em_endpoints(cfg, hi - lo, experiment=experiment, path_indices=range(lo, hi))
 
 
 # ---------------------------------------------------------------------------
@@ -392,26 +397,19 @@ def deviation_empirical(
     n_paths: int,
     seed: int = 0,
     experiment: str = "deviation",
-    path_indices: range | None = None,
-    endpoints_fn: Callable[[SgdConfig, int, str], np.ndarray] | None = None,
+    scatter: Callable[..., list] = streams.in_process,
 ) -> DeviationReport:
     """Monte Carlo check of the normal-deviation covariance at time T.
 
-    ``endpoints_fn(cfg, n_paths, label) -> (n, d) endpoints`` may replace the
-    in-process ensemble, e.g. with a worker-pool version; per-path streams
-    keep the result identical either way.
+    The SGD ensemble runs through ``scatter`` (see ``streams``).
     """
     k = int(round(T / eta))
     if abs(k * eta - T) > 1e-9 * max(1.0, T):
         raise ValueError(f"T={T} is not a multiple of eta={eta}")
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     cfg = SgdConfig(eta=eta, steps=k, x0=x0, oracle=oracle, seed=seed)
-    if endpoints_fn is not None:
-        endpoints = endpoints_fn(cfg, n_paths, experiment)
-    else:
-        endpoints = run_sgd_ensemble(
-            cfg, n_paths, experiment=experiment, path_indices=path_indices
-        ).endpoints
+    parts = scatter(sgd_ensemble_chunk, n_paths, cfg, experiment, None)
+    endpoints = np.concatenate([part.endpoints for part in parts])
     y_final = flow_knots(potential, x0, eta, k)[-1]
     zeta = (endpoints - y_final) / math.sqrt(eta)
     emp_mean = zeta.mean(axis=0)
@@ -442,13 +440,11 @@ def flow_sup_gap(
     n_paths: int,
     seed: int = 0,
     experiment: str = "ode-limit",
-    path_indices: range | None = None,
-    gaps_fn: Callable[[SgdConfig, np.ndarray, int, str], np.ndarray] | None = None,
+    scatter: Callable[..., list] = streams.in_process,
 ) -> tuple[float, float]:
     """Mean and standard error of max_k ||x_k - Y(eta k)|| over an ensemble.
 
-    ``gaps_fn(cfg, reference, n_paths, label) -> (n,) sup gaps`` may replace
-    the in-process ensemble, e.g. with a worker-pool version.
+    The SGD ensemble runs through ``scatter`` (see ``streams``).
     """
     k = int(round(T / eta))
     if abs(k * eta - T) > 1e-9 * max(1.0, T):
@@ -456,14 +452,6 @@ def flow_sup_gap(
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     reference = flow_knots(potential, x0, eta, k)
     cfg = SgdConfig(eta=eta, steps=k, x0=x0, oracle=oracle, seed=seed)
-    if gaps_fn is not None:
-        gaps = gaps_fn(cfg, reference, n_paths, experiment)
-    else:
-        gaps = run_sgd_ensemble(
-            cfg,
-            n_paths,
-            experiment=experiment,
-            path_indices=path_indices,
-            reference_states=reference,
-        ).sup_gaps
+    parts = scatter(sgd_ensemble_chunk, n_paths, cfg, experiment, reference)
+    gaps = np.concatenate([part.sup_gaps for part in parts])
     return float(gaps.mean()), float(gaps.std(ddof=1) / math.sqrt(gaps.size))

@@ -245,3 +245,12 @@ def run_sgd_ensemble(
         step_fn, cfg.x0, gens, cfg.steps, shape_noise=shape_noise, on_step=track
     )[2]
     return EnsembleResult(endpoints=endpoints, sup_gaps=gaps)
+
+
+def sgd_ensemble_chunk(
+    cfg: SgdConfig, experiment: str, reference_states: np.ndarray | None, lo: int, hi: int
+) -> EnsembleResult:
+    """``run_sgd_ensemble`` over paths lo, ..., hi - 1: a ``scatter`` chunk."""
+    return run_sgd_ensemble(
+        cfg, hi - lo, experiment, path_indices=range(lo, hi), reference_states=reference_states
+    )

@@ -26,6 +26,13 @@ path's ``SeedSequence`` is built only when a caller spawns from its stream.
 
 ``lockstep`` is the one engine that steps an ensemble: the diffusion, the
 SGD chain, first exits and annealing all run through it.
+
+Every ensemble experiment takes a ``scatter(fn, n, *args) -> list``: it
+runs the module-level chunk function ``fn(*args, lo, hi)`` over contiguous
+chunks ``[lo, hi)`` that cover ``range(n)`` and returns the chunk results
+in index order.  The default, ``in_process``, runs one chunk in this
+process; the command line's ``Pool._scatter`` spreads chunks over worker
+processes.  Since paths own their streams, the cut never changes a result.
 """
 
 from __future__ import annotations
@@ -204,6 +211,11 @@ def path_streams(base_seed: int, experiment: str, indices) -> list[np.random.Gen
     finally:
         if enabled:
             gc.enable()
+
+
+def in_process(fn: Callable, n: int, *args) -> list:
+    """The default ``scatter``: all of ``range(n)`` as one chunk, here."""
+    return [fn(*args, 0, n)]
 
 
 def rows_times_transpose(s) -> Callable[[np.ndarray], np.ndarray]:

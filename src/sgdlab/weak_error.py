@@ -18,11 +18,12 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
+from . import streams
 from .errors import NumericalError
 from .oracles import AdditiveGaussianOracle, GradientOracle
 from .potentials import PotentialSpec
-from .sde import FIRST_ORDER, SECOND_ORDER, SdeConfig, em_endpoints, ou_moments
-from .sgd import SgdConfig, run_sgd_ensemble
+from .sde import FIRST_ORDER, SECOND_ORDER, SdeConfig, em_endpoints_chunk, ou_moments
+from .sgd import SgdConfig, sgd_ensemble_chunk
 
 # ---------------------------------------------------------------------------
 # Observables.
@@ -303,18 +304,6 @@ def order_fit(
 # Monte Carlo weak error for general objectives.
 # ---------------------------------------------------------------------------
 
-SgdEndpointsFn = Callable[[SgdConfig, int, str], np.ndarray]
-SdeEndpointsFn = Callable[[SdeConfig, int, str], np.ndarray]
-
-
-def _default_sgd_endpoints(cfg: SgdConfig, n_paths: int, label: str) -> np.ndarray:
-    return run_sgd_ensemble(cfg, n_paths, experiment=label).endpoints
-
-
-def _default_sde_endpoints(cfg: SdeConfig, n_paths: int, label: str) -> np.ndarray:
-    return em_endpoints(cfg, n_paths, experiment=label)
-
-
 def _is_linear_gaussian(potential: PotentialSpec, oracle: GradientOracle) -> bool:
     return (
         potential.name == "quadratic_well"
@@ -337,8 +326,7 @@ def weak_error_mc(
     experiment: str = "weak-mc",
     dt_factor: float = 0.1,
     gh_order: int = 64,
-    sgd_endpoints_fn: SgdEndpointsFn | None = None,
-    sde_endpoints_fn: SdeEndpointsFn | None = None,
+    scatter: Callable[..., list] = streams.in_process,
 ) -> WeakErrorReport:
     """Monte Carlo weak-error ladder |E phi(x_K) - E phi(X_T)| (1-D).
 
@@ -346,13 +334,12 @@ def weak_error_mc(
     diffusion expectation is evaluated exactly (no discretization, no
     sampling); otherwise the diffusion side is an Euler-Maruyama ensemble
     with dt = dt_factor * eta.  Standard errors combine both sides and feed
-    the noise-floor filter of the order fit.
+    the noise-floor filter of the order fit.  Both ensembles run through
+    ``scatter`` (see ``streams``).
     """
     if potential.dim != 1:
         raise ValueError("the Monte Carlo weak-error ladder is one-dimensional")
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    sgd_fn = sgd_endpoints_fn or _default_sgd_endpoints
-    sde_fn = sde_endpoints_fn or _default_sde_endpoints
     exact_sde = _is_linear_gaussian(potential, oracle)
     points = []
     for j, eta in enumerate(eta_list):
@@ -363,7 +350,8 @@ def weak_error_mc(
         sgd_cfg = SgdConfig(
             eta=eta, steps=k, x0=x0, oracle=oracle, seed=seed, store_every=k
         )
-        ends_sgd = sgd_fn(sgd_cfg, n_paths, f"{experiment}:sgd:eta{j}")[:, 0]
+        parts = scatter(sgd_ensemble_chunk, n_paths, sgd_cfg, f"{experiment}:sgd:eta{j}", None)
+        ends_sgd = np.concatenate([part.endpoints for part in parts])[:, 0]
         if exact_sde:
             lam = potential.params[0]
             sigma2 = float(np.asarray(oracle.covariance)[0, 0])
@@ -381,7 +369,8 @@ def weak_error_mc(
                 drift_order=drift_order,
                 seed=seed,
             )
-            ends_sde = sde_fn(sde_cfg, n_paths, f"{experiment}:sde:eta{j}")[:, 0]
+            parts = scatter(em_endpoints_chunk, n_paths, sde_cfg, f"{experiment}:sde:eta{j}")
+            ends_sde = np.concatenate(parts)[:, 0]
         errors, stderrs = [], []
         for phi in suite:
             vals_sgd = np.asarray(phi(ends_sgd), dtype=float)

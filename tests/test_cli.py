@@ -78,18 +78,40 @@ def test_reruns_are_byte_identical(tmp_path):
     }
 
 
+ANNEAL_CFG = """\
+experiment = anneal
+potential = asym_double_well_1d
+potential_params = -0.05
+seed = 1
+gamma = 3.0
+T = 20
+n_paths = 45
+epsilon = 0.5
+n_checkpoints = 1000
+"""
+
+
 def test_worker_count_does_not_change_results(tmp_path):
-    cfg = _write(tmp_path, "d.cfg", DEVIATION_CFG)
-    results = {}
-    for workers in (1, 3):
-        sub = tmp_path / f"w{workers}"
-        sub.mkdir()
-        out = str(sub / "dev")
-        assert main(["deviation", "--config", cfg, "--out", out, "--workers", str(workers)]) == 0
-        manifest = json.loads((sub / "dev.manifest").read_text())
-        assert manifest["workers"] == workers
-        results[workers] = {k.split("/")[-1]: v for k, v in manifest["files"].items()}
-    assert results[1] == results[3]
+    # 2 workers split anneal's 45 paths 23 + 22, where occupancy fractions
+    # re-weighted from per-chunk fractions would differ in the last bit;
+    # 3 workers' 15-path chunks would re-weight exactly.
+    cases = [
+        ("deviation", DEVIATION_CFG, (1, 3)),
+        ("anneal", ANNEAL_CFG, (1, 2)),
+    ]
+    for experiment, text, worker_counts in cases:
+        cfg = _write(tmp_path, f"{experiment}.cfg", text)
+        results = {}
+        for workers in worker_counts:
+            sub = tmp_path / f"{experiment}-w{workers}"
+            sub.mkdir()
+            out = str(sub / "run")
+            argv = [experiment, "--config", cfg, "--out", out, "--workers", str(workers)]
+            assert main(argv) == 0
+            manifest = json.loads((sub / "run.manifest").read_text())
+            assert manifest["workers"] == workers
+            results[workers] = {k.split("/")[-1]: v for k, v in manifest["files"].items()}
+        assert results[worker_counts[0]] == results[worker_counts[1]], experiment
 
 
 def test_workers_env_variable_is_honoured(tmp_path):

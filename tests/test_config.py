@@ -117,3 +117,25 @@ def test_build_potential_and_x0_helpers():
         )
     )
     np.testing.assert_allclose(x0_array(cfg2, dim=2), [0.5, -0.5])
+
+
+SAMPLE_VARIANCE_TEXTS = {
+    "deviation": "potential = quadratic_well\nsigma = 1.0\neta = 0.02\nT = 0.5\nx0 = 1.0\n",
+    "ode-limit": "potential = double_well_1d\nsigma = 0.3\nx0 = 1.5\nT = 1.0\neta_list = 0.1\n",
+    "weak-order": "potential = quadratic_well\nsigma = 1.0\nx0 = 1.0\nT = 1.0\n"
+    "eta_list = 0.2, 0.1\nsource = mc\n",
+}
+
+
+@pytest.mark.parametrize("experiment", sorted(SAMPLE_VARIANCE_TEXTS))
+def test_sample_variance_experiments_need_two_paths(experiment):
+    text = f"experiment = {experiment}\n" + SAMPLE_VARIANCE_TEXTS[experiment]
+    validate_config(parse_config_text(text + "n_paths = 2\n"))
+    with pytest.raises(ConfigError, match=r"key 'n_paths': must be >= 2"):
+        validate_config(parse_config_text(text + "n_paths = 1\n"))
+
+
+def test_negative_checkpoint_count_is_rejected():
+    validate_config(parse_config_text(ANNEAL_TEXT + "n_checkpoints = 0\n"))
+    with pytest.raises(ConfigError, match="key 'n_checkpoints': must be non-negative"):
+        validate_config(parse_config_text(ANNEAL_TEXT + "n_checkpoints = -3\n"))

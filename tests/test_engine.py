@@ -29,6 +29,7 @@ from sgdlab import (
     run_sgd_ensemble,
     streams,
 )
+from sgdlab.exit_times import anneal_chunk
 from sgdlab.sde import _time_grid, apply_diffusion, em_on_grid
 from sgdlab.sgd import additive_gaussian_kernel
 from test_exit_times import (
@@ -43,6 +44,7 @@ WELL_2D = builtin("quadratic_well", (1.0, 2.0))
 SADDLE_2D = builtin("saddle_2d")
 DOUBLE_WELL = builtin("double_well_1d")
 TILTED = builtin("asym_double_well_1d", params=(-0.05,))
+SHALLOW = max(TILTED.minimizers(), key=lambda cp: float(TILTED.value(cp.location))).location
 NON_DIAGONAL = np.array([[0.6, 0.25], [-0.1, 0.4]])
 
 
@@ -292,10 +294,13 @@ def _sgd_chunk(case, block, lo, hi):
 
 def _anneal_chunk(mode, block, lo, hi):
     """Per-checkpoint counts of paths in the target window, and successes."""
-    kw = {**ANNEAL_KW, "n_paths": hi - lo}
-    res = anneal_experiment(TILTED, mode=mode, block=block, path_indices=range(lo, hi), **kw)
-    counts = np.rint(res.occupancy_fracs * res.n_paths)
-    return np.append(counts, res.successes)[None, :]
+    kw = {k: v for k, v in ANNEAL_KW.items() if k not in ("n_paths", "n_checkpoints")}
+    check_times = np.linspace(0.0, kw["T"], ANNEAL_KW["n_checkpoints"] + 1)[1:]
+    successes, counts = anneal_chunk(
+        TILTED, start=SHALLOW, mode=mode, experiment="anneal", check_times=check_times,
+        block=block, lo=lo, hi=hi, **kw,
+    )
+    return np.append(counts, successes)[None, :]
 
 
 CHUNKED = {
