@@ -160,7 +160,7 @@ def hitting_time_mc(
     eta = process.eta
     if isinstance(process, SdeConfig):
         dt = time_per_step = process.dt
-        kernel = sde_kernel(process, lambda k: k * dt, lambda k: dt)
+        kernel = sde_kernel(process)
     elif isinstance(process, SgdConfig):
         time_per_step = eta
         kernel = additive_gaussian_kernel(process)
@@ -210,13 +210,25 @@ def hitting_time_mc(
 
 
 def hitting_time_chunk(
-    process: Union[SdeConfig, SgdConfig], domain: Domain, horizon: float, experiment: str,
-    lo: int, hi: int,
+    rungs: Sequence[tuple[Union[SdeConfig, SgdConfig], float, str]], domain: Domain,
+    n_paths: int, lo: int, hi: int,
 ) -> list[ExitRecord]:
-    """``hitting_time_mc`` over paths lo, ..., hi - 1: a ``scatter`` chunk."""
-    return hitting_time_mc(
-        process, domain, hi - lo, horizon, experiment=experiment, path_indices=range(lo, hi)
-    )
+    """Cells lo, ..., hi - 1 of an exit ladder: a ``scatter`` chunk.
+
+    ``rungs`` holds one ``(process, horizon, experiment label)`` per rung,
+    and cell i is path i % n_paths of rung i // n_paths, so a chunk may span
+    rungs.  Each rung's part of the chunk is one ``hitting_time_mc`` call;
+    records are returned in cell order.
+    """
+    records = []
+    for r, (process, horizon, label) in enumerate(rungs):
+        first, last = max(lo, r * n_paths), min(hi, (r + 1) * n_paths)
+        if first < last:
+            paths = range(first - r * n_paths, last - r * n_paths)
+            records += hitting_time_mc(
+                process, domain, len(paths), horizon, experiment=label, path_indices=paths
+            )
+    return records
 
 
 def _chain_exit(
@@ -604,6 +616,39 @@ def _fitted_constant(entries: Sequence[ScalingEntry]) -> float:
     return min(ok, key=lambda e: e.eta).transform_value
 
 
+def _entry(eta: float, stats: ExitStats, transform: float, steps_transform: float) -> ScalingEntry:
+    admissible = stats.censor_frac <= 0.01
+    return ScalingEntry(
+        float(eta), stats.mean, stats.stderr, stats.censor_frac, transform, steps_transform,
+        stats.n_used, admissible,
+    )
+
+
+def _exit_ladder_mc(
+    potential: PotentialSpec, sigma: float, domain: Domain, start: np.ndarray, seed: int,
+    dt: float | None, n_paths: int, rungs: Sequence[tuple[float, float, str]],
+    scatter: Callable[..., list],
+) -> tuple[list[ExitStats], dict[float, list[ExitRecord]]]:
+    """Exit stats of each Monte Carlo rung ``(eta, horizon, label)`` of an
+    exit ladder, and its records by eta: first-order diffusion from
+    ``start``, with dt = min(eta/10, 1e-3) unless ``dt`` is given.  Every
+    rung runs in one ``scatter`` over the ladder's rung-major (rung, path)
+    cells."""
+    if not rungs:
+        return [], {}
+    processes = []
+    for eta, horizon, label in rungs:
+        step = dt if dt is not None else min(eta / 10.0, 1e-3)
+        cfg = SdeConfig(potential=potential, eta=eta, dt=step, T=horizon, x0=start,
+                        diffusion=sigma, drift_order=FIRST_ORDER, seed=seed)
+        processes.append((cfg, horizon, label))
+    parts = scatter(hitting_time_chunk, len(rungs) * n_paths, processes, domain, n_paths)
+    cells = [rec for part in parts for rec in part]
+    by_rung = [cells[r * n_paths : (r + 1) * n_paths] for r in range(len(rungs))]
+    records = {float(eta): recs for (eta, _, _), recs in zip(rungs, by_rung)}
+    return [exit_time_stats(recs) for recs in by_rung], records
+
+
 def minimizer_scaling_fit(
     potential: PotentialSpec,
     sigma: float,
@@ -627,16 +672,17 @@ def minimizer_scaling_fit(
     1e-3) and a horizon of 20x the oracle prediction by default).  Entries
     with more than 1% censoring are marked inadmissible and excluded from
     the fitted constant, which is the transform value at the smallest
-    admissible eta.  Monte Carlo rungs run through ``scatter`` (see
-    ``streams``).
+    admissible eta.  Every rung is checked before any path runs; the Monte
+    Carlo rungs then run in one ``scatter`` over ``len(eta_list) * n_paths``
+    rung-major (rung, path) cells, so a chunk may span rungs (see
+    ``hitting_time_chunk`` and ``streams``).
     """
     if source not in ("bvp_1d", "mc"):
         raise ValueError(f"unknown source {source!r}")
     x_star = _resolve_minimizer(potential, domain, None)
     start = x_star if x0 is None else np.atleast_1d(np.asarray(x0, dtype=float))
     reference = quasi_potential_isotropic(potential, sigma, domain, x_star)
-    entries = []
-    records_by_eta: dict[float, list[ExitRecord]] = {}
+    log_bvps, rungs = [], []
     for j, eta in enumerate(eta_list):
         if eta <= 0:
             raise ValueError(f"eta must be positive, got {eta}")
@@ -645,66 +691,32 @@ def minimizer_scaling_fit(
             log_bvp = log_mean_exit_bvp_1d(
                 potential, eta * sigma**2, (domain.lo[0], domain.hi[0]), float(start[0])
             )
+        log_bvps.append(log_bvp)
         if source == "bvp_1d":
             if log_bvp is None:
                 raise ValueError("the bvp_1d source needs a 1-D interval domain")
-            mean = math.exp(log_bvp) if log_bvp <= 709.0 else math.inf
-            stderr, censor, n_used = 0.0, 0.0, 0
-            entries.append(
-                ScalingEntry(
-                    eta=float(eta),
-                    mean_exit_time=mean,
-                    stderr=stderr,
-                    censor_frac=censor,
-                    transform_value=eta * log_bvp,
-                    steps_transform_value=eta * (log_bvp - math.log(eta)),
-                    n_samples=n_used,
-                    admissible=True,
-                )
-            )
-            continue
-        dt_eta = dt if dt is not None else min(eta / 10.0, 1e-3)
-        if horizon is not None:
-            horizon_eta = horizon
-        elif log_bvp is not None:
-            horizon_eta = 20.0 * math.exp(min(log_bvp, 700.0))
-        else:
+        elif horizon is None and log_bvp is None:
             raise ValueError("pass a horizon for Monte Carlo in this geometry")
-        cfg = SdeConfig(
-            potential=potential,
-            eta=eta,
-            dt=dt_eta,
-            T=horizon_eta,
-            x0=start,
-            diffusion=sigma,
-            drift_order=FIRST_ORDER,
-            seed=seed,
-        )
-        label = f"{experiment}:eta{j}"
-        parts = scatter(hitting_time_chunk, n_paths, cfg, domain, cfg.T, label)
-        recs = [rec for part in parts for rec in part]
-        if keep_records:
-            records_by_eta[float(eta)] = recs
-        stats = exit_time_stats(recs)
-        mean, stderr, censor, n_used = (
-            stats.mean,
-            stats.stderr,
-            stats.censor_frac,
-            stats.n_used,
-        )
-        entries.append(
-            ScalingEntry(
-                eta=float(eta),
-                mean_exit_time=mean,
-                stderr=stderr,
-                censor_frac=censor,
-                transform_value=eta * math.log(mean),
-                steps_transform_value=eta * math.log(mean / eta),
-                n_samples=n_used,
-                admissible=censor <= 0.01,
+        else:
+            horizon_eta = horizon if horizon is not None else 20.0 * math.exp(min(log_bvp, 700.0))
+            rungs.append((eta, horizon_eta, f"{experiment}:eta{j}"))
+    ladder, records = _exit_ladder_mc(
+        potential, sigma, domain, start, seed, dt, n_paths, rungs, scatter
+    )
+    if source == "bvp_1d":
+        entries = [
+            _entry(
+                eta, ExitStats(math.exp(log_bvp) if log_bvp <= 709.0 else math.inf, 0.0, 0.0, 0),
+                eta * log_bvp, eta * (log_bvp - math.log(eta)),
             )
-        )
-    extra = {"records": records_by_eta} if keep_records else {}
+            for eta, log_bvp in zip(eta_list, log_bvps)
+        ]
+    else:
+        entries = [
+            _entry(eta, st, eta * math.log(st.mean), eta * math.log(st.mean / eta))
+            for (eta, _, _), st in zip(rungs, ladder)
+        ]
+    extra = {"records": records} if keep_records else {}
     return ScalingReport(
         transform=TRANSFORM_ETA_LOG_T,
         source=source,
@@ -738,8 +750,11 @@ def saddle_scaling_fit(
     does, its exit time theta(x0) is reported (extra["theta"]) and the
     small-eta mean exit time should approach it instead of the log law.
     The chain-step bound 2 gamma1 E[T] / log(1/eta), which should not
-    exceed 1 + o(1), is reported per entry in extra["steps_bound"].  Monte
-    Carlo rungs run through ``scatter`` (see ``streams``).
+    exceed 1 + o(1), is reported per entry in extra["steps_bound"].  Every
+    rung is checked before any path runs; the Monte Carlo rungs then run
+    in one ``scatter`` over ``len(eta_list) * n_paths`` rung-major (rung,
+    path) cells, so a chunk may span rungs (see ``hitting_time_chunk`` and
+    ``streams``).
     """
     if source not in ("bvp_1d", "mc"):
         raise ValueError(f"unknown source {source!r}")
@@ -755,60 +770,30 @@ def saddle_scaling_fit(
     theta = None
     if np.linalg.norm(potential.gradient(start)) > 1e-12:
         theta = flow_exit_time(potential, start, domain, dt=1e-4, horizon=200.0 / gamma1)
-    entries = []
-    records_by_eta: dict[float, list[ExitRecord]] = {}
+    rungs, bvps = [], []
     for j, eta in enumerate(eta_list):
         if not 0 < eta < 1:
             raise ValueError(f"the log(1/eta) transform needs 0 < eta < 1, got {eta}")
-        log_inv = math.log(1.0 / eta)
-        if source == "bvp_1d":
-            if potential.dim != 1 or domain.kind != "interval":
-                raise ValueError("the bvp_1d source needs a 1-D interval domain")
-            mean = mean_exit_bvp_1d(
-                potential, eta * sigma**2, (domain.lo[0], domain.hi[0]), float(start[0])
-            )
-            stderr, censor, n_used = 0.0, 0.0, 0
+        if source == "mc":
+            horizon_eta = horizon if horizon is not None else 50.0 * math.log(1.0 / eta) / gamma1
+            rungs.append((eta, horizon_eta, f"{experiment}:eta{j}"))
+        elif potential.dim != 1 or domain.kind != "interval":
+            raise ValueError("the bvp_1d source needs a 1-D interval domain")
         else:
-            dt_eta = dt if dt is not None else min(eta / 10.0, 1e-3)
-            horizon_eta = horizon if horizon is not None else 50.0 * log_inv / gamma1
-            cfg = SdeConfig(
-                potential=potential,
-                eta=eta,
-                dt=dt_eta,
-                T=horizon_eta,
-                x0=start,
-                diffusion=sigma,
-                drift_order=FIRST_ORDER,
-                seed=seed,
-            )
-            label = f"{experiment}:eta{j}"
-            parts = scatter(hitting_time_chunk, n_paths, cfg, domain, cfg.T, label)
-            recs = [rec for part in parts for rec in part]
-            if keep_records:
-                records_by_eta[float(eta)] = recs
-            stats = exit_time_stats(recs)
-            mean, stderr, censor, n_used = (
-                stats.mean,
-                stats.stderr,
-                stats.censor_frac,
-                stats.n_used,
-            )
-        entries.append(
-            ScalingEntry(
-                eta=float(eta),
-                mean_exit_time=mean,
-                stderr=stderr,
-                censor_frac=censor,
-                transform_value=mean / log_inv,
-                steps_transform_value=mean / (eta * log_inv),
-                n_samples=n_used,
-                admissible=censor <= 0.01,
-            )
-        )
+            interval = (domain.lo[0], domain.hi[0])
+            mean = mean_exit_bvp_1d(potential, eta * sigma**2, interval, float(start[0]))
+            bvps.append(ExitStats(mean, 0.0, 0.0, 0))
+    ladder, records = _exit_ladder_mc(
+        potential, sigma, domain, start, seed, dt, n_paths, rungs, scatter
+    )
+    entries = []
+    for eta, stats in zip(eta_list, bvps + ladder):  # one of the two is empty
+        log_inv = math.log(1.0 / eta)
+        entries.append(_entry(eta, stats, stats.mean / log_inv, stats.mean / (eta * log_inv)))
     extra: dict = {"gamma1": gamma1, "theta": theta}
     extra["steps_bound"] = tuple(2.0 * gamma1 * e.transform_value for e in entries)
     if keep_records:
-        extra["records"] = records_by_eta
+        extra["records"] = records
     return ScalingReport(
         transform=TRANSFORM_T_OVER_LOG,
         source=source,

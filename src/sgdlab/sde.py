@@ -103,18 +103,27 @@ def _time_grid(T: float, dt: float) -> np.ndarray:
 
 
 def sde_kernel(
-    cfg: SdeConfig,
-    time_of: Callable[[int], float],
-    step_of: Callable[[int], float],
+    cfg: SdeConfig, times: np.ndarray | None = None
 ) -> tuple[Callable, Optional[Callable], Optional[Callable]]:
-    """Euler-Maruyama step k from time ``time_of(k)`` over ``step_of(k)``.
+    """Euler-Maruyama steps on the grid ``times``, or on the unbounded
+    uniform grid k cfg.dt when ``times`` is None.
 
     Returns ``(step_fn, shape_noise, step_scale)`` for ``streams.lockstep``.
     A scalar or constant-matrix diffusion is applied to each path's draws as
-    they are drawn and the block is scaled by amplitude(t_k) sqrt(h_k), so
-    the step only adds the drift; a state-dependent diffusion is evaluated
-    inside the step.
+    they are drawn and steps k0, ..., k1 - 1 of a block are scaled by
+    ``step_scale(k0, k1)``, amplitude(t_k) sqrt(h_k): one number on the
+    uniform grid without a noise schedule, one value per step otherwise.
+    So the step only adds the drift; a state-dependent diffusion is
+    evaluated inside the step.
     """
+    if times is None:
+        dt = cfg.dt
+        time_of, step_of = (lambda k: k * dt), (lambda k: dt)
+        root_steps = lambda k0, k1: math.sqrt(dt)  # noqa: E731
+    else:
+        steps = np.diff(times)
+        time_of, step_of = times.__getitem__, steps.__getitem__
+        root_steps = lambda k0, k1: np.sqrt(steps[k0:k1])  # noqa: E731
     diffusion = cfg.diffusion
     drift = cfg.drift
     if callable(diffusion):
@@ -135,8 +144,11 @@ def sde_kernel(
     else:
         shape_noise = streams.rows_times_transpose(diffusion)
 
-    def step_scale(k):
-        return cfg.amplitude(time_of(k)) * math.sqrt(step_of(k))
+    def step_scale(k0, k1):
+        if cfg.noise_schedule is None:
+            return math.sqrt(cfg.eta) * root_steps(k0, k1)
+        amplitudes = [cfg.amplitude(time_of(k)) for k in range(k0, k1)]
+        return np.array(amplitudes) * root_steps(k0, k1)
 
     if cfg.drift_order == FIRST_ORDER:
         gradient = cfg.potential.gradient
@@ -165,13 +177,12 @@ def em_on_grid(
 
     ``block`` and ``on_step`` are passed to ``streams.lockstep``.
     """
-    steps = np.diff(times)
-    step_fn, shape_noise, step_scale = sde_kernel(cfg, times.__getitem__, steps.__getitem__)
+    step_fn, shape_noise, step_scale = sde_kernel(cfg, times)
     return streams.lockstep(
         step_fn,
         cfg.x0,
         gens,
-        steps.size,
+        times.size - 1,
         block=block,
         shape_noise=shape_noise,
         step_scale=step_scale,

@@ -30,9 +30,13 @@ SGD chain, first exits and annealing all run through it.
 Every ensemble experiment takes a ``scatter(fn, n, *args) -> list``: it
 runs the module-level chunk function ``fn(*args, lo, hi)`` over contiguous
 chunks ``[lo, hi)`` that cover ``range(n)`` and returns the chunk results
-in index order.  The default, ``in_process``, runs one chunk in this
-process; the command line's ``Pool._scatter`` spreads chunks over worker
-processes.  Since paths own their streams, the cut never changes a result.
+in index order.  ``n`` counts paths, except for an exit ladder
+(``minimizer_scaling_fit``, ``saddle_scaling_fit``), where it counts the
+ladder's rung-major (rung, path) cells, so that one scatter runs every rung
+and a chunk may span rungs.  The default, ``in_process``, runs one chunk in
+this process; the command line's ``Pool._scatter`` spreads chunks over
+worker processes.  Since paths own their streams, the cut never changes a
+result.
 """
 
 from __future__ import annotations
@@ -242,7 +246,7 @@ def lockstep(
     n_steps: int,
     block: int = 1024,
     shape_noise: Callable[[np.ndarray], np.ndarray] | None = None,
-    step_scale: Callable[[int], float] | None = None,
+    step_scale: Callable[[int, int], float | np.ndarray] | None = None,
     domain=None,
     on_step: Callable[[int, np.ndarray], None] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -264,7 +268,8 @@ def lockstep(
     ``buf[j, c]`` is step j of the path in column c, so the noise of one
     step is the view ``buf[j]``.  Each path's draws pass through
     ``shape_noise`` as they are drawn; then, once per block and in place,
-    step k is multiplied by ``step_scale(k)``.
+    steps k0, ..., k1 - 1 are multiplied by ``step_scale(k0, k1)``: one
+    number for the whole block or one value per step.
 
     Block-scan contract, with a ``domain``: every path alive at the start of
     a block is stepped through the whole block, each step's states
@@ -300,8 +305,7 @@ def lockstep(
                 xi = gens[i].standard_normal((kblock, d))
                 buf[:, pos] = xi if shape_noise is None else shape_noise(xi)
             if step_scale is not None:
-                scales = [step_scale(k) for k in range(step0, step0 + kblock)]
-                buf *= np.array(scales)[:, None, None]
+                buf *= np.reshape(step_scale(step0, step0 + kblock), (-1, 1, 1))
             for j in range(kblock):
                 x = step_fn(x, buf[j], step0 + j)
                 if domain is not None:

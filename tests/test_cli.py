@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from sgdlab import cli
 from sgdlab.cli import main
 
 WEAK_ORDER_CFG = """\
@@ -112,6 +113,48 @@ def test_worker_count_does_not_change_results(tmp_path):
             assert manifest["workers"] == workers
             results[workers] = {k.split("/")[-1]: v for k, v in manifest["files"].items()}
         assert results[worker_counts[0]] == results[worker_counts[1]], experiment
+
+
+EXIT_MIN_CFG = """\
+experiment = exit-min
+potential = quadratic_well
+sigma = 1.0
+domain = interval
+domain_lo = -1
+domain_hi = 1
+eta_list = 0.5, 0.4
+source = mc
+n_paths = 8
+dt = 1e-2
+horizon = 200
+emit_records = 1
+seed = 4
+"""
+
+
+def test_an_exit_ladder_is_one_scatter_over_its_rungs(tmp_path, monkeypatch):
+    # Both rungs go to the pool in one scatter of 2 x 8 rung-major cells,
+    # so at 2 workers each chunk is one whole rung.
+    calls = []
+
+    def scatter(self, fn, n, *args):
+        ranges = cli._chunk_ranges(n, self.workers)
+        calls.append((n, ranges))
+        return [fn(*args, lo, hi) for lo, hi in ranges]
+
+    monkeypatch.setattr(cli.Pool, "_scatter", scatter)
+    cfg = _write(tmp_path, "m.cfg", EXIT_MIN_CFG)
+    files = {}
+    for workers in (1, 2):
+        calls.clear()
+        out = str(tmp_path / f"w{workers}")
+        argv = ["exit-min", "--config", cfg, "--out", out, "--workers", str(workers)]
+        assert main(argv) == 0
+        manifest = json.loads((tmp_path / f"w{workers}.manifest").read_text())
+        files[workers] = {k.split(".", 1)[1]: v for k, v in manifest["files"].items()}
+    assert calls == [(16, [(0, 8), (8, 16)])]
+    assert files[1] == files[2]
+    assert {"records.eta0.csv", "records.eta1.csv"} <= files[1].keys()
 
 
 def test_workers_env_variable_is_honoured(tmp_path):

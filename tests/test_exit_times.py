@@ -222,6 +222,28 @@ def test_hitting_mc_path_subsets_match_full_run():
         np.testing.assert_array_equal(rec_full.exit_point, rec_part.exit_point)
 
 
+@pytest.mark.parametrize("fit", ["minimizer", "saddle"])
+def test_each_ladder_rung_is_its_own_hitting_time_run(fit):
+    # However a ladder's (rung, path) cells are scheduled, path i of rung j
+    # keeps the stream (seed, "<experiment>:eta<j>", i).
+    kw = dict(source="mc", n_paths=6, seed=3, dt=0.01, horizon=50.0, keep_records=True)
+    if fit == "minimizer":
+        potential, etas, label = WELL, (0.5, 0.4), "exit-min"
+        report = minimizer_scaling_fit(WELL, 1.0, UNIT, etas, **kw)
+    else:
+        potential, etas, label = INVERTED, (0.02, 0.01), "exit-saddle"
+        report = saddle_scaling_fit(INVERTED, 1.0, UNIT, np.zeros(1), etas, **kw)
+    for j, eta in enumerate(etas):
+        cfg = SdeConfig(potential=potential, eta=eta, dt=0.01, T=50.0, x0=np.zeros(1), seed=3)
+        expected = hitting_time_mc(cfg, UNIT, 6, 50.0, experiment=f"{label}:eta{j}")
+        got = report.extra["records"][eta]
+        fields = lambda r: (r.path_index, r.exit_time, r.exit_steps, r.censored)  # noqa: E731
+        assert [fields(r) for r in got] == [fields(r) for r in expected]
+        for a, b in zip(got, expected):
+            np.testing.assert_array_equal(a.exit_point, b.exit_point)
+        assert report.entries[j].mean_exit_time == exit_time_stats(expected).mean
+
+
 # ---------------------------------------------------------------------------
 # The exit engine against the lockstep loop it replaced.
 # ---------------------------------------------------------------------------
@@ -502,3 +524,22 @@ def test_hitting_mc_rejects_block_below_one(block, monkeypatch):
     cfg = SdeConfig(potential=WELL, eta=0.25, dt=1e-3, T=1.0, x0=np.array([0.0]))
     with pytest.raises(ValueError, match="block"):
         hitting_time_mc(cfg, UNIT, n_paths=4, horizon=1.0, seed=0, block=block)
+
+
+@pytest.mark.parametrize(
+    "fit, etas, message",
+    [
+        ("minimizer", (0.25, 0.0), "eta must be positive"),
+        ("minimizer", (0.25, 0.2, -0.1), "eta must be positive"),
+        ("saddle", (0.01, 1.0), "0 < eta < 1"),
+        ("saddle", (0.01, 0.02, 0.0), "0 < eta < 1"),
+    ],
+)
+def test_scaling_fits_reject_a_bad_ladder_before_any_path_runs(fit, etas, message, monkeypatch):
+    monkeypatch.setattr(streams, "path_streams", _no_streams)
+    kw = dict(source="mc", n_paths=4, dt=0.01, horizon=10.0)
+    with pytest.raises(ValueError, match=message):
+        if fit == "minimizer":
+            minimizer_scaling_fit(WELL, 1.0, UNIT, etas, **kw)
+        else:
+            saddle_scaling_fit(INVERTED, 1.0, UNIT, np.zeros(1), etas, **kw)

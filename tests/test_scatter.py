@@ -32,19 +32,21 @@ DOUBLE_WELL = builtin("double_well_1d")
 TILTED = builtin("asym_double_well_1d", params=(-0.05,))
 UNIT = Domain.interval(-1.0, 1.0)
 
-# name -> (n_paths, run(**scatter_kw)), each at a tiny size.
+# name -> (n, run(**scatter_kw)), each at a tiny size.  ``n`` is what the
+# experiment passes to ``scatter``: its path count, or for an exit ladder its
+# rung-major (rung, path) cell count, so that cuts fall across rungs too.
 CASES = {
     "minimizer_scaling_fit": (
-        12,
+        24,
         lambda **kw: minimizer_scaling_fit(
             WELL, 1.0, UNIT, (1.0, 0.5), source="mc", n_paths=12, seed=3, dt=0.01,
             horizon=200.0, keep_records=True, **kw,
         ),
     ),
     "saddle_scaling_fit": (
-        12,
+        24,
         lambda **kw: saddle_scaling_fit(
-            builtin("inverted_quadratic"), 1.0, UNIT, np.zeros(1), (0.01,), source="mc",
+            builtin("inverted_quadratic"), 1.0, UNIT, np.zeros(1), (0.01, 0.02), source="mc",
             n_paths=12, seed=4, dt=0.01, horizon=100.0, keep_records=True, **kw,
         ),
     ),
@@ -122,12 +124,12 @@ def _assert_identical(a, b):
 @settings(max_examples=16, deadline=None)
 @given(data=st.data())
 def test_chunking_never_changes_an_experiment(case, data):
-    n_paths, run = CASES[case]
-    cuts = sorted(data.draw(st.sets(st.integers(1, n_paths - 1), min_size=1, max_size=4)))
+    n_cells, run = CASES[case]
+    cuts = sorted(data.draw(st.sets(st.integers(1, n_cells - 1), min_size=1, max_size=4)))
     chunk_counts = []
 
     def scatter(fn, n, *args):
-        assert n == n_paths
+        assert n == n_cells
         bounds = [0, *cuts, n]
         chunk_counts.append(len(bounds) - 1)
         return [fn(*args, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
