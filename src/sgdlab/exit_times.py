@@ -185,48 +185,30 @@ def hitting_time_mc(
     )
     records = []
     for pos, idx in enumerate(indices):
-        if exit_step[pos] < 0:
-            records.append(
-                ExitRecord(
-                    path_index=idx,
-                    exit_time=horizon,
-                    exit_steps=horizon / eta,
-                    exit_point=states[pos].copy(),
-                    censored=True,
-                )
-            )
-        else:
-            t_exit = exit_step[pos] * time_per_step
-            records.append(
-                ExitRecord(
-                    path_index=idx,
-                    exit_time=float(t_exit),
-                    exit_steps=float(t_exit / eta),
-                    exit_point=exit_points[pos].copy(),
-                    censored=False,
-                )
-            )
+        censored = bool(exit_step[pos] < 0)
+        t_exit = horizon if censored else float(exit_step[pos] * time_per_step)
+        point = states[pos] if censored else exit_points[pos]
+        records.append(ExitRecord(idx, t_exit, t_exit / eta, point.copy(), censored))
     return records
 
 
 def hitting_time_chunk(
-    rungs: Sequence[tuple[Union[SdeConfig, SgdConfig], float, str]], domain: Domain,
-    n_paths: int, lo: int, hi: int,
+    rungs: Sequence[tuple[SdeConfig, str]], domain: Domain, n_paths: int, lo: int, hi: int,
 ) -> list[ExitRecord]:
     """Cells lo, ..., hi - 1 of an exit ladder: a ``scatter`` chunk.
 
-    ``rungs`` holds one ``(process, horizon, experiment label)`` per rung,
-    and cell i is path i % n_paths of rung i // n_paths, so a chunk may span
-    rungs.  Each rung's part of the chunk is one ``hitting_time_mc`` call;
-    records are returned in cell order.
+    ``rungs`` holds one ``(process, experiment label)`` per rung, run to the
+    horizon ``process.T``, and cell i is path i % n_paths of rung
+    i // n_paths, so a chunk may span rungs.  Each rung's part of the chunk
+    is one ``hitting_time_mc`` call; records are returned in cell order.
     """
     records = []
-    for r, (process, horizon, label) in enumerate(rungs):
+    for r, (process, label) in enumerate(rungs):
         first, last = max(lo, r * n_paths), min(hi, (r + 1) * n_paths)
         if first < last:
             paths = range(first - r * n_paths, last - r * n_paths)
             records += hitting_time_mc(
-                process, domain, len(paths), horizon, experiment=label, path_indices=paths
+                process, domain, len(paths), process.T, experiment=label, path_indices=paths
             )
     return records
 
@@ -624,6 +606,16 @@ def _entry(eta: float, stats: ExitStats, transform: float, steps_transform: floa
     )
 
 
+#: Ladders with at most this many paths per rung run every rung in one
+#: scatter.  A small rung's cost is Python dispatch per step of its slowest
+#: path, so small rungs gain by running side by side, while a large rung's
+#: cost follows its path-steps and it gains by being cut over every worker.
+#: On a 2-core Xeon, ``sgdlab exit-min`` at 2 workers (eta 0.25 and 0.2,
+#: dt 1e-3, seed 4) took 1.4 s in one scatter and 1.9 s in a scatter per
+#: rung at 64 paths, 3.3 s and 3.5 s at 1000, 5.1 s and 4.8 s at 2000.
+LADDER_SCATTER_PATHS = 1024
+
+
 def _exit_ladder_mc(
     potential: PotentialSpec, sigma: float, domain: Domain, start: np.ndarray, seed: int,
     dt: float | None, n_paths: int, rungs: Sequence[tuple[float, float, str]],
@@ -631,9 +623,10 @@ def _exit_ladder_mc(
 ) -> tuple[list[ExitStats], dict[float, list[ExitRecord]]]:
     """Exit stats of each Monte Carlo rung ``(eta, horizon, label)`` of an
     exit ladder, and its records by eta: first-order diffusion from
-    ``start``, with dt = min(eta/10, 1e-3) unless ``dt`` is given.  Every
-    rung runs in one ``scatter`` over the ladder's rung-major (rung, path)
-    cells."""
+    ``start``, with dt = min(eta/10, 1e-3) unless ``dt`` is given.  Up to
+    ``LADDER_SCATTER_PATHS`` paths per rung, every rung runs in one
+    ``scatter`` over the ladder's rung-major (rung, path) cells; above it,
+    each rung runs in a scatter of its own."""
     if not rungs:
         return [], {}
     processes = []
@@ -641,9 +634,12 @@ def _exit_ladder_mc(
         step = dt if dt is not None else min(eta / 10.0, 1e-3)
         cfg = SdeConfig(potential=potential, eta=eta, dt=step, T=horizon, x0=start,
                         diffusion=sigma, drift_order=FIRST_ORDER, seed=seed)
-        processes.append((cfg, horizon, label))
-    parts = scatter(hitting_time_chunk, len(rungs) * n_paths, processes, domain, n_paths)
-    cells = [rec for part in parts for rec in part]
+        processes.append((cfg, label))
+    groups = [processes] if n_paths <= LADDER_SCATTER_PATHS else [[p] for p in processes]
+    cells = []
+    for group in groups:
+        for part in scatter(hitting_time_chunk, len(group) * n_paths, group, domain, n_paths):
+            cells += part
     by_rung = [cells[r * n_paths : (r + 1) * n_paths] for r in range(len(rungs))]
     records = {float(eta): recs for (eta, _, _), recs in zip(rungs, by_rung)}
     return [exit_time_stats(recs) for recs in by_rung], records
@@ -672,10 +668,12 @@ def minimizer_scaling_fit(
     1e-3) and a horizon of 20x the oracle prediction by default).  Entries
     with more than 1% censoring are marked inadmissible and excluded from
     the fitted constant, which is the transform value at the smallest
-    admissible eta.  Every rung is checked before any path runs; the Monte
-    Carlo rungs then run in one ``scatter`` over ``len(eta_list) * n_paths``
-    rung-major (rung, path) cells, so a chunk may span rungs (see
-    ``hitting_time_chunk`` and ``streams``).
+    admissible eta.  Every rung is checked before any path runs.  With at
+    most ``LADDER_SCATTER_PATHS`` paths per rung, the Monte Carlo rungs then
+    run in one ``scatter`` over ``len(eta_list) * n_paths`` rung-major
+    (rung, path) cells, so a chunk may span rungs (see
+    ``hitting_time_chunk`` and ``streams``); larger rungs run in one
+    ``scatter`` of ``n_paths`` cells each.
     """
     if source not in ("bvp_1d", "mc"):
         raise ValueError(f"unknown source {source!r}")
@@ -751,10 +749,8 @@ def saddle_scaling_fit(
     small-eta mean exit time should approach it instead of the log law.
     The chain-step bound 2 gamma1 E[T] / log(1/eta), which should not
     exceed 1 + o(1), is reported per entry in extra["steps_bound"].  Every
-    rung is checked before any path runs; the Monte Carlo rungs then run
-    in one ``scatter`` over ``len(eta_list) * n_paths`` rung-major (rung,
-    path) cells, so a chunk may span rungs (see ``hitting_time_chunk`` and
-    ``streams``).
+    rung is checked before any path runs; the Monte Carlo rungs are then
+    scattered as in ``minimizer_scaling_fit``.
     """
     if source not in ("bvp_1d", "mc"):
         raise ValueError(f"unknown source {source!r}")

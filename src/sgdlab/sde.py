@@ -119,11 +119,9 @@ def sde_kernel(
     if times is None:
         dt = cfg.dt
         time_of, step_of = (lambda k: k * dt), (lambda k: dt)
-        root_steps = lambda k0, k1: math.sqrt(dt)  # noqa: E731
     else:
         steps = np.diff(times)
         time_of, step_of = times.__getitem__, steps.__getitem__
-        root_steps = lambda k0, k1: np.sqrt(steps[k0:k1])  # noqa: E731
     diffusion = cfg.diffusion
     drift = cfg.drift
     if callable(diffusion):
@@ -144,11 +142,15 @@ def sde_kernel(
     else:
         shape_noise = streams.rows_times_transpose(diffusion)
 
-    def step_scale(k0, k1):
-        if cfg.noise_schedule is None:
-            return math.sqrt(cfg.eta) * root_steps(k0, k1)
-        amplitudes = [cfg.amplitude(time_of(k)) for k in range(k0, k1)]
-        return np.array(amplitudes) * root_steps(k0, k1)
+    root_eta = math.sqrt(cfg.eta)
+    if cfg.noise_schedule is not None:
+        scale_of = lambda k: cfg.amplitude(time_of(k)) * math.sqrt(step_of(k))  # noqa: E731
+        step_scale = lambda k0, k1: np.array([scale_of(k) for k in range(k0, k1)])  # noqa: E731
+    elif times is None:
+        scale = root_eta * math.sqrt(dt)
+        step_scale = lambda k0, k1: scale  # noqa: E731
+    else:
+        step_scale = lambda k0, k1: root_eta * np.sqrt(steps[k0:k1])  # noqa: E731
 
     if cfg.drift_order == FIRST_ORDER:
         gradient = cfg.potential.gradient

@@ -31,9 +31,9 @@ Every ensemble experiment takes a ``scatter(fn, n, *args) -> list``: it
 runs the module-level chunk function ``fn(*args, lo, hi)`` over contiguous
 chunks ``[lo, hi)`` that cover ``range(n)`` and returns the chunk results
 in index order.  ``n`` counts paths, except for an exit ladder
-(``minimizer_scaling_fit``, ``saddle_scaling_fit``), where it counts the
-ladder's rung-major (rung, path) cells, so that one scatter runs every rung
-and a chunk may span rungs.  The default, ``in_process``, runs one chunk in
+(``minimizer_scaling_fit``, ``saddle_scaling_fit``) of small rungs, where
+it counts the ladder's rung-major (rung, path) cells, so that one scatter
+runs every rung and a chunk may span rungs.  The default, ``in_process``, runs one chunk in
 this process; the command line's ``Pool._scatter`` spreads chunks over
 worker processes.  Since paths own their streams, the cut never changes a
 result.

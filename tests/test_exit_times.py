@@ -29,6 +29,7 @@ from sgdlab import (
     saddle_scaling_fit,
     streams,
 )
+from sgdlab import exit_times
 from sgdlab.sde import apply_diffusion
 
 WELL = builtin("quadratic_well")
@@ -242,6 +243,29 @@ def test_each_ladder_rung_is_its_own_hitting_time_run(fit):
         for a, b in zip(got, expected):
             np.testing.assert_array_equal(a.exit_point, b.exit_point)
         assert report.entries[j].mean_exit_time == exit_time_stats(expected).mean
+
+
+def test_a_ladder_of_large_rungs_scatters_each_rung_on_its_own(monkeypatch):
+    # Up to LADDER_SCATTER_PATHS paths per rung, one scatter covers the
+    # ladder's rung-major cells; above it each rung gets a scatter of its
+    # own paths.  The records are the same either way.
+    kw = dict(source="mc", n_paths=6, seed=3, dt=0.01, horizon=50.0, keep_records=True)
+    reports, calls = {}, []
+
+    def scatter(fn, n, *args):
+        calls.append(n)
+        return [fn(*args, 0, n // 2), fn(*args, n // 2, n)]
+
+    for limit, expected_calls in ((6, [12]), (5, [6, 6])):
+        calls.clear()
+        monkeypatch.setattr(exit_times, "LADDER_SCATTER_PATHS", limit)
+        reports[limit] = minimizer_scaling_fit(WELL, 1.0, UNIT, (0.5, 0.4), scatter=scatter, **kw)
+        assert calls == expected_calls
+    fields = lambda r: (r.path_index, r.exit_time, r.exit_steps, r.censored)  # noqa: E731
+    for eta in (0.5, 0.4):
+        one, each = (reports[limit].extra["records"][eta] for limit in (6, 5))
+        assert [fields(r) for r in one] == [fields(r) for r in each]
+    assert reports[6].entries == reports[5].entries
 
 
 # ---------------------------------------------------------------------------
