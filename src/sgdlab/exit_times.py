@@ -158,9 +158,10 @@ def hitting_time_mc(
     gens = streams.path_streams(base_seed, experiment, indices)
 
     eta = process.eta
+    block_step = None
     if isinstance(process, SdeConfig):
-        dt = time_per_step = process.dt
-        kernel = sde_kernel(process)
+        time_per_step = process.dt
+        *kernel, block_step = sde_kernel(process)
     elif isinstance(process, SgdConfig):
         time_per_step = eta
         kernel = additive_gaussian_kernel(process)
@@ -182,6 +183,7 @@ def hitting_time_mc(
         shape_noise=shape_noise,
         step_scale=step_scale,
         domain=domain,
+        block_step=block_step,
     )
     records = []
     for pos, idx in enumerate(indices):
@@ -607,12 +609,17 @@ def _entry(eta: float, stats: ExitStats, transform: float, steps_transform: floa
 
 
 #: Ladders with at most this many paths per rung run every rung in one
-#: scatter.  A small rung's cost is Python dispatch per step of its slowest
-#: path, so small rungs gain by running side by side, while a large rung's
-#: cost follows its path-steps and it gains by being cut over every worker.
-#: On a 2-core Xeon, ``sgdlab exit-min`` at 2 workers (eta 0.25 and 0.2,
-#: dt 1e-3, seed 4) took 1.4 s in one scatter and 1.9 s in a scatter per
-#: rung at 64 paths, 3.3 s and 3.5 s at 1000, 5.1 s and 4.8 s at 2000.
+#: scatter.  Under the per-step kernel a small rung's cost is Python
+#: dispatch per step of its slowest path, so small rungs gain by running
+#: side by side, while a large rung's cost follows its path-steps and it
+#: gains by being cut over every worker.  Under the per-step kernel, on a
+#: 2-core Xeon, ``sgdlab exit-min`` at 2 workers (eta 0.25 and 0.2, dt 1e-3,
+#: seed 4) took 1.4 s in one scatter and 1.9 s in a scatter per rung at 64
+#: paths, 3.3 s and 3.5 s at 1000, 5.1 s and 4.8 s at 2000.  The diagonal
+#: quadratics' block stepper (``sde.sde_kernel``) makes a few calls per
+#: noise block instead of one per step, and under it the same ladder took
+#: 0.49 s in one scatter and 0.47 s per rung at 64 paths, 3.3 s and 2.7 s
+#: at 1000: for those families the rung-major scatter no longer pays.
 LADDER_SCATTER_PATHS = 1024
 
 

@@ -199,6 +199,20 @@ def _diag_quad_hessian(coeffs: np.ndarray, x) -> np.ndarray:
     return np.broadcast_to(h, x.shape[:-1] + h.shape).copy()
 
 
+def diagonal_quadratic_coefficients(spec: PotentialSpec) -> np.ndarray | None:
+    """The coefficients q of a builtin diagonal quadratic F(x) = sum q_i x_i^2 / 2
+    (``quadratic_well``, ``inverted_quadratic``, ``saddle_2d``), else None.
+
+    Read from the bound Hessian, so a spec whose gradient was wrapped (to
+    count or time its calls) is still recognised, and a hand-built spec
+    never is, whatever its gradient.
+    """
+    hessian = spec.hessian
+    if isinstance(hessian, partial) and hessian.func is _diag_quad_hessian:
+        return hessian.args[0]
+    return None
+
+
 def _double_well_value(tilt: float, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)[..., 0]
     return 0.25 * (x * x - 1.0) ** 2 + tilt * x

@@ -22,11 +22,12 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 import numpy as np
+from scipy.signal import lfilter
 
 from . import streams
 from .errors import NumericalError
 from .oracles import GradientOracle
-from .potentials import PotentialSpec
+from .potentials import PotentialSpec, diagonal_quadratic_coefficients
 from .sgd import SgdConfig, Trajectory, sgd_ensemble_chunk
 
 FIRST_ORDER = "first"
@@ -102,19 +103,50 @@ def _time_grid(T: float, dt: float) -> np.ndarray:
     return np.minimum(np.arange(n_steps + 1) * dt, T)
 
 
+def _linear_block_step(c: np.ndarray) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """``streams.lockstep``'s block stepper of x_{k+1} = c x_k + noise_k, one
+    factor per axis: one ``lfilter`` per axis per ``streams.SCAN_SLAB`` steps.
+
+    The filter's recursion y_k = noise_k + c y_{k-1}, started from
+    zi = c x, is the loop ``x = c * x + noise`` bit for bit, so neither the
+    block nor the slab cut changes a state.
+    """
+
+    def block_step(x, buf):
+        for j0 in range(0, len(buf), streams.SCAN_SLAB):
+            slab = buf[j0 : j0 + streams.SCAN_SLAB]
+            for a, ca in enumerate(c):
+                zi = ca * x[None, :, a]
+                slab[..., a] = lfilter([1.0], [1.0, -ca], slab[..., a], axis=0, zi=zi)[0]
+            x = slab[-1]
+        return x.copy()
+
+    return block_step
+
+
 def sde_kernel(
     cfg: SdeConfig, times: np.ndarray | None = None
-) -> tuple[Callable, Optional[Callable], Optional[Callable]]:
+) -> tuple[Callable, Optional[Callable], Optional[Callable], Optional[Callable]]:
     """Euler-Maruyama steps on the grid ``times``, or on the unbounded
     uniform grid k cfg.dt when ``times`` is None.
 
-    Returns ``(step_fn, shape_noise, step_scale)`` for ``streams.lockstep``.
-    A scalar or constant-matrix diffusion is applied to each path's draws as
-    they are drawn and steps k0, ..., k1 - 1 of a block are scaled by
-    ``step_scale(k0, k1)``, amplitude(t_k) sqrt(h_k): one number on the
-    uniform grid without a noise schedule, one value per step otherwise.
-    So the step only adds the drift; a state-dependent diffusion is
-    evaluated inside the step.
+    Returns ``(step_fn, shape_noise, step_scale, block_step)`` for
+    ``streams.lockstep``.  A scalar or constant-matrix diffusion is applied
+    to each path's draws as they are drawn and steps k0, ..., k1 - 1 of a
+    block are scaled by ``step_scale(k0, k1)``, amplitude(t_k) sqrt(h_k):
+    one number on the uniform grid without a noise schedule, one value per
+    step otherwise.  So the step only adds the drift; a state-dependent
+    diffusion is evaluated inside the step.
+
+    ``block_step`` is None except for first-order drift on the uniform grid
+    of a builtin diagonal quadratic (``quadratic_well``,
+    ``inverted_quadratic``, ``saddle_2d``, recognised by
+    ``potentials.diagonal_quadratic_coefficients``) under a scalar or
+    constant-matrix diffusion, with or without a noise schedule.  There the
+    drift is -q x, and the block stepper runs each axis's step
+    x -> (1 - q dt) x + noise over a whole noise block as one compiled
+    recursion instead of one ``step_fn`` call per step.  Its states can
+    differ from ``step_fn``'s x - (q x) dt + noise in the last bit.
     """
     if times is None:
         dt = cfg.dt
@@ -134,7 +166,7 @@ def sde_kernel(
                 + cfg.amplitude(time_of(k)) * math.sqrt(h) * apply_diffusion(diffusion, x, xi)
             )
 
-        return step_fn, None, None
+        return step_fn, None, None, None
 
     if np.ndim(diffusion) == 0:
         sigma = float(diffusion)
@@ -152,6 +184,7 @@ def sde_kernel(
     else:
         step_scale = lambda k0, k1: root_eta * np.sqrt(steps[k0:k1])  # noqa: E731
 
+    block_step = None
     if cfg.drift_order == FIRST_ORDER:
         gradient = cfg.potential.gradient
 
@@ -160,12 +193,16 @@ def sde_kernel(
         def step_fn(x, noise, k):
             return x - np.asarray(gradient(x), dtype=float) * step_of(k) + noise
 
+        q = diagonal_quadratic_coefficients(cfg.potential)
+        if times is None and q is not None:
+            block_step = _linear_block_step(1.0 - q * dt)
+
     else:
 
         def step_fn(x, noise, k):
             return x + drift(x) * step_of(k) + noise
 
-    return step_fn, shape_noise, step_scale
+    return step_fn, shape_noise, step_scale, block_step
 
 
 def em_on_grid(
@@ -179,7 +216,7 @@ def em_on_grid(
 
     ``block`` and ``on_step`` are passed to ``streams.lockstep``.
     """
-    step_fn, shape_noise, step_scale = sde_kernel(cfg, times)
+    step_fn, shape_noise, step_scale, _ = sde_kernel(cfg, times)
     return streams.lockstep(
         step_fn,
         cfg.x0,

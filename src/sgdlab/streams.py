@@ -249,6 +249,7 @@ def lockstep(
     step_scale: Callable[[int, int], float | np.ndarray] | None = None,
     domain=None,
     on_step: Callable[[int, np.ndarray], None] | None = None,
+    block_step: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Step one path per generator in lockstep for up to ``n_steps`` steps.
 
@@ -256,10 +257,10 @@ def lockstep(
     by step k = 0, 1, ...; ``on_step(k, x)``, if given, then sees the states
     after k steps.  With a ``domain`` (anything with a vectorized
     ``contains``), a path retires on the first step that leaves it; without
-    one every path runs all ``n_steps``.  ``on_step`` and ``domain`` do not
-    combine.  Returns ``(exit_step, exit_points, states)``: the 1-based exit
-    step of each path (-1 if it never left), its first outside state, and
-    the final state of every path still inside.
+    one every path runs all ``n_steps``.  ``on_step`` combines with neither
+    ``domain`` nor ``block_step``.  Returns ``(exit_step, exit_points,
+    states)``: the 1-based exit step of each path (-1 if it never left), its
+    first outside state, and the final state of every path still inside.
 
     Noise is drawn per path from its private stream in blocks of at most
     ``block`` steps, and fewer where a block of the alive paths would pass
@@ -276,15 +277,22 @@ def lockstep(
     overwriting the noise row they used, and then ``domain.contains`` scans
     the block for first exits ``SCAN_SLAB`` steps at a time.  So ``step_fn``
     may be evaluated on a path after its exit, until the end of the block;
-    those states are discarded, and overflow in them is ignored.  Exits are
+    those states are discarded, and overflow in them is ignored.  A
+    ``block_step(x, buf)``, if given, replaces the per-step loop: it steps
+    the states ``x`` through the whole block in one call, writes each step's
+    states over the noise row they used and returns the states after the
+    block, and ``step_fn`` is not called.  ``sde.sde_kernel`` builds one for
+    the builtin diagonal quadratics under first-order drift on the uniform
+    grid, as one compiled linear recursion per axis and per ``SCAN_SLAB``
+    steps; every other kernel steps one ``step_fn`` call per step.  Exits are
     recorded, and the alive states and path ids compacted, once per block.
     A non-finite exit point raises ``NumericalError`` at its exact step, the
     earliest such step of the block; the states still alive are checked
     once per block, so a non-finite alive state is reported at the end of
     its block.
     """
-    if domain is not None and on_step is not None:
-        raise ValueError("lockstep takes on_step or domain, not both")
+    if on_step is not None and (domain is not None or block_step is not None):
+        raise ValueError("lockstep takes on_step alone, without domain or block_step")
     n = len(gens)
     d = x0.size
     states = np.tile(x0, (n, 1))
@@ -306,12 +314,15 @@ def lockstep(
                 buf[:, pos] = xi if shape_noise is None else shape_noise(xi)
             if step_scale is not None:
                 buf *= np.reshape(step_scale(step0, step0 + kblock), (-1, 1, 1))
-            for j in range(kblock):
-                x = step_fn(x, buf[j], step0 + j)
-                if domain is not None:
-                    buf[j] = x
-                elif on_step is not None:
-                    on_step(step0 + j + 1, x)
+            if block_step is not None:
+                x = block_step(x, buf)
+            else:
+                for j in range(kblock):
+                    x = step_fn(x, buf[j], step0 + j)
+                    if domain is not None:
+                        buf[j] = x
+                    elif on_step is not None:
+                        on_step(step0 + j + 1, x)
             if domain is not None:
                 # Block step of each path's first outside state, -1 if none.
                 first = np.full(ids.size, -1, dtype=np.int64)

@@ -318,21 +318,31 @@ def _reference_first_exit(step_fn, x0, domain, gens, time_per_step, max_steps, b
     return exit_step, exit_points, states
 
 
-def _reference_records(process, domain, n_paths, horizon, seed, label, block):
+def _reference_records(process, domain, n_paths, horizon, seed, label, block, linear=False):
     """(exit_time, exit_point, censored) per path from the reference loop,
-    with the step functions the earlier hitting_time_mc built."""
+    with the step functions the earlier hitting_time_mc built: for a
+    diffusion the unfactored Euler step x + drift(x) dt + noise, or, with
+    ``linear``, the step of the diagonal-quadratic kernel,
+    (1 - lam dt) x + noise per axis, lam the Hessian's diagonal."""
     x0 = process.x0
     gens = streams.path_streams(seed, label, range(n_paths))
     if isinstance(process, SdeConfig):
         dt = process.dt
         sqrt_dt = math.sqrt(dt)
 
-        def step_fn(x, xi, s):
-            return (
-                x
-                + process.drift(x) * dt
-                + process.amplitude(s) * sqrt_dt * apply_diffusion(process.diffusion, x, xi)
-            )
+        def noise(x, xi, s):
+            return process.amplitude(s) * sqrt_dt * apply_diffusion(process.diffusion, x, xi)
+
+        if linear:
+            c = 1.0 - np.diagonal(process.potential.hessian(x0)) * dt
+
+            def step_fn(x, xi, s):
+                return c * x + noise(x, xi, s)
+
+        else:
+
+            def step_fn(x, xi, s):
+                return x + process.drift(x) * dt + noise(x, xi, s)
 
         time_per_step = dt
     else:
@@ -402,6 +412,9 @@ ENGINE_CASES = {
 }
 ENGINE_PATHS = 48
 ENGINE_HORIZON = 0.3
+#: The cases of builtin diagonal quadratics, which the engine steps through
+#: the block stepper of ``sde.sde_kernel``.
+LINEAR_CASES = ("interval-well", "interval-inverted", "noise-schedule", "box-matrix-diffusion")
 
 
 def _engine_records(case, block=1024, path_indices=None):
@@ -431,7 +444,8 @@ def test_exit_engine_matches_reference_loop(case):
     process, domain = ENGINE_CASES[case]
     records = _engine_records(case, block=7)
     expected = _reference_records(
-        process, domain, ENGINE_PATHS, ENGINE_HORIZON, 13, f"engine:{case}", block=7
+        process, domain, ENGINE_PATHS, ENGINE_HORIZON, 13, f"engine:{case}", block=7,
+        linear=case in LINEAR_CASES,
     )
     _assert_same_records(records, expected)
     step = process.dt if isinstance(process, SdeConfig) else process.eta
@@ -460,6 +474,106 @@ def test_exit_records_ignore_block_size_and_chunking(case, block, cuts):
         assert [r.path_index for r in chunk] == list(range(lo, hi))
         records.extend(chunk)
     _assert_same_records(records, _engine_baseline(case))
+
+
+def _assert_near_euler(records, expected):
+    """Equal exit steps (so equal exit times) and censoring on every path,
+    and exit points within 1e-9 relative of the unfactored Euler step's."""
+    assert len(records) == len(expected)
+    for rec, (exit_time, exit_point, censored) in zip(records, expected):
+        assert rec.exit_time == exit_time
+        assert rec.censored == censored
+        gap = np.linalg.norm(rec.exit_point - exit_point)
+        assert gap <= 1e-9 * np.linalg.norm(exit_point)
+
+
+@pytest.mark.parametrize("case", LINEAR_CASES)
+def test_linear_engine_cases_keep_the_euler_exit_steps(case):
+    process, domain = ENGINE_CASES[case]
+    expected = _reference_records(
+        process, domain, ENGINE_PATHS, ENGINE_HORIZON, 13, f"engine:{case}", block=7
+    )
+    _assert_near_euler(_engine_records(case), expected)
+
+
+# The CLI's tiny exit ladders (tests/test_acceptance.py TINY_CONFIGS):
+# (fit, potential, eta_list, horizon, seed).
+TINY_LADDERS = {
+    "exit-min": ("minimizer", WELL, (0.25, 0.2), 400.0, 4),
+    "exit-saddle": ("saddle", INVERTED, (0.01,), 100.0, 5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TINY_LADDERS))
+def test_tiny_exit_ladders_keep_the_euler_exit_steps(name):
+    fit, potential, etas, horizon, seed = TINY_LADDERS[name]
+    kw = dict(source="mc", n_paths=64, seed=seed, dt=1e-3, horizon=horizon, keep_records=True)
+    if fit == "minimizer":
+        report = minimizer_scaling_fit(potential, 1.0, UNIT, etas, **kw)
+    else:
+        report = saddle_scaling_fit(potential, 1.0, UNIT, np.zeros(1), etas, **kw)
+    for j, eta in enumerate(etas):
+        cfg = SdeConfig(
+            potential=potential, eta=eta, dt=1e-3, T=horizon, x0=np.zeros(1), seed=seed
+        )
+        expected = _reference_records(cfg, UNIT, 64, horizon, seed, f"{name}:eta{j}", 1024)
+        _assert_near_euler(report.extra["records"][eta], expected)
+
+
+def _counting(gradient, calls):
+    def counted(x):
+        calls.append(np.shape(x))
+        return gradient(x)
+
+    return counted
+
+
+@pytest.mark.parametrize(
+    "potential, x0, domain, stepped",
+    [
+        (WELL, [0.4], Domain.interval(-0.5, 0.5), False),
+        (INVERTED, [0.1], Domain.interval(-0.5, 0.5), False),
+        (SADDLE_2D, [0.1, 0.0], BOX, False),
+        (DOUBLE_WELL, [1.0], Domain.interval(0.5, 1.5), True),
+    ],
+    ids=["quadratic_well", "inverted_quadratic", "saddle_2d", "double_well_1d"],
+)
+def test_a_wrapped_gradient_changes_neither_records_nor_kernel(potential, x0, domain, stepped):
+    # A counting wrapper around a builtin's gradient, as a profiler or
+    # tracer installs it, must not move a diagonal quadratic off its block
+    # stepper (which never calls the gradient), nor any other family onto it.
+    calls = []
+    wrapped = dataclasses.replace(potential, gradient=_counting(potential.gradient, calls))
+    cfg = SdeConfig(potential=potential, eta=0.5, dt=0.01, T=1.0, x0=np.array(x0))
+    run = lambda c: hitting_time_mc(c, domain, 24, 0.3, seed=2, experiment="wrapped")  # noqa: E731
+    expected = [(r.exit_time, r.exit_point, r.censored) for r in run(cfg)]
+    calls.clear()  # the spec checks its critical points when it is built
+    _assert_same_records(run(dataclasses.replace(cfg, potential=wrapped)), expected)
+    assert bool(calls) == stepped
+
+
+def test_a_hand_built_linear_potential_keeps_the_per_step_kernel():
+    # The builtin well's own value and gradient, but a Hessian of its own:
+    # only builtins take the block stepper, so these paths take the
+    # unfactored Euler step, bit for bit, and not the builtin's records.
+    lam = np.array([1.0])
+    hand_built = PotentialSpec(
+        name="hand-built well",
+        dim=1,
+        value=WELL.value,
+        gradient=WELL.gradient,
+        hessian=lambda x: np.broadcast_to(np.diag(lam), np.shape(x)[:-1] + (1, 1)).copy(),
+    )
+    process, domain = ENGINE_CASES["interval-well"]
+    cfg = dataclasses.replace(process, potential=hand_built)
+    label = "engine:interval-well"
+    records = hitting_time_mc(
+        cfg, domain, ENGINE_PATHS, ENGINE_HORIZON, seed=13, experiment=label
+    )
+    euler = _reference_records(cfg, domain, ENGINE_PATHS, ENGINE_HORIZON, 13, label, 1024)
+    _assert_same_records(records, euler)
+    builtin_points = [r.exit_point for r in _engine_records("interval-well")]
+    assert any(not np.array_equal(a, b[1]) for a, b in zip(builtin_points, euler))
 
 
 def test_non_finite_state_raises_numerical_error():
