@@ -138,15 +138,13 @@ def sde_kernel(
     step otherwise.  So the step only adds the drift; a state-dependent
     diffusion is evaluated inside the step.
 
-    ``block_step`` is None except for first-order drift on the uniform grid
-    of a builtin diagonal quadratic (``quadratic_well``,
-    ``inverted_quadratic``, ``saddle_2d``, recognised by
-    ``potentials.diagonal_quadratic_coefficients``) under a scalar or
-    constant-matrix diffusion, with or without a noise schedule.  There the
-    drift is -q x, and the block stepper runs each axis's step
-    x -> (1 - q dt) x + noise over a whole noise block as one compiled
-    recursion instead of one ``step_fn`` call per step.  Its states can
-    differ from ``step_fn``'s x - (q x) dt + noise in the last bit.
+    ``block_step`` (see ``streams.lockstep``) is None except under
+    first-order drift on the uniform grid of a builtin diagonal quadratic
+    (``potentials.diagonal_quadratic_coefficients``) with a scalar or
+    constant-matrix diffusion, with or without a noise schedule.  It runs
+    each axis's step x -> (1 - q dt) x + noise through a whole noise block
+    as one compiled recursion, whose states can differ from ``step_fn``'s
+    x - (q x) dt + noise in the last bit.
     """
     if times is None:
         dt = cfg.dt

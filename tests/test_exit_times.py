@@ -556,13 +556,12 @@ def test_a_hand_built_linear_potential_keeps_the_per_step_kernel():
     # The builtin well's own value and gradient, but a Hessian of its own:
     # only builtins take the block stepper, so these paths take the
     # unfactored Euler step, bit for bit, and not the builtin's records.
-    lam = np.array([1.0])
     hand_built = PotentialSpec(
         name="hand-built well",
         dim=1,
         value=WELL.value,
         gradient=WELL.gradient,
-        hessian=lambda x: np.broadcast_to(np.diag(lam), np.shape(x)[:-1] + (1, 1)).copy(),
+        hessian=lambda x: np.ones(np.shape(x) + (1,)),
     )
     process, domain = ENGINE_CASES["interval-well"]
     cfg = dataclasses.replace(process, potential=hand_built)
