@@ -23,7 +23,7 @@ from . import streams
 from .errors import NumericalError
 from .potentials import PotentialSpec
 from .sde import FIRST_ORDER, SdeConfig, _rk4_step, _time_grid, em_on_grid, sde_kernel
-from .sgd import SgdConfig, additive_gaussian_kernel, sgd_iterates
+from .sgd import SgdConfig, chain_kernel
 
 TRANSFORM_ETA_LOG_T = "eta_log_T"
 TRANSFORM_T_OVER_LOG = "T_over_log_inv_eta"
@@ -99,7 +99,7 @@ class ExitRecord:
 
     path_index: int
     exit_time: float
-    exit_steps: float  # exit_time / eta, the chain-step count scale
+    exit_steps: float  # exit_time / eta, the chain-step count scale (a chain's own count)
     exit_point: np.ndarray
     censored: bool
 
@@ -158,22 +158,16 @@ def hitting_time_mc(
     gens = streams.path_streams(base_seed, experiment, indices)
 
     eta = process.eta
-    block_step = None
-    if isinstance(process, SdeConfig):
-        time_per_step = process.dt
-        *kernel, block_step = sde_kernel(process)
-    elif isinstance(process, SgdConfig):
-        time_per_step = eta
-        kernel = additive_gaussian_kernel(process)
-    else:
+    chain = isinstance(process, SgdConfig)
+    if not chain and not isinstance(process, SdeConfig):
         raise TypeError(f"unsupported process type {type(process).__name__}")
+    time_per_step = eta if chain else process.dt
     max_steps = int(math.ceil(horizon / time_per_step - 1e-12))
-    if kernel is None:
-        return [
-            _chain_exit(process, domain, idx, gen, max_steps, horizon)
-            for idx, gen in zip(indices, gens)
-        ]
-    step_fn, shape_noise, step_scale = kernel
+    step_scale = block_step = draw = None
+    if chain:
+        step_fn, shape_noise, draw = chain_kernel(process, max_steps)
+    else:
+        step_fn, shape_noise, step_scale, block_step = sde_kernel(process)
     exit_step, exit_points, states = streams.lockstep(
         step_fn,
         x0,
@@ -184,13 +178,16 @@ def hitting_time_mc(
         step_scale=step_scale,
         domain=domain,
         block_step=block_step,
+        draw=draw,
     )
     records = []
     for pos, idx in enumerate(indices):
         censored = bool(exit_step[pos] < 0)
         t_exit = horizon if censored else float(exit_step[pos] * time_per_step)
         point = states[pos] if censored else exit_points[pos]
-        records.append(ExitRecord(idx, t_exit, t_exit / eta, point.copy(), censored))
+        # A chain's exit is counted in its own steps, exactly.
+        steps = float(exit_step[pos]) if chain and not censored else t_exit / eta
+        records.append(ExitRecord(idx, t_exit, steps, point.copy(), censored))
     return records
 
 
@@ -213,22 +210,6 @@ def hitting_time_chunk(
                 process, domain, len(paths), process.T, experiment=label, path_indices=paths
             )
     return records
-
-
-def _chain_exit(
-    process: SgdConfig,
-    domain: Domain,
-    idx: int,
-    gen: np.random.Generator,
-    max_steps: int,
-    horizon: float,
-) -> ExitRecord:
-    """First exit of one chain whose oracle has no vectorized stepping form."""
-    x = process.x0
-    for k, (x, _) in enumerate(sgd_iterates(process, gen, max_steps), start=1):
-        if not domain.contains(x):
-            return ExitRecord(idx, float(k * process.eta), float(k), x, False)
-    return ExitRecord(idx, horizon, horizon / process.eta, x, True)
 
 
 # ---------------------------------------------------------------------------

@@ -138,17 +138,19 @@ class MinibatchOracle:
     def diffusion_at(self, x, m: int | None = None) -> np.ndarray:
         return psd_sqrt(self.covariance_at(x, m=m))
 
-    def sample(self, x, rng: np.random.Generator, m: int | None = None) -> np.ndarray:
+    def batch(self, rng: np.random.Generator, m: int | None = None) -> np.ndarray:
+        """The component indices of one uniformly drawn batch of size m."""
         m = self.m if m is None else m
         big = self.fs.M
         if self.mode == WITHOUT_REPLACEMENT:
             _check_batch_size(m, big)
-            idx = rng.choice(big, size=m, replace=False)
-        else:
-            _check_batch_size(m, big, with_replacement=True)
-            idx = rng.integers(0, big, size=m)
+            return rng.choice(big, size=m, replace=False)
+        _check_batch_size(m, big, with_replacement=True)
+        return rng.integers(0, big, size=m)
+
+    def sample(self, x, rng: np.random.Generator, m: int | None = None) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        grads = [self.fs.component_gradients[i](x) for i in idx]
+        grads = [self.fs.component_gradients[i](x) for i in self.batch(rng, m)]
         return np.mean(grads, axis=0)
 
 

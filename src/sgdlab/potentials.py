@@ -145,8 +145,9 @@ class FiniteSumSpec:
     """A finite-sum objective ``F = (1/M) sum_i f_i`` for mini-batch sampling.
 
     ``base`` carries the full objective; ``component_gradients`` are the M
-    maps ``x -> grad f_i(x)``.  Their average must reproduce the base
-    gradient exactly, which is checked at construction on probe points.
+    maps ``x -> grad f_i(x)``, which, like ``PotentialSpec.gradient``,
+    accept arrays of shape ``(..., dim)``.  Their average must reproduce the
+    base gradient exactly, which is checked at construction on probe points.
     """
 
     base: PotentialSpec

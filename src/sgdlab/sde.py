@@ -126,14 +126,15 @@ def _linear_block_step(c: np.ndarray) -> Callable[[np.ndarray, np.ndarray], np.n
 
 def sde_kernel(
     cfg: SdeConfig, times: np.ndarray | None = None
-) -> tuple[Callable, Optional[Callable], Optional[Callable], Optional[Callable]]:
+) -> tuple[Callable, object, Optional[Callable], Optional[Callable]]:
     """Euler-Maruyama steps on the grid ``times``, or on the unbounded
     uniform grid k cfg.dt when ``times`` is None.
 
     Returns ``(step_fn, shape_noise, step_scale, block_step)`` for
-    ``streams.lockstep``.  A scalar or constant-matrix diffusion is applied
-    to each path's draws as they are drawn and steps k0, ..., k1 - 1 of a
-    block are scaled by ``step_scale(k0, k1)``, amplitude(t_k) sqrt(h_k):
+    ``streams.lockstep``.  A scalar or constant-matrix diffusion shapes the
+    draws (``streams.constant_shape``: a scalar or a nonzero diagonal once
+    per block, any other matrix per path as it is drawn), and steps
+    k0, ..., k1 - 1 of a block are scaled by ``step_scale(k0, k1)``, amplitude(t_k) sqrt(h_k):
     one number on the uniform grid without a noise schedule, one value per
     step otherwise.  So the step only adds the drift; a state-dependent
     diffusion is evaluated inside the step.
@@ -166,12 +167,7 @@ def sde_kernel(
 
         return step_fn, None, None, None
 
-    if np.ndim(diffusion) == 0:
-        sigma = float(diffusion)
-        shape_noise = lambda xi: sigma * xi  # noqa: E731
-    else:
-        shape_noise = streams.rows_times_transpose(diffusion)
-
+    shape_noise = streams.constant_shape(diffusion)
     root_eta = math.sqrt(cfg.eta)
     if cfg.noise_schedule is not None:
         scale_of = lambda k: cfg.amplitude(time_of(k)) * math.sqrt(step_of(k))  # noqa: E731

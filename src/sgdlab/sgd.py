@@ -13,14 +13,14 @@ decays like 1/log(s).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
 from . import streams
 from .errors import NumericalError
-from .oracles import AdditiveGaussianOracle, GradientOracle, MinibatchOracle
+from .oracles import GradientOracle, MinibatchOracle
 
 
 @dataclass(frozen=True)
@@ -87,7 +87,7 @@ def schedule_m(schedule: BatchSchedule, s: float) -> int:
     if s < 0:
         raise ValueError(f"pseudo-time must be non-negative, got {s}")
     raw = math.ceil(schedule.C * math.log(s + 2.0) / schedule.eta)
-    return int(np.clip(raw, 1, min(schedule.m_star, schedule.M)))
+    return min(max(raw, 1), min(schedule.m_star, schedule.M))
 
 
 @dataclass(frozen=True)
@@ -120,42 +120,72 @@ class SgdConfig:
             raise ValueError("a batch-size schedule requires a mini-batch oracle")
 
 
-def sgd_iterates(cfg: SgdConfig, rng: np.random.Generator, n_steps: int):
-    """Yield ``(x_k, m_k)`` for k = 1, ..., n_steps along one SGD path.
+def additive_gaussian_kernel(cfg: SgdConfig) -> tuple[Callable, object, None]:
+    """``(step_fn, shape_noise, draw)`` of an ``AdditiveGaussianOracle``
+    chain for ``streams.lockstep``, which draws d standard normals per step.
 
-    ``m_k`` is the batch size of step k under the config's schedule (None
-    without one).  Raises ``NumericalError`` if an iterate stops being
-    finite.  This is the one per-path stepping loop: ``run_sgd`` stores what
-    it yields and ``hitting_time_mc`` stops it at the first exit.
-    """
-    x = cfg.x0
-    for k in range(n_steps):
-        m = None if cfg.schedule is None else schedule_m(cfg.schedule, k * cfg.eta)
-        x = x - cfg.eta * cfg.oracle.sample(x, rng, m=m)
-        if not np.all(np.isfinite(x)):
-            raise NumericalError(
-                f"non-finite state at step {k + 1} (eta={cfg.eta})", step=k + 1
-            )
-        yield x, m
-
-
-def additive_gaussian_kernel(cfg: SgdConfig) -> tuple[Callable, Callable, None] | None:
-    """``(step_fn, shape_noise, step_scale)`` of the chain for ``streams.lockstep``.
-
-    Only an ``AdditiveGaussianOracle`` with constant covariance S S^T has
-    one (None otherwise): each path's draws are multiplied by S as they are
-    drawn, and step k is x - eta (grad F(x) + S xi_k), so no step is scaled.
+    Step k is x - eta (grad F(x) + S xi_k).  A constant S shapes the draws
+    as they are drawn (``streams.constant_shape``); a callable covariance
+    is evaluated inside the step, one S(x_i) @ xi_i per path, the product
+    ``oracle.sample`` takes.
     """
     oracle = cfg.oracle
-    if not isinstance(oracle, AdditiveGaussianOracle) or callable(oracle.covariance):
-        return None
     eta = cfg.eta
     gradient = oracle.potential.gradient
+    if not callable(oracle.covariance):
 
-    def step_fn(x, noise, k):
+        def step_fn(x, noise, k):
+            return x - eta * (gradient(x) + noise)
+
+        return step_fn, streams.constant_shape(oracle.diffusion_at(cfg.x0)), None
+
+    def step_fn(x, xi, k):
+        noise = np.stack([oracle.diffusion_at(row) @ z for row, z in zip(x, xi)])
         return x - eta * (gradient(x) + noise)
 
-    return step_fn, streams.rows_times_transpose(oracle.diffusion_at(cfg.x0)), None
+    return step_fn, None, None
+
+
+def _minibatch_kernel(cfg: SgdConfig, n_steps: int) -> tuple[Callable, None, streams.PathDraw]:
+    """``(step_fn, shape_noise, draw)`` of a ``MinibatchOracle`` chain of
+    ``n_steps`` steps.
+
+    Each path draws the batch of step k from its own stream
+    (``oracle.batch``) into a block row padded to the run's widest batch.
+    The step evaluates each component gradient once on all rows and
+    averages every path's gathered batch in ``oracle.sample``'s bits.
+    """
+    oracle, schedule, eta = cfg.oracle, cfg.schedule, cfg.eta
+    components = oracle.fs.component_gradients
+    if schedule is None:
+        size_of = lambda k: oracle.m  # noqa: E731
+    else:
+        size_of = lambda k: schedule_m(schedule, k * eta)  # noqa: E731
+    # The schedule never shrinks a batch, so the last step's is the widest.
+    width = size_of(max(n_steps - 1, 0))
+
+    def draw(gen, k0, k1):
+        batches = np.zeros((k1 - k0, width), dtype=np.int64)
+        for j in range(k1 - k0):
+            m = size_of(k0 + j)
+            batches[j, :m] = oracle.batch(gen, m)
+        return batches
+
+    def step_fn(x, batches, k):
+        m = size_of(k)
+        grads = np.stack([g(x) for g in components], axis=1)  # (paths, M, d)
+        batch = grads[np.arange(len(x))[:, None], batches[:, :m]]
+        return x - eta * (np.add.reduce(batch, axis=1) / m)
+
+    return step_fn, None, streams.PathDraw(draw, width, np.int64)
+
+
+def chain_kernel(cfg: SgdConfig, n_steps: int) -> tuple[Callable, object, streams.PathDraw | None]:
+    """``(step_fn, shape_noise, draw)`` of any chain of ``n_steps`` steps for
+    ``streams.lockstep``: the one stepping form of every oracle."""
+    if isinstance(cfg.oracle, MinibatchOracle):
+        return _minibatch_kernel(cfg, n_steps)
+    return additive_gaussian_kernel(cfg)
 
 
 def run_sgd(cfg: SgdConfig, rng: np.random.Generator | None = None) -> Trajectory:
@@ -174,13 +204,20 @@ def run_sgd(cfg: SgdConfig, rng: np.random.Generator | None = None) -> Trajector
     states = [cfg.x0]
     steps_stored = [0]
     m_history: list[int] = []
-    for k, (x, m) in enumerate(sgd_iterates(cfg, rng, cfg.steps), start=1):
+    x = cfg.x0
+    for k in range(cfg.steps):
+        m = None if cfg.schedule is None else schedule_m(cfg.schedule, k * cfg.eta)
+        x = x - cfg.eta * cfg.oracle.sample(x, rng, m=m)
+        if not np.all(np.isfinite(x)):
+            raise NumericalError(
+                f"non-finite state at step {k + 1} (eta={cfg.eta})", step=k + 1
+            )
         if m is not None:
             m_history.append(m)
-        if k % cfg.store_every == 0 or k == cfg.steps:
-            times.append(k * cfg.eta)
+        if (k + 1) % cfg.store_every == 0 or k + 1 == cfg.steps:
+            times.append((k + 1) * cfg.eta)
             states.append(x)
-            steps_stored.append(k)
+            steps_stored.append(k + 1)
     meta = {"eta": cfg.eta, "seed": cfg.seed, "steps": np.array(steps_stored)}
     if cfg.schedule is not None:
         meta["m_history"] = np.array(m_history, dtype=int)
@@ -206,43 +243,29 @@ def run_sgd_ensemble(
 
     ``reference_states`` of shape (steps + 1, dim) activates tracking of
     max_k ||x_k - ref_k|| per path, used to compare the chain against its
-    deterministic gradient-flow limit.  Additive-Gaussian oracles with
-    constant covariance are stepped vectorized across paths; anything else
-    falls back to per-path ``run_sgd`` with the same streams.
+    deterministic gradient-flow limit.  Every oracle is stepped on
+    ``streams.lockstep`` through ``chain_kernel``, all paths at once, with
+    the draws ``run_sgd`` takes from each path's stream.
     """
     indices = path_indices if path_indices is not None else range(n_paths)
     gens = streams.path_streams(cfg.seed, experiment, indices)
-    n = len(gens)
     d = cfg.oracle.potential.dim
+    track = None
+    gaps = None
     if reference_states is not None:
         reference_states = np.asarray(reference_states, dtype=float)
         if reference_states.shape != (cfg.steps + 1, d):
             raise ValueError(
                 f"reference states shape {reference_states.shape} != ({cfg.steps + 1}, {d})"
             )
-
-    kernel = additive_gaussian_kernel(cfg)
-    if kernel is None:
-        endpoints = np.empty((n, d))
-        gaps = np.zeros(n) if reference_states is not None else None
-        for i, gen in enumerate(gens):
-            traj = run_sgd(replace(cfg, store_every=1), rng=gen)
-            endpoints[i] = traj.states[-1]
-            if reference_states is not None:
-                gaps[i] = np.linalg.norm(traj.states - reference_states, axis=1).max()
-        return EnsembleResult(endpoints=endpoints, sup_gaps=gaps)
-
-    track = None
-    gaps = None
-    if reference_states is not None:
-        gaps = np.zeros(n)
+        gaps = np.zeros(len(gens))
 
         def track(k, x):
             np.maximum(gaps, np.linalg.norm(x - reference_states[k], axis=1), out=gaps)
 
-    step_fn, shape_noise, _ = kernel
+    step_fn, shape_noise, draw = chain_kernel(cfg, cfg.steps)
     endpoints = streams.lockstep(
-        step_fn, cfg.x0, gens, cfg.steps, shape_noise=shape_noise, on_step=track
+        step_fn, cfg.x0, gens, cfg.steps, shape_noise=shape_noise, on_step=track, draw=draw
     )[2]
     return EnsembleResult(endpoints=endpoints, sup_gaps=gaps)
 

@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import gc
 import hashlib
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 from numpy.random.bit_generator import ISpawnableSeedSequence
@@ -222,21 +222,44 @@ def in_process(fn: Callable, n: int, *args) -> list:
     return [fn(*args, 0, n)]
 
 
-def rows_times_transpose(s) -> Callable[[np.ndarray], np.ndarray]:
-    """xi -> xi @ s.T through the same BLAS kernel for any number of rows.
+def constant_shape(s) -> float | np.ndarray | Callable[[np.ndarray], np.ndarray]:
+    """``lockstep``'s ``shape_noise`` for a constant diffusion ``s``.
 
-    numpy hands a one-row product to gemv, whose last bits differ from those
-    of the gemm that serves two rows or more, so a one-row block is padded
-    to two rows: a path's noise must not depend on the block size.
+    A scalar, or the diagonal of a diagonal ``s`` whose diagonal entries are
+    all nonzero, is multiplied into each noise block at once: every element
+    of ``xi @ s.T`` then has one nonzero term, which the product gives in
+    the same bits.  Any other matrix (a zero on the diagonal could flip the
+    sign of a zero) gives the map xi -> xi @ s.T, applied per path.
     """
+    if np.ndim(s) == 0:
+        return float(s)
     s_t = np.asarray(s, dtype=float).T
+    diagonal = np.diagonal(s_t)
+    if np.all(diagonal != 0.0) and np.count_nonzero(s_t) == diagonal.size:
+        return diagonal.copy()
 
     def shape(xi: np.ndarray) -> np.ndarray:
+        # numpy hands a one-row product to gemv, whose last bits differ from
+        # those of the gemm that serves two rows or more, so a one-row block
+        # is padded to two rows: a path's noise must not depend on the block.
         if len(xi) > 1:
             return xi @ s_t
         return (np.concatenate([xi, xi]) @ s_t)[:1]
 
     return shape
+
+
+class PathDraw(NamedTuple):
+    """One path's draws for ``lockstep``, in place of its standard normals.
+
+    ``fn(gen, k0, k1)`` takes the draws of steps k0, ..., k1 - 1 from the
+    path's generator ``gen``, in step order, and returns them as a
+    (k1 - k0, width) array of ``dtype``.
+    """
+
+    fn: Callable[[np.random.Generator, int, int], np.ndarray]
+    width: int
+    dtype: type = float
 
 
 def lockstep(
@@ -245,11 +268,12 @@ def lockstep(
     gens: list[np.random.Generator],
     n_steps: int,
     block: int = 1024,
-    shape_noise: Callable[[np.ndarray], np.ndarray] | None = None,
+    shape_noise: float | np.ndarray | Callable[[np.ndarray], np.ndarray] | None = None,
     step_scale: Callable[[int, int], float | np.ndarray] | None = None,
     domain=None,
     on_step: Callable[[int, np.ndarray], None] | None = None,
     block_step: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
+    draw: PathDraw | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Step one path per generator in lockstep for up to ``n_steps`` steps.
 
@@ -262,19 +286,25 @@ def lockstep(
     states)``: the 1-based exit step of each path (-1 if it never left), its
     first outside state, and the final state of every path still inside.
 
-    Noise is drawn per path from its private stream in blocks of at most
+    Draws are taken per path from its private stream in blocks of at most
     ``block`` steps, and fewer where a block of the alive paths would pass
     ``NOISE_BLOCK_BYTES``, so the result is independent of how paths are
     grouped into chunks and of the block size.  A block is time-major:
     ``buf[j, c]`` is step j of the path in column c, so the noise of one
-    step is the view ``buf[j]``.  Each path's draws pass through
-    ``shape_noise`` as they are drawn; then, once per block and in place,
-    steps k0, ..., k1 - 1 are multiplied by ``step_scale(k0, k1)``: one
-    number for the whole block or one value per step.
+    step is the view ``buf[j]``.  A path's draws are d standard normals per
+    step, or, with a ``draw`` (``PathDraw``), ``draw.width`` values of
+    ``draw.dtype`` per step, such as a mini-batch's component indices; the
+    byte cap counts the row actually drawn.  A callable ``shape_noise`` is
+    applied to each path's draws as they are drawn; a number or a (d,)
+    vector (``constant_shape``) is multiplied into the whole block at once,
+    in place.  Then, once per block and in place, steps k0, ..., k1 - 1 are
+    multiplied by ``step_scale(k0, k1)``: one number for the whole block or
+    one value per step.
 
     Block-scan contract, with a ``domain``: every path alive at the start of
     a block is stepped through the whole block, each step's states
-    overwriting the noise row they used, and then ``domain.contains`` scans
+    overwriting the noise row they used (with a ``draw``, rows of their own,
+    which the byte cap counts too), and then ``domain.contains`` scans
     the block for first exits ``SCAN_SLAB`` steps at a time.  So ``step_fn``
     may be evaluated on a path after its exit, until the end of the block;
     those states are discarded, and overflow in them is ignored.  A
@@ -295,6 +325,13 @@ def lockstep(
         raise ValueError("lockstep takes on_step alone, without domain or block_step")
     n = len(gens)
     d = x0.size
+    width, dtype = (d, float) if draw is None else (draw.width, draw.dtype)
+    # The states of a step go over its noise row, but need rows of their own
+    # beside a kernel's draw.
+    own_rows = draw is not None and domain is not None
+    row_bytes = width * np.dtype(dtype).itemsize + (8 * d if own_rows else 0)
+    per_path = shape_noise if callable(shape_noise) else None
+    per_block = None if per_path is not None else shape_noise
     states = np.tile(x0, (n, 1))
     exit_step = np.full(n, -1, dtype=np.int64)
     exit_points = np.zeros((n, d))
@@ -306,43 +343,53 @@ def lockstep(
     with np.errstate(over="ignore", invalid="ignore"):
         while ids.size and step0 < n_steps:
             kblock = min(
-                block, n_steps - step0, max(1, NOISE_BLOCK_BYTES // (8 * d * ids.size))
+                block, n_steps - step0, max(1, NOISE_BLOCK_BYTES // (row_bytes * ids.size))
             )
-            buf = np.empty((kblock, ids.size, d))
-            for pos, i in enumerate(ids):
-                xi = gens[i].standard_normal((kblock, d))
-                buf[:, pos] = xi if shape_noise is None else shape_noise(xi)
+            step1 = step0 + kblock
+            buf = np.empty((kblock, ids.size, width), dtype=dtype)
+            if draw is not None:
+                for pos, i in enumerate(ids):
+                    buf[:, pos] = draw.fn(gens[i], step0, step1)
+            else:
+                for pos, i in enumerate(ids):
+                    xi = gens[i].standard_normal((kblock, d))
+                    buf[:, pos] = xi if per_path is None else per_path(xi)
+            if per_block is not None:
+                buf *= per_block
             if step_scale is not None:
-                buf *= np.reshape(step_scale(step0, step0 + kblock), (-1, 1, 1))
+                buf *= np.reshape(step_scale(step0, step1), (-1, 1, 1))
+            rows = np.empty((kblock, ids.size, d)) if own_rows else buf
             if block_step is not None:
                 x = block_step(x, buf)
             else:
                 for j in range(kblock):
                     x = step_fn(x, buf[j], step0 + j)
                     if domain is not None:
-                        buf[j] = x
+                        rows[j] = x
                     elif on_step is not None:
                         on_step(step0 + j + 1, x)
             if domain is not None:
                 # Block step of each path's first outside state, -1 if none.
                 first = np.full(ids.size, -1, dtype=np.int64)
                 for j0 in range(0, kblock, SCAN_SLAB):
-                    outside = ~domain.contains(buf[j0 : j0 + SCAN_SLAB])
+                    outside = ~domain.contains(rows[j0 : j0 + SCAN_SLAB])
                     new = outside.any(axis=0) & (first < 0)
                     first[new] = j0 + outside[:, new].argmax(axis=0)
                 left = first >= 0
                 if left.any():
-                    rows = first[left]
-                    points = buf[rows, np.flatnonzero(left)]
+                    steps = first[left]
+                    points = rows[steps, np.flatnonzero(left)]
                     bad = ~np.isfinite(points).all(axis=1)
                     if bad.any():
-                        k = step0 + int(rows[bad].min()) + 1
+                        k = step0 + int(steps[bad].min()) + 1
                         raise NumericalError(f"non-finite state at step {k}", step=k)
-                    exit_step[ids[left]] = step0 + rows + 1
+                    exit_step[ids[left]] = step0 + steps + 1
                     exit_points[ids[left]] = points
                     x = x[~left]
                     ids = ids[~left]
-            step0 += kblock
+            step0 = step1
+            # No name may hold this block while the next one is filled.
+            del buf, rows
             if not np.all(np.isfinite(x)):
                 raise NumericalError(f"non-finite state by step {step0}", step=step0)
     states[ids] = x

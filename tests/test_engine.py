@@ -2,9 +2,12 @@
 replaced: Euler-Maruyama endpoints, the additive-Gaussian SGD ensemble and
 annealing.  The earlier loops are kept verbatim as ``_reference_*``; the
 engine must reproduce them bit for bit, whatever the block size and however
-paths are split into chunks.  Each caller must also stop on a blow-up, and
-the per-path chain loop must step exits and trajectories alike."""
+paths are split into chunks.  Each caller must also stop on a blow-up.
+Mini-batch chains and chains with a callable covariance, ensembles and
+exits alike, must equal per-path ``run_sgd`` bit for bit, and noise shaped
+once per block must keep the bits of the per-path product."""
 
+import dataclasses
 import functools
 import math
 
@@ -15,6 +18,7 @@ from hypothesis import strategies as st
 
 from sgdlab import (
     AdditiveGaussianOracle,
+    BatchSchedule,
     Domain,
     MinibatchOracle,
     NumericalError,
@@ -31,7 +35,8 @@ from sgdlab import (
 )
 from sgdlab.exit_times import anneal_chunk
 from sgdlab.sde import _time_grid, apply_diffusion, em_on_grid
-from sgdlab.sgd import additive_gaussian_kernel
+from sgdlab.oracles import WITH_REPLACEMENT, WITHOUT_REPLACEMENT
+from sgdlab.sgd import additive_gaussian_kernel, chain_kernel
 from test_exit_times import (
     ENGINE_CASES,
     _assert_same_records,
@@ -198,6 +203,23 @@ SGD_CASES = {
 }
 
 
+def _minibatch_chain(mode, d, scheduled, steps=40, x0=None):
+    """A chain of batches of 9 centres; the schedule grows m from 2 to 4."""
+    centers = np.random.default_rng(d).normal(scale=2.0, size=(9, d))
+    oracle = MinibatchOracle(gaussian_cloud(centers - centers.mean(axis=0)), 3, mode)
+    schedule = BatchSchedule(C=0.2, eta=0.1, m_star=7, M=9) if scheduled else None
+    x0 = np.full(d, 0.25) if x0 is None else x0
+    return SgdConfig(eta=0.1, steps=steps, x0=x0, oracle=oracle, schedule=schedule, seed=6)
+
+
+MINIBATCH_CASES = {
+    f"{mode}-d{d}{'-schedule' if scheduled else ''}": _minibatch_chain(mode, d, scheduled)
+    for mode in (WITHOUT_REPLACEMENT, WITH_REPLACEMENT)
+    for d in (1, 2)
+    for scheduled in (False, True)
+}
+
+
 def _flow_reference(cfg):
     """A smooth stand-in for the gradient-flow knots of the sup-gap."""
     t = np.arange(cfg.steps + 1)[:, None] * cfg.eta
@@ -292,6 +314,33 @@ def _sgd_chunk(case, block, lo, hi):
     return np.column_stack([ends, gaps])
 
 
+def _decay_reference(cfg):
+    """A reference path x0 exp(-t) for the sup-gaps of a chain of any dim."""
+    return cfg.x0 * np.exp(-np.arange(cfg.steps + 1)[:, None] * cfg.eta)
+
+
+def _chain_chunk(cfg, label, block, lo, hi):
+    """Endpoints and sup-gaps of ``run_sgd_ensemble``'s paths lo, ..., hi - 1
+    with an explicit block."""
+    ref = _decay_reference(cfg)
+    gens = streams.path_streams(cfg.seed, label, range(lo, hi))
+    gaps = np.zeros(hi - lo)
+
+    def track(k, x):
+        np.maximum(gaps, np.linalg.norm(x - ref[k], axis=1), out=gaps)
+
+    step_fn, shape_noise, draw = chain_kernel(cfg, cfg.steps)
+    ends = streams.lockstep(
+        step_fn, cfg.x0, gens, cfg.steps, block=block, shape_noise=shape_noise,
+        on_step=track, draw=draw,
+    )[2]
+    return np.column_stack([ends, gaps])
+
+
+def _minibatch_chunk(case, block, lo, hi):
+    return _chain_chunk(MINIBATCH_CASES[case], f"sgd:{case}", block, lo, hi)
+
+
 def _anneal_chunk(mode, block, lo, hi):
     """Per-checkpoint counts of paths in the target window, and successes."""
     kw = {k: v for k, v in ANNEAL_KW.items() if k not in ("n_paths", "n_checkpoints")}
@@ -306,6 +355,10 @@ def _anneal_chunk(mode, block, lo, hi):
 CHUNKED = {
     **{f"em:{case}": functools.partial(_em_chunk, case) for case in SDE_CASES},
     **{f"sgd:{case}": functools.partial(_sgd_chunk, case) for case in SGD_CASES},
+    **{
+        f"sgd:{case}": functools.partial(_minibatch_chunk, case)
+        for case in ("without_replacement-d2-schedule", "with_replacement-d1")
+    },
     **{f"anneal:{m}": functools.partial(_anneal_chunk, m) for m in ("cooling", "constant")},
 }
 
@@ -409,3 +462,199 @@ def test_minibatch_chain_exits_follow_run_sgd():
             assert rec.exit_time == (outside[0] + 1) * cfg.eta
             np.testing.assert_array_equal(rec.exit_point, states[outside[0]])
     assert 0 < sum(r.censored for r in records) < len(records)
+
+
+# ---------------------------------------------------------------------------
+# Every chain on the engine: mini-batch and state-dependent noise against
+# per-path run_sgd, and noise shaped once per block.
+# ---------------------------------------------------------------------------
+
+CHAIN_PATHS = 24
+#: Chunk bounds that cut the paths into runs of 5, 1 and 18.
+CHAIN_CUTS = (0, 5, 6, CHAIN_PATHS)
+
+
+def _run_sgd_paths(cfg, label, n_paths, steps=None):
+    """Each path's stored states (steps + 1, d) from per-path ``run_sgd``."""
+    cfg = dataclasses.replace(cfg, steps=cfg.steps if steps is None else steps)
+    return [run_sgd(cfg, rng=gen).states for gen in streams.path_streams(cfg.seed, label, range(n_paths))]
+
+
+def _assert_ensemble_follows_run_sgd(cfg, label, block):
+    ref = _decay_reference(cfg)
+    paths = _run_sgd_paths(cfg, label, CHAIN_PATHS)
+    expected = np.array([states[-1] for states in paths])
+    expected_gaps = np.array([np.linalg.norm(states - ref, axis=1).max() for states in paths])
+    parts = [
+        _chain_chunk(cfg, label, block, lo, hi) for lo, hi in zip(CHAIN_CUTS, CHAIN_CUTS[1:])
+    ]
+    got = np.concatenate(parts)
+    np.testing.assert_array_equal(got[:, :-1], expected)
+    np.testing.assert_array_equal(got[:, -1], expected_gaps)
+    result = run_sgd_ensemble(cfg, CHAIN_PATHS, experiment=label, reference_states=ref)
+    np.testing.assert_array_equal(result.endpoints, expected)
+    np.testing.assert_array_equal(result.sup_gaps, expected_gaps)
+
+
+def _assert_exits_follow_run_sgd(cfg, domain, label, horizon, block):
+    max_steps = int(math.ceil(horizon / cfg.eta - 1e-12))
+    paths = _run_sgd_paths(cfg, label, CHAIN_PATHS, steps=max_steps)
+    records = []
+    for lo, hi in zip(CHAIN_CUTS, CHAIN_CUTS[1:]):
+        records += hitting_time_mc(
+            cfg, domain, CHAIN_PATHS, horizon, experiment=label, path_indices=range(lo, hi),
+            block=block,
+        )
+    steps = []
+    for rec, states in zip(records, paths):
+        outside = np.flatnonzero(~domain.contains(states[1:]))
+        if rec.censored:
+            assert outside.size == 0
+            assert rec.exit_time == horizon
+            np.testing.assert_array_equal(rec.exit_point, states[-1])
+        else:
+            k = int(outside[0]) + 1
+            steps.append(k)
+            assert rec.exit_steps == k
+            assert rec.exit_time == k * cfg.eta
+            np.testing.assert_array_equal(rec.exit_point, states[k])
+    # Exits within the first two blocks of 7, after them, and none at all.
+    assert min(steps) < 14 < max(steps)
+    assert sum(r.censored for r in records) >= 1
+
+
+@pytest.mark.parametrize("block", [1, 7, 1024])
+@pytest.mark.parametrize("case", sorted(MINIBATCH_CASES))
+def test_minibatch_ensembles_follow_run_sgd(case, block):
+    _assert_ensemble_follows_run_sgd(MINIBATCH_CASES[case], f"mb:{case}", block)
+
+
+#: Starts near the boundary of a unit-sized domain, so that paths leave on
+#: the first step, late, or not at all.
+MINIBATCH_EXIT_X0 = {1: np.array([0.3]), 2: np.array([0.3, 0.0])}
+
+
+def _minibatch_exit_case(case):
+    cfg = MINIBATCH_CASES[case]
+    d = cfg.x0.size
+    domain = Domain.interval(-0.35, 0.35) if d == 1 else Domain.ball(np.zeros(2), 0.5)
+    return dataclasses.replace(cfg, x0=MINIBATCH_EXIT_X0[d]), domain
+
+
+@pytest.mark.parametrize("block", [1, 7, 1024])
+@pytest.mark.parametrize("case", sorted(MINIBATCH_CASES))
+def test_minibatch_exits_follow_run_sgd(case, block):
+    cfg, domain = _minibatch_exit_case(case)
+    _assert_exits_follow_run_sgd(cfg, domain, f"mb-exit:{case}", 6.0, block)
+
+
+def _state_dependent_chain(d):
+    if d == 1:
+        oracle = AdditiveGaussianOracle(DOUBLE_WELL, lambda x: np.array([[0.2 + x[0] * x[0]]]))
+        return SgdConfig(eta=0.05, steps=40, x0=np.array([0.8]), oracle=oracle, seed=7)
+
+    def covariance(x):
+        return np.array([[1.5 + 5 * x[0] * x[0], 0.5 * x[1]], [0.5 * x[1], 1.0 + 5 * x[1] * x[1]]])
+
+    oracle = AdditiveGaussianOracle(WELL_2D, covariance)
+    return SgdConfig(eta=0.05, steps=40, x0=np.array([0.2, 0.1]), oracle=oracle, seed=7)
+
+
+@pytest.mark.parametrize("block", [1, 7, 1024])
+@pytest.mark.parametrize("d", [1, 2])
+def test_state_dependent_noise_chains_follow_run_sgd(d, block):
+    cfg = _state_dependent_chain(d)
+    _assert_ensemble_follows_run_sgd(cfg, f"cov:{d}", block)
+    if d == 1:
+        cfg, domain = dataclasses.replace(cfg, x0=np.array([0.75])), Domain.interval(0.5, 1.0)
+    else:
+        cfg, domain = dataclasses.replace(cfg, x0=np.array([0.3, 0.0])), Domain.ball(np.zeros(2), 0.4)
+    _assert_exits_follow_run_sgd(cfg, domain, f"cov-exit:{d}", 3.0, block)
+
+
+def test_state_dependent_noise_chain_raises_on_a_blow_up():
+    oracle = AdditiveGaussianOracle(DOUBLE_WELL, lambda x: np.array([[0.0 * x[0]]]))
+    cfg = SgdConfig(eta=10.0, steps=10, x0=np.array([1.5]), oracle=oracle)
+    with pytest.raises(NumericalError) as info:
+        run_sgd_ensemble(cfg, 3)
+    assert 6 <= info.value.step <= 10
+
+
+@pytest.mark.parametrize("cap", [1, 8 * CHAIN_PATHS * 5])
+@pytest.mark.parametrize("case", ["without_replacement-d2-schedule", "with_replacement-d1"])
+def test_minibatch_exits_ignore_the_noise_block_byte_cap(case, cap, monkeypatch):
+    cfg, domain = _minibatch_exit_case(case)
+    expected = hitting_time_mc(cfg, domain, CHAIN_PATHS, 6.0, experiment="cap")
+    monkeypatch.setattr(streams, "NOISE_BLOCK_BYTES", cap)
+    got = hitting_time_mc(cfg, domain, CHAIN_PATHS, 6.0, experiment="cap")
+    _assert_same_records(got, [(r.exit_time, r.exit_point, r.censored) for r in expected])
+
+
+@pytest.mark.parametrize("with_domain", [False, True])
+def test_draw_blocks_are_capped_by_the_row_drawn(with_domain, monkeypatch):
+    # 16 two-dimensional paths drawing 6 int64 per step: 48 bytes a row, and
+    # with a domain 16 more for the states, so 5 steps fit either cap.
+    row = 8 * 6 + (8 * 2 if with_domain else 0)
+    monkeypatch.setattr(streams, "NOISE_BLOCK_BYTES", row * 16 * 5)
+    lengths = []
+
+    def step(x, batches, k):
+        lengths.append(len(batches.base))
+        return x + 0.0 * batches[:, :2]
+
+    draw = streams.PathDraw(lambda gen, k0, k1: gen.integers(0, 9, size=(k1 - k0, 6)), 6, np.int64)
+    domain = Domain.box([-1.0, -1.0], [1.0, 1.0]) if with_domain else None
+    streams.lockstep(
+        step, np.zeros(2), streams.path_streams(0, "cap", range(16)), 12, domain=domain, draw=draw
+    )
+    assert lengths == [5] * 10 + [2] * 2
+
+
+SHAPES = {
+    "scalar": 0.7,
+    "diagonal": np.diag([0.7, -1.3]),
+    "zero-on-diagonal": np.diag([0.7, 0.0]),
+    "non-diagonal": NON_DIAGONAL,
+}
+
+
+@pytest.mark.parametrize("block", [1, 7, 1024])
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+def test_constant_noise_shapes_keep_the_per_path_bits(shape, block):
+    """A scalar or a nonzero diagonal is multiplied into each block at once;
+    the noise must keep the bits of the per-path product xi @ s.T, signed
+    zeros included, which a zero on the diagonal would flip."""
+    s = SHAPES[shape]
+    shaper = streams.constant_shape(s)
+    assert callable(shaper) == (shape in ("zero-on-diagonal", "non-diagonal"))
+    n_steps, gens = 9, streams.path_streams(1, "shape", range(5))
+    expected = []
+    for gen in streams.path_streams(1, "shape", range(5)):
+        xi = gen.standard_normal((n_steps, 2))
+        expected.append(s * xi if np.ndim(s) == 0 else xi @ np.asarray(s).T)
+    expected = np.stack(expected, axis=1)
+    scale = lambda k0, k1: np.linspace(0.5, 1.5, n_steps)[k0:k1]  # noqa: E731
+    seen = []
+
+    def step(x, noise, k):
+        seen.append(noise.copy())
+        return x
+
+    streams.lockstep(
+        step, np.zeros(2), gens, n_steps, block=block, shape_noise=shaper, step_scale=scale
+    )
+    expected *= np.linspace(0.5, 1.5, n_steps)[:, None, None]
+    assert np.stack(seen).tobytes() == expected.tobytes()
+    assert np.signbit(expected).sum() > 0
+
+
+@pytest.mark.parametrize("shape", ["diagonal", "zero-on-diagonal"])
+def test_diagonal_diffusions_match_reference_loops(shape):
+    s = SHAPES[shape]
+    cfg = _sde(WELL_2D, [0.4, -0.2], diffusion=s)
+    expected = _reference_em_endpoints(cfg, N_PATHS, experiment="diag")
+    assert em_endpoints(cfg, N_PATHS, experiment="diag").tobytes() == expected.tobytes()
+    chain = _chain(s @ s.T)
+    expected, _ = _reference_sgd_ensemble(chain, N_PATHS, experiment="diag")
+    got = run_sgd_ensemble(chain, N_PATHS, experiment="diag").endpoints
+    assert got.tobytes() == expected.tobytes()
