@@ -99,7 +99,7 @@ class ExitRecord:
 
     path_index: int
     exit_time: float
-    exit_steps: float  # exit_time / eta, the chain-step count scale (a chain's own count)
+    exit_steps: float  # exit_time / eta, the chain-step count scale; a chain's exact count
     exit_point: np.ndarray
     censored: bool
 

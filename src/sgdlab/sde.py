@@ -134,10 +134,10 @@ def sde_kernel(
     ``streams.lockstep``.  A scalar or constant-matrix diffusion shapes the
     draws (``streams.constant_shape``: a scalar or a nonzero diagonal once
     per block, any other matrix per path as it is drawn), and steps
-    k0, ..., k1 - 1 of a block are scaled by ``step_scale(k0, k1)``, amplitude(t_k) sqrt(h_k):
-    one number on the uniform grid without a noise schedule, one value per
-    step otherwise.  So the step only adds the drift; a state-dependent
-    diffusion is evaluated inside the step.
+    k0, ..., k1 - 1 of a block are scaled by ``step_scale(k0, k1)``,
+    amplitude(t_k) sqrt(h_k): one number on the uniform grid without a
+    noise schedule, one value per step otherwise.  So the step only adds
+    the drift; a state-dependent diffusion is evaluated inside the step.
 
     ``block_step`` (see ``streams.lockstep``) is None except under
     first-order drift on the uniform grid of a builtin diagonal quadratic
@@ -168,6 +168,7 @@ def sde_kernel(
         return step_fn, None, None, None
 
     shape_noise = streams.constant_shape(diffusion)
+
     root_eta = math.sqrt(cfg.eta)
     if cfg.noise_schedule is not None:
         scale_of = lambda k: cfg.amplitude(time_of(k)) * math.sqrt(step_of(k))  # noqa: E731

@@ -259,7 +259,7 @@ class PathDraw(NamedTuple):
 
     fn: Callable[[np.random.Generator, int, int], np.ndarray]
     width: int
-    dtype: type = float
+    dtype: type
 
 
 def lockstep(
@@ -388,7 +388,8 @@ def lockstep(
                     x = x[~left]
                     ids = ids[~left]
             step0 = step1
-            # No name may hold this block while the next one is filled.
+            # Free this block before the next is allocated, so that the
+            # allocator can hand its memory to the next one.
             del buf, rows
             if not np.all(np.isfinite(x)):
                 raise NumericalError(f"non-finite state by step {step0}", step=step0)

@@ -477,7 +477,8 @@ CHAIN_CUTS = (0, 5, 6, CHAIN_PATHS)
 def _run_sgd_paths(cfg, label, n_paths, steps=None):
     """Each path's stored states (steps + 1, d) from per-path ``run_sgd``."""
     cfg = dataclasses.replace(cfg, steps=cfg.steps if steps is None else steps)
-    return [run_sgd(cfg, rng=gen).states for gen in streams.path_streams(cfg.seed, label, range(n_paths))]
+    gens = streams.path_streams(cfg.seed, label, range(n_paths))
+    return [run_sgd(cfg, rng=gen).states for gen in gens]
 
 
 def _assert_ensemble_follows_run_sgd(cfg, label, block):
@@ -529,8 +530,7 @@ def test_minibatch_ensembles_follow_run_sgd(case, block):
     _assert_ensemble_follows_run_sgd(MINIBATCH_CASES[case], f"mb:{case}", block)
 
 
-#: Starts near the boundary of a unit-sized domain, so that paths leave on
-#: the first step, late, or not at all.
+#: Starts near the boundary, so that paths leave early, late or not at all.
 MINIBATCH_EXIT_X0 = {1: np.array([0.3]), 2: np.array([0.3, 0.0])}
 
 
@@ -566,9 +566,10 @@ def test_state_dependent_noise_chains_follow_run_sgd(d, block):
     cfg = _state_dependent_chain(d)
     _assert_ensemble_follows_run_sgd(cfg, f"cov:{d}", block)
     if d == 1:
-        cfg, domain = dataclasses.replace(cfg, x0=np.array([0.75])), Domain.interval(0.5, 1.0)
+        x0, domain = np.array([0.75]), Domain.interval(0.5, 1.0)
     else:
-        cfg, domain = dataclasses.replace(cfg, x0=np.array([0.3, 0.0])), Domain.ball(np.zeros(2), 0.4)
+        x0, domain = np.array([0.3, 0.0]), Domain.ball(np.zeros(2), 0.4)
+    cfg = dataclasses.replace(cfg, x0=x0)
     _assert_exits_follow_run_sgd(cfg, domain, f"cov-exit:{d}", 3.0, block)
 
 
