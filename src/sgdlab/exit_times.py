@@ -165,7 +165,7 @@ def hitting_time_mc(
     max_steps = int(math.ceil(horizon / time_per_step - 1e-12))
     step_scale = block_step = draw = None
     if chain:
-        step_fn, shape_noise, draw = chain_kernel(process, max_steps)
+        step_fn, shape_noise, draw = chain_kernel(process, max_steps, domain)
     else:
         step_fn, shape_noise, step_scale, block_step = sde_kernel(process)
     exit_step, exit_points, states = streams.lockstep(

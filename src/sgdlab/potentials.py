@@ -146,8 +146,11 @@ class FiniteSumSpec:
 
     ``base`` carries the full objective; ``component_gradients`` are the M
     maps ``x -> grad f_i(x)``, which, like ``PotentialSpec.gradient``,
-    accept arrays of shape ``(..., dim)``.  Their average must reproduce the
-    base gradient exactly, which is checked at construction on probe points.
+    accept arrays of shape ``(..., dim)``: the SGD engine evaluates a
+    component on a stack of (n, dim) points at once.  Both are checked at
+    construction on probe points: each component must map the stacked
+    probes row by row to its value at each probe, and the components'
+    average must reproduce the base gradient.
     """
 
     base: PotentialSpec
@@ -166,8 +169,21 @@ class FiniteSumSpec:
         probes = [np.zeros(d), 0.5 * np.ones(d), -1.3 * np.ones(d)]
         rng = np.random.default_rng(0)
         probes.append(rng.uniform(-2.0, 2.0, size=d))
-        for x in probes:
-            mean = np.mean([g(x) for g in self.component_gradients], axis=0)
+        per_probe = [
+            [np.asarray(g(x), dtype=float) for x in probes] for g in self.component_gradients
+        ]
+        stacked = np.array(probes)
+        for i, (g, values) in enumerate(zip(self.component_gradients, per_probe)):
+            rows = np.asarray(g(stacked), dtype=float)
+            if rows.shape != (len(probes), d) or not np.allclose(
+                rows, values, atol=1e-12, rtol=1e-12
+            ):
+                raise ValueError(
+                    f"component gradient {i} does not map an (n, {d}) stack of points "
+                    "row by row; component gradients must accept (..., dim) arrays"
+                )
+        for j, x in enumerate(probes):
+            mean = np.mean([values[j] for values in per_probe], axis=0)
             if not np.allclose(mean, self.base.gradient(x), atol=1e-12, rtol=1e-12):
                 raise ValueError(
                     "component gradients do not average to the base gradient"

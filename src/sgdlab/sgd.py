@@ -120,14 +120,27 @@ class SgdConfig:
             raise ValueError("a batch-size schedule requires a mini-batch oracle")
 
 
-def additive_gaussian_kernel(cfg: SgdConfig) -> tuple[Callable, object, None]:
+def _live_rows(x: np.ndarray, domain) -> np.ndarray:
+    """Indices of the rows of ``x`` a chain step must advance: finite and,
+    under a ``domain``, inside it.  ``lockstep`` steps a path on after its
+    exit until the block ends and discards those states, so a step leaves
+    such rows as they are rather than evaluate the model where it may not
+    be defined (a covariance that is PSD only inside the domain)."""
+    live = np.isfinite(x).all(axis=1)
+    if domain is not None:
+        live &= domain.contains(x)
+    return np.flatnonzero(live)
+
+
+def additive_gaussian_kernel(cfg: SgdConfig, domain=None) -> tuple[Callable, object, None]:
     """``(step_fn, shape_noise, draw)`` of an ``AdditiveGaussianOracle``
     chain for ``streams.lockstep``, which draws d standard normals per step.
 
     Step k is x - eta (grad F(x) + S xi_k).  A constant S shapes the draws
     as they are drawn (``streams.constant_shape``); a callable covariance
-    is evaluated inside the step, one S(x_i) @ xi_i per path, the product
-    ``oracle.sample`` takes.
+    is evaluated inside the step, one S(x_i) @ xi_i per live row (see
+    ``_live_rows``; the others take no noise), the product ``oracle.sample``
+    takes.
     """
     oracle = cfg.oracle
     eta = cfg.eta
@@ -140,20 +153,27 @@ def additive_gaussian_kernel(cfg: SgdConfig) -> tuple[Callable, object, None]:
         return step_fn, streams.constant_shape(oracle.diffusion_at(cfg.x0)), None
 
     def step_fn(x, xi, k):
-        noise = np.stack([oracle.diffusion_at(row) @ z for row, z in zip(x, xi)])
+        noise = np.zeros_like(x)
+        for i in _live_rows(x, domain):
+            noise[i] = oracle.diffusion_at(x[i]) @ xi[i]
         return x - eta * (gradient(x) + noise)
 
     return step_fn, None, None
 
 
-def _minibatch_kernel(cfg: SgdConfig, n_steps: int) -> tuple[Callable, None, streams.PathDraw]:
+def _minibatch_kernel(
+    cfg: SgdConfig, n_steps: int, domain=None
+) -> tuple[Callable, None, streams.PathDraw]:
     """``(step_fn, shape_noise, draw)`` of a ``MinibatchOracle`` chain of
     ``n_steps`` steps.
 
     Each path draws the batch of step k from its own stream
     (``oracle.batch``) into a block row padded to the run's widest batch.
-    The step evaluates each component gradient once on all rows and
-    averages every path's gathered batch in ``oracle.sample``'s bits.
+    The step evaluates each component that occurs in the live rows' batches
+    (see ``_live_rows``; the others stay as they are) once, on the rows
+    that drew it, so a step costs at most min(M, rows * m) calls and
+    rows * m * d floats, and averages every path's batch in
+    ``oracle.sample``'s bits.
     """
     oracle, schedule, eta = cfg.oracle, cfg.schedule, cfg.eta
     components = oracle.fs.component_gradients
@@ -172,20 +192,37 @@ def _minibatch_kernel(cfg: SgdConfig, n_steps: int) -> tuple[Callable, None, str
         return batches
 
     def step_fn(x, batches, k):
-        m = size_of(k)
-        grads = np.stack([g(x) for g in components], axis=1)  # (paths, M, d)
-        batch = grads[np.arange(len(x))[:, None], batches[:, :m]]
-        return x - eta * (np.add.reduce(batch, axis=1) / m)
+        m, d = size_of(k), x.shape[1]
+        rows = _live_rows(x, domain)
+        picks = batches[rows, :m].ravel()
+        # The live rows' batch slots sorted by the component they drew, so
+        # that each drawn component is called once, on a contiguous run.
+        order = np.argsort(picks, kind="stable")
+        drawn = picks[order]
+        starts = np.flatnonzero(np.diff(drawn, prepend=-1)).tolist()
+        points = x[rows[order // m]]
+        grads = np.empty_like(points)
+        for a, b in zip(starts, starts[1:] + [drawn.size]):
+            grads[a:b] = components[drawn[a]](points[a:b])
+        slots = np.empty_like(grads)
+        slots[order] = grads
+        out = x.copy()
+        out[rows] = x[rows] - eta * (np.add.reduce(slots.reshape(rows.size, m, d), axis=1) / m)
+        return out
 
     return step_fn, None, streams.PathDraw(draw, width, np.int64)
 
 
-def chain_kernel(cfg: SgdConfig, n_steps: int) -> tuple[Callable, object, streams.PathDraw | None]:
+def chain_kernel(
+    cfg: SgdConfig, n_steps: int, domain=None
+) -> tuple[Callable, object, streams.PathDraw | None]:
     """``(step_fn, shape_noise, draw)`` of any chain of ``n_steps`` steps for
-    ``streams.lockstep``: the one stepping form of every oracle."""
+    ``streams.lockstep``: the one stepping form of every oracle.  Give the
+    ``domain`` a first-exit run stops at, so that a step skips paths that
+    have already left it."""
     if isinstance(cfg.oracle, MinibatchOracle):
-        return _minibatch_kernel(cfg, n_steps)
-    return additive_gaussian_kernel(cfg)
+        return _minibatch_kernel(cfg, n_steps, domain)
+    return additive_gaussian_kernel(cfg, domain)
 
 
 def run_sgd(cfg: SgdConfig, rng: np.random.Generator | None = None) -> Trajectory:

@@ -294,7 +294,10 @@ def lockstep(
     step is the view ``buf[j]``.  A path's draws are d standard normals per
     step, or, with a ``draw`` (``PathDraw``), ``draw.width`` values of
     ``draw.dtype`` per step, such as a mini-batch's component indices; the
-    byte cap counts the row actually drawn.  A callable ``shape_noise`` is
+    byte cap counts the row actually drawn.  A ``draw`` may cost a Python
+    call per step, so under a ``domain`` its blocks start at ``SCAN_SLAB``
+    steps and double up to ``block``: a path that exits at step t draws at
+    most t + ``SCAN_SLAB`` steps past it.  A callable ``shape_noise`` is
     applied to each path's draws as they are drawn; a number or a (d,)
     vector (``constant_shape``) is multiplied into the whole block at once,
     in place.  Then, once per block and in place, steps k0, ..., k1 - 1 are
@@ -307,7 +310,8 @@ def lockstep(
     which the byte cap counts too), and then ``domain.contains`` scans
     the block for first exits ``SCAN_SLAB`` steps at a time.  So ``step_fn``
     may be evaluated on a path after its exit, until the end of the block;
-    those states are discarded, and overflow in them is ignored.  A
+    those states are discarded, and overflow in them is ignored (the chain
+    kernels, ``sgd.chain_kernel``, leave such paths as they are).  A
     ``block_step(x, buf)``, if given, replaces the per-step loop: it steps
     the states ``x`` through the whole block in one call, writes each step's
     states over the noise row they used and returns the states after the
@@ -330,6 +334,7 @@ def lockstep(
     # beside a kernel's draw.
     own_rows = draw is not None and domain is not None
     row_bytes = width * np.dtype(dtype).itemsize + (8 * d if own_rows else 0)
+    longest = min(block, SCAN_SLAB) if own_rows else block
     per_path = shape_noise if callable(shape_noise) else None
     per_block = None if per_path is not None else shape_noise
     states = np.tile(x0, (n, 1))
@@ -343,8 +348,9 @@ def lockstep(
     with np.errstate(over="ignore", invalid="ignore"):
         while ids.size and step0 < n_steps:
             kblock = min(
-                block, n_steps - step0, max(1, NOISE_BLOCK_BYTES // (row_bytes * ids.size))
+                longest, n_steps - step0, max(1, NOISE_BLOCK_BYTES // (row_bytes * ids.size))
             )
+            longest = min(2 * longest, block)
             step1 = step0 + kblock
             buf = np.empty((kblock, ids.size, width), dtype=dtype)
             if draw is not None:

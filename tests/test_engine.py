@@ -20,6 +20,7 @@ from sgdlab import (
     AdditiveGaussianOracle,
     BatchSchedule,
     Domain,
+    FiniteSumSpec,
     MinibatchOracle,
     NumericalError,
     SdeConfig,
@@ -609,6 +610,107 @@ def test_draw_blocks_are_capped_by_the_row_drawn(with_domain, monkeypatch):
         step, np.zeros(2), streams.path_streams(0, "cap", range(16)), 12, domain=domain, draw=draw
     )
     assert lengths == [5] * 10 + [2] * 2
+
+
+def test_draw_blocks_under_a_domain_grow_from_the_scan_slab():
+    """A kernel's draw can cost a Python call per step, so under a domain
+    its blocks start at SCAN_SLAB steps and double: a path that leaves at
+    once draws one short block, not ``block`` steps."""
+    lengths = []
+
+    def fn(gen, k0, k1):
+        lengths.append(k1 - k0)
+        return gen.integers(0, 9, size=(k1 - k0, 1))
+
+    draw = streams.PathDraw(fn, 1, np.int64)
+    gens = streams.path_streams(0, "grow", range(3))
+    stay = lambda x, batches, k: x + 0.0 * batches  # noqa: E731
+    wide = Domain.interval(-1.0, 1.0)
+    streams.lockstep(stay, np.zeros(1), gens, 1000, block=300, domain=wide, draw=draw)
+    slab = streams.SCAN_SLAB
+    assert lengths == [n for n in (slab, 2 * slab, 4 * slab, 300, 1000 - 7 * slab - 300)
+                       for _ in range(3)]
+    lengths.clear()
+    leave = lambda x, batches, k: x + 1.0  # noqa: E731
+    exit_step, _, _ = streams.lockstep(
+        leave, np.zeros(1), gens, 1000, block=300, domain=Domain.interval(-0.5, 0.5), draw=draw
+    )
+    assert lengths == [slab] * 3 and exit_step.tolist() == [1, 1, 1]
+
+
+def _run_sgd_exits(cfg, domain, label, n_paths, max_steps):
+    """Each path's (exit step, or None if it stays, and its last state) from
+    one-step ``run_sgd`` calls on its stream that stop at the first outside
+    state: the reference of a chain that is not defined outside the domain."""
+    out = []
+    for gen in streams.path_streams(cfg.seed, label, range(n_paths)):
+        x, exit_k = cfg.x0, None
+        for k in range(1, max_steps + 1):
+            x = run_sgd(dataclasses.replace(cfg, x0=x, steps=1), rng=gen).states[-1]
+            if not domain.contains(x):
+                exit_k = k
+                break
+        out.append((exit_k, x))
+    return out
+
+
+@pytest.mark.parametrize("block", [1, 7, 1024])
+def test_state_dependent_noise_exits_where_the_covariance_ends(block):
+    """The covariance 0.36 - x^2 is PSD only on the domain [-0.6, 0.6]: a
+    path must take no noise from it once it has left."""
+    oracle = AdditiveGaussianOracle(DOUBLE_WELL, lambda x: np.array([[0.36 - x[0] * x[0]]]))
+    cfg = SgdConfig(eta=0.05, steps=1, x0=np.array([-0.1]), oracle=oracle, seed=5)
+    domain = Domain.interval(-0.6, 0.6)
+    records = hitting_time_mc(cfg, domain, CHAIN_PATHS, 3.0, experiment="psd", block=block)
+    expected = _run_sgd_exits(cfg, domain, "psd", CHAIN_PATHS, 60)
+    for rec, (k, x) in zip(records, expected):
+        assert rec.censored == (k is None)
+        assert rec.exit_steps == (60 if k is None else k)
+        np.testing.assert_array_equal(rec.exit_point, x)
+    assert 0 < sum(r.censored for r in records) < CHAIN_PATHS
+
+
+def test_state_dependent_noise_exit_raises_on_a_blow_up():
+    """A path that overflows on leaving raises NumericalError at that step,
+    as ``run_sgd`` does, even where its covariance is not PSD at the
+    infinite state the rest of the block would step from."""
+
+    def covariance(x):
+        return np.array([[0.0 if abs(x[0]) <= 1e300 else -1.0]])
+
+    oracle = AdditiveGaussianOracle(DOUBLE_WELL, covariance)
+    cfg = SgdConfig(eta=10.0, steps=20, x0=np.array([1.5]), oracle=oracle)
+    with np.errstate(over="ignore"), pytest.raises(NumericalError) as expected:
+        run_sgd(cfg)
+    with pytest.raises(NumericalError) as info:
+        hitting_time_mc(cfg, Domain.interval(-1e300, 1e300), 3, 200.0)
+    assert info.value.step == expected.value.step == 6
+
+
+def _counting(g, rows):
+    def gradient(x):
+        rows.append(len(x))
+        return g(x)
+
+    return gradient
+
+
+@pytest.mark.parametrize("mode", [WITHOUT_REPLACEMENT, WITH_REPLACEMENT])
+def test_minibatch_steps_evaluate_only_the_drawn_components(mode):
+    """With M far above paths * m, a step evaluates each drawn component on
+    the rows that drew it, one row per batch slot, never all M."""
+    fs = gaussian_cloud(np.random.default_rng(3).normal(size=(500, 2)))
+    rows = []
+    counted = FiniteSumSpec(
+        fs.base, tuple(_counting(g, rows) for g in fs.component_gradients), fs.M
+    )
+    cfg = SgdConfig(eta=0.1, steps=6, x0=np.zeros(2), oracle=MinibatchOracle(fs, 3, mode), seed=2)
+    expected = np.array([states[-1] for states in _run_sgd_paths(cfg, "sparse", 8)])
+    rows.clear()
+    counted_cfg = dataclasses.replace(cfg, oracle=MinibatchOracle(counted, 3, mode))
+    got = run_sgd_ensemble(counted_cfg, 8, experiment="sparse").endpoints
+    np.testing.assert_array_equal(got, expected)
+    assert sum(rows) == 6 * 8 * 3 and len(rows) <= 6 * 8 * 3
 
 
 SHAPES = {

@@ -5,6 +5,7 @@ import pytest
 
 from sgdlab import (
     Domain,
+    FiniteSumSpec,
     builtin,
     check_gradients,
     classify_stationary,
@@ -91,6 +92,23 @@ def test_gaussian_cloud_component_structure():
     np.testing.assert_allclose(cov, centered.T @ centered / 5, atol=1e-14)
     eigs = np.linalg.eigvalsh(cov)
     assert eigs.min() > -1e-14
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_finite_sum_rejects_per_point_component_gradients(d):
+    """The SGD engine evaluates a component on (n, dim) stacks of points, so
+    a gradient written for one point (x[0] taken as a coordinate) is
+    refused at construction."""
+    centers = np.array([[0.5, 0.0], [-0.5, 0.0], [0.0, 0.5]])[:, :d]
+    fs = gaussian_cloud(centers)
+    if d == 1:
+        per_point = [lambda x, c=c: np.array([x[0] - c[0]]) for c in centers]
+    else:
+        per_point = [lambda x, c=c: np.array([x[0] - c[0], x[1] - c[1]]) for c in centers]
+    with pytest.raises(ValueError, match="row by row"):
+        FiniteSumSpec(fs.base, tuple(per_point), len(centers))
+    batched = [lambda x, c=c: np.asarray(x) - c for c in centers]
+    assert FiniteSumSpec(fs.base, tuple(batched), len(centers)).M == len(centers)
 
 
 def test_finite_sum_builtin_matches_cloud_helper():
