@@ -44,10 +44,8 @@ from .oracles import (
 from .potentials import (
     CriticalPoint,
     FiniteSumSpec,
-    GradientCheckReport,
     PotentialSpec,
     builtin,
-    check_gradients,
     classify_stationary,
     gaussian_cloud,
 )
@@ -57,12 +55,8 @@ from .sde import (
     deviation_covariance,
     deviation_empirical,
     em_endpoints,
-    euler_maruyama,
     flow_knots,
     flow_sup_gap,
-    gradient_flow,
-    ou_endpoints,
-    ou_exact_step,
     ou_moments,
 )
 from .sgd import (
@@ -70,12 +64,11 @@ from .sgd import (
     EnsembleResult,
     SgdConfig,
     Trajectory,
-    interpolate,
     run_sgd,
     run_sgd_ensemble,
     schedule_m,
 )
-from .streams import path_streams, seed_policy
+from .streams import path_streams
 from .weak_error import (
     DEFAULT_SUITE,
     OrderFit,

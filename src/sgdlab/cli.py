@@ -68,7 +68,7 @@ from .reporting import (
     write_weak_error_csv,
 )
 from .sde import FIRST_ORDER, SECOND_ORDER, deviation_empirical, flow_sup_gap
-from .weak_error import weak_error_ladder_linear, weak_error_mc
+from .weak_error import weak_error_ladder_linear, weak_error_mc, well_rate
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -130,9 +130,9 @@ def _emit_records_files(out, report, files) -> None:
 
 def _run_weak_order(cfg: ExperimentConfig, out: str, scatter: Callable):
     potential = base_of(build_potential(cfg))
-    if potential.name != "quadratic_well" or potential.dim != 1:
+    lam = well_rate(potential)
+    if lam is None:
         raise ConfigError("weak-order runs on the 1-D quadratic_well benchmark")
-    lam = potential.params[0]
     sigma = cfg.get("sigma")
     T = cfg.get("T")
     x0 = x0_array(cfg, 1)

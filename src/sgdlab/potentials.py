@@ -12,7 +12,7 @@ of component gradients, which is what mini-batch sampling consumes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Sequence
 
@@ -441,76 +441,3 @@ def builtin(name: str, params: Sequence[float] = (), dim: int = 1):
         centers = np.asarray(params, dtype=float).reshape(-1, dim)
         return gaussian_cloud(centers)
     raise ValueError(f"unknown builtin potential {name!r}; known: {_BUILTIN_NAMES}")
-
-
-# ---------------------------------------------------------------------------
-# Finite-difference diagnostics.
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class GradientCheckReport:
-    """Result of finite-difference validation of a PotentialSpec."""
-
-    n_points: int
-    max_gradient_error: float
-    max_hessian_error: float
-    max_hessian_asymmetry: float
-    passed: bool
-
-
-def check_gradients(
-    spec: PotentialSpec,
-    n_points: int = 50,
-    seed: int = 0,
-    box: float = 2.0,
-) -> GradientCheckReport:
-    """Validate analytic derivatives against central finite differences.
-
-    Points are sampled uniformly in [-box, box]^dim.  The gradient is
-    compared with a step of 1e-5 and must match to relative error 1e-5; the
-    Hessian is compared against differenced gradients with a step of 1e-4 to
-    relative error 1e-4.  Errors are normalized by max(1, norm of the exact
-    quantity) so flat regions do not blow up the ratio.
-    """
-    rng = np.random.default_rng(seed)
-    d = spec.dim
-    h_grad, h_hess = 1e-5, 1e-4
-    worst_g, worst_h, worst_asym = 0.0, 0.0, 0.0
-    eye = np.eye(d)
-    for _ in range(n_points):
-        x = rng.uniform(-box, box, size=d)
-        fd_grad = np.array(
-            [
-                (float(spec.value(x + h_grad * eye[i])) - float(spec.value(x - h_grad * eye[i])))
-                / (2.0 * h_grad)
-                for i in range(d)
-            ]
-        )
-        g = np.asarray(spec.gradient(x), dtype=float)
-        worst_g = max(worst_g, np.linalg.norm(fd_grad - g) / max(1.0, np.linalg.norm(g)))
-
-        fd_hess = np.column_stack(
-            [
-                (
-                    np.asarray(spec.gradient(x + h_hess * eye[i]), dtype=float)
-                    - np.asarray(spec.gradient(x - h_hess * eye[i]), dtype=float)
-                )
-                / (2.0 * h_hess)
-                for i in range(d)
-            ]
-        )
-        hess = np.asarray(spec.hessian(x), dtype=float)
-        worst_h = max(
-            worst_h,
-            np.linalg.norm(fd_hess - hess) / max(1.0, np.linalg.norm(hess)),
-        )
-        worst_asym = max(worst_asym, float(np.abs(hess - hess.T).max()))
-    passed = worst_g <= 1e-5 and worst_h <= 1e-4 and worst_asym <= 1e-12
-    return GradientCheckReport(
-        n_points=n_points,
-        max_gradient_error=float(worst_g),
-        max_hessian_error=float(worst_h),
-        max_hessian_asymmetry=float(worst_asym),
-        passed=passed,
-    )

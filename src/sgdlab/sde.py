@@ -10,9 +10,6 @@ dY = -grad F(Y) ds, and the Lyapunov equation governing the covariance of
 the rescaled fluctuations zeta = (x_sgd - Y) / sqrt(eta),
 
     dC/ds = M C + C M^T + S S^T,   M(s) = -hessian F(Y(s)).
-
-An Ornstein-Uhlenbeck transition kernel is provided in closed form so that
-linear benchmarks can be sampled without discretization error.
 """
 
 from __future__ import annotations
@@ -25,10 +22,9 @@ import numpy as np
 from scipy.signal import lfilter
 
 from . import streams
-from .errors import NumericalError
 from .oracles import GradientOracle
 from .potentials import PotentialSpec, diagonal_quadratic_coefficients
-from .sgd import SgdConfig, Trajectory, sgd_ensemble_chunk
+from .sgd import SgdConfig, sgd_ensemble_chunk
 
 FIRST_ORDER = "first"
 SECOND_ORDER = "second"
@@ -101,6 +97,15 @@ def _time_grid(T: float, dt: float) -> np.ndarray:
     """Uniform grid 0, dt, 2 dt, ... whose last step is shortened to end at T."""
     n_steps = int(math.ceil(T / dt - 1e-12))
     return np.minimum(np.arange(n_steps + 1) * dt, T)
+
+
+def _horizon_steps(T: float, eta: float) -> int:
+    """The number k of eta steps with k eta = T; raises ``ValueError`` when T
+    is not a whole number of steps."""
+    k = round(T / eta)
+    if abs(T / eta - k) > 1e-9 * max(1, k):
+        raise ValueError(f"horizon T={T} is not a whole number of steps of eta={eta}")
+    return k
 
 
 def _linear_block_step(c: np.ndarray) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
@@ -224,25 +229,6 @@ def em_on_grid(
     )[2]
 
 
-def euler_maruyama(cfg: SdeConfig, rng: np.random.Generator | None = None) -> Trajectory:
-    """Integrate one path on a uniform grid (final step shortened to hit T)."""
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
-    times = _time_grid(cfg.T, cfg.dt)
-    states = np.empty((times.size, cfg.potential.dim))
-    states[0] = cfg.x0
-
-    def store(k, x):
-        states[k] = x[0]
-
-    em_on_grid(cfg, times, [rng], on_step=store)
-    return Trajectory(
-        times=times,
-        states=states,
-        meta={"dt": cfg.dt, "seed": cfg.seed, "steps": np.arange(times.size)},
-    )
-
-
 def em_endpoints(
     cfg: SdeConfig,
     n_paths: int,
@@ -276,40 +262,6 @@ def ou_moments(lam: float, eta_sigma2: float, x0: float, t: float) -> tuple[floa
     return mean, var
 
 
-def ou_exact_step(
-    lam: float, eta_sigma2: float, x: float, dt: float, rng: np.random.Generator
-) -> float:
-    """Sample the exact OU transition kernel over a step of length dt."""
-    mean, var = ou_moments(lam, eta_sigma2, float(x), dt)
-    if var == 0.0:
-        return mean
-    return mean + math.sqrt(var) * rng.standard_normal()
-
-
-def ou_endpoints(
-    rates: np.ndarray,
-    eta_sigma2: float,
-    x0: np.ndarray,
-    T: float,
-    n_paths: int,
-    seed: int,
-    experiment: str = "ou-ensemble",
-    path_indices: range | None = None,
-) -> np.ndarray:
-    """Exact endpoint samples of a diagonal OU system (one rate per axis)."""
-    rates = np.atleast_1d(np.asarray(rates, dtype=float))
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    moments = [ou_moments(r, eta_sigma2, x, T) for r, x in zip(rates, x0)]
-    mean = np.array([m for m, _ in moments])
-    std = np.sqrt([v for _, v in moments])
-    indices = path_indices if path_indices is not None else range(n_paths)
-    gens = streams.path_streams(seed, experiment, indices)
-    out = np.empty((len(gens), rates.size))
-    for i, gen in enumerate(gens):
-        out[i] = mean + std * gen.standard_normal(rates.size)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Noiseless gradient flow (classical fourth-order Runge-Kutta).
 # ---------------------------------------------------------------------------
@@ -321,33 +273,6 @@ def _rk4_step(f: Callable[[np.ndarray], np.ndarray], y: np.ndarray, h: float) ->
     k3 = f(y + 0.5 * h * k2)
     k4 = f(y + h * k3)
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-def gradient_flow(
-    potential: PotentialSpec, x0, T: float, dt: float, store_every: int = 1
-) -> Trajectory:
-    """Integrate dY/ds = -grad F(Y) with RK4 on a uniform grid."""
-    if not (0 < dt <= T):
-        raise ValueError(f"need 0 < dt <= T, got dt={dt}, T={T}")
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    f = lambda y: -np.asarray(potential.gradient(y), dtype=float)
-    times_all = _time_grid(T, dt)
-    n_steps = times_all.size - 1
-    y = x0.copy()
-    times = [0.0]
-    states = [y.copy()]
-    stored = [0]
-    for k in range(n_steps):
-        y = _rk4_step(f, y, times_all[k + 1] - times_all[k])
-        if not np.all(np.isfinite(y)):
-            raise NumericalError(f"non-finite flow state at step {k + 1}", step=k + 1)
-        if (k + 1) % store_every == 0 or (k + 1) == n_steps:
-            times.append(times_all[k + 1])
-            states.append(y.copy())
-            stored.append(k + 1)
-    return Trajectory(
-        times=np.array(times), states=np.vstack(states), meta={"steps": np.array(stored)}
-    )
 
 
 def flow_knots(
@@ -448,9 +373,7 @@ def deviation_empirical(
 
     The SGD ensemble runs through ``scatter`` (see ``streams``).
     """
-    k = int(round(T / eta))
-    if abs(k * eta - T) > 1e-9 * max(1.0, T):
-        raise ValueError(f"T={T} is not a multiple of eta={eta}")
+    k = _horizon_steps(T, eta)
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     cfg = SgdConfig(eta=eta, steps=k, x0=x0, oracle=oracle, seed=seed)
     parts = scatter(sgd_ensemble_chunk, n_paths, cfg, experiment, None)
@@ -491,9 +414,7 @@ def flow_sup_gap(
 
     The SGD ensemble runs through ``scatter`` (see ``streams``).
     """
-    k = int(round(T / eta))
-    if abs(k * eta - T) > 1e-9 * max(1.0, T):
-        raise ValueError(f"T={T} is not a multiple of eta={eta}")
+    k = _horizon_steps(T, eta)
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     reference = flow_knots(potential, x0, eta, k)
     cfg = SgdConfig(eta=eta, steps=k, x0=x0, oracle=oracle, seed=seed)

@@ -52,14 +52,6 @@ class Trajectory:
         return self.states.shape[1]
 
 
-def interpolate(traj: Trajectory, t: float) -> np.ndarray:
-    """Piecewise-linear state at time t; exact at stored knots."""
-    times = traj.times
-    if t < times[0] or t > times[-1]:
-        raise ValueError(f"t={t} outside trajectory range [{times[0]}, {times[-1]}]")
-    return np.array([np.interp(t, times, traj.states[:, j]) for j in range(traj.dim)])
-
-
 @dataclass(frozen=True)
 class BatchSchedule:
     """Logarithmic batch-size growth m(s) = ceil(C log(s+2) / eta), clipped.
@@ -100,7 +92,6 @@ class SgdConfig:
     oracle: GradientOracle
     schedule: Optional[BatchSchedule] = None
     seed: int = 0
-    store_every: int = 1
 
     def __post_init__(self):
         x0 = np.atleast_1d(np.asarray(self.x0, dtype=float))
@@ -110,8 +101,6 @@ class SgdConfig:
             raise ValueError(f"eta must be positive, got {self.eta}")
         if self.steps < 0:
             raise ValueError(f"steps must be non-negative, got {self.steps}")
-        if self.store_every < 1:
-            raise ValueError(f"store_every must be >= 1, got {self.store_every}")
         if x0.shape != (self.oracle.potential.dim,):
             raise ValueError(
                 f"x0 shape {x0.shape} does not match dim {self.oracle.potential.dim}"
@@ -237,10 +226,7 @@ def run_sgd(cfg: SgdConfig, rng: np.random.Generator | None = None) -> Trajector
     """
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
-    times = [0.0]
     states = [cfg.x0]
-    steps_stored = [0]
-    m_history: list[int] = []
     x = cfg.x0
     for k in range(cfg.steps):
         m = None if cfg.schedule is None else schedule_m(cfg.schedule, k * cfg.eta)
@@ -249,16 +235,13 @@ def run_sgd(cfg: SgdConfig, rng: np.random.Generator | None = None) -> Trajector
             raise NumericalError(
                 f"non-finite state at step {k + 1} (eta={cfg.eta})", step=k + 1
             )
-        if m is not None:
-            m_history.append(m)
-        if (k + 1) % cfg.store_every == 0 or k + 1 == cfg.steps:
-            times.append((k + 1) * cfg.eta)
-            states.append(x)
-            steps_stored.append(k + 1)
-    meta = {"eta": cfg.eta, "seed": cfg.seed, "steps": np.array(steps_stored)}
-    if cfg.schedule is not None:
-        meta["m_history"] = np.array(m_history, dtype=int)
-    return Trajectory(times=np.array(times), states=np.vstack(states), meta=meta)
+        states.append(x)
+    steps = np.arange(cfg.steps + 1)
+    return Trajectory(
+        times=steps * cfg.eta,
+        states=np.vstack(states),
+        meta={"eta": cfg.eta, "seed": cfg.seed, "steps": steps},
+    )
 
 
 @dataclass(frozen=True)

@@ -182,16 +182,6 @@ def _non_negative(value, name: str) -> int:
     return value
 
 
-def seed_policy(base_seed: int, experiment: str, path_index: int) -> np.random.Generator:
-    """Return the private generator for one path of one experiment.
-
-    The stream depends only on the three arguments, never on scheduling,
-    chunking, or worker count.  Distinct path indices (and distinct labels)
-    yield statistically independent streams.
-    """
-    return path_streams(base_seed, experiment, [path_index])[0]
-
-
 def path_streams(base_seed: int, experiment: str, indices) -> list[np.random.Generator]:
     """Generators for a collection of path indices, in the given order."""
     base_seed = _non_negative(base_seed, "base_seed")

@@ -21,8 +21,15 @@ import numpy as np
 from . import streams
 from .errors import NumericalError
 from .oracles import AdditiveGaussianOracle, GradientOracle
-from .potentials import PotentialSpec
-from .sde import FIRST_ORDER, SECOND_ORDER, SdeConfig, em_endpoints_chunk, ou_moments
+from .potentials import PotentialSpec, diagonal_quadratic_coefficients
+from .sde import (
+    FIRST_ORDER,
+    SECOND_ORDER,
+    SdeConfig,
+    _horizon_steps,
+    em_endpoints_chunk,
+    ou_moments,
+)
 from .sgd import SgdConfig, sgd_ensemble_chunk
 
 # ---------------------------------------------------------------------------
@@ -195,10 +202,7 @@ def weak_error_linear(
     """
     if lam <= 0 or sigma <= 0 or eta <= 0 or T <= 0:
         raise ValueError("lam, sigma, eta and T must all be positive")
-    k = T / eta
-    if abs(k - round(k)) > 1e-9 * max(1.0, abs(k)):
-        raise ValueError(f"horizon T={T} is not an integer number of steps of eta={eta}")
-    k = int(round(k))
+    k = _horizon_steps(T, eta)
     m_sgd, v_sgd = sgd_moments_linear(lam, eta, sigma, x0, k)
     rate = corrected_rate(lam, eta, drift_order)
     m_sde, v_sde = ou_moments(rate, eta * sigma**2, x0, T)
@@ -304,13 +308,18 @@ def order_fit(
 # Monte Carlo weak error for general objectives.
 # ---------------------------------------------------------------------------
 
-def _is_linear_gaussian(potential: PotentialSpec, oracle: GradientOracle) -> bool:
-    return (
-        potential.name == "quadratic_well"
-        and potential.dim == 1
-        and isinstance(oracle, AdditiveGaussianOracle)
-        and not callable(oracle.covariance)
-    )
+def well_rate(potential: PotentialSpec) -> Optional[float]:
+    """The rate lam of a builtin 1-D quadratic well F = lam x^2 / 2, the
+    linear chain of the closed forms, else None.
+
+    The family is read by ``potentials.diagonal_quadratic_coefficients``, so
+    lam is the coefficient the gradient uses, whatever a spec's name or
+    params say.
+    """
+    q = diagonal_quadratic_coefficients(potential)
+    if q is None or q.size != 1 or q[0] <= 0:
+        return None
+    return float(q[0])
 
 
 def weak_error_mc(
@@ -330,30 +339,30 @@ def weak_error_mc(
 ) -> WeakErrorReport:
     """Monte Carlo weak-error ladder |E phi(x_K) - E phi(X_T)| (1-D).
 
-    The SGD side is always simulated.  On the linear Gaussian chain the
-    diffusion expectation is evaluated exactly (no discretization, no
-    sampling); otherwise the diffusion side is an Euler-Maruyama ensemble
-    with dt = dt_factor * eta.  Standard errors combine both sides and feed
-    the noise-floor filter of the order fit.  Both ensembles run through
-    ``scatter`` (see ``streams``).
+    The SGD side is always simulated.  On the linear Gaussian chain (a
+    builtin quadratic well, see ``well_rate``, under a constant-covariance
+    ``AdditiveGaussianOracle``) the diffusion expectation is evaluated
+    exactly (no discretization, no sampling); otherwise the diffusion side
+    is an Euler-Maruyama ensemble with dt = dt_factor * eta.  Standard
+    errors combine both sides and feed the noise-floor filter of the order
+    fit.  Both ensembles run through ``scatter`` (see ``streams``).
     """
     if potential.dim != 1:
         raise ValueError("the Monte Carlo weak-error ladder is one-dimensional")
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    exact_sde = _is_linear_gaussian(potential, oracle)
+    lam = well_rate(potential)
+    exact_sde = (
+        lam is not None
+        and isinstance(oracle, AdditiveGaussianOracle)
+        and not callable(oracle.covariance)
+    )
     points = []
     for j, eta in enumerate(eta_list):
-        k = T / eta
-        if abs(k - round(k)) > 1e-9 * max(1.0, abs(k)):
-            raise ValueError(f"horizon T={T} is not an integer number of steps of eta={eta}")
-        k = int(round(k))
-        sgd_cfg = SgdConfig(
-            eta=eta, steps=k, x0=x0, oracle=oracle, seed=seed, store_every=k
-        )
+        k = _horizon_steps(T, eta)
+        sgd_cfg = SgdConfig(eta=eta, steps=k, x0=x0, oracle=oracle, seed=seed)
         parts = scatter(sgd_ensemble_chunk, n_paths, sgd_cfg, f"{experiment}:sgd:eta{j}", None)
         ends_sgd = np.concatenate([part.endpoints for part in parts])[:, 0]
         if exact_sde:
-            lam = potential.params[0]
             sigma2 = float(np.asarray(oracle.covariance)[0, 0])
             rate = corrected_rate(lam, eta, drift_order)
             m_sde, v_sde = ou_moments(rate, eta * sigma2, float(x0[0]), T)

@@ -1,0 +1,49 @@
+"""Every public name of the package has a caller outside the tests.
+
+A function that only tests call is kept "for the API" and drifts from the
+code path that produces the numbers, so the package exports only what the
+library itself, the demos or the benchmark use.  The scan reads names from
+the syntax tree: a load of a name or an attribute counts as a use, and so
+does a string that is exactly the name (a lookup by name, such as the
+benchmark tracer's table of wrapped functions); the ``def`` or ``class``
+statement that defines it does not.
+"""
+
+import ast
+import inspect
+from pathlib import Path
+
+import sgdlab
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _callers() -> list[Path]:
+    files = [p for p in (ROOT / "src" / "sgdlab").glob("*.py") if p.name != "__init__.py"]
+    files += (ROOT / "demos").glob("*.py")
+    files += [p for p in (ROOT / "bench").glob("*.py") if p.name != "test_bench.py"]
+    return sorted(files)
+
+
+def _used_names(path: Path) -> set[str]:
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)
+    return names
+
+
+def test_every_export_is_used_outside_the_tests():
+    files = _callers()
+    assert any(p.parent.name == "demos" for p in files)
+    assert any(p.parent.name == "bench" for p in files)
+    used = set().union(*(_used_names(p) for p in files))
+    exports = [
+        name for name in sgdlab.__all__ if not inspect.ismodule(getattr(sgdlab, name))
+    ]
+    unused = sorted(set(exports) - used)
+    assert not unused, f"exported but called only by tests: {unused}"

@@ -1,4 +1,4 @@
-"""Tests for diffusion integrators, exact OU sampling, and gradient flow."""
+"""Tests for diffusion integrators, the OU closed forms, and gradient flow."""
 
 import math
 
@@ -6,17 +6,19 @@ import numpy as np
 import pytest
 
 from sgdlab import (
+    AdditiveGaussianOracle,
     SdeConfig,
     builtin,
+    deviation_empirical,
     em_endpoints,
-    euler_maruyama,
     flow_knots,
-    gradient_flow,
-    interpolate,
-    ou_endpoints,
-    ou_exact_step,
+    flow_sup_gap,
     ou_moments,
+    path_streams,
+    weak_error_linear,
+    weak_error_mc,
 )
+from sgdlab.sde import _time_grid, em_on_grid
 
 WELL = builtin("quadratic_well")
 
@@ -26,27 +28,6 @@ def test_ou_moments_closed_form():
     mean, var = ou_moments(lam, eps, x0, t)
     assert mean == pytest.approx(x0 * math.exp(-lam * t), abs=1e-14)
     assert var == pytest.approx(eps / (2 * lam) * (1 - math.exp(-2 * lam * t)), abs=1e-14)
-
-
-def test_ou_exact_step_distribution():
-    rng = np.random.default_rng(8)
-    n = 20000
-    lam, eps, dt = 1.0, 0.1, 0.3
-    y = np.array([ou_exact_step(lam, eps, 1.0, dt, rng) for _ in range(n)])
-    mean, var = ou_moments(lam, eps, 1.0, dt)
-    se = math.sqrt(var / n)
-    assert abs(y.mean() - mean) < 4 * se
-    assert abs(y.var(ddof=1) - var) < 5 * var * math.sqrt(2.0 / n)
-    # a zero-length or zero-noise step is deterministic
-    assert ou_exact_step(lam, 0.0, 0.7, dt, rng) == 0.7 * math.exp(-lam * dt)
-
-
-def test_ou_ensemble_endpoints_match_moments():
-    n = 100000
-    ends = ou_endpoints(1.0, 0.1, 1.0, 1.0, n, seed=4, experiment="weak-order")
-    mean, var = ou_moments(1.0, 0.1, 1.0, 1.0)
-    assert abs(ends.mean() - mean) < 4 * math.sqrt(var / n)
-    assert abs(ends.var(ddof=1) - var) < 5 * var * math.sqrt(2.0 / n)
 
 
 def test_euler_endpoints_close_to_exact_law():
@@ -63,8 +44,8 @@ def test_first_order_drift_noiseless_endpoint():
     cfg = SdeConfig(
         potential=WELL, eta=0.1, dt=1e-3, T=1.0, x0=np.array([1.0]), diffusion=0.0
     )
-    traj = euler_maruyama(cfg, np.random.default_rng(0))
-    assert abs(traj.states[-1][0] - math.exp(-1.0)) < 5e-4
+    (end,) = em_endpoints(cfg, 1)
+    assert abs(end[0] - math.exp(-1.0)) < 5e-4
 
 
 def test_second_order_drift_noiseless_rate():
@@ -78,16 +59,17 @@ def test_second_order_drift_noiseless_rate():
         diffusion=0.0,
         drift_order="second",
     )
-    traj = euler_maruyama(cfg, np.random.default_rng(0))
-    assert abs(traj.states[-1][0] - math.exp(-1.1)) < 1e-4
+    (end,) = em_endpoints(cfg, 1)
+    assert abs(end[0] - math.exp(-1.1)) < 1e-4
     # distinctly different from the uncorrected rate exp(-1)
-    assert abs(traj.states[-1][0] - math.exp(-1.0)) > 0.03
+    assert abs(end[0] - math.exp(-1.0)) > 0.03
 
 
 def test_gradient_flow_matches_exponential_decay():
-    traj = gradient_flow(WELL, np.array([1.0]), T=1.0, dt=1e-3)
-    assert traj.times[-1] == pytest.approx(1.0, abs=1e-12)
-    assert abs(traj.states[-1][0] - math.exp(-1.0)) < 1e-10
+    # RK4 steps of 1e-3 up to T = 10 knots * 0.1
+    knots = flow_knots(WELL, np.array([1.0]), eta=0.1, n_knots=10, substeps=100)
+    assert knots.shape == (11, 1)
+    assert abs(knots[-1][0] - math.exp(-1.0)) < 1e-10
 
 
 def test_flow_knots_sample_the_exponential():
@@ -96,17 +78,41 @@ def test_flow_knots_sample_the_exponential():
         assert state[0] == pytest.approx(math.exp(-0.1 * k), abs=1e-8)
 
 
-def test_interpolate_recovers_stored_states():
-    traj = gradient_flow(WELL, np.array([1.0]), T=1.0, dt=0.01, store_every=10)
-    mid = interpolate(traj, 0.5)
-    assert abs(mid[0] - math.exp(-0.5)) < 1e-4
-    np.testing.assert_allclose(interpolate(traj, traj.times[-1]), traj.states[-1])
-
-
 def test_trajectory_shapes_and_times():
     cfg = SdeConfig(potential=WELL, eta=0.1, dt=0.01, T=0.5, x0=np.array([1.0]))
-    traj = euler_maruyama(cfg, np.random.default_rng(1))
-    assert traj.states.shape[0] == traj.times.shape[0]
-    assert traj.times[0] == 0.0
-    assert traj.times[-1] == pytest.approx(0.5, abs=1e-12)
-    assert np.all(np.diff(traj.times) > 0)
+    times = _time_grid(cfg.T, cfg.dt)
+    seen = []
+    em_on_grid(cfg, times, path_streams(0, "grid", [0]), on_step=lambda k, x: seen.append(k))
+    assert seen == list(range(1, times.size))
+    assert times[0] == 0.0
+    assert times[-1] == pytest.approx(0.5, abs=1e-12)
+    assert np.all(np.diff(times) > 0)
+
+
+def test_time_grid_shortens_the_last_step_to_end_at_T():
+    times = _time_grid(0.55, 0.1)
+    assert times.size == 7
+    assert times[-1] == 0.55
+    np.testing.assert_allclose(np.diff(times), [0.1] * 5 + [0.05], rtol=1e-12)
+
+
+ORACLE = AdditiveGaussianOracle.isotropic(WELL, 1.0)
+
+# Each entry point that runs the chain for T / eta steps, called at (T, eta).
+HORIZON_ENTRY_POINTS = {
+    "deviation_empirical": lambda T, eta: deviation_empirical(WELL, ORACLE, eta, T, [1.0], 4),
+    "flow_sup_gap": lambda T, eta: flow_sup_gap(WELL, ORACLE, eta, T, [1.0], 4),
+    "weak_error_linear": lambda T, eta: weak_error_linear(1.0, eta, 1.0, T, 1.0),
+    # the ladder's last rung is eta; the two before it divide T = 0.3 and 0.35 alike
+    "weak_error_mc": lambda T, eta: weak_error_mc(
+        WELL, ORACLE, T, [1.0], [T, T / 2, eta], n_paths=20000
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(HORIZON_ENTRY_POINTS))
+def test_horizon_must_be_a_whole_number_of_steps(entry):
+    run = HORIZON_ENTRY_POINTS[entry]
+    run(0.3, 0.1)
+    with pytest.raises(ValueError, match="not a whole number of steps of eta=0.1"):
+        run(0.35, 0.1)

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sgdlab import streams
-from sgdlab.streams import _label_words, path_streams, seed_policy
+from sgdlab.streams import _label_words, path_streams
 
 # (base_seed, label, path index) -> three standard normals, then one integer
 # in [0, 2**63), drawn in that order.
@@ -62,7 +62,7 @@ def _assert_same_stream(gen, ref):
 @pytest.mark.parametrize("key", sorted(PINNED_DRAWS, key=repr), ids=repr)
 def test_first_draws_are_pinned(key):
     normals, integer = PINNED_DRAWS[key]
-    for gen in (seed_policy(*key), path_streams(key[0], key[1], [key[2]])[0]):
+    for gen in (_reference(*key), path_streams(key[0], key[1], [key[2]])[0]):
         assert gen.standard_normal(3).tolist() == normals
         assert int(gen.integers(0, 2**63)) == integer
 
@@ -70,7 +70,7 @@ def test_first_draws_are_pinned(key):
 @pytest.mark.parametrize("seed, index", [(-1, 0), (0, -1), (-5, -5)])
 def test_negative_seed_or_index_is_rejected(seed, index):
     with pytest.raises(ValueError, match="non-negative"):
-        seed_policy(seed, "label", index)
+        path_streams(seed, "label", [index])
     with pytest.raises(ValueError, match="non-negative"):
         path_streams(seed, "label", [3, index, 4])
 
@@ -91,7 +91,7 @@ def test_streams_come_back_in_the_given_order(indices):
     gens = path_streams(11, "order", indices)
     assert len(gens) == len(indices)
     for gen, i in zip(gens, indices):
-        _assert_same_stream(gen, seed_policy(11, "order", int(i)))
+        _assert_same_stream(gen, _reference(11, "order", int(i)))
 
 
 def test_no_indices_give_no_streams():

@@ -7,6 +7,7 @@ import pytest
 
 from sgdlab import (
     AdditiveGaussianOracle,
+    PotentialSpec,
     builtin,
     gauss_hermite_expectation,
     order_fit,
@@ -80,3 +81,36 @@ def test_monte_carlo_ladder_agrees_with_exact_source():
         idx = rep_mc.observables.index("x")
         tol = 4 * pt_mc.stderrs[idx] + 1e-4
         assert abs(pt_mc.errors[idx] - pt_exact.errors[idx]) < tol
+
+
+def _hand_built_well(params):
+    """F(x) = x^2 (rate 2) under the builtin's name, but not the builtin."""
+    return PotentialSpec(
+        name="quadratic_well",
+        dim=1,
+        value=lambda x: np.sum(np.asarray(x, dtype=float) ** 2, axis=-1),
+        gradient=lambda x: 2.0 * np.asarray(x, dtype=float),
+        hessian=lambda x: np.broadcast_to(np.array([[2.0]]), np.shape(x)[:-1] + (1, 1)),
+        params=params,
+    )
+
+
+def _mc_ladder(pot):
+    oracle = AdditiveGaussianOracle.isotropic(pot, 1.0)
+    return weak_error_mc(pot, oracle, 1.0, np.array([1.0]), [0.2, 0.1, 0.05], n_paths=4000, seed=3)
+
+
+@pytest.mark.parametrize("params", [(1.0,), ()], ids=["wrong-rate", "no-params"])
+def test_exact_diffusion_side_is_keyed_on_the_quadratic_family(params):
+    """Only the builtin quadratic well takes the exact OU side, with its rate
+    read from the family; a look-alike spec, whatever its name and params,
+    simulates both sides and measures the same weak errors."""
+    builtin_rep = _mc_ladder(builtin("quadratic_well", (2.0,)))
+    assert builtin_rep.method_sde == "exact_sampler"
+    assert [p.max_error for p in builtin_rep.points] == pytest.approx(
+        [0.05233390546398027, 0.03215162593626136, 0.013802497156564328], rel=1e-12
+    )
+    rep = _mc_ladder(_hand_built_well(params))
+    assert rep.method_sde == "mc"
+    for pt, ref in zip(rep.points, builtin_rep.points):
+        assert abs(pt.max_error - ref.max_error) < 4 * math.hypot(pt.max_stderr, ref.max_stderr)
