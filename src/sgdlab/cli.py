@@ -7,9 +7,9 @@ and finally a JSON manifest (`<prefix>.manifest`) with content digests of
 every emitted file.  Parallelism enters through one hook: each run hands
 ``Pool._scatter`` to the library experiment as its ``scatter``, which runs
 the library's module-level chunk functions over contiguous chunks of path
-indices, on worker processes when ``--workers`` is above 1.  Every path
-owns a private random stream and chunk results are combined in index order
-(exact integer counts for annealing), so the emitted CSV bytes do not
+indices, on one process pool per run when ``--workers`` is above 1.  Every
+path owns a private random stream and chunk results are combined in index
+order (exact integer counts for annealing), so the emitted CSV bytes do not
 depend on the worker count.
 
 Exit status: 0 success, 2 configuration error, 3 numerical failure
@@ -99,19 +99,34 @@ class Pool:
     Every worker function takes its chunk as trailing (lo, hi) arguments and
     only touches paths in that index range, so gathering results in
     submission order reproduces the single-process output exactly.
+
+    A context manager: the first scatter with more than one worker starts
+    the process pool, every later scatter reuses it, and leaving the
+    ``with`` block shuts it down, so the workers are forked once per run,
+    after the run has started, and none outlives it.
     """
 
     def __init__(self, workers: int):
         self.workers = max(1, workers)
+        self._executor: ProcessPoolExecutor | None = None
+
+    def __enter__(self) -> "Pool":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        if self._executor is not None:
+            self._executor.shutdown(cancel_futures=True)
+            self._executor = None
 
     def _scatter(self, fn: Callable, n: int, *args) -> list:
         if self.workers == 1:
             return [fn(*args, 0, n)]
-        with ProcessPoolExecutor(max_workers=self.workers) as ex:
-            futures = [
-                ex.submit(fn, *args, lo, hi) for lo, hi in _chunk_ranges(n, self.workers)
-            ]
-            return [f.result() for f in futures]
+        if self._executor is None:
+            self._executor = ProcessPoolExecutor(max_workers=self.workers)
+        futures = [
+            self._executor.submit(fn, *args, lo, hi) for lo, hi in _chunk_ranges(n, self.workers)
+        ]
+        return [f.result() for f in futures]
 
 
 # ---------------------------------------------------------------------------
@@ -660,7 +675,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         cfg = _resolve_config(args)
         workers = _resolve_workers(cfg)
         out = cfg.get("out", "run")
-        files, summary, checks = _RUNNERS[cfg.experiment](cfg, out, Pool(workers)._scatter)
+        with Pool(workers) as pool:
+            files, summary, checks = _RUNNERS[cfg.experiment](cfg, out, pool._scatter)
         files.append(write_summary_csv(f"{out}.summary.csv", summary))
     except ConfigError as exc:
         print(f"sgdlab: config-error: {exc}", file=sys.stderr)

@@ -75,8 +75,14 @@ class Domain:
             s = x[..., 0]
             return (s >= self.lo[0]) & (s <= self.hi[0])
         if self.kind == "ball":
-            diff = x - self.center
-            return np.sum(diff * diff, axis=-1) <= self.radius**2
+            # A running sum in axis order: np.sum's bits for d <= 7, where
+            # numpy adds in order too, without a (..., d) temporary.
+            diff = x[..., 0] - self.center[0]
+            r2 = diff * diff
+            for k in range(1, self.center.size):
+                diff = x[..., k] - self.center[k]
+                r2 += diff * diff
+            return r2 <= self.radius**2
         return np.all((x >= self.lo) & (x <= self.hi), axis=-1)
 
     def strictly_inside(self, x) -> bool:
@@ -192,23 +198,26 @@ def hitting_time_mc(
 
 
 def hitting_time_chunk(
-    rungs: Sequence[tuple[SdeConfig, str]], domain: Domain, n_paths: int, lo: int, hi: int,
-) -> list[ExitRecord]:
+    rungs: Sequence[tuple[SdeConfig, str]], domain: Domain, lo: int, hi: int
+) -> list[list[ExitRecord]]:
     """Cells lo, ..., hi - 1 of an exit ladder: a ``scatter`` chunk.
 
     ``rungs`` holds one ``(process, experiment label)`` per rung, run to the
-    horizon ``process.T``, and cell i is path i % n_paths of rung
-    i // n_paths, so a chunk may span rungs.  Each rung's part of the chunk
-    is one ``hitting_time_mc`` call; records are returned in cell order.
+    horizon ``process.T``, and cell i is path i // len(rungs) of rung
+    i % len(rungs), so a chunk holds a contiguous range of paths of every
+    rung.  Each rung's part of the chunk is one ``hitting_time_mc`` call;
+    returns one record list per rung, each in path order.
     """
+    n_rungs = len(rungs)
     records = []
     for r, (process, label) in enumerate(rungs):
-        first, last = max(lo, r * n_paths), min(hi, (r + 1) * n_paths)
-        if first < last:
-            paths = range(first - r * n_paths, last - r * n_paths)
-            records += hitting_time_mc(
+        # The paths p with lo <= p * n_rungs + r < hi.
+        paths = range(-(-(lo - r) // n_rungs), -(-(hi - r) // n_rungs))
+        records.append(
+            hitting_time_mc(
                 process, domain, len(paths), process.T, experiment=label, path_indices=paths
             )
+        )
     return records
 
 
@@ -589,21 +598,6 @@ def _entry(eta: float, stats: ExitStats, transform: float, steps_transform: floa
     )
 
 
-#: Ladders with at most this many paths per rung run every rung in one
-#: scatter.  Under the per-step kernel a small rung's cost is Python
-#: dispatch per step of its slowest path, so small rungs gain by running
-#: side by side, while a large rung's cost follows its path-steps and it
-#: gains by being cut over every worker.  Under the per-step kernel, on a
-#: 2-core Xeon, ``sgdlab exit-min`` at 2 workers (eta 0.25 and 0.2, dt 1e-3,
-#: seed 4) took 1.4 s in one scatter and 1.9 s in a scatter per rung at 64
-#: paths, 3.3 s and 3.5 s at 1000, 5.1 s and 4.8 s at 2000.  The diagonal
-#: quadratics' block stepper (``sde.sde_kernel``) makes a few calls per
-#: noise block instead of one per step, and under it the same ladder took
-#: 0.49 s in one scatter and 0.47 s per rung at 64 paths, 3.3 s and 2.7 s
-#: at 1000: for those families the rung-major scatter no longer pays.
-LADDER_SCATTER_PATHS = 1024
-
-
 def _exit_ladder_mc(
     potential: PotentialSpec, sigma: float, domain: Domain, start: np.ndarray, seed: int,
     dt: float | None, n_paths: int, rungs: Sequence[tuple[float, float, str]],
@@ -611,10 +605,10 @@ def _exit_ladder_mc(
 ) -> tuple[list[ExitStats], dict[float, list[ExitRecord]]]:
     """Exit stats of each Monte Carlo rung ``(eta, horizon, label)`` of an
     exit ladder, and its records by eta: first-order diffusion from
-    ``start``, with dt = min(eta/10, 1e-3) unless ``dt`` is given.  Up to
-    ``LADDER_SCATTER_PATHS`` paths per rung, every rung runs in one
-    ``scatter`` over the ladder's rung-major (rung, path) cells; above it,
-    each rung runs in a scatter of its own."""
+    ``start``, with dt = min(eta/10, 1e-3) unless ``dt`` is given.  Every
+    rung runs in one ``scatter`` over the ladder's path-major (path, rung)
+    cells (see ``hitting_time_chunk``), so every chunk takes an equal share
+    of each rung's paths, whatever the worker count."""
     if not rungs:
         return [], {}
     processes = []
@@ -623,12 +617,10 @@ def _exit_ladder_mc(
         cfg = SdeConfig(potential=potential, eta=eta, dt=step, T=horizon, x0=start,
                         diffusion=sigma, drift_order=FIRST_ORDER, seed=seed)
         processes.append((cfg, label))
-    groups = [processes] if n_paths <= LADDER_SCATTER_PATHS else [[p] for p in processes]
-    cells = []
-    for group in groups:
-        for part in scatter(hitting_time_chunk, len(group) * n_paths, group, domain, n_paths):
-            cells += part
-    by_rung = [cells[r * n_paths : (r + 1) * n_paths] for r in range(len(rungs))]
+    by_rung = [[] for _ in rungs]
+    for part in scatter(hitting_time_chunk, len(rungs) * n_paths, processes, domain):
+        for recs, chunk_recs in zip(by_rung, part):
+            recs += chunk_recs
     records = {float(eta): recs for (eta, _, _), recs in zip(rungs, by_rung)}
     return [exit_time_stats(recs) for recs in by_rung], records
 
@@ -656,12 +648,10 @@ def minimizer_scaling_fit(
     1e-3) and a horizon of 20x the oracle prediction by default).  Entries
     with more than 1% censoring are marked inadmissible and excluded from
     the fitted constant, which is the transform value at the smallest
-    admissible eta.  Every rung is checked before any path runs.  With at
-    most ``LADDER_SCATTER_PATHS`` paths per rung, the Monte Carlo rungs then
-    run in one ``scatter`` over ``len(eta_list) * n_paths`` rung-major
-    (rung, path) cells, so a chunk may span rungs (see
-    ``hitting_time_chunk`` and ``streams``); larger rungs run in one
-    ``scatter`` of ``n_paths`` cells each.
+    admissible eta.  Every rung is checked before any path runs.  The Monte
+    Carlo rungs then run in one ``scatter`` over ``len(eta_list) * n_paths``
+    path-major (path, rung) cells, so every chunk holds a contiguous range of
+    paths of every rung (see ``hitting_time_chunk`` and ``streams``).
     """
     if source not in ("bvp_1d", "mc"):
         raise ValueError(f"unknown source {source!r}")

@@ -110,7 +110,8 @@ def _horizon_steps(T: float, eta: float) -> int:
 
 def _linear_block_step(c: np.ndarray) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
     """``streams.lockstep``'s block stepper of x_{k+1} = c x_k + noise_k, one
-    factor per axis: one ``lfilter`` per axis per ``streams.SCAN_SLAB`` steps.
+    factor per axis: one ``lfilter`` per axis per ``streams.scan_slab``
+    steps, which for a few alive paths is the whole block.
 
     The filter's recursion y_k = noise_k + c y_{k-1}, started from
     zi = c x, is the loop ``x = c * x + noise`` bit for bit, so neither the
@@ -118,8 +119,9 @@ def _linear_block_step(c: np.ndarray) -> Callable[[np.ndarray, np.ndarray], np.n
     """
 
     def block_step(x, buf):
-        for j0 in range(0, len(buf), streams.SCAN_SLAB):
-            slab = buf[j0 : j0 + streams.SCAN_SLAB]
+        step = streams.scan_slab(buf.shape)
+        for j0 in range(0, len(buf), step):
+            slab = buf[j0 : j0 + step]
             for a, ca in enumerate(c):
                 zi = ca * x[None, :, a]
                 slab[..., a] = lfilter([1.0], [1.0, -ca], slab[..., a], axis=0, zi=zi)[0]

@@ -31,12 +31,12 @@ Every ensemble experiment takes a ``scatter(fn, n, *args) -> list``: it
 runs the module-level chunk function ``fn(*args, lo, hi)`` over contiguous
 chunks ``[lo, hi)`` that cover ``range(n)`` and returns the chunk results
 in index order.  ``n`` counts paths, except for an exit ladder
-(``minimizer_scaling_fit``, ``saddle_scaling_fit``) of small rungs, where
-it counts the ladder's rung-major (rung, path) cells, so that one scatter
-runs every rung and a chunk may span rungs.  The default, ``in_process``, runs one chunk in
-this process; the command line's ``Pool._scatter`` spreads chunks over
-worker processes.  Since paths own their streams, the cut never changes a
-result.
+(``minimizer_scaling_fit``, ``saddle_scaling_fit``), where it counts the
+ladder's path-major (path, rung) cells, so that one scatter runs every rung
+and each chunk holds a contiguous range of paths of every rung.  The
+default, ``in_process``, runs one chunk in this process; the command
+line's ``Pool._scatter`` spreads chunks over worker processes.  Since paths
+own their streams, the cut never changes a result.
 """
 
 from __future__ import annotations
@@ -55,9 +55,15 @@ from .errors import NumericalError
 # 8192 one-dimensional paths, while a smaller cap measurably cost wall time.
 NOISE_BLOCK_BYTES = 64 * 2**20
 
-# The steps of a noise block that one ``domain.contains`` call scans for
-# first exits.  Exits do not depend on it; it bounds the scan's temporaries,
-# which for a whole block can be as large as the noise block itself.
+# The states that one ``domain.contains`` call scans for first exits, and
+# that one call of a block stepper steps, in bytes.  Exits do not depend on
+# it; it bounds the scan's temporaries, which for a whole block can be as
+# large as the noise block itself, while a slab of few paths spans the whole
+# block, so that a block costs a few calls and not one per 64 steps.
+SCAN_BYTES = 2**20
+
+# The fewest steps of a scan slab, and the first draw block of a kernel's
+# ``PathDraw`` under a domain.
 SCAN_SLAB = 64
 
 # numpy's SeedSequence constants (numpy/random/bit_generator.pyx).
@@ -212,21 +218,23 @@ def in_process(fn: Callable, n: int, *args) -> list:
     return [fn(*args, 0, n)]
 
 
-def constant_shape(s) -> float | np.ndarray | Callable[[np.ndarray], np.ndarray]:
+def constant_shape(s) -> float | np.ndarray | Callable[[np.ndarray], np.ndarray] | None:
     """``lockstep``'s ``shape_noise`` for a constant diffusion ``s``.
 
     A scalar, or the diagonal of a diagonal ``s`` whose diagonal entries are
     all nonzero, is multiplied into each noise block at once: every element
     of ``xi @ s.T`` then has one nonzero term, which the product gives in
-    the same bits.  Any other matrix (a zero on the diagonal could flip the
-    sign of a zero) gives the map xi -> xi @ s.T, applied per path.
+    the same bits.  A unit scalar or an all-ones diagonal is None, since
+    multiplying by 1.0 changes no bit.  Any other matrix (a zero on the
+    diagonal could flip the sign of a zero) gives the map xi -> xi @ s.T,
+    applied per path.
     """
     if np.ndim(s) == 0:
-        return float(s)
+        return None if s == 1.0 else float(s)
     s_t = np.asarray(s, dtype=float).T
     diagonal = np.diagonal(s_t)
     if np.all(diagonal != 0.0) and np.count_nonzero(s_t) == diagonal.size:
-        return diagonal.copy()
+        return None if np.all(diagonal == 1.0) else diagonal.copy()
 
     def shape(xi: np.ndarray) -> np.ndarray:
         # numpy hands a one-row product to gemv, whose last bits differ from
@@ -237,6 +245,14 @@ def constant_shape(s) -> float | np.ndarray | Callable[[np.ndarray], np.ndarray]
         return (np.concatenate([xi, xi]) @ s_t)[:1]
 
     return shape
+
+
+def scan_slab(shape: tuple[int, int, int]) -> int:
+    """The steps of a (steps, paths, d) block of states that one scan or one
+    block-stepper call covers: ``SCAN_BYTES`` of states, but at least
+    ``SCAN_SLAB`` steps and at most the whole block."""
+    steps, paths, d = shape
+    return min(steps, max(SCAN_SLAB, SCAN_BYTES // (8 * d * paths)))
 
 
 class PathDraw(NamedTuple):
@@ -290,24 +306,28 @@ def lockstep(
     most t + ``SCAN_SLAB`` steps past it.  A callable ``shape_noise`` is
     applied to each path's draws as they are drawn; a number or a (d,)
     vector (``constant_shape``) is multiplied into the whole block at once,
-    in place.  Then, once per block and in place, steps k0, ..., k1 - 1 are
-    multiplied by ``step_scale(k0, k1)``: one number for the whole block or
-    one value per step.
+    in place; None, as for unit noise, leaves the draws as they are.  Then,
+    once per block and in place, steps k0, ..., k1 - 1 are multiplied by
+    ``step_scale(k0, k1)``: one number for the whole block or one value per
+    step.
 
     Block-scan contract, with a ``domain``: every path alive at the start of
     a block is stepped through the whole block, each step's states
     overwriting the noise row they used (with a ``draw``, rows of their own,
     which the byte cap counts too), and then ``domain.contains`` scans
-    the block for first exits ``SCAN_SLAB`` steps at a time.  So ``step_fn``
-    may be evaluated on a path after its exit, until the end of the block;
-    those states are discarded, and overflow in them is ignored (the chain
-    kernels, ``sgd.chain_kernel``, leave such paths as they are).  A
+    the block for first exits one slab at a time: ``scan_slab`` steps,
+    ``SCAN_BYTES`` of the alive paths' states, so a few alive paths are
+    scanned in one call per block and many in slabs of as few as
+    ``SCAN_SLAB`` steps.  So ``step_fn`` may be evaluated on a path after
+    its exit, until the end of the block; those states are discarded, and
+    overflow in them is ignored (the chain kernels, ``sgd.chain_kernel``,
+    leave such paths as they are).  A
     ``block_step(x, buf)``, if given, replaces the per-step loop: it steps
     the states ``x`` through the whole block in one call, writes each step's
     states over the noise row they used and returns the states after the
     block, and ``step_fn`` is not called.  ``sde.sde_kernel`` builds one for
     the builtin diagonal quadratics under first-order drift on the uniform
-    grid, as one compiled linear recursion per axis and per ``SCAN_SLAB``
+    grid, as one compiled linear recursion per axis and per ``scan_slab``
     steps; every other kernel steps one ``step_fn`` call per step.  Exits are
     recorded, and the alive states and path ids compacted, once per block.
     A non-finite exit point raises ``NumericalError`` at its exact step, the
@@ -367,8 +387,9 @@ def lockstep(
             if domain is not None:
                 # Block step of each path's first outside state, -1 if none.
                 first = np.full(ids.size, -1, dtype=np.int64)
-                for j0 in range(0, kblock, SCAN_SLAB):
-                    outside = ~domain.contains(rows[j0 : j0 + SCAN_SLAB])
+                slab = scan_slab(rows.shape)
+                for j0 in range(0, kblock, slab):
+                    outside = ~domain.contains(rows[j0 : j0 + slab])
                     new = outside.any(axis=0) & (first < 0)
                     first[new] = j0 + outside[:, new].argmax(axis=0)
                 left = first >= 0

@@ -12,6 +12,7 @@ an error ladder over learning rates into an empirical convergence order
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
@@ -76,6 +77,16 @@ DEFAULT_SUITE: tuple[TestFunction, ...] = (
 )
 
 
+@functools.lru_cache(maxsize=None)
+def _hermite_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """numpy's ``hermgauss(order)`` nodes and weights, computed once per
+    order and read-only, since every caller shares them."""
+    nodes, weights = np.polynomial.hermite.hermgauss(order)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
+
+
 def gauss_hermite_expectation(
     fn: Callable[[np.ndarray], np.ndarray],
     mean: float,
@@ -87,7 +98,7 @@ def gauss_hermite_expectation(
         raise ValueError(f"variance must be non-negative, got {var}")
     if var == 0.0:
         return float(fn(np.array([mean]))[0])
-    nodes, weights = np.polynomial.hermite.hermgauss(order)
+    nodes, weights = _hermite_rule(order)
     pts = mean + math.sqrt(2.0 * var) * nodes
     return float(weights @ np.asarray(fn(pts), dtype=float) / math.sqrt(math.pi))
 

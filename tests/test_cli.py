@@ -115,6 +115,42 @@ def test_worker_count_does_not_change_results(tmp_path):
         assert results[worker_counts[0]] == results[worker_counts[1]], experiment
 
 
+def test_a_run_forks_one_process_pool_and_shuts_it_down(tmp_path, monkeypatch):
+    # anneal scatters once per arm.  One run builds one executor for both
+    # scatters and shuts it down before main returns, also when the run
+    # fails after the pool has started.
+    built, shut = [], []
+
+    class Counting(cli.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+        def shutdown(self, *args, **kwargs):
+            shut.append(self)
+            super().shutdown(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", Counting)
+    cfg = _write(tmp_path, "a.cfg", ANNEAL_CFG)
+    argv = ["anneal", "--config", cfg, "--out", str(tmp_path / "a"), "--workers", "2"]
+    assert main(argv) == 0
+    assert len(built) == 1 and shut == built
+
+    arms, first_arm = [], cli.anneal_experiment
+
+    def second_arm_fails(*args, **kwargs):
+        arms.append(kwargs["mode"])
+        if len(arms) == 2:
+            raise cli.NumericalError("the second arm failed")
+        return first_arm(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "anneal_experiment", second_arm_fails)
+    built.clear()
+    shut.clear()
+    assert main(argv) == 3
+    assert len(arms) == 2 and len(built) == 1 and shut == built
+
+
 EXIT_MIN_CFG = """\
 experiment = exit-min
 potential = quadratic_well
@@ -133,8 +169,8 @@ seed = 4
 
 
 def test_an_exit_ladder_is_one_scatter_over_its_rungs(tmp_path, monkeypatch):
-    # Both rungs go to the pool in one scatter of 2 x 8 rung-major cells,
-    # so at 2 workers each chunk is one whole rung.
+    # Both rungs go to the pool in one scatter of 8 x 2 path-major cells,
+    # so at 2 workers each chunk is paths 0-3 or 4-7 of both rungs.
     calls = []
 
     def scatter(self, fn, n, *args):

@@ -714,6 +714,8 @@ def test_minibatch_steps_evaluate_only_the_drawn_components(mode):
 
 
 SHAPES = {
+    "unit": 1.0,
+    "unit-diagonal": np.eye(2),
     "scalar": 0.7,
     "diagonal": np.diag([0.7, -1.3]),
     "zero-on-diagonal": np.diag([0.7, 0.0]),
@@ -724,12 +726,14 @@ SHAPES = {
 @pytest.mark.parametrize("block", [1, 7, 1024])
 @pytest.mark.parametrize("shape", sorted(SHAPES))
 def test_constant_noise_shapes_keep_the_per_path_bits(shape, block):
-    """A scalar or a nonzero diagonal is multiplied into each block at once;
-    the noise must keep the bits of the per-path product xi @ s.T, signed
-    zeros included, which a zero on the diagonal would flip."""
+    """A scalar or a nonzero diagonal is multiplied into each block at once,
+    and unit noise not at all; the noise must keep the bits of the per-path
+    product xi @ s.T, signed zeros included, which a zero on the diagonal
+    would flip."""
     s = SHAPES[shape]
     shaper = streams.constant_shape(s)
     assert callable(shaper) == (shape in ("zero-on-diagonal", "non-diagonal"))
+    assert (shaper is None) == shape.startswith("unit")
     n_steps, gens = 9, streams.path_streams(1, "shape", range(5))
     expected = []
     for gen in streams.path_streams(1, "shape", range(5)):

@@ -85,6 +85,22 @@ def test_bvp_handles_outward_drift_without_cancellation():
     assert log_u * 1e-4 == pytest.approx(1.0, rel=0.01)
 
 
+@pytest.mark.parametrize("d", range(1, 8))
+def test_ball_membership_keeps_the_bits_of_a_numpy_sum(d):
+    # Points within a few ulp of the sphere, where one ulp of the squared
+    # distance decides membership: summing the axes in another order than
+    # numpy's flips some of them from d = 3 on.
+    rng = np.random.default_rng(d)
+    center, radius = rng.normal(size=d), 0.7
+    u = rng.normal(size=(64, 50, d))
+    x = center + radius * u / np.linalg.norm(u, axis=-1, keepdims=True)
+    x += rng.integers(-4, 5, size=x.shape) * np.spacing(x)
+    diff = x - center
+    expected = np.sum(diff * diff, axis=-1) <= radius**2
+    assert 0 < expected.sum() < expected.size
+    np.testing.assert_array_equal(Domain.ball(center, radius).contains(x), expected)
+
+
 def test_mc_exit_times_match_bvp_oracle():
     eta = 0.25
     dom = Domain.interval(-0.6, 0.6)
@@ -245,27 +261,33 @@ def test_each_ladder_rung_is_its_own_hitting_time_run(fit):
         assert report.entries[j].mean_exit_time == exit_time_stats(expected).mean
 
 
-def test_a_ladder_of_large_rungs_scatters_each_rung_on_its_own(monkeypatch):
-    # Up to LADDER_SCATTER_PATHS paths per rung, one scatter covers the
-    # ladder's rung-major cells; above it each rung gets a scatter of its
-    # own paths.  The records are the same either way.
-    kw = dict(source="mc", n_paths=6, seed=3, dt=0.01, horizon=50.0, keep_records=True)
-    reports, calls = {}, []
+@pytest.mark.parametrize("n_paths", [5, 1100])
+def test_a_ladder_of_any_size_is_one_path_major_scatter(n_paths):
+    # Few or many paths per rung, a ladder runs in one scatter over its
+    # path-major cells (cell i is path i // 3 of rung i % 3).  Under uneven
+    # cuts, chunks of one cell among them, each rung's records are its own
+    # hitting_time_mc run.
+    etas = (0.5, 0.45, 0.4)
+    n = len(etas) * n_paths
+    bounds = sorted({0, 1, 2, n // 3, n // 3 + 1, n - 1, n})
+    calls = []
 
-    def scatter(fn, n, *args):
-        calls.append(n)
-        return [fn(*args, 0, n // 2), fn(*args, n // 2, n)]
+    def scatter(fn, n_cells, *args):
+        calls.append(n_cells)
+        return [fn(*args, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
-    for limit, expected_calls in ((6, [12]), (5, [6, 6])):
-        calls.clear()
-        monkeypatch.setattr(exit_times, "LADDER_SCATTER_PATHS", limit)
-        reports[limit] = minimizer_scaling_fit(WELL, 1.0, UNIT, (0.5, 0.4), scatter=scatter, **kw)
-        assert calls == expected_calls
+    kw = dict(source="mc", n_paths=n_paths, seed=3, dt=0.01, horizon=50.0, keep_records=True)
+    report = minimizer_scaling_fit(WELL, 1.0, UNIT, etas, scatter=scatter, **kw)
+    assert calls == [n]
     fields = lambda r: (r.path_index, r.exit_time, r.exit_steps, r.censored)  # noqa: E731
-    for eta in (0.5, 0.4):
-        one, each = (reports[limit].extra["records"][eta] for limit in (6, 5))
-        assert [fields(r) for r in one] == [fields(r) for r in each]
-    assert reports[6].entries == reports[5].entries
+    for j, eta in enumerate(etas):
+        cfg = SdeConfig(potential=WELL, eta=eta, dt=0.01, T=50.0, x0=np.zeros(1), seed=3)
+        expected = hitting_time_mc(cfg, UNIT, n_paths, 50.0, experiment=f"exit-min:eta{j}")
+        got = report.extra["records"][eta]
+        assert [fields(r) for r in got] == [fields(r) for r in expected]
+        for a, b in zip(got, expected):
+            np.testing.assert_array_equal(a.exit_point, b.exit_point)
+        assert report.entries[j].mean_exit_time == exit_time_stats(expected).mean
 
 
 # ---------------------------------------------------------------------------
@@ -630,13 +652,41 @@ def test_non_finite_exit_is_reported_at_its_earliest_step():
     assert info.value.step == 3
 
 
-@pytest.mark.parametrize("slab", [1, 7])
+# Exits spread over 57 to 2000 steps, across slabs and 1024-step blocks:
+# the diagonal quadratics' block stepper and the per-step kernel.
+LONG_CASES = {
+    "well": (_sde(WELL, [0.0]), UNIT),
+    "double-well": (_sde(DOUBLE_WELL, [1.0]), Domain.interval(0.0, 2.0)),
+}
+
+
+def _long_records(case):
+    process, domain = LONG_CASES[case]
+    return hitting_time_mc(process, domain, 24, 50.0, seed=13, experiment=f"slab:{case}")
+
+
+@pytest.mark.parametrize("slab", [1, 7, "block"])
 def test_exit_records_ignore_the_scan_slab(slab, monkeypatch):
+    """Scans of 1 and 7 steps, and of whole blocks, against scans of
+    ``SCAN_SLAB`` steps: a byte budget of 0 gives the fewest steps, and one
+    above any block gives the whole block."""
+    monkeypatch.setattr(streams, "SCAN_BYTES", 0)
     expected = {case: _engine_baseline(case) for case in ENGINE_CASES}
-    monkeypatch.setattr(streams, "SCAN_SLAB", slab)
+    expected_long = {
+        case: [(r.exit_time, r.exit_point, r.censored) for r in _long_records(case)]
+        for case in LONG_CASES
+    }
+    if slab == "block":
+        monkeypatch.setattr(streams, "SCAN_BYTES", 2**62)
+        assert streams.scan_slab((1024, 2000, 2)) == 1024
+    else:
+        monkeypatch.setattr(streams, "SCAN_SLAB", slab)
+        assert streams.scan_slab((1024, 1, 1)) == slab
     for case in ENGINE_CASES:
         _assert_same_records(_engine_records(case), expected[case])
         _assert_same_records(_engine_records(case, block=7), expected[case])
+    for case in LONG_CASES:
+        _assert_same_records(_long_records(case), expected_long[case])
 
 
 def test_lockstep_rejects_an_observer_with_a_domain():

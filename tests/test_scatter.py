@@ -34,7 +34,7 @@ UNIT = Domain.interval(-1.0, 1.0)
 
 # name -> (n, run(**scatter_kw)), each at a tiny size.  ``n`` is what the
 # experiment passes to ``scatter``: its path count, or for an exit ladder its
-# rung-major (rung, path) cell count, so that cuts fall across rungs too.
+# path-major (path, rung) cell count, so that cuts fall inside rungs too.
 CASES = {
     "minimizer_scaling_fit": (
         24,

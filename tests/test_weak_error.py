@@ -15,6 +15,7 @@ from sgdlab import (
     weak_error_linear,
     weak_error_mc,
 )
+from sgdlab import weak_error
 
 ETA_LADDER = [0.2, 0.1, 0.05, 0.025, 0.0125]
 
@@ -69,6 +70,17 @@ def test_gauss_hermite_matches_normal_moments():
     assert val == pytest.approx(0.3**2 + 0.49, abs=1e-12)
     val3 = gauss_hermite_expectation(lambda x: x**3, mean=0.5, var=2.0)
     assert val3 == pytest.approx(0.5**3 + 3 * 0.5 * 2.0, abs=1e-10)
+
+
+def test_the_gauss_hermite_rule_is_shared_and_read_only():
+    nodes, weights = weak_error._hermite_rule(64)
+    assert weak_error._hermite_rule(64)[0] is nodes
+    expected = np.polynomial.hermite.hermgauss(64)
+    assert nodes.tobytes() == expected[0].tobytes()
+    assert weights.tobytes() == expected[1].tobytes()
+    for array in (nodes, weights):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
 
 
 def test_monte_carlo_ladder_agrees_with_exact_source():
