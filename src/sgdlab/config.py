@@ -10,8 +10,8 @@ violations raise ConfigError naming the offending key.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Callable, Mapping, Sequence, Union
 
 import numpy as np
@@ -48,9 +48,12 @@ def _parse_int(key: str, text: str) -> int:
 
 def _parse_float(key: str, text: str) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise ConfigError(f"key {key!r}: expected a number, got {text!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"key {key!r}: expected a finite number, got {text!r}")
+    return value
 
 
 def _parse_floats(key: str, text: str) -> tuple[float, ...]:
@@ -320,17 +323,6 @@ def _cross_validate(experiment: str, values: dict[str, object]) -> None:
     elif kind == "ball":
         if "domain_center" not in values or "domain_radius" not in values:
             raise ConfigError("domain=ball requires domain_center and domain_radius")
-
-
-def load_config(path: Union[str, Path], overrides: Sequence[str] = ()) -> ExperimentConfig:
-    """Parse, override, and validate a config file."""
-    path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from None
-    raw = apply_overrides(parse_config_text(text), overrides)
-    return validate_config(raw)
 
 
 # ---------------------------------------------------------------------------

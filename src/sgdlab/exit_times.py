@@ -28,6 +28,9 @@ from .sgd import SgdConfig, chain_kernel
 TRANSFORM_ETA_LOG_T = "eta_log_T"
 TRANSFORM_T_OVER_LOG = "T_over_log_inv_eta"
 
+#: The change in log u at which the mean-exit quadrature stops doubling.
+BVP_RTOL = 1e-6
+
 
 # ---------------------------------------------------------------------------
 # Domains.
@@ -169,22 +172,9 @@ def hitting_time_mc(
         raise TypeError(f"unsupported process type {type(process).__name__}")
     time_per_step = eta if chain else process.dt
     max_steps = int(math.ceil(horizon / time_per_step - 1e-12))
-    step_scale = block_step = draw = None
-    if chain:
-        step_fn, shape_noise, draw = chain_kernel(process, max_steps, domain)
-    else:
-        step_fn, shape_noise, step_scale, block_step = sde_kernel(process)
+    kernel = chain_kernel(process, max_steps, domain) if chain else sde_kernel(process)
     exit_step, exit_points, states = streams.lockstep(
-        step_fn,
-        x0,
-        gens,
-        max_steps,
-        block=block,
-        shape_noise=shape_noise,
-        step_scale=step_scale,
-        domain=domain,
-        block_step=block_step,
-        draw=draw,
+        kernel, x0, gens, max_steps, block=block, domain=domain
     )
     records = []
     for pos, idx in enumerate(indices):
@@ -286,7 +276,6 @@ def log_mean_exit_bvp_1d(
     eta_sigma2: float,
     interval: tuple[float, float],
     x: float,
-    rtol: float = 1e-6,
 ) -> float:
     """log of the mean exit time u(x); see mean_exit_bvp_1d.
 
@@ -301,8 +290,8 @@ def log_mean_exit_bvp_1d(
     free of cancellation even when the drift points outward and u is tiny
     compared with the individual scale/speed integrals.  Every integral is
     accumulated in log space, so barriers with 2 dF/eps in the thousands
-    cannot overflow.  The grid is doubled until log u is stable to rtol
-    (which bounds the relative error of u itself).
+    cannot overflow.  The grid is doubled until log u is stable to
+    ``BVP_RTOL`` (which bounds the relative error of u itself).
     """
     lo, hi = float(interval[0]), float(interval[1])
     if not lo < x < hi:
@@ -331,11 +320,11 @@ def log_mean_exit_bvp_1d(
     for _ in range(14):
         n *= 2
         cur = evaluate(n)
-        if abs(cur - prev) <= rtol:
+        if abs(cur - prev) <= BVP_RTOL:
             return cur
         prev = cur
     raise NumericalError(
-        f"mean-exit quadrature did not reach rtol={rtol} by n={n} grid points"
+        f"mean-exit quadrature did not reach rtol={BVP_RTOL} by n={n} grid points"
     )
 
 
@@ -344,7 +333,6 @@ def mean_exit_bvp_1d(
     eta_sigma2: float,
     interval: tuple[float, float],
     x: float,
-    rtol: float = 1e-6,
 ) -> float:
     """Mean exit time u(x) from an interval, solving the exact two-point ODE.
 
@@ -352,7 +340,7 @@ def mean_exit_bvp_1d(
     sigma^2.  Computed via log_mean_exit_bvp_1d; raises NumericalError if the
     value itself overflows a float (use the log form for such regimes).
     """
-    log_u = log_mean_exit_bvp_1d(potential, eta_sigma2, interval, x, rtol=rtol)
+    log_u = log_mean_exit_bvp_1d(potential, eta_sigma2, interval, x)
     if log_u > 709.0:
         raise NumericalError(
             f"mean exit time exp({log_u:.3g}) overflows a float; "
@@ -482,7 +470,8 @@ def kramers_predictor(
     """Barrier-crossing time prediction for 1-D unit-variance gradient noise.
 
     Returns 2*pi / sqrt(F''(x*) |F''(z*)|) * exp(2 (F(z*) - F(x*)) / eta)
-    for a well bottom x* and barrier top z*.
+    for a well bottom x* and barrier top z*; noise of variance sigma^2 takes
+    eta sigma^2 in place of eta.
     """
     if potential.dim != 1:
         raise ValueError("the barrier-crossing predictor is one-dimensional")

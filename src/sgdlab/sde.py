@@ -109,9 +109,9 @@ def _horizon_steps(T: float, eta: float) -> int:
 
 
 def _linear_block_step(c: np.ndarray) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    """``streams.lockstep``'s block stepper of x_{k+1} = c x_k + noise_k, one
-    factor per axis: one ``lfilter`` per axis per ``streams.scan_slab``
-    steps, which for a few alive paths is the whole block.
+    """The kernel ``block_step`` of x_{k+1} = c x_k + noise_k, one factor
+    per axis: one ``lfilter`` per axis per ``streams.scan_slab`` steps,
+    which for a few alive paths is the whole block.
 
     The filter's recursion y_k = noise_k + c y_{k-1}, started from
     zi = c x, is the loop ``x = c * x + noise`` bit for bit, so neither the
@@ -131,27 +131,22 @@ def _linear_block_step(c: np.ndarray) -> Callable[[np.ndarray, np.ndarray], np.n
     return block_step
 
 
-def sde_kernel(
-    cfg: SdeConfig, times: np.ndarray | None = None
-) -> tuple[Callable, object, Optional[Callable], Optional[Callable]]:
-    """Euler-Maruyama steps on the grid ``times``, or on the unbounded
-    uniform grid k cfg.dt when ``times`` is None.
+def sde_kernel(cfg: SdeConfig, times: np.ndarray | None = None) -> streams.Kernel:
+    """The ``streams.Kernel`` of Euler-Maruyama steps on the grid ``times``,
+    or on the unbounded uniform grid k cfg.dt when ``times`` is None.
 
-    Returns ``(step_fn, shape_noise, step_scale, block_step)`` for
-    ``streams.lockstep``.  A scalar or constant-matrix diffusion shapes the
-    draws (``streams.constant_shape``: a scalar or a nonzero diagonal once
-    per block, any other matrix per path as it is drawn), and steps
-    k0, ..., k1 - 1 of a block are scaled by ``step_scale(k0, k1)``,
-    amplitude(t_k) sqrt(h_k): one number on the uniform grid without a
+    A scalar or constant-matrix diffusion shapes the draws
+    (``streams.gaussian_kernel``), and the kernel's ``step_scale(k0, k1)``
+    is amplitude(t_k) sqrt(h_k): one number on the uniform grid without a
     noise schedule, one value per step otherwise.  So the step only adds
     the drift; a state-dependent diffusion is evaluated inside the step.
 
-    ``block_step`` (see ``streams.lockstep``) is None except under
-    first-order drift on the uniform grid of a builtin diagonal quadratic
+    The kernel has a ``block_step`` only under first-order drift on the
+    uniform grid of a builtin diagonal quadratic
     (``potentials.diagonal_quadratic_coefficients``) with a scalar or
     constant-matrix diffusion, with or without a noise schedule.  It runs
     each axis's step x -> (1 - q dt) x + noise through a whole noise block
-    as one compiled recursion, whose states can differ from ``step_fn``'s
+    as one compiled recursion, whose states can differ from the step's
     x - (q x) dt + noise in the last bit.
     """
     if times is None:
@@ -162,6 +157,7 @@ def sde_kernel(
         time_of, step_of = times.__getitem__, steps.__getitem__
     diffusion = cfg.diffusion
     drift = cfg.drift
+    d = cfg.x0.size
     if callable(diffusion):
 
         def step_fn(x, xi, k):
@@ -172,9 +168,7 @@ def sde_kernel(
                 + cfg.amplitude(time_of(k)) * math.sqrt(h) * apply_diffusion(diffusion, x, xi)
             )
 
-        return step_fn, None, None, None
-
-    shape_noise = streams.constant_shape(diffusion)
+        return streams.gaussian_kernel(step_fn, d)
 
     root_eta = math.sqrt(cfg.eta)
     if cfg.noise_schedule is not None:
@@ -204,7 +198,7 @@ def sde_kernel(
         def step_fn(x, noise, k):
             return x + drift(x) * step_of(k) + noise
 
-    return step_fn, shape_noise, step_scale, block_step
+    return streams.gaussian_kernel(step_fn, d, diffusion, step_scale, block_step)
 
 
 def em_on_grid(
@@ -218,17 +212,8 @@ def em_on_grid(
 
     ``block`` and ``on_step`` are passed to ``streams.lockstep``.
     """
-    step_fn, shape_noise, step_scale, _ = sde_kernel(cfg, times)
-    return streams.lockstep(
-        step_fn,
-        cfg.x0,
-        gens,
-        times.size - 1,
-        block=block,
-        shape_noise=shape_noise,
-        step_scale=step_scale,
-        on_step=on_step,
-    )[2]
+    kernel = sde_kernel(cfg, times)
+    return streams.lockstep(kernel, cfg.x0, gens, times.size - 1, block=block, on_step=on_step)[2]
 
 
 def em_endpoints(

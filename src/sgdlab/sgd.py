@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -121,25 +121,25 @@ def _live_rows(x: np.ndarray, domain) -> np.ndarray:
     return np.flatnonzero(live)
 
 
-def additive_gaussian_kernel(cfg: SgdConfig, domain=None) -> tuple[Callable, object, None]:
-    """``(step_fn, shape_noise, draw)`` of an ``AdditiveGaussianOracle``
-    chain for ``streams.lockstep``, which draws d standard normals per step.
+def _additive_gaussian_kernel(cfg: SgdConfig, domain=None) -> streams.Kernel:
+    """The kernel of an ``AdditiveGaussianOracle`` chain, on d standard
+    normals per step.
 
     Step k is x - eta (grad F(x) + S xi_k).  A constant S shapes the draws
-    as they are drawn (``streams.constant_shape``); a callable covariance
-    is evaluated inside the step, one S(x_i) @ xi_i per live row (see
-    ``_live_rows``; the others take no noise), the product ``oracle.sample``
-    takes.
+    (``streams.gaussian_kernel``); a callable covariance is evaluated inside
+    the step, one S(x_i) @ xi_i per live row (see ``_live_rows``; the others
+    take no noise), the product ``oracle.sample`` takes.
     """
     oracle = cfg.oracle
     eta = cfg.eta
     gradient = oracle.potential.gradient
+    d = cfg.x0.size
     if not callable(oracle.covariance):
 
         def step_fn(x, noise, k):
             return x - eta * (gradient(x) + noise)
 
-        return step_fn, streams.constant_shape(oracle.diffusion_at(cfg.x0)), None
+        return streams.gaussian_kernel(step_fn, d, oracle.diffusion_at(cfg.x0))
 
     def step_fn(x, xi, k):
         noise = np.zeros_like(x)
@@ -147,14 +147,11 @@ def additive_gaussian_kernel(cfg: SgdConfig, domain=None) -> tuple[Callable, obj
             noise[i] = oracle.diffusion_at(x[i]) @ xi[i]
         return x - eta * (gradient(x) + noise)
 
-    return step_fn, None, None
+    return streams.gaussian_kernel(step_fn, d)
 
 
-def _minibatch_kernel(
-    cfg: SgdConfig, n_steps: int, domain=None
-) -> tuple[Callable, None, streams.PathDraw]:
-    """``(step_fn, shape_noise, draw)`` of a ``MinibatchOracle`` chain of
-    ``n_steps`` steps.
+def _minibatch_kernel(cfg: SgdConfig, n_steps: int, domain=None) -> streams.Kernel:
+    """The kernel of a ``MinibatchOracle`` chain of ``n_steps`` steps.
 
     Each path draws the batch of step k from its own stream
     (``oracle.batch``) into a block row padded to the run's widest batch.
@@ -173,12 +170,12 @@ def _minibatch_kernel(
     # The schedule never shrinks a batch, so the last step's is the widest.
     width = size_of(max(n_steps - 1, 0))
 
-    def draw(gen, k0, k1):
-        batches = np.zeros((k1 - k0, width), dtype=np.int64)
-        for j in range(k1 - k0):
-            m = size_of(k0 + j)
-            batches[j, :m] = oracle.batch(gen, m)
-        return batches
+    def fill(gens, ids, k0, k1, out):
+        out[...] = 0
+        sizes = [size_of(k) for k in range(k0, k1)]
+        for c, i in enumerate(ids):
+            for j, m in enumerate(sizes):
+                out[j, c, :m] = oracle.batch(gens[i], m)
 
     def step_fn(x, batches, k):
         m, d = size_of(k), x.shape[1]
@@ -199,19 +196,16 @@ def _minibatch_kernel(
         out[rows] = x[rows] - eta * (np.add.reduce(slots.reshape(rows.size, m, d), axis=1) / m)
         return out
 
-    return step_fn, None, streams.PathDraw(draw, width, np.int64)
+    return streams.Kernel(step_fn, streams.PathDraw(fill, width, np.int64))
 
 
-def chain_kernel(
-    cfg: SgdConfig, n_steps: int, domain=None
-) -> tuple[Callable, object, streams.PathDraw | None]:
-    """``(step_fn, shape_noise, draw)`` of any chain of ``n_steps`` steps for
-    ``streams.lockstep``: the one stepping form of every oracle.  Give the
-    ``domain`` a first-exit run stops at, so that a step skips paths that
-    have already left it."""
+def chain_kernel(cfg: SgdConfig, n_steps: int, domain=None) -> streams.Kernel:
+    """The ``streams.Kernel`` of any chain of ``n_steps`` steps: the one
+    stepping form of every oracle.  Give the ``domain`` a first-exit run
+    stops at, so that a step skips paths that have already left it."""
     if isinstance(cfg.oracle, MinibatchOracle):
         return _minibatch_kernel(cfg, n_steps, domain)
-    return additive_gaussian_kernel(cfg, domain)
+    return _additive_gaussian_kernel(cfg, domain)
 
 
 def run_sgd(cfg: SgdConfig, rng: np.random.Generator | None = None) -> Trajectory:
@@ -283,10 +277,8 @@ def run_sgd_ensemble(
         def track(k, x):
             np.maximum(gaps, np.linalg.norm(x - reference_states[k], axis=1), out=gaps)
 
-    step_fn, shape_noise, draw = chain_kernel(cfg, cfg.steps)
-    endpoints = streams.lockstep(
-        step_fn, cfg.x0, gens, cfg.steps, shape_noise=shape_noise, on_step=track, draw=draw
-    )[2]
+    kernel = chain_kernel(cfg, cfg.steps)
+    endpoints = streams.lockstep(kernel, cfg.x0, gens, cfg.steps, on_step=track)[2]
     return EnsembleResult(endpoints=endpoints, sup_gaps=gaps)
 
 

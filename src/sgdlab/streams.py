@@ -62,8 +62,8 @@ NOISE_BLOCK_BYTES = 64 * 2**20
 # block, so that a block costs a few calls and not one per 64 steps.
 SCAN_BYTES = 2**20
 
-# The fewest steps of a scan slab, and the first draw block of a kernel's
-# ``PathDraw`` under a domain.
+# The fewest steps of a scan slab, and the first block under a domain of a
+# draw that is not d floats per step.
 SCAN_SLAB = 64
 
 # numpy's SeedSequence constants (numpy/random/bit_generator.pyx).
@@ -218,35 +218,6 @@ def in_process(fn: Callable, n: int, *args) -> list:
     return [fn(*args, 0, n)]
 
 
-def constant_shape(s) -> float | np.ndarray | Callable[[np.ndarray], np.ndarray] | None:
-    """``lockstep``'s ``shape_noise`` for a constant diffusion ``s``.
-
-    A scalar, or the diagonal of a diagonal ``s`` whose diagonal entries are
-    all nonzero, is multiplied into each noise block at once: every element
-    of ``xi @ s.T`` then has one nonzero term, which the product gives in
-    the same bits.  A unit scalar or an all-ones diagonal is None, since
-    multiplying by 1.0 changes no bit.  Any other matrix (a zero on the
-    diagonal could flip the sign of a zero) gives the map xi -> xi @ s.T,
-    applied per path.
-    """
-    if np.ndim(s) == 0:
-        return None if s == 1.0 else float(s)
-    s_t = np.asarray(s, dtype=float).T
-    diagonal = np.diagonal(s_t)
-    if np.all(diagonal != 0.0) and np.count_nonzero(s_t) == diagonal.size:
-        return None if np.all(diagonal == 1.0) else diagonal.copy()
-
-    def shape(xi: np.ndarray) -> np.ndarray:
-        # numpy hands a one-row product to gemv, whose last bits differ from
-        # those of the gemm that serves two rows or more, so a one-row block
-        # is padded to two rows: a path's noise must not depend on the block.
-        if len(xi) > 1:
-            return xi @ s_t
-        return (np.concatenate([xi, xi]) @ s_t)[:1]
-
-    return shape
-
-
 def scan_slab(shape: tuple[int, int, int]) -> int:
     """The steps of a (steps, paths, d) block of states that one scan or one
     block-stepper call covers: ``SCAN_BYTES`` of states, but at least
@@ -256,97 +227,142 @@ def scan_slab(shape: tuple[int, int, int]) -> int:
 
 
 class PathDraw(NamedTuple):
-    """One path's draws for ``lockstep``, in place of its standard normals.
+    """A kernel's draws for ``lockstep``: ``width`` values of ``dtype`` per
+    path and step.
 
-    ``fn(gen, k0, k1)`` takes the draws of steps k0, ..., k1 - 1 from the
-    path's generator ``gen``, in step order, and returns them as a
-    (k1 - k0, width) array of ``dtype``.
+    ``fill(gens, ids, k0, k1, out)`` takes the draws of steps k0, ...,
+    k1 - 1 of path ``ids[c]`` from its generator ``gens[ids[c]]``, in step
+    order, and writes them into ``out[:, c]`` of the (k1 - k0, len(ids),
+    width) block ``out``.
     """
 
-    fn: Callable[[np.random.Generator, int, int], np.ndarray]
+    fill: Callable[[list, np.ndarray, int, int, np.ndarray], None]
     width: int
     dtype: type
 
 
+class Kernel(NamedTuple):
+    """One step of an ensemble and the noise it takes, for ``lockstep``.
+
+    ``step(x, noise, k)`` advances the states ``x`` (one row per path) by
+    step k = 0, 1, ..., where ``noise`` is the block row of step k.  A
+    block is filled by ``draw``; then, once per block and in place, it is
+    multiplied by ``shape`` unless that is None (a number, or a (d,)
+    vector that scales each axis), and steps k0, ..., k1 - 1 by
+    ``step_scale(k0, k1)``, one number for the whole block or one value per
+    step.  A ``block_step(x, buf)``, if given, replaces the per-step loop:
+    it steps the states ``x`` through the whole block ``buf`` in one call,
+    writes each step's states over the noise row they used and returns the
+    states after the block, and ``step`` is not called.  ``gaussian_kernel``
+    builds the kernels that draw d standard normals per step.
+    """
+
+    step: Callable[[np.ndarray, np.ndarray, int], np.ndarray]
+    draw: PathDraw
+    shape: float | np.ndarray | None = None
+    step_scale: Callable[[int, int], float | np.ndarray] | None = None
+    block_step: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
+
+
+def gaussian_kernel(step, d: int, s=1.0, step_scale=None, block_step=None) -> Kernel:
+    """The ``Kernel`` of ``step`` on d standard normals xi per step and path,
+    shaped by a constant diffusion ``s`` into xi @ s.T.
+
+    A scalar, or the diagonal of a diagonal ``s`` whose diagonal entries are
+    all nonzero, becomes the kernel's ``shape``: every element of
+    ``xi @ s.T`` then has one nonzero term, which the product gives in the
+    same bits.  Unit noise is not shaped, since multiplying by 1.0 changes
+    no bit.  Any other matrix (a zero on the diagonal could flip the sign of
+    a zero) is applied to each path's draws as they are drawn.
+    """
+    s_t = None
+    if np.ndim(s) == 0:
+        shape = float(s)
+    else:
+        s_t = np.asarray(s, dtype=float).T
+        shape = np.diagonal(s_t).copy()
+        if np.all(shape != 0.0) and np.count_nonzero(s_t) == shape.size:
+            s_t = None
+        else:
+            shape = None
+    if shape is not None and np.all(shape == 1.0):
+        shape = None
+
+    def fill(gens, ids, k0, k1, out):
+        for c, i in enumerate(ids):
+            xi = gens[i].standard_normal((k1 - k0, d))
+            if s_t is None:
+                out[:, c] = xi
+            elif len(xi) > 1:
+                out[:, c] = xi @ s_t
+            else:
+                # numpy hands a one-row product to gemv, whose last bits
+                # differ from those of the gemm that serves two rows or
+                # more, so a one-row block is padded to two rows: a path's
+                # noise must not depend on the block.
+                out[:, c] = (np.concatenate([xi, xi]) @ s_t)[:1]
+
+    return Kernel(step, PathDraw(fill, d, float), shape, step_scale, block_step)
+
+
 def lockstep(
-    step_fn: Callable[[np.ndarray, np.ndarray, int], np.ndarray],
+    kernel: Kernel,
     x0: np.ndarray,
     gens: list[np.random.Generator],
     n_steps: int,
     block: int = 1024,
-    shape_noise: float | np.ndarray | Callable[[np.ndarray], np.ndarray] | None = None,
-    step_scale: Callable[[int, int], float | np.ndarray] | None = None,
     domain=None,
     on_step: Callable[[int, np.ndarray], None] | None = None,
-    block_step: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
-    draw: PathDraw | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Step one path per generator in lockstep for up to ``n_steps`` steps.
+    """Step one path per generator in lockstep through ``kernel`` (see
+    ``Kernel``, whose fields state the draw, shape and scale of each block)
+    for up to ``n_steps`` steps.
 
-    ``step_fn(x, noise, k)`` advances the states ``x`` (one row per path)
-    by step k = 0, 1, ...; ``on_step(k, x)``, if given, then sees the states
-    after k steps.  With a ``domain`` (anything with a vectorized
-    ``contains``), a path retires on the first step that leaves it; without
-    one every path runs all ``n_steps``.  ``on_step`` combines with neither
-    ``domain`` nor ``block_step``.  Returns ``(exit_step, exit_points,
-    states)``: the 1-based exit step of each path (-1 if it never left), its
-    first outside state, and the final state of every path still inside.
+    ``on_step(k, x)``, if given, sees the states after k steps.  With a
+    ``domain`` (anything with a vectorized ``contains``), a path retires on
+    the first step that leaves it; without one every path runs all
+    ``n_steps``.  ``on_step`` combines with neither ``domain`` nor a
+    ``kernel.block_step``.  Returns ``(exit_step, exit_points, states)``:
+    the 1-based exit step of each path (-1 if it never left), its first
+    outside state, and the final state of every path still inside.
 
-    Draws are taken per path from its private stream in blocks of at most
-    ``block`` steps, and fewer where a block of the alive paths would pass
+    A block of at most ``block`` steps is filled with one
+    ``kernel.draw.fill`` call, from each path's private stream, and holds
+    fewer steps where the alive paths' rows would pass
     ``NOISE_BLOCK_BYTES``, so the result is independent of how paths are
     grouped into chunks and of the block size.  A block is time-major:
     ``buf[j, c]`` is step j of the path in column c, so the noise of one
-    step is the view ``buf[j]``.  A path's draws are d standard normals per
-    step, or, with a ``draw`` (``PathDraw``), ``draw.width`` values of
-    ``draw.dtype`` per step, such as a mini-batch's component indices; the
-    byte cap counts the row actually drawn.  A ``draw`` may cost a Python
-    call per step, so under a ``domain`` its blocks start at ``SCAN_SLAB``
-    steps and double up to ``block``: a path that exits at step t draws at
-    most t + ``SCAN_SLAB`` steps past it.  A callable ``shape_noise`` is
-    applied to each path's draws as they are drawn; a number or a (d,)
-    vector (``constant_shape``) is multiplied into the whole block at once,
-    in place; None, as for unit noise, leaves the draws as they are.  Then,
-    once per block and in place, steps k0, ..., k1 - 1 are multiplied by
-    ``step_scale(k0, k1)``: one number for the whole block or one value per
-    step.
+    step is the view ``buf[j]``.
 
     Block-scan contract, with a ``domain``: every path alive at the start of
     a block is stepped through the whole block, each step's states
-    overwriting the noise row they used (with a ``draw``, rows of their own,
-    which the byte cap counts too), and then ``domain.contains`` scans
+    overwriting the noise row they used, and then ``domain.contains`` scans
     the block for first exits one slab at a time: ``scan_slab`` steps,
     ``SCAN_BYTES`` of the alive paths' states, so a few alive paths are
     scanned in one call per block and many in slabs of as few as
-    ``SCAN_SLAB`` steps.  So ``step_fn`` may be evaluated on a path after
-    its exit, until the end of the block; those states are discarded, and
-    overflow in them is ignored (the chain kernels, ``sgd.chain_kernel``,
-    leave such paths as they are).  A
-    ``block_step(x, buf)``, if given, replaces the per-step loop: it steps
-    the states ``x`` through the whole block in one call, writes each step's
-    states over the noise row they used and returns the states after the
-    block, and ``step_fn`` is not called.  ``sde.sde_kernel`` builds one for
-    the builtin diagonal quadratics under first-order drift on the uniform
-    grid, as one compiled linear recursion per axis and per ``scan_slab``
-    steps; every other kernel steps one ``step_fn`` call per step.  Exits are
+    ``SCAN_SLAB`` steps.  Unless the draw is d floats per step (a
+    mini-batch's component indices, say), the states take rows of their
+    own, which the byte cap counts too, and blocks start at ``SCAN_SLAB``
+    steps and double up to ``block``, since such a draw may cost a Python
+    call per step: a path that exits at step t draws at most
+    t + ``SCAN_SLAB`` steps past it.  So a step may be evaluated on a path
+    after its exit, until the end of the block; those states are discarded,
+    and overflow in them is ignored (the chain kernels,
+    ``sgd.chain_kernel``, leave such paths as they are).  Exits are
     recorded, and the alive states and path ids compacted, once per block.
     A non-finite exit point raises ``NumericalError`` at its exact step, the
     earliest such step of the block; the states still alive are checked
     once per block, so a non-finite alive state is reported at the end of
     its block.
     """
+    step_fn, draw, shape, step_scale, block_step = kernel
     if on_step is not None and (domain is not None or block_step is not None):
         raise ValueError("lockstep takes on_step alone, without domain or block_step")
     n = len(gens)
     d = x0.size
-    width, dtype = (d, float) if draw is None else (draw.width, draw.dtype)
-    # The states of a step go over its noise row, but need rows of their own
-    # beside a kernel's draw.
-    own_rows = draw is not None and domain is not None
-    row_bytes = width * np.dtype(dtype).itemsize + (8 * d if own_rows else 0)
+    own_rows = domain is not None and (draw.width, np.dtype(draw.dtype)) != (d, np.float64)
+    row_bytes = draw.width * np.dtype(draw.dtype).itemsize + (8 * d if own_rows else 0)
     longest = min(block, SCAN_SLAB) if own_rows else block
-    per_path = shape_noise if callable(shape_noise) else None
-    per_block = None if per_path is not None else shape_noise
     states = np.tile(x0, (n, 1))
     exit_step = np.full(n, -1, dtype=np.int64)
     exit_points = np.zeros((n, d))
@@ -362,16 +378,10 @@ def lockstep(
             )
             longest = min(2 * longest, block)
             step1 = step0 + kblock
-            buf = np.empty((kblock, ids.size, width), dtype=dtype)
-            if draw is not None:
-                for pos, i in enumerate(ids):
-                    buf[:, pos] = draw.fn(gens[i], step0, step1)
-            else:
-                for pos, i in enumerate(ids):
-                    xi = gens[i].standard_normal((kblock, d))
-                    buf[:, pos] = xi if per_path is None else per_path(xi)
-            if per_block is not None:
-                buf *= per_block
+            buf = np.empty((kblock, ids.size, draw.width), dtype=draw.dtype)
+            draw.fill(gens, ids, step0, step1, buf)
+            if shape is not None:
+                buf *= shape
             if step_scale is not None:
                 buf *= np.reshape(step_scale(step0, step1), (-1, 1, 1))
             rows = np.empty((kblock, ids.size, d)) if own_rows else buf

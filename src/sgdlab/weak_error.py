@@ -15,7 +15,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -66,15 +66,22 @@ def _phi_tanh_x2(s):
     return np.tanh(s * s)
 
 
-#: Default observable suite: two polynomial moments plus two bounded smooth
-#: functions, enough to expose the convergence order without favoring either
-#: class.
+#: The observable suite of every ladder: two polynomial moments plus two
+#: bounded smooth functions, enough to expose the convergence order without
+#: favoring either class.
 DEFAULT_SUITE: tuple[TestFunction, ...] = (
     TestFunction("x", _phi_x, bounded=False),
     TestFunction("x2", _phi_x2, bounded=False),
     TestFunction("tanh_x", _phi_tanh, bounded=True),
     TestFunction("tanh_x2", _phi_tanh_x2, bounded=True),
 )
+
+
+#: The Gauss-Hermite order of every closed-form expectation.
+GH_ORDER = 64
+
+#: The fewest ladder points an order fit takes.
+MIN_FIT_POINTS = 3
 
 
 @functools.lru_cache(maxsize=None)
@@ -91,14 +98,14 @@ def gauss_hermite_expectation(
     fn: Callable[[np.ndarray], np.ndarray],
     mean: float,
     var: float,
-    order: int = 64,
 ) -> float:
-    """E[fn(Z)] for Z ~ N(mean, var) by Gauss-Hermite quadrature."""
+    """E[fn(Z)] for Z ~ N(mean, var) by ``GH_ORDER``-point Gauss-Hermite
+    quadrature."""
     if var < 0:
         raise ValueError(f"variance must be non-negative, got {var}")
     if var == 0.0:
         return float(fn(np.array([mean]))[0])
-    nodes, weights = _hermite_rule(order)
+    nodes, weights = _hermite_rule(GH_ORDER)
     pts = mean + math.sqrt(2.0 * var) * nodes
     return float(weights @ np.asarray(fn(pts), dtype=float) / math.sqrt(math.pi))
 
@@ -202,10 +209,9 @@ def weak_error_linear(
     T: float,
     x0: float,
     drift_order: str = FIRST_ORDER,
-    suite: Sequence[TestFunction] = DEFAULT_SUITE,
-    gh_order: int = 64,
 ) -> WeakErrorPoint:
-    """max_phi |E phi(x_K) - E phi(X_T)| on F = lam x^2/2, evaluated exactly.
+    """max_phi |E phi(x_K) - E phi(X_T)| over ``DEFAULT_SUITE`` on
+    F = lam x^2/2, evaluated exactly.
 
     T must be an integer multiple of eta so the chain lands on the horizon.
     Both marginals are Gaussian; expectations use Gauss-Hermite quadrature
@@ -219,15 +225,15 @@ def weak_error_linear(
     m_sde, v_sde = ou_moments(rate, eta * sigma**2, x0, T)
     errors = tuple(
         abs(
-            gauss_hermite_expectation(phi, m_sgd, v_sgd, gh_order)
-            - gauss_hermite_expectation(phi, m_sde, v_sde, gh_order)
+            gauss_hermite_expectation(phi, m_sgd, v_sgd)
+            - gauss_hermite_expectation(phi, m_sde, v_sde)
         )
-        for phi in suite
+        for phi in DEFAULT_SUITE
     )
     return WeakErrorPoint(
         eta=float(eta),
         errors=errors,
-        stderrs=tuple(0.0 for _ in suite),
+        stderrs=tuple(0.0 for _ in DEFAULT_SUITE),
         max_error=max(errors),
         max_stderr=0.0,
     )
@@ -240,22 +246,17 @@ def weak_error_ladder_linear(
     x0: float,
     eta_list: Sequence[float],
     drift_order: str = FIRST_ORDER,
-    suite: Sequence[TestFunction] = DEFAULT_SUITE,
-    gh_order: int = 64,
 ) -> WeakErrorReport:
     """Exact weak-error ladder on the linear chain with a fitted order."""
-    points = tuple(
-        weak_error_linear(lam, eta, sigma, T, x0, drift_order, suite, gh_order)
-        for eta in eta_list
-    )
+    points = tuple(weak_error_linear(lam, eta, sigma, T, x0, drift_order) for eta in eta_list)
     fit = order_fit(
         [p.eta for p in points], [p.max_error for p in points], stderrs=None
     )
     return WeakErrorReport(
         drift_order=drift_order,
-        observables=tuple(phi.name for phi in suite),
+        observables=tuple(phi.name for phi in DEFAULT_SUITE),
         points=points,
-        fitted_orders=_per_observable_fits(points, len(suite), use_stderr=False),
+        fitted_orders=_per_observable_fits(points, len(DEFAULT_SUITE), use_stderr=False),
         fitted_order=fit.slope,
         expected_order=1.0 if drift_order == FIRST_ORDER else 2.0,
         method_sgd="closed_form",
@@ -281,14 +282,13 @@ def order_fit(
     etas: Sequence[float],
     errors: Sequence[float],
     stderrs: Optional[Sequence[float]] = None,
-    min_points: int = 3,
 ) -> OrderFit:
     """Least-squares slope of log(error) against log(eta).
 
     Points with non-positive error are dropped, as are points whose Monte
     Carlo standard error exceeds 30% of the measured error (the ladder below
-    the noise floor carries no order information).  At least ``min_points``
-    must survive.  ``pairwise_slopes`` are the local slopes between
+    the noise floor carries no order information).  At least
+    ``MIN_FIT_POINTS`` must survive.  ``pairwise_slopes`` are the local slopes between
     consecutive surviving points, for diagnosing pre-asymptotic drift.
     """
     etas = np.asarray(etas, dtype=float)
@@ -297,9 +297,9 @@ def order_fit(
     if stderrs is not None:
         stderrs = np.asarray(stderrs, dtype=float)
         mask &= stderrs <= 0.3 * errors
-    if mask.sum() < min_points:
+    if mask.sum() < MIN_FIT_POINTS:
         raise NumericalError(
-            f"only {int(mask.sum())} resolvable ladder points (need {min_points}); "
+            f"only {int(mask.sum())} resolvable ladder points (need {MIN_FIT_POINTS}); "
             "increase the sample size or use larger learning rates"
         )
     log_e = np.log(etas[mask])
@@ -341,14 +341,13 @@ def weak_error_mc(
     eta_list: Sequence[float],
     n_paths: int = 20000,
     drift_order: str = FIRST_ORDER,
-    suite: Sequence[TestFunction] = DEFAULT_SUITE,
     seed: int = 0,
     experiment: str = "weak-mc",
     dt_factor: float = 0.1,
-    gh_order: int = 64,
     scatter: Callable[..., list] = streams.in_process,
 ) -> WeakErrorReport:
-    """Monte Carlo weak-error ladder |E phi(x_K) - E phi(X_T)| (1-D).
+    """Monte Carlo weak-error ladder |E phi(x_K) - E phi(X_T)| over
+    ``DEFAULT_SUITE`` (1-D).
 
     The SGD side is always simulated.  On the linear Gaussian chain (a
     builtin quadratic well, see ``well_rate``, under a constant-covariance
@@ -392,12 +391,12 @@ def weak_error_mc(
             parts = scatter(em_endpoints_chunk, n_paths, sde_cfg, f"{experiment}:sde:eta{j}")
             ends_sde = np.concatenate(parts)[:, 0]
         errors, stderrs = [], []
-        for phi in suite:
+        for phi in DEFAULT_SUITE:
             vals_sgd = np.asarray(phi(ends_sgd), dtype=float)
             mean_sgd = float(vals_sgd.mean())
             se2 = float(vals_sgd.var(ddof=1)) / vals_sgd.size
             if ends_sde is None:
-                mean_sde = gauss_hermite_expectation(phi, m_sde, v_sde, gh_order)
+                mean_sde = gauss_hermite_expectation(phi, m_sde, v_sde)
             else:
                 vals_sde = np.asarray(phi(ends_sde), dtype=float)
                 mean_sde = float(vals_sde.mean())
@@ -421,9 +420,9 @@ def weak_error_mc(
     )
     return WeakErrorReport(
         drift_order=drift_order,
-        observables=tuple(phi.name for phi in suite),
+        observables=tuple(phi.name for phi in DEFAULT_SUITE),
         points=tuple(points),
-        fitted_orders=_per_observable_fits(points, len(suite), use_stderr=True),
+        fitted_orders=_per_observable_fits(points, len(DEFAULT_SUITE), use_stderr=True),
         fitted_order=fit.slope,
         expected_order=1.0 if drift_order == FIRST_ORDER else 2.0,
         method_sgd="mc",

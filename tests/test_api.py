@@ -1,7 +1,8 @@
-"""Every public name of the package has a caller outside the tests.
+"""Every public name of the package, and every module-level function and
+class of its modules, has a caller outside the tests.
 
 A function that only tests call is kept "for the API" and drifts from the
-code path that produces the numbers, so the package exports only what the
+code path that produces the numbers, so the package defines only what the
 library itself, the demos or the benchmark use.  The scan reads names from
 the syntax tree: a load of a name or an attribute counts as a use, and so
 does a string that is exactly the name (a lookup by name, such as the
@@ -37,13 +38,27 @@ def _used_names(path: Path) -> set[str]:
     return names
 
 
-def test_every_export_is_used_outside_the_tests():
+def _used_outside_the_tests() -> set[str]:
     files = _callers()
     assert any(p.parent.name == "demos" for p in files)
     assert any(p.parent.name == "bench" for p in files)
-    used = set().union(*(_used_names(p) for p in files))
+    return set().union(*(_used_names(p) for p in files))
+
+
+def test_every_export_is_used_outside_the_tests():
+    used = _used_outside_the_tests()
     exports = [
         name for name in sgdlab.__all__ if not inspect.ismodule(getattr(sgdlab, name))
     ]
     unused = sorted(set(exports) - used)
     assert not unused, f"exported but called only by tests: {unused}"
+
+
+def test_every_module_level_definition_is_used_outside_the_tests():
+    used = _used_outside_the_tests()
+    unused = []
+    for path in sorted((ROOT / "src" / "sgdlab").glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in used:
+                unused.append(f"{path.stem}.{node.name}")
+    assert not unused, f"defined but called only by tests: {unused}"

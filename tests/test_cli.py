@@ -5,11 +5,14 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from sgdlab import cli
 from sgdlab.cli import main
+
+KRAMERS_CFG = str(Path(__file__).resolve().parents[1] / "configs" / "kramers.cfg")
 
 WEAK_ORDER_CFG = """\
 experiment = weak-order
@@ -220,6 +223,36 @@ def test_bad_config_exits_2(tmp_path, capsys):
     cfg = _write(tmp_path, "bad.cfg", "experiment = anneal\nbogus = 1\n")
     assert main(["anneal", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
     assert "config-error" in capsys.readouterr().err
+
+
+def test_unreadable_config_file_exits_2(tmp_path, capsys):
+    missing = str(tmp_path / "missing.cfg")
+    assert main(["anneal", "--config", missing, "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert "config-error" in err and "cannot read config file" in err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", ["sigma", "eta_list"])
+def test_non_finite_config_values_exit_2(key, value, tmp_path, capsys):
+    text = f"{key}=0.1, {value}" if key == "eta_list" else f"{key}={value}"
+    argv = ["kramers", "--config", KRAMERS_CFG, "--out", str(tmp_path / "x"), "--set", text]
+    assert main(argv) == 2
+    assert "config-error" in capsys.readouterr().err
+
+
+def test_kramers_scales_its_predictor_and_slope_by_sigma(tmp_path):
+    # The law reads eta * sigma^2 where unit noise reads eta: the predictor
+    # must match the BVP mean, and the slope of log E[T] against 1/eta is
+    # 2 dF / sigma^2, at sigma = 0.8 as at sigma = 1.
+    out = tmp_path / "k"
+    argv = ["kramers", "--config", KRAMERS_CFG, "--out", str(out), "--set", "sigma=0.8"]
+    assert main([*argv, "--check"]) == 0
+    rows = (tmp_path / "k.csv").read_text().splitlines()[1:]
+    ratios = [float(row.split(",")[-1]) for row in rows]
+    assert len(ratios) == 2 and all(0.9 < r < 1.0 for r in ratios)
+    summary = dict(line.split(",") for line in (tmp_path / "k.summary.csv").read_text().split())
+    assert float(summary["slope_reference"]) == pytest.approx(0.5 / 0.64)
 
 
 def test_numerical_failure_exits_3(tmp_path, capsys):

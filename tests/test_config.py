@@ -8,7 +8,6 @@ from sgdlab.config import (
     ConfigError,
     apply_overrides,
     build_potential,
-    load_config,
     parse_config_text,
     validate_config,
     x0_array,
@@ -88,14 +87,6 @@ def test_malformed_override_is_rejected():
     raw = parse_config_text(ANNEAL_TEXT)
     with pytest.raises(ConfigError, match="not of the form key=value"):
         apply_overrides(raw, ["nonsense"])
-
-
-def test_load_config_reads_files(tmp_path):
-    path = tmp_path / "run.cfg"
-    path.write_text(ANNEAL_TEXT)
-    cfg = load_config(path)
-    assert cfg.experiment == "anneal"
-    assert cfg.get("T") == 500.0
 
 
 def test_build_potential_and_x0_helpers():

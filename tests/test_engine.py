@@ -37,7 +37,7 @@ from sgdlab import (
 from sgdlab.exit_times import anneal_chunk
 from sgdlab.sde import _time_grid, apply_diffusion, em_on_grid
 from sgdlab.oracles import WITH_REPLACEMENT, WITHOUT_REPLACEMENT
-from sgdlab.sgd import additive_gaussian_kernel, chain_kernel
+from sgdlab.sgd import chain_kernel
 from test_exit_times import (
     ENGINE_CASES,
     _assert_same_records,
@@ -308,10 +308,8 @@ def _sgd_chunk(case, block, lo, hi):
     def track(k, x):
         np.maximum(gaps, np.linalg.norm(x - ref[k], axis=1), out=gaps)
 
-    step_fn, shape_noise, _ = additive_gaussian_kernel(cfg)
-    ends = streams.lockstep(
-        step_fn, cfg.x0, gens, cfg.steps, block=block, shape_noise=shape_noise, on_step=track
-    )[2]
+    kernel = chain_kernel(cfg, cfg.steps)
+    ends = streams.lockstep(kernel, cfg.x0, gens, cfg.steps, block=block, on_step=track)[2]
     return np.column_stack([ends, gaps])
 
 
@@ -330,11 +328,8 @@ def _chain_chunk(cfg, label, block, lo, hi):
     def track(k, x):
         np.maximum(gaps, np.linalg.norm(x - ref[k], axis=1), out=gaps)
 
-    step_fn, shape_noise, draw = chain_kernel(cfg, cfg.steps)
-    ends = streams.lockstep(
-        step_fn, cfg.x0, gens, cfg.steps, block=block, shape_noise=shape_noise,
-        on_step=track, draw=draw,
-    )[2]
+    kernel = chain_kernel(cfg, cfg.steps)
+    ends = streams.lockstep(kernel, cfg.x0, gens, cfg.steps, block=block, on_step=track)[2]
     return np.column_stack([ends, gaps])
 
 
@@ -392,7 +387,8 @@ def test_noise_blocks_are_capped_in_bytes(monkeypatch):
         lengths.append(len(noise.base))
         return x + noise
 
-    streams.lockstep(step, np.zeros(2), streams.path_streams(0, "cap", range(16)), 12)
+    kernel = streams.gaussian_kernel(step, 2)
+    streams.lockstep(kernel, np.zeros(2), streams.path_streams(0, "cap", range(16)), 12)
     assert lengths == [5] * 10 + [2] * 2
 
 
@@ -592,6 +588,17 @@ def test_minibatch_exits_ignore_the_noise_block_byte_cap(case, cap, monkeypatch)
     _assert_same_records(got, [(r.exit_time, r.exit_point, r.censored) for r in expected])
 
 
+def _per_path_draw(fn, width):
+    """A ``PathDraw`` of int64 rows from ``fn(gen, k0, k1)``, one call per
+    path and block."""
+
+    def fill(gens, ids, k0, k1, out):
+        for c, i in enumerate(ids):
+            out[:, c] = fn(gens[i], k0, k1)
+
+    return streams.PathDraw(fill, width, np.int64)
+
+
 @pytest.mark.parametrize("with_domain", [False, True])
 def test_draw_blocks_are_capped_by_the_row_drawn(with_domain, monkeypatch):
     # 16 two-dimensional paths drawing 6 int64 per step: 48 bytes a row, and
@@ -604,10 +611,11 @@ def test_draw_blocks_are_capped_by_the_row_drawn(with_domain, monkeypatch):
         lengths.append(len(batches.base))
         return x + 0.0 * batches[:, :2]
 
-    draw = streams.PathDraw(lambda gen, k0, k1: gen.integers(0, 9, size=(k1 - k0, 6)), 6, np.int64)
+    draw = _per_path_draw(lambda gen, k0, k1: gen.integers(0, 9, size=(k1 - k0, 6)), 6)
     domain = Domain.box([-1.0, -1.0], [1.0, 1.0]) if with_domain else None
     streams.lockstep(
-        step, np.zeros(2), streams.path_streams(0, "cap", range(16)), 12, domain=domain, draw=draw
+        streams.Kernel(step, draw), np.zeros(2), streams.path_streams(0, "cap", range(16)), 12,
+        domain=domain,
     )
     assert lengths == [5] * 10 + [2] * 2
 
@@ -622,18 +630,18 @@ def test_draw_blocks_under_a_domain_grow_from_the_scan_slab():
         lengths.append(k1 - k0)
         return gen.integers(0, 9, size=(k1 - k0, 1))
 
-    draw = streams.PathDraw(fn, 1, np.int64)
+    draw = _per_path_draw(fn, 1)
     gens = streams.path_streams(0, "grow", range(3))
-    stay = lambda x, batches, k: x + 0.0 * batches  # noqa: E731
+    stay = streams.Kernel(lambda x, batches, k: x + 0.0 * batches, draw)
     wide = Domain.interval(-1.0, 1.0)
-    streams.lockstep(stay, np.zeros(1), gens, 1000, block=300, domain=wide, draw=draw)
+    streams.lockstep(stay, np.zeros(1), gens, 1000, block=300, domain=wide)
     slab = streams.SCAN_SLAB
     assert lengths == [n for n in (slab, 2 * slab, 4 * slab, 300, 1000 - 7 * slab - 300)
                        for _ in range(3)]
     lengths.clear()
-    leave = lambda x, batches, k: x + 1.0  # noqa: E731
+    leave = streams.Kernel(lambda x, batches, k: x + 1.0, draw)
     exit_step, _, _ = streams.lockstep(
-        leave, np.zeros(1), gens, 1000, block=300, domain=Domain.interval(-0.5, 0.5), draw=draw
+        leave, np.zeros(1), gens, 1000, block=300, domain=Domain.interval(-0.5, 0.5)
     )
     assert lengths == [slab] * 3 and exit_step.tolist() == [1, 1, 1]
 
@@ -731,9 +739,6 @@ def test_constant_noise_shapes_keep_the_per_path_bits(shape, block):
     product xi @ s.T, signed zeros included, which a zero on the diagonal
     would flip."""
     s = SHAPES[shape]
-    shaper = streams.constant_shape(s)
-    assert callable(shaper) == (shape in ("zero-on-diagonal", "non-diagonal"))
-    assert (shaper is None) == shape.startswith("unit")
     n_steps, gens = 9, streams.path_streams(1, "shape", range(5))
     expected = []
     for gen in streams.path_streams(1, "shape", range(5)):
@@ -747,9 +752,10 @@ def test_constant_noise_shapes_keep_the_per_path_bits(shape, block):
         seen.append(noise.copy())
         return x
 
-    streams.lockstep(
-        step, np.zeros(2), gens, n_steps, block=block, shape_noise=shaper, step_scale=scale
-    )
+    kernel = streams.gaussian_kernel(step, 2, s, scale)
+    per_path = shape in ("zero-on-diagonal", "non-diagonal")
+    assert (kernel.shape is None) == (per_path or shape.startswith("unit"))
+    streams.lockstep(kernel, np.zeros(2), gens, n_steps, block=block)
     expected *= np.linspace(0.5, 1.5, n_steps)[:, None, None]
     assert np.stack(seen).tobytes() == expected.tobytes()
     assert np.signbit(expected).sum() > 0

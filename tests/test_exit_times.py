@@ -648,7 +648,7 @@ def test_non_finite_exit_is_reported_at_its_earliest_step():
 
     gens = streams.path_streams(0, "blow-up", range(3))
     with pytest.raises(NumericalError) as info:
-        streams.lockstep(step_fn, np.zeros(1), gens, 12, domain=UNIT)
+        streams.lockstep(streams.gaussian_kernel(step_fn, 1), np.zeros(1), gens, 12, domain=UNIT)
     assert info.value.step == 3
 
 
@@ -692,7 +692,7 @@ def test_exit_records_ignore_the_scan_slab(slab, monkeypatch):
 def test_lockstep_rejects_an_observer_with_a_domain():
     with pytest.raises(ValueError, match="on_step"):
         streams.lockstep(
-            lambda x, noise, k: x + noise,
+            streams.gaussian_kernel(lambda x, noise, k: x + noise, 1),
             np.zeros(1),
             streams.path_streams(0, "observer", range(2)),
             4,

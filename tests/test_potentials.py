@@ -151,3 +151,14 @@ def test_quasi_potential_reference_values():
     assert quasi_potential_isotropic(well, 2.0, Domain.interval(-1, 1)) == pytest.approx(0.25)
     ball = Domain.ball(np.array([1.0]), 0.8)
     assert quasi_potential_isotropic(dw, 1.0, ball) == pytest.approx(0.4608)
+    # The boundary searches of more than one dimension: the circle, the
+    # sphere of d >= 3 and the faces of a box, each at its closed form.
+    flat = builtin("quadratic_well", (1.0, 4.0))
+    disc = Domain.ball(np.zeros(2), 1.0)
+    assert quasi_potential_isotropic(flat, 1.0, disc) == pytest.approx(1.0)
+    well_3d = builtin("quadratic_well", (3.0, 1.0, 2.0))
+    sphere = Domain.ball(np.zeros(3), 0.5)
+    assert quasi_potential_isotropic(well_3d, 1.0, sphere) == pytest.approx(0.25)
+    box = Domain.box([-1.0, -0.4], [1.0, 0.4])
+    assert quasi_potential_isotropic(flat, 1.0, box) == pytest.approx(0.64)
+    assert quasi_potential_isotropic(flat, 2.0, box) == pytest.approx(0.16)
