@@ -314,6 +314,9 @@ def _cross_validate(experiment: str, values: dict[str, object]) -> None:
             raise ConfigError(f"key {key!r}: must be positive")
     if "eta_list" in values and any(e <= 0 for e in values["eta_list"]):
         raise ConfigError("key 'eta_list': entries must be positive")
+    # Every ladder keys its rungs by eta (a scaling fit's records, the gap keys).
+    if "eta_list" in values and len(set(values["eta_list"])) < len(values["eta_list"]):
+        raise ConfigError("key 'eta_list': entries must be distinct")
     if "gamma" in values and values["gamma"] < 0:
         raise ConfigError("key 'gamma': must be non-negative")
     kind = values.get("domain")
@@ -362,12 +365,10 @@ def build_domain(cfg: ExperimentConfig) -> Domain:
     raise ConfigError(f"experiment {cfg.experiment!r} needs a domain")
 
 
-def x0_array(cfg: ExperimentConfig, dim: int, default=None) -> np.ndarray:
+def x0_array(cfg: ExperimentConfig, dim: int) -> np.ndarray:
     vals = cfg.get("x0")
     if vals is None:
-        if default is None:
-            raise ConfigError("missing required key 'x0'")
-        return np.atleast_1d(np.asarray(default, dtype=float))
+        raise ConfigError("missing required key 'x0'")
     x0 = np.asarray(vals, dtype=float)
     if x0.size != dim:
         raise ConfigError(f"x0 has {x0.size} components, the objective has dim {dim}")

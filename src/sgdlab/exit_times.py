@@ -296,8 +296,8 @@ def log_mean_exit_bvp_1d(
     lo, hi = float(interval[0]), float(interval[1])
     if not lo < x < hi:
         raise ValueError(f"x={x} must lie strictly inside ({lo}, {hi})")
-    if eta_sigma2 <= 0:
-        raise ValueError(f"eta*sigma^2 must be positive, got {eta_sigma2}")
+    if not 0 < eta_sigma2 < math.inf:
+        raise ValueError(f"eta*sigma^2 must be positive and finite, got {eta_sigma2}")
     value = _as_1d_value_fn(potential)
     eps = float(eta_sigma2)
 
@@ -597,7 +597,12 @@ def _exit_ladder_mc(
     ``start``, with dt = min(eta/10, 1e-3) unless ``dt`` is given.  Every
     rung runs in one ``scatter`` over the ladder's path-major (path, rung)
     cells (see ``hitting_time_chunk``), so every chunk takes an equal share
-    of each rung's paths, whatever the worker count."""
+    of each rung's paths, whatever the worker count.  Since the records
+    are keyed by eta, a repeated eta raises ``ValueError`` before any path
+    runs."""
+    etas = [eta for eta, _, _ in rungs]
+    if len(set(etas)) < len(etas):
+        raise ValueError(f"the ladder repeats an eta: {etas}")
     if not rungs:
         return [], {}
     processes = []

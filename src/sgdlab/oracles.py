@@ -63,13 +63,11 @@ class AdditiveGaussianOracle:
     """Exact gradient plus Gaussian noise with covariance Sigma(x).
 
     ``covariance`` is either a constant matrix or a map x -> matrix.  The
-    matrix square root of a constant covariance is cached.
+    matrix square root of a constant covariance is computed once.
     """
 
     potential: PotentialSpec
     covariance: Union[np.ndarray, Callable[[np.ndarray], np.ndarray]]
-
-    kind = "additive_gaussian"
 
     @classmethod
     def isotropic(cls, potential: PotentialSpec, sigma: float) -> "AdditiveGaussianOracle":
@@ -79,13 +77,13 @@ class AdditiveGaussianOracle:
         return cls(potential, (sigma**2) * np.eye(potential.dim))
 
     @cached_property
-    def _constant_sqrt(self) -> np.ndarray | None:
+    def diffusion(self) -> Union[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
+        """The diffusion side S of the oracle: the constant root of a constant
+        covariance, else the map ``diffusion_at``.  Every engine reads the
+        noise law here and nowhere else."""
         if callable(self.covariance):
-            return None
+            return self.diffusion_at
         return psd_sqrt(self.covariance)
-
-    def mean_gradient(self, x) -> np.ndarray:
-        return np.asarray(self.potential.gradient(x), dtype=float)
 
     def covariance_at(self, x) -> np.ndarray:
         if callable(self.covariance):
@@ -94,16 +92,16 @@ class AdditiveGaussianOracle:
 
     def diffusion_at(self, x) -> np.ndarray:
         """S(x) = sqrt(Sigma(x))."""
-        if self._constant_sqrt is not None:
-            return self._constant_sqrt
-        return psd_sqrt(self.covariance_at(x))
+        if callable(self.covariance):
+            return psd_sqrt(self.covariance_at(x))
+        return self.diffusion
 
     def sample(self, x, rng: np.random.Generator, m: int | None = None) -> np.ndarray:
         if m is not None:
             raise ValueError("batch size override only applies to mini-batch oracles")
         x = np.asarray(x, dtype=float)
         xi = rng.standard_normal(self.potential.dim)
-        return self.mean_gradient(x) + self.diffusion_at(x) @ xi
+        return np.asarray(self.potential.gradient(x), dtype=float) + self.diffusion_at(x) @ xi
 
 
 @dataclass(frozen=True)
@@ -114,8 +112,6 @@ class MinibatchOracle:
     m: int
     mode: str = WITHOUT_REPLACEMENT
 
-    kind = "minibatch"
-
     def __post_init__(self):
         if self.mode not in (WITHOUT_REPLACEMENT, WITH_REPLACEMENT):
             raise ValueError(f"unknown sampling mode {self.mode!r}")
@@ -125,8 +121,11 @@ class MinibatchOracle:
     def potential(self) -> PotentialSpec:
         return self.fs.base
 
-    def mean_gradient(self, x) -> np.ndarray:
-        return np.asarray(self.fs.base.gradient(x), dtype=float)
+    @property
+    def diffusion(self) -> Callable[[np.ndarray], np.ndarray]:
+        """The diffusion side S of the oracle: the map ``diffusion_at``, since
+        a finite sum's noise depends on the state."""
+        return self.diffusion_at
 
     def covariance_at(self, x, m: int | None = None) -> np.ndarray:
         m = self.m if m is None else m

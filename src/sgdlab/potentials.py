@@ -275,56 +275,20 @@ def _require_positive(params: Sequence[float], what: str) -> np.ndarray:
     return arr
 
 
-def _quadratic_well(params: Sequence[float]) -> PotentialSpec:
-    lam = _require_positive(params if len(params) else (1.0,), "quadratic_well")
-    d = lam.size
-    eig = np.sort(lam)[::-1]
-    cp = CriticalPoint(np.zeros(d), MINIMIZER, eig)
+def _diag_quadratic(name: str, coeffs: np.ndarray, kind: str, params) -> PotentialSpec:
+    """F(x) = sum q_i x_i^2 / 2 with one critical point, of ``kind``, at 0.
+    Every builtin diagonal quadratic is built here, so its three bound
+    ``_diag_quad_*`` maps are what ``diagonal_quadratic_coefficients``
+    recognises."""
+    cp = CriticalPoint(np.zeros(coeffs.size), kind, np.sort(coeffs)[::-1])
     return PotentialSpec(
-        name="quadratic_well",
-        dim=d,
-        value=partial(_diag_quad_value, lam),
-        gradient=partial(_diag_quad_gradient, lam),
-        hessian=partial(_diag_quad_hessian, lam),
-        critical_points=(cp,),
-        params=tuple(lam),
-    )
-
-
-def _inverted_quadratic(params: Sequence[float]) -> PotentialSpec:
-    gam = _require_positive(params if len(params) else (1.0,), "inverted_quadratic")
-    d = gam.size
-    coeffs = -gam
-    eig = np.sort(coeffs)[::-1]
-    cp = CriticalPoint(np.zeros(d), MAXIMIZER, eig)
-    return PotentialSpec(
-        name="inverted_quadratic",
-        dim=d,
+        name=name,
+        dim=coeffs.size,
         value=partial(_diag_quad_value, coeffs),
         gradient=partial(_diag_quad_gradient, coeffs),
         hessian=partial(_diag_quad_hessian, coeffs),
         critical_points=(cp,),
-        params=tuple(gam),
-    )
-
-
-def _saddle_2d(params: Sequence[float]) -> PotentialSpec:
-    if len(params) == 0:
-        params = (1.0, 1.0)
-    if len(params) != 2:
-        raise ValueError(f"saddle_2d takes parameters (gamma1, lam), got {list(params)}")
-    gamma1, lam = _require_positive(params, "saddle_2d")
-    coeffs = np.array([-gamma1, lam])
-    eig = np.sort(coeffs)[::-1]
-    cp = CriticalPoint(np.zeros(2), SADDLE, eig)
-    return PotentialSpec(
-        name="saddle_2d",
-        dim=2,
-        value=partial(_diag_quad_value, coeffs),
-        gradient=partial(_diag_quad_gradient, coeffs),
-        hessian=partial(_diag_quad_hessian, coeffs),
-        critical_points=(cp,),
-        params=(float(gamma1), float(lam)),
+        params=tuple(params),
     )
 
 
@@ -415,11 +379,17 @@ def builtin(name: str, params: Sequence[float] = (), dim: int = 1):
     """
     params = tuple(float(p) for p in params)
     if name == "quadratic_well":
-        return _quadratic_well(params)
+        lam = _require_positive(params or (1.0,), name)
+        return _diag_quadratic(name, lam, MINIMIZER, lam)
     if name == "inverted_quadratic":
-        return _inverted_quadratic(params)
+        gam = _require_positive(params or (1.0,), name)
+        return _diag_quadratic(name, -gam, MAXIMIZER, gam)
     if name == "saddle_2d":
-        return _saddle_2d(params)
+        params = params or (1.0, 1.0)
+        if len(params) != 2:
+            raise ValueError(f"saddle_2d takes parameters (gamma1, lam), got {list(params)}")
+        gamma1, lam = _require_positive(params, name)
+        return _diag_quadratic(name, np.array([-gamma1, lam]), SADDLE, params)
     if name == "double_well_1d":
         if params:
             raise ValueError("double_well_1d takes no parameters")

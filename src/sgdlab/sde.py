@@ -358,7 +358,10 @@ def deviation_empirical(
 ) -> DeviationReport:
     """Monte Carlo check of the normal-deviation covariance at time T.
 
-    The SGD ensemble runs through ``scatter`` (see ``streams``).
+    The Lyapunov side integrates ``oracle.diffusion`` along the flow, so a
+    state-dependent noise law (any mini-batch oracle) is read at Y(s), not
+    frozen at x0.  The SGD ensemble runs through ``scatter`` (see
+    ``streams``).
     """
     k = _horizon_steps(T, eta)
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
@@ -369,11 +372,7 @@ def deviation_empirical(
     zeta = (endpoints - y_final) / math.sqrt(eta)
     emp_mean = zeta.mean(axis=0)
     emp_cov = np.atleast_2d(np.cov(zeta.T, ddof=1))
-    if callable(getattr(oracle, "covariance", None)):
-        diffusion: Diffusion = lambda y: oracle.diffusion_at(y)
-    else:
-        diffusion = oracle.diffusion_at(x0)
-    lyap = deviation_covariance(potential, x0, [T], diffusion)[-1]
+    lyap = deviation_covariance(potential, x0, [T], oracle.diffusion)[-1]
     rel = float(np.linalg.norm(emp_cov - lyap) / max(np.linalg.norm(lyap), 1e-300))
     return DeviationReport(
         t=T,

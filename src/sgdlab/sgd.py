@@ -13,7 +13,7 @@ decays like 1/log(s).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -25,11 +25,10 @@ from .oracles import GradientOracle, MinibatchOracle
 
 @dataclass(frozen=True)
 class Trajectory:
-    """A discretely sampled path: times (n,), states (n, dim), metadata."""
+    """A discretely sampled path: times (n,), states (n, dim)."""
 
     times: np.ndarray
     states: np.ndarray
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float)
@@ -125,26 +124,27 @@ def _additive_gaussian_kernel(cfg: SgdConfig, domain=None) -> streams.Kernel:
     """The kernel of an ``AdditiveGaussianOracle`` chain, on d standard
     normals per step.
 
-    Step k is x - eta (grad F(x) + S xi_k).  A constant S shapes the draws
-    (``streams.gaussian_kernel``); a callable covariance is evaluated inside
-    the step, one S(x_i) @ xi_i per live row (see ``_live_rows``; the others
-    take no noise), the product ``oracle.sample`` takes.
+    Step k is x - eta (grad F(x) + S xi_k), with S = ``oracle.diffusion``.
+    A constant S shapes the draws (``streams.gaussian_kernel``); a map S is
+    evaluated inside the step, one S(x_i) @ xi_i per live row (see
+    ``_live_rows``; the others take no noise), the product ``oracle.sample``
+    takes.
     """
-    oracle = cfg.oracle
     eta = cfg.eta
-    gradient = oracle.potential.gradient
+    gradient = cfg.oracle.potential.gradient
+    diffusion = cfg.oracle.diffusion
     d = cfg.x0.size
-    if not callable(oracle.covariance):
+    if not callable(diffusion):
 
         def step_fn(x, noise, k):
             return x - eta * (gradient(x) + noise)
 
-        return streams.gaussian_kernel(step_fn, d, oracle.diffusion_at(cfg.x0))
+        return streams.gaussian_kernel(step_fn, d, diffusion)
 
     def step_fn(x, xi, k):
         noise = np.zeros_like(x)
         for i in _live_rows(x, domain):
-            noise[i] = oracle.diffusion_at(x[i]) @ xi[i]
+            noise[i] = diffusion(x[i]) @ xi[i]
         return x - eta * (gradient(x) + noise)
 
     return streams.gaussian_kernel(step_fn, d)
@@ -230,12 +230,7 @@ def run_sgd(cfg: SgdConfig, rng: np.random.Generator | None = None) -> Trajector
                 f"non-finite state at step {k + 1} (eta={cfg.eta})", step=k + 1
             )
         states.append(x)
-    steps = np.arange(cfg.steps + 1)
-    return Trajectory(
-        times=steps * cfg.eta,
-        states=np.vstack(states),
-        meta={"eta": cfg.eta, "seed": cfg.seed, "steps": steps},
-    )
+    return Trajectory(times=np.arange(cfg.steps + 1) * cfg.eta, states=np.vstack(states))
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import streams
 from .errors import NumericalError
-from .oracles import AdditiveGaussianOracle, GradientOracle
+from .oracles import GradientOracle
 from .potentials import PotentialSpec, diagonal_quadratic_coefficients
 from .sde import (
     FIRST_ORDER,
@@ -44,7 +44,6 @@ class TestFunction:
 
     name: str
     fn: Callable[[np.ndarray], np.ndarray]
-    bounded: bool
 
     def __call__(self, s: np.ndarray) -> np.ndarray:
         return self.fn(np.asarray(s, dtype=float))
@@ -70,10 +69,10 @@ def _phi_tanh_x2(s):
 #: bounded smooth functions, enough to expose the convergence order without
 #: favoring either class.
 DEFAULT_SUITE: tuple[TestFunction, ...] = (
-    TestFunction("x", _phi_x, bounded=False),
-    TestFunction("x2", _phi_x2, bounded=False),
-    TestFunction("tanh_x", _phi_tanh, bounded=True),
-    TestFunction("tanh_x2", _phi_tanh_x2, bounded=True),
+    TestFunction("x", _phi_x),
+    TestFunction("x2", _phi_x2),
+    TestFunction("tanh_x", _phi_tanh),
+    TestFunction("tanh_x2", _phi_tanh_x2),
 )
 
 
@@ -152,7 +151,7 @@ def corrected_rate(lam: float, eta: float, drift_order: str) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Exact weak error on the linear chain.
+# Weak-error points and reports.
 # ---------------------------------------------------------------------------
 
 
@@ -188,18 +187,70 @@ class WeakErrorReport:
     method_sde: str
 
 
-def _per_observable_fits(
-    points: Sequence[WeakErrorPoint], n_obs: int, use_stderr: bool
-) -> tuple[float, ...]:
-    fits = []
-    for i in range(n_obs):
-        errs = [p.errors[i] for p in points]
-        ses = [p.stderrs[i] for p in points] if use_stderr else None
+#: One side of a weak error: phi -> (estimate of E phi, its squared
+#: standard error).
+Side = Callable[[TestFunction], tuple[float, float]]
+
+
+def _closed_side(mean: float, var: float) -> Side:
+    """The Gaussian marginal N(mean, var), read exactly by quadrature."""
+    return lambda phi: (gauss_hermite_expectation(phi, mean, var), 0.0)
+
+
+def _ou_side(lam: float, sigma2: float, x0: float, T: float, eta: float, drift_order: str) -> Side:
+    """The limiting OU marginal at T of the linear chain on F = lam x^2 / 2
+    with noise variance sigma2 (see ``corrected_rate``)."""
+    return _closed_side(*ou_moments(corrected_rate(lam, eta, drift_order), eta * sigma2, x0, T))
+
+
+def _sampled_side(ends: np.ndarray) -> Side:
+    """A Monte Carlo sample of terminal states: the mean of phi and its
+    variance over the sample size."""
+
+    def side(phi):
+        vals = np.asarray(phi(ends), dtype=float)
+        return float(vals.mean()), float(vals.var(ddof=1)) / vals.size
+
+    return side
+
+
+def _weak_point(eta: float, sgd_side: Side, sde_side: Side) -> WeakErrorPoint:
+    """|E phi(x_K) - E phi(X_T)| over ``DEFAULT_SUITE``, with standard errors
+    that combine both sides."""
+    errors, stderrs = [], []
+    for phi in DEFAULT_SUITE:
+        (e_sgd, se2_sgd), (e_sde, se2_sde) = sgd_side(phi), sde_side(phi)
+        errors.append(abs(e_sgd - e_sde))
+        stderrs.append(math.sqrt(se2_sgd + se2_sde))
+    i_max = int(np.argmax(errors))
+    return WeakErrorPoint(float(eta), tuple(errors), tuple(stderrs), errors[i_max], stderrs[i_max])
+
+
+def _weak_report(
+    points: Sequence[WeakErrorPoint], drift_order: str, method_sgd: str, method_sde: str
+) -> WeakErrorReport:
+    """The ladder of ``points`` with its order fits.  ``order_fit``'s
+    noise-floor filter keeps every point whose standard errors are zero."""
+    etas = [p.eta for p in points]
+
+    def slope(i: int) -> float:
+        errors, stderrs = [p.errors[i] for p in points], [p.stderrs[i] for p in points]
         try:
-            fits.append(order_fit([p.eta for p in points], errs, stderrs=ses).slope)
+            return order_fit(etas, errors, stderrs).slope
         except NumericalError:
-            fits.append(float("nan"))
-    return tuple(fits)
+            return float("nan")
+
+    fit = order_fit(etas, [p.max_error for p in points], [p.max_stderr for p in points])
+    return WeakErrorReport(
+        drift_order=drift_order,
+        observables=tuple(phi.name for phi in DEFAULT_SUITE),
+        points=tuple(points),
+        fitted_orders=tuple(slope(i) for i in range(len(DEFAULT_SUITE))),
+        fitted_order=fit.slope,
+        expected_order=1.0 if drift_order == FIRST_ORDER else 2.0,
+        method_sgd=method_sgd,
+        method_sde=method_sde,
+    )
 
 
 def weak_error_linear(
@@ -220,23 +271,8 @@ def weak_error_linear(
     if lam <= 0 or sigma <= 0 or eta <= 0 or T <= 0:
         raise ValueError("lam, sigma, eta and T must all be positive")
     k = _horizon_steps(T, eta)
-    m_sgd, v_sgd = sgd_moments_linear(lam, eta, sigma, x0, k)
-    rate = corrected_rate(lam, eta, drift_order)
-    m_sde, v_sde = ou_moments(rate, eta * sigma**2, x0, T)
-    errors = tuple(
-        abs(
-            gauss_hermite_expectation(phi, m_sgd, v_sgd)
-            - gauss_hermite_expectation(phi, m_sde, v_sde)
-        )
-        for phi in DEFAULT_SUITE
-    )
-    return WeakErrorPoint(
-        eta=float(eta),
-        errors=errors,
-        stderrs=tuple(0.0 for _ in DEFAULT_SUITE),
-        max_error=max(errors),
-        max_stderr=0.0,
-    )
+    sgd_side = _closed_side(*sgd_moments_linear(lam, eta, sigma, x0, k))
+    return _weak_point(eta, sgd_side, _ou_side(lam, sigma**2, x0, T, eta, drift_order))
 
 
 def weak_error_ladder_linear(
@@ -248,20 +284,8 @@ def weak_error_ladder_linear(
     drift_order: str = FIRST_ORDER,
 ) -> WeakErrorReport:
     """Exact weak-error ladder on the linear chain with a fitted order."""
-    points = tuple(weak_error_linear(lam, eta, sigma, T, x0, drift_order) for eta in eta_list)
-    fit = order_fit(
-        [p.eta for p in points], [p.max_error for p in points], stderrs=None
-    )
-    return WeakErrorReport(
-        drift_order=drift_order,
-        observables=tuple(phi.name for phi in DEFAULT_SUITE),
-        points=points,
-        fitted_orders=_per_observable_fits(points, len(DEFAULT_SUITE), use_stderr=False),
-        fitted_order=fit.slope,
-        expected_order=1.0 if drift_order == FIRST_ORDER else 2.0,
-        method_sgd="closed_form",
-        method_sde="closed_form",
-    )
+    points = [weak_error_linear(lam, eta, sigma, T, x0, drift_order) for eta in eta_list]
+    return _weak_report(points, drift_order, "closed_form", "closed_form")
 
 
 # ---------------------------------------------------------------------------
@@ -274,8 +298,6 @@ class OrderFit:
     slope: float
     intercept: float
     n_used: int
-    used: tuple[bool, ...]
-    pairwise_slopes: tuple[float, ...]
 
 
 def order_fit(
@@ -288,8 +310,7 @@ def order_fit(
     Points with non-positive error are dropped, as are points whose Monte
     Carlo standard error exceeds 30% of the measured error (the ladder below
     the noise floor carries no order information).  At least
-    ``MIN_FIT_POINTS`` must survive.  ``pairwise_slopes`` are the local slopes between
-    consecutive surviving points, for diagnosing pre-asymptotic drift.
+    ``MIN_FIT_POINTS`` must survive.
     """
     etas = np.asarray(etas, dtype=float)
     errors = np.asarray(errors, dtype=float)
@@ -305,14 +326,7 @@ def order_fit(
     log_e = np.log(etas[mask])
     log_err = np.log(errors[mask])
     slope, intercept = np.polyfit(log_e, log_err, 1)
-    pairwise = np.diff(log_err) / np.diff(log_e)
-    return OrderFit(
-        slope=float(slope),
-        intercept=float(intercept),
-        n_used=int(mask.sum()),
-        used=tuple(bool(b) for b in mask),
-        pairwise_slopes=tuple(float(s) for s in pairwise),
-    )
+    return OrderFit(slope=float(slope), intercept=float(intercept), n_used=int(mask.sum()))
 
 
 # ---------------------------------------------------------------------------
@@ -349,11 +363,12 @@ def weak_error_mc(
     """Monte Carlo weak-error ladder |E phi(x_K) - E phi(X_T)| over
     ``DEFAULT_SUITE`` (1-D).
 
-    The SGD side is always simulated.  On the linear Gaussian chain (a
-    builtin quadratic well, see ``well_rate``, under a constant-covariance
-    ``AdditiveGaussianOracle``) the diffusion expectation is evaluated
-    exactly (no discretization, no sampling); otherwise the diffusion side
-    is an Euler-Maruyama ensemble with dt = dt_factor * eta.  Standard
+    The SGD side is always simulated.  The diffusion side is the SDE with
+    S = ``oracle.diffusion``.  On the linear Gaussian chain (a builtin
+    quadratic well, see ``well_rate``, under a constant S) its expectation
+    is evaluated exactly (no discretization, no sampling); otherwise it is an
+    Euler-Maruyama ensemble with dt = dt_factor * eta, which evaluates a
+    state-dependent S (every mini-batch oracle) per path per step.  Standard
     errors combine both sides and feed the noise-floor filter of the order
     fit.  Both ensembles run through ``scatter`` (see ``streams``).
     """
@@ -361,22 +376,16 @@ def weak_error_mc(
         raise ValueError("the Monte Carlo weak-error ladder is one-dimensional")
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     lam = well_rate(potential)
-    exact_sde = (
-        lam is not None
-        and isinstance(oracle, AdditiveGaussianOracle)
-        and not callable(oracle.covariance)
-    )
+    exact_sde = lam is not None and not callable(oracle.diffusion)
     points = []
     for j, eta in enumerate(eta_list):
         k = _horizon_steps(T, eta)
         sgd_cfg = SgdConfig(eta=eta, steps=k, x0=x0, oracle=oracle, seed=seed)
         parts = scatter(sgd_ensemble_chunk, n_paths, sgd_cfg, f"{experiment}:sgd:eta{j}", None)
-        ends_sgd = np.concatenate([part.endpoints for part in parts])[:, 0]
+        sgd_side = _sampled_side(np.concatenate([part.endpoints for part in parts])[:, 0])
         if exact_sde:
-            sigma2 = float(np.asarray(oracle.covariance)[0, 0])
-            rate = corrected_rate(lam, eta, drift_order)
-            m_sde, v_sde = ou_moments(rate, eta * sigma2, float(x0[0]), T)
-            ends_sde = None
+            sigma2 = float(oracle.covariance_at(x0)[0, 0])
+            sde_side = _ou_side(lam, sigma2, float(x0[0]), T, eta, drift_order)
         else:
             sde_cfg = SdeConfig(
                 potential=potential,
@@ -384,47 +393,11 @@ def weak_error_mc(
                 dt=dt_factor * eta,
                 T=T,
                 x0=x0,
-                diffusion=oracle.diffusion_at if callable(oracle.covariance) else oracle.diffusion_at(x0),
+                diffusion=oracle.diffusion,
                 drift_order=drift_order,
                 seed=seed,
             )
             parts = scatter(em_endpoints_chunk, n_paths, sde_cfg, f"{experiment}:sde:eta{j}")
-            ends_sde = np.concatenate(parts)[:, 0]
-        errors, stderrs = [], []
-        for phi in DEFAULT_SUITE:
-            vals_sgd = np.asarray(phi(ends_sgd), dtype=float)
-            mean_sgd = float(vals_sgd.mean())
-            se2 = float(vals_sgd.var(ddof=1)) / vals_sgd.size
-            if ends_sde is None:
-                mean_sde = gauss_hermite_expectation(phi, m_sde, v_sde)
-            else:
-                vals_sde = np.asarray(phi(ends_sde), dtype=float)
-                mean_sde = float(vals_sde.mean())
-                se2 += float(vals_sde.var(ddof=1)) / vals_sde.size
-            errors.append(abs(mean_sgd - mean_sde))
-            stderrs.append(math.sqrt(se2))
-        i_max = int(np.argmax(errors))
-        points.append(
-            WeakErrorPoint(
-                eta=float(eta),
-                errors=tuple(errors),
-                stderrs=tuple(stderrs),
-                max_error=errors[i_max],
-                max_stderr=stderrs[i_max],
-            )
-        )
-    fit = order_fit(
-        [p.eta for p in points],
-        [p.max_error for p in points],
-        stderrs=[p.max_stderr for p in points],
-    )
-    return WeakErrorReport(
-        drift_order=drift_order,
-        observables=tuple(phi.name for phi in DEFAULT_SUITE),
-        points=tuple(points),
-        fitted_orders=_per_observable_fits(points, len(DEFAULT_SUITE), use_stderr=True),
-        fitted_order=fit.slope,
-        expected_order=1.0 if drift_order == FIRST_ORDER else 2.0,
-        method_sgd="mc",
-        method_sde="exact_sampler" if exact_sde else "mc",
-    )
+            sde_side = _sampled_side(np.concatenate(parts)[:, 0])
+        points.append(_weak_point(eta, sgd_side, sde_side))
+    return _weak_report(points, drift_order, "mc", "exact_sampler" if exact_sde else "mc")

@@ -1,5 +1,6 @@
 """Every public name of the package, and every module-level function and
-class of its modules, has a caller outside the tests.
+class of its modules, has a caller outside the tests, and every dataclass
+field a reader there.
 
 A function that only tests call is kept "for the API" and drifts from the
 code path that produces the numbers, so the package defines only what the
@@ -62,3 +63,28 @@ def test_every_module_level_definition_is_used_outside_the_tests():
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in used:
                 unused.append(f"{path.stem}.{node.name}")
     assert not unused, f"defined but called only by tests: {unused}"
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for deco in node.decorator_list:
+        target = deco.func if isinstance(deco, ast.Call) else deco
+        if isinstance(target, ast.Name) and target.id == "dataclass":
+            return True
+    return False
+
+
+def test_every_dataclass_field_is_read_outside_the_tests():
+    """A field nothing reads is carried, built and documented for no one.
+    ``NamedTuple`` fields are exempt: ``streams.lockstep`` unpacks a kernel
+    by position."""
+    used = _used_outside_the_tests()
+    unread = []
+    for path in sorted((ROOT / "src" / "sgdlab").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                unread += [
+                    f"{path.stem}.{node.name}.{stmt.target.id}"
+                    for stmt in node.body
+                    if isinstance(stmt, ast.AnnAssign) and stmt.target.id not in used
+                ]
+    assert not unread, f"dataclass fields read only by tests: {unread}"

@@ -130,3 +130,9 @@ def test_negative_checkpoint_count_is_rejected():
     validate_config(parse_config_text(ANNEAL_TEXT + "n_checkpoints = 0\n"))
     with pytest.raises(ConfigError, match="key 'n_checkpoints': must be non-negative"):
         validate_config(parse_config_text(ANNEAL_TEXT + "n_checkpoints = -3\n"))
+
+
+def test_a_repeated_eta_in_a_ladder_is_rejected():
+    text = "experiment = weak-order\n" + SAMPLE_VARIANCE_TEXTS["weak-order"]
+    with pytest.raises(ConfigError, match="key 'eta_list': entries must be distinct"):
+        validate_config(parse_config_text(text.replace("0.2, 0.1", "0.2, 0.1, 0.2")))

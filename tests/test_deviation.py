@@ -1,6 +1,7 @@
 """Tests for the normal-deviation limit: rescaled fluctuations around the
 gradient flow converge to a Gaussian process with a Lyapunov covariance."""
 
+import functools
 import math
 
 import numpy as np
@@ -8,6 +9,8 @@ import pytest
 
 from sgdlab import (
     AdditiveGaussianOracle,
+    FiniteSumSpec,
+    MinibatchOracle,
     builtin,
     deviation_covariance,
     deviation_empirical,
@@ -50,3 +53,26 @@ def test_sup_gap_to_flow_shrinks_with_eta():
         gaps.append((mean, stderr))
     (g_hi, se_hi), (g_lo, se_lo) = gaps
     assert g_lo + 3 * se_lo < g_hi - 3 * se_hi
+
+
+def _affine_component(a, b, x):
+    x = np.asarray(x, dtype=float)
+    return x + a + b * x
+
+
+def test_minibatch_deviations_read_the_noise_along_the_flow():
+    """Components x + a_i + b_i x average to the well's gradient x, and the
+    batch noise grows with |x|: the Lyapunov side must read S(Y(s)) along
+    the flow (variance 0.496), not S(x0) frozen at the start (0.781)."""
+    a, b = (1.0, -1.0, 0.5, -0.5), (0.6, -0.6, -0.3, 0.3)
+    comps = [functools.partial(_affine_component, ai, bi) for ai, bi in zip(a, b)]
+    oracle = MinibatchOracle(FiniteSumSpec(WELL, comps, M=4), m=1)
+    x0 = np.array([1.5])
+    rep = deviation_empirical(WELL, oracle, eta=0.05, T=1.0, x0=x0, n_paths=4000, seed=2)
+    along = deviation_covariance(WELL, x0, [1.0], oracle.diffusion_at)[-1]
+    frozen = deviation_covariance(WELL, x0, [1.0], oracle.diffusion_at(x0))[-1]
+    np.testing.assert_array_equal(rep.lyapunov_cov, along)
+    assert along[0, 0] == pytest.approx(0.496, abs=1e-3)
+    assert frozen[0, 0] == pytest.approx(0.781, abs=1e-3)
+    se = along[0, 0] * math.sqrt(2.0 / rep.n_paths)
+    assert abs(rep.empirical_cov[0, 0] - along[0, 0]) < 4 * se + 0.05

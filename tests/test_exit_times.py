@@ -720,6 +720,8 @@ def test_hitting_mc_rejects_block_below_one(block, monkeypatch):
         ("minimizer", (0.25, 0.2, -0.1), "eta must be positive"),
         ("saddle", (0.01, 1.0), "0 < eta < 1"),
         ("saddle", (0.01, 0.02, 0.0), "0 < eta < 1"),
+        ("minimizer", (0.25, 0.25), "repeats an eta"),
+        ("saddle", (0.01, 0.02, 0.01), "repeats an eta"),
     ],
 )
 def test_scaling_fits_reject_a_bad_ladder_before_any_path_runs(fit, etas, message, monkeypatch):
@@ -730,3 +732,15 @@ def test_scaling_fits_reject_a_bad_ladder_before_any_path_runs(fit, etas, messag
             minimizer_scaling_fit(WELL, 1.0, UNIT, etas, **kw)
         else:
             saddle_scaling_fit(INVERTED, 1.0, UNIT, np.zeros(1), etas, **kw)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+def test_non_finite_noise_is_refused_before_any_quadrature(bad):
+    """eta * sigma^2 outside (0, inf) raises at once, in the oracle and in
+    both scaling fits that call it, instead of doubling the grid to its cap."""
+    with pytest.raises(ValueError, match="positive and finite"):
+        log_mean_exit_bvp_1d(DOUBLE_WELL, bad, (-1.0, 2.0), 1.0)
+    with pytest.raises(ValueError, match="positive and finite"):
+        minimizer_scaling_fit(DOUBLE_WELL, bad, Domain.interval(-1.0, 2.0), [0.1])
+    with pytest.raises(ValueError, match="positive and finite"):
+        saddle_scaling_fit(INVERTED, bad, UNIT, np.zeros(1), [0.1])

@@ -7,8 +7,11 @@ import pytest
 
 from sgdlab import (
     AdditiveGaussianOracle,
+    EnsembleResult,
+    MinibatchOracle,
     PotentialSpec,
     builtin,
+    gaussian_cloud,
     gauss_hermite_expectation,
     order_fit,
     weak_error_ladder_linear,
@@ -16,6 +19,8 @@ from sgdlab import (
     weak_error_mc,
 )
 from sgdlab import weak_error
+from sgdlab.sde import em_endpoints_chunk
+from sgdlab.sgd import sgd_ensemble_chunk
 
 ETA_LADDER = [0.2, 0.1, 0.05, 0.025, 0.0125]
 
@@ -126,3 +131,30 @@ def test_exact_diffusion_side_is_keyed_on_the_quadratic_family(params):
     assert rep.method_sde == "mc"
     for pt, ref in zip(rep.points, builtin_rep.points):
         assert abs(pt.max_error - ref.max_error) < 4 * math.hypot(pt.max_stderr, ref.max_stderr)
+
+
+def test_a_minibatch_ladder_takes_the_euler_side_with_the_oracles_noise():
+    """A mini-batch oracle's diffusion side is the SDE with S(x) =
+    ``oracle.diffusion_at(x)``.  The ensembles are replaced by canned
+    endpoints whose "x" errors are exactly eta, so only the ladder's own
+    logic runs."""
+    oracle = MinibatchOracle(gaussian_cloud([[-1.0], [0.0], [0.5], [2.0]]), m=1)
+    base = np.linspace(-0.01, 0.01, 500)[:, None]
+    sde_configs = []
+
+    def scatter(fn, n_paths, cfg, experiment, *rest):
+        if fn is em_endpoints_chunk:
+            sde_configs.append(cfg)
+            return [base]
+        assert fn is sgd_ensemble_chunk and cfg.oracle is oracle
+        return [EnsembleResult(endpoints=base + cfg.eta)]
+
+    etas = [0.2, 0.1, 0.05]
+    rep = weak_error_mc(oracle.potential, oracle, 1.0, [1.0], etas, n_paths=500, scatter=scatter)
+    assert rep.method_sde == "mc"
+    assert [cfg.eta for cfg in sde_configs] == etas
+    for cfg in sde_configs:
+        for x in (-1.0, 0.3, 1.5):
+            np.testing.assert_array_equal(cfg.diffusion(np.array([x])), oracle.diffusion_at([x]))
+    assert [p.errors[0] for p in rep.points] == pytest.approx(etas, rel=1e-12)
+    assert rep.fitted_orders[0] == pytest.approx(1.0, rel=1e-9)
