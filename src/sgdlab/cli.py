@@ -122,6 +122,12 @@ class Pool:
         if self.workers == 1:
             return [fn(*args, 0, n)]
         if self._executor is None:
+            # The one scipy module a chunk can reach (``lfilter``, through
+            # the diagonal quadratics' block stepper), imported once here so
+            # that the forked workers inherit it instead of each paying the
+            # cold import of about a second.
+            import scipy.signal  # noqa: F401
+
             self._executor = ProcessPoolExecutor(max_workers=self.workers)
         futures = [
             self._executor.submit(fn, *args, lo, hi) for lo, hi in _chunk_ranges(n, self.workers)

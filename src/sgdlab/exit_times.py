@@ -16,8 +16,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
-from scipy.optimize import minimize, minimize_scalar
-from scipy.stats import beta as beta_dist
 
 from . import streams
 from .errors import NumericalError
@@ -367,6 +365,8 @@ def _boundary_min(potential: PotentialSpec, domain: Domain, n_samples: int = 10*
             pts = np.array([[c[0] - r], [c[0] + r]])
             return float(np.min(value(pts)))
         if d == 2:
+            from scipy.optimize import minimize_scalar
+
             theta = np.linspace(0.0, 2.0 * np.pi, n_samples, endpoint=False)
             pts = c + r * np.column_stack([np.cos(theta), np.sin(theta)])
             vals = np.asarray(value(pts), dtype=float)
@@ -383,6 +383,8 @@ def _boundary_min(potential: PotentialSpec, domain: Domain, n_samples: int = 10*
                 options={"xatol": 1e-12},
             )
             return float(min(res.fun, vals[k]))
+        from scipy.optimize import minimize
+
         rng = np.random.default_rng(0)
         dirs = rng.standard_normal((n_samples, d))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
@@ -401,6 +403,8 @@ def _boundary_min(potential: PotentialSpec, domain: Domain, n_samples: int = 10*
     if d == 1:
         pts = np.array([[lo[0]], [hi[0]]])
         return float(np.min(value(pts)))
+    from scipy.optimize import minimize
+
     rng = np.random.default_rng(0)
     per_face = max(1, n_samples // (2 * d))
     best_val, best_pt, best_face = np.inf, None, None
@@ -795,10 +799,14 @@ class AnnealResult:
 
 
 def _binomial_ci(k: int, n: int, level: float = 0.95) -> tuple[float, float]:
-    """Clopper-Pearson central interval."""
+    """Clopper-Pearson central interval.  The quantiles come from
+    ``scipy.special.betaincinv``, which gives ``scipy.stats.beta.ppf``'s
+    bits without the cost of importing ``scipy.stats``."""
+    from scipy.special import betaincinv
+
     alpha = 1.0 - level
-    lo = 0.0 if k == 0 else float(beta_dist.ppf(alpha / 2.0, k, n - k + 1))
-    hi = 1.0 if k == n else float(beta_dist.ppf(1.0 - alpha / 2.0, k + 1, n - k))
+    lo = 0.0 if k == 0 else float(betaincinv(k, n - k + 1, alpha / 2.0))
+    hi = 1.0 if k == n else float(betaincinv(k + 1, n - k, 1.0 - alpha / 2.0))
     return lo, hi
 
 

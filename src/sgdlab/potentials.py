@@ -17,7 +17,6 @@ from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
 MINIMIZER = "minimizer"
 SADDLE = "saddle"
@@ -299,6 +298,8 @@ def _tilted_double_well(tilt: float) -> PotentialSpec:
     +-1/sqrt(3), so each bracket holds exactly one root when the wells have
     not merged (|tilt| < 2/(3*sqrt(3))).
     """
+    from scipy.optimize import brentq
+
     t_merge = 2.0 / (3.0 * np.sqrt(3.0))
     if abs(tilt) >= t_merge - 1e-9:
         raise ValueError(

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 import numpy as np
-from scipy.signal import lfilter
 
 from . import streams
 from .oracles import GradientOracle
@@ -117,6 +116,8 @@ def _linear_block_step(c: np.ndarray) -> Callable[[np.ndarray, np.ndarray], np.n
     zi = c x, is the loop ``x = c * x + noise`` bit for bit, so neither the
     block nor the slab cut changes a state.
     """
+
+    from scipy.signal import lfilter
 
     def block_step(x, buf):
         step = streams.scan_slab(buf.shape)

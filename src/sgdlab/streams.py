@@ -289,11 +289,21 @@ def gaussian_kernel(step, d: int, s=1.0, step_scale=None, block_step=None) -> Ke
         shape = None
 
     def fill(gens, ids, k0, k1, out):
+        if s_t is None:
+            # Each path draws into a contiguous row of a path-major tile of
+            # ``SCAN_BYTES``, and a tile goes into the time-major block in
+            # one transposed copy, not one strided column per path.
+            k = k1 - k0
+            tile = np.empty((min(len(ids), max(1, SCAN_BYTES // (8 * k * d))), k, d))
+            for c0 in range(0, len(ids), len(tile)):
+                part = ids[c0 : c0 + len(tile)]
+                for c, i in enumerate(part):
+                    gens[i].standard_normal(out=tile[c])
+                out[:, c0 : c0 + len(part)] = tile[: len(part)].transpose(1, 0, 2)
+            return
         for c, i in enumerate(ids):
             xi = gens[i].standard_normal((k1 - k0, d))
-            if s_t is None:
-                out[:, c] = xi
-            elif len(xi) > 1:
+            if len(xi) > 1:
                 out[:, c] = xi @ s_t
             else:
                 # numpy hands a one-row product to gemv, whose last bits

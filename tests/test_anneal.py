@@ -65,3 +65,28 @@ def test_block_below_one_is_rejected(block, monkeypatch):
     monkeypatch.setattr(streams, "path_streams", no_streams)
     with pytest.raises(ValueError, match="block"):
         anneal_experiment(TILTED, gamma=0.4, T=1.0, n_paths=4, epsilon=0.25, block=block)
+
+
+def test_clopper_pearson_quantile_equals_the_beta_ppf():
+    """``_binomial_ci`` takes its quantiles from ``scipy.special.betaincinv``
+    rather than ``scipy.stats.beta.ppf``; the two agree bit for bit over every
+    (k, n) with n < 300 and a few large n, at three levels."""
+    from scipy.special import betaincinv
+    from scipy.stats import beta
+
+    from sgdlab.exit_times import _binomial_ci
+
+    sizes = [*range(1, 300), 500, 1000, 2000, 5000, 10000]
+    k = np.concatenate([np.arange(m + 1) for m in sizes])
+    n = np.concatenate([np.full(m + 1, m) for m in sizes])
+    for level in (0.90, 0.95, 0.99):
+        alpha = 1.0 - level
+        a, b = k[k > 0], (n - k + 1)[k > 0]
+        np.testing.assert_array_equal(betaincinv(a, b, alpha / 2), beta.ppf(alpha / 2, a, b))
+        a, b = (k + 1)[k < n], (n - k)[k < n]
+        q = 1.0 - alpha / 2
+        np.testing.assert_array_equal(betaincinv(a, b, q), beta.ppf(q, a, b))
+        for kk, nn in ((0, 7), (3, 7), (7, 7), (123, 500), (4999, 10000)):
+            lo, hi = _binomial_ci(kk, nn, level)
+            assert lo == (0.0 if kk == 0 else beta.ppf(alpha / 2, kk, nn - kk + 1))
+            assert hi == (1.0 if kk == nn else beta.ppf(q, kk + 1, nn - kk))
