@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import importlib
 import json
 import math
 import os
@@ -55,7 +56,7 @@ from .exit_times import (
     saddle_scaling_fit,
 )
 from .oracles import AdditiveGaussianOracle, covariance_report
-from .potentials import FiniteSumSpec
+from .potentials import FiniteSumSpec, diagonal_quadratic_coefficients
 from .reporting import (
     fmt,
     write_anneal_csv,
@@ -103,11 +104,14 @@ class Pool:
     A context manager: the first scatter with more than one worker starts
     the process pool, every later scatter reuses it, and leaving the
     ``with`` block shuts it down, so the workers are forked once per run,
-    after the run has started, and none outlives it.
+    after the run has started, and none outlives it.  The modules named in
+    ``imports`` are imported just before the fork, so that the workers
+    inherit them instead of each paying the cold import.
     """
 
-    def __init__(self, workers: int):
+    def __init__(self, workers: int, imports: Sequence[str] = ()):
         self.workers = max(1, workers)
+        self.imports = imports
         self._executor: ProcessPoolExecutor | None = None
 
     def __enter__(self) -> "Pool":
@@ -122,12 +126,8 @@ class Pool:
         if self.workers == 1:
             return [fn(*args, 0, n)]
         if self._executor is None:
-            # The one scipy module a chunk can reach (``lfilter``, through
-            # the diagonal quadratics' block stepper), imported once here so
-            # that the forked workers inherit it instead of each paying the
-            # cold import of about a second.
-            import scipy.signal  # noqa: F401
-
+            for name in self.imports:
+                importlib.import_module(name)
             self._executor = ProcessPoolExecutor(max_workers=self.workers)
         futures = [
             self._executor.submit(fn, *args, lo, hi) for lo, hi in _chunk_ranges(n, self.workers)
@@ -678,6 +678,17 @@ def _resolve_workers(cfg: ExperimentConfig) -> int:
     return 1
 
 
+def _chunk_imports(cfg: ExperimentConfig) -> tuple[str, ...]:
+    """The modules a run's chunks import, for its pool to import before it
+    forks: ``scipy.signal`` (about a second cold) for Monte Carlo exit rungs
+    on a builtin diagonal quadratic, whose block stepper calls ``lfilter``,
+    the one scipy function a chunk can reach; nothing for any other run."""
+    if cfg.experiment in ("exit-min", "exit-saddle") and cfg.get("source", "bvp_1d") == "mc":
+        if diagonal_quadratic_coefficients(base_of(build_potential(cfg))) is not None:
+            return ("scipy.signal",)
+    return ()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     t0 = time.perf_counter()
@@ -685,7 +696,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         cfg = _resolve_config(args)
         workers = _resolve_workers(cfg)
         out = cfg.get("out", "run")
-        with Pool(workers) as pool:
+        with Pool(workers, _chunk_imports(cfg)) as pool:
             files, summary, checks = _RUNNERS[cfg.experiment](cfg, out, pool._scatter)
         files.append(write_summary_csv(f"{out}.summary.csv", summary))
     except ConfigError as exc:

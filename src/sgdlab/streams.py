@@ -25,7 +25,17 @@ running ``generate_state`` on it, cost about 30 us per path against about
 path's ``SeedSequence`` is built only when a caller spawns from its stream.
 
 ``lockstep`` is the one engine that steps an ensemble: the diffusion, the
-SGD chain, first exits and annealing all run through it.
+SGD chain, first exits and annealing all run through it.  Where a second
+CPU is free it splits a Gaussian noise block between two threads: a helper
+thread, started on first use, fills, shapes, scales and block-steps one
+contiguous half of the alive paths while the calling thread does the other
+half (see ``lockstep``'s two-thread contract).  numpy's ``standard_normal``
+and scipy's ``lfilter`` release the GIL, so the halves run side by side,
+and since every path's stream is drawn by one thread in step order and the
+shaping and the filter act on each path's column alone, the split moves no
+bit.  ``import sgdlab`` starts no thread, and a forked child (a worker of
+the command line's pool) never starts one: the pool already keeps the CPUs
+busy, and a child inherits its parent's executor without its thread.
 
 Every ensemble experiment takes a ``scatter(fn, n, *args) -> list``: it
 runs the module-level chunk function ``fn(*args, lo, hi)`` over contiguous
@@ -43,6 +53,9 @@ from __future__ import annotations
 
 import gc
 import hashlib
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -65,6 +78,25 @@ SCAN_BYTES = 2**20
 # The fewest steps of a scan slab, and the first block under a domain of a
 # draw that is not d floats per step.
 SCAN_SLAB = 64
+
+# The fewest values one path's draw of a block must hold for ``lockstep`` to
+# split the block between two threads.  Two threads filled 1,024-value draws
+# 1.5-1.8 times as fast as one, but 400-value draws 0.85 and 50-value draws
+# 0.6 times as fast, since GIL hand-offs then outweigh the draws (numpy 2.4,
+# two x86-64 cores).
+SPLIT_VALUES = 512
+
+# The fewest values a whole block must hold for ``lockstep`` to split it.
+# Handing a block to the helper thread and waiting for it costs about 50 us,
+# so with 1,024-value draws two threads filled 2 paths 0.6, 16 paths 0.9,
+# 32 paths 1.0 and 64 paths 1.2 times as fast as one (same machine): the
+# floor keeps the blocks that gain at least a fifth.
+SPLIT_BLOCK_VALUES = 2**16
+
+# The helper thread's executor, started by the first block that splits.
+_helper_pool: ThreadPoolExecutor | None = None
+_helper_lock = threading.Lock()
+_forked = False
 
 # numpy's SeedSequence constants (numpy/random/bit_generator.pyx).
 _POOL_SIZE = 4
@@ -226,6 +258,36 @@ def scan_slab(shape: tuple[int, int, int]) -> int:
     return min(steps, max(SCAN_SLAB, SCAN_BYTES // (8 * d * paths)))
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _helper() -> ThreadPoolExecutor | None:
+    """The one-thread executor that runs the second half of a split block,
+    started on first use; None in a forked child or with one usable CPU."""
+    global _helper_pool
+    if _helper_pool is None and not _forked and _usable_cpus() >= 2:
+        with _helper_lock:  # lockstep may run on several threads at once
+            if _helper_pool is None:
+                _helper_pool = ThreadPoolExecutor(1, thread_name_prefix="sgdlab-lockstep")
+    return _helper_pool
+
+
+def _after_fork_in_child() -> None:
+    # A child inherits the executor but not its thread, so a submit would
+    # wait forever.
+    global _helper_pool, _forked
+    _helper_pool, _forked = None, True
+
+
+if hasattr(os, "register_at_fork"):  # POSIX only; elsewhere nothing forks
+    os.register_at_fork(after_in_child=_after_fork_in_child)
+
+
 class PathDraw(NamedTuple):
     """A kernel's draws for ``lockstep``: ``width`` values of ``dtype`` per
     path and step.
@@ -233,7 +295,8 @@ class PathDraw(NamedTuple):
     ``fill(gens, ids, k0, k1, out)`` takes the draws of steps k0, ...,
     k1 - 1 of path ``ids[c]`` from its generator ``gens[ids[c]]``, in step
     order, and writes them into ``out[:, c]`` of the (k1 - k0, len(ids),
-    width) block ``out``.
+    width) block ``out``.  It touches no other generator or column, so
+    ``lockstep`` may fill two halves of a block on two threads at once.
     """
 
     fill: Callable[[list, np.ndarray, int, int, np.ndarray], None]
@@ -315,6 +378,21 @@ def gaussian_kernel(step, d: int, s=1.0, step_scale=None, block_step=None) -> Ke
     return Kernel(step, PathDraw(fill, d, float), shape, step_scale, block_step)
 
 
+def _prepare(kernel: Kernel, gens, ids, k0, k1, buf, scale, x) -> np.ndarray:
+    """Fill ``buf`` with the draws of steps k0, ..., k1 - 1 of the paths
+    ``ids``, shape and scale it, and step their states ``x`` through it if
+    the kernel has a ``block_step``; returns the states after the block, or
+    ``x`` as it was.  numpy's error state belongs to a thread's context, so
+    this sets ``lockstep``'s own for the helper thread too."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        kernel.draw.fill(gens, ids, k0, k1, buf)
+        if kernel.shape is not None:
+            buf *= kernel.shape
+        if scale is not None:
+            buf *= scale
+        return x if kernel.block_step is None else kernel.block_step(x, buf)
+
+
 def lockstep(
     kernel: Kernel,
     x0: np.ndarray,
@@ -336,13 +414,28 @@ def lockstep(
     the 1-based exit step of each path (-1 if it never left), its first
     outside state, and the final state of every path still inside.
 
-    A block of at most ``block`` steps is filled with one
-    ``kernel.draw.fill`` call, from each path's private stream, and holds
-    fewer steps where the alive paths' rows would pass
+    A block of at most ``block`` steps is filled from each path's private
+    stream, and holds fewer steps where the alive paths' rows would pass
     ``NOISE_BLOCK_BYTES``, so the result is independent of how paths are
     grouped into chunks and of the block size.  A block is time-major:
     ``buf[j, c]`` is step j of the path in column c, so the noise of one
     step is the view ``buf[j]``.
+
+    Two-thread contract: a block of d floats per path and step (the
+    standard normals of ``gaussian_kernel``) is split in two when at least
+    two paths are alive, a path's draw holds at least ``SPLIT_VALUES``
+    values and the block at least ``SPLIT_BLOCK_VALUES``, at least two CPUs
+    are usable (``os.sched_getaffinity``) and the process is not a forked
+    child.  The helper thread then fills, shapes, scales and block-steps the
+    last half of the alive columns, while the calling thread does the same
+    for the first half, each with one ``fill`` call on its own ids; the
+    per-step loop, the exit scan, compaction, every ``NumericalError``
+    guard and ``on_step`` run on the calling thread once both halves are
+    done.  Since each path's draws come from its own stream in step order,
+    and shaping and ``block_step`` act on each path's column alone, the
+    split moves no bit.  Any other block, a mini-batch draw (one Python call
+    per step) among them, is filled by one ``fill`` call on the calling
+    thread.
 
     Block-scan contract, with a ``domain``: every path alive at the start of
     a block is stepped through the whole block, each step's states
@@ -370,7 +463,8 @@ def lockstep(
         raise ValueError("lockstep takes on_step alone, without domain or block_step")
     n = len(gens)
     d = x0.size
-    own_rows = domain is not None and (draw.width, np.dtype(draw.dtype)) != (d, np.float64)
+    d_floats = (draw.width, np.dtype(draw.dtype)) == (d, np.float64)
+    own_rows = domain is not None and not d_floats
     row_bytes = draw.width * np.dtype(draw.dtype).itemsize + (8 * d if own_rows else 0)
     longest = min(block, SCAN_SLAB) if own_rows else block
     states = np.tile(x0, (n, 1))
@@ -389,15 +483,30 @@ def lockstep(
             longest = min(2 * longest, block)
             step1 = step0 + kblock
             buf = np.empty((kblock, ids.size, draw.width), dtype=draw.dtype)
-            draw.fill(gens, ids, step0, step1, buf)
-            if shape is not None:
-                buf *= shape
+            scale = None
             if step_scale is not None:
-                buf *= np.reshape(step_scale(step0, step1), (-1, 1, 1))
-            rows = np.empty((kblock, ids.size, d)) if own_rows else buf
-            if block_step is not None:
-                x = block_step(x, buf)
+                scale = np.reshape(step_scale(step0, step1), (-1, 1, 1))
+            split = (
+                d_floats
+                and ids.size >= 2
+                and kblock * d >= SPLIT_VALUES
+                and buf.size >= SPLIT_BLOCK_VALUES
+            )
+            helper = _helper() if split else None
+            if helper is None:
+                x = _prepare(kernel, gens, ids, step0, step1, buf, scale, x)
             else:
+                h = ids.size // 2
+                tail = helper.submit(
+                    _prepare, kernel, gens, ids[h:], step0, step1, buf[:, h:], scale, x[h:]
+                )
+                try:
+                    head = _prepare(kernel, gens, ids[:h], step0, step1, buf[:, :h], scale, x[:h])
+                finally:
+                    tail.exception()  # waits for the helper's half
+                x = np.concatenate([head, tail.result()])
+            rows = np.empty((kblock, ids.size, d)) if own_rows else buf
+            if block_step is None:
                 for j in range(kblock):
                     x = step_fn(x, buf[j], step0 + j)
                     if domain is not None:
@@ -426,7 +535,8 @@ def lockstep(
                     ids = ids[~left]
             step0 = step1
             # Free this block before the next is allocated, so that the
-            # allocator can hand its memory to the next one.
+            # allocator can hand its memory to the next one; so no other
+            # name may keep a view of it (the helper's half is one).
             del buf, rows
             if not np.all(np.isfinite(x)):
                 raise NumericalError(f"non-finite state by step {step0}", step=step0)

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -194,6 +195,57 @@ def test_an_exit_ladder_is_one_scatter_over_its_rungs(tmp_path, monkeypatch):
     assert calls == [(16, [(0, 8), (8, 16)])]
     assert files[1] == files[2]
     assert {"records.eta0.csv", "records.eta1.csv"} <= files[1].keys()
+
+
+FORK_AFTER_HELPER = """\
+import json
+import sys
+
+import numpy as np
+
+from sgdlab import Domain, SdeConfig, builtin, cli, hitting_time_mc, streams
+
+# Start lockstep's helper thread, on any CPU count, with a long exit rung.
+streams._usable_cpus = lambda: 2
+rung = SdeConfig(builtin("inverted_quadratic"), 1e-3, 1e-4, 1.0, np.zeros(1))
+hitting_time_mc(rung, Domain.interval(-1.0, 1.0), 64, 1.0)
+assert streams._helper_pool is not None
+files = {}
+for workers in (2, 1):
+    out = f"w{workers}"
+    argv = ["exit-min", "--config", sys.argv[1], "--out", out, "--workers", str(workers)]
+    assert cli.main(argv) == 0
+    manifest = json.load(open(f"{out}.manifest"))
+    files[workers] = {k.split(".", 1)[1]: v for k, v in manifest["files"].items()}
+print(files[1] == files[2])
+"""
+
+
+def test_pool_workers_fork_cleanly_after_the_helper_thread_started(tmp_path):
+    # A forked worker inherits the helper's executor but not its thread;
+    # were it to hand the helper a block, it would wait forever.  At 256
+    # paths each worker steps 128 paths of each rung, whose 1,024-step blocks
+    # are large enough to split.
+    text = EXIT_MIN_CFG.replace("n_paths = 8", "n_paths = 256")
+    cfg = _write(tmp_path, "m.cfg", text)
+    proc = subprocess.Popen(
+        [sys.executable, "-c", FORK_AFTER_HELPER, cfg],
+        cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1])),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        start_new_session=True,
+    )
+    try:
+        stdout, stderr = proc.communicate(timeout=120)
+    except subprocess.TimeoutExpired:
+        # Take the stuck workers down with the run.
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail("a 2-worker run hung after the helper thread started")
+    assert proc.returncode == 0, stderr
+    assert stdout.splitlines()[-1] == "True"
 
 
 def test_workers_env_variable_is_honoured(tmp_path):
