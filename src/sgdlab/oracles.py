@@ -13,7 +13,8 @@ single-step noise covariance is exactly
 
 while sampling with replacement gives (1/m) times the population covariance
 (normalized by M instead of M-1).  ``enumerate_covariance`` verifies either
-law by brute-force enumeration of all batches.
+law by brute-force enumeration of all batches.  The laws, ``psd_sqrt`` and
+every noise map take one state or a stack of them: (..., d) -> (..., d, d).
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .potentials import FiniteSumSpec, PotentialSpec
+from .potentials import FiniteSumSpec, PotentialSpec, check_stacked_maps
 
 WITHOUT_REPLACEMENT = "without_replacement"
 WITH_REPLACEMENT = "with_replacement"
@@ -36,38 +37,42 @@ MAX_ENUMERATION = 10**6
 
 
 def psd_sqrt(sigma: np.ndarray) -> np.ndarray:
-    """Symmetric PSD square root via eigendecomposition.
-
-    Eigenvalues in [-1e-12 * ||Sigma||_F, 0) are clamped to zero; anything
-    more negative raises, as does an asymmetric input.
-    """
+    """Symmetric PSD square root via eigendecomposition of each matrix of a
+    (..., d, d) stack.  Eigenvalues in [-1e-12 * ||Sigma||_F, 0) are clamped
+    to zero, with each matrix's own norm; anything more negative raises, as
+    does an asymmetric matrix."""
     sigma = np.atleast_2d(np.asarray(sigma, dtype=float))
-    if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
+    if sigma.shape[-1] != sigma.shape[-2]:
         raise ValueError(f"covariance must be square, got shape {sigma.shape}")
-    scale = np.linalg.norm(sigma)
-    if np.abs(sigma - sigma.T).max(initial=0.0) > 1e-12 * max(1.0, scale):
+    scale = np.sqrt((sigma * sigma).sum(axis=(-2, -1)))
+    flipped = np.swapaxes(sigma, -1, -2)
+    asymmetry = np.abs(sigma - flipped).max(axis=(-2, -1), initial=0.0)
+    if (asymmetry > 1e-12 * np.maximum(1.0, scale)).any():
         raise ValueError("covariance matrix is not symmetric")
-    w, v = np.linalg.eigh(0.5 * (sigma + sigma.T))
-    floor = -1e-12 * scale
-    if w.min(initial=0.0) < floor:
-        raise ValueError(
-            f"covariance is not positive semidefinite: min eigenvalue {w.min():.3e}"
-        )
-    w = np.clip(w, 0.0, None)
-    root = (v * np.sqrt(w)) @ v.T
-    return 0.5 * (root + root.T)
+    w, v = np.linalg.eigh(0.5 * (sigma + flipped))
+    low = w.min(axis=-1)
+    low = low[low < -1e-12 * scale]
+    if low.size:
+        raise ValueError(f"covariance is not positive semidefinite: min eigenvalue {low[0]:.3e}")
+    root = (v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ np.swapaxes(v, -1, -2)
+    return 0.5 * (root + np.swapaxes(root, -1, -2))
 
 
 @dataclass(frozen=True)
 class AdditiveGaussianOracle:
     """Exact gradient plus Gaussian noise with covariance Sigma(x).
 
-    ``covariance`` is either a constant matrix or a map x -> matrix.  The
-    matrix square root of a constant covariance is computed once.
+    ``covariance`` is either a constant matrix or a map (..., d) ->
+    (..., d, d) of a stack of states, checked at construction.  The matrix
+    square root of a constant covariance is computed once.
     """
 
     potential: PotentialSpec
     covariance: Union[np.ndarray, Callable[[np.ndarray], np.ndarray]]
+
+    def __post_init__(self):
+        if callable(self.covariance):
+            check_stacked_maps([self.covariance], "covariance map", np.zeros(self.potential.dim))
 
     @classmethod
     def isotropic(cls, potential: PotentialSpec, sigma: float) -> "AdditiveGaussianOracle":
@@ -86,15 +91,12 @@ class AdditiveGaussianOracle:
         return psd_sqrt(self.covariance)
 
     def covariance_at(self, x) -> np.ndarray:
-        if callable(self.covariance):
-            return np.atleast_2d(np.asarray(self.covariance(x), dtype=float))
-        return np.atleast_2d(np.asarray(self.covariance, dtype=float))
+        cov = self.covariance(x) if callable(self.covariance) else self.covariance
+        return np.atleast_2d(np.asarray(cov, dtype=float))
 
     def diffusion_at(self, x) -> np.ndarray:
-        """S(x) = sqrt(Sigma(x))."""
-        if callable(self.covariance):
-            return psd_sqrt(self.covariance_at(x))
-        return self.diffusion
+        """S(x) = sqrt(Sigma(x)), of one state or of each of a stack."""
+        return psd_sqrt(self.covariance_at(x)) if callable(self.covariance) else self.diffusion
 
     def sample(self, x, rng: np.random.Generator, m: int | None = None) -> np.ndarray:
         if m is not None:
@@ -127,15 +129,14 @@ class MinibatchOracle:
         a finite sum's noise depends on the state."""
         return self.diffusion_at
 
-    def covariance_at(self, x, m: int | None = None) -> np.ndarray:
-        m = self.m if m is None else m
+    def covariance_at(self, x) -> np.ndarray:
+        """The batch-mean covariance at one state, or at each of a stack."""
         if self.mode == WITHOUT_REPLACEMENT:
-            return minibatch_covariance(self.fs, x, m)
-        _check_batch_size(m, self.fs.M, with_replacement=True)
-        return population_covariance(self.fs, x) / m
+            return minibatch_covariance(self.fs, x, self.m)
+        return population_covariance(self.fs, x) / self.m
 
-    def diffusion_at(self, x, m: int | None = None) -> np.ndarray:
-        return psd_sqrt(self.covariance_at(x, m=m))
+    def diffusion_at(self, x) -> np.ndarray:
+        return psd_sqrt(self.covariance_at(x))
 
     def batch(self, rng: np.random.Generator, m: int | None = None) -> np.ndarray:
         """The component indices of one uniformly drawn batch of size m."""
@@ -166,16 +167,20 @@ def _check_batch_size(m: int, big: int, with_replacement: bool = False) -> None:
 
 
 def component_gradients(fs: FiniteSumSpec, x) -> np.ndarray:
-    """Stacked component gradients, shape (M, dim)."""
+    """Stacked component gradients at x of shape (..., dim): (..., M, dim)."""
     x = np.asarray(x, dtype=float)
-    return np.stack([g(x) for g in fs.component_gradients])
+    return np.stack([g(x) for g in fs.component_gradients], axis=-2)
+
+
+def _deviation_gram(fs: FiniteSumSpec, x) -> np.ndarray:
+    """sum_i (grad f_i - grad F)(grad f_i - grad F)^T at x, (..., dim, dim)."""
+    dev = component_gradients(fs, x) - np.asarray(fs.base.gradient(x), dtype=float)[..., None, :]
+    return np.swapaxes(dev, -1, -2) @ dev
 
 
 def population_covariance(fs: FiniteSumSpec, x) -> np.ndarray:
     """Covariance of a single uniformly drawn component gradient (1/M norm)."""
-    grads = component_gradients(fs, x)
-    dev = grads - np.asarray(fs.base.gradient(x), dtype=float)
-    return (dev.T @ dev) / fs.M
+    return _deviation_gram(fs, x) / fs.M
 
 
 def minibatch_covariance(fs: FiniteSumSpec, x, m: int) -> np.ndarray:
@@ -183,10 +188,7 @@ def minibatch_covariance(fs: FiniteSumSpec, x, m: int) -> np.ndarray:
     _check_batch_size(m, fs.M)
     if fs.M < 2:
         raise ValueError("the without-replacement law needs M >= 2 components")
-    grads = component_gradients(fs, x)
-    dev = grads - np.asarray(fs.base.gradient(x), dtype=float)
-    sigma0 = (dev.T @ dev) / (fs.M - 1)
-    return (1.0 / m - 1.0 / fs.M) * sigma0
+    return (1.0 / m - 1.0 / fs.M) * (_deviation_gram(fs, x) / (fs.M - 1))
 
 
 def enumerate_covariance(

@@ -144,12 +144,10 @@ class FiniteSumSpec:
     """A finite-sum objective ``F = (1/M) sum_i f_i`` for mini-batch sampling.
 
     ``base`` carries the full objective; ``component_gradients`` are the M
-    maps ``x -> grad f_i(x)``, which, like ``PotentialSpec.gradient``,
-    accept arrays of shape ``(..., dim)``: the SGD engine evaluates a
-    component on a stack of (n, dim) points at once.  Both are checked at
-    construction on probe points: each component must map the stacked
-    probes row by row to its value at each probe, and the components'
-    average must reproduce the base gradient.
+    maps ``x -> grad f_i(x)``, which, like ``PotentialSpec.gradient``, take
+    stacks of points, ``(..., dim)``.  Both are checked at construction on
+    probe points (``check_stacked_maps``), and so is the components' average
+    against the base gradient.
     """
 
     base: PotentialSpec
@@ -164,33 +162,38 @@ class FiniteSumSpec:
             )
         if self.M < 1:
             raise ValueError("a finite sum needs at least one component")
-        d = self.base.dim
-        probes = [np.zeros(d), 0.5 * np.ones(d), -1.3 * np.ones(d)]
-        rng = np.random.default_rng(0)
-        probes.append(rng.uniform(-2.0, 2.0, size=d))
-        per_probe = [
-            [np.asarray(g(x), dtype=float) for x in probes] for g in self.component_gradients
-        ]
-        stacked = np.array(probes)
-        for i, (g, values) in enumerate(zip(self.component_gradients, per_probe)):
-            rows = np.asarray(g(stacked), dtype=float)
-            if rows.shape != (len(probes), d) or not np.allclose(
-                rows, values, atol=1e-12, rtol=1e-12
-            ):
-                raise ValueError(
-                    f"component gradient {i} does not map an (n, {d}) stack of points "
-                    "row by row; component gradients must accept (..., dim) arrays"
-                )
-        for j, x in enumerate(probes):
-            mean = np.mean([values[j] for values in per_probe], axis=0)
-            if not np.allclose(mean, self.base.gradient(x), atol=1e-12, rtol=1e-12):
-                raise ValueError(
-                    "component gradients do not average to the base gradient"
-                )
+        probes, values = check_stacked_maps(
+            self.component_gradients, "component gradient {}", np.zeros(self.base.dim)
+        )
+        mean = np.mean(values, axis=0)
+        if not np.allclose(mean, self.base.gradient(probes), atol=1e-12, rtol=1e-12):
+            raise ValueError("component gradients do not average to the base gradient")
 
     @property
     def dim(self) -> int:
         return self.base.dim
+
+
+def check_stacked_maps(fns, what: str, center: np.ndarray, radius: float = 1.0):
+    """The probes, ``center`` plus ``radius`` times 0, 0.5, -1.3 and a fixed
+    U(-2, 2) draw per axis, and each map's values at them.  Raises
+    ``ValueError`` naming map i as ``what.format(i)`` unless it maps the
+    (n, d) stack of probes row by row to those values: a map written for
+    one point (``x[0]`` taken as a coordinate) would give every row row 0's
+    value."""
+    d = center.size
+    rng = np.random.default_rng(0)
+    offsets = np.stack([np.zeros(d), np.full(d, 0.5), np.full(d, -1.3), rng.uniform(-2.0, 2.0, d)])
+    probes = center + radius * offsets
+    per_map = []
+    for i, fn in enumerate(fns):
+        values = np.array([np.asarray(fn(x), dtype=float) for x in probes])
+        got = np.asarray(fn(probes), dtype=float)
+        if got.shape != values.shape or not np.allclose(got, values, 1e-12, 1e-12, equal_nan=True):
+            raise ValueError(f"{what.format(i)} does not map a stack of points row by row: "
+                             f"it must take (..., d) arrays, d = {d}")
+        per_map.append(values)
+    return probes, per_map
 
 
 # ---------------------------------------------------------------------------

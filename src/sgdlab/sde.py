@@ -22,7 +22,7 @@ import numpy as np
 
 from . import streams
 from .oracles import GradientOracle
-from .potentials import PotentialSpec, diagonal_quadratic_coefficients
+from .potentials import PotentialSpec, check_stacked_maps, diagonal_quadratic_coefficients
 from .sgd import SgdConfig, sgd_ensemble_chunk
 
 FIRST_ORDER = "first"
@@ -36,9 +36,11 @@ class SdeConfig:
     """Configuration of one diffusion integration.
 
     ``diffusion`` is S(x): a scalar (isotropic S = sigma I), a constant
-    matrix, or a map x -> matrix.  ``noise_schedule`` optionally replaces
-    the constant noise amplitude sqrt(eta) by a function of time, which is
-    how the log-cooling schedule sqrt(gamma / log(2 + s)) is expressed.
+    matrix, or a map (..., d) -> (..., d, d) of a stack of states, checked
+    at construction on probes next to ``x0``.  ``noise_schedule``
+    optionally replaces the constant noise amplitude sqrt(eta) by a
+    function of time, which is how the log-cooling schedule
+    sqrt(gamma / log(2 + s)) is expressed.
     """
 
     potential: PotentialSpec
@@ -65,6 +67,8 @@ class SdeConfig:
             raise ValueError(
                 f"x0 shape {x0.shape} does not match dim {self.potential.dim}"
             )
+        if callable(self.diffusion):
+            check_stacked_maps([self.diffusion], "diffusion map", x0, radius=1e-3)
 
     def drift(self, x: np.ndarray) -> np.ndarray:
         """Drift field, vectorized over a leading batch axis."""
@@ -80,16 +84,6 @@ class SdeConfig:
         if self.noise_schedule is not None:
             return float(self.noise_schedule(s))
         return math.sqrt(self.eta)
-
-
-def apply_diffusion(diffusion: Diffusion, x: np.ndarray, xi: np.ndarray) -> np.ndarray:
-    """S(x) xi for batched states x (n, d) and draws xi (n, d)."""
-    if callable(diffusion):
-        return np.stack([np.asarray(diffusion(xr), dtype=float) @ xir for xr, xir in zip(x, xi)])
-    if np.ndim(diffusion) == 0:
-        return float(diffusion) * xi
-    s = np.asarray(diffusion, dtype=float)
-    return xi @ s.T
 
 
 def _time_grid(T: float, dt: float) -> np.ndarray:
@@ -140,7 +134,8 @@ def sde_kernel(cfg: SdeConfig, times: np.ndarray | None = None) -> streams.Kerne
     (``streams.gaussian_kernel``), and the kernel's ``step_scale(k0, k1)``
     is amplitude(t_k) sqrt(h_k): one number on the uniform grid without a
     noise schedule, one value per step otherwise.  So the step only adds
-    the drift; a state-dependent diffusion is evaluated inside the step.
+    the drift; a state-dependent diffusion is evaluated inside the step, one
+    call on the whole stack of states, as the stacked product S(x) xi.
 
     The kernel has a ``block_step`` only under first-order drift on the
     uniform grid of a builtin diagonal quadratic
@@ -163,11 +158,8 @@ def sde_kernel(cfg: SdeConfig, times: np.ndarray | None = None) -> streams.Kerne
 
         def step_fn(x, xi, k):
             h = step_of(k)
-            return (
-                x
-                + drift(x) * h
-                + cfg.amplitude(time_of(k)) * math.sqrt(h) * apply_diffusion(diffusion, x, xi)
-            )
+            noise = (np.asarray(diffusion(x), dtype=float) @ xi[..., None])[..., 0]
+            return x + drift(x) * h + cfg.amplitude(time_of(k)) * math.sqrt(h) * noise
 
         return streams.gaussian_kernel(step_fn, d)
 

@@ -126,9 +126,9 @@ def _additive_gaussian_kernel(cfg: SgdConfig, domain=None) -> streams.Kernel:
 
     Step k is x - eta (grad F(x) + S xi_k), with S = ``oracle.diffusion``.
     A constant S shapes the draws (``streams.gaussian_kernel``); a map S is
-    evaluated inside the step, one S(x_i) @ xi_i per live row (see
-    ``_live_rows``; the others take no noise), the product ``oracle.sample``
-    takes.
+    evaluated inside the step, one call on the stack of live rows (see
+    ``_live_rows``; the others take no noise), and each row takes the
+    product S(x_i) @ xi_i that ``oracle.sample`` takes.
     """
     eta = cfg.eta
     gradient = cfg.oracle.potential.gradient
@@ -143,8 +143,9 @@ def _additive_gaussian_kernel(cfg: SgdConfig, domain=None) -> streams.Kernel:
 
     def step_fn(x, xi, k):
         noise = np.zeros_like(x)
-        for i in _live_rows(x, domain):
-            noise[i] = diffusion(x[i]) @ xi[i]
+        rows = _live_rows(x, domain)
+        if rows.size:
+            noise[rows] = (diffusion(x[rows]) @ xi[rows, :, None])[..., 0]
         return x - eta * (gradient(x) + noise)
 
     return streams.gaussian_kernel(step_fn, d)

@@ -368,7 +368,8 @@ def weak_error_mc(
     quadratic well, see ``well_rate``, under a constant S) its expectation
     is evaluated exactly (no discretization, no sampling); otherwise it is an
     Euler-Maruyama ensemble with dt = dt_factor * eta, which evaluates a
-    state-dependent S (every mini-batch oracle) per path per step.  Standard
+    state-dependent S (every mini-batch oracle) once per step on the stack
+    of all its paths' states.  Standard
     errors combine both sides and feed the noise-floor filter of the order
     fit.  Both ensembles run through ``scatter`` (see ``streams``).
     """

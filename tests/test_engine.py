@@ -35,7 +35,7 @@ from sgdlab import (
     streams,
 )
 from sgdlab.exit_times import anneal_chunk
-from sgdlab.sde import _time_grid, apply_diffusion, em_on_grid
+from sgdlab.sde import _time_grid, em_on_grid
 from sgdlab.oracles import WITH_REPLACEMENT, WITHOUT_REPLACEMENT
 from sgdlab.sgd import chain_kernel
 from test_exit_times import (
@@ -43,6 +43,7 @@ from test_exit_times import (
     _assert_same_records,
     _engine_baseline,
     _engine_records,
+    _per_path_diffusion,
 )
 
 WELL = builtin("quadratic_well")
@@ -74,11 +75,8 @@ def _reference_em_endpoints(cfg, n_paths, experiment="sde-ensemble", path_indice
     x = np.tile(cfg.x0, (n, 1))
     for k in range(n_steps):
         h = times[k + 1] - times[k]
-        x = (
-            x
-            + cfg.drift(x) * h
-            + cfg.amplitude(times[k]) * math.sqrt(h) * apply_diffusion(cfg.diffusion, x, noise[:, k])
-        )
+        s_xi = _per_path_diffusion(cfg.diffusion, x, noise[:, k])
+        x = x + cfg.drift(x) * h + cfg.amplitude(times[k]) * math.sqrt(h) * s_xi
         if not np.all(np.isfinite(x)):
             raise NumericalError(f"non-finite state at step {k + 1}", step=k + 1)
     return x
@@ -188,7 +186,7 @@ SDE_CASES = {
     ),
     "matrix": _sde(WELL_2D, [0.4, -0.2], diffusion=NON_DIAGONAL),
     "state-dependent": _sde(
-        DOUBLE_WELL, [0.5], diffusion=lambda x: np.array([[1.0 + x[0] * x[0]]])
+        DOUBLE_WELL, [0.5], diffusion=lambda x: (1.0 + x[..., :1] * x[..., :1])[..., None]
     ),
 }
 
@@ -547,11 +545,15 @@ def test_minibatch_exits_follow_run_sgd(case, block):
 
 def _state_dependent_chain(d):
     if d == 1:
-        oracle = AdditiveGaussianOracle(DOUBLE_WELL, lambda x: np.array([[0.2 + x[0] * x[0]]]))
+        oracle = AdditiveGaussianOracle(
+            DOUBLE_WELL, lambda x: (0.2 + x[..., :1] * x[..., :1])[..., None]
+        )
         return SgdConfig(eta=0.05, steps=40, x0=np.array([0.8]), oracle=oracle, seed=7)
 
     def covariance(x):
-        return np.array([[1.5 + 5 * x[0] * x[0], 0.5 * x[1]], [0.5 * x[1], 1.0 + 5 * x[1] * x[1]]])
+        a, b = x[..., 0], x[..., 1]
+        top = np.stack([1.5 + 5 * a * a, 0.5 * b], axis=-1)
+        return np.stack([top, np.stack([0.5 * b, 1.0 + 5 * b * b], axis=-1)], axis=-2)
 
     oracle = AdditiveGaussianOracle(WELL_2D, covariance)
     return SgdConfig(eta=0.05, steps=40, x0=np.array([0.2, 0.1]), oracle=oracle, seed=7)
@@ -571,7 +573,7 @@ def test_state_dependent_noise_chains_follow_run_sgd(d, block):
 
 
 def test_state_dependent_noise_chain_raises_on_a_blow_up():
-    oracle = AdditiveGaussianOracle(DOUBLE_WELL, lambda x: np.array([[0.0 * x[0]]]))
+    oracle = AdditiveGaussianOracle(DOUBLE_WELL, lambda x: (0.0 * x[..., :1])[..., None])
     cfg = SgdConfig(eta=10.0, steps=10, x0=np.array([1.5]), oracle=oracle)
     with pytest.raises(NumericalError) as info:
         run_sgd_ensemble(cfg, 3)
@@ -666,7 +668,9 @@ def _run_sgd_exits(cfg, domain, label, n_paths, max_steps):
 def test_state_dependent_noise_exits_where_the_covariance_ends(block):
     """The covariance 0.36 - x^2 is PSD only on the domain [-0.6, 0.6]: a
     path must take no noise from it once it has left."""
-    oracle = AdditiveGaussianOracle(DOUBLE_WELL, lambda x: np.array([[0.36 - x[0] * x[0]]]))
+    oracle = AdditiveGaussianOracle(
+        DOUBLE_WELL, lambda x: (0.36 - x[..., :1] * x[..., :1])[..., None]
+    )
     cfg = SgdConfig(eta=0.05, steps=1, x0=np.array([-0.1]), oracle=oracle, seed=5)
     domain = Domain.interval(-0.6, 0.6)
     records = hitting_time_mc(cfg, domain, CHAIN_PATHS, 3.0, experiment="psd", block=block)
@@ -684,7 +688,7 @@ def test_state_dependent_noise_exit_raises_on_a_blow_up():
     infinite state the rest of the block would step from."""
 
     def covariance(x):
-        return np.array([[0.0 if abs(x[0]) <= 1e300 else -1.0]])
+        return np.where(np.abs(x[..., :1]) <= 1e300, 0.0, -1.0)[..., None]
 
     oracle = AdditiveGaussianOracle(DOUBLE_WELL, covariance)
     cfg = SgdConfig(eta=10.0, steps=20, x0=np.array([1.5]), oracle=oracle)

@@ -30,7 +30,6 @@ from sgdlab import (
     streams,
 )
 from sgdlab import exit_times
-from sgdlab.sde import apply_diffusion
 
 WELL = builtin("quadratic_well")
 INVERTED = builtin("inverted_quadratic")
@@ -340,6 +339,16 @@ def _reference_first_exit(step_fn, x0, domain, gens, time_per_step, max_steps, b
     return exit_step, exit_points, states
 
 
+def _per_path_diffusion(diffusion, x, xi):
+    """S(x) xi for states x (n, d) and draws xi (n, d), one path at a time:
+    the product that the engines' stacked S(x) @ xi must reproduce."""
+    if callable(diffusion):
+        return np.stack([np.asarray(diffusion(xr), dtype=float) @ xir for xr, xir in zip(x, xi)])
+    if np.ndim(diffusion) == 0:
+        return float(diffusion) * xi
+    return xi @ np.asarray(diffusion, dtype=float).T
+
+
 def _reference_records(process, domain, n_paths, horizon, seed, label, block, linear=False):
     """(exit_time, exit_point, censored) per path from the reference loop,
     with the step functions the earlier hitting_time_mc built: for a
@@ -353,7 +362,7 @@ def _reference_records(process, domain, n_paths, horizon, seed, label, block, li
         sqrt_dt = math.sqrt(dt)
 
         def noise(x, xi, s):
-            return process.amplitude(s) * sqrt_dt * apply_diffusion(process.diffusion, x, xi)
+            return process.amplitude(s) * sqrt_dt * _per_path_diffusion(process.diffusion, x, xi)
 
         if linear:
             c = 1.0 - np.diagonal(process.potential.hessian(x0)) * dt
@@ -418,7 +427,7 @@ ENGINE_CASES = {
         BOX,
     ),
     "state-dependent-diffusion": (
-        _sde(WELL, [0.4], diffusion=lambda x: np.array([[1.0 + x[0] * x[0]]])),
+        _sde(WELL, [0.4], diffusion=lambda x: (1.0 + x[..., :1] * x[..., :1])[..., None]),
         Domain.interval(-0.5, 0.5),
     ),
     "chain-isotropic": (

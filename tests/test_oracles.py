@@ -1,13 +1,18 @@
 """Tests for mini-batch gradient oracles and their noise covariance laws."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sgdlab import (
     AdditiveGaussianOracle,
+    FiniteSumSpec,
     MinibatchOracle,
+    SdeConfig,
     builtin,
     covariance_report,
     enumerate_covariance,
@@ -16,6 +21,7 @@ from sgdlab import (
     population_covariance,
     psd_sqrt,
 )
+from sgdlab.oracles import WITH_REPLACEMENT, WITHOUT_REPLACEMENT
 
 
 def _random_cloud(rng, M, dim=3):
@@ -128,3 +134,100 @@ def test_additive_gaussian_oracle_moments():
     draws = np.array([oracle.sample(x, rng)[0] for _ in range(n)])
     assert abs(draws.mean() - 2.0) < 4 * 0.5 / math.sqrt(n)
     assert abs(draws.var(ddof=1) - 0.25) < 0.01
+
+
+# ---------------------------------------------------------------------------
+# The stacked noise map: S(x) for a whole (..., d) stack of states.
+# ---------------------------------------------------------------------------
+
+
+def _affine_component(center, tilt, x):
+    """x - c + B x, summed elementwise so that a stack of states gives each
+    row the bits of its own call (a matrix product need not)."""
+    x = np.asarray(x, dtype=float)
+    return x - center + np.sum(x[..., None, :] * tilt, axis=-1)
+
+
+def _drawn_finite_sum(rng, M, d):
+    """Components x - c_i + B_i x with sum_i B_i = 0: they average to the
+    cloud's gradient x - mean(c), and their spread grows with |x|, so the
+    batch covariance depends on the state."""
+    centers = rng.normal(size=(M, d))
+    tilts = rng.normal(scale=0.5, size=(M, d, d))
+    tilts -= tilts.mean(axis=0)
+    comps = [functools.partial(_affine_component, c, b) for c, b in zip(centers, tilts)]
+    return FiniteSumSpec(gaussian_cloud(centers).base, comps, M)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(1, 3),
+    M=st.integers(2, 9),
+    mode=st.sampled_from([WITHOUT_REPLACEMENT, WITH_REPLACEMENT]),
+    drawn=st.booleans(),
+    lead=st.sampled_from([(1,), (5,), (2, 3)]),
+    m_frac=st.floats(0.0, 1.0),
+)
+def test_stacked_diffusion_equals_the_per_state_root(seed, d, M, mode, drawn, lead, m_frac):
+    """``diffusion_at`` on a stack of states gives, bit for bit, the root
+    ``psd_sqrt`` of each state's own covariance law."""
+    rng = np.random.default_rng(seed)
+    if drawn:
+        fs = _drawn_finite_sum(rng, M, d)
+    else:
+        fs = builtin("gaussian_cloud_finite_sum", tuple(rng.normal(size=M * d)), dim=d)
+    m = 1 + int(m_frac * (M - 1))
+    oracle = MinibatchOracle(fs, m, mode)
+    xs = rng.normal(scale=2.0, size=lead + (d,))
+    stacked = oracle.diffusion_at(xs)
+    assert stacked.shape == lead + (d, d)
+    for idx in np.ndindex(*lead):
+        if mode == WITHOUT_REPLACEMENT:
+            cov = minibatch_covariance(fs, xs[idx], m)
+        else:
+            cov = population_covariance(fs, xs[idx]) / m
+        np.testing.assert_array_equal(stacked[idx], psd_sqrt(cov))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(1, 3),
+    n=st.integers(1, 6),
+    pos_frac=st.floats(0.0, 1.0),
+    fault=st.sampled_from(["asymmetric", "indefinite"]),
+)
+def test_stacked_psd_sqrt_refuses_a_bad_matrix_anywhere(seed, d, n, pos_frac, fault):
+    """One asymmetric or indefinite matrix at any position of a stack of
+    PSD matrices raises the ``ValueError`` it raises alone."""
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(n, d, d))
+    stack = a @ np.swapaxes(a, -1, -2)
+    bad = stack[min(int(pos_frac * n), n - 1)]
+    if fault == "asymmetric" and d > 1:
+        bad[0, -1] += 1e-3 * (1.0 + np.abs(bad).max())
+    else:  # a 1 x 1 matrix is always symmetric
+        bad -= (1.0 + np.linalg.eigvalsh(bad).max()) * np.eye(d)
+    with pytest.raises(ValueError) as alone:
+        psd_sqrt(bad)
+    with pytest.raises(ValueError) as stacked:
+        psd_sqrt(stack)
+    assert str(stacked.value) == str(alone.value)
+
+
+def test_one_point_noise_maps_are_refused():
+    """A map written for one state (``x[0]`` taken as a coordinate) would
+    give every path of a stack the noise of the first: the diffusion of
+    ``SdeConfig`` and the covariance of ``AdditiveGaussianOracle`` must take
+    (..., d) stacks, and their stack forms are accepted."""
+    well = builtin("double_well_1d")
+    one_point = lambda x: np.array([[1.0 + x[0] * x[0]]])  # noqa: E731
+    stacked = lambda x: (1.0 + x[..., :1] * x[..., :1])[..., None]  # noqa: E731
+    sde = dict(potential=well, eta=0.1, dt=0.01, T=1.0, x0=np.array([0.5]))
+    with pytest.raises(ValueError, match=r"\(\.\.\., d\)"):
+        SdeConfig(diffusion=one_point, **sde)
+    with pytest.raises(ValueError, match=r"\(\.\.\., d\)"):
+        AdditiveGaussianOracle(well, one_point)
+    assert SdeConfig(diffusion=stacked, **sde).diffusion is stacked
+    assert AdditiveGaussianOracle(well, stacked).covariance is stacked
