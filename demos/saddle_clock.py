@@ -43,9 +43,10 @@ def main():
     # ball by angle from the x-axis.
     saddle = lab.builtin("saddle_2d")
     oracle = lab.AdditiveGaussianOracle.isotropic(saddle, 1.0)
-    cfg = lab.SgdConfig(eta=1e-4, steps=1, x0=np.zeros(2), oracle=oracle)
+    cfg = lab.SgdConfig(eta=1e-4, steps=1, x0=np.zeros(2), oracle=oracle,
+                        seed=51)
     records = lab.hitting_time_mc(cfg, lab.Domain.ball(np.zeros(2), 1.0),
-                                  n_paths=2000, horizon=50.0, seed=51)
+                                  n_paths=2000, horizon=50.0)
     pts = np.array([r.exit_point for r in records if not r.censored])
     angles = np.arctan2(np.abs(pts[:, 1]), np.abs(pts[:, 0]))
     frac = float(np.mean(angles <= math.pi / 8))

@@ -41,9 +41,8 @@ def main():
     # fine time step and compare the mean exit time against the solver.
     eta = etas[0]
     cfg = lab.SdeConfig(potential=pot, eta=eta, dt=1e-4, T=1.0,
-                        x0=np.array([1.0]), diffusion=sigma)
-    records = lab.hitting_time_mc(cfg, domain, n_paths=1500,
-                                  horizon=200.0, seed=13)
+                        x0=np.array([1.0]), diffusion=sigma, seed=13)
+    records = lab.hitting_time_mc(cfg, domain, n_paths=1500, horizon=200.0)
     stats = lab.exit_time_stats(records)
     u = lab.mean_exit_bvp_1d(pot, eta * sigma**2, (0.0, 2.0), 1.0)
     print(f"\nMC cross-check at eta = {eta}: "

@@ -158,7 +158,6 @@ def _run_weak_order(cfg: ExperimentConfig, out: str, scatter: Callable):
     T = cfg.get("T")
     x0 = x0_array(cfg, 1)
     etas = cfg.get("eta_list")
-    seed = cfg.get("seed", 0)
     source = cfg.get("source", "exact")
     if source == "bvp_1d":
         raise ConfigError("weak-order source must be 'exact' or 'mc'")
@@ -179,12 +178,10 @@ def _run_weak_order(cfg: ExperimentConfig, out: str, scatter: Callable):
                 T,
                 x0,
                 etas,
-                n_paths=cfg.get("n_paths", 20000),
                 drift_order=order,
-                seed=seed,
                 experiment=f"weak:{order}",
-                dt_factor=cfg.get("dt_factor", 0.1),
                 scatter=scatter,
+                **cfg.library_kwargs("n_paths", "seed", "dt_factor"),
             )
         files.append(write_weak_error_csv(f"{out}.{order}.csv", rep))
         files.append(
@@ -210,20 +207,13 @@ def _run_weak_order(cfg: ExperimentConfig, out: str, scatter: Callable):
 def _run_exit_min(cfg: ExperimentConfig, out: str, scatter: Callable):
     potential = base_of(build_potential(cfg))
     domain = build_domain(cfg)
-    x0 = cfg.get("x0")
     report = minimizer_scaling_fit(
         potential,
         cfg.get("sigma"),
         domain,
         cfg.get("eta_list"),
-        source=cfg.get("source", "bvp_1d"),
-        x0=np.asarray(x0, dtype=float) if x0 is not None else None,
-        n_paths=cfg.get("n_paths", 2000),
-        seed=cfg.get("seed", 0),
-        dt=cfg.get("dt"),
-        horizon=cfg.get("horizon"),
         scatter=scatter,
-        keep_records=cfg.get("emit_records", False),
+        **cfg.library_kwargs("source", "x0", "n_paths", "seed", "dt", "horizon", "emit_records"),
     )
     files = [write_scaling_csv(f"{out}.csv", report)]
     etas = np.array([e.eta for e in report.entries])
@@ -268,13 +258,8 @@ def _run_exit_saddle(cfg: ExperimentConfig, out: str, scatter: Callable):
         domain,
         x0_array(cfg, potential.dim),
         cfg.get("eta_list"),
-        source=cfg.get("source", "bvp_1d"),
-        n_paths=cfg.get("n_paths", 2000),
-        seed=cfg.get("seed", 0),
-        dt=cfg.get("dt"),
-        horizon=cfg.get("horizon"),
         scatter=scatter,
-        keep_records=cfg.get("emit_records", False),
+        **cfg.library_kwargs("source", "n_paths", "seed", "dt", "horizon", "emit_records"),
     )
     files = [write_scaling_csv(f"{out}.csv", report)]
     etas = np.array([e.eta for e in report.entries])
@@ -375,8 +360,6 @@ def _run_kramers(cfg: ExperimentConfig, out: str, scatter: Callable):
 
 def _run_anneal(cfg: ExperimentConfig, out: str, scatter: Callable):
     potential = base_of(build_potential(cfg))
-    start = cfg.get("x0")
-    start_arr = np.asarray(start, dtype=float) if start is not None else None
     results = {}
     for mode in ("cooling", "constant"):
         results[mode] = anneal_experiment(
@@ -385,12 +368,10 @@ def _run_anneal(cfg: ExperimentConfig, out: str, scatter: Callable):
             cfg.get("T"),
             cfg.get("n_paths"),
             cfg.get("epsilon"),
-            start=start_arr,
+            start=cfg.get("x0"),
             mode=mode,
-            seed=cfg.get("seed", 0),
-            dt=cfg.get("dt", 0.01),
-            n_checkpoints=cfg.get("n_checkpoints", 50),
             scatter=scatter,
+            **cfg.library_kwargs("seed", "dt", "n_checkpoints"),
         )
     rows = [
         [
@@ -452,8 +433,8 @@ def _run_deviation(cfg: ExperimentConfig, out: str, scatter: Callable):
         cfg.get("T"),
         x0_array(cfg, potential.dim),
         cfg.get("n_paths"),
-        seed=cfg.get("seed", 0),
         scatter=scatter,
+        **cfg.library_kwargs("seed"),
     )
     files = [write_deviation_csv(f"{out}.csv", report)]
     stderrs = np.sqrt(np.diag(report.empirical_cov) / report.n_paths)
@@ -487,11 +468,10 @@ def _run_batch_cov(cfg: ExperimentConfig, out: str, scatter: Callable):
     if not isinstance(fs, FiniteSumSpec):
         raise ConfigError("batch-cov needs a finite-sum potential")
     x = x0_array(cfg, fs.dim)
-    mode = cfg.get("batch_mode", "without_replacement")
     rows = []
     worst = 0.0
     for m in cfg.get("m_list"):
-        rep = covariance_report(fs, x, m, mode)
+        rep = covariance_report(fs, x, m, **cfg.library_kwargs("batch_mode"))
         worst = max(worst, rep.max_abs_diff)
         d = rep.formula.shape[0]
         for i in range(d):
@@ -513,7 +493,7 @@ def _run_batch_cov(cfg: ExperimentConfig, out: str, scatter: Callable):
             rows,
         )
     ]
-    summary = {"M": fs.M, "mode": mode, "max_abs_diff": worst}
+    summary = {"M": fs.M, "mode": rep.mode, "max_abs_diff": worst}
     checks = [("covariance formula matches enumeration to 1e-12", worst <= 1e-12)]
     return files, summary, checks
 
@@ -532,9 +512,9 @@ def _run_ode_limit(cfg: ExperimentConfig, out: str, scatter: Callable):
             cfg.get("T"),
             x0,
             cfg.get("n_paths", 1000),
-            seed=cfg.get("seed", 0),
             experiment=f"ode-limit:eta{j}",
             scatter=scatter,
+            **cfg.library_kwargs("seed"),
         )
         means.append(mean)
         rows.append([eta, mean, stderr])
@@ -683,7 +663,7 @@ def _chunk_imports(cfg: ExperimentConfig) -> tuple[str, ...]:
     forks: ``scipy.signal`` (about a second cold) for Monte Carlo exit rungs
     on a builtin diagonal quadratic, whose block stepper calls ``lfilter``,
     the one scipy function a chunk can reach; nothing for any other run."""
-    if cfg.experiment in ("exit-min", "exit-saddle") and cfg.get("source", "bvp_1d") == "mc":
+    if cfg.experiment in ("exit-min", "exit-saddle") and cfg.get("source") == "mc":
         if diagonal_quadratic_coefficients(base_of(build_potential(cfg))) is not None:
             return ("scipy.signal",)
     return ()

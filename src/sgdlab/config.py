@@ -225,6 +225,15 @@ class ExperimentConfig:
     def get(self, key: str, default=None):
         return self.values.get(key, default)
 
+    def library_kwargs(self, *keys: str) -> dict[str, object]:
+        """The ``keys`` this config sets, as keyword arguments under the
+        library's names, so that a key it leaves out takes the library
+        default and no default is written twice."""
+        library = {
+            "emit_records": "keep_records", "batch_mode": "mode", "potential_params": "params"
+        }
+        return {library.get(k, k): self.values[k] for k in keys if k in self.values}
+
     def __contains__(self, key: str) -> bool:
         return key in self.values
 
@@ -335,11 +344,7 @@ def _cross_validate(experiment: str, values: dict[str, object]) -> None:
 
 def build_potential(cfg: ExperimentConfig) -> Union[PotentialSpec, FiniteSumSpec]:
     try:
-        return builtin(
-            cfg.get("potential"),
-            params=cfg.get("potential_params", ()),
-            dim=cfg.get("dim", 1),
-        )
+        return builtin(cfg.get("potential"), **cfg.library_kwargs("potential_params", "dim"))
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 

@@ -137,21 +137,21 @@ def exit_time_stats(records: Sequence[ExitRecord]) -> ExitStats:
 def hitting_time_mc(
     process: Union[SdeConfig, SgdConfig],
     domain: Domain,
-    n_paths: int,
+    n_paths: int | range,
     horizon: float,
-    seed: int | None = None,
     experiment: str = "first-exit",
-    path_indices: range | None = None,
     block: int = 1024,
 ) -> list[ExitRecord]:
     """First-exit Monte Carlo for a diffusion or an SGD chain.
 
-    Exit is the first step whose state lies outside the closed domain; the
-    recorded exit point is that first outside state.  Paths still inside at
-    the horizon are returned censored with exit_time = horizon.  Records are
-    returned in path-index order.  Each path's noise is drawn at most
-    ``block`` (at least 1) steps at a time; the block sets memory and speed,
-    never the records.
+    ``n_paths`` is a count n (paths 0, ..., n - 1) or a ``range`` of path
+    indices, and path i draws from the stream (``process.seed``,
+    ``experiment``, i).  Exit is the first step whose state lies outside the
+    closed domain; the recorded exit point is that first outside state.
+    Paths still inside at the horizon are returned censored with exit_time =
+    horizon.  Records are returned in path-index order.  Each path's noise
+    is drawn at most ``block`` (at least 1) steps at a time; the block sets
+    memory and speed, never the records.
     """
     x0 = np.atleast_1d(np.asarray(process.x0, dtype=float))
     if not domain.strictly_inside(x0):
@@ -160,9 +160,8 @@ def hitting_time_mc(
         raise ValueError(f"horizon must be positive, got {horizon}")
     if block < 1:
         raise ValueError(f"block must be at least 1, got {block}")
-    base_seed = process.seed if seed is None else seed
-    indices = list(path_indices if path_indices is not None else range(n_paths))
-    gens = streams.path_streams(base_seed, experiment, indices)
+    indices = n_paths if isinstance(n_paths, range) else range(n_paths)
+    gens = streams.path_streams(process.seed, experiment, indices)
 
     eta = process.eta
     chain = isinstance(process, SgdConfig)
@@ -201,11 +200,7 @@ def hitting_time_chunk(
     for r, (process, label) in enumerate(rungs):
         # The paths p with lo <= p * n_rungs + r < hi.
         paths = range(-(-(lo - r) // n_rungs), -(-(hi - r) // n_rungs))
-        records.append(
-            hitting_time_mc(
-                process, domain, len(paths), process.T, experiment=label, path_indices=paths
-            )
-        )
+        records.append(hitting_time_mc(process, domain, paths, process.T, experiment=label))
     return records
 
 
@@ -352,9 +347,10 @@ def mean_exit_bvp_1d(
 # ---------------------------------------------------------------------------
 
 
-def _boundary_min(potential: PotentialSpec, domain: Domain, n_samples: int = 10**4) -> float:
+def _boundary_min(potential: PotentialSpec, domain: Domain) -> float:
     """Minimum of F over the domain boundary (dense sampling + refinement)."""
     value = potential.value
+    n_samples = 10**4
     if domain.kind == "interval":
         pts = np.array([[domain.lo[0]], [domain.hi[0]]])
         return float(np.min(value(pts)))
@@ -468,9 +464,7 @@ def _resolve_minimizer(potential: PotentialSpec, domain: Domain | None, x_star) 
     return x_star
 
 
-def kramers_predictor(
-    potential: PotentialSpec, eta: float, x_star=None, z_star=None
-) -> float:
+def kramers_predictor(potential: PotentialSpec, eta: float, x_star, z_star) -> float:
     """Barrier-crossing time prediction for 1-D unit-variance gradient noise.
 
     Returns 2*pi / sqrt(F''(x*) |F''(z*)|) * exp(2 (F(z*) - F(x*)) / eta)
@@ -481,16 +475,6 @@ def kramers_predictor(
         raise ValueError("the barrier-crossing predictor is one-dimensional")
     if eta <= 0:
         raise ValueError(f"eta must be positive, got {eta}")
-    if x_star is None:
-        mins = potential.minimizers()
-        if len(mins) != 1:
-            raise ValueError("pass x_star explicitly when there are multiple minimizers")
-        x_star = mins[0].location
-    if z_star is None:
-        tops = potential.unstable_points()
-        if len(tops) != 1:
-            raise ValueError("pass z_star explicitly when there are multiple barriers")
-        z_star = tops[0].location
     x_star = np.atleast_1d(np.asarray(x_star, dtype=float))
     z_star = np.atleast_1d(np.asarray(z_star, dtype=float))
     curv_min = float(potential.hessian(x_star)[0, 0])
@@ -634,7 +618,6 @@ def minimizer_scaling_fit(
     seed: int = 0,
     dt: float | None = None,
     horizon: float | None = None,
-    experiment: str = "exit-min",
     scatter: Callable[..., list] = streams.in_process,
     keep_records: bool = False,
 ) -> ScalingReport:
@@ -673,7 +656,7 @@ def minimizer_scaling_fit(
             raise ValueError("pass a horizon for Monte Carlo in this geometry")
         else:
             horizon_eta = horizon if horizon is not None else 20.0 * math.exp(min(log_bvp, 700.0))
-            rungs.append((eta, horizon_eta, f"{experiment}:eta{j}"))
+            rungs.append((eta, horizon_eta, f"exit-min:eta{j}"))
     ladder, records = _exit_ladder_mc(
         potential, sigma, domain, start, seed, dt, n_paths, rungs, scatter
     )
@@ -712,7 +695,6 @@ def saddle_scaling_fit(
     seed: int = 0,
     dt: float | None = None,
     horizon: float | None = None,
-    experiment: str = "exit-saddle",
     scatter: Callable[..., list] = streams.in_process,
     keep_records: bool = False,
 ) -> ScalingReport:
@@ -748,7 +730,7 @@ def saddle_scaling_fit(
             raise ValueError(f"the log(1/eta) transform needs 0 < eta < 1, got {eta}")
         if source == "mc":
             horizon_eta = horizon if horizon is not None else 50.0 * math.log(1.0 / eta) / gamma1
-            rungs.append((eta, horizon_eta, f"{experiment}:eta{j}"))
+            rungs.append((eta, horizon_eta, f"exit-saddle:eta{j}"))
         elif potential.dim != 1 or domain.kind != "interval":
             raise ValueError("the bvp_1d source needs a 1-D interval domain")
         else:
@@ -820,7 +802,6 @@ def anneal_experiment(
     mode: str = "cooling",
     seed: int = 0,
     dt: float = 0.01,
-    experiment: str = "anneal",
     n_checkpoints: int = 50,
     block: int = 4096,
     scatter: Callable[..., list] = streams.in_process,
@@ -850,8 +831,8 @@ def anneal_experiment(
         start = mins[int(np.argmax(values))].location  # the shallow well
     check_times = np.linspace(0.0, T, n_checkpoints + 1)[1:] if n_checkpoints else np.array([])
     parts = scatter(
-        anneal_chunk, n_paths, potential, gamma, T, epsilon, start, mode, seed, dt,
-        experiment, check_times, block,
+        anneal_chunk, n_paths, potential, gamma, T, epsilon, start, mode, seed, dt, check_times,
+        block,
     )
     successes = sum(k for k, _ in parts)
     lo, hi = _binomial_ci(successes, n_paths)
@@ -872,8 +853,7 @@ def anneal_experiment(
 
 def anneal_chunk(
     potential: PotentialSpec, gamma: float, T: float, epsilon: float, start: np.ndarray,
-    mode: str, seed: int, dt: float, experiment: str, check_times: np.ndarray, block: int,
-    lo: int, hi: int,
+    mode: str, seed: int, dt: float, check_times: np.ndarray, block: int, lo: int, hi: int,
 ) -> tuple[int, np.ndarray]:
     """Paths lo, ..., hi - 1 of ``anneal_experiment``: a ``scatter`` chunk.
 
@@ -890,7 +870,7 @@ def anneal_chunk(
         potential=potential, eta=1.0, dt=dt, T=T, x0=start, noise_schedule=amp_fn
     )
     targets = np.stack([cp.location for cp in potential.global_minimizers()])
-    gens = streams.path_streams(seed, f"{experiment}:{mode}", range(lo, hi))
+    gens = streams.path_streams(seed, f"anneal:{mode}", range(lo, hi))
     times = _time_grid(T, dt)
     check_idx = 0
     counts = np.zeros(check_times.size, dtype=np.int64)

@@ -117,7 +117,7 @@ class MinibatchOracle:
     def __post_init__(self):
         if self.mode not in (WITHOUT_REPLACEMENT, WITH_REPLACEMENT):
             raise ValueError(f"unknown sampling mode {self.mode!r}")
-        _check_batch_size(self.m, self.fs.M)
+        _check_batch_size(self.m, self.fs.M, with_replacement=self.mode == WITH_REPLACEMENT)
 
     @property
     def potential(self) -> PotentialSpec:

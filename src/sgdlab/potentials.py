@@ -129,14 +129,14 @@ class PotentialSpec:
         """Saddles and maximizers (at least one negative Hessian eigenvalue)."""
         return tuple(cp for cp in self.critical_points if cp.kind != MINIMIZER)
 
-    def global_minimizers(self, tol: float = 1e-12) -> tuple[CriticalPoint, ...]:
-        """Annotated minimizers attaining the least objective value."""
+    def global_minimizers(self) -> tuple[CriticalPoint, ...]:
+        """Annotated minimizers within 1e-12 of the least objective value."""
         mins = self.minimizers()
         if not mins:
             return ()
         values = np.array([float(self.value(cp.location)) for cp in mins])
         best = values.min()
-        return tuple(cp for cp, v in zip(mins, values) if v <= best + tol)
+        return tuple(cp for cp, v in zip(mins, values) if v <= best + 1e-12)
 
 
 @dataclass(frozen=True)

@@ -210,20 +210,21 @@ def em_on_grid(
 
 
 def em_endpoints(
-    cfg: SdeConfig,
-    n_paths: int,
-    experiment: str = "sde-ensemble",
-    path_indices: range | None = None,
+    cfg: SdeConfig, n_paths: int | range, experiment: str = "sde-ensemble"
 ) -> np.ndarray:
-    """Endpoint states X(T) of many paths with private per-path streams."""
-    indices = path_indices if path_indices is not None else range(n_paths)
+    """Endpoint states X(T) of many paths with private per-path streams.
+
+    ``n_paths`` is a count n (paths 0, ..., n - 1) or a ``range`` of path
+    indices; path i draws from the stream (``cfg.seed``, ``experiment``, i).
+    """
+    indices = n_paths if isinstance(n_paths, range) else range(n_paths)
     gens = streams.path_streams(cfg.seed, experiment, indices)
     return em_on_grid(cfg, _time_grid(cfg.T, cfg.dt), gens)
 
 
 def em_endpoints_chunk(cfg: SdeConfig, experiment: str, lo: int, hi: int) -> np.ndarray:
     """``em_endpoints`` over paths lo, ..., hi - 1: a ``scatter`` chunk."""
-    return em_endpoints(cfg, hi - lo, experiment=experiment, path_indices=range(lo, hi))
+    return em_endpoints(cfg, range(lo, hi), experiment)
 
 
 # ---------------------------------------------------------------------------
@@ -282,12 +283,12 @@ def deviation_covariance(
     x0,
     t_grid,
     diffusion: Diffusion,
-    dt: float = 1e-3,
 ) -> np.ndarray:
     """Covariance C(t) of the rescaled SGD fluctuations around the flow.
 
     Solves the joint system dY = -grad F(Y), dC = M C + C M^T + S S^T with
-    M = -hessian F(Y) and C(0) = 0, returning C at each requested time.
+    M = -hessian F(Y) and C(0) = 0 by RK4 with steps of at most 1e-3,
+    returning C at each requested time.
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
@@ -316,7 +317,7 @@ def deviation_covariance(
     for j, target in enumerate(t_grid):
         span = target - t
         if span > 0:
-            n = int(math.ceil(span / dt - 1e-12))
+            n = int(math.ceil(span / 1e-3 - 1e-12))
             h = span / n
             for _ in range(n):
                 state = _rk4_step(rhs, state, h)
@@ -346,7 +347,6 @@ def deviation_empirical(
     x0,
     n_paths: int,
     seed: int = 0,
-    experiment: str = "deviation",
     scatter: Callable[..., list] = streams.in_process,
 ) -> DeviationReport:
     """Monte Carlo check of the normal-deviation covariance at time T.
@@ -359,7 +359,7 @@ def deviation_empirical(
     k = _horizon_steps(T, eta)
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     cfg = SgdConfig(eta=eta, steps=k, x0=x0, oracle=oracle, seed=seed)
-    parts = scatter(sgd_ensemble_chunk, n_paths, cfg, experiment, None)
+    parts = scatter(sgd_ensemble_chunk, n_paths, cfg, "deviation", None)
     endpoints = np.concatenate([part.endpoints for part in parts])
     y_final = flow_knots(potential, x0, eta, k)[-1]
     zeta = (endpoints - y_final) / math.sqrt(eta)

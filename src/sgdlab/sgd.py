@@ -56,7 +56,8 @@ class BatchSchedule:
     """Logarithmic batch-size growth m(s) = ceil(C log(s+2) / eta), clipped.
 
     The emitted size is clipped to [1, min(m_star, M)] so it is always a
-    valid batch for sampling without replacement.
+    valid batch for sampling without replacement; ``SgdConfig`` requires M
+    to be its oracle's number of components.
     """
 
     C: float
@@ -104,8 +105,14 @@ class SgdConfig:
             raise ValueError(
                 f"x0 shape {x0.shape} does not match dim {self.oracle.potential.dim}"
             )
-        if self.schedule is not None and not isinstance(self.oracle, MinibatchOracle):
-            raise ValueError("a batch-size schedule requires a mini-batch oracle")
+        if self.schedule is not None:
+            if not isinstance(self.oracle, MinibatchOracle):
+                raise ValueError("a batch-size schedule requires a mini-batch oracle")
+            if self.schedule.M != self.oracle.fs.M:
+                raise ValueError(
+                    f"the schedule's M={self.schedule.M} differs from the oracle's "
+                    f"M={self.oracle.fs.M}"
+                )
 
 
 def _live_rows(x: np.ndarray, domain) -> np.ndarray:
@@ -244,20 +251,21 @@ class EnsembleResult:
 
 def run_sgd_ensemble(
     cfg: SgdConfig,
-    n_paths: int,
+    n_paths: int | range,
     experiment: str = "sgd-ensemble",
-    path_indices: range | None = None,
     reference_states: np.ndarray | None = None,
 ) -> EnsembleResult:
     """Simulate many SGD paths with private streams; return endpoints.
 
+    ``n_paths`` is a count n (paths 0, ..., n - 1) or a ``range`` of path
+    indices; path i draws from the stream (``cfg.seed``, ``experiment``, i).
     ``reference_states`` of shape (steps + 1, dim) activates tracking of
     max_k ||x_k - ref_k|| per path, used to compare the chain against its
     deterministic gradient-flow limit.  Every oracle is stepped on
     ``streams.lockstep`` through ``chain_kernel``, all paths at once, with
     the draws ``run_sgd`` takes from each path's stream.
     """
-    indices = path_indices if path_indices is not None else range(n_paths)
+    indices = n_paths if isinstance(n_paths, range) else range(n_paths)
     gens = streams.path_streams(cfg.seed, experiment, indices)
     d = cfg.oracle.potential.dim
     track = None
@@ -282,6 +290,4 @@ def sgd_ensemble_chunk(
     cfg: SgdConfig, experiment: str, reference_states: np.ndarray | None, lo: int, hi: int
 ) -> EnsembleResult:
     """``run_sgd_ensemble`` over paths lo, ..., hi - 1: a ``scatter`` chunk."""
-    return run_sgd_ensemble(
-        cfg, hi - lo, experiment, path_indices=range(lo, hi), reference_states=reference_states
-    )
+    return run_sgd_ensemble(cfg, range(lo, hi), experiment, reference_states)

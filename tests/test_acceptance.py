@@ -77,11 +77,10 @@ def test_criterion_03_brownian_exit_oracle_and_mc(report):
     bvp = lab.mean_exit_bvp_1d(flat, eps, (-1.0, 1.0), 0.0)
     rel = abs(bvp - 25.0) / 25.0
     zero_drift = SdeConfig(
-        potential=_FlatPotential(), eta=0.04, dt=1e-3, T=1.0, x0=np.array([0.0])
+        potential=_FlatPotential(), eta=0.04, dt=1e-3, T=1.0, x0=np.array([0.0]), seed=30
     )
     recs = lab.hitting_time_mc(
-        zero_drift, Domain.interval(-1, 1), n_paths=4000, horizon=400.0, seed=30,
-        experiment="exit-min",
+        zero_drift, Domain.interval(-1, 1), n_paths=4000, horizon=400.0, experiment="exit-min"
     )
     st = lab.exit_time_stats(recs)
     mc_rel = abs(st.mean - 25.0) / 25.0
@@ -128,9 +127,9 @@ def test_criterion_05_saddle_escape_clock(report):
     for eta in etas:
         means["BVP"][eta] = lab.mean_exit_bvp_1d(pot, eta, (-1.0, 1.0), 0.0)
         dt = min(eta / 10.0, 1e-3)
-        cfg = SdeConfig(potential=pot, eta=eta, dt=dt, T=1.0, x0=np.array([0.0]))
+        cfg = SdeConfig(potential=pot, eta=eta, dt=dt, T=1.0, x0=np.array([0.0]), seed=41)
         recs = lab.hitting_time_mc(
-            cfg, dom, n_paths=2000, horizon=200.0, seed=41, experiment="exit-saddle"
+            cfg, dom, n_paths=2000, horizon=200.0, experiment="exit-saddle"
         )
         means["MC"][eta] = lab.exit_time_stats(recs).mean
     # E[T] = (log(1/eta) + log 2 lam + gamma_E + log 2) / (2 lam) + o(1), so the
@@ -144,9 +143,9 @@ def test_criterion_05_saddle_escape_clock(report):
     }
     # off-manifold start: the exit clock collapses to the travel time log 2
     u_off = lab.mean_exit_bvp_1d(pot, 1e-4, (-1.0, 1.0), 0.5)
-    cfg_off = SdeConfig(potential=pot, eta=1e-4, dt=1e-5, T=1.0, x0=np.array([0.5]))
+    cfg_off = SdeConfig(potential=pot, eta=1e-4, dt=1e-5, T=1.0, x0=np.array([0.5]), seed=42)
     recs_off = lab.hitting_time_mc(
-        cfg_off, dom, n_paths=2000, horizon=50.0, seed=42, experiment="exit-saddle"
+        cfg_off, dom, n_paths=2000, horizon=50.0, experiment="exit-saddle"
     )
     mc_off = lab.exit_time_stats(recs_off).mean
     elapsed = time.perf_counter() - t0
@@ -178,11 +177,11 @@ def test_criterion_06_saddle_exit_direction_2d(report):
     eta = 1e-4
     cfg = SgdConfig(
         eta=eta, steps=1, x0=np.zeros(2),
-        oracle=lab.AdditiveGaussianOracle.isotropic(pot, 1.0), seed=0,
+        oracle=lab.AdditiveGaussianOracle.isotropic(pot, 1.0), seed=51,
     )
     dom = Domain.ball(np.zeros(2), 1.0)
     recs = lab.hitting_time_mc(
-        cfg, dom, n_paths=2000, horizon=50.0, seed=51, experiment="exit-saddle"
+        cfg, dom, n_paths=2000, horizon=50.0, experiment="exit-saddle"
     )
     st = lab.exit_time_stats(recs)
     points = np.array([r.exit_point for r in recs if not r.censored])
@@ -207,7 +206,7 @@ def test_criterion_07_kramers_prefactor_consistency(report):
     log_means = {}
     for eta in (0.1, 0.05):
         u = lab.mean_exit_bvp_1d(pot, eta, (-1.0, 2.0), 1.0)
-        pred = lab.kramers_predictor(pot, eta, x_star=x_star)
+        pred = lab.kramers_predictor(pot, eta, x_star=x_star, z_star=[0.0])
         ratios[eta] = pred / u
         log_means[eta] = math.log(u)
     slope = (log_means[0.05] - log_means[0.1]) / (1 / 0.05 - 1 / 0.1)
@@ -234,7 +233,6 @@ def test_criterion_08_annealed_noise_finds_the_deep_well(report):
     gamma = 8.0 * barrier
     kwargs = dict(
         T=500.0, n_paths=500, epsilon=0.25, start=shallow.location, seed=60,
-        experiment="anneal",
     )
     cooled = lab.anneal_experiment(pot, gamma=gamma, mode="cooling", **kwargs)
     frozen = lab.anneal_experiment(pot, gamma=gamma, mode="constant", **kwargs)
@@ -255,7 +253,7 @@ def test_criterion_09_normal_deviation_limit(report):
     pot = lab.builtin("quadratic_well")
     rep = lab.deviation_empirical(
         pot, lab.AdditiveGaussianOracle.isotropic(pot, 1.0), eta=0.01, T=1.0,
-        x0=np.array([1.0]), n_paths=5000, seed=70, experiment="deviation",
+        x0=np.array([1.0]), n_paths=5000, seed=70,
     )
     lyap = (1.0 - math.exp(-2.0)) / 2.0
     rel = abs(rep.empirical_cov[0, 0] - lyap) / lyap

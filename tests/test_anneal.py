@@ -11,7 +11,7 @@ TILTED = builtin("asym_double_well_1d", params=(-0.05,))
 def test_zero_noise_never_crosses():
     res = anneal_experiment(
         TILTED, gamma=0.0, T=50.0, n_paths=64, epsilon=0.25, mode="cooling",
-        seed=5, experiment="anneal",
+        seed=5,
     )
     assert res.successes == 0
     assert res.success_prob == 0.0
@@ -20,7 +20,7 @@ def test_zero_noise_never_crosses():
 def test_cooling_schedule_beats_frozen_noise_level():
     """A slowly decaying noise amplitude finds the deep well far more often
     than the same amplitude frozen at its terminal value."""
-    kwargs = dict(T=500.0, n_paths=500, epsilon=0.25, seed=2, experiment="anneal")
+    kwargs = dict(T=500.0, n_paths=500, epsilon=0.25, seed=2)
     cooled = anneal_experiment(TILTED, gamma=0.4, mode="cooling", **kwargs)
     frozen = anneal_experiment(TILTED, gamma=0.4, mode="constant", **kwargs)
     assert cooled.success_prob >= 0.5
@@ -31,7 +31,7 @@ def test_cooling_schedule_beats_frozen_noise_level():
 def test_result_bookkeeping():
     res = anneal_experiment(
         TILTED, gamma=0.5, T=100.0, n_paths=128, epsilon=0.25, mode="cooling",
-        seed=5, experiment="anneal",
+        seed=5,
     )
     assert res.ci_low <= res.success_prob <= res.ci_high
     assert 0.0 <= res.ci_low and res.ci_high <= 1.0
@@ -49,7 +49,6 @@ def test_result_bookkeeping():
 def test_runs_are_reproducible():
     kwargs = dict(
         gamma=0.5, T=50.0, n_paths=64, epsilon=0.25, mode="cooling", seed=7,
-        experiment="anneal",
     )
     a = anneal_experiment(TILTED, **kwargs)
     b = anneal_experiment(TILTED, **kwargs)

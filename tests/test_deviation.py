@@ -33,7 +33,6 @@ def test_empirical_deviations_match_lyapunov_covariance():
     oracle = AdditiveGaussianOracle.isotropic(WELL, 1.0)
     rep = deviation_empirical(
         WELL, oracle, eta=0.01, T=1.0, x0=np.array([1.0]), n_paths=2000, seed=3,
-        experiment="deviation",
     )
     assert rep.rel_frobenius_err < 0.15
     # rescaled deviations are centred

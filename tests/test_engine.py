@@ -270,16 +270,14 @@ def test_matrix_noise_ignores_one_path_chunks(kind):
         cfg = SDE_CASES["matrix"]
         full = em_endpoints(cfg, N_PATHS, experiment="one-path")
         parts = [
-            em_endpoints(cfg, 1, experiment="one-path", path_indices=range(i, i + 1))
+            em_endpoints(cfg, range(i, i + 1), experiment="one-path")
             for i in range(N_PATHS)
         ]
     else:
         cfg = SGD_CASES["non-diagonal"]
         full = run_sgd_ensemble(cfg, N_PATHS, experiment="one-path").endpoints
         parts = [
-            run_sgd_ensemble(
-                cfg, 1, experiment="one-path", path_indices=range(i, i + 1)
-            ).endpoints
+            run_sgd_ensemble(cfg, range(i, i + 1), experiment="one-path").endpoints
             for i in range(N_PATHS)
         ]
     np.testing.assert_array_equal(np.concatenate(parts), full)
@@ -340,7 +338,7 @@ def _anneal_chunk(mode, block, lo, hi):
     kw = {k: v for k, v in ANNEAL_KW.items() if k not in ("n_paths", "n_checkpoints")}
     check_times = np.linspace(0.0, kw["T"], ANNEAL_KW["n_checkpoints"] + 1)[1:]
     successes, counts = anneal_chunk(
-        TILTED, start=SHALLOW, mode=mode, experiment="anneal", check_times=check_times,
+        TILTED, start=SHALLOW, mode=mode, check_times=check_times,
         block=block, lo=lo, hi=hi, **kw,
     )
     return np.append(counts, successes)[None, :]
@@ -498,8 +496,7 @@ def _assert_exits_follow_run_sgd(cfg, domain, label, horizon, block):
     records = []
     for lo, hi in zip(CHAIN_CUTS, CHAIN_CUTS[1:]):
         records += hitting_time_mc(
-            cfg, domain, CHAIN_PATHS, horizon, experiment=label, path_indices=range(lo, hi),
-            block=block,
+            cfg, domain, range(lo, hi), horizon, experiment=label, block=block
         )
     steps = []
     for rec, states in zip(records, paths):

@@ -104,8 +104,8 @@ def test_mc_exit_times_match_bvp_oracle():
     eta = 0.25
     dom = Domain.interval(-0.6, 0.6)
     bvp = mean_exit_bvp_1d(WELL, eta, (-0.6, 0.6), 0.0)
-    cfg = SdeConfig(potential=WELL, eta=eta, dt=1e-4, T=1.0, x0=np.array([0.0]))
-    recs = hitting_time_mc(cfg, dom, n_paths=2000, horizon=400.0, seed=11, experiment="exit-min")
+    cfg = SdeConfig(potential=WELL, eta=eta, dt=1e-4, T=1.0, x0=np.array([0.0]), seed=11)
+    recs = hitting_time_mc(cfg, dom, n_paths=2000, horizon=400.0, experiment="exit-min")
     st = exit_time_stats(recs)
     assert st.censor_frac == 0.0
     tol = max(3 * st.stderr, 0.02 * bvp)
@@ -116,17 +116,17 @@ def test_mc_exit_quadratic_well_unit_interval():
     """Escape from the unit interval at eta=1/4 agrees with the BVP value."""
     eta = 0.25
     bvp = mean_exit_bvp_1d(WELL, eta, (-1.0, 1.0), 0.0)
-    cfg = SdeConfig(potential=WELL, eta=eta, dt=2e-4, T=1.0, x0=np.array([0.0]))
-    recs = hitting_time_mc(cfg, UNIT, n_paths=400, horizon=2000.0, seed=21, experiment="exit-min")
+    cfg = SdeConfig(potential=WELL, eta=eta, dt=2e-4, T=1.0, x0=np.array([0.0]), seed=21)
+    recs = hitting_time_mc(cfg, UNIT, n_paths=400, horizon=2000.0, experiment="exit-min")
     st = exit_time_stats(recs)
     assert st.censor_frac == 0.0
     assert abs(st.mean - bvp) < 3 * st.stderr
 
 
 def test_exit_steps_are_time_over_eta():
-    cfg = SdeConfig(potential=WELL, eta=0.25, dt=1e-3, T=1.0, x0=np.array([0.0]))
+    cfg = SdeConfig(potential=WELL, eta=0.25, dt=1e-3, T=1.0, x0=np.array([0.0]), seed=3)
     recs = hitting_time_mc(
-        cfg, Domain.interval(-0.5, 0.5), n_paths=16, horizon=100.0, seed=3, experiment="exit-min"
+        cfg, Domain.interval(-0.5, 0.5), n_paths=16, horizon=100.0, experiment="exit-min"
     )
     for rec in recs:
         assert rec.exit_steps == pytest.approx(rec.exit_time / 0.25, rel=1e-12)
@@ -135,9 +135,9 @@ def test_exit_steps_are_time_over_eta():
 def test_outward_drift_without_noise_exits_at_travel_time():
     dt = 1e-3
     cfg = SdeConfig(
-        potential=INVERTED, eta=0.1, dt=dt, T=1.0, x0=np.array([0.5]), diffusion=0.0
+        potential=INVERTED, eta=0.1, dt=dt, T=1.0, x0=np.array([0.5]), diffusion=0.0, seed=1
     )
-    recs = hitting_time_mc(cfg, UNIT, n_paths=4, horizon=10.0, seed=1, experiment="exit-min")
+    recs = hitting_time_mc(cfg, UNIT, n_paths=4, horizon=10.0, experiment="exit-min")
     for rec in recs:
         assert abs(rec.exit_time - math.log(2.0)) <= 2 * dt
 
@@ -173,10 +173,10 @@ def test_log_exit_scaling_constants():
 
 def test_kramers_predictor_reference_value():
     x_star = np.array([1.0])
-    pred = kramers_predictor(DOUBLE_WELL, 0.1, x_star=x_star)
+    pred = kramers_predictor(DOUBLE_WELL, 0.1, x_star=x_star, z_star=[0.0])
     assert pred == pytest.approx(659.3822923750206, rel=1e-9)
     # exponent law: d log tau / d (1/eta) equals twice the barrier height
-    pred2 = kramers_predictor(DOUBLE_WELL, 0.05, x_star=x_star)
+    pred2 = kramers_predictor(DOUBLE_WELL, 0.05, x_star=x_star, z_star=[0.0])
     slope = (math.log(pred2) - math.log(pred)) / (1 / 0.05 - 1 / 0.1)
     assert slope == pytest.approx(0.5, abs=1e-12)
 
@@ -225,13 +225,10 @@ def test_exit_time_stats_handles_censoring():
 
 
 def test_hitting_mc_path_subsets_match_full_run():
-    cfg = SdeConfig(potential=WELL, eta=0.25, dt=1e-3, T=1.0, x0=np.array([0.0]))
+    cfg = SdeConfig(potential=WELL, eta=0.25, dt=1e-3, T=1.0, x0=np.array([0.0]), seed=5)
     dom = Domain.interval(-0.5, 0.5)
-    full = hitting_time_mc(cfg, dom, n_paths=32, horizon=100.0, seed=5, experiment="exit-min")
-    part = hitting_time_mc(
-        cfg, dom, n_paths=32, horizon=100.0, seed=5, experiment="exit-min",
-        path_indices=range(8, 16),
-    )
+    full = hitting_time_mc(cfg, dom, n_paths=32, horizon=100.0, experiment="exit-min")
+    part = hitting_time_mc(cfg, dom, n_paths=range(8, 16), horizon=100.0, experiment="exit-min")
     for rec_full, rec_part in zip(full[8:16], part):
         assert rec_full.path_index == rec_part.path_index
         assert rec_full.exit_time == rec_part.exit_time
@@ -448,16 +445,14 @@ ENGINE_HORIZON = 0.3
 LINEAR_CASES = ("interval-well", "interval-inverted", "noise-schedule", "box-matrix-diffusion")
 
 
-def _engine_records(case, block=1024, path_indices=None):
+def _engine_records(case, block=1024, paths=ENGINE_PATHS):
     process, domain = ENGINE_CASES[case]
     return hitting_time_mc(
-        process,
+        dataclasses.replace(process, seed=13),
         domain,
-        n_paths=ENGINE_PATHS,
+        n_paths=paths,
         horizon=ENGINE_HORIZON,
-        seed=13,
         experiment=f"engine:{case}",
-        path_indices=path_indices,
         block=block,
     )
 
@@ -501,7 +496,7 @@ def test_exit_records_ignore_block_size_and_chunking(case, block, cuts):
     bounds = [0, *sorted(cuts), ENGINE_PATHS]
     records = []
     for lo, hi in zip(bounds, bounds[1:]):
-        chunk = _engine_records(case, block=block, path_indices=range(lo, hi))
+        chunk = _engine_records(case, block=block, paths=range(lo, hi))
         assert [r.path_index for r in chunk] == list(range(lo, hi))
         records.extend(chunk)
     _assert_same_records(records, _engine_baseline(case))
@@ -575,8 +570,8 @@ def test_a_wrapped_gradient_changes_neither_records_nor_kernel(potential, x0, do
     # stepper (which never calls the gradient), nor any other family onto it.
     calls = []
     wrapped = dataclasses.replace(potential, gradient=_counting(potential.gradient, calls))
-    cfg = SdeConfig(potential=potential, eta=0.5, dt=0.01, T=1.0, x0=np.array(x0))
-    run = lambda c: hitting_time_mc(c, domain, 24, 0.3, seed=2, experiment="wrapped")  # noqa: E731
+    cfg = SdeConfig(potential=potential, eta=0.5, dt=0.01, T=1.0, x0=np.array(x0), seed=2)
+    run = lambda c: hitting_time_mc(c, domain, 24, 0.3, experiment="wrapped")  # noqa: E731
     expected = [(r.exit_time, r.exit_point, r.censored) for r in run(cfg)]
     calls.clear()  # the spec checks its critical points when it is built
     _assert_same_records(run(dataclasses.replace(cfg, potential=wrapped)), expected)
@@ -595,11 +590,9 @@ def test_a_hand_built_linear_potential_keeps_the_per_step_kernel():
         hessian=lambda x: np.ones(np.shape(x) + (1,)),
     )
     process, domain = ENGINE_CASES["interval-well"]
-    cfg = dataclasses.replace(process, potential=hand_built)
+    cfg = dataclasses.replace(process, potential=hand_built, seed=13)
     label = "engine:interval-well"
-    records = hitting_time_mc(
-        cfg, domain, ENGINE_PATHS, ENGINE_HORIZON, seed=13, experiment=label
-    )
+    records = hitting_time_mc(cfg, domain, ENGINE_PATHS, ENGINE_HORIZON, experiment=label)
     euler = _reference_records(cfg, domain, ENGINE_PATHS, ENGINE_HORIZON, 13, label, 1024)
     _assert_same_records(records, euler)
     builtin_points = [r.exit_point for r in _engine_records("interval-well")]
@@ -614,7 +607,7 @@ def test_non_finite_state_raises_numerical_error():
         potential=DOUBLE_WELL, eta=0.1, dt=10.0, T=100.0, x0=np.array([1.5]), diffusion=0.0
     )
     with pytest.raises(NumericalError) as info:
-        hitting_time_mc(cfg, Domain.interval(-1e200, 1e200), n_paths=3, horizon=100.0, seed=0)
+        hitting_time_mc(cfg, Domain.interval(-1e200, 1e200), n_paths=3, horizon=100.0)
     assert info.value.step == 6
 
 
@@ -639,7 +632,6 @@ def test_paths_that_diverge_after_their_exit_keep_their_records():
         domain,
         n_paths=24,
         horizon=30.0,
-        seed=0,
         experiment="diverge",
         block=16,
     )
@@ -671,7 +663,9 @@ LONG_CASES = {
 
 def _long_records(case):
     process, domain = LONG_CASES[case]
-    return hitting_time_mc(process, domain, 24, 50.0, seed=13, experiment=f"slab:{case}")
+    return hitting_time_mc(
+        dataclasses.replace(process, seed=13), domain, 24, 50.0, experiment=f"slab:{case}"
+    )
 
 
 @pytest.mark.parametrize("slab", [1, 7, "block"])
@@ -719,7 +713,7 @@ def test_hitting_mc_rejects_block_below_one(block, monkeypatch):
     monkeypatch.setattr(streams, "path_streams", _no_streams)
     cfg = SdeConfig(potential=WELL, eta=0.25, dt=1e-3, T=1.0, x0=np.array([0.0]))
     with pytest.raises(ValueError, match="block"):
-        hitting_time_mc(cfg, UNIT, n_paths=4, horizon=1.0, seed=0, block=block)
+        hitting_time_mc(cfg, UNIT, n_paths=4, horizon=1.0, block=block)
 
 
 @pytest.mark.parametrize(

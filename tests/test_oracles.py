@@ -55,6 +55,21 @@ def test_with_replacement_formula_matches_enumeration():
     assert worst <= 1e-12
 
 
+def test_with_replacement_oracle_takes_batches_larger_than_the_sum():
+    """Drawn with replacement, a batch may hold more draws than there are
+    components; the oracle accepts what its law and its batches accept, and
+    only the without-replacement oracle refuses it."""
+    fs = _random_cloud(np.random.default_rng(3), 4)
+    x = np.zeros(3)
+    oracle = MinibatchOracle(fs, 6, WITH_REPLACEMENT)
+    report = covariance_report(fs, x, 6, WITH_REPLACEMENT)
+    np.testing.assert_array_equal(oracle.covariance_at(x), report.formula)
+    assert report.max_abs_diff <= 1e-12
+    assert oracle.batch(np.random.default_rng(0)).shape == (6,)
+    with pytest.raises(ValueError, match="exceeds the number of components"):
+        MinibatchOracle(fs, 6, WITHOUT_REPLACEMENT)
+
+
 def test_full_batch_without_replacement_is_noiseless():
     rng = np.random.default_rng(0)
     fs = _random_cloud(rng, 6)

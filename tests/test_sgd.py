@@ -96,7 +96,7 @@ def test_path_subsets_match_full_ensemble():
         seed=77,
     )
     full = run_sgd_ensemble(cfg, 64, experiment="weak-order")
-    part = run_sgd_ensemble(cfg, 64, experiment="weak-order", path_indices=range(16, 32))
+    part = run_sgd_ensemble(cfg, range(16, 32), experiment="weak-order")
     np.testing.assert_array_equal(full.endpoints[16:32], part.endpoints)
 
 
@@ -125,6 +125,20 @@ def test_batch_schedule_values_and_cap():
     values = [schedule_m(sched, s) for s in np.linspace(0.0, 50.0, 200)]
     assert all(b >= a for a, b in zip(values, values[1:]))
     assert min(values) >= 1
+
+
+def test_a_schedule_for_another_sum_is_refused():
+    """A schedule clipped to a larger M would ask for batches the oracle
+    cannot draw; the config refuses it before any path runs."""
+    fs = gaussian_cloud(np.linspace(-1.0, 1.0, 9)[:, None])
+    sched = BatchSchedule(C=1.0, eta=0.1, m_star=32, M=64)
+    with pytest.raises(ValueError, match="M=64"):
+        SgdConfig(eta=0.1, steps=50, x0=np.zeros(1), oracle=MinibatchOracle(fs, 1), schedule=sched)
+    ok = SgdConfig(
+        eta=0.1, steps=50, x0=np.zeros(1), oracle=MinibatchOracle(fs, 1),
+        schedule=BatchSchedule(C=1.0, eta=0.1, m_star=32, M=9),
+    )
+    assert run_sgd_ensemble(ok, 3).endpoints.shape == (3, 1)
 
 
 def test_growing_batches_shrink_endpoint_spread():
