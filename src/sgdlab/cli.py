@@ -32,7 +32,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import __version__
+from . import __version__, streams
 from .config import (
     EXPERIMENTS,
     ExperimentConfig,
@@ -106,7 +106,9 @@ class Pool:
     ``with`` block shuts it down, so the workers are forked once per run,
     after the run has started, and none outlives it.  The modules named in
     ``imports`` are imported just before the fork, so that the workers
-    inherit them instead of each paying the cold import.
+    inherit them instead of each paying the cold import.  Each worker starts
+    without ``lockstep``'s helper thread, whatever the start method: the
+    workers already fill the CPUs.
     """
 
     def __init__(self, workers: int, imports: Sequence[str] = ()):
@@ -128,7 +130,9 @@ class Pool:
         if self._executor is None:
             for name in self.imports:
                 importlib.import_module(name)
-            self._executor = ProcessPoolExecutor(max_workers=self.workers)
+            self._executor = ProcessPoolExecutor(
+                max_workers=self.workers, initializer=streams._start_without_helper
+            )
         futures = [
             self._executor.submit(fn, *args, lo, hi) for lo, hi in _chunk_ranges(n, self.workers)
         ]

@@ -294,15 +294,70 @@ def _diag_quadratic(name: str, coeffs: np.ndarray, kind: str, params) -> Potenti
     )
 
 
+def _brentq(f: Callable[[float], float], lo: float, hi: float) -> float:
+    """The root of ``f`` in [lo, hi] by Brent's method (Brent 1973, ch. 4).
+
+    A statement-for-statement port of scipy's C ``brentq``
+    (``scipy/optimize/Zeros/brentq.c``) called as ``brentq(f, lo, hi,
+    xtol=1e-14, rtol=8.9e-16)``: it evaluates ``f`` at the same Python floats
+    and runs the same IEEE double operations in the same order, so it returns
+    the same root bit for bit without importing scipy.  A bracket whose ends
+    have the same sign raises ``ValueError``, and 100 iterations without
+    convergence raise ``RuntimeError``, as ``brentq`` does.  Where C would
+    divide by zero (an extrapolation whose secant slopes underflow, which no
+    bracket of the tilted well's gradient reaches), Python raises instead.
+    """
+    xtol, rtol = 1e-14, 8.9e-16
+    xpre, xcur = float(lo), float(hi)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    # For nonzero values, ``x < 0`` is C's ``signbit(x)``.
+    if (fpre < 0) == (fcur < 0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(100):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(xcur)
+    raise RuntimeError(f"Failed to converge after 100 iterations, value is {xcur}")
+
+
 def _tilted_double_well(tilt: float) -> PotentialSpec:
     """(x^2-1)^2/4 + tilt*x with critical points located by bracketed roots.
 
     The gradient x^3 - x + tilt is monotone on each interval delimited by
     +-1/sqrt(3), so each bracket holds exactly one root when the wells have
-    not merged (|tilt| < 2/(3*sqrt(3))).
+    not merged (|tilt| < 2/(3*sqrt(3))).  ``_brentq`` finds each root by
+    Brent's method (Brent 1973) and returns what scipy's ``brentq`` returns,
+    bit for bit, so the critical points, and the annealing start point and
+    targets read from them, are those of the scipy-built well.
     """
-    from scipy.optimize import brentq
-
     t_merge = 2.0 / (3.0 * np.sqrt(3.0))
     if abs(tilt) >= t_merge - 1e-9:
         raise ValueError(
@@ -316,7 +371,7 @@ def _tilted_double_well(tilt: float) -> PotentialSpec:
     brackets = [(-2.0, -elbow), (-elbow, elbow), (elbow, 2.0)]
     cps = []
     for lo, hi in brackets:
-        root = brentq(fprime, lo, hi, xtol=1e-14, rtol=8.9e-16)
+        root = _brentq(fprime, lo, hi)
         curv = 3.0 * root * root - 1.0
         kind = MINIMIZER if curv > 0 else MAXIMIZER
         cps.append(CriticalPoint(np.array([root]), kind, np.array([curv])))

@@ -33,9 +33,10 @@ half (see ``lockstep``'s two-thread contract).  numpy's ``standard_normal``
 and scipy's ``lfilter`` release the GIL, so the halves run side by side,
 and since every path's stream is drawn by one thread in step order and the
 shaping and the filter act on each path's column alone, the split moves no
-bit.  ``import sgdlab`` starts no thread, and a forked child (a worker of
-the command line's pool) never starts one: the pool already keeps the CPUs
-busy, and a child inherits its parent's executor without its thread.
+bit.  ``import sgdlab`` starts no thread, and neither a forked child nor a
+worker of the command line's pool, however it was started, ever starts one:
+the pool already keeps the CPUs busy, and a child inherits its parent's
+executor without its thread.
 
 Every ensemble experiment takes a ``scatter(fn, n, *args) -> list``: it
 runs the module-level chunk function ``fn(*args, lo, hi)`` over contiguous
@@ -96,7 +97,7 @@ SPLIT_BLOCK_VALUES = 2**16
 # The helper thread's executor, started by the first block that splits.
 _helper_pool: ThreadPoolExecutor | None = None
 _helper_lock = threading.Lock()
-_forked = False
+_no_helper = False
 
 # numpy's SeedSequence constants (numpy/random/bit_generator.pyx).
 _POOL_SIZE = 4
@@ -268,24 +269,28 @@ def _usable_cpus() -> int:
 
 def _helper() -> ThreadPoolExecutor | None:
     """The one-thread executor that runs the second half of a split block,
-    started on first use; None in a forked child or with one usable CPU."""
+    started on first use; None in a forked child, in a pool worker or with
+    one usable CPU."""
     global _helper_pool
-    if _helper_pool is None and not _forked and _usable_cpus() >= 2:
+    if _helper_pool is None and not _no_helper and _usable_cpus() >= 2:
         with _helper_lock:  # lockstep may run on several threads at once
             if _helper_pool is None:
                 _helper_pool = ThreadPoolExecutor(1, thread_name_prefix="sgdlab-lockstep")
     return _helper_pool
 
 
-def _after_fork_in_child() -> None:
-    # A child inherits the executor but not its thread, so a submit would
-    # wait forever.
-    global _helper_pool, _forked
-    _helper_pool, _forked = None, True
+def _start_without_helper() -> None:
+    """Keep this process from starting a helper thread.  Run after a fork,
+    where a child inherits the executor but not its thread, so a submit would
+    wait forever, and by every pool worker as its initializer, since a
+    ``spawn`` or ``forkserver`` worker is not a forked child and the pool
+    already fills the CPUs."""
+    global _helper_pool, _no_helper
+    _helper_pool, _no_helper = None, True
 
 
 if hasattr(os, "register_at_fork"):  # POSIX only; elsewhere nothing forks
-    os.register_at_fork(after_in_child=_after_fork_in_child)
+    os.register_at_fork(after_in_child=_start_without_helper)
 
 
 class PathDraw(NamedTuple):

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from sgdlab import cli
+from sgdlab import cli, streams
 from sgdlab.cli import main
 
 KRAMERS_CFG = str(Path(__file__).resolve().parents[1] / "configs" / "kramers.cfg")
@@ -246,6 +246,42 @@ def test_pool_workers_fork_cleanly_after_the_helper_thread_started(tmp_path):
         pytest.fail("a 2-worker run hung after the helper thread started")
     assert proc.returncode == 0, stderr
     assert stdout.splitlines()[-1] == "True"
+
+
+SPAWNED_WORKERS = """\
+import multiprocessing
+
+from sgdlab import cli, streams
+
+
+def helper_absent(lo, hi):
+    return streams._helper() is None
+
+
+if __name__ == "__main__":
+    multiprocessing.set_start_method("spawn", force=True)
+    with cli.Pool(2) as pool:
+        print(pool._scatter(helper_absent, 2))
+"""
+
+
+def test_pool_workers_that_are_not_forked_start_no_helper_thread(tmp_path):
+    # A spawned worker is no forked child, so only the pool can tell it that
+    # the CPUs are taken.  Spawn re-imports the main module, hence a file.
+    if streams._usable_cpus() < 2:
+        pytest.skip("one usable CPU starts no helper anywhere")
+    script = tmp_path / "spawn_check.py"
+    script.write_text(SPAWNED_WORKERS)
+    proc = subprocess.run(
+        [sys.executable, str(script)],
+        cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1])),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[True, True]"
 
 
 def test_workers_env_variable_is_honoured(tmp_path):

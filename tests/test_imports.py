@@ -31,8 +31,9 @@ CASES = {
         """,
     "builtins": """\
         from sgdlab import builtin
-        for name in ("quadratic_well", "inverted_quadratic", "saddle_2d", "double_well_1d"):
-            builtin(name)
+        from sgdlab.potentials import _BUILTIN_NAMES
+        for name in _BUILTIN_NAMES:
+            builtin(name, (0.5, -0.5) if name == "gaussian_cloud_finite_sum" else ())
         """,
     "bvp-interval": """\
         from sgdlab import Domain, builtin, minimizer_scaling_fit

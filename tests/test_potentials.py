@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from sgdlab import (
     Domain,
@@ -12,6 +15,7 @@ from sgdlab import (
     population_covariance,
     quasi_potential_isotropic,
 )
+from sgdlab.potentials import _brentq
 
 ALL_BUILTINS = [
     ("quadratic_well", ()),
@@ -86,6 +90,61 @@ def test_asymmetric_double_well_global_minimizer():
     assert glob.location[0] > 0.9  # the tilt favours the right-hand well
     vals = sorted(spec.value(cp.location) for cp in mins)
     assert spec.value(glob.location) == pytest.approx(vals[0])
+
+
+T_MERGE = 2.0 / (3.0 * np.sqrt(3.0))
+ELBOW = 1.0 / np.sqrt(3.0)
+TILT_BRACKETS = [(-2.0, -ELBOW), (-ELBOW, ELBOW), (ELBOW, 2.0)]
+
+
+def _outcome(solve, f, lo, hi):
+    """The bits of the root ``solve`` finds, or the type of what it raises."""
+    try:
+        return np.float64(solve(f, lo, hi)).tobytes()
+    except (ValueError, RuntimeError) as exc:
+        return type(exc)
+
+
+def _scipy_brentq(f, lo, hi):
+    return brentq(f, lo, hi, xtol=1e-14, rtol=8.9e-16)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(-T_MERGE, T_MERGE, exclude_min=True, exclude_max=True))
+@example(T_MERGE - 2e-9)
+@example(-(T_MERGE - 2e-9))
+@example(1e-300)
+@example(-1e-300)
+@example(5e-324)
+@example(-0.05)
+def test_brentq_port_matches_scipy_bit_for_bit(tilt):
+    # The smallest subnormal tilt makes f(lo) * f(hi) underflow to zero, so
+    # it tells a sign test by signbit from one by product.
+    def fprime(s):
+        return s ** 3 - s + tilt
+
+    for lo, hi in TILT_BRACKETS:
+        assert _outcome(_brentq, fprime, lo, hi) == _outcome(_scipy_brentq, fprime, lo, hi)
+    if tilt == 0.0 or abs(tilt) >= T_MERGE - 1e-9:
+        with pytest.raises(ValueError):
+            builtin("asym_double_well_1d", (tilt,))
+        return
+    cps = builtin("asym_double_well_1d", (tilt,)).critical_points
+    for cp, (lo, hi) in zip(cps, TILT_BRACKETS, strict=True):
+        root = _scipy_brentq(fprime, lo, hi)
+        assert cp.location.tobytes() == np.array([root]).tobytes()
+        assert cp.eigenvalues.tobytes() == np.array([3.0 * root * root - 1.0]).tobytes()
+
+
+def test_brentq_port_raises_as_scipy_does():
+    def no_root(s):
+        return s * s + 1.0
+
+    def step(s):  # no interpolation helps: 100 halvings of 2e300 fall short
+        return -1.0 if s < 0.5 else 1.0
+
+    for f, lo, hi, error in [(no_root, -1.0, 1.0, ValueError), (step, -1e300, 1e300, RuntimeError)]:
+        assert _outcome(_brentq, f, lo, hi) is _outcome(_scipy_brentq, f, lo, hi) is error
 
 
 def test_saddle_2d_eigenstructure():

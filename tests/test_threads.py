@@ -205,7 +205,7 @@ def test_concurrent_callers_share_one_helper_and_keep_every_bit(monkeypatch):
         return started[-1]
 
     monkeypatch.setattr(streams, "_helper_pool", None)
-    monkeypatch.setattr(streams, "_forked", False)
+    monkeypatch.setattr(streams, "_no_helper", False)
     monkeypatch.setattr(streams, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(streams, "ThreadPoolExecutor", counting_executor)
     interval = sys.getswitchinterval()
