@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import importlib
 import json
 import math
 import os
@@ -56,7 +55,7 @@ from .exit_times import (
     saddle_scaling_fit,
 )
 from .oracles import AdditiveGaussianOracle, covariance_report
-from .potentials import FiniteSumSpec, diagonal_quadratic_coefficients
+from .potentials import FiniteSumSpec
 from .reporting import (
     fmt,
     write_anneal_csv,
@@ -104,16 +103,15 @@ class Pool:
     A context manager: the first scatter with more than one worker starts
     the process pool, every later scatter reuses it, and leaving the
     ``with`` block shuts it down, so the workers are forked once per run,
-    after the run has started, and none outlives it.  The modules named in
-    ``imports`` are imported just before the fork, so that the workers
-    inherit them instead of each paying the cold import.  Each worker starts
+    after the run has started, and none outlives it.  No worker imports a
+    scipy package: the diagonal quadratics' block stepper loads scipy's
+    compiled filter on its own (``sde._linear_filter``).  Each worker starts
     without ``lockstep``'s helper thread, whatever the start method: the
     workers already fill the CPUs.
     """
 
-    def __init__(self, workers: int, imports: Sequence[str] = ()):
+    def __init__(self, workers: int):
         self.workers = max(1, workers)
-        self.imports = imports
         self._executor: ProcessPoolExecutor | None = None
 
     def __enter__(self) -> "Pool":
@@ -128,8 +126,6 @@ class Pool:
         if self.workers == 1:
             return [fn(*args, 0, n)]
         if self._executor is None:
-            for name in self.imports:
-                importlib.import_module(name)
             self._executor = ProcessPoolExecutor(
                 max_workers=self.workers, initializer=streams._start_without_helper
             )
@@ -662,17 +658,6 @@ def _resolve_workers(cfg: ExperimentConfig) -> int:
     return 1
 
 
-def _chunk_imports(cfg: ExperimentConfig) -> tuple[str, ...]:
-    """The modules a run's chunks import, for its pool to import before it
-    forks: ``scipy.signal`` (about a second cold) for Monte Carlo exit rungs
-    on a builtin diagonal quadratic, whose block stepper calls ``lfilter``,
-    the one scipy function a chunk can reach; nothing for any other run."""
-    if cfg.experiment in ("exit-min", "exit-saddle") and cfg.get("source") == "mc":
-        if diagonal_quadratic_coefficients(base_of(build_potential(cfg))) is not None:
-            return ("scipy.signal",)
-    return ()
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     t0 = time.perf_counter()
@@ -680,7 +665,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         cfg = _resolve_config(args)
         workers = _resolve_workers(cfg)
         out = cfg.get("out", "run")
-        with Pool(workers, _chunk_imports(cfg)) as pool:
+        with Pool(workers) as pool:
             files, summary, checks = _RUNNERS[cfg.experiment](cfg, out, pool._scatter)
         files.append(write_summary_csv(f"{out}.summary.csv", summary))
     except ConfigError as exc:

@@ -37,7 +37,8 @@ BVP_RTOL = 1e-6
 
 @dataclass(frozen=True)
 class Domain:
-    """A bounded open domain; exit means leaving its closure."""
+    """A bounded open domain; exit means leaving its closure.  The
+    constructors refuse a non-finite bound, centre or radius."""
 
     kind: str  # "interval" | "ball" | "box"
     lo: Optional[np.ndarray] = None
@@ -47,24 +48,24 @@ class Domain:
 
     @classmethod
     def interval(cls, lo: float, hi: float) -> "Domain":
+        _check_finite("interval bounds", [lo, hi])
         if not lo < hi:
             raise ValueError(f"interval needs lo < hi, got ({lo}, {hi})")
         return cls(kind="interval", lo=np.array([float(lo)]), hi=np.array([float(hi)]))
 
     @classmethod
     def ball(cls, center, radius: float) -> "Domain":
+        center = np.atleast_1d(np.asarray(center, dtype=float))
+        _check_finite("ball center and radius", [*center, radius])
         if radius <= 0:
             raise ValueError(f"ball radius must be positive, got {radius}")
-        return cls(
-            kind="ball",
-            center=np.atleast_1d(np.asarray(center, dtype=float)),
-            radius=float(radius),
-        )
+        return cls(kind="ball", center=center, radius=float(radius))
 
     @classmethod
     def box(cls, lo, hi) -> "Domain":
         lo = np.atleast_1d(np.asarray(lo, dtype=float))
         hi = np.atleast_1d(np.asarray(hi, dtype=float))
+        _check_finite("box bounds", [*lo, *hi])
         if lo.shape != hi.shape or np.any(lo >= hi):
             raise ValueError("box needs lo < hi componentwise")
         return cls(kind="box", lo=lo, hi=hi)
@@ -93,6 +94,12 @@ class Domain:
         if self.kind == "ball":
             return bool(np.linalg.norm(x - self.center) < self.radius)
         return bool(np.all((x > self.lo) & (x < self.hi)))
+
+
+def _check_finite(what: str, values) -> None:
+    """Raise ``ValueError`` naming ``what`` and its values unless all are finite."""
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{what} must be finite, got {list(map(float, values))}")
 
 
 # ---------------------------------------------------------------------------
@@ -156,8 +163,8 @@ def hitting_time_mc(
     x0 = np.atleast_1d(np.asarray(process.x0, dtype=float))
     if not domain.strictly_inside(x0):
         raise ValueError(f"start point {x0} is not strictly inside the domain")
-    if horizon <= 0:
-        raise ValueError(f"horizon must be positive, got {horizon}")
+    if not 0 < horizon < math.inf:
+        raise ValueError(f"horizon must be positive and finite, got {horizon}")
     if block < 1:
         raise ValueError(f"block must be at least 1, got {block}")
     indices = n_paths if isinstance(n_paths, range) else range(n_paths)
@@ -287,6 +294,7 @@ def log_mean_exit_bvp_1d(
     ``BVP_RTOL`` (which bounds the relative error of u itself).
     """
     lo, hi = float(interval[0]), float(interval[1])
+    _check_finite("interval bounds", [lo, hi])
     if not lo < x < hi:
         raise ValueError(f"x={x} must lie strictly inside ({lo}, {hi})")
     if not 0 < eta_sigma2 < math.inf:

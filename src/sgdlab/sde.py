@@ -14,7 +14,12 @@ the rescaled fluctuations zeta = (x_sgd - Y) / sqrt(eta),
 
 from __future__ import annotations
 
+import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
@@ -101,17 +106,53 @@ def _horizon_steps(T: float, eta: float) -> int:
     return k
 
 
+@functools.cache
+def _linear_filter() -> Callable:
+    """scipy's compiled ``_linear_filter(b, a, x, axis, zi)``, loaded from
+    its extension file without importing any scipy package.
+
+    ``find_spec`` locates scipy without running its ``__init__``, and the
+    extension is loaded on its own; a single-phase extension enters itself
+    in ``sys.modules``, which is undone unless it was there already.  If any
+    step fails, ``scipy.signal.lfilter`` stands in: for a two-tap
+    denominator it calls this same function on the same arguments, so
+    either route gives the same bits.
+    """
+    name = "scipy.signal._sigtools"
+    try:
+        root = importlib.util.find_spec("scipy").submodule_search_locations[0]
+        paths = [
+            os.path.join(root, "signal", "_sigtools" + suffix)
+            for suffix in importlib.machinery.EXTENSION_SUFFIXES
+        ]
+        path = next(p for p in paths if os.path.isfile(p))
+        known = name in sys.modules
+        loader = importlib.machinery.ExtensionFileLoader(name, path)
+        module = importlib.util.module_from_spec(importlib.util.spec_from_loader(name, loader))
+        loader.exec_module(module)
+        if not known:
+            sys.modules.pop(name, None)
+        return module._linear_filter
+    except Exception:
+        from scipy.signal import lfilter
+
+        return lfilter
+
+
 def _linear_block_step(c: np.ndarray) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
     """The kernel ``block_step`` of x_{k+1} = c x_k + noise_k, one factor
-    per axis: one ``lfilter`` per axis per ``streams.scan_slab`` steps,
-    which for a few alive paths is the whole block.
+    per axis: one compiled linear filter (``_linear_filter``, scipy's
+    ``lfilter`` without the import) per axis per ``streams.scan_slab``
+    steps, which for a few alive paths is the whole block.
 
     The filter's recursion y_k = noise_k + c y_{k-1}, started from
     zi = c x, is the loop ``x = c * x + noise`` bit for bit, so neither the
-    block nor the slab cut changes a state.
+    block nor the slab cut changes a state.  The filter is fetched here, on
+    the thread that builds the kernel, before any block is stepped.
     """
-
-    from scipy.signal import lfilter
+    linear_filter = _linear_filter()
+    numerator = np.array([1.0])
+    denominators = [np.array([1.0, -ca]) for ca in c]
 
     def block_step(x, buf):
         step = streams.scan_slab(buf.shape)
@@ -119,7 +160,7 @@ def _linear_block_step(c: np.ndarray) -> Callable[[np.ndarray, np.ndarray], np.n
             slab = buf[j0 : j0 + step]
             for a, ca in enumerate(c):
                 zi = ca * x[None, :, a]
-                slab[..., a] = lfilter([1.0], [1.0, -ca], slab[..., a], axis=0, zi=zi)[0]
+                slab[..., a] = linear_filter(numerator, denominators[a], slab[..., a], 0, zi)[0]
             x = slab[-1]
         return x.copy()
 

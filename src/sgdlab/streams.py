@@ -30,7 +30,8 @@ CPU is free it splits a Gaussian noise block between two threads: a helper
 thread, started on first use, fills, shapes, scales and block-steps one
 contiguous half of the alive paths while the calling thread does the other
 half (see ``lockstep``'s two-thread contract).  numpy's ``standard_normal``
-and scipy's ``lfilter`` release the GIL, so the halves run side by side,
+and the block stepper's compiled linear filter (scipy's, see
+``sde._linear_filter``) release the GIL, so the halves run side by side,
 and since every path's stream is drawn by one thread in step order and the
 shaping and the filter act on each path's column alone, the split moves no
 bit.  ``import sgdlab`` starts no thread, and neither a forked child nor a

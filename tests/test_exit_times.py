@@ -3,12 +3,14 @@ times, deterministic-flow travel times, and the escape-scaling fits."""
 
 import dataclasses
 import functools
+import importlib.util
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.signal import lfilter
 
 from sgdlab import (
     AdditiveGaussianOracle,
@@ -29,7 +31,7 @@ from sgdlab import (
     saddle_scaling_fit,
     streams,
 )
-from sgdlab import exit_times
+from sgdlab import exit_times, sde
 
 WELL = builtin("quadratic_well")
 INVERTED = builtin("inverted_quadratic")
@@ -522,6 +524,25 @@ def test_linear_engine_cases_keep_the_euler_exit_steps(case):
     _assert_near_euler(_engine_records(case), expected)
 
 
+def test_the_lfilter_fallback_gives_the_same_records(monkeypatch):
+    # With scipy's extension file out of sight, the block stepper falls back
+    # to scipy.signal.lfilter, which calls the same compiled filter.
+    sde._linear_filter.cache_clear()
+    assert sde._linear_filter() is not lfilter
+    case = "box-matrix-diffusion"
+    expected = [(r.exit_time, r.exit_point, r.censored) for r in _engine_records(case)]
+    find_spec = importlib.util.find_spec
+    monkeypatch.setattr(
+        importlib.util, "find_spec", lambda name, *a: None if name == "scipy" else find_spec(name, *a)
+    )
+    sde._linear_filter.cache_clear()
+    try:
+        assert sde._linear_filter() is lfilter
+        _assert_same_records(_engine_records(case), expected)
+    finally:
+        sde._linear_filter.cache_clear()
+
+
 # The CLI's tiny exit ladders (tests/test_acceptance.py TINY_CONFIGS):
 # (fit, potential, eta_list, horizon, seed).
 TINY_LADDERS = {
@@ -747,3 +768,39 @@ def test_non_finite_noise_is_refused_before_any_quadrature(bad):
         minimizer_scaling_fit(DOUBLE_WELL, bad, Domain.interval(-1.0, 2.0), [0.1])
     with pytest.raises(ValueError, match="positive and finite"):
         saddle_scaling_fit(INVERTED, bad, UNIT, np.zeros(1), [0.1])
+
+
+NON_FINITE = pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=str)
+
+
+@NON_FINITE
+def test_domains_refuse_a_non_finite_bound(bad):
+    """A domain is bounded: a non-finite bound, centre or radius is named at
+    construction instead of failing later as a start "not strictly inside"."""
+    with pytest.raises(ValueError, match=f"interval bounds must be finite.*{bad}"):
+        Domain.interval(-1.0, bad) if bad > 0 else Domain.interval(bad, 1.0)
+    with pytest.raises(ValueError, match=f"ball center and radius must be finite.*{bad}"):
+        Domain.ball([0.0, 0.0], bad)
+    with pytest.raises(ValueError, match=f"ball center and radius must be finite.*{bad}"):
+        Domain.ball([bad, 0.0], 1.0)
+    with pytest.raises(ValueError, match=f"box bounds must be finite.*{bad}"):
+        Domain.box([bad, 0.0], [1.0, 1.0])
+    with pytest.raises(ValueError, match=f"box bounds must be finite.*{bad}"):
+        Domain.box([0.0], [bad])
+
+
+@NON_FINITE
+def test_the_mean_exit_oracle_refuses_a_non_finite_interval(bad):
+    """(-1, inf) used to double the grid to 8.4M points and then report a
+    numerical failure."""
+    interval = (-1.0, bad) if bad > 0 else (bad, 1.0)
+    with pytest.raises(ValueError, match=f"interval bounds must be finite.*{bad}"):
+        log_mean_exit_bvp_1d(WELL, 0.25, interval, 0.0)
+
+
+@NON_FINITE
+def test_exit_mc_refuses_a_non_finite_horizon(bad, monkeypatch):
+    monkeypatch.setattr(streams, "path_streams", _no_streams)
+    cfg = SdeConfig(potential=WELL, eta=0.25, dt=1e-3, T=1.0, x0=np.zeros(1))
+    with pytest.raises(ValueError, match=f"horizon must be positive and finite, got {bad}"):
+        hitting_time_mc(cfg, UNIT, n_paths=4, horizon=bad)

@@ -4,6 +4,8 @@ The pytest process has long since imported scipy, so every check runs in a
 fresh interpreter and reports what that interpreter's ``sys.modules`` holds.
 """
 
+import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -41,6 +43,15 @@ CASES = {
             builtin("quadratic_well"), 1.0, Domain.interval(-1.0, 1.0), [0.25, 0.125]
         )
         assert len(report.entries) == 2
+        """,
+    "exit-mc": """\
+        from sgdlab import Domain, builtin, minimizer_scaling_fit, sde
+        report = minimizer_scaling_fit(
+            builtin("quadratic_well"), 1.0, Domain.interval(-1.0, 1.0), [0.5, 0.4],
+            source="mc", n_paths=32,
+        )
+        assert len(report.entries) == 2
+        assert sde._linear_filter.cache_info().currsize == 1  # the block stepper ran
         """,
 }
 
@@ -82,38 +93,53 @@ n_paths = 400
 """
 
 
-def test_pool_workers_inherit_scipy_signal(tmp_path):
-    # A chunk reaches scipy only through lfilter, in the block stepper of an
-    # exit rung on a diagonal quadratic; the pool of such a run imports
-    # scipy.signal before it forks, so no worker imports it again.
-    script = tmp_path / "fork_check.py"
-    script.write_text(
-        textwrap.dedent(
-            f"""\
-            import sys
+TWO_WORKER_EXIT_MC = f"""\
+import json
+import multiprocessing
+import sys
 
-            from sgdlab import cli
-            from sgdlab.config import parse_config_text, validate_config
+from sgdlab import cli, sde
+from sgdlab.config import parse_config_text, validate_config
 
-
-            def signal_loaded(lo, hi):
-                return "scipy.signal" in sys.modules
+# Inherited by the forked workers: each probe waits for the other, so the two
+# probes run on the two workers.
+BARRIER = multiprocessing.Barrier(2)
 
 
-            if __name__ == "__main__":
-                cfg = validate_config(parse_config_text({EXIT_MC!r}))
-                assert "scipy.signal" not in sys.modules
-                with cli.Pool(2, cli._chunk_imports(cfg)) as pool:
-                    print(pool._scatter(signal_loaded, 8))
-            """
-        )
-    )
-    assert _python([str(script)], tmp_path) == "[True, True]"
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.startswith("scipy"))
+
+
+def probe(lo, hi):
+    BARRIER.wait(timeout=60)
+    return sde._linear_filter.cache_info().currsize, scipy_modules()
+
+
+if __name__ == "__main__":
+    cfg = validate_config(parse_config_text({EXIT_MC!r}))
+    with cli.Pool(2) as pool:
+        cli._RUNNERS[cfg.experiment](cfg, "e", pool._scatter)
+        workers = pool._scatter(probe, 2)
+    print(json.dumps([workers, scipy_modules()]))
+"""
+
+
+def test_a_two_worker_exit_mc_run_loads_no_scipy_anywhere(tmp_path):
+    # The workers step the ladder's rungs through the block stepper, which
+    # loads scipy's compiled filter without any scipy package, so neither
+    # they nor the parent list a scipy module.
+    if multiprocessing.get_start_method() != "fork":
+        pytest.skip("the probes meet at a barrier that only forked workers share")
+    script = tmp_path / "exit_mc_check.py"
+    script.write_text(TWO_WORKER_EXIT_MC)
+    workers, parent = json.loads(_python([str(script)], tmp_path))
+    assert parent == []
+    assert [modules for _, modules in workers] == [[], []]
+    assert any(loaded for loaded, _ in workers)  # a worker ran the block stepper
 
 
 def test_a_two_worker_deviation_run_forks_without_scipy(tmp_path):
-    # No deviation chunk reaches lfilter, so its pool imports nothing
-    # before it forks.
+    # No deviation chunk reaches the block stepper or any scipy function.
     (tmp_path / "d.cfg").write_text(DEVIATION)
     script = textwrap.dedent(
         """\

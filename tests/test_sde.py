@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.signal import lfilter
 
 from sgdlab import (
     AdditiveGaussianOracle,
@@ -15,10 +18,11 @@ from sgdlab import (
     flow_sup_gap,
     ou_moments,
     path_streams,
+    streams,
     weak_error_linear,
     weak_error_mc,
 )
-from sgdlab.sde import _time_grid, em_on_grid
+from sgdlab.sde import _linear_block_step, _time_grid, em_on_grid
 
 WELL = builtin("quadratic_well")
 
@@ -116,3 +120,32 @@ def test_horizon_must_be_a_whole_number_of_steps(entry):
     run(0.3, 0.1)
     with pytest.raises(ValueError, match="not a whole number of steps of eta=0.1"):
         run(0.35, 0.1)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    q=st.lists(st.floats(-40.0, 40.0), min_size=1, max_size=3),
+    dt=st.sampled_from([1e-4, 1e-3, 1e-2]),
+    paths=st.integers(1, 70),
+    steps=st.integers(1, 300),
+    scan_bytes=st.sampled_from([8, 2**12, 2**20]),
+    start=st.sampled_from([0.0, -0.0, 1e-310, 1e300]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_block_stepper_keeps_the_bits_of_lfilter(q, dt, paths, steps, scan_bytes, start, seed):
+    # The block stepper calls scipy's compiled filter without importing
+    # scipy.signal; per axis, its states are those of one lfilter over the
+    # whole block, however a small SCAN_BYTES cuts the block into slabs.
+    c = 1.0 - np.array(q) * dt
+    d = c.size
+    noise = np.random.default_rng(seed).standard_normal((steps, paths, d)) * math.sqrt(dt)
+    x0 = np.full((paths, d), start)
+    expected = np.empty_like(noise)
+    for a, ca in enumerate(c):
+        expected[..., a] = lfilter([1.0], [1.0, -ca], noise[..., a], axis=0, zi=ca * x0[None, :, a])[0]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(streams, "SCAN_BYTES", scan_bytes)
+        buf = noise.copy()
+        last = _linear_block_step(c)(x0, buf)
+    assert buf.tobytes() == expected.tobytes()
+    assert last.tobytes() == expected[-1].tobytes()
