@@ -226,8 +226,14 @@ def diagonal_quadratic_coefficients(spec: PotentialSpec) -> np.ndarray | None:
     count or time its calls) is still recognised, and a hand-built spec
     never is, whatever its gradient.
     """
+    return _bound_argument(spec, _diag_quad_hessian)
+
+
+def _bound_argument(spec: PotentialSpec, hessian_fn: Callable):
+    """The argument a builtin family bound into the spec's Hessian, if that
+    Hessian is ``hessian_fn``'s partial, else None."""
     hessian = spec.hessian
-    if isinstance(hessian, partial) and hessian.func is _diag_quad_hessian:
+    if isinstance(hessian, partial) and hessian.func is hessian_fn:
         return hessian.args[0]
     return None
 
@@ -247,6 +253,17 @@ def _double_well_hessian(tilt: float, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     s = x[..., 0]
     return (3.0 * s * s - 1.0)[..., None, None]
+
+
+def double_well_tilt(spec: PotentialSpec) -> float | None:
+    """The tilt t of a builtin double well F(x) = (x^2 - 1)^2 / 4 + t x
+    (``double_well_1d``, t = 0, and ``asym_double_well_1d``), else None.
+
+    Read from the bound Hessian, as ``diagonal_quadratic_coefficients`` is,
+    so a wrapped gradient is still recognised and a hand-built spec never is.
+    """
+    tilt = _bound_argument(spec, _double_well_hessian)
+    return None if tilt is None else float(tilt)
 
 
 def _cloud_value(centers: np.ndarray, x) -> np.ndarray:

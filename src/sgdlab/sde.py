@@ -27,11 +27,24 @@ import numpy as np
 
 from . import streams
 from .oracles import GradientOracle
-from .potentials import PotentialSpec, check_stacked_maps, diagonal_quadratic_coefficients
+from .potentials import (
+    PotentialSpec,
+    check_stacked_maps,
+    diagonal_quadratic_coefficients,
+    double_well_tilt,
+)
 from .sgd import SgdConfig, sgd_ensemble_chunk
 
 FIRST_ORDER = "first"
 SECOND_ORDER = "second"
+
+# The most alive paths for which the double well's block stepper steps each
+# path as a loop of Python floats rather than all paths as numpy rows.  A
+# step of the seven in-place ufuncs costs about 2.2 us whatever the paths,
+# the float loop about 95 ns per path and step, so they cross at about 23
+# paths (numpy 2.4, one x86-64 core).  Of 0, 16, 24, 32, 48 and 64, the
+# benchmark's exit-wide escape op ran fastest at 24 and 32.
+SCALAR_PATHS = 24
 
 Diffusion = Union[float, np.ndarray, Callable[[np.ndarray], np.ndarray]]
 
@@ -167,6 +180,40 @@ def _linear_block_step(c: np.ndarray) -> Callable[[np.ndarray, np.ndarray], np.n
     return block_step
 
 
+def _double_well_block_step(tilt: float, dt: float) -> Callable:
+    """The kernel ``block_step`` of the Euler step of a builtin double well,
+    s -> (s - ((s*s*s - s) + tilt) dt) + noise, through a whole block.
+
+    These are the IEEE operations of the per-step ``x - gradient(x) dt +
+    noise`` in the same order, so every state keeps its bits, overflow to
+    inf and nan included (a Python float product overflows to inf without
+    raising).  Above ``SCALAR_PATHS`` alive paths a step is seven in-place
+    ufuncs on the states' column; at or below it each path runs as a loop of
+    Python floats.  Either way the states go over the noise rows they used.
+    """
+
+    def block_step(x, buf):
+        noise = buf[..., 0]  # (steps, paths)
+        if noise.shape[1] <= SCALAR_PATHS:
+            for c, s in enumerate(x[:, 0].tolist()):
+                column = noise[:, c].tolist()
+                noise[:, c] = [s := (s - ((s * s * s - s) + tilt) * dt) + z for z in column]
+        else:
+            s = x[:, 0]
+            t = np.empty_like(s)
+            for row in noise:
+                np.multiply(s, s, out=t)
+                np.multiply(t, s, out=t)
+                np.subtract(t, s, out=t)
+                np.add(t, tilt, out=t)
+                np.multiply(t, dt, out=t)
+                np.subtract(s, t, out=t)
+                s = np.add(t, row, out=row)
+        return buf[-1].copy()
+
+    return block_step
+
+
 def sde_kernel(cfg: SdeConfig, times: np.ndarray | None = None) -> streams.Kernel:
     """The ``streams.Kernel`` of Euler-Maruyama steps on the grid ``times``,
     or on the unbounded uniform grid k cfg.dt when ``times`` is None.
@@ -179,12 +226,19 @@ def sde_kernel(cfg: SdeConfig, times: np.ndarray | None = None) -> streams.Kerne
     call on the whole stack of states, as the stacked product S(x) xi.
 
     The kernel has a ``block_step`` only under first-order drift on the
-    uniform grid of a builtin diagonal quadratic
-    (``potentials.diagonal_quadratic_coefficients``) with a scalar or
-    constant-matrix diffusion, with or without a noise schedule.  It runs
-    each axis's step x -> (1 - q dt) x + noise through a whole noise block
-    as one compiled recursion, whose states can differ from the step's
-    x - (q x) dt + noise in the last bit.
+    uniform grid with a scalar or constant-matrix diffusion, with or without
+    a noise schedule, and only for two builtin families, recognised by their
+    bound Hessians:
+    - a diagonal quadratic (``potentials.diagonal_quadratic_coefficients``):
+      each axis's step x -> (1 - q dt) x + noise runs through a whole noise
+      block as one compiled recursion, whose states can differ from the
+      step's x - (q x) dt + noise in the last bit.  The recursion releases
+      the GIL, so ``lockstep`` runs it on each thread's half of a split
+      block;
+    - a double well (``potentials.double_well_tilt``): the cubic step runs
+      through the block with the per-step operations in their order, so no
+      bit moves (``_double_well_block_step``).  It holds the GIL, so
+      ``lockstep`` runs it once on the whole block, on the calling thread.
     """
     if times is None:
         dt = cfg.dt
@@ -214,7 +268,7 @@ def sde_kernel(cfg: SdeConfig, times: np.ndarray | None = None) -> streams.Kerne
     else:
         step_scale = lambda k0, k1: root_eta * np.sqrt(steps[k0:k1])  # noqa: E731
 
-    block_step = None
+    block_step, releases_gil = None, False
     if cfg.drift_order == FIRST_ORDER:
         gradient = cfg.potential.gradient
 
@@ -224,15 +278,19 @@ def sde_kernel(cfg: SdeConfig, times: np.ndarray | None = None) -> streams.Kerne
             return x - np.asarray(gradient(x), dtype=float) * step_of(k) + noise
 
         q = diagonal_quadratic_coefficients(cfg.potential)
+        tilt = double_well_tilt(cfg.potential)
         if times is None and q is not None:
-            block_step = _linear_block_step(1.0 - q * dt)
+            block_step, releases_gil = _linear_block_step(1.0 - q * dt), True
+        elif times is None and tilt is not None:
+            block_step = _double_well_block_step(tilt, float(dt))
 
     else:
 
         def step_fn(x, noise, k):
             return x + drift(x) * step_of(k) + noise
 
-    return streams.gaussian_kernel(step_fn, d, diffusion, step_scale, block_step)
+    kernel = streams.gaussian_kernel(step_fn, d, diffusion, step_scale, block_step)
+    return kernel._replace(block_step_releases_gil=releases_gil)
 
 
 def em_on_grid(

@@ -27,17 +27,20 @@ path's ``SeedSequence`` is built only when a caller spawns from its stream.
 ``lockstep`` is the one engine that steps an ensemble: the diffusion, the
 SGD chain, first exits and annealing all run through it.  Where a second
 CPU is free it splits a Gaussian noise block between two threads: a helper
-thread, started on first use, fills, shapes, scales and block-steps one
-contiguous half of the alive paths while the calling thread does the other
-half (see ``lockstep``'s two-thread contract).  numpy's ``standard_normal``
-and the block stepper's compiled linear filter (scipy's, see
-``sde._linear_filter``) release the GIL, so the halves run side by side,
-and since every path's stream is drawn by one thread in step order and the
-shaping and the filter act on each path's column alone, the split moves no
-bit.  ``import sgdlab`` starts no thread, and neither a forked child nor a
-worker of the command line's pool, however it was started, ever starts one:
-the pool already keeps the CPUs busy, and a child inherits its parent's
-executor without its thread.
+thread, started on first use, fills, shapes and scales one contiguous half
+of the alive paths while the calling thread does the other half (see
+``lockstep``'s two-thread contract).  numpy's ``standard_normal`` releases
+the GIL, so the halves run side by side.  A block stepper that releases it
+too, the diagonal quadratics' compiled linear filter (scipy's, see
+``sde._linear_filter``), steps each half on its thread; one that holds it,
+the double wells' cubic recursion, would only wait for the other thread,
+so it steps the whole block once, on the calling thread, after the join.
+Since every path's stream is drawn by one thread in step order and the
+shaping and the block steppers act on each path's column alone, the split
+moves no bit.  ``import sgdlab`` starts no thread, and neither a forked
+child nor a worker of the command line's pool, however it was started, ever
+starts one: the pool already keeps the CPUs busy, and a child inherits its
+parent's executor without its thread.
 
 Every ensemble experiment takes a ``scatter(fn, n, *args) -> list``: it
 runs the module-level chunk function ``fn(*args, lo, hi)`` over contiguous
@@ -324,6 +327,11 @@ class Kernel(NamedTuple):
     writes each step's states over the noise row they used and returns the
     states after the block, and ``step`` is not called.  ``gaussian_kernel``
     builds the kernels that draw d standard normals per step.
+
+    ``block_step_releases_gil`` is internal, set by ``sde.sde_kernel`` for
+    a block stepper that runs outside the GIL (the compiled linear filter):
+    ``lockstep`` runs such a stepper on each thread's half of a split block,
+    and any other once on the whole block, on the calling thread.
     """
 
     step: Callable[[np.ndarray, np.ndarray, int], np.ndarray]
@@ -331,6 +339,7 @@ class Kernel(NamedTuple):
     shape: float | np.ndarray | None = None
     step_scale: Callable[[int, int], float | np.ndarray] | None = None
     block_step: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
+    block_step_releases_gil: bool = False
 
 
 def gaussian_kernel(step, d: int, s=1.0, step_scale=None, block_step=None) -> Kernel:
@@ -384,19 +393,19 @@ def gaussian_kernel(step, d: int, s=1.0, step_scale=None, block_step=None) -> Ke
     return Kernel(step, PathDraw(fill, d, float), shape, step_scale, block_step)
 
 
-def _prepare(kernel: Kernel, gens, ids, k0, k1, buf, scale, x) -> np.ndarray:
+def _prepare(kernel: Kernel, gens, ids, k0, k1, buf, scale, x, block_step) -> np.ndarray:
     """Fill ``buf`` with the draws of steps k0, ..., k1 - 1 of the paths
-    ``ids``, shape and scale it, and step their states ``x`` through it if
-    the kernel has a ``block_step``; returns the states after the block, or
-    ``x`` as it was.  numpy's error state belongs to a thread's context, so
-    this sets ``lockstep``'s own for the helper thread too."""
+    ``ids``, shape and scale it, and step their states ``x`` through it with
+    ``block_step`` unless that is None; returns the states after the block,
+    or ``x`` as it was.  numpy's error state belongs to a thread's context,
+    so this sets ``lockstep``'s own for the helper thread too."""
     with np.errstate(over="ignore", invalid="ignore"):
         kernel.draw.fill(gens, ids, k0, k1, buf)
         if kernel.shape is not None:
             buf *= kernel.shape
         if scale is not None:
             buf *= scale
-        return x if kernel.block_step is None else kernel.block_step(x, buf)
+        return x if block_step is None else block_step(x, buf)
 
 
 def lockstep(
@@ -432,16 +441,19 @@ def lockstep(
     two paths are alive, a path's draw holds at least ``SPLIT_VALUES``
     values and the block at least ``SPLIT_BLOCK_VALUES``, at least two CPUs
     are usable (``os.sched_getaffinity``) and the process is not a forked
-    child.  The helper thread then fills, shapes, scales and block-steps the
-    last half of the alive columns, while the calling thread does the same
-    for the first half, each with one ``fill`` call on its own ids; the
+    child.  The helper thread then fills, shapes and scales the last half
+    of the alive columns, while the calling thread does the same for the
+    first half, each with one ``fill`` call on its own ids.  A
+    ``block_step`` that releases the GIL (``kernel.block_step_releases_gil``,
+    the diagonal quadratics' compiled filter) steps each half on its
+    thread; any other (the double wells' cubic recursion) steps the whole
+    block once, on the calling thread, after both halves are done.  The
     per-step loop, the exit scan, compaction, every ``NumericalError``
-    guard and ``on_step`` run on the calling thread once both halves are
-    done.  Since each path's draws come from its own stream in step order,
-    and shaping and ``block_step`` act on each path's column alone, the
-    split moves no bit.  Any other block, a mini-batch draw (one Python call
-    per step) among them, is filled by one ``fill`` call on the calling
-    thread.
+    guard and ``on_step`` run on the calling thread after the join.  Since
+    each path's draws come from its own stream in step order, and shaping
+    and ``block_step`` act on each path's column alone, the split moves no
+    bit.  Any other block, a mini-batch draw (one Python call per step)
+    among them, is filled by one ``fill`` call on the calling thread.
 
     Block-scan contract, with a ``domain``: every path alive at the start of
     a block is stepped through the whole block, each step's states
@@ -464,7 +476,7 @@ def lockstep(
     once per block, so a non-finite alive state is reported at the end of
     its block.
     """
-    step_fn, draw, shape, step_scale, block_step = kernel
+    step_fn, draw, shape, step_scale, block_step, releases_gil = kernel
     if on_step is not None and (domain is not None or block_step is not None):
         raise ValueError("lockstep takes on_step alone, without domain or block_step")
     n = len(gens)
@@ -500,17 +512,23 @@ def lockstep(
             )
             helper = _helper() if split else None
             if helper is None:
-                x = _prepare(kernel, gens, ids, step0, step1, buf, scale, x)
+                x = _prepare(kernel, gens, ids, step0, step1, buf, scale, x, block_step)
             else:
+                per_half = block_step if releases_gil else None
                 h = ids.size // 2
                 tail = helper.submit(
-                    _prepare, kernel, gens, ids[h:], step0, step1, buf[:, h:], scale, x[h:]
+                    _prepare, kernel, gens, ids[h:], step0, step1, buf[:, h:], scale, x[h:],
+                    per_half,
                 )
                 try:
-                    head = _prepare(kernel, gens, ids[:h], step0, step1, buf[:, :h], scale, x[:h])
+                    head = _prepare(
+                        kernel, gens, ids[:h], step0, step1, buf[:, :h], scale, x[:h], per_half
+                    )
                 finally:
                     tail.exception()  # waits for the helper's half
                 x = np.concatenate([head, tail.result()])
+                if per_half is None and block_step is not None:
+                    x = block_step(x, buf)
             rows = np.empty((kblock, ids.size, d)) if own_rows else buf
             if block_step is None:
                 for j in range(kblock):

@@ -1,5 +1,7 @@
 """Tests for the annealed-noise basin-hopping experiment."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -56,14 +58,24 @@ def test_runs_are_reproducible():
     np.testing.assert_array_equal(a.occupancy_fracs, b.occupancy_fracs)
 
 
+def _no_streams(*args, **kwargs):
+    raise AssertionError("a stream was built before the arguments were checked")
+
+
 @pytest.mark.parametrize("block", [0, -3])
 def test_block_below_one_is_rejected(block, monkeypatch):
-    def no_streams(*args, **kwargs):
-        raise AssertionError("a stream was built before the arguments were checked")
-
-    monkeypatch.setattr(streams, "path_streams", no_streams)
+    monkeypatch.setattr(streams, "path_streams", _no_streams)
     with pytest.raises(ValueError, match="block"):
         anneal_experiment(TILTED, gamma=0.4, T=1.0, n_paths=4, epsilon=0.25, block=block)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0], ids=str)
+def test_a_horizon_that_is_not_positive_and_finite_is_rejected(bad, monkeypatch):
+    """T = inf used to raise OverflowError, and T = nan was reported as a
+    dt error by SdeConfig."""
+    monkeypatch.setattr(streams, "path_streams", _no_streams)
+    with pytest.raises(ValueError, match=f"T must be positive and finite, got {bad}"):
+        anneal_experiment(TILTED, gamma=0.4, T=bad, n_paths=4, epsilon=0.25)
 
 
 def test_clopper_pearson_quantile_equals_the_beta_ppf():

@@ -23,6 +23,7 @@ from sgdlab import (
     builtin,
     exit_time_stats,
     flow_exit_time,
+    gaussian_cloud,
     hitting_time_mc,
     kramers_predictor,
     log_mean_exit_bvp_1d,
@@ -581,14 +582,16 @@ def _counting(gradient, calls):
         (WELL, [0.4], Domain.interval(-0.5, 0.5), False),
         (INVERTED, [0.1], Domain.interval(-0.5, 0.5), False),
         (SADDLE_2D, [0.1, 0.0], BOX, False),
-        (DOUBLE_WELL, [1.0], Domain.interval(0.5, 1.5), True),
+        (DOUBLE_WELL, [1.0], Domain.interval(0.5, 1.5), False),
+        (gaussian_cloud([[0.0], [0.2]]).base, [0.1], Domain.interval(-0.5, 0.5), True),
     ],
-    ids=["quadratic_well", "inverted_quadratic", "saddle_2d", "double_well_1d"],
+    ids=["quadratic_well", "inverted_quadratic", "saddle_2d", "double_well_1d", "gaussian_cloud"],
 )
 def test_a_wrapped_gradient_changes_neither_records_nor_kernel(potential, x0, domain, stepped):
     # A counting wrapper around a builtin's gradient, as a profiler or
-    # tracer installs it, must not move a diagonal quadratic off its block
-    # stepper (which never calls the gradient), nor any other family onto it.
+    # tracer installs it, must not move a diagonal quadratic or a double
+    # well off its block stepper (which never calls the gradient), nor any
+    # other family onto one.
     calls = []
     wrapped = dataclasses.replace(potential, gradient=_counting(potential.gradient, calls))
     cfg = SdeConfig(potential=potential, eta=0.5, dt=0.01, T=1.0, x0=np.array(x0), seed=2)
@@ -632,33 +635,54 @@ def test_non_finite_state_raises_numerical_error():
     assert info.value.step == 6
 
 
-def test_paths_that_diverge_after_their_exit_keep_their_records():
+DIVERGE = SdeConfig(
+    potential=DOUBLE_WELL, eta=0.1, dt=0.5, T=1.0, x0=np.array([1.0]), diffusion=3.0
+)
+WIDE = Domain.interval(-1e10, 1e10)
+
+
+def _assert_diverging_records(potential):
     """Paths kicked out of the double well overflow a few steps after they
-    leave a wide interval.  The engine steps them to the end of their block,
-    so the gradient meets those non-finite states, but only exit points
-    count."""
+    leave a wide interval.  The engine steps them to the end of their block
+    through inf and nan, but only exit points count."""
+    records = hitting_time_mc(
+        dataclasses.replace(DIVERGE, potential=potential),
+        WIDE,
+        n_paths=24,
+        horizon=30.0,
+        experiment="diverge",
+        block=16,
+    )
+    _assert_same_records(records, _reference_records(DIVERGE, WIDE, 24, 30.0, 0, "diverge", 16))
+    assert 0 < sum(r.censored for r in records) < 24
+
+
+def test_paths_that_diverge_after_their_exit_keep_their_records():
+    # A hand-built double well (the builtin's maps, a Hessian of its own)
+    # takes the per-step kernel, whose gradient meets the non-finite states.
     finite = []
 
     def recording(x):
         finite.append(bool(np.all(np.isfinite(x))))
         return DOUBLE_WELL.gradient(x)
 
-    potential = dataclasses.replace(DOUBLE_WELL, gradient=recording)
-    cfg = SdeConfig(
-        potential=DOUBLE_WELL, eta=0.1, dt=0.5, T=1.0, x0=np.array([1.0]), diffusion=3.0
+    hand_built = PotentialSpec(
+        name="hand-built double well",
+        dim=1,
+        value=DOUBLE_WELL.value,
+        gradient=recording,
+        hessian=lambda x: (3.0 * np.asarray(x) ** 2 - 1.0)[..., None],
     )
-    domain = Domain.interval(-1e10, 1e10)
-    records = hitting_time_mc(
-        dataclasses.replace(cfg, potential=potential),
-        domain,
-        n_paths=24,
-        horizon=30.0,
-        experiment="diverge",
-        block=16,
-    )
-    _assert_same_records(records, _reference_records(cfg, domain, 24, 30.0, 0, "diverge", 16))
+    assert sde.sde_kernel(dataclasses.replace(DIVERGE, potential=hand_built)).block_step is None
+    _assert_diverging_records(hand_built)
     assert not all(finite)
-    assert 0 < sum(r.censored for r in records) < 24
+
+
+def test_builtin_paths_that_diverge_after_their_exit_keep_their_records():
+    # The builtin takes the double well's block stepper, whose Python-float
+    # and ufunc steps carry the same states into inf and nan.
+    assert sde.sde_kernel(DIVERGE).block_step is not None
+    _assert_diverging_records(DOUBLE_WELL)
 
 
 def test_non_finite_exit_is_reported_at_its_earliest_step():
@@ -804,3 +828,11 @@ def test_exit_mc_refuses_a_non_finite_horizon(bad, monkeypatch):
     cfg = SdeConfig(potential=WELL, eta=0.25, dt=1e-3, T=1.0, x0=np.zeros(1))
     with pytest.raises(ValueError, match=f"horizon must be positive and finite, got {bad}"):
         hitting_time_mc(cfg, UNIT, n_paths=4, horizon=bad)
+
+
+@NON_FINITE
+def test_the_flow_exit_refuses_a_non_finite_horizon(bad):
+    """horizon = inf used to raise OverflowError and horizon = nan "cannot
+    convert float NaN to integer", both from the step count."""
+    with pytest.raises(ValueError, match=f"horizon must be positive and finite, got {bad}"):
+        flow_exit_time(INVERTED, np.array([0.5]), UNIT, horizon=bad)

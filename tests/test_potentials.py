@@ -1,5 +1,7 @@
 """Tests for the built-in potential catalogue and its analysis helpers."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -15,7 +17,7 @@ from sgdlab import (
     population_covariance,
     quasi_potential_isotropic,
 )
-from sgdlab.potentials import _brentq
+from sgdlab.potentials import _brentq, diagonal_quadratic_coefficients, double_well_tilt
 
 ALL_BUILTINS = [
     ("quadratic_well", ()),
@@ -145,6 +147,23 @@ def test_brentq_port_raises_as_scipy_does():
 
     for f, lo, hi, error in [(no_root, -1.0, 1.0, ValueError), (step, -1e300, 1e300, RuntimeError)]:
         assert _outcome(_brentq, f, lo, hi) is _outcome(_scipy_brentq, f, lo, hi) is error
+
+
+@pytest.mark.parametrize("name, params", ALL_BUILTINS)
+def test_family_tests_read_the_bound_hessian(name, params):
+    # The kernels' family tests: a wrapped gradient keeps the family, a
+    # Hessian of the spec's own loses it, and each test knows one family.
+    spec = builtin(name, params)
+    tilt = {"double_well_1d": 0.0, "asym_double_well_1d": -0.05}.get(name)
+    q = {"quadratic_well": [1.0], "inverted_quadratic": [-1.0], "saddle_2d": [-1.0, 1.0]}.get(name)
+    wrapped = dataclasses.replace(spec, gradient=lambda x: spec.gradient(x))
+    hand_built = dataclasses.replace(spec, hessian=lambda x: spec.hessian(x))
+    for s in (spec, wrapped):
+        assert double_well_tilt(s) == tilt
+        coeffs = diagonal_quadratic_coefficients(s)
+        assert (coeffs is None) if q is None else (coeffs.tolist() == q)
+    assert double_well_tilt(hand_built) is None
+    assert diagonal_quadratic_coefficients(hand_built) is None
 
 
 def test_saddle_2d_eigenstructure():

@@ -10,6 +10,7 @@ from scipy.signal import lfilter
 
 from sgdlab import (
     AdditiveGaussianOracle,
+    Domain,
     SdeConfig,
     builtin,
     deviation_empirical,
@@ -22,7 +23,7 @@ from sgdlab import (
     weak_error_linear,
     weak_error_mc,
 )
-from sgdlab.sde import _linear_block_step, _time_grid, em_on_grid
+from sgdlab.sde import SCALAR_PATHS, _linear_block_step, _time_grid, em_on_grid, sde_kernel
 
 WELL = builtin("quadratic_well")
 
@@ -149,3 +150,93 @@ def test_block_stepper_keeps_the_bits_of_lfilter(q, dt, paths, steps, scan_bytes
         last = _linear_block_step(c)(x0, buf)
     assert buf.tobytes() == expected.tobytes()
     assert last.tobytes() == expected[-1].tobytes()
+
+
+def _double_well(tilt):
+    if tilt == 0.0:
+        return builtin("double_well_1d")
+    return builtin("asym_double_well_1d", (tilt,))
+
+
+# The two builtin tilts and others, up to the merge of the wells at 0.3849.
+TILTS = st.sampled_from([0.0, -0.05]) | st.floats(-0.38, 0.38).filter(lambda t: t != 0.0)
+
+# Start states whose steps keep a signed zero, meet the well's minima,
+# underflow, and overflow to inf and then nan.
+EDGE_STATES = [0.0, -0.0, 1.0, -1.0, 1e-310, -1e-310, 1e120, -1e120]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    tilt=TILTS,
+    dt=st.sampled_from([1e-4, 1e-3, 1e-2, 0.5]),
+    paths=st.integers(1, 2 * SCALAR_PATHS + 2),
+    steps=st.integers(1, 300),
+    cuts=st.lists(st.integers(1, 299), max_size=4),
+    edges=st.lists(st.sampled_from(EDGE_STATES), max_size=10),
+    sigma=st.sampled_from([0.0, 1.0, 5.0]),
+    scheduled=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_double_well_block_stepper_keeps_the_bits_of_the_euler_loop(
+    tilt, dt, paths, steps, cuts, edges, sigma, scheduled, seed
+):
+    # Both branches, ufunc rows above SCALAR_PATHS paths and Python floats at
+    # or below it, against x - gradient(x) dt + noise one step at a time,
+    # through blocks cut anywhere.  sigma = 0 draws signed zeros.
+    potential = _double_well(tilt)
+    kernel = sde_kernel(SdeConfig(potential, eta=1.0, dt=dt, T=1.0, x0=np.ones(1)))
+    assert kernel.block_step is not None and not kernel.block_step_releases_gil
+    rng = np.random.default_rng(seed)
+    x0 = rng.standard_normal((paths, 1)) * 1.5
+    x0[: len(edges), 0] = edges[:paths]
+    scale = sigma * math.sqrt(dt)
+    if scheduled:
+        scale = scale / (1.0 + dt * np.arange(steps))[:, None, None]
+    noise = rng.standard_normal((steps, paths, 1)) * scale
+    expected = np.empty_like(noise)
+    buf = noise.copy()
+    bounds = [0, *sorted({c for c in cuts if c < steps}), steps]
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = x0
+        for j in range(steps):
+            x = expected[j] = x - potential.gradient(x) * dt + noise[j]
+        x = x0
+        for j0, j1 in zip(bounds, bounds[1:]):
+            x = kernel.block_step(x, buf[j0:j1])
+    np.testing.assert_array_equal(buf.view(np.int64), expected.view(np.int64))
+    np.testing.assert_array_equal(x.view(np.int64), expected[-1].view(np.int64))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    tilt=TILTS,
+    paths=st.sampled_from([1, SCALAR_PATHS, SCALAR_PATHS + 1, 64]),
+    block=st.integers(1, 300),
+    scan_bytes=st.sampled_from([8, 2**12, 2**20]),
+    scheduled=st.booleans(),
+)
+def test_double_well_exits_keep_their_bits_through_the_engine(
+    tilt, paths, block, scan_bytes, scheduled
+):
+    # lockstep with the block stepper against its per-step loop, under any
+    # block length and scan slab; the alive paths cross SCALAR_PATHS as
+    # they exit.
+    cfg = SdeConfig(
+        _double_well(tilt),
+        eta=0.5,
+        dt=0.01,
+        T=1.0,
+        x0=np.ones(1),
+        noise_schedule=(lambda s: 1.0 / (1.0 + s)) if scheduled else None,
+    )
+    kernel = sde_kernel(cfg)
+    runs = []
+    for k in (kernel, kernel._replace(block_step=None)):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(streams, "SCAN_BYTES", scan_bytes)
+            gens = path_streams(5, "double-well", range(paths))
+            domain = Domain.interval(0.4, 1.6)
+            runs.append(streams.lockstep(k, cfg.x0, gens, 600, block=block, domain=domain))
+    for a, b in zip(*runs):
+        assert a.tobytes() == b.tobytes()

@@ -1,12 +1,14 @@
 """The two-thread lockstep engine against the one-thread engine.
 
-``lockstep`` fills, shapes, scales and block-steps the halves of a Gaussian
-noise block on two threads (see ``sgdlab.streams``).  Every test here runs
-the engine with the helper forced on, whatever the machine's CPU count, and
-compares it with the engine whose helper is forced off: the results must
-agree bit for bit, a mini-batch draw must stay on the calling thread, the
-helper thread must keep the engine's silence on overflow, and concurrent
-callers must share one helper.
+``lockstep`` fills, shapes and scales the halves of a Gaussian noise block
+on two threads, and block-steps them there when the block stepper releases
+the GIL (see ``sgdlab.streams``).  Every test here runs the engine with the
+helper forced on, whatever the machine's CPU count, and compares it with
+the engine whose helper is forced off or with a reference loop: the results
+must agree bit for bit, a mini-batch draw must stay on the calling thread,
+a block stepper that holds the GIL must run once per block on the calling
+thread, the helper thread must keep the engine's silence on overflow, and
+concurrent callers must share one helper.
 """
 
 import sys
@@ -33,8 +35,10 @@ from sgdlab import (
     gaussian_cloud,
     streams,
 )
+from sgdlab import exit_times
 from sgdlab.sde import sde_kernel
 from sgdlab.sgd import chain_kernel
+from test_exit_times import _assert_same_records, _reference_records
 
 _POOL = ThreadPoolExecutor(1, thread_name_prefix="test-helper")
 
@@ -148,6 +152,47 @@ def test_only_gaussian_fills_leave_the_calling_thread(kind):
     else:
         assert helper.splits == 0
         assert set(threads) == {threading.get_ident()}
+
+
+def test_the_double_well_stepper_runs_once_per_block_after_a_split_fill(monkeypatch):
+    # The double well's block stepper holds the GIL, so the helper fills
+    # half of a split block and the calling thread steps the whole block.
+    cfg = SdeConfig(builtin("double_well_1d"), 0.25, 1e-3, 1.0, np.ones(1), seed=3)
+    domain, horizon, label = Domain.interval(0.4, 1.6), 4.0, "threads:double-well"
+    events = []
+
+    def recording_kernel(process):
+        kernel = sde_kernel(process)
+        assert kernel.block_step is not None and not kernel.block_step_releases_gil
+
+        def fill(gens, ids, *args):
+            events.append(("fill", threading.get_ident(), len(ids)))
+            kernel.draw.fill(gens, ids, *args)
+
+        def block_step(x, buf):
+            events.append(("step", threading.get_ident(), buf.shape[1]))
+            return kernel.block_step(x, buf)
+
+        draw = kernel.draw._replace(fill=fill)
+        return kernel._replace(draw=draw, block_step=block_step)
+
+    monkeypatch.setattr(exit_times, "sde_kernel", recording_kernel)
+    helper = CountingHelper()
+    with mock.patch.object(streams, "_helper", lambda: helper):
+        records = exit_times.hitting_time_mc(cfg, domain, 160, horizon, experiment=label)
+    _assert_same_records(records, _reference_records(cfg, domain, 160, horizon, 3, label, 1024))
+    assert helper.splits >= 2
+    blocks, filled = [], []
+    for kind, thread, columns in events:
+        if kind == "fill":
+            filled.append((thread, columns))
+        else:
+            assert thread == threading.get_ident()
+            assert columns == sum(c for _, c in filled)
+            blocks.append({t for t, _ in filled})
+            filled = []
+    assert not filled and len(blocks) == 4
+    assert sum(len(threads) == 2 for threads in blocks) == helper.splits
 
 
 @pytest.mark.parametrize("linear", [False, True])
