@@ -517,8 +517,9 @@ def flow_exit_time(
     x = np.atleast_1d(np.asarray(x0, dtype=float))
     if not domain.strictly_inside(x):
         raise ValueError(f"start point {x} is not strictly inside the domain")
-    if not 0 < horizon < math.inf:
-        raise ValueError(f"horizon must be positive and finite, got {horizon}")
+    for name, value in (("dt", dt), ("horizon", horizon)):
+        if not 0 < value < math.inf:
+            raise ValueError(f"{name} must be positive and finite, got {value}")
     f = lambda y: -np.asarray(potential.gradient(y), dtype=float)
     n_steps = int(math.ceil(horizon / dt - 1e-12))
     t = 0.0
@@ -829,10 +830,9 @@ def anneal_experiment(
         raise ValueError(f"unknown annealing mode {mode!r}")
     if gamma < 0:
         raise ValueError(f"gamma must be non-negative, got {gamma}")
-    if not 0 < T < math.inf:
-        raise ValueError(f"T must be positive and finite, got {T}")
-    if epsilon <= 0 or dt <= 0:
-        raise ValueError("epsilon and dt must both be positive")
+    for name, value in (("T", T), ("epsilon", epsilon), ("dt", dt)):
+        if not 0 < value < math.inf:
+            raise ValueError(f"{name} must be positive and finite, got {value}")
     if block < 1:
         raise ValueError(f"block must be at least 1, got {block}")
     if start is None:

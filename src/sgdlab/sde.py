@@ -40,11 +40,12 @@ SECOND_ORDER = "second"
 
 # The most alive paths for which the double well's block stepper steps each
 # path as a loop of Python floats rather than all paths as numpy rows.  A
-# step of the seven in-place ufuncs costs about 2.2 us whatever the paths,
-# the float loop about 95 ns per path and step, so they cross at about 23
-# paths (numpy 2.4, one x86-64 core).  Of 0, 16, 24, 32, 48 and 64, the
-# benchmark's exit-wide escape op ran fastest at 24 and 32.
-SCALAR_PATHS = 24
+# step of the in-place ufuncs costs about 1.6 us without a tilt and 2.0 us
+# with one, whatever the paths, the float loop about 88 and 95 ns per path
+# and step, so they cross at about 18 and 21 paths (numpy 2.4, one x86-64
+# core).  The benchmark's exit-wide escape op ran equally fast at 16, 18,
+# 20 and 24, and slower at 32.
+SCALAR_PATHS = 20
 
 Diffusion = Union[float, np.ndarray, Callable[[np.ndarray], np.ndarray]]
 
@@ -152,11 +153,12 @@ def _linear_filter() -> Callable:
         return lfilter
 
 
-def _linear_block_step(c: np.ndarray) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+def _linear_block_step(c: np.ndarray) -> Callable[[np.ndarray, np.ndarray, int], np.ndarray]:
     """The kernel ``block_step`` of x_{k+1} = c x_k + noise_k, one factor
     per axis: one compiled linear filter (``_linear_filter``, scipy's
     ``lfilter`` without the import) per axis per ``streams.scan_slab``
-    steps, which for a few alive paths is the whole block.
+    steps, which for a few alive paths is the whole block.  Every step is
+    the same, so the block's first step index is not read.
 
     The filter's recursion y_k = noise_k + c y_{k-1}, started from
     zi = c x, is the loop ``x = c * x + noise`` bit for bit, so neither the
@@ -167,7 +169,7 @@ def _linear_block_step(c: np.ndarray) -> Callable[[np.ndarray, np.ndarray], np.n
     numerator = np.array([1.0])
     denominators = [np.array([1.0, -ca]) for ca in c]
 
-    def block_step(x, buf):
+    def block_step(x, buf, k0):
         step = streams.scan_slab(buf.shape)
         for j0 in range(0, len(buf), step):
             slab = buf[j0 : j0 + step]
@@ -180,35 +182,52 @@ def _linear_block_step(c: np.ndarray) -> Callable[[np.ndarray, np.ndarray], np.n
     return block_step
 
 
-def _double_well_block_step(tilt: float, dt: float) -> Callable:
+def _double_well_block_step(tilt: float, steps: float | np.ndarray) -> Callable:
     """The kernel ``block_step`` of the Euler step of a builtin double well,
-    s -> (s - ((s*s*s - s) + tilt) dt) + noise, through a whole block.
+    s -> (s - ((s*s*s - s) + tilt) h_k) + noise, through a whole block.
 
-    These are the IEEE operations of the per-step ``x - gradient(x) dt +
-    noise`` in the same order, so every state keeps its bits, overflow to
-    inf and nan included (a Python float product overflows to inf without
-    raising).  Above ``SCALAR_PATHS`` alive paths a step is seven in-place
-    ufuncs on the states' column; at or below it each path runs as a loop of
-    Python floats.  Either way the states go over the noise rows they used.
+    ``steps`` is the step h_k of every step k: one float dt on the unbounded
+    uniform grid, else the grid's array of steps, whose entries k0, ...,
+    k1 - 1 a block reads as Python floats.  These are the IEEE operations of
+    the per-step ``x - gradient(x) h_k + noise`` in the same order, so every
+    state keeps its bits, overflow to inf and nan included (a Python float
+    product overflows to inf without raising).  With no tilt the ``+ tilt``
+    is left out, which changes no bit: s*s*s - s is never -0.0.  Above
+    ``SCALAR_PATHS`` alive paths a step is six or seven in-place ufuncs on
+    the states' column; at or below it each path runs as a loop of Python
+    floats.  Either way the states go over the noise rows they used.
     """
+    multiply, subtract, add = np.multiply, np.subtract, np.add
+    if tilt == 0.0:
 
-    def block_step(x, buf):
+        def path(s, column, hs):
+            return [s := (s - (s * s * s - s) * h) + z for z, h in zip(column, hs)]
+
+    else:
+
+        def path(s, column, hs):
+            return [s := (s - ((s * s * s - s) + tilt) * h) + z for z, h in zip(column, hs)]
+
+    def block_step(x, buf, k0):
         noise = buf[..., 0]  # (steps, paths)
+        k1 = k0 + len(noise)
+        hs = steps[k0:k1].tolist() if np.ndim(steps) else [steps] * (k1 - k0)
         if noise.shape[1] <= SCALAR_PATHS:
             for c, s in enumerate(x[:, 0].tolist()):
-                column = noise[:, c].tolist()
-                noise[:, c] = [s := (s - ((s * s * s - s) + tilt) * dt) + z for z in column]
+                noise[:, c] = path(s, noise[:, c].tolist(), hs)
         else:
+            # ``out`` by position: as a keyword it costs about 0.3 us a step.
             s = x[:, 0]
             t = np.empty_like(s)
-            for row in noise:
-                np.multiply(s, s, out=t)
-                np.multiply(t, s, out=t)
-                np.subtract(t, s, out=t)
-                np.add(t, tilt, out=t)
-                np.multiply(t, dt, out=t)
-                np.subtract(s, t, out=t)
-                s = np.add(t, row, out=row)
+            for row, h in zip(noise, hs):
+                multiply(s, s, t)
+                multiply(t, s, t)
+                subtract(t, s, t)
+                if tilt != 0.0:
+                    add(t, tilt, t)
+                multiply(t, h, t)
+                subtract(s, t, t)
+                s = add(t, row, row)
         return buf[-1].copy()
 
     return block_step
@@ -225,19 +244,19 @@ def sde_kernel(cfg: SdeConfig, times: np.ndarray | None = None) -> streams.Kerne
     the drift; a state-dependent diffusion is evaluated inside the step, one
     call on the whole stack of states, as the stacked product S(x) xi.
 
-    The kernel has a ``block_step`` only under first-order drift on the
-    uniform grid with a scalar or constant-matrix diffusion, with or without
-    a noise schedule, and only for two builtin families, recognised by their
-    bound Hessians:
-    - a diagonal quadratic (``potentials.diagonal_quadratic_coefficients``):
-      each axis's step x -> (1 - q dt) x + noise runs through a whole noise
-      block as one compiled recursion, whose states can differ from the
-      step's x - (q x) dt + noise in the last bit.  The recursion releases
-      the GIL, so ``lockstep`` runs it on each thread's half of a split
-      block;
-    - a double well (``potentials.double_well_tilt``): the cubic step runs
-      through the block with the per-step operations in their order, so no
-      bit moves (``_double_well_block_step``).  It holds the GIL, so
+    The kernel has a ``block_step`` only under first-order drift with a
+    scalar or constant-matrix diffusion, with or without a noise schedule,
+    and only for two builtin families, recognised by their bound Hessians:
+    - a diagonal quadratic (``potentials.diagonal_quadratic_coefficients``),
+      on the uniform grid only: each axis's step x -> (1 - q dt) x + noise
+      runs through a whole noise block as one compiled recursion, whose
+      states can differ from the step's x - (q x) dt + noise in the last
+      bit.  The recursion releases the GIL, so ``lockstep`` runs it on each
+      thread's half of a split block;
+    - a double well (``potentials.double_well_tilt``), on the uniform grid
+      and on any ``times``: the cubic step runs through the block with the
+      per-step operations in their order and each step's own h_k, so no bit
+      moves (``_double_well_block_step``).  It holds the GIL, so
       ``lockstep`` runs it once on the whole block, on the calling thread.
     """
     if times is None:
@@ -281,8 +300,8 @@ def sde_kernel(cfg: SdeConfig, times: np.ndarray | None = None) -> streams.Kerne
         tilt = double_well_tilt(cfg.potential)
         if times is None and q is not None:
             block_step, releases_gil = _linear_block_step(1.0 - q * dt), True
-        elif times is None and tilt is not None:
-            block_step = _double_well_block_step(tilt, float(dt))
+        elif tilt is not None:
+            block_step = _double_well_block_step(tilt, float(dt) if times is None else steps)
 
     else:
 

@@ -322,11 +322,12 @@ class Kernel(NamedTuple):
     multiplied by ``shape`` unless that is None (a number, or a (d,)
     vector that scales each axis), and steps k0, ..., k1 - 1 by
     ``step_scale(k0, k1)``, one number for the whole block or one value per
-    step.  A ``block_step(x, buf)``, if given, replaces the per-step loop:
-    it steps the states ``x`` through the whole block ``buf`` in one call,
-    writes each step's states over the noise row they used and returns the
-    states after the block, and ``step`` is not called.  ``gaussian_kernel``
-    builds the kernels that draw d standard normals per step.
+    step.  A ``block_step(x, buf, k0)``, if given, replaces the per-step
+    loop: it steps the states ``x`` through the whole block ``buf`` of steps
+    k0, k0 + 1, ... in one call, writes each step's states over the noise
+    row they used and returns the states after the block, and ``step`` is
+    not called.  ``gaussian_kernel`` builds the kernels that draw d standard
+    normals per step.
 
     ``block_step_releases_gil`` is internal, set by ``sde.sde_kernel`` for
     a block stepper that runs outside the GIL (the compiled linear filter):
@@ -338,7 +339,7 @@ class Kernel(NamedTuple):
     draw: PathDraw
     shape: float | np.ndarray | None = None
     step_scale: Callable[[int, int], float | np.ndarray] | None = None
-    block_step: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
+    block_step: Callable[[np.ndarray, np.ndarray, int], np.ndarray] | None = None
     block_step_releases_gil: bool = False
 
 
@@ -405,7 +406,7 @@ def _prepare(kernel: Kernel, gens, ids, k0, k1, buf, scale, x, block_step) -> np
             buf *= kernel.shape
         if scale is not None:
             buf *= scale
-        return x if block_step is None else block_step(x, buf)
+        return x if block_step is None else block_step(x, buf, k0)
 
 
 def lockstep(
@@ -421,11 +422,14 @@ def lockstep(
     ``Kernel``, whose fields state the draw, shape and scale of each block)
     for up to ``n_steps`` steps.
 
-    ``on_step(k, x)``, if given, sees the states after k steps.  With a
-    ``domain`` (anything with a vectorized ``contains``), a path retires on
-    the first step that leaves it; without one every path runs all
-    ``n_steps``.  ``on_step`` combines with neither ``domain`` nor a
-    ``kernel.block_step``.  Returns ``(exit_step, exit_points, states)``:
+    ``on_step(k, x)``, if given, sees the states after k steps, for k = 1,
+    ..., ``n_steps`` in order.  ``x`` is valid only during the call: after a
+    ``kernel.block_step`` it is a view of the block's row of step k, whose
+    memory later blocks reuse, so an observer that keeps states copies them.
+    With a ``domain`` (anything with a vectorized ``contains``), a path
+    retires on the first step that leaves it; without one every path runs
+    all ``n_steps``.  ``on_step`` does not combine with a ``domain``.
+    Returns ``(exit_step, exit_points, states)``:
     the 1-based exit step of each path (-1 if it never left), its first
     outside state, and the final state of every path still inside.
 
@@ -477,8 +481,8 @@ def lockstep(
     its block.
     """
     step_fn, draw, shape, step_scale, block_step, releases_gil = kernel
-    if on_step is not None and (domain is not None or block_step is not None):
-        raise ValueError("lockstep takes on_step alone, without domain or block_step")
+    if on_step is not None and domain is not None:
+        raise ValueError("lockstep takes on_step only without a domain")
     n = len(gens)
     d = x0.size
     d_floats = (draw.width, np.dtype(draw.dtype)) == (d, np.float64)
@@ -528,7 +532,7 @@ def lockstep(
                     tail.exception()  # waits for the helper's half
                 x = np.concatenate([head, tail.result()])
                 if per_half is None and block_step is not None:
-                    x = block_step(x, buf)
+                    x = block_step(x, buf, step0)
             rows = np.empty((kblock, ids.size, d)) if own_rows else buf
             if block_step is None:
                 for j in range(kblock):
@@ -537,6 +541,9 @@ def lockstep(
                         rows[j] = x
                     elif on_step is not None:
                         on_step(step0 + j + 1, x)
+            elif on_step is not None:
+                for j in range(kblock):
+                    on_step(step0 + j + 1, rows[j])
             if domain is not None:
                 # Block step of each path's first outside state, -1 if none.
                 first = np.full(ids.size, -1, dtype=np.int64)

@@ -78,6 +78,17 @@ def test_a_horizon_that_is_not_positive_and_finite_is_rejected(bad, monkeypatch)
         anneal_experiment(TILTED, gamma=0.4, T=bad, n_paths=4, epsilon=0.25)
 
 
+@pytest.mark.parametrize("name", ["epsilon", "dt"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -0.25], ids=str)
+def test_a_window_or_step_that_is_not_positive_and_finite_is_rejected(name, bad, monkeypatch):
+    """A nan epsilon used to report 0 successes, since every distance
+    compares false against nan."""
+    monkeypatch.setattr(streams, "path_streams", _no_streams)
+    kwargs = {"epsilon": 0.25, name: bad}
+    with pytest.raises(ValueError, match=f"{name} must be positive and finite, got {bad}"):
+        anneal_experiment(TILTED, gamma=0.4, T=1.0, n_paths=4, **kwargs)
+
+
 def test_clopper_pearson_quantile_equals_the_beta_ppf():
     """``_binomial_ci`` takes its quantiles from ``scipy.special.betaincinv``
     rather than ``scipy.stats.beta.ppf``; the two agree bit for bit over every

@@ -836,3 +836,12 @@ def test_the_flow_exit_refuses_a_non_finite_horizon(bad):
     convert float NaN to integer", both from the step count."""
     with pytest.raises(ValueError, match=f"horizon must be positive and finite, got {bad}"):
         flow_exit_time(INVERTED, np.array([0.5]), UNIT, horizon=bad)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1e-3], ids=str)
+def test_the_flow_exit_refuses_a_step_that_is_not_positive_and_finite(bad):
+    """dt = inf used to return None, the answer for a flow that never
+    leaves, after ceil(horizon / inf) = 0 steps, and dt = nan "cannot
+    convert float NaN to integer"."""
+    with pytest.raises(ValueError, match=f"dt must be positive and finite, got {bad}"):
+        flow_exit_time(INVERTED, np.array([0.5]), UNIT, dt=bad)

@@ -23,6 +23,7 @@ from sgdlab import (
     weak_error_linear,
     weak_error_mc,
 )
+from sgdlab.errors import NumericalError
 from sgdlab.sde import SCALAR_PATHS, _linear_block_step, _time_grid, em_on_grid, sde_kernel
 
 WELL = builtin("quadratic_well")
@@ -147,7 +148,7 @@ def test_block_stepper_keeps_the_bits_of_lfilter(q, dt, paths, steps, scan_bytes
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(streams, "SCAN_BYTES", scan_bytes)
         buf = noise.copy()
-        last = _linear_block_step(c)(x0, buf)
+        last = _linear_block_step(c)(x0, buf, 0)
     assert buf.tobytes() == expected.tobytes()
     assert last.tobytes() == expected[-1].tobytes()
 
@@ -176,16 +177,23 @@ EDGE_STATES = [0.0, -0.0, 1.0, -1.0, 1e-310, -1e-310, 1e120, -1e120]
     edges=st.lists(st.sampled_from(EDGE_STATES), max_size=10),
     sigma=st.sampled_from([0.0, 1.0, 5.0]),
     scheduled=st.booleans(),
+    grid=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_double_well_block_stepper_keeps_the_bits_of_the_euler_loop(
-    tilt, dt, paths, steps, cuts, edges, sigma, scheduled, seed
+    tilt, dt, paths, steps, cuts, edges, sigma, scheduled, grid, seed
 ):
     # Both branches, ufunc rows above SCALAR_PATHS paths and Python floats at
-    # or below it, against x - gradient(x) dt + noise one step at a time,
-    # through blocks cut anywhere.  sigma = 0 draws signed zeros.
+    # or below it, against x - gradient(x) h_k + noise one step at a time,
+    # through blocks cut anywhere, on the uniform grid (h_k = dt) or on a
+    # time grid whose steps differ from dt in the last bits and whose last
+    # step is shortened.  sigma = 0 draws signed zeros.
     potential = _double_well(tilt)
-    kernel = sde_kernel(SdeConfig(potential, eta=1.0, dt=dt, T=1.0, x0=np.ones(1)))
+    times = _time_grid(max(steps - 0.5, 1.0) * dt, dt) if grid else None
+    h = np.full(steps, dt) if times is None else np.diff(times)
+    assert h.size == steps
+    cfg = SdeConfig(potential, eta=1.0, dt=dt, T=1.0 if times is None else times[-1], x0=np.ones(1))
+    kernel = sde_kernel(cfg, times)
     assert kernel.block_step is not None and not kernel.block_step_releases_gil
     rng = np.random.default_rng(seed)
     x0 = rng.standard_normal((paths, 1)) * 1.5
@@ -200,10 +208,10 @@ def test_double_well_block_stepper_keeps_the_bits_of_the_euler_loop(
     with np.errstate(over="ignore", invalid="ignore"):
         x = x0
         for j in range(steps):
-            x = expected[j] = x - potential.gradient(x) * dt + noise[j]
+            x = expected[j] = x - potential.gradient(x) * h[j] + noise[j]
         x = x0
         for j0, j1 in zip(bounds, bounds[1:]):
-            x = kernel.block_step(x, buf[j0:j1])
+            x = kernel.block_step(x, buf[j0:j1], j0)
     np.testing.assert_array_equal(buf.view(np.int64), expected.view(np.int64))
     np.testing.assert_array_equal(x.view(np.int64), expected[-1].view(np.int64))
 
@@ -240,3 +248,56 @@ def test_double_well_exits_keep_their_bits_through_the_engine(
             runs.append(streams.lockstep(k, cfg.x0, gens, 600, block=block, domain=domain))
     for a, b in zip(*runs):
         assert a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    tilt=st.sampled_from([0.0, -0.05]),
+    dt=st.sampled_from([1e-3, 1e-2, 0.3]),
+    steps=st.integers(2, 300),
+    paths=st.sampled_from([1, SCALAR_PATHS, SCALAR_PATHS + 1, 64]),
+    block=st.integers(1, 300),
+    start=st.sampled_from(EDGE_STATES),
+    sigma=st.sampled_from([0.0, 1.0]),
+    scheduled=st.booleans(),
+)
+def test_double_well_grid_ensembles_keep_their_bits_through_the_engine(
+    tilt, dt, steps, paths, block, start, sigma, scheduled
+):
+    # em_on_grid's kernel on a time grid with a shortened last step, run by
+    # lockstep with and without its block stepper under any block length:
+    # on_step sees the same (k, states) in the same order, and the runs end
+    # in the same states or fail at the same step.
+    times = _time_grid((steps - 0.5) * dt, dt)
+    assert times.size == steps + 1 and times[-1] - times[-2] < dt
+    cfg = SdeConfig(
+        _double_well(tilt),
+        eta=1.0,
+        dt=dt,
+        T=times[-1],
+        x0=np.array([start]),
+        diffusion=sigma,
+        noise_schedule=(lambda s: 1.0 / (1.0 + s)) if scheduled else None,
+    )
+    kernel = sde_kernel(cfg, times)
+    assert kernel.block_step is not None and not kernel.block_step_releases_gil
+    runs = []
+    for k in (kernel, kernel._replace(block_step=None)):
+        seen = []
+        gens = path_streams(3, "double-well-grid", range(paths))
+        try:
+            end = streams.lockstep(
+                k, cfg.x0, gens, steps, block=block, on_step=lambda k, x: seen.append((k, x.copy()))
+            )[2]
+        except NumericalError as error:
+            end = error.step
+        runs.append((seen, end))
+    (stepped, stepped_end), (looped, looped_end) = runs
+    assert [k for k, _ in stepped] == [k for k, _ in looped] == list(range(1, len(looped) + 1))
+    for (_, a), (_, b) in zip(stepped, looped):
+        np.testing.assert_array_equal(a.view(np.int64), b.view(np.int64))
+    if isinstance(looped_end, int):
+        assert stepped_end == looped_end
+    else:
+        assert len(looped) == steps
+        np.testing.assert_array_equal(stepped_end.view(np.int64), looped_end.view(np.int64))

@@ -92,7 +92,7 @@ def test_split_blocks_keep_every_bit(d, noise, linear, scheduled, mode, n, block
     kernel = sde_kernel(cfg)
     # sde_kernel gives a diagonal quadratic the linear block stepper.
     assert kernel.block_step is not None
-    if not linear or mode == "on_step":
+    if not linear:
         kernel = kernel._replace(block_step=None)
     domain = None
     if mode == "domain":
@@ -169,9 +169,9 @@ def test_the_double_well_stepper_runs_once_per_block_after_a_split_fill(monkeypa
             events.append(("fill", threading.get_ident(), len(ids)))
             kernel.draw.fill(gens, ids, *args)
 
-        def block_step(x, buf):
+        def block_step(x, buf, k0):
             events.append(("step", threading.get_ident(), buf.shape[1]))
-            return kernel.block_step(x, buf)
+            return kernel.block_step(x, buf, k0)
 
         draw = kernel.draw._replace(fill=fill)
         return kernel._replace(draw=draw, block_step=block_step)
@@ -202,7 +202,7 @@ def test_an_overflowing_split_block_warns_nothing(linear):
         1,
         1e300,
         step_scale=lambda k0, k1: 1e10,
-        block_step=(lambda x, buf: buf[-1] * 2.0) if linear else None,
+        block_step=(lambda x, buf, k0: buf[-1] * 2.0) if linear else None,
     )
     helper = CountingHelper()
     with warnings.catch_warnings():
