@@ -2,9 +2,9 @@
 
 Each subcommand loads a flat key=value config, runs the corresponding
 library experiment, and writes result tables (`<prefix>*.csv`), headline
-constants (`<prefix>.summary.csv`), gnuplot-ready data (`<prefix>*.dat`),
-and finally a JSON manifest (`<prefix>.manifest`) with content digests of
-every emitted file.  Parallelism enters through one hook: each run hands
+constants (`<prefix>.summary.csv`), and finally a JSON manifest
+(`<prefix>.manifest`) with content digests of every emitted file.
+Parallelism enters through one hook: each run hands
 ``Pool._scatter`` to the library experiment as its ``scatter``, which runs
 the library's module-level chunk functions over contiguous chunks of path
 indices, on one process pool per run when ``--workers`` is above 1.  Every
@@ -57,12 +57,12 @@ from .exit_times import (
 from .oracles import AdditiveGaussianOracle, covariance_report
 from .potentials import FiniteSumSpec
 from .reporting import (
+    ANNEAL_COLUMNS,
     fmt,
     write_anneal_csv,
     write_csv,
     write_deviation_csv,
     write_exit_records_csv,
-    write_gnuplot_dat,
     write_scaling_csv,
     write_summary_csv,
     write_weak_error_csv,
@@ -141,12 +141,21 @@ class Pool:
 # ---------------------------------------------------------------------------
 
 
-def _emit_records_files(out, report, files) -> None:
+def _emit_scaling(out: str, report) -> tuple[list[Path], dict]:
+    """What both exit ladders write: the scaling table, the per-path records
+    it kept, and the four summary keys they share."""
+    files = [write_scaling_csv(f"{out}.csv", report)]
     records = report.extra.get("records", {})
     for j, entry in enumerate(report.entries):
-        recs = records.get(entry.eta)
-        if recs is not None:
-            files.append(write_exit_records_csv(f"{out}.records.eta{j}.csv", recs))
+        if entry.eta in records:
+            files.append(write_exit_records_csv(f"{out}.records.eta{j}.csv", records[entry.eta]))
+    summary = {
+        "transform": report.transform,
+        "source": report.source,
+        "fitted_constant": report.fitted_constant,
+        "reference": report.reference_constant,
+    }
+    return files, summary
 
 
 def _run_weak_order(cfg: ExperimentConfig, out: str, scatter: Callable):
@@ -184,13 +193,6 @@ def _run_weak_order(cfg: ExperimentConfig, out: str, scatter: Callable):
                 **cfg.library_kwargs("n_paths", "seed", "dt_factor"),
             )
         files.append(write_weak_error_csv(f"{out}.{order}.csv", rep))
-        files.append(
-            write_gnuplot_dat(
-                f"{out}.{order}.dat",
-                [np.array([p.eta for p in rep.points]), np.array([p.max_error for p in rep.points])],
-                ["eta", "max_error"],
-            )
-        )
         summary[f"fitted_order_{order}"] = rep.fitted_order
         summary[f"expected_order_{order}"] = rep.expected_order
         lo, hi = bands[order]
@@ -215,23 +217,8 @@ def _run_exit_min(cfg: ExperimentConfig, out: str, scatter: Callable):
         scatter=scatter,
         **cfg.library_kwargs("source", "x0", "n_paths", "seed", "dt", "horizon", "emit_records"),
     )
-    files = [write_scaling_csv(f"{out}.csv", report)]
-    etas = np.array([e.eta for e in report.entries])
-    files.append(
-        write_gnuplot_dat(
-            f"{out}.dat",
-            [etas, np.array([e.transform_value for e in report.entries])],
-            ["eta", "eta_log_mean_exit_time"],
-        )
-    )
-    _emit_records_files(out, report, files)
-    summary = {
-        "transform": report.transform,
-        "source": report.source,
-        "fitted_constant": report.fitted_constant,
-        "reference": report.reference_constant,
-    }
-    order = np.argsort(-etas)
+    files, summary = _emit_scaling(out, report)
+    order = np.argsort([-e.eta for e in report.entries])
     seq = np.array([report.entries[i].transform_value for i in order])
     steps_seq = np.array([report.entries[i].steps_transform_value for i in order])
     ref = report.reference_constant
@@ -261,26 +248,11 @@ def _run_exit_saddle(cfg: ExperimentConfig, out: str, scatter: Callable):
         scatter=scatter,
         **cfg.library_kwargs("source", "n_paths", "seed", "dt", "horizon", "emit_records"),
     )
-    files = [write_scaling_csv(f"{out}.csv", report)]
-    etas = np.array([e.eta for e in report.entries])
-    files.append(
-        write_gnuplot_dat(
-            f"{out}.dat",
-            [etas, np.array([e.transform_value for e in report.entries])],
-            ["eta", "mean_exit_time_over_log_inv_eta"],
-        )
-    )
-    _emit_records_files(out, report, files)
-    summary = {
-        "transform": report.transform,
-        "source": report.source,
-        "fitted_constant": report.fitted_constant,
-        "reference": report.reference_constant,
-        "gamma1": report.extra["gamma1"],
-    }
+    files, summary = _emit_scaling(out, report)
+    summary["gamma1"] = report.extra["gamma1"]
     if report.extra["theta"] is not None:
         summary["theta_x0"] = report.extra["theta"]
-    i_small = int(np.argmin(etas))
+    i_small = int(np.argmin([e.eta for e in report.entries]))
     steps_bound = report.extra["steps_bound"][i_small]
     checks = [
         (
@@ -332,10 +304,6 @@ def _run_kramers(cfg: ExperimentConfig, out: str, scatter: Callable):
             rows,
         )
     ]
-    inv_etas = np.array([1.0 / e for e in etas])
-    files.append(
-        write_gnuplot_dat(f"{out}.dat", [inv_etas, np.array(log_means)], ["inv_eta", "log_mean_T"])
-    )
     barrier2 = 2.0 * (float(potential.value(z_star)) - float(potential.value(x_star)))
     summary = {"two_delta_f": barrier2}
     checks = [
@@ -345,7 +313,7 @@ def _run_kramers(cfg: ExperimentConfig, out: str, scatter: Callable):
         )
     ]
     if len(etas) >= 2:
-        slope = float(np.polyfit(inv_etas, np.array(log_means), 1)[0])
+        slope = float(np.polyfit([1.0 / e for e in etas], log_means, 1)[0])
         reference = barrier2 / sigma**2
         summary["slope_log_T_vs_inv_eta"] = slope
         summary["slope_reference"] = reference
@@ -373,37 +341,8 @@ def _run_anneal(cfg: ExperimentConfig, out: str, scatter: Callable):
             scatter=scatter,
             **cfg.library_kwargs("seed", "dt", "n_checkpoints"),
         )
-    rows = [
-        [
-            r.mode,
-            r.gamma,
-            r.T,
-            r.epsilon,
-            r.n_paths,
-            r.successes,
-            r.success_prob,
-            r.ci_low,
-            r.ci_high,
-        ]
-        for r in results.values()
-    ]
-    files = [
-        write_csv(
-            f"{out}.csv",
-            [
-                "mode",
-                "gamma",
-                "T",
-                "epsilon",
-                "n_paths",
-                "successes",
-                "success_prob",
-                "ci_low",
-                "ci_high",
-            ],
-            rows,
-        )
-    ]
+    rows = ([getattr(r, name) for name in ANNEAL_COLUMNS] for r in results.values())
+    files = [write_csv(f"{out}.csv", ANNEAL_COLUMNS, rows)]
     for mode, r in results.items():
         files.append(write_anneal_csv(f"{out}.{mode}.csv", r))
     gap = results["cooling"].success_prob - results["constant"].success_prob
@@ -503,7 +442,6 @@ def _run_ode_limit(cfg: ExperimentConfig, out: str, scatter: Callable):
     oracle = AdditiveGaussianOracle.isotropic(potential, cfg.get("sigma"))
     x0 = x0_array(cfg, potential.dim)
     rows = []
-    means = []
     for j, eta in enumerate(cfg.get("eta_list")):
         mean, stderr = flow_sup_gap(
             potential,
@@ -516,23 +454,14 @@ def _run_ode_limit(cfg: ExperimentConfig, out: str, scatter: Callable):
             scatter=scatter,
             **cfg.library_kwargs("seed"),
         )
-        means.append(mean)
         rows.append([eta, mean, stderr])
     files = [write_csv(f"{out}.csv", ["eta", "mean_sup_gap", "stderr"], rows)]
-    files.append(
-        write_gnuplot_dat(
-            f"{out}.dat",
-            [np.array([r[0] for r in rows]), np.array(means)],
-            ["eta", "mean_sup_gap"],
-        )
-    )
-    etas = np.array([r[0] for r in rows])
-    order = np.argsort(-etas)
-    seq = np.array(means)[order]
-    summary = {"decreasing": bool(np.all(np.diff(seq) < 0))}
-    for eta, mean in zip(etas[order], seq):
+    by_eta = [rows[i] for i in np.argsort([-eta for eta, _, _ in rows])]
+    decreasing = bool(np.all(np.diff([mean for _, mean, _ in by_eta]) < 0))
+    summary = {"decreasing": decreasing}
+    for eta, mean, _ in by_eta:
         summary[f"mean_sup_gap_eta={fmt(float(eta))}"] = float(mean)
-    checks = [("E[sup gap] strictly decreases with eta", bool(np.all(np.diff(seq) < 0)))]
+    checks = [("E[sup gap] strictly decreases with eta", decreasing)]
     return files, summary, checks
 
 
@@ -668,10 +597,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         with Pool(workers) as pool:
             files, summary, checks = _RUNNERS[cfg.experiment](cfg, out, pool._scatter)
         files.append(write_summary_csv(f"{out}.summary.csv", summary))
-    except ConfigError as exc:
-        print(f"sgdlab: config-error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ValueError as exc:
+    except (ConfigError, ValueError) as exc:
         print(f"sgdlab: config-error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NumericalError as exc:

@@ -22,16 +22,84 @@ from .oracles import WITH_REPLACEMENT, WITHOUT_REPLACEMENT
 from .potentials import FiniteSumSpec, PotentialSpec, builtin
 from .sde import FIRST_ORDER, SECOND_ORDER
 
-EXPERIMENTS = (
-    "weak-order",
-    "exit-min",
-    "exit-saddle",
-    "kramers",
-    "anneal",
-    "deviation",
-    "batch-cov",
-    "ode-limit",
-)
+_GLOBAL_KEYS = frozenset({"experiment", "seed", "workers", "out", "emit_records"})
+
+#: Keys each experiment accepts beyond the globals (required first).
+_EXPERIMENT_KEYS: dict[str, tuple[frozenset[str], frozenset[str]]] = {
+    "weak-order": (
+        frozenset({"potential", "sigma", "x0", "T", "eta_list"}),
+        frozenset({"potential_params", "dim", "drift_order", "source", "n_paths", "dt_factor"}),
+    ),
+    "exit-min": (
+        frozenset({"potential", "sigma", "domain", "eta_list"}),
+        frozenset(
+            {
+                "potential_params",
+                "dim",
+                "x0",
+                "source",
+                "n_paths",
+                "dt",
+                "horizon",
+                "domain_lo",
+                "domain_hi",
+                "domain_center",
+                "domain_radius",
+            }
+        ),
+    ),
+    "exit-saddle": (
+        frozenset({"potential", "sigma", "domain", "x0", "eta_list"}),
+        frozenset(
+            {
+                "potential_params",
+                "dim",
+                "source",
+                "n_paths",
+                "dt",
+                "horizon",
+                "domain_lo",
+                "domain_hi",
+                "domain_center",
+                "domain_radius",
+            }
+        ),
+    ),
+    "kramers": (
+        frozenset({"potential", "eta_list", "domain"}),
+        frozenset(
+            {
+                "potential_params",
+                "dim",
+                "sigma",
+                "x0",
+                "domain_lo",
+                "domain_hi",
+                "domain_center",
+                "domain_radius",
+            }
+        ),
+    ),
+    "anneal": (
+        frozenset({"potential", "gamma", "T", "n_paths", "epsilon"}),
+        frozenset({"potential_params", "dim", "x0", "dt", "n_checkpoints"}),
+    ),
+    "deviation": (
+        frozenset({"potential", "sigma", "eta", "T", "x0", "n_paths"}),
+        frozenset({"potential_params", "dim"}),
+    ),
+    "batch-cov": (
+        frozenset({"potential", "potential_params", "dim", "m_list", "x0"}),
+        frozenset({"batch_mode"}),
+    ),
+    "ode-limit": (
+        frozenset({"potential", "sigma", "eta_list", "T", "x0"}),
+        frozenset({"potential_params", "dim", "n_paths"}),
+    ),
+}
+
+#: Experiment names, in the order the command line lists them.
+EXPERIMENTS = tuple(_EXPERIMENT_KEYS)
 
 
 # ---------------------------------------------------------------------------
@@ -131,83 +199,6 @@ KEY_SPECS: dict[str, tuple[Callable[[str, str], object], str]] = {
     "m_list": (_parse_ints, "mini-batch sizes to tabulate"),
     "n_checkpoints": (_parse_int, "occupancy checkpoints for annealing"),
 }
-
-_GLOBAL_KEYS = frozenset({"experiment", "seed", "workers", "out", "emit_records"})
-
-#: Keys each experiment accepts beyond the globals (required first).
-_EXPERIMENT_KEYS: dict[str, tuple[frozenset[str], frozenset[str]]] = {
-    "weak-order": (
-        frozenset({"potential", "sigma", "x0", "T", "eta_list"}),
-        frozenset({"potential_params", "dim", "drift_order", "source", "n_paths", "dt_factor"}),
-    ),
-    "exit-min": (
-        frozenset({"potential", "sigma", "domain", "eta_list"}),
-        frozenset(
-            {
-                "potential_params",
-                "dim",
-                "x0",
-                "source",
-                "n_paths",
-                "dt",
-                "horizon",
-                "domain_lo",
-                "domain_hi",
-                "domain_center",
-                "domain_radius",
-            }
-        ),
-    ),
-    "exit-saddle": (
-        frozenset({"potential", "sigma", "domain", "x0", "eta_list"}),
-        frozenset(
-            {
-                "potential_params",
-                "dim",
-                "source",
-                "n_paths",
-                "dt",
-                "horizon",
-                "domain_lo",
-                "domain_hi",
-                "domain_center",
-                "domain_radius",
-            }
-        ),
-    ),
-    "kramers": (
-        frozenset({"potential", "eta_list", "domain"}),
-        frozenset(
-            {
-                "potential_params",
-                "dim",
-                "sigma",
-                "x0",
-                "domain_lo",
-                "domain_hi",
-                "domain_center",
-                "domain_radius",
-            }
-        ),
-    ),
-    "anneal": (
-        frozenset({"potential", "gamma", "T", "n_paths", "epsilon"}),
-        frozenset({"potential_params", "dim", "x0", "dt", "n_checkpoints"}),
-    ),
-    "deviation": (
-        frozenset({"potential", "sigma", "eta", "T", "x0", "n_paths"}),
-        frozenset({"potential_params", "dim"}),
-    ),
-    "batch-cov": (
-        frozenset({"potential", "potential_params", "dim", "m_list", "x0"}),
-        frozenset({"batch_mode"}),
-    ),
-    "ode-limit": (
-        frozenset({"potential", "sigma", "eta_list", "T", "x0"}),
-        frozenset({"potential_params", "dim", "n_paths"}),
-    ),
-}
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:

@@ -443,8 +443,8 @@ def quasi_potential_isotropic(
     if np.ndim(sigma) != 0:
         raise ValueError("only scalar (isotropic) noise amplitudes are supported here")
     sigma = float(sigma)
-    if sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
+    if not 0 < sigma < math.inf:
+        raise ValueError(f"sigma must be positive and finite, got {sigma}")
     x_star = _resolve_minimizer(potential, domain, x_star)
     f_star = float(potential.value(x_star))
     f_boundary = _boundary_min(potential, domain)
@@ -481,8 +481,8 @@ def kramers_predictor(potential: PotentialSpec, eta: float, x_star, z_star) -> f
     """
     if potential.dim != 1:
         raise ValueError("the barrier-crossing predictor is one-dimensional")
-    if eta <= 0:
-        raise ValueError(f"eta must be positive, got {eta}")
+    if not 0 < eta < math.inf:
+        raise ValueError(f"eta must be positive and finite, got {eta}")
     x_star = np.atleast_1d(np.asarray(x_star, dtype=float))
     z_star = np.atleast_1d(np.asarray(z_star, dtype=float))
     curv_min = float(potential.hessian(x_star)[0, 0])
@@ -604,6 +604,8 @@ def _exit_ladder_mc(
         raise ValueError(f"the ladder repeats an eta: {etas}")
     if not rungs:
         return [], {}
+    if n_paths < 1:
+        raise ValueError(f"n_paths must be at least 1, got {n_paths}")
     processes = []
     for eta, horizon, label in rungs:
         step = dt if dt is not None else min(eta / 10.0, 1e-3)
@@ -835,6 +837,8 @@ def anneal_experiment(
             raise ValueError(f"{name} must be positive and finite, got {value}")
     if block < 1:
         raise ValueError(f"block must be at least 1, got {block}")
+    if n_paths < 1:
+        raise ValueError(f"n_paths must be at least 1, got {n_paths}")
     if start is None:
         mins = potential.minimizers()
         if len(mins) < 2:

@@ -77,8 +77,8 @@ class AdditiveGaussianOracle:
     @classmethod
     def isotropic(cls, potential: PotentialSpec, sigma: float) -> "AdditiveGaussianOracle":
         """Oracle with constant covariance sigma^2 * I."""
-        if sigma < 0:
-            raise ValueError(f"sigma must be non-negative, got {sigma}")
+        if not 0 <= sigma < math.inf:
+            raise ValueError(f"sigma must be non-negative and finite, got {sigma}")
         return cls(potential, (sigma**2) * np.eye(potential.dim))
 
     @cached_property

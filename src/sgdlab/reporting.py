@@ -89,30 +89,22 @@ def write_exit_records_csv(path: PathLike, records: Sequence[ExitRecord]) -> Pat
     return write_csv(path, header, rows)
 
 
+#: The scaling table's columns, each beside the ``ScalingEntry`` field it reads.
+_SCALING_COLUMNS = (
+    ("eta", "eta"),
+    ("mean_T", "mean_exit_time"),
+    ("stderr_T", "stderr"),
+    ("transform_value", "transform_value"),
+    ("censor_frac", "censor_frac"),
+    ("steps_transform_value", "steps_transform_value"),
+    ("n_samples", "n_samples"),
+    ("admissible", "admissible"),
+)
+
+
 def write_scaling_csv(path: PathLike, report: ScalingReport) -> Path:
-    header = [
-        "eta",
-        "mean_T",
-        "stderr_T",
-        "transform_value",
-        "censor_frac",
-        "steps_transform_value",
-        "n_samples",
-        "admissible",
-    ]
-    rows = (
-        [
-            e.eta,
-            e.mean_exit_time,
-            e.stderr,
-            e.transform_value,
-            e.censor_frac,
-            e.steps_transform_value,
-            e.n_samples,
-            e.admissible,
-        ]
-        for e in report.entries
-    )
+    header = [column for column, _ in _SCALING_COLUMNS]
+    rows = ([getattr(e, name) for _, name in _SCALING_COLUMNS] for e in report.entries)
     comments = [
         f"transform={report.transform}",
         f"source={report.source}",
@@ -169,21 +161,26 @@ def write_deviation_csv(path: PathLike, report: DeviationReport) -> Path:
     return write_csv(path, header, rows, footer_comments=comments)
 
 
+#: The ``AnnealResult`` fields of one arm: the columns of the CLI's table of
+#: arms, and the footer of each arm's occupancy table.
+ANNEAL_COLUMNS = (
+    "mode",
+    "gamma",
+    "T",
+    "epsilon",
+    "n_paths",
+    "successes",
+    "success_prob",
+    "ci_low",
+    "ci_high",
+)
+
+
 def write_anneal_csv(path: PathLike, result: AnnealResult) -> Path:
     header = ["time", "occupancy_frac"]
     rows = (
         [float(t), float(f)]
         for t, f in zip(result.occupancy_times, result.occupancy_fracs)
     )
-    comments = [
-        f"mode={result.mode}",
-        f"gamma={fmt(result.gamma)}",
-        f"T={fmt(result.T)}",
-        f"epsilon={fmt(result.epsilon)}",
-        f"n_paths={result.n_paths}",
-        f"successes={result.successes}",
-        f"success_prob={fmt(result.success_prob)}",
-        f"ci_low={fmt(result.ci_low)}",
-        f"ci_high={fmt(result.ci_high)}",
-    ]
+    comments = [f"{name}={fmt(getattr(result, name))}" for name in ANNEAL_COLUMNS]
     return write_csv(path, header, rows, footer_comments=comments)

@@ -76,10 +76,11 @@ class SdeConfig:
         x0 = np.atleast_1d(np.asarray(self.x0, dtype=float))
         x0.setflags(write=False)
         object.__setattr__(self, "x0", x0)
-        if self.eta <= 0:
-            raise ValueError(f"eta must be positive, got {self.eta}")
-        if not (0 < self.dt <= self.T):
-            raise ValueError(f"need 0 < dt <= T, got dt={self.dt}, T={self.T}")
+        for name, value in (("eta", self.eta), ("dt", self.dt), ("T", self.T)):
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
+        if self.dt > self.T:
+            raise ValueError(f"need dt <= T, got dt={self.dt}, T={self.T}")
         if self.drift_order not in (FIRST_ORDER, SECOND_ORDER):
             raise ValueError(f"unknown drift order {self.drift_order!r}")
         if x0.shape != (self.potential.dim,):
@@ -474,6 +475,8 @@ def deviation_empirical(
     frozen at x0.  The SGD ensemble runs through ``scatter`` (see
     ``streams``).
     """
+    if n_paths < 2:
+        raise ValueError(f"n_paths must be at least 2 for a sample variance, got {n_paths}")
     k = _horizon_steps(T, eta)
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     cfg = SgdConfig(eta=eta, steps=k, x0=x0, oracle=oracle, seed=seed)
@@ -511,6 +514,8 @@ def flow_sup_gap(
 
     The SGD ensemble runs through ``scatter`` (see ``streams``).
     """
+    if n_paths < 2:
+        raise ValueError(f"n_paths must be at least 2 for a sample variance, got {n_paths}")
     k = _horizon_steps(T, eta)
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     reference = flow_knots(potential, x0, eta, k)

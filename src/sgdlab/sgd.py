@@ -66,10 +66,10 @@ class BatchSchedule:
     M: int
 
     def __post_init__(self):
-        if self.C < 0:
-            raise ValueError(f"C must be non-negative, got {self.C}")
-        if self.eta <= 0:
-            raise ValueError(f"eta must be positive, got {self.eta}")
+        if not 0 <= self.C < math.inf:
+            raise ValueError(f"C must be non-negative and finite, got {self.C}")
+        if not 0 < self.eta < math.inf:
+            raise ValueError(f"eta must be positive and finite, got {self.eta}")
         if self.m_star < 1 or self.M < 1:
             raise ValueError("m_star and M must be at least 1")
 
@@ -97,8 +97,8 @@ class SgdConfig:
         x0 = np.atleast_1d(np.asarray(self.x0, dtype=float))
         x0.setflags(write=False)
         object.__setattr__(self, "x0", x0)
-        if self.eta <= 0:
-            raise ValueError(f"eta must be positive, got {self.eta}")
+        if not 0 < self.eta < math.inf:
+            raise ValueError(f"eta must be positive and finite, got {self.eta}")
         if self.steps < 0:
             raise ValueError(f"steps must be non-negative, got {self.steps}")
         if x0.shape != (self.oracle.potential.dim,):

@@ -375,6 +375,8 @@ def weak_error_mc(
     """
     if potential.dim != 1:
         raise ValueError("the Monte Carlo weak-error ladder is one-dimensional")
+    if n_paths < 2:
+        raise ValueError(f"n_paths must be at least 2 for a sample variance, got {n_paths}")
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     lam = well_rate(potential)
     exact_sde = lam is not None and not callable(oracle.diffusion)

@@ -69,6 +69,14 @@ def test_block_below_one_is_rejected(block, monkeypatch):
         anneal_experiment(TILTED, gamma=0.4, T=1.0, n_paths=4, epsilon=0.25, block=block)
 
 
+@pytest.mark.parametrize("n_paths", [0, -2])
+def test_a_path_count_below_one_is_rejected(n_paths, monkeypatch):
+    """n_paths = 0 used to raise ZeroDivisionError after the scatter."""
+    monkeypatch.setattr(streams, "path_streams", _no_streams)
+    with pytest.raises(ValueError, match=f"n_paths must be at least 1, got {n_paths}"):
+        anneal_experiment(TILTED, gamma=0.4, T=1.0, n_paths=n_paths, epsilon=0.25)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0], ids=str)
 def test_a_horizon_that_is_not_positive_and_finite_is_rejected(bad, monkeypatch):
     """T = inf used to raise OverflowError, and T = nan was reported as a

@@ -12,6 +12,7 @@ import pytest
 
 from sgdlab import cli, streams
 from sgdlab.cli import main
+from sgdlab.config import EXPERIMENTS
 
 KRAMERS_CFG = str(Path(__file__).resolve().parents[1] / "configs" / "kramers.cfg")
 
@@ -383,3 +384,7 @@ def test_console_script_is_installed():
     for sub in ("weak-order", "exit-min", "exit-saddle", "kramers",
                 "anneal", "deviation", "batch-cov", "ode-limit"):
         assert sub in proc.stdout
+
+
+def test_every_experiment_has_one_runner_in_the_listed_order():
+    assert tuple(cli._RUNNERS) == EXPERIMENTS

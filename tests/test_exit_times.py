@@ -29,6 +29,7 @@ from sgdlab import (
     log_mean_exit_bvp_1d,
     mean_exit_bvp_1d,
     minimizer_scaling_fit,
+    quasi_potential_isotropic,
     saddle_scaling_fit,
     streams,
 )
@@ -782,6 +783,21 @@ def test_scaling_fits_reject_a_bad_ladder_before_any_path_runs(fit, etas, messag
             saddle_scaling_fit(INVERTED, 1.0, UNIT, np.zeros(1), etas, **kw)
 
 
+@pytest.mark.parametrize("n_paths", [0, -2])
+@pytest.mark.parametrize("fit", ["minimizer", "saddle"])
+def test_scaling_fits_reject_a_path_count_below_one_before_any_path_runs(
+    fit, n_paths, monkeypatch
+):
+    """n_paths = 0 used to run the ladder and report "all paths were censored"."""
+    monkeypatch.setattr(streams, "path_streams", _no_streams)
+    kw = dict(source="mc", n_paths=n_paths, dt=0.01, horizon=10.0)
+    with pytest.raises(ValueError, match=f"n_paths must be at least 1, got {n_paths}"):
+        if fit == "minimizer":
+            minimizer_scaling_fit(WELL, 1.0, UNIT, (0.25, 0.2), **kw)
+        else:
+            saddle_scaling_fit(INVERTED, 1.0, UNIT, np.zeros(1), (0.01, 0.02), **kw)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
 def test_non_finite_noise_is_refused_before_any_quadrature(bad):
     """eta * sigma^2 outside (0, inf) raises at once, in the oracle and in
@@ -795,6 +811,15 @@ def test_non_finite_noise_is_refused_before_any_quadrature(bad):
 
 
 NON_FINITE = pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=str)
+
+
+@NON_FINITE
+def test_the_closed_form_escape_laws_refuse_non_finite_noise(bad):
+    """Both used to return nan."""
+    with pytest.raises(ValueError, match=f"eta must be positive and finite, got {bad}"):
+        kramers_predictor(DOUBLE_WELL, bad, x_star=[1.0], z_star=[0.0])
+    with pytest.raises(ValueError, match=f"sigma must be positive and finite, got {bad}"):
+        quasi_potential_isotropic(WELL, bad, UNIT)
 
 
 @NON_FINITE

@@ -3,13 +3,16 @@
 Criterion 11 checks that the worker count does not change the CSVs of a
 run; this test checks that a change to the program does not change them
 either.  Each ``TINY_CONFIGS`` entry runs at ``--workers 1`` and the
-sha256 of every emitted CSV must equal the digest recorded below.  The
+sha256 of every emitted CSV must equal the digest recorded below, and the
+run's manifest must list exactly those CSVs, so a run writes each result
+once and in no other format.  The
 digests were recorded with numpy 2.4 on x86-64 Linux; a platform whose
 libm or SIMD kernels round differently in the last bit would need them
 recorded afresh.
 """
 
 import hashlib
+import json
 
 import pytest
 from test_acceptance import TINY_CONFIGS
@@ -70,3 +73,5 @@ def test_tiny_config_csvs_match_golden_digests(name, tmp_path):
         for p in sorted(out_dir.glob("*.csv"))
     }
     assert digests == GOLDEN_DIGESTS[name]
+    manifest = json.loads((out_dir / "run.manifest").read_text())
+    assert sorted(manifest["files"]) == sorted(GOLDEN_DIGESTS[name])

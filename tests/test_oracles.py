@@ -246,3 +246,10 @@ def test_one_point_noise_maps_are_refused():
         AdditiveGaussianOracle(well, one_point)
     assert SdeConfig(diffusion=stacked, **sde).diffusion is stacked
     assert AdditiveGaussianOracle(well, stacked).covariance is stacked
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=str)
+def test_an_isotropic_oracle_refuses_a_non_finite_amplitude(bad):
+    """sigma = nan used to give a nan covariance and diffusion."""
+    with pytest.raises(ValueError, match=f"sigma must be non-negative and finite, got {bad}"):
+        AdditiveGaussianOracle.isotropic(builtin("quadratic_well"), bad)

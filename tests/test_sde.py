@@ -124,6 +124,38 @@ def test_horizon_must_be_a_whole_number_of_steps(entry):
         run(0.35, 0.1)
 
 
+def _no_streams(*args, **kwargs):
+    raise AssertionError("a stream was built before the arguments were checked")
+
+
+# Each entry point that reports a sample variance, called with n paths.
+SAMPLE_VARIANCE_ENTRY_POINTS = {
+    "deviation_empirical": lambda n: deviation_empirical(WELL, ORACLE, 0.1, 0.3, [1.0], n),
+    "flow_sup_gap": lambda n: flow_sup_gap(WELL, ORACLE, 0.1, 0.3, [1.0], n),
+    "weak_error_mc": lambda n: weak_error_mc(WELL, ORACLE, 0.3, [1.0], [0.1], n_paths=n),
+}
+
+
+@pytest.mark.parametrize("n_paths", [1, 0])
+@pytest.mark.parametrize("entry", sorted(SAMPLE_VARIANCE_ENTRY_POINTS))
+def test_sample_variances_need_two_paths_before_any_path_runs(entry, n_paths, monkeypatch):
+    """One path used to give a nan variance with RuntimeWarnings, or, in the
+    weak ladder, a NumericalError for want of resolvable rungs."""
+    monkeypatch.setattr(streams, "path_streams", _no_streams)
+    with pytest.raises(ValueError, match=f"n_paths must be at least 2 .*got {n_paths}"):
+        SAMPLE_VARIANCE_ENTRY_POINTS[entry](n_paths)
+
+
+@pytest.mark.parametrize("name", ["eta", "dt", "T"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=str)
+def test_sde_config_refuses_a_non_finite_rate_step_or_horizon(name, bad):
+    """eta = nan or inf used to fail later as a NumericalError from the
+    first step, and T = inf was accepted."""
+    kwargs = {"eta": 0.1, "dt": 0.01, "T": 0.1, name: bad}
+    with pytest.raises(ValueError, match=f"{name} must be positive and finite, got {bad}"):
+        SdeConfig(potential=WELL, x0=np.array([1.0]), **kwargs)
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     q=st.lists(st.floats(-40.0, 40.0), min_size=1, max_size=3),

@@ -73,6 +73,19 @@ def test_unstable_step_size_rejected():
         sgd_moments_linear(1.0, 2.5, 1.0, 1.0, 10)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=str)
+def test_chain_settings_refuse_non_finite_values(bad):
+    """SgdConfig(eta=nan or inf) used to fail later as a NumericalError, and
+    BatchSchedule accepted a nan eta."""
+    oracle = AdditiveGaussianOracle.isotropic(WELL, 1.0)
+    with pytest.raises(ValueError, match=f"eta must be positive and finite, got {bad}"):
+        SgdConfig(eta=bad, steps=1, x0=np.array([1.0]), oracle=oracle)
+    with pytest.raises(ValueError, match=f"eta must be positive and finite, got {bad}"):
+        BatchSchedule(C=0.5, eta=bad, m_star=4, M=4)
+    with pytest.raises(ValueError, match=f"C must be non-negative and finite, got {bad}"):
+        BatchSchedule(C=bad, eta=0.1, m_star=4, M=4)
+
+
 def test_runs_are_reproducible():
     cfg = SgdConfig(
         eta=0.1,
