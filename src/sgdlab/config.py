@@ -24,77 +24,43 @@ from .sde import FIRST_ORDER, SECOND_ORDER
 
 _GLOBAL_KEYS = frozenset({"experiment", "seed", "workers", "out", "emit_records"})
 
+#: The keys that shape a potential and a domain, shared by experiments.
+_POTENTIAL_KEYS = frozenset({"potential_params", "dim"})
+_DOMAIN_KEYS = frozenset({"domain_lo", "domain_hi", "domain_center", "domain_radius"})
+
 #: Keys each experiment accepts beyond the globals (required first).
 _EXPERIMENT_KEYS: dict[str, tuple[frozenset[str], frozenset[str]]] = {
     "weak-order": (
         frozenset({"potential", "sigma", "x0", "T", "eta_list"}),
-        frozenset({"potential_params", "dim", "drift_order", "source", "n_paths", "dt_factor"}),
+        _POTENTIAL_KEYS | {"drift_order", "source", "n_paths", "dt_factor"},
     ),
     "exit-min": (
         frozenset({"potential", "sigma", "domain", "eta_list"}),
-        frozenset(
-            {
-                "potential_params",
-                "dim",
-                "x0",
-                "source",
-                "n_paths",
-                "dt",
-                "horizon",
-                "domain_lo",
-                "domain_hi",
-                "domain_center",
-                "domain_radius",
-            }
-        ),
+        _POTENTIAL_KEYS | _DOMAIN_KEYS | {"x0", "source", "n_paths", "dt", "horizon"},
     ),
     "exit-saddle": (
         frozenset({"potential", "sigma", "domain", "x0", "eta_list"}),
-        frozenset(
-            {
-                "potential_params",
-                "dim",
-                "source",
-                "n_paths",
-                "dt",
-                "horizon",
-                "domain_lo",
-                "domain_hi",
-                "domain_center",
-                "domain_radius",
-            }
-        ),
+        _POTENTIAL_KEYS | _DOMAIN_KEYS | {"source", "n_paths", "dt", "horizon"},
     ),
     "kramers": (
         frozenset({"potential", "eta_list", "domain"}),
-        frozenset(
-            {
-                "potential_params",
-                "dim",
-                "sigma",
-                "x0",
-                "domain_lo",
-                "domain_hi",
-                "domain_center",
-                "domain_radius",
-            }
-        ),
+        _POTENTIAL_KEYS | _DOMAIN_KEYS | {"sigma", "x0"},
     ),
     "anneal": (
         frozenset({"potential", "gamma", "T", "n_paths", "epsilon"}),
-        frozenset({"potential_params", "dim", "x0", "dt", "n_checkpoints"}),
+        _POTENTIAL_KEYS | {"x0", "dt", "n_checkpoints"},
     ),
     "deviation": (
         frozenset({"potential", "sigma", "eta", "T", "x0", "n_paths"}),
-        frozenset({"potential_params", "dim"}),
+        _POTENTIAL_KEYS,
     ),
     "batch-cov": (
-        frozenset({"potential", "potential_params", "dim", "m_list", "x0"}),
+        _POTENTIAL_KEYS | {"potential", "m_list", "x0"},
         frozenset({"batch_mode"}),
     ),
     "ode-limit": (
         frozenset({"potential", "sigma", "eta_list", "T", "x0"}),
-        frozenset({"potential_params", "dim", "n_paths"}),
+        _POTENTIAL_KEYS | {"n_paths"},
     ),
 }
 

@@ -20,7 +20,9 @@ import numpy as np
 from . import streams
 from .errors import NumericalError
 from .potentials import PotentialSpec
-from .sde import FIRST_ORDER, SdeConfig, _rk4_step, _time_grid, em_on_grid, sde_kernel
+from .sde import (
+    FIRST_ORDER, SdeConfig, _rk4_step, _step_count, _time_grid, em_on_grid, sde_kernel,
+)
 from .sgd import SgdConfig, chain_kernel
 
 TRANSFORM_ETA_LOG_T = "eta_log_T"
@@ -175,7 +177,7 @@ def hitting_time_mc(
     if not chain and not isinstance(process, SdeConfig):
         raise TypeError(f"unsupported process type {type(process).__name__}")
     time_per_step = eta if chain else process.dt
-    max_steps = int(math.ceil(horizon / time_per_step - 1e-12))
+    max_steps = _step_count(horizon, time_per_step)
     kernel = chain_kernel(process, max_steps, domain) if chain else sde_kernel(process)
     exit_step, exit_points, states = streams.lockstep(
         kernel, x0, gens, max_steps, block=block, domain=domain
@@ -463,6 +465,7 @@ def _resolve_minimizer(potential: PotentialSpec, domain: Domain | None, x_star) 
         values = [float(potential.value(cp.location)) for cp in inside]
         return inside[int(np.argmin(values))].location
     x_star = np.atleast_1d(np.asarray(x_star, dtype=float))
+    _check_finite("x_star", x_star)
     g = np.asarray(potential.gradient(x_star), dtype=float)
     if np.linalg.norm(g) > 1e-8:
         raise ValueError(f"x_star={x_star} is not a stationary point")
@@ -485,6 +488,8 @@ def kramers_predictor(potential: PotentialSpec, eta: float, x_star, z_star) -> f
         raise ValueError(f"eta must be positive and finite, got {eta}")
     x_star = np.atleast_1d(np.asarray(x_star, dtype=float))
     z_star = np.atleast_1d(np.asarray(z_star, dtype=float))
+    _check_finite("x_star", x_star)
+    _check_finite("z_star", z_star)
     curv_min = float(potential.hessian(x_star)[0, 0])
     curv_top = float(potential.hessian(z_star)[0, 0])
     if curv_min <= 0:
@@ -521,10 +526,9 @@ def flow_exit_time(
         if not 0 < value < math.inf:
             raise ValueError(f"{name} must be positive and finite, got {value}")
     f = lambda y: -np.asarray(potential.gradient(y), dtype=float)
-    n_steps = int(math.ceil(horizon / dt - 1e-12))
     t = 0.0
     stall = 1e-12 * dt
-    for _ in range(n_steps):
+    for _ in range(_step_count(horizon, dt)):
         x_new = _rk4_step(f, x, dt)
         if not domain.contains(x_new):
             a_lo, a_hi = 0.0, 1.0
@@ -571,53 +575,71 @@ class ScalingReport:
     extra: dict = field(default_factory=dict)
 
 
-def _fitted_constant(entries: Sequence[ScalingEntry]) -> float:
+def _interval_log_mean(
+    potential: PotentialSpec, eta_sigma2: float, domain: Domain, start: np.ndarray
+) -> Optional[float]:
+    """The oracle's log mean exit time from ``start``; None off a 1-D interval."""
+    if potential.dim != 1 or domain.kind != "interval":
+        return None
+    interval = (domain.lo[0], domain.hi[0])
+    return log_mean_exit_bvp_1d(potential, eta_sigma2, interval, float(start[0]))
+
+
+def _exit_ladder(
+    potential: PotentialSpec, sigma: float, domain: Domain, start: np.ndarray,
+    etas: Sequence[float], source: str, label: str,
+    horizon_of: Callable[[float], float],
+    values_of: Callable[[float, ExitStats, Optional[float]], tuple[float, float]],
+    n_paths: int, seed: int, dt: float | None, scatter: Callable[..., list], keep_records: bool,
+) -> tuple[tuple[ScalingEntry, ...], float, dict]:
+    """The entries of a scaling fit, its fitted constant and its extras.
+
+    "bvp_1d" solves the oracle once per eta, on a 1-D interval only (a
+    mean past a float's range reads inf); "mc" runs first-order diffusion
+    from ``start`` to ``horizon_of(eta)`` with dt = min(eta/10, 1e-3) unless
+    ``dt`` is given, every rung in one ``scatter`` over path-major (path,
+    rung) cells (see ``hitting_time_chunk``), path i of rung j on the stream
+    (seed, "<label>:eta<j>", i).  Every rung is checked before any path
+    runs.  ``values_of(eta, stats, log_mean)`` is a rung's transform pair
+    (log_mean None for Monte Carlo).  Rungs censored over 1% are
+    inadmissible; the fit is the transform at the smallest admissible eta.
+    """
+    if source == "bvp_1d":
+        log_means = [_interval_log_mean(potential, eta * sigma**2, domain, start) for eta in etas]
+        if None in log_means:
+            raise ValueError("the bvp_1d source needs a 1-D interval domain")
+        ladder = [ExitStats(math.exp(u) if u <= 709 else math.inf, 0.0, 0.0, 0) for u in log_means]
+        records = {}
+    elif source == "mc":
+        if len(set(etas)) < len(etas):
+            raise ValueError(f"the ladder repeats an eta: {list(etas)}")
+        if n_paths < 1:
+            raise ValueError(f"n_paths must be at least 1, got {n_paths}")
+        rungs = []
+        for j, eta in enumerate(etas):
+            step = dt if dt is not None else min(eta / 10.0, 1e-3)
+            cfg = SdeConfig(potential=potential, eta=eta, dt=step, T=horizon_of(eta), x0=start,
+                            diffusion=sigma, drift_order=FIRST_ORDER, seed=seed)
+            rungs.append((cfg, f"{label}:eta{j}"))
+        by_rung = [[] for _ in rungs]
+        for part in scatter(hitting_time_chunk, len(rungs) * n_paths, rungs, domain):
+            for recs, chunk_recs in zip(by_rung, part):
+                recs += chunk_recs
+        log_means = [None] * len(rungs)
+        ladder = [exit_time_stats(recs) for recs in by_rung]
+        records = {float(eta): recs for eta, recs in zip(etas, by_rung)}
+    else:
+        raise ValueError(f"unknown source {source!r}")
+    entries = tuple(
+        ScalingEntry(float(eta), st.mean, st.stderr, st.censor_frac, *values_of(eta, st, log_mean),
+                     st.n_used, st.censor_frac <= 0.01)
+        for eta, st, log_mean in zip(etas, ladder, log_means)
+    )
     ok = [e for e in entries if e.admissible]
     if not ok:
         raise NumericalError("no admissible ladder entry (censoring everywhere > 1%)")
-    return min(ok, key=lambda e: e.eta).transform_value
-
-
-def _entry(eta: float, stats: ExitStats, transform: float, steps_transform: float) -> ScalingEntry:
-    admissible = stats.censor_frac <= 0.01
-    return ScalingEntry(
-        float(eta), stats.mean, stats.stderr, stats.censor_frac, transform, steps_transform,
-        stats.n_used, admissible,
-    )
-
-
-def _exit_ladder_mc(
-    potential: PotentialSpec, sigma: float, domain: Domain, start: np.ndarray, seed: int,
-    dt: float | None, n_paths: int, rungs: Sequence[tuple[float, float, str]],
-    scatter: Callable[..., list],
-) -> tuple[list[ExitStats], dict[float, list[ExitRecord]]]:
-    """Exit stats of each Monte Carlo rung ``(eta, horizon, label)`` of an
-    exit ladder, and its records by eta: first-order diffusion from
-    ``start``, with dt = min(eta/10, 1e-3) unless ``dt`` is given.  Every
-    rung runs in one ``scatter`` over the ladder's path-major (path, rung)
-    cells (see ``hitting_time_chunk``), so every chunk takes an equal share
-    of each rung's paths, whatever the worker count.  Since the records
-    are keyed by eta, a repeated eta raises ``ValueError`` before any path
-    runs."""
-    etas = [eta for eta, _, _ in rungs]
-    if len(set(etas)) < len(etas):
-        raise ValueError(f"the ladder repeats an eta: {etas}")
-    if not rungs:
-        return [], {}
-    if n_paths < 1:
-        raise ValueError(f"n_paths must be at least 1, got {n_paths}")
-    processes = []
-    for eta, horizon, label in rungs:
-        step = dt if dt is not None else min(eta / 10.0, 1e-3)
-        cfg = SdeConfig(potential=potential, eta=eta, dt=step, T=horizon, x0=start,
-                        diffusion=sigma, drift_order=FIRST_ORDER, seed=seed)
-        processes.append((cfg, label))
-    by_rung = [[] for _ in rungs]
-    for part in scatter(hitting_time_chunk, len(rungs) * n_paths, processes, domain):
-        for recs, chunk_recs in zip(by_rung, part):
-            recs += chunk_recs
-    records = {float(eta): recs for (eta, _, _), recs in zip(rungs, by_rung)}
-    return [exit_time_stats(recs) for recs in by_rung], records
+    fitted = min(ok, key=lambda e: e.eta).transform_value
+    return entries, fitted, {"records": records} if keep_records else {}
 
 
 def minimizer_scaling_fit(
@@ -639,62 +661,36 @@ def minimizer_scaling_fit(
 
     ``source`` selects the exact 1-D boundary-value oracle ("bvp_1d") or
     first-exit Monte Carlo of the diffusion ("mc", with dt <= min(eta/10,
-    1e-3) and a horizon of 20x the oracle prediction by default).  Entries
-    with more than 1% censoring are marked inadmissible and excluded from
-    the fitted constant, which is the transform value at the smallest
-    admissible eta.  Every rung is checked before any path runs.  The Monte
-    Carlo rungs then run in one ``scatter`` over ``len(eta_list) * n_paths``
-    path-major (path, rung) cells, so every chunk holds a contiguous range of
-    paths of every rung (see ``hitting_time_chunk`` and ``streams``).
+    1e-3) and a horizon of 20x the oracle prediction by default).  On a 1-D
+    interval the oracle is solved once per rung for either source.  The
+    rungs run as one ladder (see ``_exit_ladder``): every rung is checked,
+    then one ``scatter`` covers ``len(eta_list) * n_paths`` cells.
     """
-    if source not in ("bvp_1d", "mc"):
-        raise ValueError(f"unknown source {source!r}")
     x_star = _resolve_minimizer(potential, domain, None)
     start = x_star if x0 is None else np.atleast_1d(np.asarray(x0, dtype=float))
     reference = quasi_potential_isotropic(potential, sigma, domain, x_star)
-    log_bvps, rungs = [], []
-    for j, eta in enumerate(eta_list):
-        if eta <= 0:
-            raise ValueError(f"eta must be positive, got {eta}")
-        log_bvp = None
-        if potential.dim == 1 and domain.kind == "interval":
-            log_bvp = log_mean_exit_bvp_1d(
-                potential, eta * sigma**2, (domain.lo[0], domain.hi[0]), float(start[0])
-            )
-        log_bvps.append(log_bvp)
-        if source == "bvp_1d":
-            if log_bvp is None:
-                raise ValueError("the bvp_1d source needs a 1-D interval domain")
-        elif horizon is None and log_bvp is None:
+    for eta in eta_list:
+        if not 0 < eta < math.inf:
+            raise ValueError(f"eta must be positive and finite, got {eta}")
+
+    def horizon_of(eta: float) -> float:
+        log_u = _interval_log_mean(potential, eta * sigma**2, domain, start)
+        if horizon is not None:
+            return horizon
+        if log_u is None:
             raise ValueError("pass a horizon for Monte Carlo in this geometry")
-        else:
-            horizon_eta = horizon if horizon is not None else 20.0 * math.exp(min(log_bvp, 700.0))
-            rungs.append((eta, horizon_eta, f"exit-min:eta{j}"))
-    ladder, records = _exit_ladder_mc(
-        potential, sigma, domain, start, seed, dt, n_paths, rungs, scatter
+        return 20.0 * math.exp(min(log_u, 700.0))
+
+    def values_of(eta: float, stats: ExitStats, log_u: float | None) -> tuple[float, float]:
+        if log_u is None:
+            return eta * math.log(stats.mean), eta * math.log(stats.mean / eta)
+        return eta * log_u, eta * (log_u - math.log(eta))
+
+    entries, fitted, extra = _exit_ladder(
+        potential, sigma, domain, start, eta_list, source, "exit-min", horizon_of, values_of,
+        n_paths, seed, dt, scatter, keep_records,
     )
-    if source == "bvp_1d":
-        entries = [
-            _entry(
-                eta, ExitStats(math.exp(log_bvp) if log_bvp <= 709.0 else math.inf, 0.0, 0.0, 0),
-                eta * log_bvp, eta * (log_bvp - math.log(eta)),
-            )
-            for eta, log_bvp in zip(eta_list, log_bvps)
-        ]
-    else:
-        entries = [
-            _entry(eta, st, eta * math.log(st.mean), eta * math.log(st.mean / eta))
-            for (eta, _, _), st in zip(rungs, ladder)
-        ]
-    extra = {"records": records} if keep_records else {}
-    return ScalingReport(
-        transform=TRANSFORM_ETA_LOG_T,
-        source=source,
-        entries=tuple(entries),
-        fitted_constant=_fitted_constant(entries),
-        reference_constant=reference,
-        extra=extra,
-    )
+    return ScalingReport(TRANSFORM_ETA_LOG_T, source, entries, fitted, reference, extra)
 
 
 def saddle_scaling_fit(
@@ -719,12 +715,10 @@ def saddle_scaling_fit(
     does, its exit time theta(x0) is reported (extra["theta"]) and the
     small-eta mean exit time should approach it instead of the log law.
     The chain-step bound 2 gamma1 E[T] / log(1/eta), which should not
-    exceed 1 + o(1), is reported per entry in extra["steps_bound"].  Every
-    rung is checked before any path runs; the Monte Carlo rungs are then
-    scattered as in ``minimizer_scaling_fit``.
+    exceed 1 + o(1), is reported per entry in extra["steps_bound"].  The
+    Monte Carlo horizon is 50 log(1/eta) / gamma1 by default; the rungs are
+    checked and run as in ``minimizer_scaling_fit``.
     """
-    if source not in ("bvp_1d", "mc"):
-        raise ValueError(f"unknown source {source!r}")
     unstable = [
         cp for cp in potential.unstable_points() if domain.strictly_inside(cp.location)
     ]
@@ -737,38 +731,24 @@ def saddle_scaling_fit(
     theta = None
     if np.linalg.norm(potential.gradient(start)) > 1e-12:
         theta = flow_exit_time(potential, start, domain, dt=1e-4, horizon=200.0 / gamma1)
-    rungs, bvps = [], []
-    for j, eta in enumerate(eta_list):
+    for eta in eta_list:
         if not 0 < eta < 1:
             raise ValueError(f"the log(1/eta) transform needs 0 < eta < 1, got {eta}")
-        if source == "mc":
-            horizon_eta = horizon if horizon is not None else 50.0 * math.log(1.0 / eta) / gamma1
-            rungs.append((eta, horizon_eta, f"exit-saddle:eta{j}"))
-        elif potential.dim != 1 or domain.kind != "interval":
-            raise ValueError("the bvp_1d source needs a 1-D interval domain")
-        else:
-            interval = (domain.lo[0], domain.hi[0])
-            mean = mean_exit_bvp_1d(potential, eta * sigma**2, interval, float(start[0]))
-            bvps.append(ExitStats(mean, 0.0, 0.0, 0))
-    ladder, records = _exit_ladder_mc(
-        potential, sigma, domain, start, seed, dt, n_paths, rungs, scatter
-    )
-    entries = []
-    for eta, stats in zip(eta_list, bvps + ladder):  # one of the two is empty
+
+    def horizon_of(eta: float) -> float:
+        return horizon if horizon is not None else 50.0 * math.log(1.0 / eta) / gamma1
+
+    def values_of(eta: float, stats: ExitStats, log_mean: float | None) -> tuple[float, float]:
         log_inv = math.log(1.0 / eta)
-        entries.append(_entry(eta, stats, stats.mean / log_inv, stats.mean / (eta * log_inv)))
-    extra: dict = {"gamma1": gamma1, "theta": theta}
-    extra["steps_bound"] = tuple(2.0 * gamma1 * e.transform_value for e in entries)
-    if keep_records:
-        extra["records"] = records
-    return ScalingReport(
-        transform=TRANSFORM_T_OVER_LOG,
-        source=source,
-        entries=tuple(entries),
-        fitted_constant=_fitted_constant(entries),
-        reference_constant=0.5 / gamma1,
-        extra=extra,
+        return stats.mean / log_inv, stats.mean / (eta * log_inv)
+
+    entries, fitted, kept = _exit_ladder(
+        potential, sigma, domain, start, eta_list, source, "exit-saddle", horizon_of, values_of,
+        n_paths, seed, dt, scatter, keep_records,
     )
+    steps_bound = tuple(2.0 * gamma1 * e.transform_value for e in entries)
+    extra = {"gamma1": gamma1, "theta": theta, "steps_bound": steps_bound, **kept}
+    return ScalingReport(TRANSFORM_T_OVER_LOG, source, entries, fitted, 0.5 / gamma1, extra)
 
 
 # ---------------------------------------------------------------------------
@@ -830,8 +810,8 @@ def anneal_experiment(
     """
     if mode not in ("cooling", "constant"):
         raise ValueError(f"unknown annealing mode {mode!r}")
-    if gamma < 0:
-        raise ValueError(f"gamma must be non-negative, got {gamma}")
+    if not 0 <= gamma < math.inf:
+        raise ValueError(f"gamma must be non-negative and finite, got {gamma}")
     for name, value in (("T", T), ("epsilon", epsilon), ("dt", dt)):
         if not 0 < value < math.inf:
             raise ValueError(f"{name} must be positive and finite, got {value}")

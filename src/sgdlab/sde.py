@@ -106,15 +106,23 @@ class SdeConfig:
         return math.sqrt(self.eta)
 
 
+def _step_count(span: float, h: float) -> int:
+    """The number of steps of h that cover ``span``: ceil(span / h), with a
+    span a rounding error past a whole number of steps taking no extra step."""
+    return int(math.ceil(span / h - 1e-12))
+
+
 def _time_grid(T: float, dt: float) -> np.ndarray:
     """Uniform grid 0, dt, 2 dt, ... whose last step is shortened to end at T."""
-    n_steps = int(math.ceil(T / dt - 1e-12))
-    return np.minimum(np.arange(n_steps + 1) * dt, T)
+    return np.minimum(np.arange(_step_count(T, dt) + 1) * dt, T)
 
 
 def _horizon_steps(T: float, eta: float) -> int:
     """The number k of eta steps with k eta = T; raises ``ValueError`` when T
-    is not a whole number of steps."""
+    is not a whole number of steps, or either is not positive and finite."""
+    for name, value in (("T", T), ("eta", eta)):
+        if not 0 < value < math.inf:
+            raise ValueError(f"{name} must be positive and finite, got {value}")
     k = round(T / eta)
     if abs(T / eta - k) > 1e-9 * max(1, k):
         raise ValueError(f"horizon T={T} is not a whole number of steps of eta={eta}")
@@ -353,10 +361,13 @@ def em_endpoints_chunk(cfg: SdeConfig, experiment: str, lo: int, hi: int) -> np.
 
 def ou_moments(lam: float, eta_sigma2: float, x0: float, t: float) -> tuple[float, float]:
     """Exact mean and variance of the OU process at time t."""
-    if lam <= 0:
-        raise ValueError(f"lam must be positive, got {lam}")
-    if t < 0:
-        raise ValueError(f"t must be non-negative, got {t}")
+    if not 0 < lam < math.inf:
+        raise ValueError(f"lam must be positive and finite, got {lam}")
+    for name, value in (("eta_sigma2", eta_sigma2), ("t", t)):
+        if not 0 <= value < math.inf:
+            raise ValueError(f"{name} must be non-negative and finite, got {value}")
+    if not math.isfinite(x0):
+        raise ValueError(f"x0 must be finite, got {x0}")
     mean = x0 * math.exp(-lam * t)
     var = eta_sigma2 / (2.0 * lam) * (1.0 - math.exp(-2.0 * lam * t))
     return mean, var
@@ -411,6 +422,8 @@ def deviation_covariance(
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
+    if not np.all(np.isfinite(t_grid)):
+        raise ValueError(f"t_grid must be finite, got {t_grid.tolist()}")
     if np.any(t_grid < 0) or np.any(np.diff(t_grid) <= 0):
         raise ValueError("t_grid must be non-negative and strictly increasing")
     d = x0.size
@@ -436,7 +449,7 @@ def deviation_covariance(
     for j, target in enumerate(t_grid):
         span = target - t
         if span > 0:
-            n = int(math.ceil(span / 1e-3 - 1e-12))
+            n = _step_count(span, 1e-3)
             h = span / n
             for _ in range(n):
                 state = _rk4_step(rhs, state, h)

@@ -124,6 +124,13 @@ def sgd_moments_linear(
     eta^2 sigma^2 (1 - a^{2k}) / (1 - a^2) with a = 1 - eta lam.  Requires
     the stable regime |a| < 1.
     """
+    for name, value in (("lam", lam), ("eta", eta)):
+        if not 0 < value < math.inf:
+            raise ValueError(f"{name} must be positive and finite, got {value}")
+    if not 0 <= sigma < math.inf:
+        raise ValueError(f"sigma must be non-negative and finite, got {sigma}")
+    if not math.isfinite(x0):
+        raise ValueError(f"x0 must be finite, got {x0}")
     if k < 0:
         raise ValueError(f"step count must be non-negative, got {k}")
     a = 1.0 - eta * lam
@@ -268,8 +275,8 @@ def weak_error_linear(
     Both marginals are Gaussian; expectations use Gauss-Hermite quadrature
     (exact for the polynomial observables at any order >= 2).
     """
-    if lam <= 0 or sigma <= 0 or eta <= 0 or T <= 0:
-        raise ValueError("lam, sigma, eta and T must all be positive")
+    if not 0 < sigma < math.inf:
+        raise ValueError(f"sigma must be positive and finite, got {sigma}")
     k = _horizon_steps(T, eta)
     sgd_side = _closed_side(*sgd_moments_linear(lam, eta, sigma, x0, k))
     return _weak_point(eta, sgd_side, _ou_side(lam, sigma**2, x0, T, eta, drift_order))

@@ -86,6 +86,15 @@ def test_a_horizon_that_is_not_positive_and_finite_is_rejected(bad, monkeypatch)
         anneal_experiment(TILTED, gamma=0.4, T=bad, n_paths=4, epsilon=0.25)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -0.25], ids=str)
+def test_a_gamma_that_is_not_non_negative_and_finite_is_rejected(bad, monkeypatch):
+    """gamma = nan or inf used to be reported as a NumericalError ("non-finite
+    state by step 100")."""
+    monkeypatch.setattr(streams, "path_streams", _no_streams)
+    with pytest.raises(ValueError, match=f"gamma must be non-negative and finite, got {bad}"):
+        anneal_experiment(TILTED, gamma=bad, T=1.0, n_paths=4, epsilon=0.25)
+
+
 @pytest.mark.parametrize("name", ["epsilon", "dt"])
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -0.25], ids=str)
 def test_a_window_or_step_that_is_not_positive_and_finite_is_rejected(name, bad, monkeypatch):

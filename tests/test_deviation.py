@@ -3,6 +3,7 @@ gradient flow converge to a Gaussian process with a Lyapunov covariance."""
 
 import functools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -27,6 +28,13 @@ def test_lyapunov_covariance_quadratic_closed_form():
     for t, cov in zip(t_grid, covs):
         exact = (1.0 - math.exp(-2.0 * t)) / 2.0
         assert cov[0, 0] == pytest.approx(exact, abs=1e-5)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=str)
+def test_lyapunov_covariance_refuses_a_non_finite_time(bad):
+    """t_grid = [nan] used to return C = 0, and [inf] to raise OverflowError."""
+    with pytest.raises(ValueError, match=re.escape(f"t_grid must be finite, got [0.5, {bad}]")):
+        deviation_covariance(WELL, np.array([1.0]), [0.5, bad], diffusion=1.0)
 
 
 def test_empirical_deviations_match_lyapunov_covariance():

@@ -5,6 +5,7 @@ import dataclasses
 import functools
 import importlib.util
 import math
+import re
 
 import numpy as np
 import pytest
@@ -259,6 +260,33 @@ def test_each_ladder_rung_is_its_own_hitting_time_run(fit):
         for a, b in zip(got, expected):
             np.testing.assert_array_equal(a.exit_point, b.exit_point)
         assert report.entries[j].mean_exit_time == exit_time_stats(expected).mean
+
+
+@pytest.mark.parametrize(
+    "fit, kw, solves",
+    [
+        ("minimizer", dict(source="bvp_1d"), 2),
+        ("minimizer", dict(source="mc"), 2),
+        ("minimizer", dict(source="mc", horizon=50.0), 2),
+        ("saddle", dict(source="bvp_1d"), 2),
+        ("saddle", dict(source="mc"), 0),
+        ("saddle", dict(source="mc", horizon=50.0), 0),
+    ],
+)
+def test_the_oracle_runs_once_per_rung_where_the_fit_needs_it(fit, kw, solves, monkeypatch):
+    # On an interval the minimizer fit solves the oracle once per rung,
+    # whatever its source and horizon; a saddle Monte Carlo ladder solves none.
+    calls = []
+    oracle = exit_times.log_mean_exit_bvp_1d
+    monkeypatch.setattr(
+        exit_times, "log_mean_exit_bvp_1d", lambda *args: calls.append(args) or oracle(*args)
+    )
+    kw = dict(n_paths=4, seed=3, dt=0.01, **kw)
+    if fit == "minimizer":
+        minimizer_scaling_fit(WELL, 1.0, UNIT, (0.5, 0.4), **kw)
+    else:
+        saddle_scaling_fit(INVERTED, 1.0, UNIT, np.zeros(1), (0.02, 0.01), **kw)
+    assert len(calls) == solves
 
 
 @pytest.mark.parametrize("n_paths", [5, 1100])
@@ -771,6 +799,9 @@ def test_hitting_mc_rejects_block_below_one(block, monkeypatch):
         ("saddle", (0.01, 0.02, 0.0), "0 < eta < 1"),
         ("minimizer", (0.25, 0.25), "repeats an eta"),
         ("saddle", (0.01, 0.02, 0.01), "repeats an eta"),
+        ("minimizer", (0.25, math.nan), "eta must be positive and finite, got nan"),
+        ("minimizer", (0.25, math.inf), "eta must be positive and finite, got inf"),
+        ("saddle", (0.01, math.nan), "0 < eta < 1"),
     ],
 )
 def test_scaling_fits_reject_a_bad_ladder_before_any_path_runs(fit, etas, message, monkeypatch):
@@ -820,6 +851,17 @@ def test_the_closed_form_escape_laws_refuse_non_finite_noise(bad):
         kramers_predictor(DOUBLE_WELL, bad, x_star=[1.0], z_star=[0.0])
     with pytest.raises(ValueError, match=f"sigma must be positive and finite, got {bad}"):
         quasi_potential_isotropic(WELL, bad, UNIT)
+
+
+@NON_FINITE
+def test_the_closed_form_escape_laws_refuse_a_non_finite_critical_point(bad):
+    """x_star = [nan] used to give a nan quasi-potential and a nan prediction."""
+    with pytest.raises(ValueError, match=re.escape(f"x_star must be finite, got [{bad}]")):
+        quasi_potential_isotropic(WELL, 1.0, UNIT, x_star=[bad])
+    with pytest.raises(ValueError, match=re.escape(f"x_star must be finite, got [{bad}]")):
+        kramers_predictor(DOUBLE_WELL, 0.1, x_star=[bad], z_star=[0.0])
+    with pytest.raises(ValueError, match=re.escape(f"z_star must be finite, got [{bad}]")):
+        kramers_predictor(DOUBLE_WELL, 0.1, x_star=[1.0], z_star=[bad])
 
 
 @NON_FINITE

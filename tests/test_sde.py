@@ -124,6 +124,30 @@ def test_horizon_must_be_a_whole_number_of_steps(entry):
         run(0.35, 0.1)
 
 
+NON_FINITE = pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=str)
+
+
+@NON_FINITE
+@pytest.mark.parametrize("entry", sorted(HORIZON_ENTRY_POINTS))
+def test_a_horizon_or_rate_that_is_not_finite_is_named(entry, bad):
+    """T = nan or eta = nan used to raise "cannot convert float NaN to
+    integer", T = inf an OverflowError, and weak_error_linear(T=nan) the same."""
+    run = HORIZON_ENTRY_POINTS[entry]
+    with pytest.raises(ValueError, match=f"T must be positive and finite, got {bad}"):
+        run(bad, 0.1)
+    with pytest.raises(ValueError, match=f"eta must be positive and finite, got {bad}"):
+        run(0.3, bad)
+
+
+@NON_FINITE
+@pytest.mark.parametrize("name", ["lam", "eta_sigma2", "x0", "t"])
+def test_ou_moments_refuse_a_non_finite_argument(name, bad):
+    """A nan rate or start used to give nan moments."""
+    kwargs = {"lam": 1.0, "eta_sigma2": 0.1, "x0": 1.0, "t": 1.0, name: bad}
+    with pytest.raises(ValueError, match=f"{name} must be .*finite, got {bad}"):
+        ou_moments(**kwargs)
+
+
 def _no_streams(*args, **kwargs):
     raise AssertionError("a stream was built before the arguments were checked")
 

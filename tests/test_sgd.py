@@ -73,6 +73,16 @@ def test_unstable_step_size_rejected():
         sgd_moments_linear(1.0, 2.5, 1.0, 1.0, 10)
 
 
+@pytest.mark.parametrize("name", ["lam", "eta", "sigma", "x0"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=str)
+def test_closed_moments_refuse_a_non_finite_argument(name, bad):
+    """A nan rate used to give nan moments, and an infinite one an
+    "unstable chain" error."""
+    kwargs = {"lam": 1.0, "eta": 0.1, "sigma": 1.0, "x0": 1.0, "k": 10, name: bad}
+    with pytest.raises(ValueError, match=f"{name} must be .*finite, got {bad}"):
+        sgd_moments_linear(**kwargs)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=str)
 def test_chain_settings_refuse_non_finite_values(bad):
     """SgdConfig(eta=nan or inf) used to fail later as a NumericalError, and

@@ -36,6 +36,15 @@ def test_exact_weak_errors_linear_case():
     assert pt2.errors[idx] == pytest.approx(0.0012593, abs=5e-7)
 
 
+@pytest.mark.parametrize("name", ["lam", "sigma"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=str)
+def test_linear_weak_error_refuses_a_non_finite_rate_or_noise(name, bad):
+    """lam = nan and sigma = inf used to return a nan weak error."""
+    kwargs = {"lam": 1.0, "eta": 0.1, "sigma": 1.0, "T": 0.3, "x0": 1.0, name: bad}
+    with pytest.raises(ValueError, match=f"{name} must be positive and finite, got {bad}"):
+        weak_error_linear(**kwargs)
+
+
 def test_ladder_orders_first_and_second():
     for order, band in (("first", (0.75, 1.25)), ("second", (1.7, 2.3))):
         rep = weak_error_ladder_linear(1.0, 1.0, 1.0, 1.0, ETA_LADDER, drift_order=order)
