@@ -18,7 +18,9 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from . import streams
-from .errors import NumericalError
+from .errors import (
+    NumericalError, check_count, check_finite, check_non_negative, check_point, check_positive,
+)
 from .potentials import PotentialSpec
 from .sde import (
     FIRST_ORDER, SdeConfig, _rk4_step, _step_count, _time_grid, em_on_grid, sde_kernel,
@@ -50,7 +52,7 @@ class Domain:
 
     @classmethod
     def interval(cls, lo: float, hi: float) -> "Domain":
-        _check_finite("interval bounds", [lo, hi])
+        check_finite("interval bounds", [lo, hi])
         if not lo < hi:
             raise ValueError(f"interval needs lo < hi, got ({lo}, {hi})")
         return cls(kind="interval", lo=np.array([float(lo)]), hi=np.array([float(hi)]))
@@ -58,16 +60,15 @@ class Domain:
     @classmethod
     def ball(cls, center, radius: float) -> "Domain":
         center = np.atleast_1d(np.asarray(center, dtype=float))
-        _check_finite("ball center and radius", [*center, radius])
-        if radius <= 0:
-            raise ValueError(f"ball radius must be positive, got {radius}")
+        check_finite("ball center and radius", [*center, radius])
+        check_positive("ball radius", radius)
         return cls(kind="ball", center=center, radius=float(radius))
 
     @classmethod
     def box(cls, lo, hi) -> "Domain":
         lo = np.atleast_1d(np.asarray(lo, dtype=float))
         hi = np.atleast_1d(np.asarray(hi, dtype=float))
-        _check_finite("box bounds", [*lo, *hi])
+        check_finite("box bounds", [*lo, *hi])
         if lo.shape != hi.shape or np.any(lo >= hi):
             raise ValueError("box needs lo < hi componentwise")
         return cls(kind="box", lo=lo, hi=hi)
@@ -96,12 +97,6 @@ class Domain:
         if self.kind == "ball":
             return bool(np.linalg.norm(x - self.center) < self.radius)
         return bool(np.all((x > self.lo) & (x < self.hi)))
-
-
-def _check_finite(what: str, values) -> None:
-    """Raise ``ValueError`` naming ``what`` and its values unless all are finite."""
-    if not np.all(np.isfinite(values)):
-        raise ValueError(f"{what} must be finite, got {list(map(float, values))}")
 
 
 # ---------------------------------------------------------------------------
@@ -162,14 +157,12 @@ def hitting_time_mc(
     is drawn at most ``block`` (at least 1) steps at a time; the block sets
     memory and speed, never the records.
     """
-    x0 = np.atleast_1d(np.asarray(process.x0, dtype=float))
+    x0 = process.x0
     if not domain.strictly_inside(x0):
         raise ValueError(f"start point {x0} is not strictly inside the domain")
-    if not 0 < horizon < math.inf:
-        raise ValueError(f"horizon must be positive and finite, got {horizon}")
-    if block < 1:
-        raise ValueError(f"block must be at least 1, got {block}")
-    indices = n_paths if isinstance(n_paths, range) else range(n_paths)
+    check_positive("horizon", horizon)
+    check_count("block", block, 1)
+    indices = n_paths if isinstance(n_paths, range) else range(check_count("n_paths", n_paths))
     gens = streams.path_streams(process.seed, experiment, indices)
 
     eta = process.eta
@@ -296,11 +289,10 @@ def log_mean_exit_bvp_1d(
     ``BVP_RTOL`` (which bounds the relative error of u itself).
     """
     lo, hi = float(interval[0]), float(interval[1])
-    _check_finite("interval bounds", [lo, hi])
+    check_finite("interval bounds", [lo, hi])
     if not lo < x < hi:
         raise ValueError(f"x={x} must lie strictly inside ({lo}, {hi})")
-    if not 0 < eta_sigma2 < math.inf:
-        raise ValueError(f"eta*sigma^2 must be positive and finite, got {eta_sigma2}")
+    check_positive("eta*sigma^2", eta_sigma2)
     value = _as_1d_value_fn(potential)
     eps = float(eta_sigma2)
 
@@ -444,9 +436,7 @@ def quasi_potential_isotropic(
     """Escape cost (2/sigma^2) * (min_boundary F - F(x*)) for isotropic noise."""
     if np.ndim(sigma) != 0:
         raise ValueError("only scalar (isotropic) noise amplitudes are supported here")
-    sigma = float(sigma)
-    if not 0 < sigma < math.inf:
-        raise ValueError(f"sigma must be positive and finite, got {sigma}")
+    sigma = check_positive("sigma", float(sigma))
     x_star = _resolve_minimizer(potential, domain, x_star)
     f_star = float(potential.value(x_star))
     f_boundary = _boundary_min(potential, domain)
@@ -464,8 +454,7 @@ def _resolve_minimizer(potential: PotentialSpec, domain: Domain | None, x_star) 
             raise ValueError("no annotated minimizer inside the domain; pass x_star")
         values = [float(potential.value(cp.location)) for cp in inside]
         return inside[int(np.argmin(values))].location
-    x_star = np.atleast_1d(np.asarray(x_star, dtype=float))
-    _check_finite("x_star", x_star)
+    x_star = check_point("x_star", x_star)
     g = np.asarray(potential.gradient(x_star), dtype=float)
     if np.linalg.norm(g) > 1e-8:
         raise ValueError(f"x_star={x_star} is not a stationary point")
@@ -484,12 +473,8 @@ def kramers_predictor(potential: PotentialSpec, eta: float, x_star, z_star) -> f
     """
     if potential.dim != 1:
         raise ValueError("the barrier-crossing predictor is one-dimensional")
-    if not 0 < eta < math.inf:
-        raise ValueError(f"eta must be positive and finite, got {eta}")
-    x_star = np.atleast_1d(np.asarray(x_star, dtype=float))
-    z_star = np.atleast_1d(np.asarray(z_star, dtype=float))
-    _check_finite("x_star", x_star)
-    _check_finite("z_star", z_star)
+    check_positive("eta", eta)
+    x_star, z_star = check_point("x_star", x_star), check_point("z_star", z_star)
     curv_min = float(potential.hessian(x_star)[0, 0])
     curv_top = float(potential.hessian(z_star)[0, 0])
     if curv_min <= 0:
@@ -519,12 +504,11 @@ def flow_exit_time(
     (speed below 1e-12): from there it cannot reach the boundary within any
     practical horizon, which is how starts on a stable manifold terminate.
     """
-    x = np.atleast_1d(np.asarray(x0, dtype=float))
+    x = check_point("x0", x0)
     if not domain.strictly_inside(x):
         raise ValueError(f"start point {x} is not strictly inside the domain")
-    for name, value in (("dt", dt), ("horizon", horizon)):
-        if not 0 < value < math.inf:
-            raise ValueError(f"{name} must be positive and finite, got {value}")
+    check_positive("dt", dt)
+    check_positive("horizon", horizon)
     f = lambda y: -np.asarray(potential.gradient(y), dtype=float)
     t = 0.0
     stall = 1e-12 * dt
@@ -613,8 +597,7 @@ def _exit_ladder(
     elif source == "mc":
         if len(set(etas)) < len(etas):
             raise ValueError(f"the ladder repeats an eta: {list(etas)}")
-        if n_paths < 1:
-            raise ValueError(f"n_paths must be at least 1, got {n_paths}")
+        check_count("n_paths", n_paths, 1)
         rungs = []
         for j, eta in enumerate(etas):
             step = dt if dt is not None else min(eta / 10.0, 1e-3)
@@ -667,11 +650,10 @@ def minimizer_scaling_fit(
     then one ``scatter`` covers ``len(eta_list) * n_paths`` cells.
     """
     x_star = _resolve_minimizer(potential, domain, None)
-    start = x_star if x0 is None else np.atleast_1d(np.asarray(x0, dtype=float))
+    start = x_star if x0 is None else check_point("x0", x0)
     reference = quasi_potential_isotropic(potential, sigma, domain, x_star)
     for eta in eta_list:
-        if not 0 < eta < math.inf:
-            raise ValueError(f"eta must be positive and finite, got {eta}")
+        check_positive("eta", eta)
 
     def horizon_of(eta: float) -> float:
         log_u = _interval_log_mean(potential, eta * sigma**2, domain, start)
@@ -727,7 +709,7 @@ def saddle_scaling_fit(
     gamma1 = -float(unstable[0].eigenvalues[-1])
     if gamma1 <= 0:
         raise ValueError("the unstable point has no negative curvature direction")
-    start = np.atleast_1d(np.asarray(x0, dtype=float))
+    start = check_point("x0", x0)
     theta = None
     if np.linalg.norm(potential.gradient(start)) > 1e-12:
         theta = flow_exit_time(potential, start, domain, dt=1e-4, horizon=200.0 / gamma1)
@@ -810,21 +792,20 @@ def anneal_experiment(
     """
     if mode not in ("cooling", "constant"):
         raise ValueError(f"unknown annealing mode {mode!r}")
-    if not 0 <= gamma < math.inf:
-        raise ValueError(f"gamma must be non-negative and finite, got {gamma}")
+    check_non_negative("gamma", gamma)
     for name, value in (("T", T), ("epsilon", epsilon), ("dt", dt)):
-        if not 0 < value < math.inf:
-            raise ValueError(f"{name} must be positive and finite, got {value}")
-    if block < 1:
-        raise ValueError(f"block must be at least 1, got {block}")
-    if n_paths < 1:
-        raise ValueError(f"n_paths must be at least 1, got {n_paths}")
+        check_positive(name, value)
+    check_count("block", block, 1)
+    check_count("n_paths", n_paths, 1)
+    check_count("n_checkpoints", n_checkpoints)
     if start is None:
         mins = potential.minimizers()
         if len(mins) < 2:
             raise ValueError("pass a start point for a single-well objective")
         values = [float(potential.value(cp.location)) for cp in mins]
         start = mins[int(np.argmax(values))].location  # the shallow well
+    else:
+        start = check_point("start", start)
     check_times = np.linspace(0.0, T, n_checkpoints + 1)[1:] if n_checkpoints else np.array([])
     parts = scatter(
         anneal_chunk, n_paths, potential, gamma, T, epsilon, start, mode, seed, dt, check_times,

@@ -27,6 +27,7 @@ from typing import Callable, Union
 
 import numpy as np
 
+from .errors import check_count, check_finite, check_non_negative
 from .potentials import FiniteSumSpec, PotentialSpec, check_stacked_maps
 
 WITHOUT_REPLACEMENT = "without_replacement"
@@ -73,12 +74,13 @@ class AdditiveGaussianOracle:
     def __post_init__(self):
         if callable(self.covariance):
             check_stacked_maps([self.covariance], "covariance map", np.zeros(self.potential.dim))
+        else:
+            check_finite("covariance", self.covariance)
 
     @classmethod
     def isotropic(cls, potential: PotentialSpec, sigma: float) -> "AdditiveGaussianOracle":
         """Oracle with constant covariance sigma^2 * I."""
-        if not 0 <= sigma < math.inf:
-            raise ValueError(f"sigma must be non-negative and finite, got {sigma}")
+        check_non_negative("sigma", sigma)
         return cls(potential, (sigma**2) * np.eye(potential.dim))
 
     @cached_property
@@ -158,10 +160,8 @@ GradientOracle = Union[AdditiveGaussianOracle, MinibatchOracle]
 
 
 def _check_batch_size(m: int, big: int, with_replacement: bool = False) -> None:
-    if big < 1:
-        raise ValueError(f"need at least one component, got M={big}")
-    if m < 1:
-        raise ValueError(f"batch size must be >= 1, got m={m}")
+    """A batch of m of the ``big`` (at least 1, see ``FiniteSumSpec``) components."""
+    check_count("batch size m", m, 1)
     if not with_replacement and m > big:
         raise ValueError(f"batch size m={m} exceeds the number of components M={big}")
 
@@ -241,11 +241,9 @@ class CovarianceReport:
 def covariance_report(
     fs: FiniteSumSpec, x, m: int, mode: str = WITHOUT_REPLACEMENT
 ) -> CovarianceReport:
-    """Compare the closed-form covariance law against enumeration."""
-    if mode == WITHOUT_REPLACEMENT:
-        formula = minibatch_covariance(fs, x, m)
-    else:
-        formula = population_covariance(fs, x) / m
+    """Compare the closed-form covariance law, the one ``MinibatchOracle``
+    samples under, against enumeration."""
+    formula = MinibatchOracle(fs, m, mode).covariance_at(x)
     enumerated = enumerate_covariance(fs, x, m, mode=mode)
     return CovarianceReport(
         M=fs.M,

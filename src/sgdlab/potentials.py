@@ -18,6 +18,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .errors import check_count, check_finite, check_point, check_positive
+
 MINIMIZER = "minimizer"
 SADDLE = "saddle"
 MAXIMIZER = "maximizer"
@@ -56,8 +58,8 @@ class CriticalPoint:
     eigenvalues: np.ndarray
 
     def __post_init__(self):
-        loc = np.atleast_1d(np.asarray(self.location, dtype=float))
-        eig = np.atleast_1d(np.asarray(self.eigenvalues, dtype=float))
+        loc = check_point("critical point location", self.location)
+        eig = check_point("critical point eigenvalues", self.eigenvalues)
         loc.setflags(write=False)
         eig.setflags(write=False)
         object.__setattr__(self, "location", loc)
@@ -91,8 +93,7 @@ class PotentialSpec:
     def __post_init__(self):
         object.__setattr__(self, "critical_points", tuple(self.critical_points))
         object.__setattr__(self, "params", tuple(float(p) for p in self.params))
-        if self.dim < 1:
-            raise ValueError(f"dim must be >= 1, got {self.dim}")
+        check_count("dim", self.dim, 1)
         for cp in self.critical_points:
             if cp.location.shape != (self.dim,):
                 raise ValueError(
@@ -160,8 +161,7 @@ class FiniteSumSpec:
             raise ValueError(
                 f"M={self.M} does not match {len(self.component_gradients)} components"
             )
-        if self.M < 1:
-            raise ValueError("a finite sum needs at least one component")
+        check_count("M", self.M, 1)
         probes, values = check_stacked_maps(
             self.component_gradients, "component gradient {}", np.zeros(self.base.dim)
         )
@@ -287,13 +287,6 @@ def _cloud_component_gradient(center: np.ndarray, x) -> np.ndarray:
     return x - center
 
 
-def _require_positive(params: Sequence[float], what: str) -> np.ndarray:
-    arr = np.asarray(list(params), dtype=float)
-    if arr.size == 0 or np.any(arr <= 0.0):
-        raise ValueError(f"{what} requires strictly positive parameters, got {list(params)}")
-    return arr
-
-
 def _diag_quadratic(name: str, coeffs: np.ndarray, kind: str, params) -> PotentialSpec:
     """F(x) = sum q_i x_i^2 / 2 with one critical point, of ``kind``, at 0.
     Every builtin diagonal quadratic is built here, so its three bound
@@ -365,10 +358,14 @@ def _brentq(f: Callable[[float], float], lo: float, hi: float) -> float:
     raise RuntimeError(f"Failed to converge after 100 iterations, value is {xcur}")
 
 
-def _tilted_double_well(tilt: float) -> PotentialSpec:
-    """(x^2-1)^2/4 + tilt*x with critical points located by bracketed roots.
+def _double_well(name: str, tilt: float, params: tuple) -> PotentialSpec:
+    """(x^2-1)^2/4 + tilt*x, with its three critical points.  Both builtin
+    double wells are built here, so their bound ``_double_well_*`` maps are
+    what ``double_well_tilt`` recognises.
 
-    The gradient x^3 - x + tilt is monotone on each interval delimited by
+    At tilt 0 the roots of the gradient x^3 - x + tilt are -1, 0 and 1
+    exactly, and so are the curvatures 3 x^2 - 1 there (2, -1 and 2).
+    Otherwise the gradient is monotone on each interval delimited by
     +-1/sqrt(3), so each bracket holds exactly one root when the wells have
     not merged (|tilt| < 2/(3*sqrt(3))).  ``_brentq`` finds each root by
     Brent's method (Brent 1973) and returns what scipy's ``brentq`` returns,
@@ -380,43 +377,25 @@ def _tilted_double_well(tilt: float) -> PotentialSpec:
         raise ValueError(
             f"tilt {tilt} too large: the double well degenerates at |t| = {t_merge:.6f}"
         )
-
-    def fprime(s: float) -> float:
-        return s ** 3 - s + tilt
-
-    elbow = 1.0 / np.sqrt(3.0)
-    brackets = [(-2.0, -elbow), (-elbow, elbow), (elbow, 2.0)]
+    if tilt == 0.0:
+        roots = [-1.0, 0.0, 1.0]
+    else:
+        elbow = 1.0 / np.sqrt(3.0)
+        brackets = [(-2.0, -elbow), (-elbow, elbow), (elbow, 2.0)]
+        roots = [_brentq(lambda s: s ** 3 - s + tilt, lo, hi) for lo, hi in brackets]
     cps = []
-    for lo, hi in brackets:
-        root = _brentq(fprime, lo, hi)
+    for root in roots:
         curv = 3.0 * root * root - 1.0
         kind = MINIMIZER if curv > 0 else MAXIMIZER
         cps.append(CriticalPoint(np.array([root]), kind, np.array([curv])))
     return PotentialSpec(
-        name="asym_double_well_1d",
+        name=name,
         dim=1,
         value=partial(_double_well_value, tilt),
         gradient=partial(_double_well_gradient, tilt),
         hessian=partial(_double_well_hessian, tilt),
         critical_points=tuple(cps),
-        params=(tilt,),
-    )
-
-
-def _double_well_exact() -> PotentialSpec:
-    cps = (
-        CriticalPoint(np.array([-1.0]), MINIMIZER, np.array([2.0])),
-        CriticalPoint(np.array([0.0]), MAXIMIZER, np.array([-1.0])),
-        CriticalPoint(np.array([1.0]), MINIMIZER, np.array([2.0])),
-    )
-    return PotentialSpec(
-        name="double_well_1d",
-        dim=1,
-        value=partial(_double_well_value, 0.0),
-        gradient=partial(_double_well_gradient, 0.0),
-        hessian=partial(_double_well_hessian, 0.0),
-        critical_points=cps,
-        params=(),
+        params=params,
     )
 
 
@@ -428,6 +407,7 @@ def gaussian_cloud(centers) -> FiniteSumSpec:
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
     if centers.ndim != 2:
         raise ValueError("centers must be an (M, dim) array")
+    check_finite("centers", centers)
     m_count, d = centers.shape
     mean_center = centers.mean(axis=0)
     cp = CriticalPoint(mean_center, MINIMIZER, np.ones(d))
@@ -454,29 +434,27 @@ def builtin(name: str, params: Sequence[float] = (), dim: int = 1):
     ``gaussian_cloud_finite_sum`` (reshaped to ``(M, dim)``).
     """
     params = tuple(float(p) for p in params)
-    if name == "quadratic_well":
-        lam = _require_positive(params or (1.0,), name)
-        return _diag_quadratic(name, lam, MINIMIZER, lam)
-    if name == "inverted_quadratic":
-        gam = _require_positive(params or (1.0,), name)
-        return _diag_quadratic(name, -gam, MAXIMIZER, gam)
-    if name == "saddle_2d":
-        params = params or (1.0, 1.0)
-        if len(params) != 2:
+    if name in ("quadratic_well", "inverted_quadratic", "saddle_2d"):
+        params = params or ((1.0, 1.0) if name == "saddle_2d" else (1.0,))
+        if name == "saddle_2d" and len(params) != 2:
             raise ValueError(f"saddle_2d takes parameters (gamma1, lam), got {list(params)}")
-        gamma1, lam = _require_positive(params, name)
-        return _diag_quadratic(name, np.array([-gamma1, lam]), SADDLE, params)
+        q = np.array([check_positive(f"{name} params", p) for p in params])
+        if name == "quadratic_well":
+            return _diag_quadratic(name, q, MINIMIZER, params)
+        if name == "inverted_quadratic":
+            return _diag_quadratic(name, -q, MAXIMIZER, params)
+        return _diag_quadratic(name, np.array([-q[0], q[1]]), SADDLE, params)
     if name == "double_well_1d":
         if params:
             raise ValueError("double_well_1d takes no parameters")
-        return _double_well_exact()
+        return _double_well(name, 0.0, ())
     if name == "asym_double_well_1d":
         if len(params) > 1:
             raise ValueError("asym_double_well_1d takes a single tilt parameter")
-        tilt = params[0] if params else -0.05
+        tilt = check_finite("asym_double_well_1d tilt", params[0] if params else -0.05)
         if tilt == 0.0:
             raise ValueError("asym_double_well_1d requires a nonzero tilt")
-        return _tilted_double_well(tilt)
+        return _double_well(name, tilt, (tilt,))
     if name == "gaussian_cloud_finite_sum":
         if not params:
             raise ValueError("gaussian_cloud_finite_sum requires center coordinates")

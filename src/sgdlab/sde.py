@@ -26,6 +26,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from . import streams
+from .errors import check_count, check_finite, check_non_negative, check_point, check_positive
 from .oracles import GradientOracle
 from .potentials import (
     PotentialSpec,
@@ -73,12 +74,11 @@ class SdeConfig:
     noise_schedule: Optional[Callable[[float], float]] = None
 
     def __post_init__(self):
-        x0 = np.atleast_1d(np.asarray(self.x0, dtype=float))
+        x0 = check_point("x0", self.x0)
         x0.setflags(write=False)
         object.__setattr__(self, "x0", x0)
         for name, value in (("eta", self.eta), ("dt", self.dt), ("T", self.T)):
-            if not 0 < value < math.inf:
-                raise ValueError(f"{name} must be positive and finite, got {value}")
+            check_positive(name, value)
         if self.dt > self.T:
             raise ValueError(f"need dt <= T, got dt={self.dt}, T={self.T}")
         if self.drift_order not in (FIRST_ORDER, SECOND_ORDER):
@@ -89,6 +89,8 @@ class SdeConfig:
             )
         if callable(self.diffusion):
             check_stacked_maps([self.diffusion], "diffusion map", x0, radius=1e-3)
+        else:
+            check_finite("diffusion", self.diffusion)
 
     def drift(self, x: np.ndarray) -> np.ndarray:
         """Drift field, vectorized over a leading batch axis."""
@@ -121,8 +123,7 @@ def _horizon_steps(T: float, eta: float) -> int:
     """The number k of eta steps with k eta = T; raises ``ValueError`` when T
     is not a whole number of steps, or either is not positive and finite."""
     for name, value in (("T", T), ("eta", eta)):
-        if not 0 < value < math.inf:
-            raise ValueError(f"{name} must be positive and finite, got {value}")
+        check_positive(name, value)
     k = round(T / eta)
     if abs(T / eta - k) > 1e-9 * max(1, k):
         raise ValueError(f"horizon T={T} is not a whole number of steps of eta={eta}")
@@ -344,7 +345,7 @@ def em_endpoints(
     ``n_paths`` is a count n (paths 0, ..., n - 1) or a ``range`` of path
     indices; path i draws from the stream (``cfg.seed``, ``experiment``, i).
     """
-    indices = n_paths if isinstance(n_paths, range) else range(n_paths)
+    indices = n_paths if isinstance(n_paths, range) else range(check_count("n_paths", n_paths))
     gens = streams.path_streams(cfg.seed, experiment, indices)
     return em_on_grid(cfg, _time_grid(cfg.T, cfg.dt), gens)
 
@@ -361,13 +362,10 @@ def em_endpoints_chunk(cfg: SdeConfig, experiment: str, lo: int, hi: int) -> np.
 
 def ou_moments(lam: float, eta_sigma2: float, x0: float, t: float) -> tuple[float, float]:
     """Exact mean and variance of the OU process at time t."""
-    if not 0 < lam < math.inf:
-        raise ValueError(f"lam must be positive and finite, got {lam}")
-    for name, value in (("eta_sigma2", eta_sigma2), ("t", t)):
-        if not 0 <= value < math.inf:
-            raise ValueError(f"{name} must be non-negative and finite, got {value}")
-    if not math.isfinite(x0):
-        raise ValueError(f"x0 must be finite, got {x0}")
+    check_positive("lam", lam)
+    check_non_negative("eta_sigma2", eta_sigma2)
+    check_non_negative("t", t)
+    check_finite("x0", x0)
     mean = x0 * math.exp(-lam * t)
     var = eta_sigma2 / (2.0 * lam) * (1.0 - math.exp(-2.0 * lam * t))
     return mean, var
@@ -390,9 +388,9 @@ def flow_knots(
     potential: PotentialSpec, x0, eta: float, n_knots: int, substeps: int = 10
 ) -> np.ndarray:
     """Gradient-flow states at the SGD knot times 0, eta, ..., n_knots*eta."""
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+    x0 = check_point("x0", x0)
     f = lambda y: -np.asarray(potential.gradient(y), dtype=float)
-    h = eta / substeps
+    h = check_positive("eta", eta) / substeps
     out = np.empty((n_knots + 1, x0.size))
     out[0] = x0
     y = x0.copy()
@@ -420,10 +418,10 @@ def deviation_covariance(
     M = -hessian F(Y) and C(0) = 0 by RK4 with steps of at most 1e-3,
     returning C at each requested time.
     """
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
-    if not np.all(np.isfinite(t_grid)):
-        raise ValueError(f"t_grid must be finite, got {t_grid.tolist()}")
+    x0 = check_point("x0", x0)
+    t_grid = check_point("t_grid", t_grid)
+    if not callable(diffusion):
+        check_finite("diffusion", diffusion)
     if np.any(t_grid < 0) or np.any(np.diff(t_grid) <= 0):
         raise ValueError("t_grid must be non-negative and strictly increasing")
     d = x0.size
@@ -488,10 +486,9 @@ def deviation_empirical(
     frozen at x0.  The SGD ensemble runs through ``scatter`` (see
     ``streams``).
     """
-    if n_paths < 2:
-        raise ValueError(f"n_paths must be at least 2 for a sample variance, got {n_paths}")
+    check_count("n_paths", n_paths, 2, " for a sample variance")
     k = _horizon_steps(T, eta)
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+    x0 = check_point("x0", x0)
     cfg = SgdConfig(eta=eta, steps=k, x0=x0, oracle=oracle, seed=seed)
     parts = scatter(sgd_ensemble_chunk, n_paths, cfg, "deviation", None)
     endpoints = np.concatenate([part.endpoints for part in parts])
@@ -527,10 +524,9 @@ def flow_sup_gap(
 
     The SGD ensemble runs through ``scatter`` (see ``streams``).
     """
-    if n_paths < 2:
-        raise ValueError(f"n_paths must be at least 2 for a sample variance, got {n_paths}")
+    check_count("n_paths", n_paths, 2, " for a sample variance")
     k = _horizon_steps(T, eta)
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+    x0 = check_point("x0", x0)
     reference = flow_knots(potential, x0, eta, k)
     cfg = SgdConfig(eta=eta, steps=k, x0=x0, oracle=oracle, seed=seed)
     parts = scatter(sgd_ensemble_chunk, n_paths, cfg, experiment, reference)

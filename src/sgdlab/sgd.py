@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from . import streams
-from .errors import NumericalError
+from .errors import NumericalError, check_count, check_non_negative, check_point, check_positive
 from .oracles import GradientOracle, MinibatchOracle
 
 
@@ -57,7 +57,7 @@ class BatchSchedule:
 
     The emitted size is clipped to [1, min(m_star, M)] so it is always a
     valid batch for sampling without replacement; ``SgdConfig`` requires M
-    to be its oracle's number of components.
+    to be its oracle's number of components and eta to be its own step.
     """
 
     C: float
@@ -66,12 +66,10 @@ class BatchSchedule:
     M: int
 
     def __post_init__(self):
-        if not 0 <= self.C < math.inf:
-            raise ValueError(f"C must be non-negative and finite, got {self.C}")
-        if not 0 < self.eta < math.inf:
-            raise ValueError(f"eta must be positive and finite, got {self.eta}")
-        if self.m_star < 1 or self.M < 1:
-            raise ValueError("m_star and M must be at least 1")
+        check_non_negative("C", self.C)
+        check_positive("eta", self.eta)
+        check_count("m_star", self.m_star, 1)
+        check_count("M", self.M, 1)
 
 
 def schedule_m(schedule: BatchSchedule, s: float) -> int:
@@ -94,13 +92,11 @@ class SgdConfig:
     seed: int = 0
 
     def __post_init__(self):
-        x0 = np.atleast_1d(np.asarray(self.x0, dtype=float))
+        x0 = check_point("x0", self.x0)
         x0.setflags(write=False)
         object.__setattr__(self, "x0", x0)
-        if not 0 < self.eta < math.inf:
-            raise ValueError(f"eta must be positive and finite, got {self.eta}")
-        if self.steps < 0:
-            raise ValueError(f"steps must be non-negative, got {self.steps}")
+        check_positive("eta", self.eta)
+        check_count("steps", self.steps)
         if x0.shape != (self.oracle.potential.dim,):
             raise ValueError(
                 f"x0 shape {x0.shape} does not match dim {self.oracle.potential.dim}"
@@ -112,6 +108,11 @@ class SgdConfig:
                 raise ValueError(
                     f"the schedule's M={self.schedule.M} differs from the oracle's "
                     f"M={self.oracle.fs.M}"
+                )
+            if self.schedule.eta != self.eta:
+                raise ValueError(
+                    f"the schedule's eta={self.schedule.eta} differs from the config's "
+                    f"eta={self.eta}"
                 )
 
 
@@ -265,7 +266,7 @@ def run_sgd_ensemble(
     ``streams.lockstep`` through ``chain_kernel``, all paths at once, with
     the draws ``run_sgd`` takes from each path's stream.
     """
-    indices = n_paths if isinstance(n_paths, range) else range(n_paths)
+    indices = n_paths if isinstance(n_paths, range) else range(check_count("n_paths", n_paths))
     gens = streams.path_streams(cfg.seed, experiment, indices)
     d = cfg.oracle.potential.dim
     track = None

@@ -66,7 +66,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 from numpy.random.bit_generator import ISpawnableSeedSequence
 
-from .errors import NumericalError
+from .errors import NumericalError, check_count
 
 # The largest noise block ``lockstep`` holds, in bytes.  Results do not
 # depend on the block length; 64 MiB keeps blocks of 1024 steps for up to
@@ -218,20 +218,13 @@ class _PathSeed(ISpawnableSeedSequence):
         return self._sequence().spawn(n_children)
 
 
-def _non_negative(value, name: str) -> int:
-    value = int(value)
-    if value < 0:
-        raise ValueError(f"{name} must be non-negative, got {value}")
-    return value
-
-
 def path_streams(base_seed: int, experiment: str, indices) -> list[np.random.Generator]:
     """Generators for a collection of path indices, in the given order."""
-    base_seed = _non_negative(base_seed, "base_seed")
+    base_seed = check_count("base_seed", base_seed)
     indices = [int(i) for i in indices]
     if not indices:
         return []
-    _non_negative(min(indices), "path_index")
+    check_count("path_index", min(indices))
     label = _label_words(experiment)
     seeds = _pcg64_seeds(base_seed, label, indices)
     # Each path leaves four objects the cyclic garbage collector tracks, and

@@ -20,7 +20,9 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import streams
-from .errors import NumericalError
+from .errors import (
+    NumericalError, check_count, check_finite, check_non_negative, check_point, check_positive,
+)
 from .oracles import GradientOracle
 from .potentials import PotentialSpec, diagonal_quadratic_coefficients
 from .sde import (
@@ -100,8 +102,7 @@ def gauss_hermite_expectation(
 ) -> float:
     """E[fn(Z)] for Z ~ N(mean, var) by ``GH_ORDER``-point Gauss-Hermite
     quadrature."""
-    if var < 0:
-        raise ValueError(f"variance must be non-negative, got {var}")
+    check_non_negative("variance", var)
     if var == 0.0:
         return float(fn(np.array([mean]))[0])
     nodes, weights = _hermite_rule(GH_ORDER)
@@ -124,15 +125,11 @@ def sgd_moments_linear(
     eta^2 sigma^2 (1 - a^{2k}) / (1 - a^2) with a = 1 - eta lam.  Requires
     the stable regime |a| < 1.
     """
-    for name, value in (("lam", lam), ("eta", eta)):
-        if not 0 < value < math.inf:
-            raise ValueError(f"{name} must be positive and finite, got {value}")
-    if not 0 <= sigma < math.inf:
-        raise ValueError(f"sigma must be non-negative and finite, got {sigma}")
-    if not math.isfinite(x0):
-        raise ValueError(f"x0 must be finite, got {x0}")
-    if k < 0:
-        raise ValueError(f"step count must be non-negative, got {k}")
+    check_positive("lam", lam)
+    check_positive("eta", eta)
+    check_non_negative("sigma", sigma)
+    check_finite("x0", x0)
+    check_count("k", k)
     a = 1.0 - eta * lam
     if abs(a) >= 1.0:
         raise ValueError(
@@ -275,8 +272,7 @@ def weak_error_linear(
     Both marginals are Gaussian; expectations use Gauss-Hermite quadrature
     (exact for the polynomial observables at any order >= 2).
     """
-    if not 0 < sigma < math.inf:
-        raise ValueError(f"sigma must be positive and finite, got {sigma}")
+    check_positive("sigma", sigma)
     k = _horizon_steps(T, eta)
     sgd_side = _closed_side(*sgd_moments_linear(lam, eta, sigma, x0, k))
     return _weak_point(eta, sgd_side, _ou_side(lam, sigma**2, x0, T, eta, drift_order))
@@ -378,18 +374,19 @@ def weak_error_mc(
     state-dependent S (every mini-batch oracle) once per step on the stack
     of all its paths' states.  Standard
     errors combine both sides and feed the noise-floor filter of the order
-    fit.  Both ensembles run through ``scatter`` (see ``streams``).
+    fit.  Both ensembles run through ``scatter`` (see ``streams``), after
+    the arguments and every rung's horizon are checked.
     """
     if potential.dim != 1:
         raise ValueError("the Monte Carlo weak-error ladder is one-dimensional")
-    if n_paths < 2:
-        raise ValueError(f"n_paths must be at least 2 for a sample variance, got {n_paths}")
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+    check_count("n_paths", n_paths, 2, " for a sample variance")
+    check_positive("dt_factor", dt_factor)
+    x0 = check_point("x0", x0)
     lam = well_rate(potential)
     exact_sde = lam is not None and not callable(oracle.diffusion)
+    steps = [_horizon_steps(T, eta) for eta in eta_list]
     points = []
-    for j, eta in enumerate(eta_list):
-        k = _horizon_steps(T, eta)
+    for j, (eta, k) in enumerate(zip(eta_list, steps)):
         sgd_cfg = SgdConfig(eta=eta, steps=k, x0=x0, oracle=oracle, seed=seed)
         parts = scatter(sgd_ensemble_chunk, n_paths, sgd_cfg, f"{experiment}:sgd:eta{j}", None)
         sgd_side = _sampled_side(np.concatenate([part.endpoints for part in parts])[:, 0])

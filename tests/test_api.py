@@ -175,3 +175,28 @@ def test_every_defaulted_parameter_is_set_outside_the_tests():
     assert not stale, f"TEST_KNOBS entries that are gone or set outside the tests: {stale}"
     unset = sorted(every - passed - TEST_KNOBS)
     assert not unset, f"defaulted parameters set only by tests: {unset}"
+
+
+def _is_infinity(node: ast.expr) -> bool:
+    return (
+        isinstance(node, ast.Attribute)
+        and node.attr == "inf"
+        and isinstance(node.value, ast.Name)
+        and node.value.id in ("math", "np", "numpy")
+    )
+
+
+def test_only_the_argument_checks_compare_against_infinity():
+    """The range rules of the arguments ("positive and finite", "non-negative
+    and finite") live in ``errors.py``; a comparison against ``math.inf``
+    anywhere else is a copy of one of them, free to drift from it."""
+    copies = []
+    for path in sorted((ROOT / "src" / "sgdlab").glob("*.py")):
+        if path.name == "errors.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Compare) and any(
+                _is_infinity(side) for side in (node.left, *node.comparators)
+            ):
+                copies.append(f"{path.name}:{node.lineno}")
+    assert not copies, f"argument rules written outside errors.py: {copies}"

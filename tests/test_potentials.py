@@ -82,6 +82,11 @@ def test_double_well_structure():
     # barrier height F(0) - F(+-1) = 1/4
     barrier = spec.value(top.location) - spec.value(np.array([1.0]))
     assert abs(barrier - 0.25) < 1e-12
+    # the exact roots -1, 0, 1 and curvatures 2, -1, 2, each to the bit
+    exact = zip(spec.critical_points, (-1.0, 0.0, 1.0), (2.0, -1.0, 2.0), strict=True)
+    for cp, root, curv in exact:
+        assert cp.location.tobytes() == np.array([root]).tobytes()
+        assert cp.eigenvalues.tobytes() == np.array([curv]).tobytes()
 
 
 def test_asymmetric_double_well_global_minimizer():

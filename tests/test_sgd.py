@@ -152,10 +152,15 @@ def test_batch_schedule_values_and_cap():
 
 def test_a_schedule_for_another_sum_is_refused():
     """A schedule clipped to a larger M would ask for batches the oracle
-    cannot draw; the config refuses it before any path runs."""
+    cannot draw; the config refuses it before any path runs.  So it does a
+    schedule for another step, which m(s) divides by and which used to be
+    accepted."""
     fs = gaussian_cloud(np.linspace(-1.0, 1.0, 9)[:, None])
     sched = BatchSchedule(C=1.0, eta=0.1, m_star=32, M=64)
     with pytest.raises(ValueError, match="M=64"):
+        SgdConfig(eta=0.1, steps=50, x0=np.zeros(1), oracle=MinibatchOracle(fs, 1), schedule=sched)
+    sched = BatchSchedule(C=1.0, eta=0.5, m_star=32, M=9)
+    with pytest.raises(ValueError, match="eta=0.5 differs from the config's eta=0.1"):
         SgdConfig(eta=0.1, steps=50, x0=np.zeros(1), oracle=MinibatchOracle(fs, 1), schedule=sched)
     ok = SgdConfig(
         eta=0.1, steps=50, x0=np.zeros(1), oracle=MinibatchOracle(fs, 1),

@@ -18,7 +18,7 @@ from sgdlab import (
     weak_error_linear,
     weak_error_mc,
 )
-from sgdlab import weak_error
+from sgdlab import streams, weak_error
 from sgdlab.sde import em_endpoints_chunk
 from sgdlab.sgd import sgd_ensemble_chunk
 
@@ -167,3 +167,19 @@ def test_a_minibatch_ladder_takes_the_euler_side_with_the_oracles_noise():
             np.testing.assert_array_equal(cfg.diffusion(np.array([x])), oracle.diffusion_at([x]))
     assert [p.errors[0] for p in rep.points] == pytest.approx(etas, rel=1e-12)
     assert rep.fitted_orders[0] == pytest.approx(1.0, rel=1e-9)
+
+
+def test_every_rung_is_checked_before_any_path_runs(monkeypatch):
+    """A nan eta late in the ladder used to be refused only after the rungs
+    before it had built their path streams and run, and a nan dt_factor
+    after the first rung's chain, as a bad dt."""
+
+    def no_streams(*args, **kwargs):
+        raise AssertionError("a stream was built before the arguments were checked")
+
+    monkeypatch.setattr(streams, "path_streams", no_streams)
+    oracle = AdditiveGaussianOracle.isotropic(builtin("double_well_1d"), 0.3)
+    with pytest.raises(ValueError, match="eta must be positive and finite, got nan"):
+        weak_error_mc(oracle.potential, oracle, 1.0, [1.0], [0.1, 0.05, math.nan], n_paths=20000)
+    with pytest.raises(ValueError, match="dt_factor must be positive and finite, got nan"):
+        weak_error_mc(oracle.potential, oracle, 1.0, [1.0], [0.1, 0.05], dt_factor=math.nan)
