@@ -3,7 +3,8 @@
 Each subcommand loads a flat key=value config, runs the corresponding
 library experiment, and writes result tables (`<prefix>*.csv`), headline
 constants (`<prefix>.summary.csv`), and finally a JSON manifest
-(`<prefix>.manifest`) with content digests of every emitted file.
+(`<prefix>.manifest`) with content digests of every emitted file, the wall
+time and the peak resident memory of the run and of its workers.
 Parallelism enters through one hook: each run hands
 ``Pool._scatter`` to the library experiment as its ``scatter``, which runs
 the library's module-level chunk functions over contiguous chunks of path
@@ -490,6 +491,19 @@ def _sha256(path: Path) -> str:
     return f"sha256:{digest.hexdigest()}"
 
 
+def _peak_rss_mb() -> dict:
+    """Peak resident memory in MB of this process and of its reaped pool
+    workers, from ``resource.getrusage`` (whose ``ru_maxrss`` is in KiB, or
+    in bytes on macOS)."""
+    import resource
+
+    unit = 2**20 if sys.platform == "darwin" else 2**10
+    return {
+        "self": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / unit,
+        "children": resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / unit,
+    }
+
+
 def _write_manifest(
     prefix: str,
     experiment: str,
@@ -507,6 +521,7 @@ def _write_manifest(
         "config": raw_config,
         "workers": workers,
         "wall_clock_s": wall_clock_s,
+        "peak_rss_mb": _peak_rss_mb(),
         "files": {p.name: _sha256(p) for p in files},
         "check_passed": check_passed,
     }

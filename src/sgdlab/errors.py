@@ -57,6 +57,14 @@ def check_point(name: str, x) -> np.ndarray:
     return check_finite(name, np.atleast_1d(np.asarray(x, dtype=float)))
 
 
+def check_dimension(name: str, x, dim: int):
+    """``x``, unless its size is not ``dim``, the dimension of the domain it
+    starts in."""
+    if np.size(x) != dim:
+        raise ValueError(f"{name} has {np.size(x)} coordinates, but the domain has {dim}")
+    return x
+
+
 def check_count(name: str, value, least: int = 0, purpose: str = "") -> int:
     """``value`` as an int, unless it is not an integer or is below
     ``least``: "<name> must be non-negative" for 0, else "<name> must be at

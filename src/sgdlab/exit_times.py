@@ -19,7 +19,8 @@ import numpy as np
 
 from . import streams
 from .errors import (
-    NumericalError, check_count, check_finite, check_non_negative, check_point, check_positive,
+    NumericalError, check_count, check_dimension, check_finite, check_non_negative, check_point,
+    check_positive,
 )
 from .potentials import PotentialSpec
 from .sde import (
@@ -42,7 +43,10 @@ BVP_RTOL = 1e-6
 @dataclass(frozen=True)
 class Domain:
     """A bounded open domain; exit means leaving its closure.  The
-    constructors refuse a non-finite bound, centre or radius."""
+    constructors refuse a non-finite bound, centre or radius.  ``dim`` is 1
+    for an interval, the centre's size for a ball and the bounds' for a box;
+    ``hitting_time_mc`` and ``flow_exit_time`` refuse a start point of any
+    other size."""
 
     kind: str  # "interval" | "ball" | "box"
     lo: Optional[np.ndarray] = None
@@ -72,6 +76,11 @@ class Domain:
         if lo.shape != hi.shape or np.any(lo >= hi):
             raise ValueError("box needs lo < hi componentwise")
         return cls(kind="box", lo=lo, hi=hi)
+
+    @property
+    def dim(self) -> int:
+        """The dimension of the space the domain lies in: 1 for an interval."""
+        return self.center.size if self.kind == "ball" else self.lo.size
 
     def contains(self, x) -> np.ndarray:
         """Membership in the closed domain; vectorized over a leading axis."""
@@ -157,7 +166,7 @@ def hitting_time_mc(
     is drawn at most ``block`` (at least 1) steps at a time; the block sets
     memory and speed, never the records.
     """
-    x0 = process.x0
+    x0 = check_dimension("x0", process.x0, domain.dim)
     if not domain.strictly_inside(x0):
         raise ValueError(f"start point {x0} is not strictly inside the domain")
     check_positive("horizon", horizon)
@@ -504,7 +513,7 @@ def flow_exit_time(
     (speed below 1e-12): from there it cannot reach the boundary within any
     practical horizon, which is how starts on a stable manifold terminate.
     """
-    x = check_point("x0", x0)
+    x = check_dimension("x0", check_point("x0", x0), domain.dim)
     if not domain.strictly_inside(x):
         raise ValueError(f"start point {x} is not strictly inside the domain")
     check_positive("dt", dt)

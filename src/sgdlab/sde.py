@@ -344,10 +344,14 @@ def em_endpoints(
 
     ``n_paths`` is a count n (paths 0, ..., n - 1) or a ``range`` of path
     indices; path i draws from the stream (``cfg.seed``, ``experiment``, i).
+    The paths run in groups (``streams.lockstep_groups``), so the run holds
+    its endpoints and one group's streams and noise, within
+    ``streams.GROUP_BYTES``, whatever ``n_paths``.
     """
     indices = n_paths if isinstance(n_paths, range) else range(check_count("n_paths", n_paths))
-    gens = streams.path_streams(cfg.seed, experiment, indices)
-    return em_on_grid(cfg, _time_grid(cfg.T, cfg.dt), gens)
+    times = _time_grid(cfg.T, cfg.dt)
+    kernel = sde_kernel(cfg, times)
+    return streams.lockstep_groups(kernel, cfg.x0, cfg.seed, experiment, indices, times.size - 1)
 
 
 def em_endpoints_chunk(cfg: SdeConfig, experiment: str, lo: int, hi: int) -> np.ndarray:

@@ -263,11 +263,15 @@ def run_sgd_ensemble(
     ``reference_states`` of shape (steps + 1, dim) activates tracking of
     max_k ||x_k - ref_k|| per path, used to compare the chain against its
     deterministic gradient-flow limit.  Every oracle is stepped on
-    ``streams.lockstep`` through ``chain_kernel``, all paths at once, with
-    the draws ``run_sgd`` takes from each path's stream.
+    ``streams.lockstep`` through ``chain_kernel``, with the draws ``run_sgd``
+    takes from each path's stream, by ``streams.lockstep_groups``.  So an
+    additive-Gaussian chain without ``reference_states`` runs in groups and
+    holds its endpoints and one group's streams and noise, within
+    ``streams.GROUP_BYTES``; a tracked run, whose sup-gaps see every path
+    at every step, and a mini-batch chain run as one group, within the
+    block cap ``streams.NOISE_BLOCK_BYTES`` and one stream per path.
     """
     indices = n_paths if isinstance(n_paths, range) else range(check_count("n_paths", n_paths))
-    gens = streams.path_streams(cfg.seed, experiment, indices)
     d = cfg.oracle.potential.dim
     track = None
     gaps = None
@@ -277,13 +281,15 @@ def run_sgd_ensemble(
             raise ValueError(
                 f"reference states shape {reference_states.shape} != ({cfg.steps + 1}, {d})"
             )
-        gaps = np.zeros(len(gens))
+        gaps = np.zeros(len(indices))
 
         def track(k, x):
             np.maximum(gaps, np.linalg.norm(x - reference_states[k], axis=1), out=gaps)
 
     kernel = chain_kernel(cfg, cfg.steps)
-    endpoints = streams.lockstep(kernel, cfg.x0, gens, cfg.steps, on_step=track)[2]
+    endpoints = streams.lockstep_groups(
+        kernel, cfg.x0, cfg.seed, experiment, indices, cfg.steps, track
+    )
     return EnsembleResult(endpoints=endpoints, sup_gaps=gaps)
 
 

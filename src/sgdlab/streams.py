@@ -42,6 +42,18 @@ child nor a worker of the command line's pool, however it was started, ever
 starts one: the pool already keeps the CPUs busy, and a child inherits its
 parent's executor without its thread.
 
+Memory: ``lockstep`` holds at most ``NOISE_BLOCK_BYTES`` of noise at once,
+and one stream per path it is handed.  So
+- a first exit holds the block cap, and compaction drops each path that has
+  left from the blocks after its exit;
+- an ensemble with an ``on_step`` observer (annealing's checkpoints, the
+  chain's sup-gaps), or with a draw that is not d floats per step (a
+  mini-batch's), holds the block cap and every path's stream;
+- every other ensemble (``sde.em_endpoints``, ``sgd.run_sgd_ensemble``)
+  runs through ``lockstep_groups``, one group of paths at a time, each
+  group with its own streams and block within ``GROUP_BYTES``, so it holds
+  its output and one group, however many paths it has.
+
 Every ensemble experiment takes a ``scatter(fn, n, *args) -> list``: it
 runs the module-level chunk function ``fn(*args, lo, hi)`` over contiguous
 chunks ``[lo, hi)`` that cover ``range(n)`` and returns the chunk results
@@ -83,6 +95,20 @@ SCAN_BYTES = 2**20
 # The fewest steps of a scan slab, and the first block under a domain of a
 # draw that is not d floats per step.
 SCAN_SLAB = 64
+
+# The bytes one group of ``lockstep_groups`` may hold: each path's first
+# noise block (``lockstep``'s default block or the whole run, if shorter, of
+# d floats per step) and its stream.  Results do not depend on it.  It
+# bounds the memory of a run, while groups that fit the CPU caches step
+# faster: a weak ladder of 40,000 one-dimensional double-well paths a side
+# (four rungs of 5 to 40 chain and 50 to 400 Euler steps) and a 2-D chain of
+# 5,000 paths took 1.12, 1.06, 1.03, 1.03 and 1.05 s with budgets of 2, 4,
+# 8, 16 and 32 MiB, and 1.12 s as one group (numpy 2.4, two x86-64 cores).
+GROUP_BYTES = 8 * 2**20
+
+# What one path's stream holds: its Generator, PCG64 and _PathSeed, and its
+# row of seed words, about 830 bytes by tracemalloc (numpy 2.4).
+_STREAM_BYTES = 840
 
 # The fewest values one path's draw of a block must hold for ``lockstep`` to
 # split the block between two threads.  Two threads filled 1,024-value draws
@@ -431,7 +457,11 @@ def lockstep(
     ``NOISE_BLOCK_BYTES``, so the result is independent of how paths are
     grouped into chunks and of the block size.  A block is time-major:
     ``buf[j, c]`` is step j of the path in column c, so the noise of one
-    step is the view ``buf[j]``.
+    step is the view ``buf[j]``.  Memory: the block cap bounds the noise,
+    compaction drops each path that has left a domain, and the streams
+    handed in and the returned arrays grow with the path count;
+    ``lockstep_groups`` bounds those too, for a run without a domain or an
+    observer (see the module docstring).
 
     Two-thread contract: a block of d floats per path and step (the
     standard normals of ``gaussian_kernel``) is split in two when at least
@@ -566,3 +596,46 @@ def lockstep(
                 raise NumericalError(f"non-finite state by step {step0}", step=step0)
     states[ids] = x
     return exit_step, exit_points, states
+
+
+def lockstep_groups(
+    kernel: Kernel,
+    x0: np.ndarray,
+    base_seed: int,
+    experiment: str,
+    indices: range,
+    n_steps: int,
+    on_step: Callable[[int, np.ndarray], None] | None = None,
+) -> np.ndarray:
+    """The final states after ``n_steps`` steps of ``kernel`` of the paths
+    ``indices``, path i on the stream (``base_seed``, ``experiment``, i),
+    one row per path in index order.
+
+    Memory model: the paths run in contiguous groups, one at a time, each on
+    its own ``path_streams`` call and one ``lockstep`` through all
+    ``n_steps``, and only its final states outlive it.  A group holds as
+    many paths as fit ``GROUP_BYTES`` with each path's first block and
+    stream, so the memory of a run is its output plus one group's, whatever
+    the path count.  A run with an ``on_step`` observer, which may need
+    every path at every step, or with a draw that is not d floats per step
+    (a mini-batch's, one Python call per path and step, to which more groups
+    would add only dispatch) is one group, held to ``lockstep``'s block cap.
+    Since a path's states depend only on its own stream, the groups move no
+    bit.
+    """
+    n = len(indices)
+    d = np.size(x0)
+    size = max(n, 1)
+    if on_step is None and (kernel.draw.width, np.dtype(kernel.draw.dtype)) == (d, np.float64):
+        # 1024 is lockstep's default block.
+        size = max(1, GROUP_BYTES // (8 * d * min(1024, n_steps) + _STREAM_BYTES))
+    states = np.empty((n, d))
+    # An empty run still takes one (empty) path_streams call, which checks
+    # the seed.  No name keeps a group's streams, so they are freed before
+    # the next group's are built.
+    for lo in range(0, max(n, 1), size):
+        part = indices[lo : lo + size]
+        gens = path_streams(base_seed, experiment, part)
+        states[lo : lo + len(part)] = lockstep(kernel, x0, gens, n_steps, on_step=on_step)[2]
+        del gens
+    return states

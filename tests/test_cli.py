@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import resource
 import signal
 import subprocess
 import sys
@@ -298,6 +299,17 @@ def test_workers_env_variable_is_honoured(tmp_path):
     assert proc.returncode == 0, proc.stderr
     manifest = json.loads((tmp_path / "dev.manifest").read_text())
     assert manifest["workers"] == 2
+
+
+def test_the_manifest_records_peak_memory_and_lists_only_the_csvs(tmp_path):
+    cfg = _write(tmp_path, "d.cfg", DEVIATION_CFG)
+    out = str(tmp_path / "dev")
+    assert main(["deviation", "--config", cfg, "--out", out, "--workers", "2"]) == 0
+    manifest = json.loads((tmp_path / "dev.manifest").read_text())
+    rss = manifest["peak_rss_mb"]
+    assert 0 < rss["self"] <= resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    assert rss["children"] > 0  # the run's two workers, reaped
+    assert manifest["files"] and all(name.endswith(".csv") for name in manifest["files"])
 
 
 def test_set_overrides_are_applied_and_recorded(tmp_path):

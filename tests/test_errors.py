@@ -18,7 +18,9 @@ from sgdlab import (
     hitting_time_mc,
     run_sgd_ensemble,
 )
-from sgdlab.errors import check_count, check_finite, check_non_negative, check_point, check_positive
+from sgdlab.errors import (
+    check_count, check_dimension, check_finite, check_non_negative, check_point, check_positive,
+)
 
 WELL = builtin("quadratic_well")
 DOUBLE_WELL = builtin("double_well_1d")
@@ -105,6 +107,7 @@ def test_each_check_returns_what_it_was_given():
     assert check_finite("x0", -2.5) == -2.5
     assert check_count("n_paths", np.int64(3), 2) == 3
     assert check_count("steps", 0) == 0
+    assert check_dimension("x0", x, 2) is x
 
 
 @pytest.mark.parametrize(
@@ -119,8 +122,12 @@ def test_each_check_returns_what_it_was_given():
             "n_paths must be at least 2 for a sample variance, got 1",
         ),
         (lambda: check_count("block", 2.0, 1), "block must be an integer, got 2.0"),
+        (
+            lambda: check_dimension("x0", np.zeros(2), 1),
+            "x0 has 2 coordinates, but the domain has 1",
+        ),
     ],
-    ids=["positive", "non-negative", "point", "count-0", "count-2", "integer"],
+    ids=["positive", "non-negative", "point", "count-0", "count-2", "integer", "dimension"],
 )
 def test_each_check_names_the_argument_and_its_value(check, message):
     with pytest.raises(ValueError, match=re.escape(message)):

@@ -790,6 +790,41 @@ def test_hitting_mc_rejects_block_below_one(block, monkeypatch):
         hitting_time_mc(cfg, UNIT, n_paths=4, horizon=1.0, block=block)
 
 
+# One-dimensional domains around [0, 0], the start of a 2-D process.
+ONE_DIMENSIONAL = {
+    "interval": UNIT,
+    "ball": Domain.ball([0.0], 1.0),
+    "box": Domain.box([-1.0], [1.0]),
+}
+
+
+def test_a_domain_has_the_dimension_of_its_bounds_or_centre():
+    assert UNIT.dim == 1
+    assert Domain.ball([0.0, 1.0, 2.0], 1.0).dim == 3
+    assert Domain.box([-1.0, -1.0], [1.0, 1.0]).dim == 2
+
+
+@pytest.mark.parametrize("kind", sorted(ONE_DIMENSIONAL))
+def test_a_start_point_of_another_dimension_than_the_domain_is_refused(kind, monkeypatch):
+    """A 2-D process in a 1-D domain used to run, its exits decided by the
+    first coordinate alone."""
+    monkeypatch.setattr(streams, "path_streams", _no_streams)
+    domain = ONE_DIMENSIONAL[kind]
+    well = builtin("quadratic_well", (1.0, 1.0))
+    processes = [
+        SdeConfig(potential=well, eta=0.25, dt=1e-3, T=1.0, x0=np.zeros(2)),
+        SgdConfig(
+            eta=0.05, steps=1, x0=np.zeros(2), oracle=AdditiveGaussianOracle.isotropic(well, 0.5)
+        ),
+    ]
+    message = "x0 has 2 coordinates, but the domain has 1"
+    for process in processes:
+        with pytest.raises(ValueError, match=message):
+            hitting_time_mc(process, domain, n_paths=4, horizon=1.0)
+    with pytest.raises(ValueError, match=message):
+        flow_exit_time(well, np.zeros(2), domain)
+
+
 @pytest.mark.parametrize(
     "fit, etas, message",
     [
