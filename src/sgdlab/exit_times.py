@@ -787,7 +787,7 @@ def anneal_experiment(
     seed: int = 0,
     dt: float = 0.01,
     n_checkpoints: int = 50,
-    block: int = 4096,
+    block: int = 1024,
     scatter: Callable[..., list] = streams.in_process,
 ) -> AnnealResult:
     """Simulate dX = -F'(X) ds + beta(s) dB and score arrival at the global well.
@@ -858,18 +858,19 @@ def anneal_chunk(
     targets = np.stack([cp.location for cp in potential.global_minimizers()])
     gens = streams.path_streams(seed, f"anneal:{mode}", range(lo, hi))
     times = _time_grid(T, dt)
-    check_idx = 0
+    # Checkpoint i counts the paths at the first step k >= 1 whose time
+    # reaches check_times[i] (less 1e-12); one past the grid if none does.
+    check_steps = np.maximum(1, np.searchsorted(times, check_times - 1e-12))
     counts = np.zeros(check_times.size, dtype=np.int64)
 
     def in_target(xs: np.ndarray) -> np.ndarray:
         dist2 = ((xs[:, None, :] - targets) ** 2).sum(axis=-1)
         return (dist2.min(axis=1) <= epsilon**2)
 
-    def checkpoint(k, x):
-        nonlocal check_idx
-        while check_idx < check_times.size and times[k] >= check_times[check_idx] - 1e-12:
-            counts[check_idx] = in_target(x).sum()
-            check_idx += 1
+    def checkpoint(k0, states):
+        due = (check_steps > k0) & (check_steps <= k0 + len(states))
+        for i in np.flatnonzero(due):
+            counts[i] = in_target(states[check_steps[i] - k0 - 1]).sum()
 
-    x = em_on_grid(cfg, times, gens, block=block, on_step=checkpoint)
+    x = em_on_grid(cfg, times, gens, block=block, on_block=checkpoint)
     return int(in_target(x).sum()), counts

@@ -250,9 +250,18 @@ def sde_kernel(cfg: SdeConfig, times: np.ndarray | None = None) -> streams.Kerne
     A scalar or constant-matrix diffusion shapes the draws
     (``streams.gaussian_kernel``), and the kernel's ``step_scale(k0, k1)``
     is amplitude(t_k) sqrt(h_k): one number on the uniform grid without a
-    noise schedule, one value per step otherwise.  So the step only adds
-    the drift; a state-dependent diffusion is evaluated inside the step, one
-    call on the whole stack of states, as the stacked product S(x) xi.
+    noise schedule, one value per step otherwise.  A noise schedule on
+    ``times`` is tabulated once per kernel, one Python ``amplitude(t_k) *
+    math.sqrt(h_k)`` per step, and each block slices the table; on the
+    unbounded grid each block computes its own steps the same way.  The
+    table keeps ``math``'s scalar calls because numpy's vectorised ones may
+    round differently: on the annealing grid (T = 500, dt = 0.02, 25,001
+    times) ``np.log(2 + s)`` differs from ``math.log(2.0 + s)`` at 7 times
+    and the cooling amplitude sqrt(0.4 / log(2 + s)) at 2 (numpy 2.4 on an
+    AVX-512 x86-64 CPU), so a numpy table would move annealing's bits and
+    make them depend on the CPU.  So the step only adds the drift; a
+    state-dependent diffusion is evaluated inside the step, one call on the
+    whole stack of states, as the stacked product S(x) xi.
 
     The kernel has a ``block_step`` only under first-order drift with a
     scalar or constant-matrix diffusion, with or without a noise schedule,
@@ -288,9 +297,13 @@ def sde_kernel(cfg: SdeConfig, times: np.ndarray | None = None) -> streams.Kerne
         return streams.gaussian_kernel(step_fn, d)
 
     root_eta = math.sqrt(cfg.eta)
-    if cfg.noise_schedule is not None:
+    if cfg.noise_schedule is not None and times is None:
         scale_of = lambda k: cfg.amplitude(time_of(k)) * math.sqrt(step_of(k))  # noqa: E731
         step_scale = lambda k0, k1: np.array([scale_of(k) for k in range(k0, k1)])  # noqa: E731
+    elif cfg.noise_schedule is not None:
+        pairs = zip(times[:-1].tolist(), steps.tolist())
+        table = np.array([cfg.amplitude(t) * math.sqrt(h) for t, h in pairs])
+        step_scale = lambda k0, k1: table[k0:k1]  # noqa: E731
     elif times is None:
         scale = root_eta * math.sqrt(dt)
         step_scale = lambda k0, k1: scale  # noqa: E731
@@ -327,14 +340,16 @@ def em_on_grid(
     times: np.ndarray,
     gens: list[np.random.Generator],
     block: int = 1024,
-    on_step: Callable[[int, np.ndarray], None] | None = None,
+    on_block: Callable[[int, np.ndarray], None] | None = None,
 ) -> np.ndarray:
     """Final states of Euler-Maruyama paths, one per generator, on ``times``.
 
-    ``block`` and ``on_step`` are passed to ``streams.lockstep``.
+    ``block`` and ``on_block`` are passed to ``streams.lockstep``.
     """
     kernel = sde_kernel(cfg, times)
-    return streams.lockstep(kernel, cfg.x0, gens, times.size - 1, block=block, on_step=on_step)[2]
+    return streams.lockstep(
+        kernel, cfg.x0, gens, times.size - 1, block=block, on_block=on_block
+    )[2]
 
 
 def em_endpoints(
@@ -419,8 +434,9 @@ def deviation_covariance(
     """Covariance C(t) of the rescaled SGD fluctuations around the flow.
 
     Solves the joint system dY = -grad F(Y), dC = M C + C M^T + S S^T with
-    M = -hessian F(Y) and C(0) = 0 by RK4 with steps of at most 1e-3,
-    returning C at each requested time.
+    M = -hessian F(Y) and C(0) = 0 by RK4 on the pair (Y, C) with steps of
+    at most 1e-3, returning C at each requested time.  A constant S has its
+    S S^T formed once.
     """
     x0 = check_point("x0", x0)
     t_grid = check_point("t_grid", t_grid)
@@ -430,22 +446,26 @@ def deviation_covariance(
         raise ValueError("t_grid must be non-negative and strictly increasing")
     d = x0.size
 
-    def s_matrix(y: np.ndarray) -> np.ndarray:
-        if callable(diffusion):
-            return np.asarray(diffusion(y), dtype=float)
-        if np.ndim(diffusion) == 0:
-            return float(diffusion) * np.eye(d)
-        return np.asarray(diffusion, dtype=float)
+    if callable(diffusion):
 
-    def rhs(state: np.ndarray) -> np.ndarray:
-        y, c = state[:d], state[d:].reshape(d, d)
+        def gram(y: np.ndarray) -> np.ndarray:
+            s = np.asarray(diffusion(y), dtype=float)
+            return s @ s.T
+
+    else:
+        s = np.asarray(diffusion, dtype=float)
+        s = s * np.eye(d) if s.ndim == 0 else s
+        constant = s @ s.T
+        gram = lambda y: constant  # noqa: E731
+
+    def rhs(y: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         g = np.asarray(potential.gradient(y), dtype=float)
         m = -np.asarray(potential.hessian(y), dtype=float)
-        s = s_matrix(y)
-        dc = m @ c + c @ m.T + s @ s.T
-        return np.concatenate([-g, dc.ravel()])
+        return -g, m @ c + c @ m.T + gram(y)
 
-    state = np.concatenate([x0, np.zeros(d * d)])
+    # The same elementwise arithmetic as RK4 on the concatenated vector,
+    # without joining and splitting one per stage.
+    y, c = x0, np.zeros((d, d))
     out = np.empty((t_grid.size, d, d))
     t = 0.0
     for j, target in enumerate(t_grid):
@@ -454,9 +474,14 @@ def deviation_covariance(
             n = _step_count(span, 1e-3)
             h = span / n
             for _ in range(n):
-                state = _rk4_step(rhs, state, h)
+                ky1, kc1 = rhs(y, c)
+                ky2, kc2 = rhs(y + 0.5 * h * ky1, c + 0.5 * h * kc1)
+                ky3, kc3 = rhs(y + 0.5 * h * ky2, c + 0.5 * h * kc2)
+                ky4, kc4 = rhs(y + h * ky3, c + h * kc3)
+                y = y + (h / 6.0) * (ky1 + 2.0 * ky2 + 2.0 * ky3 + ky4)
+                c = c + (h / 6.0) * (kc1 + 2.0 * kc2 + 2.0 * kc3 + kc4)
         t = target
-        out[j] = state[d:].reshape(d, d)
+        out[j] = c
     return out
 
 

@@ -283,8 +283,14 @@ def run_sgd_ensemble(
             )
         gaps = np.zeros(len(indices))
 
-        def track(k, x):
-            np.maximum(gaps, np.linalg.norm(x - reference_states[k], axis=1), out=gaps)
+        def track(k0, states):
+            # A slab of steps at a time bounds the temporaries, as the exit
+            # scan does; the max over steps then over slabs is exact.
+            slab = streams.scan_slab(states.shape)
+            for j0 in range(0, len(states), slab):
+                part = states[j0 : j0 + slab]
+                ref = reference_states[k0 + j0 + 1 : k0 + j0 + 1 + len(part), None]
+                np.maximum(gaps, np.linalg.norm(part - ref, axis=2).max(axis=0), out=gaps)
 
     kernel = chain_kernel(cfg, cfg.steps)
     endpoints = streams.lockstep_groups(

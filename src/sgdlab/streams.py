@@ -46,9 +46,11 @@ Memory: ``lockstep`` holds at most ``NOISE_BLOCK_BYTES`` of noise at once,
 and one stream per path it is handed.  So
 - a first exit holds the block cap, and compaction drops each path that has
   left from the blocks after its exit;
-- an ensemble with an ``on_step`` observer (annealing's checkpoints, the
+- an ensemble with an ``on_block`` observer (annealing's checkpoints, the
   chain's sup-gaps), or with a draw that is not d floats per step (a
-  mini-batch's), holds the block cap and every path's stream;
+  mini-batch's), holds the block cap and every path's stream; the observer
+  reads each block's states once, from the rows the stepping wrote, with
+  one call per block and not one per step;
 - every other ensemble (``sde.em_endpoints``, ``sgd.run_sgd_ensemble``)
   runs through ``lockstep_groups``, one group of paths at a time, each
   group with its own streams and block within ``GROUP_BYTES``, so it holds
@@ -435,22 +437,28 @@ def lockstep(
     n_steps: int,
     block: int = 1024,
     domain=None,
-    on_step: Callable[[int, np.ndarray], None] | None = None,
+    on_block: Callable[[int, np.ndarray], None] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Step one path per generator in lockstep through ``kernel`` (see
     ``Kernel``, whose fields state the draw, shape and scale of each block)
     for up to ``n_steps`` steps.
 
-    ``on_step(k, x)``, if given, sees the states after k steps, for k = 1,
-    ..., ``n_steps`` in order.  ``x`` is valid only during the call: after a
-    ``kernel.block_step`` it is a view of the block's row of step k, whose
-    memory later blocks reuse, so an observer that keeps states copies them.
+    Observer contract: ``on_block(k0, states)``, if given, is called once
+    per block, blocks in step order, after the block is stepped and before
+    its ``NumericalError`` guard.  ``states`` is the (k1 - k0, paths, d)
+    stack of the states after steps k0 + 1, ..., k1, so ``states[j]`` holds
+    every path after step k0 + j + 1.  It is a view of the block's rows,
+    which the block stepper or the per-step loop wrote over the noise they
+    used (rows of their own, counted by the byte cap, for a draw that is not
+    d floats per step), and is valid only during the call: later blocks
+    reuse that memory, so an observer that keeps states copies them.
+
     With a ``domain`` (anything with a vectorized ``contains``), a path
     retires on the first step that leaves it; without one every path runs
-    all ``n_steps``.  ``on_step`` does not combine with a ``domain``.
-    Returns ``(exit_step, exit_points, states)``:
-    the 1-based exit step of each path (-1 if it never left), its first
-    outside state, and the final state of every path still inside.
+    all ``n_steps``.  ``on_block`` does not combine with a ``domain``.
+    Returns ``(exit_step, exit_points, states)``: the 1-based exit step of
+    each path (-1 if it never left), its first outside state, and the final
+    state of every path still inside.
 
     A block of at most ``block`` steps is filled from each path's private
     stream, and holds fewer steps where the alive paths' rows would pass
@@ -476,7 +484,7 @@ def lockstep(
     thread; any other (the double wells' cubic recursion) steps the whole
     block once, on the calling thread, after both halves are done.  The
     per-step loop, the exit scan, compaction, every ``NumericalError``
-    guard and ``on_step`` run on the calling thread after the join.  Since
+    guard and ``on_block`` run on the calling thread after the join.  Since
     each path's draws come from its own stream in step order, and shaping
     and ``block_step`` act on each path's column alone, the split moves no
     bit.  Any other block, a mini-batch draw (one Python call per step)
@@ -504,14 +512,15 @@ def lockstep(
     its block.
     """
     step_fn, draw, shape, step_scale, block_step, releases_gil = kernel
-    if on_step is not None and domain is not None:
-        raise ValueError("lockstep takes on_step only without a domain")
+    if on_block is not None and domain is not None:
+        raise ValueError("lockstep takes on_block only without a domain")
     n = len(gens)
     d = x0.size
     d_floats = (draw.width, np.dtype(draw.dtype)) == (d, np.float64)
-    own_rows = domain is not None and not d_floats
+    keep_rows = domain is not None or on_block is not None
+    own_rows = keep_rows and not d_floats
     row_bytes = draw.width * np.dtype(draw.dtype).itemsize + (8 * d if own_rows else 0)
-    longest = min(block, SCAN_SLAB) if own_rows else block
+    longest = min(block, SCAN_SLAB) if domain is not None and not d_floats else block
     states = np.tile(x0, (n, 1))
     exit_step = np.full(n, -1, dtype=np.int64)
     exit_points = np.zeros((n, d))
@@ -560,13 +569,10 @@ def lockstep(
             if block_step is None:
                 for j in range(kblock):
                     x = step_fn(x, buf[j], step0 + j)
-                    if domain is not None:
+                    if keep_rows:
                         rows[j] = x
-                    elif on_step is not None:
-                        on_step(step0 + j + 1, x)
-            elif on_step is not None:
-                for j in range(kblock):
-                    on_step(step0 + j + 1, rows[j])
+            if on_block is not None:
+                on_block(step0, rows)
             if domain is not None:
                 # Block step of each path's first outside state, -1 if none.
                 first = np.full(ids.size, -1, dtype=np.int64)
@@ -605,7 +611,7 @@ def lockstep_groups(
     experiment: str,
     indices: range,
     n_steps: int,
-    on_step: Callable[[int, np.ndarray], None] | None = None,
+    on_block: Callable[[int, np.ndarray], None] | None = None,
 ) -> np.ndarray:
     """The final states after ``n_steps`` steps of ``kernel`` of the paths
     ``indices``, path i on the stream (``base_seed``, ``experiment``, i),
@@ -616,7 +622,7 @@ def lockstep_groups(
     ``n_steps``, and only its final states outlive it.  A group holds as
     many paths as fit ``GROUP_BYTES`` with each path's first block and
     stream, so the memory of a run is its output plus one group's, whatever
-    the path count.  A run with an ``on_step`` observer, which may need
+    the path count.  A run with an ``on_block`` observer, which may need
     every path at every step, or with a draw that is not d floats per step
     (a mini-batch's, one Python call per path and step, to which more groups
     would add only dispatch) is one group, held to ``lockstep``'s block cap.
@@ -626,7 +632,7 @@ def lockstep_groups(
     n = len(indices)
     d = np.size(x0)
     size = max(n, 1)
-    if on_step is None and (kernel.draw.width, np.dtype(kernel.draw.dtype)) == (d, np.float64):
+    if on_block is None and (kernel.draw.width, np.dtype(kernel.draw.dtype)) == (d, np.float64):
         # 1024 is lockstep's default block.
         size = max(1, GROUP_BYTES // (8 * d * min(1024, n_steps) + _STREAM_BYTES))
     states = np.empty((n, d))
@@ -636,6 +642,6 @@ def lockstep_groups(
     for lo in range(0, max(n, 1), size):
         part = indices[lo : lo + size]
         gens = path_streams(base_seed, experiment, part)
-        states[lo : lo + len(part)] = lockstep(kernel, x0, gens, n_steps, on_step=on_step)[2]
+        states[lo : lo + len(part)] = lockstep(kernel, x0, gens, n_steps, on_block=on_block)[2]
         del gens
     return states

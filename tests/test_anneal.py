@@ -1,11 +1,14 @@
 """Tests for the annealed-noise basin-hopping experiment."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.special  # noqa: F401  (``_binomial_ci``'s import, so no trace counts it)
 
-from sgdlab import anneal_experiment, builtin, streams
+from sgdlab import anneal_experiment, builtin, exit_times, streams
+from sgdlab.sde import sde_kernel
 
 TILTED = builtin("asym_double_well_1d", params=(-0.05,))
 
@@ -129,3 +132,39 @@ def test_clopper_pearson_quantile_equals_the_beta_ppf():
             lo, hi = _binomial_ci(kk, nn, level)
             assert lo == (0.0 if kk == 0 else beta.ppf(alpha / 2, kk, nn - kk + 1))
             assert hi == (1.0 if kk == nn else beta.ppf(q, kk + 1, nn - kk))
+
+
+def test_an_annealing_arm_holds_one_small_block():
+    # A 500-path arm of 25,000 steps holds lockstep's 1024-step noise block,
+    # 3.9 MiB, and its streams; a 4096-step block alone would be 15.6 MiB.
+    tracemalloc.start()
+    try:
+        anneal_experiment(TILTED, gamma=0.4, T=500.0, n_paths=500, epsilon=0.25, dt=0.02)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, f"traced peak {peak / 2**20:.1f} MiB"
+
+
+def test_the_cooling_table_is_the_per_step_math_product(monkeypatch):
+    # The kernel tabulates amplitude(t_k) * sqrt(h_k) once, with Python's
+    # math calls.  A numpy table would not do: np.log(2 + s) differs from
+    # math.log(2.0 + s) at 7 of these 25,001 times on an AVX-512 CPU.
+    grabbed = {}
+
+    def grab(cfg, times, gens, **kwargs):
+        grabbed.update(cfg=cfg, times=times)
+        return np.tile(cfg.x0, (len(gens), 1))
+
+    monkeypatch.setattr(exit_times, "em_on_grid", grab)
+    anneal_experiment(TILTED, gamma=0.4, T=500.0, n_paths=1, epsilon=0.25, dt=0.02)
+    times = grabbed["times"]
+    steps = np.diff(times)
+    assert times.size == 25_001 and steps[-1] < 0.02  # a shortened last step
+    kernel = sde_kernel(grabbed["cfg"], times)
+    expected = np.array(
+        [math.sqrt(0.4 / math.log(2.0 + t)) * math.sqrt(h) for t, h in zip(times, steps)]
+    )
+    table = kernel.step_scale(0, steps.size)
+    assert table.tobytes() == expected.tobytes()
+    assert kernel.step_scale(1024, 2048).tobytes() == expected[1024:2048].tobytes()

@@ -301,11 +301,12 @@ def _sgd_chunk(case, block, lo, hi):
     gens = streams.path_streams(cfg.seed, f"sgd:{case}", range(lo, hi))
     gaps = np.zeros(hi - lo)
 
-    def track(k, x):
-        np.maximum(gaps, np.linalg.norm(x - ref[k], axis=1), out=gaps)
+    def track(k0, states):
+        for j, x in enumerate(states):
+            np.maximum(gaps, np.linalg.norm(x - ref[k0 + j + 1], axis=1), out=gaps)
 
     kernel = chain_kernel(cfg, cfg.steps)
-    ends = streams.lockstep(kernel, cfg.x0, gens, cfg.steps, block=block, on_step=track)[2]
+    ends = streams.lockstep(kernel, cfg.x0, gens, cfg.steps, block=block, on_block=track)[2]
     return np.column_stack([ends, gaps])
 
 
@@ -321,11 +322,12 @@ def _chain_chunk(cfg, label, block, lo, hi):
     gens = streams.path_streams(cfg.seed, label, range(lo, hi))
     gaps = np.zeros(hi - lo)
 
-    def track(k, x):
-        np.maximum(gaps, np.linalg.norm(x - ref[k], axis=1), out=gaps)
+    def track(k0, states):
+        for j, x in enumerate(states):
+            np.maximum(gaps, np.linalg.norm(x - ref[k0 + j + 1], axis=1), out=gaps)
 
     kernel = chain_kernel(cfg, cfg.steps)
-    ends = streams.lockstep(kernel, cfg.x0, gens, cfg.steps, block=block, on_step=track)[2]
+    ends = streams.lockstep(kernel, cfg.x0, gens, cfg.steps, block=block, on_block=track)[2]
     return np.column_stack([ends, gaps])
 
 

@@ -767,14 +767,14 @@ def test_exit_records_ignore_the_scan_slab(slab, monkeypatch):
 
 
 def test_lockstep_rejects_an_observer_with_a_domain():
-    with pytest.raises(ValueError, match="on_step"):
+    with pytest.raises(ValueError, match="on_block"):
         streams.lockstep(
             streams.gaussian_kernel(lambda x, noise, k: x + noise, 1),
             np.zeros(1),
             streams.path_streams(0, "observer", range(2)),
             4,
             domain=UNIT,
-            on_step=lambda k, x: None,
+            on_block=lambda k0, states: None,
         )
 
 

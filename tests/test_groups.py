@@ -115,11 +115,12 @@ def _today(cfg, experiment, indices, reference=None):
     if reference is not None:
         gaps = np.zeros(len(gens))
 
-        def track(k, x):
-            np.maximum(gaps, np.linalg.norm(x - reference[k], axis=1), out=gaps)
+        def track(k0, states):
+            for j, x in enumerate(states):
+                np.maximum(gaps, np.linalg.norm(x - reference[k0 + j + 1], axis=1), out=gaps)
 
     kernel = chain_kernel(cfg, cfg.steps)
-    return streams.lockstep(kernel, cfg.x0, gens, cfg.steps, on_step=track)[2], gaps
+    return streams.lockstep(kernel, cfg.x0, gens, cfg.steps, on_block=track)[2], gaps
 
 
 def _minibatch_cfg():

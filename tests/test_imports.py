@@ -4,6 +4,7 @@ The pytest process has long since imported scipy, so every check runs in a
 fresh interpreter and reports what that interpreter's ``sys.modules`` holds.
 """
 
+import ast
 import json
 import multiprocessing
 import os
@@ -151,6 +152,26 @@ def test_a_two_worker_deviation_run_forks_without_scipy(tmp_path):
         """
     )
     assert _python(["-c", script + REPORT], tmp_path) == "[]"
+
+
+def test_annealing_loads_no_scipy_beyond_scipy_special(tmp_path):
+    # ``_binomial_ci`` is annealing's one use of scipy; a wider import (say
+    # ``scipy.stats``) would add tens of MB of RSS to every annealing run.
+    bare = _python(["-c", "import sys\nimport scipy.special" + REPORT], tmp_path)
+    script = textwrap.dedent(
+        """\
+        import sys
+
+        from sgdlab import anneal_experiment, builtin
+
+        tilted = builtin("asym_double_well_1d", (-0.05,))
+        result = anneal_experiment(tilted, 0.4, 20.0, 16, 0.25, dt=0.05)
+        assert 0.0 <= result.ci_low <= result.ci_high <= 1.0
+        """
+    )
+    loaded = ast.literal_eval(_python(["-c", script + REPORT], tmp_path))
+    assert "scipy.special" in loaded
+    assert set(loaded) <= set(ast.literal_eval(bare))
 
 
 def test_import_starts_no_thread(tmp_path):

@@ -88,7 +88,10 @@ def test_trajectory_shapes_and_times():
     cfg = SdeConfig(potential=WELL, eta=0.1, dt=0.01, T=0.5, x0=np.array([1.0]))
     times = _time_grid(cfg.T, cfg.dt)
     seen = []
-    em_on_grid(cfg, times, path_streams(0, "grid", [0]), on_step=lambda k, x: seen.append(k))
+    em_on_grid(
+        cfg, times, path_streams(0, "grid", [0]),
+        on_block=lambda k0, states: seen.extend(range(k0 + 1, k0 + 1 + len(states))),
+    )
     assert seen == list(range(1, times.size))
     assert times[0] == 0.0
     assert times[-1] == pytest.approx(0.5, abs=1e-12)
@@ -322,7 +325,7 @@ def test_double_well_grid_ensembles_keep_their_bits_through_the_engine(
 ):
     # em_on_grid's kernel on a time grid with a shortened last step, run by
     # lockstep with and without its block stepper under any block length:
-    # on_step sees the same (k, states) in the same order, and the runs end
+    # on_block sees the same (k, states) in the same order, and the runs end
     # in the same states or fail at the same step.
     times = _time_grid((steps - 0.5) * dt, dt)
     assert times.size == steps + 1 and times[-1] - times[-2] < dt
@@ -340,11 +343,13 @@ def test_double_well_grid_ensembles_keep_their_bits_through_the_engine(
     runs = []
     for k in (kernel, kernel._replace(block_step=None)):
         seen = []
+
+        def observe(k0, states):
+            seen.extend((k0 + 1 + j, x.copy()) for j, x in enumerate(states))
+
         gens = path_streams(3, "double-well-grid", range(paths))
         try:
-            end = streams.lockstep(
-                k, cfg.x0, gens, steps, block=block, on_step=lambda k, x: seen.append((k, x.copy()))
-            )[2]
+            end = streams.lockstep(k, cfg.x0, gens, steps, block=block, on_block=observe)[2]
         except NumericalError as error:
             end = error.step
         runs.append((seen, end))

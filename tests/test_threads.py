@@ -68,18 +68,42 @@ NOISES = {
 }
 
 
+def _per_step_states(kernel, x0, n, n_steps):
+    """The states of n paths after each of steps 1, ..., ``n_steps``, one
+    step at a time: each step fills, shapes and scales a one-step block and
+    steps it with ``kernel.block_step`` if there is one, else with
+    ``kernel.step``, outside ``lockstep``."""
+    gens = streams.path_streams(7, "threads", range(n))
+    ids = np.arange(n)
+    x = np.tile(x0, (n, 1))
+    out = np.empty((n_steps, n, x0.size))
+    for k in range(n_steps):
+        buf = np.empty((1, n, kernel.draw.width), dtype=kernel.draw.dtype)
+        kernel.draw.fill(gens, ids, k, k + 1, buf)
+        if kernel.shape is not None:
+            buf *= kernel.shape
+        if kernel.step_scale is not None:
+            buf *= np.reshape(kernel.step_scale(k, k + 1), (-1, 1, 1))
+        x = kernel.block_step(x, buf, k) if kernel.block_step else kernel.step(x, buf[0], k)
+        out[k] = x
+    return out
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     d=st.sampled_from([1, 2, 3]),
     noise=st.sampled_from(sorted(NOISES)),
     linear=st.booleans(),
     scheduled=st.booleans(),
-    mode=st.sampled_from(["plain", "domain", "on_step"]),
+    minibatch=st.booleans(),
+    mode=st.sampled_from(["plain", "domain", "on_block"]),
     n=st.sampled_from([1, 2, 5, 33, 200]),
-    block=st.sampled_from([1, 170, 171, 256, 511, 512, 1024]),
-    n_steps=st.integers(1, 1500),
+    block=st.sampled_from([1, 170, 171, 256, 511, 512, 1024, 4096]),
+    n_steps=st.one_of(st.integers(1, 1500), st.integers(4097, 9000)),
 )
-def test_split_blocks_keep_every_bit(d, noise, linear, scheduled, mode, n, block, n_steps):
+def test_split_blocks_keep_every_bit(
+    d, noise, linear, scheduled, minibatch, mode, n, block, n_steps
+):
     cfg = SdeConfig(
         potential=builtin("quadratic_well", (0.5, 1.0, 2.0)[:d]),
         eta=1.0,
@@ -89,34 +113,53 @@ def test_split_blocks_keep_every_bit(d, noise, linear, scheduled, mode, n, block
         diffusion=NOISES[noise](d),
         noise_schedule=(lambda s: 1.0 / (1.0 + s)) if scheduled else None,
     )
-    kernel = sde_kernel(cfg)
-    # sde_kernel gives a diagonal quadratic the linear block stepper.
-    assert kernel.block_step is not None
-    if not linear:
-        kernel = kernel._replace(block_step=None)
     domain = None
     if mode == "domain":
         domain = Domain.interval(-1.0, 1.0) if d == 1 else Domain.ball(np.zeros(d), 1.0)
+    if minibatch:
+        # A mini-batch draw (component indices, one Python call per path and
+        # step) never splits, and under an observer takes rows of its own.
+        n, n_steps = min(n, 5), min(n_steps, 1500)
+        centers = np.random.default_rng(d).normal(size=(6, d))
+        oracle = MinibatchOracle(gaussian_cloud(centers), m=2)
+        chain = SgdConfig(eta=0.05, steps=n_steps, x0=cfg.x0, oracle=oracle)
+        kernel = chain_kernel(chain, n_steps, domain)
+    else:
+        kernel = sde_kernel(cfg)
+        # sde_kernel gives a diagonal quadratic the linear block stepper.
+        assert kernel.block_step is not None
+        if not linear:
+            kernel = kernel._replace(block_step=None)
+    reference = _per_step_states(kernel, cfg.x0, n, n_steps) if mode == "on_block" else None
     runs = []
     for helper in (None, CountingHelper()):
         seen = []
-        on_step = (lambda k, x: seen.append((k, x.copy()))) if mode == "on_step" else None
+
+        def observe(k0, states):
+            # Checked as they come, so that no run keeps every step's states:
+            # both runs see the states of a per-step loop, bit for bit.
+            seen.extend(range(k0 + 1, k0 + 1 + len(states)))
+            np.testing.assert_array_equal(states, reference[k0 : k0 + len(states)])
+
+        on_block = observe if mode == "on_block" else None
         out = _lockstep(
-            helper, kernel, cfg.x0, n, n_steps, block=block, domain=domain, on_step=on_step
+            helper, kernel, cfg.x0, n, n_steps, block=block, domain=domain, on_block=on_block
         )
         runs.append((out, seen, helper))
     (serial, serial_seen, _), (split, split_seen, helper) = runs
     for a, b in zip(serial, split):
         np.testing.assert_array_equal(a, b)
-    assert len(serial_seen) == len(split_seen)
-    for (ka, xa), (kb, xb) in zip(serial_seen, split_seen):
-        assert ka == kb
-        np.testing.assert_array_equal(xa, xb)
+    assert serial_seen == split_seen
+    if mode == "on_block":
+        # The observer sees every step 1, ..., n_steps once, in order.
+        assert serial_seen == list(range(1, n_steps + 1))
+        np.testing.assert_array_equal(split[2], reference[-1])
     # The first block is the longest, and every later one has as many alive
     # paths at most, so a run splits if and only if its first block does.
     kblock = min(block, n_steps)
     first_splits = (
-        n >= 2
+        not minibatch
+        and n >= 2
         and kblock * d >= streams.SPLIT_VALUES
         and kblock * n * d >= streams.SPLIT_BLOCK_VALUES
     )
