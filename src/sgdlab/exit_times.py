@@ -24,7 +24,7 @@ from .errors import (
 )
 from .potentials import PotentialSpec
 from .sde import (
-    FIRST_ORDER, SdeConfig, _rk4_step, _step_count, _time_grid, em_on_grid, sde_kernel,
+    FIRST_ORDER, SdeConfig, _rk4_step, _step_count, _time_grid, sde_kernel,
 )
 from .sgd import SgdConfig, chain_kernel
 
@@ -166,23 +166,22 @@ def hitting_time_mc(
     is drawn at most ``block`` (at least 1) steps at a time; the block sets
     memory and speed, never the records.
     """
+    chain = isinstance(process, SgdConfig)
+    if not chain and not isinstance(process, SdeConfig):
+        raise TypeError(f"unsupported process type {type(process).__name__}")
     x0 = check_dimension("x0", process.x0, domain.dim)
     if not domain.strictly_inside(x0):
         raise ValueError(f"start point {x0} is not strictly inside the domain")
     check_positive("horizon", horizon)
     check_count("block", block, 1)
     indices = n_paths if isinstance(n_paths, range) else range(check_count("n_paths", n_paths))
-    gens = streams.path_streams(process.seed, experiment, indices)
 
     eta = process.eta
-    chain = isinstance(process, SgdConfig)
-    if not chain and not isinstance(process, SdeConfig):
-        raise TypeError(f"unsupported process type {type(process).__name__}")
     time_per_step = eta if chain else process.dt
     max_steps = _step_count(horizon, time_per_step)
     kernel = chain_kernel(process, max_steps, domain) if chain else sde_kernel(process)
     exit_step, exit_points, states = streams.lockstep(
-        kernel, x0, gens, max_steps, block=block, domain=domain
+        kernel, x0, process.seed, experiment, indices, max_steps, block=block, domain=domain
     )
     records = []
     for pos, idx in enumerate(indices):
@@ -856,7 +855,6 @@ def anneal_chunk(
         potential=potential, eta=1.0, dt=dt, T=T, x0=start, noise_schedule=amp_fn
     )
     targets = np.stack([cp.location for cp in potential.global_minimizers()])
-    gens = streams.path_streams(seed, f"anneal:{mode}", range(lo, hi))
     times = _time_grid(T, dt)
     # Checkpoint i counts the paths at the first step k >= 1 whose time
     # reaches check_times[i] (less 1e-12); one past the grid if none does.
@@ -872,5 +870,8 @@ def anneal_chunk(
         for i in np.flatnonzero(due):
             counts[i] = in_target(states[check_steps[i] - k0 - 1]).sum()
 
-    x = em_on_grid(cfg, times, gens, block=block, on_block=checkpoint)
+    x = streams.lockstep(
+        sde_kernel(cfg, times), cfg.x0, seed, f"anneal:{mode}", range(lo, hi), times.size - 1,
+        block=block, on_block=checkpoint,
+    )[2]
     return int(in_target(x).sum()), counts

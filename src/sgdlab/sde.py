@@ -283,7 +283,7 @@ def sde_kernel(cfg: SdeConfig, times: np.ndarray | None = None) -> streams.Kerne
         time_of, step_of = (lambda k: k * dt), (lambda k: dt)
     else:
         steps = np.diff(times)
-        time_of, step_of = times.__getitem__, steps.__getitem__
+        time_of, step_of = times.tolist().__getitem__, steps.tolist().__getitem__
     diffusion = cfg.diffusion
     drift = cfg.drift
     d = cfg.x0.size
@@ -297,12 +297,11 @@ def sde_kernel(cfg: SdeConfig, times: np.ndarray | None = None) -> streams.Kerne
         return streams.gaussian_kernel(step_fn, d)
 
     root_eta = math.sqrt(cfg.eta)
+    scale_of = lambda k: cfg.amplitude(time_of(k)) * math.sqrt(step_of(k))  # noqa: E731
     if cfg.noise_schedule is not None and times is None:
-        scale_of = lambda k: cfg.amplitude(time_of(k)) * math.sqrt(step_of(k))  # noqa: E731
         step_scale = lambda k0, k1: np.array([scale_of(k) for k in range(k0, k1)])  # noqa: E731
     elif cfg.noise_schedule is not None:
-        pairs = zip(times[:-1].tolist(), steps.tolist())
-        table = np.array([cfg.amplitude(t) * math.sqrt(h) for t, h in pairs])
+        table = np.array([scale_of(k) for k in range(steps.size)])
         step_scale = lambda k0, k1: table[k0:k1]  # noqa: E731
     elif times is None:
         scale = root_eta * math.sqrt(dt)
@@ -335,23 +334,6 @@ def sde_kernel(cfg: SdeConfig, times: np.ndarray | None = None) -> streams.Kerne
     return kernel._replace(block_step_releases_gil=releases_gil)
 
 
-def em_on_grid(
-    cfg: SdeConfig,
-    times: np.ndarray,
-    gens: list[np.random.Generator],
-    block: int = 1024,
-    on_block: Callable[[int, np.ndarray], None] | None = None,
-) -> np.ndarray:
-    """Final states of Euler-Maruyama paths, one per generator, on ``times``.
-
-    ``block`` and ``on_block`` are passed to ``streams.lockstep``.
-    """
-    kernel = sde_kernel(cfg, times)
-    return streams.lockstep(
-        kernel, cfg.x0, gens, times.size - 1, block=block, on_block=on_block
-    )[2]
-
-
 def em_endpoints(
     cfg: SdeConfig, n_paths: int | range, experiment: str = "sde-ensemble"
 ) -> np.ndarray:
@@ -359,14 +341,14 @@ def em_endpoints(
 
     ``n_paths`` is a count n (paths 0, ..., n - 1) or a ``range`` of path
     indices; path i draws from the stream (``cfg.seed``, ``experiment``, i).
-    The paths run in groups (``streams.lockstep_groups``), so the run holds
-    its endpoints and one group's streams and noise, within
+    One ``streams.lockstep`` runs the paths in groups, so the run holds its
+    endpoints and one group's streams and noise, within
     ``streams.GROUP_BYTES``, whatever ``n_paths``.
     """
     indices = n_paths if isinstance(n_paths, range) else range(check_count("n_paths", n_paths))
     times = _time_grid(cfg.T, cfg.dt)
     kernel = sde_kernel(cfg, times)
-    return streams.lockstep_groups(kernel, cfg.x0, cfg.seed, experiment, indices, times.size - 1)
+    return streams.lockstep(kernel, cfg.x0, cfg.seed, experiment, indices, times.size - 1)[2]
 
 
 def em_endpoints_chunk(cfg: SdeConfig, experiment: str, lo: int, hi: int) -> np.ndarray:

@@ -262,14 +262,14 @@ def run_sgd_ensemble(
     indices; path i draws from the stream (``cfg.seed``, ``experiment``, i).
     ``reference_states`` of shape (steps + 1, dim) activates tracking of
     max_k ||x_k - ref_k|| per path, used to compare the chain against its
-    deterministic gradient-flow limit.  Every oracle is stepped on
+    deterministic gradient-flow limit.  Every oracle is stepped by one
     ``streams.lockstep`` through ``chain_kernel``, with the draws ``run_sgd``
-    takes from each path's stream, by ``streams.lockstep_groups``.  So an
-    additive-Gaussian chain without ``reference_states`` runs in groups and
-    holds its endpoints and one group's streams and noise, within
-    ``streams.GROUP_BYTES``; a tracked run, whose sup-gaps see every path
-    at every step, and a mini-batch chain run as one group, within the
-    block cap ``streams.NOISE_BLOCK_BYTES`` and one stream per path.
+    takes from each path's stream.  So an additive-Gaussian chain without
+    ``reference_states`` runs in groups and holds its endpoints and one
+    group's streams and noise, within ``streams.GROUP_BYTES``; a tracked
+    run, whose sup-gaps see every path at every step, and a mini-batch chain
+    run as one group, within the block cap ``streams.NOISE_BLOCK_BYTES`` and
+    one stream per path.
     """
     indices = n_paths if isinstance(n_paths, range) else range(check_count("n_paths", n_paths))
     d = cfg.oracle.potential.dim
@@ -293,9 +293,9 @@ def run_sgd_ensemble(
                 np.maximum(gaps, np.linalg.norm(part - ref, axis=2).max(axis=0), out=gaps)
 
     kernel = chain_kernel(cfg, cfg.steps)
-    endpoints = streams.lockstep_groups(
-        kernel, cfg.x0, cfg.seed, experiment, indices, cfg.steps, track
-    )
+    endpoints = streams.lockstep(
+        kernel, cfg.x0, cfg.seed, experiment, indices, cfg.steps, on_block=track
+    )[2]
     return EnsembleResult(endpoints=endpoints, sup_gaps=gaps)
 
 

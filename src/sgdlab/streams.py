@@ -25,36 +25,48 @@ running ``generate_state`` on it, cost about 30 us per path against about
 path's ``SeedSequence`` is built only when a caller spawns from its stream.
 
 ``lockstep`` is the one engine that steps an ensemble: the diffusion, the
-SGD chain, first exits and annealing all run through it.  Where a second
-CPU is free it splits a Gaussian noise block between two threads: a helper
-thread, started on first use, fills, shapes and scales one contiguous half
-of the alive paths while the calling thread does the other half (see
-``lockstep``'s two-thread contract).  numpy's ``standard_normal`` releases
-the GIL, so the halves run side by side.  A block stepper that releases it
-too, the diagonal quadratics' compiled linear filter (scipy's, see
-``sde._linear_filter``), steps each half on its thread; one that holds it,
-the double wells' cubic recursion, would only wait for the other thread,
-so it steps the whole block once, on the calling thread, after the join.
-Since every path's stream is drawn by one thread in step order and the
-shaping and the block steppers act on each path's column alone, the split
-moves no bit.  ``import sgdlab`` starts no thread, and neither a forked
-child nor a worker of the command line's pool, however it was started, ever
-starts one: the pool already keeps the CPUs busy, and a child inherits its
-parent's executor without its thread.
+SGD chain, first exits and annealing all run through it, and it is the one
+caller of ``path_streams``: it builds each path's stream itself.
 
-Memory: ``lockstep`` holds at most ``NOISE_BLOCK_BYTES`` of noise at once,
-and one stream per path it is handed.  So
-- a first exit holds the block cap, and compaction drops each path that has
-  left from the blocks after its exit;
-- an ensemble with an ``on_block`` observer (annealing's checkpoints, the
-  chain's sup-gaps), or with a draw that is not d floats per step (a
-  mini-batch's), holds the block cap and every path's stream; the observer
-  reads each block's states once, from the rows the stepping wrote, with
-  one call per block and not one per step;
-- every other ensemble (``sde.em_endpoints``, ``sgd.run_sgd_ensemble``)
-  runs through ``lockstep_groups``, one group of paths at a time, each
-  group with its own streams and block within ``GROUP_BYTES``, so it holds
-  its output and one group, however many paths it has.
+Memory: ``lockstep`` holds at most ``NOISE_BLOCK_BYTES`` of noise at once.
+A run without a domain and without an observer whose draw is d floats per
+step (``sde.em_endpoints``, ``sgd.run_sgd_ensemble`` without sup-gaps) runs
+in contiguous groups of paths, one at a time, each on its own
+``path_streams`` call, and only a group's final states outlive it.  A group
+holds as many paths as fit ``GROUP_BYTES`` with each path's first block
+(``block`` steps, or the whole run if shorter) and its stream, so such a run
+holds its output and one group, whatever its path count.  Every other run
+is one group, with every path's stream: a first exit, from whose blocks
+compaction drops each path that has left; a run with an ``on_block``
+observer (annealing's checkpoints, the chain's sup-gaps), which may need
+every path at every step; and a draw that is not d floats per step (a
+mini-batch's, one Python call per path and step), to which more groups
+would add only dispatch.  Since a path's states depend on its own stream
+alone, the groups move no bit.
+
+Two-thread contract: where a second CPU is free, ``lockstep`` splits a block
+of d floats per path and step (the standard normals of ``gaussian_kernel``)
+in two when at least two paths are alive, a path's draw holds at least
+``SPLIT_VALUES`` values and the block at least ``SPLIT_BLOCK_VALUES``, at
+least two CPUs are usable (``os.sched_getaffinity``) and the process is
+neither a forked child nor a pool worker.  A helper thread, started on first
+use, then fills, shapes and scales the last half of the alive columns while
+the calling thread does the first half, each with one ``fill`` call on its
+own ids; numpy's ``standard_normal`` releases the GIL, so the halves run side
+by side.  A ``block_step`` that releases it too
+(``Kernel.block_step_releases_gil``: the diagonal quadratics' compiled
+linear filter, see ``sde._linear_filter``) steps each half on its thread;
+one that holds it (the double wells' cubic recursion) would only wait for
+the other thread, so it steps the whole block once, on the calling thread,
+after the join.  The per-step loop, the exit scan, compaction, every
+``NumericalError`` guard and ``on_block`` run on the calling thread after
+the join.  Since every path's stream is drawn by one thread in step order,
+and shaping and the block steppers act on each path's column alone, the
+split moves no bit.  Any other block, a mini-batch draw among them, is
+filled by one ``fill`` call on the calling thread.  ``import sgdlab`` starts
+no thread, and neither a forked child nor a worker of the command line's
+pool, however it was started, ever starts one: the pool already keeps the
+CPUs busy, and a child inherits its parent's executor without its thread.
 
 Every ensemble experiment takes a ``scatter(fn, n, *args) -> list``: it
 runs the module-level chunk function ``fn(*args, lo, hi)`` over contiguous
@@ -98,9 +110,9 @@ SCAN_BYTES = 2**20
 # draw that is not d floats per step.
 SCAN_SLAB = 64
 
-# The bytes one group of ``lockstep_groups`` may hold: each path's first
-# noise block (``lockstep``'s default block or the whole run, if shorter, of
-# d floats per step) and its stream.  Results do not depend on it.  It
+# The bytes one group of a grouped ``lockstep`` run may hold: each path's
+# first noise block (``block`` steps or the whole run, if shorter, of d
+# floats per step) and its stream.  Results do not depend on it.  It
 # bounds the memory of a run, while groups that fit the CPU caches step
 # faster: a weak ladder of 40,000 one-dimensional double-well paths a side
 # (four rungs of 5 to 40 chain and 50 to 400 Euler steps) and a 2-D chain of
@@ -351,9 +363,9 @@ class Kernel(NamedTuple):
     normals per step.
 
     ``block_step_releases_gil`` is internal, set by ``sde.sde_kernel`` for
-    a block stepper that runs outside the GIL (the compiled linear filter):
-    ``lockstep`` runs such a stepper on each thread's half of a split block,
-    and any other once on the whole block, on the calling thread.
+    a block stepper that runs outside the GIL (the compiled linear filter),
+    which ``lockstep`` may then run on each half of a split block (see the
+    module docstring's two-thread contract).
     """
 
     step: Callable[[np.ndarray, np.ndarray, int], np.ndarray]
@@ -433,15 +445,35 @@ def _prepare(kernel: Kernel, gens, ids, k0, k1, buf, scale, x, block_step) -> np
 def lockstep(
     kernel: Kernel,
     x0: np.ndarray,
-    gens: list[np.random.Generator],
+    base_seed: int,
+    experiment: str,
+    indices,
     n_steps: int,
     block: int = 1024,
     domain=None,
     on_block: Callable[[int, np.ndarray], None] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Step one path per generator in lockstep through ``kernel`` (see
-    ``Kernel``, whose fields state the draw, shape and scale of each block)
-    for up to ``n_steps`` steps.
+    """Step the paths ``indices`` (a sequence, such as a ``range``) in
+    lockstep from ``x0`` through ``kernel`` (see ``Kernel``, whose fields
+    state the draw, shape and scale of each block) for up to ``n_steps``
+    steps, path i on the stream (``base_seed``, ``experiment``, i).  The
+    paths run in groups as the module docstring's memory model states.
+
+    With a ``domain`` (anything with a vectorized ``contains``), a path
+    retires on the first step that leaves it; without one every path runs
+    all ``n_steps``.  ``on_block`` does not combine with a ``domain``.
+    Returns ``(exit_step, exit_points, states)``, one row per path in the
+    order of ``indices``: the 1-based exit step of each path (-1 if it never
+    left), its first outside state, and the final state of every path still
+    inside; without a domain the first two are read-only views.
+
+    A block of at most ``block`` (at least 1) steps is filled from each
+    path's stream, and holds fewer steps where the alive paths' rows would
+    pass ``NOISE_BLOCK_BYTES``, so the result is independent of the block
+    size, of the groups and of how paths are cut into chunks.  A block is
+    time-major: ``buf[j, c]`` is step j of the path in column c, so the
+    noise of one step is the view ``buf[j]``.  It may be split between two
+    threads, as the module docstring's two-thread contract states.
 
     Observer contract: ``on_block(k0, states)``, if given, is called once
     per block, blocks in step order, after the block is stepped and before
@@ -452,43 +484,6 @@ def lockstep(
     used (rows of their own, counted by the byte cap, for a draw that is not
     d floats per step), and is valid only during the call: later blocks
     reuse that memory, so an observer that keeps states copies them.
-
-    With a ``domain`` (anything with a vectorized ``contains``), a path
-    retires on the first step that leaves it; without one every path runs
-    all ``n_steps``.  ``on_block`` does not combine with a ``domain``.
-    Returns ``(exit_step, exit_points, states)``: the 1-based exit step of
-    each path (-1 if it never left), its first outside state, and the final
-    state of every path still inside.
-
-    A block of at most ``block`` steps is filled from each path's private
-    stream, and holds fewer steps where the alive paths' rows would pass
-    ``NOISE_BLOCK_BYTES``, so the result is independent of how paths are
-    grouped into chunks and of the block size.  A block is time-major:
-    ``buf[j, c]`` is step j of the path in column c, so the noise of one
-    step is the view ``buf[j]``.  Memory: the block cap bounds the noise,
-    compaction drops each path that has left a domain, and the streams
-    handed in and the returned arrays grow with the path count;
-    ``lockstep_groups`` bounds those too, for a run without a domain or an
-    observer (see the module docstring).
-
-    Two-thread contract: a block of d floats per path and step (the
-    standard normals of ``gaussian_kernel``) is split in two when at least
-    two paths are alive, a path's draw holds at least ``SPLIT_VALUES``
-    values and the block at least ``SPLIT_BLOCK_VALUES``, at least two CPUs
-    are usable (``os.sched_getaffinity``) and the process is not a forked
-    child.  The helper thread then fills, shapes and scales the last half
-    of the alive columns, while the calling thread does the same for the
-    first half, each with one ``fill`` call on its own ids.  A
-    ``block_step`` that releases the GIL (``kernel.block_step_releases_gil``,
-    the diagonal quadratics' compiled filter) steps each half on its
-    thread; any other (the double wells' cubic recursion) steps the whole
-    block once, on the calling thread, after both halves are done.  The
-    per-step loop, the exit scan, compaction, every ``NumericalError``
-    guard and ``on_block`` run on the calling thread after the join.  Since
-    each path's draws come from its own stream in step order, and shaping
-    and ``block_step`` act on each path's column alone, the split moves no
-    bit.  Any other block, a mini-batch draw (one Python call per step)
-    among them, is filled by one ``fill`` call on the calling thread.
 
     Block-scan contract, with a ``domain``: every path alive at the start of
     a block is stepped through the whole block, each step's states
@@ -511,21 +506,52 @@ def lockstep(
     once per block, so a non-finite alive state is reported at the end of
     its block.
     """
-    step_fn, draw, shape, step_scale, block_step, releases_gil = kernel
+    block = check_count("block", block, 1)
     if on_block is not None and domain is not None:
         raise ValueError("lockstep takes on_block only without a domain")
-    n = len(gens)
-    d = x0.size
+    n, d = len(indices), x0.size
+    draw = kernel.draw
     d_floats = (draw.width, np.dtype(draw.dtype)) == (d, np.float64)
+    size = max(n, 1)
+    if domain is None and on_block is None and d_floats:
+        size = max(1, GROUP_BYTES // (8 * d * min(block, n_steps) + _STREAM_BYTES))
+    if domain is None:
+        # No path leaves: read-only views, which hold no memory per path.
+        exit_step = np.broadcast_to(np.int64(-1), (n,))
+        exit_points = np.broadcast_to(0.0, (n, d))
+    else:
+        exit_step = np.full(n, -1, dtype=np.int64)
+        exit_points = np.zeros((n, d))
+    states = np.tile(x0, (n, 1))
+    # An empty run still takes one (empty) path_streams call, which checks
+    # the seed.  No name keeps a group's streams once it has run, so they
+    # are freed before the next group's are built.
+    for lo in range(0, max(n, 1), size):
+        hi = min(lo + size, n)
+        gens = path_streams(base_seed, experiment, indices[lo:hi])
+        _run_group(
+            kernel, gens, n_steps, block, domain, on_block, d_floats,
+            exit_step[lo:hi], exit_points[lo:hi], states[lo:hi],
+        )
+        del gens
+    return exit_step, exit_points, states
+
+
+def _run_group(
+    kernel, gens, n_steps, block, domain, on_block, d_floats, exit_step, exit_points, states
+) -> None:
+    """``lockstep`` of one group: the paths of ``gens`` from the rows of
+    ``states``, writing each path's exit step, exit point and final state
+    into its row of ``exit_step``, ``exit_points`` and ``states``.
+    ``d_floats`` says whether the kernel draws d floats per step."""
+    step_fn, draw, shape, step_scale, block_step, releases_gil = kernel
+    d = states.shape[1]
     keep_rows = domain is not None or on_block is not None
     own_rows = keep_rows and not d_floats
     row_bytes = draw.width * np.dtype(draw.dtype).itemsize + (8 * d if own_rows else 0)
     longest = min(block, SCAN_SLAB) if domain is not None and not d_floats else block
-    states = np.tile(x0, (n, 1))
-    exit_step = np.full(n, -1, dtype=np.int64)
-    exit_points = np.zeros((n, d))
     x = states.copy()
-    ids = np.arange(n)
+    ids = np.arange(len(gens))
     step0 = 0
     # Overflow to inf/nan is caught by the explicit guards below; the
     # intermediate warnings would only add noise.
@@ -601,47 +627,3 @@ def lockstep(
             if not np.all(np.isfinite(x)):
                 raise NumericalError(f"non-finite state by step {step0}", step=step0)
     states[ids] = x
-    return exit_step, exit_points, states
-
-
-def lockstep_groups(
-    kernel: Kernel,
-    x0: np.ndarray,
-    base_seed: int,
-    experiment: str,
-    indices: range,
-    n_steps: int,
-    on_block: Callable[[int, np.ndarray], None] | None = None,
-) -> np.ndarray:
-    """The final states after ``n_steps`` steps of ``kernel`` of the paths
-    ``indices``, path i on the stream (``base_seed``, ``experiment``, i),
-    one row per path in index order.
-
-    Memory model: the paths run in contiguous groups, one at a time, each on
-    its own ``path_streams`` call and one ``lockstep`` through all
-    ``n_steps``, and only its final states outlive it.  A group holds as
-    many paths as fit ``GROUP_BYTES`` with each path's first block and
-    stream, so the memory of a run is its output plus one group's, whatever
-    the path count.  A run with an ``on_block`` observer, which may need
-    every path at every step, or with a draw that is not d floats per step
-    (a mini-batch's, one Python call per path and step, to which more groups
-    would add only dispatch) is one group, held to ``lockstep``'s block cap.
-    Since a path's states depend only on its own stream, the groups move no
-    bit.
-    """
-    n = len(indices)
-    d = np.size(x0)
-    size = max(n, 1)
-    if on_block is None and (kernel.draw.width, np.dtype(kernel.draw.dtype)) == (d, np.float64):
-        # 1024 is lockstep's default block.
-        size = max(1, GROUP_BYTES // (8 * d * min(1024, n_steps) + _STREAM_BYTES))
-    states = np.empty((n, d))
-    # An empty run still takes one (empty) path_streams call, which checks
-    # the seed.  No name keeps a group's streams, so they are freed before
-    # the next group's are built.
-    for lo in range(0, max(n, 1), size):
-        part = indices[lo : lo + size]
-        gens = path_streams(base_seed, experiment, part)
-        states[lo : lo + len(part)] = lockstep(kernel, x0, gens, n_steps, on_block=on_block)[2]
-        del gens
-    return states

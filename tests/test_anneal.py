@@ -152,11 +152,11 @@ def test_the_cooling_table_is_the_per_step_math_product(monkeypatch):
     # math.log(2.0 + s) at 7 of these 25,001 times on an AVX-512 CPU.
     grabbed = {}
 
-    def grab(cfg, times, gens, **kwargs):
+    def grab(cfg, times=None):
         grabbed.update(cfg=cfg, times=times)
-        return np.tile(cfg.x0, (len(gens), 1))
+        return sde_kernel(cfg, times)
 
-    monkeypatch.setattr(exit_times, "em_on_grid", grab)
+    monkeypatch.setattr(exit_times, "sde_kernel", grab)
     anneal_experiment(TILTED, gamma=0.4, T=500.0, n_paths=1, epsilon=0.25, dt=0.02)
     times = grabbed["times"]
     steps = np.diff(times)

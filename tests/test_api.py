@@ -200,3 +200,27 @@ def test_only_the_argument_checks_compare_against_infinity():
             ):
                 copies.append(f"{path.name}:{node.lineno}")
     assert not copies, f"argument rules written outside errors.py: {copies}"
+
+
+def _path_streams_calls(path: Path) -> list[str]:
+    """``file:line`` of every call of ``path_streams`` in ``path``, by name
+    or as an attribute."""
+    calls = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name == "path_streams":
+                calls.append(f"{path.name}:{node.lineno}")
+    return calls
+
+
+def test_only_the_engine_builds_streams():
+    """``streams.lockstep`` builds each path's stream from its seed, label
+    and index; a module that builds streams itself and hands them on is a
+    second place to choose a path's stream and its group."""
+    calls = []
+    for path in sorted((ROOT / "src" / "sgdlab").glob("*.py")):
+        if path.name != "streams.py":
+            calls += _path_streams_calls(path)
+    assert not calls, f"streams built outside streams.py: {calls}"

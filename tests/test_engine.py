@@ -35,7 +35,7 @@ from sgdlab import (
     streams,
 )
 from sgdlab.exit_times import anneal_chunk
-from sgdlab.sde import _time_grid, em_on_grid
+from sgdlab.sde import _time_grid, sde_kernel
 from sgdlab.oracles import WITH_REPLACEMENT, WITHOUT_REPLACEMENT
 from sgdlab.sgd import chain_kernel
 from test_exit_times import (
@@ -290,15 +290,17 @@ def test_matrix_noise_ignores_one_path_chunks(kind):
 
 def _em_chunk(case, block, lo, hi):
     cfg = SDE_CASES[case]
-    gens = streams.path_streams(cfg.seed, f"em:{case}", range(lo, hi))
-    return em_on_grid(cfg, _time_grid(cfg.T, cfg.dt), gens, block=block)
+    times = _time_grid(cfg.T, cfg.dt)
+    return streams.lockstep(
+        sde_kernel(cfg, times), cfg.x0, cfg.seed, f"em:{case}", range(lo, hi), times.size - 1,
+        block=block,
+    )[2]
 
 
 def _sgd_chunk(case, block, lo, hi):
     """``run_sgd_ensemble``'s vectorised branch with an explicit block."""
     cfg = SGD_CASES[case]
     ref = _flow_reference(cfg)
-    gens = streams.path_streams(cfg.seed, f"sgd:{case}", range(lo, hi))
     gaps = np.zeros(hi - lo)
 
     def track(k0, states):
@@ -306,7 +308,10 @@ def _sgd_chunk(case, block, lo, hi):
             np.maximum(gaps, np.linalg.norm(x - ref[k0 + j + 1], axis=1), out=gaps)
 
     kernel = chain_kernel(cfg, cfg.steps)
-    ends = streams.lockstep(kernel, cfg.x0, gens, cfg.steps, block=block, on_block=track)[2]
+    ends = streams.lockstep(
+        kernel, cfg.x0, cfg.seed, f"sgd:{case}", range(lo, hi), cfg.steps, block=block,
+        on_block=track,
+    )[2]
     return np.column_stack([ends, gaps])
 
 
@@ -319,7 +324,6 @@ def _chain_chunk(cfg, label, block, lo, hi):
     """Endpoints and sup-gaps of ``run_sgd_ensemble``'s paths lo, ..., hi - 1
     with an explicit block."""
     ref = _decay_reference(cfg)
-    gens = streams.path_streams(cfg.seed, label, range(lo, hi))
     gaps = np.zeros(hi - lo)
 
     def track(k0, states):
@@ -327,7 +331,9 @@ def _chain_chunk(cfg, label, block, lo, hi):
             np.maximum(gaps, np.linalg.norm(x - ref[k0 + j + 1], axis=1), out=gaps)
 
     kernel = chain_kernel(cfg, cfg.steps)
-    ends = streams.lockstep(kernel, cfg.x0, gens, cfg.steps, block=block, on_block=track)[2]
+    ends = streams.lockstep(
+        kernel, cfg.x0, cfg.seed, label, range(lo, hi), cfg.steps, block=block, on_block=track
+    )[2]
     return np.column_stack([ends, gaps])
 
 
@@ -386,7 +392,7 @@ def test_noise_blocks_are_capped_in_bytes(monkeypatch):
         return x + noise
 
     kernel = streams.gaussian_kernel(step, 2)
-    streams.lockstep(kernel, np.zeros(2), streams.path_streams(0, "cap", range(16)), 12)
+    streams.lockstep(kernel, np.zeros(2), 0, "cap", range(16), 12)
     assert lengths == [5] * 10 + [2] * 2
 
 
@@ -615,8 +621,7 @@ def test_draw_blocks_are_capped_by_the_row_drawn(with_domain, monkeypatch):
     draw = _per_path_draw(lambda gen, k0, k1: gen.integers(0, 9, size=(k1 - k0, 6)), 6)
     domain = Domain.box([-1.0, -1.0], [1.0, 1.0]) if with_domain else None
     streams.lockstep(
-        streams.Kernel(step, draw), np.zeros(2), streams.path_streams(0, "cap", range(16)), 12,
-        domain=domain,
+        streams.Kernel(step, draw), np.zeros(2), 0, "cap", range(16), 12, domain=domain
     )
     assert lengths == [5] * 10 + [2] * 2
 
@@ -632,17 +637,17 @@ def test_draw_blocks_under_a_domain_grow_from_the_scan_slab():
         return gen.integers(0, 9, size=(k1 - k0, 1))
 
     draw = _per_path_draw(fn, 1)
-    gens = streams.path_streams(0, "grow", range(3))
     stay = streams.Kernel(lambda x, batches, k: x + 0.0 * batches, draw)
     wide = Domain.interval(-1.0, 1.0)
-    streams.lockstep(stay, np.zeros(1), gens, 1000, block=300, domain=wide)
+    streams.lockstep(stay, np.zeros(1), 0, "grow", range(3), 1000, block=300, domain=wide)
     slab = streams.SCAN_SLAB
     assert lengths == [n for n in (slab, 2 * slab, 4 * slab, 300, 1000 - 7 * slab - 300)
                        for _ in range(3)]
     lengths.clear()
     leave = streams.Kernel(lambda x, batches, k: x + 1.0, draw)
     exit_step, _, _ = streams.lockstep(
-        leave, np.zeros(1), gens, 1000, block=300, domain=Domain.interval(-0.5, 0.5)
+        leave, np.zeros(1), 0, "grow", range(3), 1000, block=300,
+        domain=Domain.interval(-0.5, 0.5),
     )
     assert lengths == [slab] * 3 and exit_step.tolist() == [1, 1, 1]
 
@@ -742,7 +747,7 @@ def test_constant_noise_shapes_keep_the_per_path_bits(shape, block):
     product xi @ s.T, signed zeros included, which a zero on the diagonal
     would flip."""
     s = SHAPES[shape]
-    n_steps, gens = 9, streams.path_streams(1, "shape", range(5))
+    n_steps = 9
     expected = []
     for gen in streams.path_streams(1, "shape", range(5)):
         xi = gen.standard_normal((n_steps, 2))
@@ -758,7 +763,7 @@ def test_constant_noise_shapes_keep_the_per_path_bits(shape, block):
     kernel = streams.gaussian_kernel(step, 2, s, scale)
     per_path = shape in ("zero-on-diagonal", "non-diagonal")
     assert (kernel.shape is None) == (per_path or shape.startswith("unit"))
-    streams.lockstep(kernel, np.zeros(2), gens, n_steps, block=block)
+    streams.lockstep(kernel, np.zeros(2), 1, "shape", range(5), n_steps, block=block)
     expected *= np.linspace(0.5, 1.5, n_steps)[:, None, None]
     assert np.stack(seen).tobytes() == expected.tobytes()
     assert np.signbit(expected).sum() > 0

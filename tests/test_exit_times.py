@@ -721,9 +721,9 @@ def test_non_finite_exit_is_reported_at_its_earliest_step():
     def step_fn(x, noise, k):
         return np.where(k + 1 >= blow_up, np.inf, x)
 
-    gens = streams.path_streams(0, "blow-up", range(3))
+    kernel = streams.gaussian_kernel(step_fn, 1)
     with pytest.raises(NumericalError) as info:
-        streams.lockstep(streams.gaussian_kernel(step_fn, 1), np.zeros(1), gens, 12, domain=UNIT)
+        streams.lockstep(kernel, np.zeros(1), 0, "blow-up", range(3), 12, domain=UNIT)
     assert info.value.step == 3
 
 
@@ -771,7 +771,9 @@ def test_lockstep_rejects_an_observer_with_a_domain():
         streams.lockstep(
             streams.gaussian_kernel(lambda x, noise, k: x + noise, 1),
             np.zeros(1),
-            streams.path_streams(0, "observer", range(2)),
+            0,
+            "observer",
+            range(2),
             4,
             domain=UNIT,
             on_block=lambda k0, states: None,
@@ -788,6 +790,36 @@ def test_hitting_mc_rejects_block_below_one(block, monkeypatch):
     cfg = SdeConfig(potential=WELL, eta=0.25, dt=1e-3, T=1.0, x0=np.array([0.0]))
     with pytest.raises(ValueError, match="block"):
         hitting_time_mc(cfg, UNIT, n_paths=4, horizon=1.0, block=block)
+
+
+@pytest.mark.parametrize("block", [0, -3])
+def test_lockstep_rejects_block_below_one(block, monkeypatch):
+    """block = 0 on a Gaussian kernel used to raise ZeroDivisionError in
+    the fill."""
+    monkeypatch.setattr(streams, "path_streams", _no_streams)
+    kernel = streams.gaussian_kernel(lambda x, noise, k: x + noise, 1)
+    with pytest.raises(ValueError, match="block must be at least 1"):
+        streams.lockstep(kernel, np.zeros(1), 0, "block", range(2), 4, block=block)
+
+
+class _Impostor:
+    """Neither an ``SdeConfig`` nor an ``SgdConfig``, with the fields that
+    ``hitting_time_mc`` reads from either."""
+
+    x0 = np.zeros(1)
+    seed = 0
+    eta = 0.25
+    dt = 1e-3
+
+
+@pytest.mark.parametrize("process", [object(), _Impostor()], ids=["bare", "impostor"])
+def test_hitting_mc_names_an_unsupported_process_before_any_stream(process, monkeypatch):
+    """A bare object used to fail with AttributeError on ``process.x0``, and
+    one with the fields got its TypeError only after every stream was built."""
+    monkeypatch.setattr(streams, "path_streams", _no_streams)
+    name = type(process).__name__
+    with pytest.raises(TypeError, match=f"unsupported process type {name}"):
+        hitting_time_mc(process, UNIT, n_paths=4, horizon=1.0)
 
 
 # One-dimensional domains around [0, 0], the start of a 2-D process.

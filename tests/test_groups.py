@@ -1,12 +1,12 @@
 """Domain-free ensembles stepped in groups of paths.
 
-``streams.lockstep_groups`` runs the paths of an ensemble without a domain
-one group at a time, each on its own ``path_streams`` call and one
-``lockstep``.  The groups must move no bit: its final states equal one
-``lockstep`` over the streams of every path, whatever the group budget, the
-path count and the step count.  A run with an observer or a mini-batch draw
-is one group, as before; and the traced memory of a grouped run stays within
-one group's budget and its output, whatever the path count.
+``streams.lockstep`` runs the paths of an ensemble without a domain or an
+observer one group at a time, each on its own ``path_streams`` call.  The
+groups must move no bit: its final states equal those of one group over the
+streams of every path, whatever the group budget, the block, the path count
+and the step count.  A run with an observer or a mini-batch draw is one
+group, as before; and the traced memory of a grouped run stays within one
+group's budget and its output, whatever the path count.
 """
 
 import tracemalloc
@@ -83,44 +83,57 @@ class CountingStreams:
     path_streams = staticmethod(streams.path_streams)
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    case=st.sampled_from(sorted(GROUPED)),
-    budget=st.sampled_from([0, 2**13, 2**15, streams.GROUP_BYTES]),
-    lo=st.sampled_from([0, 7, 2**32 - 3]),
-    n=st.integers(0, 40),
-    n_steps=st.integers(0, 60),
-)
-def test_groups_move_no_bit(case, budget, lo, n, n_steps):
-    kernel, x0 = GROUPED[case]
-    indices = range(lo, lo + n)
-    expected = streams.lockstep(kernel, x0, streams.path_streams(3, case, indices), n_steps)[2]
+def _run(kernel, x0, case, indices, n_steps, block, budget):
+    """``lockstep``'s output under the group budget ``budget``, and its
+    ``path_streams`` call count."""
     counting = CountingStreams()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(streams, "GROUP_BYTES", budget)
         mp.setattr(streams, "path_streams", counting)
-        states = streams.lockstep_groups(kernel, x0, 3, case, indices, n_steps)
-    assert states.shape == expected.shape
-    assert states.tobytes() == expected.tobytes()
+        out = streams.lockstep(kernel, x0, 3, case, indices, n_steps, block=block)
+    return out, counting.calls
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    case=st.sampled_from(sorted(GROUPED)),
+    budget=st.sampled_from([0, 2**13, 2**15, streams.GROUP_BYTES]),
+    block=st.sampled_from([1, 7, 1024]),
+    lo=st.sampled_from([0, 7, 2**32 - 3]),
+    n=st.integers(0, 40),
+    n_steps=st.integers(0, 60),
+)
+def test_groups_move_no_bit(case, budget, block, lo, n, n_steps):
+    kernel, x0 = GROUPED[case]
+    indices = range(lo, lo + n)
+    # One group: no run here needs more than 2**62 bytes.
+    expected, calls = _run(kernel, x0, case, indices, n_steps, block, 2**62)
+    assert calls == 1
+    out, calls = _run(kernel, x0, case, indices, n_steps, block, budget)
+    for a, b in zip(out, expected):
+        assert a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
     if budget == 0:
-        assert counting.calls == max(n, 1)  # one path per group
+        assert calls == max(n, 1)  # one path per group
     if budget == streams.GROUP_BYTES:
-        assert counting.calls == 1
+        assert calls == 1
 
 
 def _today(cfg, experiment, indices, reference=None):
     """``run_sgd_ensemble`` as one ``lockstep`` over every path's stream."""
-    gens = streams.path_streams(cfg.seed, experiment, indices)
     gaps = track = None
     if reference is not None:
-        gaps = np.zeros(len(gens))
+        gaps = np.zeros(len(indices))
 
         def track(k0, states):
             for j, x in enumerate(states):
                 np.maximum(gaps, np.linalg.norm(x - reference[k0 + j + 1], axis=1), out=gaps)
 
     kernel = chain_kernel(cfg, cfg.steps)
-    return streams.lockstep(kernel, cfg.x0, gens, cfg.steps, on_block=track)[2], gaps
+    ends = streams.lockstep(
+        kernel, cfg.x0, cfg.seed, experiment, indices, cfg.steps, on_block=track
+    )[2]
+    return ends, gaps
 
 
 def _minibatch_cfg():

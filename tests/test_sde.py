@@ -18,13 +18,12 @@ from sgdlab import (
     flow_knots,
     flow_sup_gap,
     ou_moments,
-    path_streams,
     streams,
     weak_error_linear,
     weak_error_mc,
 )
 from sgdlab.errors import NumericalError
-from sgdlab.sde import SCALAR_PATHS, _linear_block_step, _time_grid, em_on_grid, sde_kernel
+from sgdlab.sde import SCALAR_PATHS, _linear_block_step, _time_grid, sde_kernel
 
 WELL = builtin("quadratic_well")
 
@@ -88,8 +87,8 @@ def test_trajectory_shapes_and_times():
     cfg = SdeConfig(potential=WELL, eta=0.1, dt=0.01, T=0.5, x0=np.array([1.0]))
     times = _time_grid(cfg.T, cfg.dt)
     seen = []
-    em_on_grid(
-        cfg, times, path_streams(0, "grid", [0]),
+    streams.lockstep(
+        sde_kernel(cfg, times), cfg.x0, 0, "grid", [0], times.size - 1,
         on_block=lambda k0, states: seen.extend(range(k0 + 1, k0 + 1 + len(states))),
     )
     assert seen == list(range(1, times.size))
@@ -302,9 +301,12 @@ def test_double_well_exits_keep_their_bits_through_the_engine(
     for k in (kernel, kernel._replace(block_step=None)):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(streams, "SCAN_BYTES", scan_bytes)
-            gens = path_streams(5, "double-well", range(paths))
             domain = Domain.interval(0.4, 1.6)
-            runs.append(streams.lockstep(k, cfg.x0, gens, 600, block=block, domain=domain))
+            runs.append(
+                streams.lockstep(
+                    k, cfg.x0, 5, "double-well", range(paths), 600, block=block, domain=domain
+                )
+            )
     for a, b in zip(*runs):
         assert a.tobytes() == b.tobytes()
 
@@ -323,7 +325,7 @@ def test_double_well_exits_keep_their_bits_through_the_engine(
 def test_double_well_grid_ensembles_keep_their_bits_through_the_engine(
     tilt, dt, steps, paths, block, start, sigma, scheduled
 ):
-    # em_on_grid's kernel on a time grid with a shortened last step, run by
+    # Annealing's kernel on a time grid with a shortened last step, run by
     # lockstep with and without its block stepper under any block length:
     # on_block sees the same (k, states) in the same order, and the runs end
     # in the same states or fail at the same step.
@@ -347,9 +349,11 @@ def test_double_well_grid_ensembles_keep_their_bits_through_the_engine(
         def observe(k0, states):
             seen.extend((k0 + 1 + j, x.copy()) for j, x in enumerate(states))
 
-        gens = path_streams(3, "double-well-grid", range(paths))
         try:
-            end = streams.lockstep(k, cfg.x0, gens, steps, block=block, on_block=observe)[2]
+            end = streams.lockstep(
+                k, cfg.x0, 3, "double-well-grid", range(paths), steps, block=block,
+                on_block=observe,
+            )[2]
         except NumericalError as error:
             end = error.step
         runs.append((seen, end))

@@ -55,9 +55,8 @@ class CountingHelper:
 
 
 def _lockstep(helper, kernel, x0, n, n_steps, **kwargs):
-    gens = streams.path_streams(7, "threads", range(n))
     with mock.patch.object(streams, "_helper", lambda: helper):
-        return streams.lockstep(kernel, x0, gens, n_steps, **kwargs)
+        return streams.lockstep(kernel, x0, 7, "threads", range(n), n_steps, **kwargs)
 
 
 NOISES = {
@@ -255,10 +254,12 @@ def test_an_overflowing_split_block_warns_nothing(linear):
     assert helper.splits == 1
 
 
-def test_a_split_block_is_freed_before_the_next_is_drawn():
-    # 1024 paths take 8 MiB blocks.  Each thread's fill holds a tile of at
-    # most streams.SCAN_BYTES, so splitting adds at most two tiles to the
-    # peak; a reference to the last block would add a whole block.
+def test_a_split_block_is_freed_before_the_next_is_drawn(monkeypatch):
+    # 1024 paths take 8 MiB blocks, in one group under a large group budget.
+    # Each thread's fill holds a tile of at most streams.SCAN_BYTES, so
+    # splitting adds at most two tiles to the peak; a reference to the last
+    # block would add a whole block.
+    monkeypatch.setattr(streams, "GROUP_BYTES", 2**62)
     kernel = streams.gaussian_kernel(lambda x, noise, k: x + noise, 1)
     peaks = []
     for helper in (None, CountingHelper()):
@@ -280,8 +281,8 @@ def test_concurrent_callers_share_one_helper_and_keep_every_bit(monkeypatch):
     kernel = sde_kernel(cfg)
 
     def run():
-        gens = streams.path_streams(5, "stress", range(64))
-        return streams.lockstep(kernel, cfg.x0, gens, 2000, domain=Domain.interval(-1.0, 1.0))
+        domain = Domain.interval(-1.0, 1.0)
+        return streams.lockstep(kernel, cfg.x0, 5, "stress", range(64), 2000, domain=domain)
 
     with mock.patch.object(streams, "_helper", lambda: None):
         serial = run()
