@@ -125,7 +125,7 @@ class Pool:
 
     def _scatter(self, fn: Callable, n: int, *args) -> list:
         if self.workers == 1:
-            return [fn(*args, 0, n)]
+            return streams.in_process(fn, n, *args)
         if self._executor is None:
             self._executor = ProcessPoolExecutor(
                 max_workers=self.workers, initializer=streams._start_without_helper

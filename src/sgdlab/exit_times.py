@@ -153,7 +153,6 @@ def hitting_time_mc(
     n_paths: int | range,
     horizon: float,
     experiment: str = "first-exit",
-    block: int = 1024,
 ) -> list[ExitRecord]:
     """First-exit Monte Carlo for a diffusion or an SGD chain.
 
@@ -163,8 +162,8 @@ def hitting_time_mc(
     closed domain; the recorded exit point is that first outside state.
     Paths still inside at the horizon are returned censored with exit_time =
     horizon.  Records are returned in path-index order.  Each path's noise
-    is drawn at most ``block`` (at least 1) steps at a time; the block sets
-    memory and speed, never the records.
+    is drawn at most ``streams.BLOCK_STEPS`` steps at a time; the block
+    sets memory and speed, never the records.
     """
     chain = isinstance(process, SgdConfig)
     if not chain and not isinstance(process, SdeConfig):
@@ -173,7 +172,6 @@ def hitting_time_mc(
     if not domain.strictly_inside(x0):
         raise ValueError(f"start point {x0} is not strictly inside the domain")
     check_positive("horizon", horizon)
-    check_count("block", block, 1)
     indices = n_paths if isinstance(n_paths, range) else range(check_count("n_paths", n_paths))
 
     eta = process.eta
@@ -181,7 +179,7 @@ def hitting_time_mc(
     max_steps = _step_count(horizon, time_per_step)
     kernel = chain_kernel(process, max_steps, domain) if chain else sde_kernel(process)
     exit_step, exit_points, states = streams.lockstep(
-        kernel, x0, process.seed, experiment, indices, max_steps, block=block, domain=domain
+        kernel, x0, process.seed, experiment, indices, max_steps, domain=domain
     )
     records = []
     for pos, idx in enumerate(indices):
@@ -361,15 +359,16 @@ def _boundary_min(potential: PotentialSpec, domain: Domain) -> float:
     """Minimum of F over the domain boundary (dense sampling + refinement)."""
     value = potential.value
     n_samples = 10**4
-    if domain.kind == "interval":
-        pts = np.array([[domain.lo[0]], [domain.hi[0]]])
-        return float(np.min(value(pts)))
+    if domain.dim == 1:  # the two end points
+        if domain.kind == "ball":
+            c, r = domain.center[0], domain.radius
+            ends = [[c - r], [c + r]]
+        else:
+            ends = [[domain.lo[0]], [domain.hi[0]]]
+        return float(np.min(value(np.array(ends))))
     if domain.kind == "ball":
         c, r = domain.center, domain.radius
         d = c.size
-        if d == 1:
-            pts = np.array([[c[0] - r], [c[0] + r]])
-            return float(np.min(value(pts)))
         if d == 2:
             from scipy.optimize import minimize_scalar
 
@@ -406,9 +405,6 @@ def _boundary_min(potential: PotentialSpec, domain: Domain) -> float:
     # box: sample every face, refine the best face with a local search
     lo, hi = domain.lo, domain.hi
     d = lo.size
-    if d == 1:
-        pts = np.array([[lo[0]], [hi[0]]])
-        return float(np.min(value(pts)))
     from scipy.optimize import minimize
 
     rng = np.random.default_rng(0)
@@ -786,7 +782,6 @@ def anneal_experiment(
     seed: int = 0,
     dt: float = 0.01,
     n_checkpoints: int = 50,
-    block: int = 1024,
     scatter: Callable[..., list] = streams.in_process,
 ) -> AnnealResult:
     """Simulate dX = -F'(X) ds + beta(s) dB and score arrival at the global well.
@@ -803,7 +798,6 @@ def anneal_experiment(
     check_non_negative("gamma", gamma)
     for name, value in (("T", T), ("epsilon", epsilon), ("dt", dt)):
         check_positive(name, value)
-    check_count("block", block, 1)
     check_count("n_paths", n_paths, 1)
     check_count("n_checkpoints", n_checkpoints)
     if start is None:
@@ -816,8 +810,7 @@ def anneal_experiment(
         start = check_point("start", start)
     check_times = np.linspace(0.0, T, n_checkpoints + 1)[1:] if n_checkpoints else np.array([])
     parts = scatter(
-        anneal_chunk, n_paths, potential, gamma, T, epsilon, start, mode, seed, dt, check_times,
-        block,
+        anneal_chunk, n_paths, potential, gamma, T, epsilon, start, mode, seed, dt, check_times
     )
     successes = sum(k for k, _ in parts)
     lo, hi = _binomial_ci(successes, n_paths)
@@ -838,7 +831,7 @@ def anneal_experiment(
 
 def anneal_chunk(
     potential: PotentialSpec, gamma: float, T: float, epsilon: float, start: np.ndarray,
-    mode: str, seed: int, dt: float, check_times: np.ndarray, block: int, lo: int, hi: int,
+    mode: str, seed: int, dt: float, check_times: np.ndarray, lo: int, hi: int,
 ) -> tuple[int, np.ndarray]:
     """Paths lo, ..., hi - 1 of ``anneal_experiment``: a ``scatter`` chunk.
 
@@ -872,6 +865,6 @@ def anneal_chunk(
 
     x = streams.lockstep(
         sde_kernel(cfg, times), cfg.x0, seed, f"anneal:{mode}", range(lo, hi), times.size - 1,
-        block=block, on_block=checkpoint,
+        on_block=checkpoint,
     )[2]
     return int(in_target(x).sum()), counts

@@ -88,11 +88,9 @@ class PotentialSpec:
     gradient: Callable[[np.ndarray], np.ndarray]
     hessian: Callable[[np.ndarray], np.ndarray]
     critical_points: tuple[CriticalPoint, ...] = ()
-    params: tuple = ()
 
     def __post_init__(self):
         object.__setattr__(self, "critical_points", tuple(self.critical_points))
-        object.__setattr__(self, "params", tuple(float(p) for p in self.params))
         check_count("dim", self.dim, 1)
         for cp in self.critical_points:
             if cp.location.shape != (self.dim,):
@@ -287,7 +285,7 @@ def _cloud_component_gradient(center: np.ndarray, x) -> np.ndarray:
     return x - center
 
 
-def _diag_quadratic(name: str, coeffs: np.ndarray, kind: str, params) -> PotentialSpec:
+def _diag_quadratic(name: str, coeffs: np.ndarray, kind: str) -> PotentialSpec:
     """F(x) = sum q_i x_i^2 / 2 with one critical point, of ``kind``, at 0.
     Every builtin diagonal quadratic is built here, so its three bound
     ``_diag_quad_*`` maps are what ``diagonal_quadratic_coefficients``
@@ -300,7 +298,6 @@ def _diag_quadratic(name: str, coeffs: np.ndarray, kind: str, params) -> Potenti
         gradient=partial(_diag_quad_gradient, coeffs),
         hessian=partial(_diag_quad_hessian, coeffs),
         critical_points=(cp,),
-        params=tuple(params),
     )
 
 
@@ -358,7 +355,7 @@ def _brentq(f: Callable[[float], float], lo: float, hi: float) -> float:
     raise RuntimeError(f"Failed to converge after 100 iterations, value is {xcur}")
 
 
-def _double_well(name: str, tilt: float, params: tuple) -> PotentialSpec:
+def _double_well(name: str, tilt: float) -> PotentialSpec:
     """(x^2-1)^2/4 + tilt*x, with its three critical points.  Both builtin
     double wells are built here, so their bound ``_double_well_*`` maps are
     what ``double_well_tilt`` recognises.
@@ -395,7 +392,6 @@ def _double_well(name: str, tilt: float, params: tuple) -> PotentialSpec:
         gradient=partial(_double_well_gradient, tilt),
         hessian=partial(_double_well_hessian, tilt),
         critical_points=tuple(cps),
-        params=params,
     )
 
 
@@ -418,7 +414,6 @@ def gaussian_cloud(centers) -> FiniteSumSpec:
         gradient=partial(_cloud_gradient, mean_center),
         hessian=partial(_cloud_hessian, d),
         critical_points=(cp,),
-        params=tuple(centers.ravel()),
     )
     components = tuple(partial(_cloud_component_gradient, c.copy()) for c in centers)
     return FiniteSumSpec(base=base, component_gradients=components, M=m_count)
@@ -440,21 +435,21 @@ def builtin(name: str, params: Sequence[float] = (), dim: int = 1):
             raise ValueError(f"saddle_2d takes parameters (gamma1, lam), got {list(params)}")
         q = np.array([check_positive(f"{name} params", p) for p in params])
         if name == "quadratic_well":
-            return _diag_quadratic(name, q, MINIMIZER, params)
+            return _diag_quadratic(name, q, MINIMIZER)
         if name == "inverted_quadratic":
-            return _diag_quadratic(name, -q, MAXIMIZER, params)
-        return _diag_quadratic(name, np.array([-q[0], q[1]]), SADDLE, params)
+            return _diag_quadratic(name, -q, MAXIMIZER)
+        return _diag_quadratic(name, np.array([-q[0], q[1]]), SADDLE)
     if name == "double_well_1d":
         if params:
             raise ValueError("double_well_1d takes no parameters")
-        return _double_well(name, 0.0, ())
+        return _double_well(name, 0.0)
     if name == "asym_double_well_1d":
         if len(params) > 1:
             raise ValueError("asym_double_well_1d takes a single tilt parameter")
         tilt = check_finite("asym_double_well_1d tilt", params[0] if params else -0.05)
         if tilt == 0.0:
             raise ValueError("asym_double_well_1d requires a nonzero tilt")
-        return _double_well(name, tilt, (tilt,))
+        return _double_well(name, tilt)
     if name == "gaussian_cloud_finite_sum":
         if not params:
             raise ValueError("gaussian_cloud_finite_sum requires center coordinates")

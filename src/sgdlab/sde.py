@@ -247,13 +247,13 @@ def sde_kernel(cfg: SdeConfig, times: np.ndarray | None = None) -> streams.Kerne
     """The ``streams.Kernel`` of Euler-Maruyama steps on the grid ``times``,
     or on the unbounded uniform grid k cfg.dt when ``times`` is None.
 
-    A scalar or constant-matrix diffusion shapes the draws
-    (``streams.gaussian_kernel``), and the kernel's ``step_scale(k0, k1)``
-    is amplitude(t_k) sqrt(h_k): one number on the uniform grid without a
-    noise schedule, one value per step otherwise.  A noise schedule on
-    ``times`` is tabulated once per kernel, one Python ``amplitude(t_k) *
-    math.sqrt(h_k)`` per step, and each block slices the table; on the
-    unbounded grid each block computes its own steps the same way.  The
+    A scalar or constant-matrix diffusion shapes the draws, and the
+    ``step_scale(k0, k1)`` that ``streams.gaussian_kernel`` scales them by
+    is amplitude(t_k) sqrt(h_k): one number on the unbounded grid without a
+    noise schedule, one value per step otherwise.  On ``times`` it is
+    tabulated once per kernel, one Python ``amplitude(t_k) *
+    math.sqrt(h_k)`` per step, and each block slices the table; a schedule
+    on the unbounded grid computes each block's steps the same way.  The
     table keeps ``math``'s scalar calls because numpy's vectorised ones may
     round differently: on the annealing grid (T = 500, dt = 0.02, 25,001
     times) ``np.log(2 + s)`` differs from ``math.log(2.0 + s)`` at 7 times
@@ -296,18 +296,15 @@ def sde_kernel(cfg: SdeConfig, times: np.ndarray | None = None) -> streams.Kerne
 
         return streams.gaussian_kernel(step_fn, d)
 
-    root_eta = math.sqrt(cfg.eta)
     scale_of = lambda k: cfg.amplitude(time_of(k)) * math.sqrt(step_of(k))  # noqa: E731
-    if cfg.noise_schedule is not None and times is None:
-        step_scale = lambda k0, k1: np.array([scale_of(k) for k in range(k0, k1)])  # noqa: E731
-    elif cfg.noise_schedule is not None:
+    if times is not None:
         table = np.array([scale_of(k) for k in range(steps.size)])
         step_scale = lambda k0, k1: table[k0:k1]  # noqa: E731
-    elif times is None:
-        scale = root_eta * math.sqrt(dt)
-        step_scale = lambda k0, k1: scale  # noqa: E731
+    elif cfg.noise_schedule is not None:
+        step_scale = lambda k0, k1: np.array([scale_of(k) for k in range(k0, k1)])  # noqa: E731
     else:
-        step_scale = lambda k0, k1: root_eta * np.sqrt(steps[k0:k1])  # noqa: E731
+        scale = scale_of(0)
+        step_scale = lambda k0, k1: scale  # noqa: E731
 
     block_step, releases_gil = None, False
     if cfg.drift_order == FIRST_ORDER:

@@ -34,8 +34,8 @@ step (``sde.em_endpoints``, ``sgd.run_sgd_ensemble`` without sup-gaps) runs
 in contiguous groups of paths, one at a time, each on its own
 ``path_streams`` call, and only a group's final states outlive it.  A group
 holds as many paths as fit ``GROUP_BYTES`` with each path's first block
-(``block`` steps, or the whole run if shorter) and its stream, so such a run
-holds its output and one group, whatever its path count.  Every other run
+(``BLOCK_STEPS`` steps, or the whole run if shorter) and its stream, so such
+a run holds its output and one group, whatever its path count.  Every other run
 is one group, with every path's stream: a first exit, from whose blocks
 compaction drops each path that has left; a run with an ``on_block``
 observer (annealing's checkpoints, the chain's sup-gaps), which may need
@@ -50,20 +50,20 @@ in two when at least two paths are alive, a path's draw holds at least
 ``SPLIT_VALUES`` values and the block at least ``SPLIT_BLOCK_VALUES``, at
 least two CPUs are usable (``os.sched_getaffinity``) and the process is
 neither a forked child nor a pool worker.  A helper thread, started on first
-use, then fills, shapes and scales the last half of the alive columns while
-the calling thread does the first half, each with one ``fill`` call on its
-own ids; numpy's ``standard_normal`` releases the GIL, so the halves run side
-by side.  A ``block_step`` that releases it too
-(``Kernel.block_step_releases_gil``: the diagonal quadratics' compiled
+use, then fills the last half of the alive columns while the calling
+thread does the first half, each with one ``fill`` call on its own ids,
+which also shapes and scales them; numpy's ``standard_normal`` releases
+the GIL, so the halves run side by side.  A ``block_step`` that releases it
+too (``Kernel.block_step_releases_gil``: the diagonal quadratics' compiled
 linear filter, see ``sde._linear_filter``) steps each half on its thread;
 one that holds it (the double wells' cubic recursion) would only wait for
 the other thread, so it steps the whole block once, on the calling thread,
 after the join.  The per-step loop, the exit scan, compaction, every
 ``NumericalError`` guard and ``on_block`` run on the calling thread after
 the join.  Since every path's stream is drawn by one thread in step order,
-and shaping and the block steppers act on each path's column alone, the
-split moves no bit.  Any other block, a mini-batch draw among them, is
-filled by one ``fill`` call on the calling thread.  ``import sgdlab`` starts
+and shaping, scaling and the block steppers act on each path's column
+alone, the split moves no bit.  Any other block, a mini-batch draw among
+them, is filled by one ``fill`` call on the calling thread.  ``import sgdlab`` starts
 no thread, and neither a forked child nor a worker of the command line's
 pool, however it was started, ever starts one: the pool already keeps the
 CPUs busy, and a child inherits its parent's executor without its thread.
@@ -94,6 +94,14 @@ from numpy.random.bit_generator import ISpawnableSeedSequence
 
 from .errors import NumericalError, check_count
 
+# The most steps of one noise block.  Results do not depend on it.  Longer
+# blocks spread each block's fixed costs (its Python dispatch, exit scan and
+# compaction, and annealing's one observer call) over more steps; 1024 steps
+# keep a 500-path annealing arm's block at 3.9 MiB, where 4096 would take
+# 15.6 MiB.  The benchmark's exit workloads count noise draws in whole
+# blocks of 1024 steps.
+BLOCK_STEPS = 1024
+
 # The largest noise block ``lockstep`` holds, in bytes.  Results do not
 # depend on the block length; 64 MiB keeps blocks of 1024 steps for up to
 # 8192 one-dimensional paths, while a smaller cap measurably cost wall time.
@@ -111,8 +119,8 @@ SCAN_BYTES = 2**20
 SCAN_SLAB = 64
 
 # The bytes one group of a grouped ``lockstep`` run may hold: each path's
-# first noise block (``block`` steps or the whole run, if shorter, of d
-# floats per step) and its stream.  Results do not depend on it.  It
+# first noise block (``BLOCK_STEPS`` steps or the whole run, if shorter, of
+# d floats per step) and its stream.  Results do not depend on it.  It
 # bounds the memory of a run, while groups that fit the CPU caches step
 # faster: a weak ladder of 40,000 one-dimensional double-well paths a side
 # (four rungs of 5 to 40 chain and 50 to 400 Euler steps) and a 2-D chain of
@@ -350,17 +358,14 @@ class Kernel(NamedTuple):
     """One step of an ensemble and the noise it takes, for ``lockstep``.
 
     ``step(x, noise, k)`` advances the states ``x`` (one row per path) by
-    step k = 0, 1, ..., where ``noise`` is the block row of step k.  A
-    block is filled by ``draw``; then, once per block and in place, it is
-    multiplied by ``shape`` unless that is None (a number, or a (d,)
-    vector that scales each axis), and steps k0, ..., k1 - 1 by
-    ``step_scale(k0, k1)``, one number for the whole block or one value per
-    step.  A ``block_step(x, buf, k0)``, if given, replaces the per-step
-    loop: it steps the states ``x`` through the whole block ``buf`` of steps
-    k0, k0 + 1, ... in one call, writes each step's states over the noise
-    row they used and returns the states after the block, and ``step`` is
-    not called.  ``gaussian_kernel`` builds the kernels that draw d standard
-    normals per step.
+    step k = 0, 1, ..., where ``noise`` is the block row of step k, as
+    ``draw`` filled it: for ``gaussian_kernel``'s kernels, noise that is
+    already shaped and scaled, ready to add.  A ``block_step(x, buf, k0)``,
+    if given, replaces the per-step loop: it steps the states ``x`` through
+    the whole block ``buf`` of steps k0, k0 + 1, ... in one call, writes
+    each step's states over the noise row they used and returns the states
+    after the block, and ``step`` is not called.  ``gaussian_kernel`` builds
+    the kernels that draw d standard normals per step.
 
     ``block_step_releases_gil`` is internal, set by ``sde.sde_kernel`` for
     a block stepper that runs outside the GIL (the compiled linear filter),
@@ -370,22 +375,24 @@ class Kernel(NamedTuple):
 
     step: Callable[[np.ndarray, np.ndarray, int], np.ndarray]
     draw: PathDraw
-    shape: float | np.ndarray | None = None
-    step_scale: Callable[[int, int], float | np.ndarray] | None = None
     block_step: Callable[[np.ndarray, np.ndarray, int], np.ndarray] | None = None
     block_step_releases_gil: bool = False
 
 
 def gaussian_kernel(step, d: int, s=1.0, step_scale=None, block_step=None) -> Kernel:
     """The ``Kernel`` of ``step`` on d standard normals xi per step and path,
-    shaped by a constant diffusion ``s`` into xi @ s.T.
+    shaped by a constant diffusion ``s`` into xi @ s.T and then scaled,
+    steps k0, ..., k1 - 1, by ``step_scale(k0, k1)`` unless that is None:
+    one number for the whole block or one value per step.  Its ``fill``
+    does both, in place on its own columns, so it hands ``lockstep`` noise
+    ready to add.
 
     A scalar, or the diagonal of a diagonal ``s`` whose diagonal entries are
-    all nonzero, becomes the kernel's ``shape``: every element of
-    ``xi @ s.T`` then has one nonzero term, which the product gives in the
-    same bits.  Unit noise is not shaped, since multiplying by 1.0 changes
-    no bit.  Any other matrix (a zero on the diagonal could flip the sign of
-    a zero) is applied to each path's draws as they are drawn.
+    all nonzero, is multiplied into the filled block at once: every element
+    of ``xi @ s.T`` then has one nonzero term, which the product gives in
+    the same bits.  Unit noise is not shaped, since multiplying by 1.0
+    changes no bit.  Any other matrix (a zero on the diagonal could flip the
+    sign of a zero) is applied to each path's draws as they are drawn.
     """
     s_t = None
     if np.ndim(s) == 0:
@@ -412,33 +419,34 @@ def gaussian_kernel(step, d: int, s=1.0, step_scale=None, block_step=None) -> Ke
                 for c, i in enumerate(part):
                     gens[i].standard_normal(out=tile[c])
                 out[:, c0 : c0 + len(part)] = tile[: len(part)].transpose(1, 0, 2)
-            return
-        for c, i in enumerate(ids):
-            xi = gens[i].standard_normal((k1 - k0, d))
-            if len(xi) > 1:
-                out[:, c] = xi @ s_t
-            else:
-                # numpy hands a one-row product to gemv, whose last bits
-                # differ from those of the gemm that serves two rows or
-                # more, so a one-row block is padded to two rows: a path's
-                # noise must not depend on the block.
-                out[:, c] = (np.concatenate([xi, xi]) @ s_t)[:1]
+            del tile  # not held while the block is shaped and scaled
+            if shape is not None:
+                out *= shape
+        else:
+            for c, i in enumerate(ids):
+                xi = gens[i].standard_normal((k1 - k0, d))
+                if len(xi) > 1:
+                    out[:, c] = xi @ s_t
+                else:
+                    # numpy hands a one-row product to gemv, whose last bits
+                    # differ from those of the gemm that serves two rows or
+                    # more, so a one-row block is padded to two rows: a
+                    # path's noise must not depend on the block.
+                    out[:, c] = (np.concatenate([xi, xi]) @ s_t)[:1]
+        if step_scale is not None:
+            out *= np.reshape(step_scale(k0, k1), (-1, 1, 1))
 
-    return Kernel(step, PathDraw(fill, d, float), shape, step_scale, block_step)
+    return Kernel(step, PathDraw(fill, d, float), block_step)
 
 
-def _prepare(kernel: Kernel, gens, ids, k0, k1, buf, scale, x, block_step) -> np.ndarray:
+def _prepare(kernel: Kernel, gens, ids, k0, k1, buf, x, block_step) -> np.ndarray:
     """Fill ``buf`` with the draws of steps k0, ..., k1 - 1 of the paths
-    ``ids``, shape and scale it, and step their states ``x`` through it with
-    ``block_step`` unless that is None; returns the states after the block,
-    or ``x`` as it was.  numpy's error state belongs to a thread's context,
-    so this sets ``lockstep``'s own for the helper thread too."""
+    ``ids``, and step their states ``x`` through it with ``block_step``
+    unless that is None; returns the states after the block, or ``x`` as it
+    was.  numpy's error state belongs to a thread's context, so this sets
+    ``lockstep``'s own for the helper thread too."""
     with np.errstate(over="ignore", invalid="ignore"):
         kernel.draw.fill(gens, ids, k0, k1, buf)
-        if kernel.shape is not None:
-            buf *= kernel.shape
-        if scale is not None:
-            buf *= scale
         return x if block_step is None else block_step(x, buf, k0)
 
 
@@ -449,15 +457,14 @@ def lockstep(
     experiment: str,
     indices,
     n_steps: int,
-    block: int = 1024,
     domain=None,
     on_block: Callable[[int, np.ndarray], None] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Step the paths ``indices`` (a sequence, such as a ``range``) in
-    lockstep from ``x0`` through ``kernel`` (see ``Kernel``, whose fields
-    state the draw, shape and scale of each block) for up to ``n_steps``
-    steps, path i on the stream (``base_seed``, ``experiment``, i).  The
-    paths run in groups as the module docstring's memory model states.
+    lockstep from ``x0`` through ``kernel`` (see ``Kernel``) for up to
+    ``n_steps`` steps, path i on the stream (``base_seed``, ``experiment``,
+    i).  The paths run in groups as the module docstring's memory model
+    states.
 
     With a ``domain`` (anything with a vectorized ``contains``), a path
     retires on the first step that leaves it; without one every path runs
@@ -467,8 +474,8 @@ def lockstep(
     left), its first outside state, and the final state of every path still
     inside; without a domain the first two are read-only views.
 
-    A block of at most ``block`` (at least 1) steps is filled from each
-    path's stream, and holds fewer steps where the alive paths' rows would
+    A block of at most ``BLOCK_STEPS`` steps is filled from each path's
+    stream, and holds fewer steps where the alive paths' rows would
     pass ``NOISE_BLOCK_BYTES``, so the result is independent of the block
     size, of the groups and of how paths are cut into chunks.  A block is
     time-major: ``buf[j, c]`` is step j of the path in column c, so the
@@ -494,8 +501,8 @@ def lockstep(
     ``SCAN_SLAB`` steps.  Unless the draw is d floats per step (a
     mini-batch's component indices, say), the states take rows of their
     own, which the byte cap counts too, and blocks start at ``SCAN_SLAB``
-    steps and double up to ``block``, since such a draw may cost a Python
-    call per step: a path that exits at step t draws at most
+    steps and double up to ``BLOCK_STEPS``, since such a draw may cost a
+    Python call per step: a path that exits at step t draws at most
     t + ``SCAN_SLAB`` steps past it.  So a step may be evaluated on a path
     after its exit, until the end of the block; those states are discarded,
     and overflow in them is ignored (the chain kernels,
@@ -506,7 +513,6 @@ def lockstep(
     once per block, so a non-finite alive state is reported at the end of
     its block.
     """
-    block = check_count("block", block, 1)
     if on_block is not None and domain is not None:
         raise ValueError("lockstep takes on_block only without a domain")
     n, d = len(indices), x0.size
@@ -514,7 +520,7 @@ def lockstep(
     d_floats = (draw.width, np.dtype(draw.dtype)) == (d, np.float64)
     size = max(n, 1)
     if domain is None and on_block is None and d_floats:
-        size = max(1, GROUP_BYTES // (8 * d * min(block, n_steps) + _STREAM_BYTES))
+        size = max(1, GROUP_BYTES // (8 * d * min(BLOCK_STEPS, n_steps) + _STREAM_BYTES))
     if domain is None:
         # No path leaves: read-only views, which hold no memory per path.
         exit_step = np.broadcast_to(np.int64(-1), (n,))
@@ -530,7 +536,7 @@ def lockstep(
         hi = min(lo + size, n)
         gens = path_streams(base_seed, experiment, indices[lo:hi])
         _run_group(
-            kernel, gens, n_steps, block, domain, on_block, d_floats,
+            kernel, gens, n_steps, domain, on_block, d_floats,
             exit_step[lo:hi], exit_points[lo:hi], states[lo:hi],
         )
         del gens
@@ -538,18 +544,18 @@ def lockstep(
 
 
 def _run_group(
-    kernel, gens, n_steps, block, domain, on_block, d_floats, exit_step, exit_points, states
+    kernel, gens, n_steps, domain, on_block, d_floats, exit_step, exit_points, states
 ) -> None:
     """``lockstep`` of one group: the paths of ``gens`` from the rows of
     ``states``, writing each path's exit step, exit point and final state
     into its row of ``exit_step``, ``exit_points`` and ``states``.
     ``d_floats`` says whether the kernel draws d floats per step."""
-    step_fn, draw, shape, step_scale, block_step, releases_gil = kernel
+    step_fn, draw, block_step, releases_gil = kernel
     d = states.shape[1]
     keep_rows = domain is not None or on_block is not None
     own_rows = keep_rows and not d_floats
     row_bytes = draw.width * np.dtype(draw.dtype).itemsize + (8 * d if own_rows else 0)
-    longest = min(block, SCAN_SLAB) if domain is not None and not d_floats else block
+    longest = min(BLOCK_STEPS, SCAN_SLAB) if domain is not None and not d_floats else BLOCK_STEPS
     x = states.copy()
     ids = np.arange(len(gens))
     step0 = 0
@@ -560,12 +566,9 @@ def _run_group(
             kblock = min(
                 longest, n_steps - step0, max(1, NOISE_BLOCK_BYTES // (row_bytes * ids.size))
             )
-            longest = min(2 * longest, block)
+            longest = min(2 * longest, BLOCK_STEPS)
             step1 = step0 + kblock
             buf = np.empty((kblock, ids.size, draw.width), dtype=draw.dtype)
-            scale = None
-            if step_scale is not None:
-                scale = np.reshape(step_scale(step0, step1), (-1, 1, 1))
             split = (
                 d_floats
                 and ids.size >= 2
@@ -574,17 +577,16 @@ def _run_group(
             )
             helper = _helper() if split else None
             if helper is None:
-                x = _prepare(kernel, gens, ids, step0, step1, buf, scale, x, block_step)
+                x = _prepare(kernel, gens, ids, step0, step1, buf, x, block_step)
             else:
                 per_half = block_step if releases_gil else None
                 h = ids.size // 2
                 tail = helper.submit(
-                    _prepare, kernel, gens, ids[h:], step0, step1, buf[:, h:], scale, x[h:],
-                    per_half,
+                    _prepare, kernel, gens, ids[h:], step0, step1, buf[:, h:], x[h:], per_half
                 )
                 try:
                     head = _prepare(
-                        kernel, gens, ids[:h], step0, step1, buf[:, :h], scale, x[:h], per_half
+                        kernel, gens, ids[:h], step0, step1, buf[:, :h], x[:h], per_half
                     )
                 finally:
                     tail.exception()  # waits for the helper's half

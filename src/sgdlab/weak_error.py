@@ -341,8 +341,7 @@ def well_rate(potential: PotentialSpec) -> Optional[float]:
     linear chain of the closed forms, else None.
 
     The family is read by ``potentials.diagonal_quadratic_coefficients``, so
-    lam is the coefficient the gradient uses, whatever a spec's name or
-    params say.
+    lam is the coefficient the gradient uses, whatever a spec's name says.
     """
     q = diagonal_quadratic_coefficients(potential)
     if q is None or q.size != 1 or q[0] <= 0:

@@ -65,13 +65,6 @@ def _no_streams(*args, **kwargs):
     raise AssertionError("a stream was built before the arguments were checked")
 
 
-@pytest.mark.parametrize("block", [0, -3])
-def test_block_below_one_is_rejected(block, monkeypatch):
-    monkeypatch.setattr(streams, "path_streams", _no_streams)
-    with pytest.raises(ValueError, match="block"):
-        anneal_experiment(TILTED, gamma=0.4, T=1.0, n_paths=4, epsilon=0.25, block=block)
-
-
 @pytest.mark.parametrize("n_paths", [0, -2])
 def test_a_path_count_below_one_is_rejected(n_paths, monkeypatch):
     """n_paths = 0 used to raise ZeroDivisionError after the scatter."""
@@ -146,6 +139,13 @@ def test_an_annealing_arm_holds_one_small_block():
     assert peak < 8 * 2**20, f"traced peak {peak / 2**20:.1f} MiB"
 
 
+class _Ones:
+    """A generator whose standard normals are all 1.0."""
+
+    def standard_normal(self, out):
+        out.fill(1.0)
+
+
 def test_the_cooling_table_is_the_per_step_math_product(monkeypatch):
     # The kernel tabulates amplitude(t_k) * sqrt(h_k) once, with Python's
     # math calls.  A numpy table would not do: np.log(2 + s) differs from
@@ -161,10 +161,13 @@ def test_the_cooling_table_is_the_per_step_math_product(monkeypatch):
     times = grabbed["times"]
     steps = np.diff(times)
     assert times.size == 25_001 and steps[-1] < 0.02  # a shortened last step
-    kernel = sde_kernel(grabbed["cfg"], times)
+    fill = sde_kernel(grabbed["cfg"], times).draw.fill
     expected = np.array(
         [math.sqrt(0.4 / math.log(2.0 + t)) * math.sqrt(h) for t, h in zip(times, steps)]
     )
-    table = kernel.step_scale(0, steps.size)
-    assert table.tobytes() == expected.tobytes()
-    assert kernel.step_scale(1024, 2048).tobytes() == expected[1024:2048].tobytes()
+    # Draws of ones make the filled noise the scale itself.
+    ones = [_Ones()]
+    for k0, k1 in ((0, steps.size), (1024, 2048)):
+        noise = np.empty((k1 - k0, 1, 1))
+        fill(ones, np.arange(1), k0, k1, noise)
+        assert noise.tobytes() == expected[k0:k1].tobytes()

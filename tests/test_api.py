@@ -93,10 +93,6 @@ def test_every_dataclass_field_is_read_outside_the_tests():
 
 #: Defaulted parameters that only tests set, each to check a property.
 TEST_KNOBS = {
-    # test_exit_times.py::test_exit_records_ignore_block_size_and_chunking
-    "hitting_time_mc.block",
-    # test_engine.py::test_anneal_matches_reference_loop
-    "anneal_experiment.block",
     # test_anneal.py::test_clopper_pearson_quantile_equals_the_beta_ppf
     "_binomial_ci.level",
     # test_sde.py::test_gradient_flow_matches_exponential_decay
@@ -224,3 +220,18 @@ def test_only_the_engine_builds_streams():
         if path.name != "streams.py":
             calls += _path_streams_calls(path)
     assert not calls, f"streams built outside streams.py: {calls}"
+
+
+def test_the_block_length_is_one_constant():
+    """``streams.BLOCK_STEPS`` is the one block length: every caller used
+    1024, and a ``block`` parameter on a function is a second place to set
+    it, which each function would have to check on its own.  Tests vary the
+    constant."""
+    found = []
+    for path in sorted((ROOT / "src" / "sgdlab").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.FunctionDef):
+                args = node.args
+                if any(a.arg == "block" for a in args.posonlyargs + args.args + args.kwonlyargs):
+                    found.append(f"{path.stem}.{node.name}:{node.lineno}")
+    assert not found, f"functions that take a block length: {found}"

@@ -10,6 +10,7 @@ once per block must keep the bits of the per-path product."""
 import dataclasses
 import functools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -254,9 +255,10 @@ ANNEAL_KW = dict(gamma=0.4, T=20.0, n_paths=48, epsilon=0.25, seed=2, dt=0.05, n
 
 
 @pytest.mark.parametrize("mode", ["cooling", "constant"])
-def test_anneal_matches_reference_loop(mode):
+def test_anneal_matches_reference_loop(mode, monkeypatch):
     successes, occupancy = _reference_anneal(TILTED, mode=mode, block=64, **ANNEAL_KW)
-    result = anneal_experiment(TILTED, mode=mode, block=64, **ANNEAL_KW)
+    monkeypatch.setattr(streams, "BLOCK_STEPS", 64)
+    result = anneal_experiment(TILTED, mode=mode, **ANNEAL_KW)
     assert result.successes == successes
     np.testing.assert_array_equal(result.occupancy_fracs, occupancy)
     assert 0 < successes < ANNEAL_KW["n_paths"]
@@ -291,14 +293,15 @@ def test_matrix_noise_ignores_one_path_chunks(kind):
 def _em_chunk(case, block, lo, hi):
     cfg = SDE_CASES[case]
     times = _time_grid(cfg.T, cfg.dt)
-    return streams.lockstep(
-        sde_kernel(cfg, times), cfg.x0, cfg.seed, f"em:{case}", range(lo, hi), times.size - 1,
-        block=block,
-    )[2]
+    with mock.patch.object(streams, "BLOCK_STEPS", block):
+        return streams.lockstep(
+            sde_kernel(cfg, times), cfg.x0, cfg.seed, f"em:{case}", range(lo, hi), times.size - 1
+        )[2]
 
 
 def _sgd_chunk(case, block, lo, hi):
-    """``run_sgd_ensemble``'s vectorised branch with an explicit block."""
+    """``run_sgd_ensemble``'s vectorised branch with blocks of ``block``
+    steps."""
     cfg = SGD_CASES[case]
     ref = _flow_reference(cfg)
     gaps = np.zeros(hi - lo)
@@ -308,10 +311,10 @@ def _sgd_chunk(case, block, lo, hi):
             np.maximum(gaps, np.linalg.norm(x - ref[k0 + j + 1], axis=1), out=gaps)
 
     kernel = chain_kernel(cfg, cfg.steps)
-    ends = streams.lockstep(
-        kernel, cfg.x0, cfg.seed, f"sgd:{case}", range(lo, hi), cfg.steps, block=block,
-        on_block=track,
-    )[2]
+    with mock.patch.object(streams, "BLOCK_STEPS", block):
+        ends = streams.lockstep(
+            kernel, cfg.x0, cfg.seed, f"sgd:{case}", range(lo, hi), cfg.steps, on_block=track
+        )[2]
     return np.column_stack([ends, gaps])
 
 
@@ -322,7 +325,7 @@ def _decay_reference(cfg):
 
 def _chain_chunk(cfg, label, block, lo, hi):
     """Endpoints and sup-gaps of ``run_sgd_ensemble``'s paths lo, ..., hi - 1
-    with an explicit block."""
+    with blocks of ``block`` steps."""
     ref = _decay_reference(cfg)
     gaps = np.zeros(hi - lo)
 
@@ -331,9 +334,10 @@ def _chain_chunk(cfg, label, block, lo, hi):
             np.maximum(gaps, np.linalg.norm(x - ref[k0 + j + 1], axis=1), out=gaps)
 
     kernel = chain_kernel(cfg, cfg.steps)
-    ends = streams.lockstep(
-        kernel, cfg.x0, cfg.seed, label, range(lo, hi), cfg.steps, block=block, on_block=track
-    )[2]
+    with mock.patch.object(streams, "BLOCK_STEPS", block):
+        ends = streams.lockstep(
+            kernel, cfg.x0, cfg.seed, label, range(lo, hi), cfg.steps, on_block=track
+        )[2]
     return np.column_stack([ends, gaps])
 
 
@@ -345,10 +349,10 @@ def _anneal_chunk(mode, block, lo, hi):
     """Per-checkpoint counts of paths in the target window, and successes."""
     kw = {k: v for k, v in ANNEAL_KW.items() if k not in ("n_paths", "n_checkpoints")}
     check_times = np.linspace(0.0, kw["T"], ANNEAL_KW["n_checkpoints"] + 1)[1:]
-    successes, counts = anneal_chunk(
-        TILTED, start=SHALLOW, mode=mode, check_times=check_times,
-        block=block, lo=lo, hi=hi, **kw,
-    )
+    with mock.patch.object(streams, "BLOCK_STEPS", block):
+        successes, counts = anneal_chunk(
+            TILTED, start=SHALLOW, mode=mode, check_times=check_times, lo=lo, hi=hi, **kw
+        )
     return np.append(counts, successes)[None, :]
 
 
@@ -433,10 +437,11 @@ def test_sgd_ensemble_raises_on_a_blow_up():
     assert 6 <= info.value.step <= 10
 
 
-def test_anneal_raises_on_a_blow_up():
+def test_anneal_raises_on_a_blow_up(monkeypatch):
+    monkeypatch.setattr(streams, "BLOCK_STEPS", 4)
     with pytest.raises(NumericalError) as info:
         anneal_experiment(
-            TILTED, gamma=0.0, T=100.0, n_paths=3, epsilon=0.25, start=[1.5], dt=10.0, block=4
+            TILTED, gamma=0.0, T=100.0, n_paths=3, epsilon=0.25, start=[1.5], dt=10.0
         )
     assert 6 <= info.value.step <= 8
 
@@ -502,10 +507,9 @@ def _assert_exits_follow_run_sgd(cfg, domain, label, horizon, block):
     max_steps = int(math.ceil(horizon / cfg.eta - 1e-12))
     paths = _run_sgd_paths(cfg, label, CHAIN_PATHS, steps=max_steps)
     records = []
-    for lo, hi in zip(CHAIN_CUTS, CHAIN_CUTS[1:]):
-        records += hitting_time_mc(
-            cfg, domain, range(lo, hi), horizon, experiment=label, block=block
-        )
+    with mock.patch.object(streams, "BLOCK_STEPS", block):
+        for lo, hi in zip(CHAIN_CUTS, CHAIN_CUTS[1:]):
+            records += hitting_time_mc(cfg, domain, range(lo, hi), horizon, experiment=label)
     steps = []
     for rec, states in zip(records, paths):
         outside = np.flatnonzero(~domain.contains(states[1:]))
@@ -626,10 +630,11 @@ def test_draw_blocks_are_capped_by_the_row_drawn(with_domain, monkeypatch):
     assert lengths == [5] * 10 + [2] * 2
 
 
-def test_draw_blocks_under_a_domain_grow_from_the_scan_slab():
+def test_draw_blocks_under_a_domain_grow_from_the_scan_slab(monkeypatch):
     """A kernel's draw can cost a Python call per step, so under a domain
     its blocks start at SCAN_SLAB steps and double: a path that leaves at
-    once draws one short block, not ``block`` steps."""
+    once draws one short block, not ``BLOCK_STEPS`` steps."""
+    monkeypatch.setattr(streams, "BLOCK_STEPS", 300)
     lengths = []
 
     def fn(gen, k0, k1):
@@ -639,15 +644,14 @@ def test_draw_blocks_under_a_domain_grow_from_the_scan_slab():
     draw = _per_path_draw(fn, 1)
     stay = streams.Kernel(lambda x, batches, k: x + 0.0 * batches, draw)
     wide = Domain.interval(-1.0, 1.0)
-    streams.lockstep(stay, np.zeros(1), 0, "grow", range(3), 1000, block=300, domain=wide)
+    streams.lockstep(stay, np.zeros(1), 0, "grow", range(3), 1000, domain=wide)
     slab = streams.SCAN_SLAB
     assert lengths == [n for n in (slab, 2 * slab, 4 * slab, 300, 1000 - 7 * slab - 300)
                        for _ in range(3)]
     lengths.clear()
     leave = streams.Kernel(lambda x, batches, k: x + 1.0, draw)
     exit_step, _, _ = streams.lockstep(
-        leave, np.zeros(1), 0, "grow", range(3), 1000, block=300,
-        domain=Domain.interval(-0.5, 0.5),
+        leave, np.zeros(1), 0, "grow", range(3), 1000, domain=Domain.interval(-0.5, 0.5)
     )
     assert lengths == [slab] * 3 and exit_step.tolist() == [1, 1, 1]
 
@@ -669,7 +673,7 @@ def _run_sgd_exits(cfg, domain, label, n_paths, max_steps):
 
 
 @pytest.mark.parametrize("block", [1, 7, 1024])
-def test_state_dependent_noise_exits_where_the_covariance_ends(block):
+def test_state_dependent_noise_exits_where_the_covariance_ends(block, monkeypatch):
     """The covariance 0.36 - x^2 is PSD only on the domain [-0.6, 0.6]: a
     path must take no noise from it once it has left."""
     oracle = AdditiveGaussianOracle(
@@ -677,7 +681,8 @@ def test_state_dependent_noise_exits_where_the_covariance_ends(block):
     )
     cfg = SgdConfig(eta=0.05, steps=1, x0=np.array([-0.1]), oracle=oracle, seed=5)
     domain = Domain.interval(-0.6, 0.6)
-    records = hitting_time_mc(cfg, domain, CHAIN_PATHS, 3.0, experiment="psd", block=block)
+    monkeypatch.setattr(streams, "BLOCK_STEPS", block)
+    records = hitting_time_mc(cfg, domain, CHAIN_PATHS, 3.0, experiment="psd")
     expected = _run_sgd_exits(cfg, domain, "psd", CHAIN_PATHS, 60)
     for rec, (k, x) in zip(records, expected):
         assert rec.censored == (k is None)
@@ -741,7 +746,7 @@ SHAPES = {
 
 @pytest.mark.parametrize("block", [1, 7, 1024])
 @pytest.mark.parametrize("shape", sorted(SHAPES))
-def test_constant_noise_shapes_keep_the_per_path_bits(shape, block):
+def test_constant_noise_shapes_keep_the_per_path_bits(shape, block, monkeypatch):
     """A scalar or a nonzero diagonal is multiplied into each block at once,
     and unit noise not at all; the noise must keep the bits of the per-path
     product xi @ s.T, signed zeros included, which a zero on the diagonal
@@ -761,9 +766,8 @@ def test_constant_noise_shapes_keep_the_per_path_bits(shape, block):
         return x
 
     kernel = streams.gaussian_kernel(step, 2, s, scale)
-    per_path = shape in ("zero-on-diagonal", "non-diagonal")
-    assert (kernel.shape is None) == (per_path or shape.startswith("unit"))
-    streams.lockstep(kernel, np.zeros(2), 1, "shape", range(5), n_steps, block=block)
+    monkeypatch.setattr(streams, "BLOCK_STEPS", block)
+    streams.lockstep(kernel, np.zeros(2), 1, "shape", range(5), n_steps)
     expected *= np.linspace(0.5, 1.5, n_steps)[:, None, None]
     assert np.stack(seen).tobytes() == expected.tobytes()
     assert np.signbit(expected).sum() > 0

@@ -6,6 +6,7 @@ import functools
 import importlib.util
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -479,14 +480,14 @@ LINEAR_CASES = ("interval-well", "interval-inverted", "noise-schedule", "box-mat
 
 def _engine_records(case, block=1024, paths=ENGINE_PATHS):
     process, domain = ENGINE_CASES[case]
-    return hitting_time_mc(
-        dataclasses.replace(process, seed=13),
-        domain,
-        n_paths=paths,
-        horizon=ENGINE_HORIZON,
-        experiment=f"engine:{case}",
-        block=block,
-    )
+    with mock.patch.object(streams, "BLOCK_STEPS", block):
+        return hitting_time_mc(
+            dataclasses.replace(process, seed=13),
+            domain,
+            n_paths=paths,
+            horizon=ENGINE_HORIZON,
+            experiment=f"engine:{case}",
+        )
 
 
 def _assert_same_records(records, expected):
@@ -674,14 +675,14 @@ def _assert_diverging_records(potential):
     """Paths kicked out of the double well overflow a few steps after they
     leave a wide interval.  The engine steps them to the end of their block
     through inf and nan, but only exit points count."""
-    records = hitting_time_mc(
-        dataclasses.replace(DIVERGE, potential=potential),
-        WIDE,
-        n_paths=24,
-        horizon=30.0,
-        experiment="diverge",
-        block=16,
-    )
+    with mock.patch.object(streams, "BLOCK_STEPS", 16):
+        records = hitting_time_mc(
+            dataclasses.replace(DIVERGE, potential=potential),
+            WIDE,
+            n_paths=24,
+            horizon=30.0,
+            experiment="diverge",
+        )
     _assert_same_records(records, _reference_records(DIVERGE, WIDE, 24, 30.0, 0, "diverge", 16))
     assert 0 < sum(r.censored for r in records) < 24
 
@@ -782,24 +783,6 @@ def test_lockstep_rejects_an_observer_with_a_domain():
 
 def _no_streams(*args, **kwargs):
     raise AssertionError("a stream was built before the arguments were checked")
-
-
-@pytest.mark.parametrize("block", [0, -3])
-def test_hitting_mc_rejects_block_below_one(block, monkeypatch):
-    monkeypatch.setattr(streams, "path_streams", _no_streams)
-    cfg = SdeConfig(potential=WELL, eta=0.25, dt=1e-3, T=1.0, x0=np.array([0.0]))
-    with pytest.raises(ValueError, match="block"):
-        hitting_time_mc(cfg, UNIT, n_paths=4, horizon=1.0, block=block)
-
-
-@pytest.mark.parametrize("block", [0, -3])
-def test_lockstep_rejects_block_below_one(block, monkeypatch):
-    """block = 0 on a Gaussian kernel used to raise ZeroDivisionError in
-    the fill."""
-    monkeypatch.setattr(streams, "path_streams", _no_streams)
-    kernel = streams.gaussian_kernel(lambda x, noise, k: x + noise, 1)
-    with pytest.raises(ValueError, match="block must be at least 1"):
-        streams.lockstep(kernel, np.zeros(1), 0, "block", range(2), 4, block=block)
 
 
 class _Impostor:

@@ -66,7 +66,6 @@ def test_the_grouped_cases_cover_every_grouped_kernel():
     assert kernels["double-well-euler"].block_step is not None
     assert not kernels["double-well-euler"].block_step_releases_gil
     assert kernels["diagonal-quadratic-euler"].block_step_releases_gil
-    assert kernels["constant-matrix-diffusion"].shape is None  # applied per path as drawn
     assert kernels["state-dependent-chain"].block_step is None
 
 
@@ -84,13 +83,14 @@ class CountingStreams:
 
 
 def _run(kernel, x0, case, indices, n_steps, block, budget):
-    """``lockstep``'s output under the group budget ``budget``, and its
-    ``path_streams`` call count."""
+    """``lockstep``'s output under the group budget ``budget`` and blocks of
+    ``block`` steps, and its ``path_streams`` call count."""
     counting = CountingStreams()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(streams, "GROUP_BYTES", budget)
         mp.setattr(streams, "path_streams", counting)
-        out = streams.lockstep(kernel, x0, 3, case, indices, n_steps, block=block)
+        mp.setattr(streams, "BLOCK_STEPS", block)
+        out = streams.lockstep(kernel, x0, 3, case, indices, n_steps)
     return out, counting.calls
 
 

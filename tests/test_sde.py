@@ -1,6 +1,7 @@
 """Tests for diffusion integrators, the OU closed forms, and gradient flow."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -301,11 +302,10 @@ def test_double_well_exits_keep_their_bits_through_the_engine(
     for k in (kernel, kernel._replace(block_step=None)):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(streams, "SCAN_BYTES", scan_bytes)
+            mp.setattr(streams, "BLOCK_STEPS", block)
             domain = Domain.interval(0.4, 1.6)
             runs.append(
-                streams.lockstep(
-                    k, cfg.x0, 5, "double-well", range(paths), 600, block=block, domain=domain
-                )
+                streams.lockstep(k, cfg.x0, 5, "double-well", range(paths), 600, domain=domain)
             )
     for a, b in zip(*runs):
         assert a.tobytes() == b.tobytes()
@@ -350,10 +350,10 @@ def test_double_well_grid_ensembles_keep_their_bits_through_the_engine(
             seen.extend((k0 + 1 + j, x.copy()) for j, x in enumerate(states))
 
         try:
-            end = streams.lockstep(
-                k, cfg.x0, 3, "double-well-grid", range(paths), steps, block=block,
-                on_block=observe,
-            )[2]
+            with mock.patch.object(streams, "BLOCK_STEPS", block):
+                end = streams.lockstep(
+                    k, cfg.x0, 3, "double-well-grid", range(paths), steps, on_block=observe
+                )[2]
         except NumericalError as error:
             end = error.step
         runs.append((seen, end))

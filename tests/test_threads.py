@@ -1,14 +1,15 @@
 """The two-thread lockstep engine against the one-thread engine.
 
-``lockstep`` fills, shapes and scales the halves of a Gaussian noise block
-on two threads, and block-steps them there when the block stepper releases
-the GIL (see ``sgdlab.streams``).  Every test here runs the engine with the
-helper forced on, whatever the machine's CPU count, and compares it with
-the engine whose helper is forced off or with a reference loop: the results
-must agree bit for bit, a mini-batch draw must stay on the calling thread,
-a block stepper that holds the GIL must run once per block on the calling
-thread, the helper thread must keep the engine's silence on overflow, and
-concurrent callers must share one helper.
+``lockstep`` fills the halves of a Gaussian noise block on two threads,
+each fill shaping and scaling its own half, and block-steps them there
+when the block stepper releases the GIL (see ``sgdlab.streams``).  Every
+test here runs the engine with the helper forced on, whatever the machine's
+CPU count, and compares it with the engine whose helper is forced off or
+with a reference loop: the results must agree bit for bit, a mini-batch
+draw must stay on the calling thread, a block stepper that holds the GIL
+must run once per block on the calling thread, the helper thread must keep
+the engine's silence on overflow, and concurrent callers must share one
+helper.
 """
 
 import sys
@@ -54,8 +55,11 @@ class CountingHelper:
         return _POOL.submit(fn, *args)
 
 
-def _lockstep(helper, kernel, x0, n, n_steps, **kwargs):
-    with mock.patch.object(streams, "_helper", lambda: helper):
+def _lockstep(helper, kernel, x0, n, n_steps, block=1024, **kwargs):
+    with (
+        mock.patch.object(streams, "_helper", lambda: helper),
+        mock.patch.object(streams, "BLOCK_STEPS", block),
+    ):
         return streams.lockstep(kernel, x0, 7, "threads", range(n), n_steps, **kwargs)
 
 
@@ -69,9 +73,9 @@ NOISES = {
 
 def _per_step_states(kernel, x0, n, n_steps):
     """The states of n paths after each of steps 1, ..., ``n_steps``, one
-    step at a time: each step fills, shapes and scales a one-step block and
-    steps it with ``kernel.block_step`` if there is one, else with
-    ``kernel.step``, outside ``lockstep``."""
+    step at a time: each step fills a one-step block and steps it with
+    ``kernel.block_step`` if there is one, else with ``kernel.step``,
+    outside ``lockstep``."""
     gens = streams.path_streams(7, "threads", range(n))
     ids = np.arange(n)
     x = np.tile(x0, (n, 1))
@@ -79,10 +83,6 @@ def _per_step_states(kernel, x0, n, n_steps):
     for k in range(n_steps):
         buf = np.empty((1, n, kernel.draw.width), dtype=kernel.draw.dtype)
         kernel.draw.fill(gens, ids, k, k + 1, buf)
-        if kernel.shape is not None:
-            buf *= kernel.shape
-        if kernel.step_scale is not None:
-            buf *= np.reshape(kernel.step_scale(k, k + 1), (-1, 1, 1))
         x = kernel.block_step(x, buf, k) if kernel.block_step else kernel.step(x, buf[0], k)
         out[k] = x
     return out
@@ -186,7 +186,7 @@ def test_only_gaussian_fills_leave_the_calling_thread(kind):
     cfg = SgdConfig(eta=0.01, steps=1024, x0=np.zeros(1), oracle=oracle, seed=3)
     kernel, threads = _fill_threads(chain_kernel(cfg, cfg.steps))
     helper = CountingHelper()
-    _lockstep(helper, kernel, cfg.x0, 64, cfg.steps, block=1024)
+    _lockstep(helper, kernel, cfg.x0, 64, cfg.steps)
     if kind == "gaussian":
         assert helper.splits == 1
         assert len(threads) == len(set(threads)) == 2
@@ -250,7 +250,7 @@ def test_an_overflowing_split_block_warns_nothing(linear):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NumericalError):
-            _lockstep(helper, kernel, np.zeros(1), 64, 1024, block=1024)
+            _lockstep(helper, kernel, np.zeros(1), 64, 1024)
     assert helper.splits == 1
 
 

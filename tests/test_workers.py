@@ -4,8 +4,8 @@ The command line spreads every ensemble over ``cli.Pool`` workers, which
 fork from the calling process.  Each chunk function, run through a real
 pool of 1, 2 or 3 workers with a small group budget patched in before the
 pool forks, must return exactly what one worker with the default budget
-returns: the chunk cuts and the group cuts then fall at different paths,
-and neither may move a bit.
+returns (annealing runs in short blocks in both): the chunk cuts and the
+group cuts then fall at different paths, and neither may move a bit.
 """
 
 import numpy as np
@@ -69,11 +69,15 @@ CHUNKS = {
     ),
     "anneal_chunk": (
         anneal_chunk,
-        (TILTED, 0.4, 5.0, 0.25, SHALLOW, "cooling", 8, 0.05, np.linspace(1.0, 5.0, 5), 16),
+        (TILTED, 0.4, 5.0, 0.25, SHALLOW, "cooling", 8, 0.05, np.linspace(1.0, 5.0, 5)),
         1,
         _join_anneal,
     ),
 }
+
+#: Block lengths other than ``streams.BLOCK_STEPS``: annealing's 100 steps
+#: then cross blocks, and with them its checkpoints.
+BLOCKS = {"anneal_chunk": 16}
 
 
 def _scatter(name, workers, n_paths):
@@ -90,8 +94,9 @@ def _scatter(name, workers, n_paths):
     budget=st.sampled_from([0, 2**12, 2**13]),
 )
 def test_worker_count_never_changes_a_chunk_function(name, workers, n_paths, budget):
-    expected = _scatter(name, 1, n_paths)
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(streams, "BLOCK_STEPS", BLOCKS.get(name, streams.BLOCK_STEPS))
+        expected = _scatter(name, 1, n_paths)
         mp.setattr(streams, "GROUP_BYTES", budget)
         got = _scatter(name, workers, n_paths)
     _assert_identical(got, expected)
