@@ -162,8 +162,11 @@ def hitting_time_mc(
     closed domain; the recorded exit point is that first outside state.
     Paths still inside at the horizon are returned censored with exit_time =
     horizon.  Records are returned in path-index order.  Each path's noise
-    is drawn at most ``streams.BLOCK_STEPS`` steps at a time; the block
-    sets memory and speed, never the records.
+    is drawn in windows of ``streams.BLOCK_STEPS`` steps (windows that start
+    at ``streams.SCAN_SLAB`` steps and double, for a mini-batch chain), and
+    the alive paths of a window are stepped in chunks within
+    ``streams.GROUP_BYTES``; windows and chunks set memory and speed, never
+    the records.
     """
     chain = isinstance(process, SgdConfig)
     if not chain and not isinstance(process, SdeConfig):
@@ -858,10 +861,10 @@ def anneal_chunk(
         dist2 = ((xs[:, None, :] - targets) ** 2).sum(axis=-1)
         return (dist2.min(axis=1) <= epsilon**2)
 
-    def checkpoint(k0, states):
+    def checkpoint(k0, states, paths):
         due = (check_steps > k0) & (check_steps <= k0 + len(states))
         for i in np.flatnonzero(due):
-            counts[i] = in_target(states[check_steps[i] - k0 - 1]).sum()
+            counts[i] += in_target(states[check_steps[i] - k0 - 1]).sum()
 
     x = streams.lockstep(
         sde_kernel(cfg, times), cfg.x0, seed, f"anneal:{mode}", range(lo, hi), times.size - 1,

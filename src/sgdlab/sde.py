@@ -20,6 +20,7 @@ import importlib.util
 import math
 import os
 import sys
+import threading
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
@@ -253,7 +254,8 @@ def sde_kernel(cfg: SdeConfig, times: np.ndarray | None = None) -> streams.Kerne
     noise schedule, one value per step otherwise.  On ``times`` it is
     tabulated once per kernel, one Python ``amplitude(t_k) *
     math.sqrt(h_k)`` per step, and each block slices the table; a schedule
-    on the unbounded grid computes each block's steps the same way.  The
+    on the unbounded grid computes each window's steps the same way, once
+    per window, however many chunks and threads fill it.  The
     table keeps ``math``'s scalar calls because numpy's vectorised ones may
     round differently: on the annealing grid (T = 500, dt = 0.02, 25,001
     times) ``np.log(2 + s)`` differs from ``math.log(2.0 + s)`` at 7 times
@@ -301,7 +303,16 @@ def sde_kernel(cfg: SdeConfig, times: np.ndarray | None = None) -> streams.Kerne
         table = np.array([scale_of(k) for k in range(steps.size)])
         step_scale = lambda k0, k1: table[k0:k1]  # noqa: E731
     elif cfg.noise_schedule is not None:
-        step_scale = lambda k0, k1: np.array([scale_of(k) for k in range(k0, k1)])  # noqa: E731
+        # Every chunk of a window, and each thread's half of a split chunk,
+        # asks for the window's scales: they are computed once per window.
+        lock, last = threading.Lock(), [None, None]
+
+        def step_scale(k0, k1):
+            with lock:
+                if last[0] != (k0, k1):
+                    last[:] = (k0, k1), np.array([scale_of(k) for k in range(k0, k1)])
+                return last[1]
+
     else:
         scale = scale_of(0)
         step_scale = lambda k0, k1: scale  # noqa: E731

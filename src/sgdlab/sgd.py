@@ -268,8 +268,9 @@ def run_sgd_ensemble(
     ``reference_states`` runs in groups and holds its endpoints and one
     group's streams and noise, within ``streams.GROUP_BYTES``; a tracked
     run, whose sup-gaps see every path at every step, and a mini-batch chain
-    run as one group, within the block cap ``streams.NOISE_BLOCK_BYTES`` and
-    one stream per path.
+    run as one group, with one stream per path, and hold one chunk of paths'
+    noise (and a mini-batch's own rows of states) at a time, within the same
+    ``streams.GROUP_BYTES``.
     """
     indices = n_paths if isinstance(n_paths, range) else range(check_count("n_paths", n_paths))
     d = cfg.oracle.potential.dim
@@ -283,14 +284,15 @@ def run_sgd_ensemble(
             )
         gaps = np.zeros(len(indices))
 
-        def track(k0, states):
+        def track(k0, states, paths):
             # A slab of steps at a time bounds the temporaries, as the exit
             # scan does; the max over steps then over slabs is exact.
+            chunk = gaps[paths]
             slab = streams.scan_slab(states.shape)
             for j0 in range(0, len(states), slab):
                 part = states[j0 : j0 + slab]
                 ref = reference_states[k0 + j0 + 1 : k0 + j0 + 1 + len(part), None]
-                np.maximum(gaps, np.linalg.norm(part - ref, axis=2).max(axis=0), out=gaps)
+                np.maximum(chunk, np.linalg.norm(part - ref, axis=2).max(axis=0), out=chunk)
 
     kernel = chain_kernel(cfg, cfg.steps)
     endpoints = streams.lockstep(

@@ -28,36 +28,43 @@ path's ``SeedSequence`` is built only when a caller spawns from its stream.
 SGD chain, first exits and annealing all run through it, and it is the one
 caller of ``path_streams``: it builds each path's stream itself.
 
-Memory: ``lockstep`` holds at most ``NOISE_BLOCK_BYTES`` of noise at once.
-A run without a domain and without an observer whose draw is d floats per
-step (``sde.em_endpoints``, ``sgd.run_sgd_ensemble`` without sup-gaps) runs
-in contiguous groups of paths, one at a time, each on its own
-``path_streams`` call, and only a group's final states outlive it.  A group
-holds as many paths as fit ``GROUP_BYTES`` with each path's first block
-(``BLOCK_STEPS`` steps, or the whole run if shorter) and its stream, so such
-a run holds its output and one group, whatever its path count.  Every other run
-is one group, with every path's stream: a first exit, from whose blocks
-compaction drops each path that has left; a run with an ``on_block``
-observer (annealing's checkpoints, the chain's sup-gaps), which may need
-every path at every step; and a draw that is not d floats per step (a
-mini-batch's, one Python call per path and step), to which more groups
-would add only dispatch.  Since a path's states depend on its own stream
-alone, the groups move no bit.
+Memory: ``lockstep`` holds at most ``GROUP_BYTES`` of noise at once.  It
+steps in windows of ``BLOCK_STEPS`` steps, whatever the path count, and
+each window's alive paths in contiguous chunks of columns: as many paths as
+fit ``GROUP_BYTES`` with their window's draws and, where a draw is not d
+floats per step and the states are kept (under a domain or an observer),
+their rows of states.  A chunk is filled, stepped, observed, scanned and
+freed before the next is allocated, so a run holds one chunk's block at a
+time.  A run without a domain and without an observer whose draw is d
+floats per step (``sde.em_endpoints``, ``sgd.run_sgd_ensemble`` without
+sup-gaps) also runs in contiguous groups of paths, one at a time, each on
+its own ``path_streams`` call, and only a group's final states outlive it.
+A group holds as many paths as fit ``GROUP_BYTES`` with each path's first
+window (``BLOCK_STEPS`` steps, or the whole run if shorter) and its stream,
+so each of its windows is one chunk, and such a run holds its output and
+one group, whatever its path count.  Every other run is one group, with
+every path's stream: a first exit, from whose windows compaction drops each
+path that has left; a run with an ``on_block`` observer (annealing's
+checkpoints, the chain's sup-gaps); and a draw that is not d floats per
+step (a mini-batch's, one Python call per path and step), to which more
+groups would add only dispatch.  Since a path's states depend on its own
+stream alone, neither groups nor chunks move a bit.
 
-Two-thread contract: where a second CPU is free, ``lockstep`` splits a block
-of d floats per path and step (the standard normals of ``gaussian_kernel``)
-in two when at least two paths are alive, a path's draw holds at least
-``SPLIT_VALUES`` values and the block at least ``SPLIT_BLOCK_VALUES``, at
-least two CPUs are usable (``os.sched_getaffinity``) and the process is
-neither a forked child nor a pool worker.  A helper thread, started on first
-use, then fills the last half of the alive columns while the calling
-thread does the first half, each with one ``fill`` call on its own ids,
-which also shapes and scales them; numpy's ``standard_normal`` releases
-the GIL, so the halves run side by side.  A ``block_step`` that releases it
-too (``Kernel.block_step_releases_gil``: the diagonal quadratics' compiled
+Two-thread contract: where a second CPU is free, ``lockstep`` splits a
+chunk's block of d floats per path and step (the standard normals of
+``gaussian_kernel``) in two when it holds at least two paths, a path's draw
+at least ``SPLIT_VALUES`` values and the block at least
+``SPLIT_BLOCK_VALUES``, at least two CPUs are usable
+(``os.sched_getaffinity``) and the process is neither a forked child nor a
+pool worker.  A helper thread, started on first use, then fills the last
+half of the chunk's columns while the calling thread does the first half,
+each with one ``fill`` call on its own ids, which also shapes and scales
+them; numpy's ``standard_normal`` releases the GIL, so the halves run side
+by side.  A ``block_step`` that releases it too
+(``Kernel.block_step_releases_gil``: the diagonal quadratics' compiled
 linear filter, see ``sde._linear_filter``) steps each half on its thread;
 one that holds it (the double wells' cubic recursion) would only wait for
-the other thread, so it steps the whole block once, on the calling thread,
+the other thread, so it steps the whole chunk once, on the calling thread,
 after the join.  The per-step loop, the exit scan, compaction, every
 ``NumericalError`` guard and ``on_block`` run on the calling thread after
 the join.  Since every path's stream is drawn by one thread in step order,
@@ -102,30 +109,26 @@ from .errors import NumericalError, check_count
 # blocks of 1024 steps.
 BLOCK_STEPS = 1024
 
-# The largest noise block ``lockstep`` holds, in bytes.  Results do not
-# depend on the block length; 64 MiB keeps blocks of 1024 steps for up to
-# 8192 one-dimensional paths, while a smaller cap measurably cost wall time.
-NOISE_BLOCK_BYTES = 64 * 2**20
-
 # The states that one ``domain.contains`` call scans for first exits, and
 # that one call of a block stepper steps, in bytes.  Exits do not depend on
-# it; it bounds the scan's temporaries, which for a whole block can be as
-# large as the noise block itself, while a slab of few paths spans the whole
-# block, so that a block costs a few calls and not one per 64 steps.
+# it; it bounds the scan's temporaries, which for a whole chunk can be as
+# large as the chunk's block itself, while a slab of few paths spans the
+# whole block, so that a block costs a few calls and not one per 64 steps.
 SCAN_BYTES = 2**20
 
 # The fewest steps of a scan slab, and the first block under a domain of a
 # draw that is not d floats per step.
 SCAN_SLAB = 64
 
-# The bytes one group of a grouped ``lockstep`` run may hold: each path's
-# first noise block (``BLOCK_STEPS`` steps or the whole run, if shorter, of
-# d floats per step) and its stream.  Results do not depend on it.  It
-# bounds the memory of a run, while groups that fit the CPU caches step
-# faster: a weak ladder of 40,000 one-dimensional double-well paths a side
-# (four rungs of 5 to 40 chain and 50 to 400 Euler steps) and a 2-D chain of
-# 5,000 paths took 1.12, 1.06, 1.03, 1.03 and 1.05 s with budgets of 2, 4,
-# 8, 16 and 32 MiB, and 1.12 s as one group (numpy 2.4, two x86-64 cores).
+# The bytes of noise that ``lockstep`` holds at once: one chunk's block of
+# each window (with the chunk's own rows of states, where it takes them),
+# and for a grouped run one group's first block and streams.  Results do
+# not depend on it.  It bounds the memory of a run, while groups that fit
+# the CPU caches step faster: a weak ladder of 40,000 one-dimensional
+# double-well paths a side (four rungs of 5 to 40 chain and 50 to 400 Euler
+# steps) and a 2-D chain of 5,000 paths took 1.12, 1.06, 1.03, 1.03 and
+# 1.05 s with budgets of 2, 4, 8, 16 and 32 MiB, and 1.12 s as one group
+# (numpy 2.4, two x86-64 cores).
 GROUP_BYTES = 8 * 2**20
 
 # What one path's stream holds: its Generator, PCG64 and _PathSeed, and its
@@ -458,13 +461,13 @@ def lockstep(
     indices,
     n_steps: int,
     domain=None,
-    on_block: Callable[[int, np.ndarray], None] | None = None,
+    on_block: Callable[[int, np.ndarray, slice], None] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Step the paths ``indices`` (a sequence, such as a ``range``) in
     lockstep from ``x0`` through ``kernel`` (see ``Kernel``) for up to
     ``n_steps`` steps, path i on the stream (``base_seed``, ``experiment``,
-    i).  The paths run in groups as the module docstring's memory model
-    states.
+    i).  The paths run in groups and chunks as the module docstring's memory
+    model states.
 
     With a ``domain`` (anything with a vectorized ``contains``), a path
     retires on the first step that leaves it; without one every path runs
@@ -474,44 +477,49 @@ def lockstep(
     left), its first outside state, and the final state of every path still
     inside; without a domain the first two are read-only views.
 
-    A block of at most ``BLOCK_STEPS`` steps is filled from each path's
-    stream, and holds fewer steps where the alive paths' rows would
-    pass ``NOISE_BLOCK_BYTES``, so the result is independent of the block
-    size, of the groups and of how paths are cut into chunks.  A block is
-    time-major: ``buf[j, c]`` is step j of the path in column c, so the
-    noise of one step is the view ``buf[j]``.  It may be split between two
-    threads, as the module docstring's two-thread contract states.
+    The steps run in windows of ``BLOCK_STEPS`` steps (the last one
+    shorter), whatever the path count, and each window's alive paths in
+    contiguous chunks of columns whose block, with the chunk's own rows of
+    states where it takes them, fits ``GROUP_BYTES``.  A chunk's block is
+    filled from each of its paths' streams, stepped, observed, scanned and
+    freed before the next chunk's is allocated, so the result is independent
+    of the budget, of the groups and of how paths are cut into chunks.  A
+    block is time-major: ``buf[j, c]`` is step j of the path in column c, so
+    the noise of one step is the view ``buf[j]``.  It may be split between
+    two threads, as the module docstring's two-thread contract states.
 
-    Observer contract: ``on_block(k0, states)``, if given, is called once
-    per block, blocks in step order, after the block is stepped and before
-    its ``NumericalError`` guard.  ``states`` is the (k1 - k0, paths, d)
-    stack of the states after steps k0 + 1, ..., k1, so ``states[j]`` holds
-    every path after step k0 + j + 1.  It is a view of the block's rows,
-    which the block stepper or the per-step loop wrote over the noise they
-    used (rows of their own, counted by the byte cap, for a draw that is not
-    d floats per step), and is valid only during the call: later blocks
-    reuse that memory, so an observer that keeps states copies them.
+    Observer contract: ``on_block(k0, states, paths)``, if given, is called
+    once per chunk, windows in step order and a window's chunks in column
+    order, after the chunk is stepped and before the window's
+    ``NumericalError`` guard.  ``paths`` is the slice of positions in
+    ``indices`` that the chunk holds, and ``states`` the (k1 - k0,
+    len(chunk), d) stack of their states after steps k0 + 1, ..., k1, so
+    ``states[j, c]`` holds path ``paths.start + c`` after step k0 + j + 1.
+    It is a view of the chunk's rows, which the block stepper or the
+    per-step loop wrote over the noise they used (rows of their own, counted
+    in the budget, for a draw that is not d floats per step), and is valid
+    only during the call: later chunks reuse that memory, so an observer
+    that keeps states copies them.
 
     Block-scan contract, with a ``domain``: every path alive at the start of
-    a block is stepped through the whole block, each step's states
+    a window is stepped through the whole window, each step's states
     overwriting the noise row they used, and then ``domain.contains`` scans
-    the block for first exits one slab at a time: ``scan_slab`` steps,
-    ``SCAN_BYTES`` of the alive paths' states, so a few alive paths are
-    scanned in one call per block and many in slabs of as few as
-    ``SCAN_SLAB`` steps.  Unless the draw is d floats per step (a
-    mini-batch's component indices, say), the states take rows of their
-    own, which the byte cap counts too, and blocks start at ``SCAN_SLAB``
-    steps and double up to ``BLOCK_STEPS``, since such a draw may cost a
-    Python call per step: a path that exits at step t draws at most
-    t + ``SCAN_SLAB`` steps past it.  So a step may be evaluated on a path
-    after its exit, until the end of the block; those states are discarded,
-    and overflow in them is ignored (the chain kernels,
+    its chunk for first exits one slab at a time: ``scan_slab`` steps,
+    ``SCAN_BYTES`` of the chunk's states, so a few alive paths are scanned
+    in one call per window and many in slabs of as few as ``SCAN_SLAB``
+    steps.  Unless the draw is d floats per step (a mini-batch's component
+    indices, say), the states take rows of their own, and windows start at
+    ``SCAN_SLAB`` steps and double up to ``BLOCK_STEPS``, since such a draw
+    may cost a Python call per step: a path that exits at step t draws at
+    most t + ``SCAN_SLAB`` steps past it.  So a step may be evaluated on a
+    path after its exit, until the end of the window; those states are
+    discarded, and overflow in them is ignored (the chain kernels,
     ``sgd.chain_kernel``, leave such paths as they are).  Exits are
-    recorded, and the alive states and path ids compacted, once per block.
-    A non-finite exit point raises ``NumericalError`` at its exact step, the
-    earliest such step of the block; the states still alive are checked
-    once per block, so a non-finite alive state is reported at the end of
-    its block.
+    recorded, and the alive states and path ids compacted, once per window,
+    after its last chunk.  A non-finite exit point raises ``NumericalError``
+    at its exact step, the earliest such step of the window over all its
+    chunks; the states still alive are checked once per window, so a
+    non-finite alive state is reported at the end of its window.
     """
     if on_block is not None and domain is not None:
         raise ValueError("lockstep takes on_block only without a domain")
@@ -549,8 +557,10 @@ def _run_group(
     """``lockstep`` of one group: the paths of ``gens`` from the rows of
     ``states``, writing each path's exit step, exit point and final state
     into its row of ``exit_step``, ``exit_points`` and ``states``.
-    ``d_floats`` says whether the kernel draws d floats per step."""
-    step_fn, draw, block_step, releases_gil = kernel
+    ``d_floats`` says whether the kernel draws d floats per step.  A run
+    with an observer is one group without a domain, so the column c it
+    tells the observer of is position c of ``lockstep``'s ``indices``."""
+    draw = kernel.draw
     d = states.shape[1]
     keep_rows = domain is not None or on_block is not None
     own_rows = keep_rows and not d_floats
@@ -563,69 +573,85 @@ def _run_group(
     # intermediate warnings would only add noise.
     with np.errstate(over="ignore", invalid="ignore"):
         while ids.size and step0 < n_steps:
-            kblock = min(
-                longest, n_steps - step0, max(1, NOISE_BLOCK_BYTES // (row_bytes * ids.size))
-            )
+            kblock = min(longest, n_steps - step0)
             longest = min(2 * longest, BLOCK_STEPS)
             step1 = step0 + kblock
-            buf = np.empty((kblock, ids.size, draw.width), dtype=draw.dtype)
-            split = (
-                d_floats
-                and ids.size >= 2
-                and kblock * d >= SPLIT_VALUES
-                and buf.size >= SPLIT_BLOCK_VALUES
-            )
-            helper = _helper() if split else None
-            if helper is None:
-                x = _prepare(kernel, gens, ids, step0, step1, buf, x, block_step)
-            else:
-                per_half = block_step if releases_gil else None
-                h = ids.size // 2
-                tail = helper.submit(
-                    _prepare, kernel, gens, ids[h:], step0, step1, buf[:, h:], x[h:], per_half
+            width = max(1, GROUP_BYTES // (row_bytes * kblock))
+            # Window step of each path's first outside state, -1 if none,
+            # and the columns, steps and points of the chunks' exits.
+            first = np.full(ids.size, -1, dtype=np.int64)
+            exits = []
+            for c0 in range(0, ids.size, width):
+                c1 = min(c0 + width, ids.size)
+                x[c0:c1], rows = _step_chunk(
+                    kernel, gens, ids[c0:c1], step0, step1, x[c0:c1], d_floats, keep_rows
                 )
-                try:
-                    head = _prepare(
-                        kernel, gens, ids[:h], step0, step1, buf[:, :h], x[:h], per_half
-                    )
-                finally:
-                    tail.exception()  # waits for the helper's half
-                x = np.concatenate([head, tail.result()])
-                if per_half is None and block_step is not None:
-                    x = block_step(x, buf, step0)
-            rows = np.empty((kblock, ids.size, d)) if own_rows else buf
-            if block_step is None:
-                for j in range(kblock):
-                    x = step_fn(x, buf[j], step0 + j)
-                    if keep_rows:
-                        rows[j] = x
-            if on_block is not None:
-                on_block(step0, rows)
-            if domain is not None:
-                # Block step of each path's first outside state, -1 if none.
-                first = np.full(ids.size, -1, dtype=np.int64)
-                slab = scan_slab(rows.shape)
-                for j0 in range(0, kblock, slab):
-                    outside = ~domain.contains(rows[j0 : j0 + slab])
-                    new = outside.any(axis=0) & (first < 0)
-                    first[new] = j0 + outside[:, new].argmax(axis=0)
-                left = first >= 0
-                if left.any():
-                    steps = first[left]
-                    points = rows[steps, np.flatnonzero(left)]
-                    bad = ~np.isfinite(points).all(axis=1)
-                    if bad.any():
-                        k = step0 + int(steps[bad].min()) + 1
-                        raise NumericalError(f"non-finite state at step {k}", step=k)
-                    exit_step[ids[left]] = step0 + steps + 1
-                    exit_points[ids[left]] = points
-                    x = x[~left]
-                    ids = ids[~left]
+                if on_block is not None:
+                    on_block(step0, rows, slice(c0, c1))
+                if domain is not None:
+                    chunk = first[c0:c1]
+                    slab = scan_slab(rows.shape)
+                    for j0 in range(0, kblock, slab):
+                        outside = ~domain.contains(rows[j0 : j0 + slab])
+                        new = outside.any(axis=0) & (chunk < 0)
+                        chunk[new] = j0 + outside[:, new].argmax(axis=0)
+                    left = np.flatnonzero(chunk >= 0)
+                    if left.size:
+                        exits.append((c0 + left, chunk[left], rows[chunk[left], left]))
+                # Free this chunk before the next is allocated, so that the
+                # allocator can hand its memory to the next one.
+                del rows
+            if exits:
+                cols, steps, points = (np.concatenate(part) for part in zip(*exits))
+                bad = ~np.isfinite(points).all(axis=1)
+                if bad.any():
+                    k = step0 + int(steps[bad].min()) + 1
+                    raise NumericalError(f"non-finite state at step {k}", step=k)
+                exit_step[ids[cols]] = step0 + steps + 1
+                exit_points[ids[cols]] = points
+                alive = first < 0
+                x = x[alive]
+                ids = ids[alive]
             step0 = step1
-            # Free this block before the next is allocated, so that the
-            # allocator can hand its memory to the next one; so no other
-            # name may keep a view of it (the helper's half is one).
-            del buf, rows
             if not np.all(np.isfinite(x)):
                 raise NumericalError(f"non-finite state by step {step0}", step=step0)
     states[ids] = x
+
+
+def _step_chunk(kernel, gens, ids, step0, step1, x, d_floats, keep_rows):
+    """Fill the block of steps step0, ..., step1 - 1 of the paths ``ids``
+    and step their states ``x`` through it; returns the states after the
+    block and, with ``keep_rows``, the (steps, paths, d) rows of the states
+    after each step: the block itself, written over, unless the draw is not
+    d floats per step, whose states take rows of their own."""
+    step_fn, draw, block_step, releases_gil = kernel
+    buf = np.empty((step1 - step0, ids.size, draw.width), dtype=draw.dtype)
+    split = (
+        d_floats
+        and ids.size >= 2
+        and buf.shape[0] * buf.shape[2] >= SPLIT_VALUES
+        and buf.size >= SPLIT_BLOCK_VALUES
+    )
+    helper = _helper() if split else None
+    if helper is None:
+        x = _prepare(kernel, gens, ids, step0, step1, buf, x, block_step)
+    else:
+        per_half = block_step if releases_gil else None
+        h = ids.size // 2
+        tail = helper.submit(
+            _prepare, kernel, gens, ids[h:], step0, step1, buf[:, h:], x[h:], per_half
+        )
+        try:
+            head = _prepare(kernel, gens, ids[:h], step0, step1, buf[:, :h], x[:h], per_half)
+        finally:
+            tail.exception()  # waits for the helper's half
+        x = np.concatenate([head, tail.result()])
+        if per_half is None and block_step is not None:
+            x = block_step(x, buf, step0)
+    rows = np.empty(buf.shape[:2] + x.shape[1:]) if keep_rows and not d_floats else buf
+    if block_step is None:
+        for j in range(len(buf)):
+            x = step_fn(x, buf[j], step0 + j)
+            if keep_rows:
+                rows[j] = x
+    return x, rows

@@ -10,6 +10,7 @@ once per block must keep the bits of the per-path product."""
 import dataclasses
 import functools
 import math
+from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
 import numpy as np
@@ -306,9 +307,9 @@ def _sgd_chunk(case, block, lo, hi):
     ref = _flow_reference(cfg)
     gaps = np.zeros(hi - lo)
 
-    def track(k0, states):
+    def track(k0, states, paths):
         for j, x in enumerate(states):
-            np.maximum(gaps, np.linalg.norm(x - ref[k0 + j + 1], axis=1), out=gaps)
+            gaps[paths] = np.maximum(gaps[paths], np.linalg.norm(x - ref[k0 + j + 1], axis=1))
 
     kernel = chain_kernel(cfg, cfg.steps)
     with mock.patch.object(streams, "BLOCK_STEPS", block):
@@ -329,9 +330,9 @@ def _chain_chunk(cfg, label, block, lo, hi):
     ref = _decay_reference(cfg)
     gaps = np.zeros(hi - lo)
 
-    def track(k0, states):
+    def track(k0, states, paths):
         for j, x in enumerate(states):
-            np.maximum(gaps, np.linalg.norm(x - ref[k0 + j + 1], axis=1), out=gaps)
+            gaps[paths] = np.maximum(gaps[paths], np.linalg.norm(x - ref[k0 + j + 1], axis=1))
 
     kernel = chain_kernel(cfg, cfg.steps)
     with mock.patch.object(streams, "BLOCK_STEPS", block):
@@ -387,24 +388,13 @@ def test_fixed_horizon_results_ignore_block_size_and_chunking(case, block, cuts)
     np.testing.assert_array_equal(total, _chunked_baseline(case))
 
 
-def test_noise_blocks_are_capped_in_bytes(monkeypatch):
-    monkeypatch.setattr(streams, "NOISE_BLOCK_BYTES", 8 * 2 * 16 * 5)  # 5 steps of 16 2-D paths
-    lengths = []
-
-    def step(x, noise, k):
-        lengths.append(len(noise.base))
-        return x + noise
-
-    kernel = streams.gaussian_kernel(step, 2)
-    streams.lockstep(kernel, np.zeros(2), 0, "cap", range(16), 12)
-    assert lengths == [5] * 10 + [2] * 2
-
-
 @pytest.mark.parametrize("cap", [1, 8 * N_PATHS * 5])
 def test_results_ignore_the_noise_block_byte_cap(cap, monkeypatch):
+    # GROUP_BYTES caps each chunk's noise block: 1 byte steps one path per
+    # chunk, 640 bytes a few paths per chunk of the shorter windows.
     fixed = {case: _chunked_baseline(case) for case in CHUNKED}
     exits = {case: _engine_baseline(case) for case in ENGINE_CASES}
-    monkeypatch.setattr(streams, "NOISE_BLOCK_BYTES", cap)
+    monkeypatch.setattr(streams, "GROUP_BYTES", cap)
     for case, expected in fixed.items():
         np.testing.assert_array_equal(CHUNKED[case](1024, 0, N_PATHS), expected)
     for case, expected in exits.items():
@@ -594,7 +584,7 @@ def test_state_dependent_noise_chain_raises_on_a_blow_up():
 def test_minibatch_exits_ignore_the_noise_block_byte_cap(case, cap, monkeypatch):
     cfg, domain = _minibatch_exit_case(case)
     expected = hitting_time_mc(cfg, domain, CHAIN_PATHS, 6.0, experiment="cap")
-    monkeypatch.setattr(streams, "NOISE_BLOCK_BYTES", cap)
+    monkeypatch.setattr(streams, "GROUP_BYTES", cap)
     got = hitting_time_mc(cfg, domain, CHAIN_PATHS, 6.0, experiment="cap")
     _assert_same_records(got, [(r.exit_time, r.exit_point, r.censored) for r in expected])
 
@@ -611,23 +601,45 @@ def _per_path_draw(fn, width):
 
 
 @pytest.mark.parametrize("with_domain", [False, True])
-def test_draw_blocks_are_capped_by_the_row_drawn(with_domain, monkeypatch):
-    # 16 two-dimensional paths drawing 6 int64 per step: 48 bytes a row, and
-    # with a domain 16 more for the states, so 5 steps fit either cap.
-    row = 8 * 6 + (8 * 2 if with_domain else 0)
-    monkeypatch.setattr(streams, "NOISE_BLOCK_BYTES", row * 16 * 5)
-    lengths = []
+@pytest.mark.parametrize("dtype", [float, np.int64])
+def test_windows_keep_their_steps_and_chunks_fit_the_budget(dtype, with_domain, monkeypatch):
+    # 16 two-dimensional paths over 12 steps in windows of 8 and 4 steps,
+    # drawing 2 floats or 6 int64 per step: 16 or 48 bytes a row, and for
+    # the int64 draw 16 more for the states' own rows.  A budget of 5 rows
+    # of every path fits 10 columns of the 8-step window and all 16 of the
+    # 4-step one, and no window is shortened.  Without a domain an observer
+    # keeps the run in one group, and is told each chunk's columns.
+    width = 2 if dtype is float else 6
+    row = 8 * width + (0 if dtype is float else 8 * 2)
+    monkeypatch.setattr(streams, "GROUP_BYTES", row * 16 * 5)
+    monkeypatch.setattr(streams, "BLOCK_STEPS", 8)
+    blocks, observed = [], []
 
-    def step(x, batches, k):
-        lengths.append(len(batches.base))
-        return x + 0.0 * batches[:, :2]
+    def step(x, noise, k):
+        blocks.append((k, noise.base.shape[:2]))
+        return x + 0.0 * noise[:, :2]
 
-    draw = _per_path_draw(lambda gen, k0, k1: gen.integers(0, 9, size=(k1 - k0, 6)), 6)
-    domain = Domain.box([-1.0, -1.0], [1.0, 1.0]) if with_domain else None
-    streams.lockstep(
-        streams.Kernel(step, draw), np.zeros(2), 0, "cap", range(16), 12, domain=domain
+    if dtype is float:
+        draw = streams.gaussian_kernel(step, 2).draw
+    else:
+        draw = _per_path_draw(lambda gen, k0, k1: gen.integers(0, 9, size=(k1 - k0, 6)), 6)
+    if with_domain:
+        domain, observe = Domain.box([-1.0, -1.0], [1.0, 1.0]), None
+    else:
+        domain, observe = None, lambda k0, states, paths: observed.append((k0, paths))
+    exit_step, _, _ = streams.lockstep(
+        streams.Kernel(step, draw), np.zeros(2), 0, "budget", range(16), 12,
+        domain=domain, on_block=observe,
     )
-    assert lengths == [5] * 10 + [2] * 2
+    assert blocks == [
+        (k0 + j, (steps, columns))
+        for k0, steps, chunks in ((0, 8, (10, 6)), (8, 4, (16,)))
+        for columns in chunks
+        for j in range(steps)
+    ]
+    assert exit_step.tolist() == [-1] * 16
+    if not with_domain:
+        assert observed == [(0, slice(0, 10)), (0, slice(10, 16)), (8, slice(0, 16))]
 
 
 def test_draw_blocks_under_a_domain_grow_from_the_scan_slab(monkeypatch):
@@ -783,3 +795,96 @@ def test_diagonal_diffusions_match_reference_loops(shape):
     expected, _ = _reference_sgd_ensemble(chain, N_PATHS, experiment="diag")
     got = run_sgd_ensemble(chain, N_PATHS, experiment="diag").endpoints
     assert got.tobytes() == expected.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# Chunks of a window never change a result.
+# ---------------------------------------------------------------------------
+
+
+def _chain_exits(cfg, domain, horizon, label, n):
+    return hitting_time_mc(cfg, domain, n, horizon, experiment=label)
+
+
+def _state_dependent_exit_case(d):
+    cfg = _state_dependent_chain(d)
+    if d == 1:
+        return dataclasses.replace(cfg, x0=np.array([0.75])), Domain.interval(0.5, 1.0)
+    return dataclasses.replace(cfg, x0=np.array([0.3, 0.0])), Domain.ball(np.zeros(2), 0.4)
+
+
+# Every kind of run a budget cuts into chunks, each a function of the path
+# count: first exits (the Euler and chain cases of ENGINE_CASES, mini-batch
+# and state-dependent chains), and the fixed-horizon runs of CHUNKED
+# (Euler endpoints, the chains' sup-gaps and annealing's counts).
+BUDGET_CASES = {
+    **{
+        f"exit:{case}": functools.partial(lambda case, n: _engine_records(case, paths=n), case)
+        for case in ENGINE_CASES
+    },
+    **{
+        f"exit:{case}": functools.partial(
+            _chain_exits, *_minibatch_exit_case(case), 6.0, f"budget:{case}"
+        )
+        for case in ("without_replacement-d2-schedule", "with_replacement-d1")
+    },
+    **{
+        f"exit:state-dependent-d{d}": functools.partial(
+            _chain_exits, *_state_dependent_exit_case(d), 3.0, f"budget:cov:{d}"
+        )
+        for d in (1, 2)
+    },
+    **{case: functools.partial(lambda fn, n: fn(1024, 0, n), fn) for case, fn in CHUNKED.items()},
+}
+
+
+def _assert_same_result(got, expected):
+    if isinstance(expected, np.ndarray):
+        assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+    else:
+        _assert_same_records(got, [(r.exit_time, r.exit_point, r.censored) for r in expected])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    case=st.sampled_from(sorted(BUDGET_CASES)),
+    budget=st.sampled_from([0, 2**13, 2**16, streams.GROUP_BYTES]),
+    n=st.integers(0, 40),
+)
+def test_results_ignore_the_chunk_budget(case, budget, n):
+    # The reference steps every window whole on one thread; the run under
+    # test cuts it into chunks of the budget and, with the split floors at
+    # zero, fills every chunk of two or more paths on two threads.
+    with mock.patch.object(streams, "GROUP_BYTES", 2**62), mock.patch.object(
+        streams, "_helper", lambda: None
+    ):
+        expected = BUDGET_CASES[case](n)
+    with ThreadPoolExecutor(1) as helper, mock.patch.multiple(
+        streams, GROUP_BYTES=budget, SPLIT_VALUES=0, SPLIT_BLOCK_VALUES=0, _helper=lambda: helper
+    ):
+        got = BUDGET_CASES[case](n)
+    _assert_same_result(got, expected)
+
+
+def test_windows_keep_their_length_beyond_8192_paths():
+    # 8,200 one-dimensional paths that never leave: every path draws steps
+    # 0-1023 and 1024-2047 in two whole windows, however many paths are
+    # alive beside it.
+    fills = []
+
+    def fill(gens, ids, k0, k1, out):
+        fills.append((k0, k1, ids.copy()))
+        out[...] = 0.0
+
+    kernel = streams.Kernel(lambda x, noise, k: x + noise, streams.PathDraw(fill, 1, float))
+    n = 8_200
+    exit_step, _, states = streams.lockstep(
+        kernel, np.zeros(1), 0, "wide", range(n), 2048, domain=Domain.interval(-1.0, 1.0)
+    )
+    assert exit_step.tolist() == [-1] * n and not states.any()
+    windows = {}
+    for k0, k1, ids in fills:
+        windows.setdefault((k0, k1), []).append(ids)
+    assert sorted(windows) == [(0, 1024), (1024, 2048)]
+    for ids in windows.values():
+        np.testing.assert_array_equal(np.sort(np.concatenate(ids)), np.arange(n))

@@ -728,6 +728,28 @@ def test_non_finite_exit_is_reported_at_its_earliest_step():
     assert info.value.step == 3
 
 
+def test_non_finite_exit_is_reported_at_its_earliest_step_over_all_chunks(monkeypatch):
+    """Three paths jump to inf at steps 5, 9 and 3 of one 12-step window,
+    which a budget of one path's window cuts into three chunks: the last
+    chunk's step 3 is reported, not the first chunk's step 5."""
+    monkeypatch.setattr(streams, "GROUP_BYTES", 8 * 12)
+    blow_up = np.array([5.0, 9.0, 3.0])
+    chunks = []
+
+    def fill(gens, ids, k0, k1, out):
+        chunks.append(ids.tolist())
+        out[...] = blow_up[ids][:, None]  # each column carries its path's step
+
+    def step_fn(x, noise, k):
+        return np.where(k + 1 >= noise, np.inf, x)
+
+    kernel = streams.Kernel(step_fn, streams.PathDraw(fill, 1, float))
+    with pytest.raises(NumericalError) as info:
+        streams.lockstep(kernel, np.zeros(1), 0, "blow-up", range(3), 12, domain=UNIT)
+    assert info.value.step == 3
+    assert chunks == [[0], [1], [2]]
+
+
 # Exits spread over 57 to 2000 steps, across slabs and 1024-step blocks:
 # the diagonal quadratics' block stepper and the per-step kernel.
 LONG_CASES = {
@@ -777,7 +799,7 @@ def test_lockstep_rejects_an_observer_with_a_domain():
             range(2),
             4,
             domain=UNIT,
-            on_block=lambda k0, states: None,
+            on_block=lambda k0, states, paths: None,
         )
 
 

@@ -9,6 +9,7 @@ group, as before; and the traced memory of a grouped run stays within one
 group's budget and its output, whatever the path count.
 """
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -18,12 +19,14 @@ from hypothesis import strategies as st
 
 from sgdlab import (
     AdditiveGaussianOracle,
+    Domain,
     MinibatchOracle,
     SdeConfig,
     SgdConfig,
     builtin,
     em_endpoints,
     gaussian_cloud,
+    hitting_time_mc,
     run_sgd_ensemble,
     streams,
 )
@@ -125,9 +128,10 @@ def _today(cfg, experiment, indices, reference=None):
     if reference is not None:
         gaps = np.zeros(len(indices))
 
-        def track(k0, states):
+        def track(k0, states, paths):
             for j, x in enumerate(states):
-                np.maximum(gaps, np.linalg.norm(x - reference[k0 + j + 1], axis=1), out=gaps)
+                step_gaps = np.linalg.norm(x - reference[k0 + j + 1], axis=1)
+                gaps[paths] = np.maximum(gaps[paths], step_gaps)
 
     kernel = chain_kernel(cfg, cfg.steps)
     ends = streams.lockstep(
@@ -191,4 +195,25 @@ def test_a_grouped_ensemble_holds_one_group_at_a_time(ensemble):
         peak, out = _traced_peak(lambda: run_sgd_ensemble(cfg, n).endpoints)
     assert out.shape == (n, 1)
     bound = out.nbytes + streams.GROUP_BYTES + 4 * streams.SCAN_BYTES
+    assert peak <= bound, f"traced peak {peak / 2**20:.1f} MiB > {bound / 2**20:.1f} MiB"
+
+
+def test_a_wide_first_exit_holds_one_chunk_at_a_time():
+    # The benchmark's 2-D saddle chain: 2,000 paths, whose first 1024-step
+    # window held a 31 MiB block as one piece.  In chunks, a first exit
+    # holds one chunk's block within GROUP_BYTES, every path's stream, the
+    # scan's and the fill's temporaries within four SCAN_BYTES, and the
+    # records it returns, measured as what stays traced after the call.
+    n, eta = 2_000, 1e-3
+    oracle = AdditiveGaussianOracle.isotropic(builtin("saddle_2d"), 1.0)
+    cfg = SgdConfig(eta=eta, steps=1, x0=np.zeros(2), oracle=oracle, seed=5)
+    horizon = math.log(math.sqrt(4.0 / (math.pi * eta)) * n / 2.5)
+    tracemalloc.start()
+    try:
+        records = hitting_time_mc(cfg, Domain.ball([0.0, 0.0], 1.0), n, horizon)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(records) == n and sum(r.censored for r in records) < 0.01 * n
+    bound = streams.GROUP_BYTES + n * streams._STREAM_BYTES + 4 * streams.SCAN_BYTES + held
     assert peak <= bound, f"traced peak {peak / 2**20:.1f} MiB > {bound / 2**20:.1f} MiB"

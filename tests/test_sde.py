@@ -1,6 +1,7 @@
 """Tests for diffusion integrators, the OU closed forms, and gradient flow."""
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
 import numpy as np
@@ -90,7 +91,7 @@ def test_trajectory_shapes_and_times():
     seen = []
     streams.lockstep(
         sde_kernel(cfg, times), cfg.x0, 0, "grid", [0], times.size - 1,
-        on_block=lambda k0, states: seen.extend(range(k0 + 1, k0 + 1 + len(states))),
+        on_block=lambda k0, states, paths: seen.extend(range(k0 + 1, k0 + 1 + len(states))),
     )
     assert seen == list(range(1, times.size))
     assert times[0] == 0.0
@@ -346,7 +347,8 @@ def test_double_well_grid_ensembles_keep_their_bits_through_the_engine(
     for k in (kernel, kernel._replace(block_step=None)):
         seen = []
 
-        def observe(k0, states):
+        def observe(k0, states, columns):
+            assert columns == slice(0, paths)  # one chunk at these sizes
             seen.extend((k0 + 1 + j, x.copy()) for j, x in enumerate(states))
 
         try:
@@ -366,3 +368,33 @@ def test_double_well_grid_ensembles_keep_their_bits_through_the_engine(
     else:
         assert len(looped) == steps
         np.testing.assert_array_equal(stepped_end.view(np.int64), looped_end.view(np.int64))
+
+
+def test_a_noise_schedule_is_evaluated_once_per_step(monkeypatch):
+    # 200 one-dimensional paths over 2,048 steps, none of which leaves, in
+    # chunks of 64 paths that the forced helper splits in two: each window's
+    # scales come from one schedule call per step, not one per half-chunk.
+    calls = []
+
+    def schedule(s):
+        calls.append(s)
+        return 0.1
+
+    cfg = SdeConfig(builtin("double_well_1d"), 1.0, 1e-3, 1.0, np.ones(1), noise_schedule=schedule)
+    monkeypatch.setattr(streams, "GROUP_BYTES", 8 * 64 * streams.BLOCK_STEPS)
+    fills = []
+    kernel = sde_kernel(cfg)
+    fill = kernel.draw.fill
+
+    def counting_fill(gens, ids, k0, k1, out):
+        fills.append(len(ids))
+        fill(gens, ids, k0, k1, out)
+
+    kernel = kernel._replace(draw=kernel.draw._replace(fill=counting_fill))
+    with ThreadPoolExecutor(1) as helper, mock.patch.object(streams, "_helper", lambda: helper):
+        exit_step, _, _ = streams.lockstep(
+            kernel, cfg.x0, 0, "schedule", range(200), 2048, domain=Domain.interval(0.0, 2.0)
+        )
+    assert exit_step.tolist() == [-1] * 200
+    assert fills == [32, 32, 32, 32, 32, 32, 8] * 2
+    assert len(calls) == 2048
