@@ -161,12 +161,11 @@ def hitting_time_mc(
     ``experiment``, i).  Exit is the first step whose state lies outside the
     closed domain; the recorded exit point is that first outside state.
     Paths still inside at the horizon are returned censored with exit_time =
-    horizon.  Records are returned in path-index order.  Each path's noise
-    is drawn in windows of ``streams.BLOCK_STEPS`` steps (windows that start
-    at ``streams.SCAN_SLAB`` steps and double, for a mini-batch chain), and
-    the alive paths of a window are stepped in chunks within
-    ``streams.GROUP_BYTES``; windows and chunks set memory and speed, never
-    the records.
+    horizon.  Records are returned in path-index order.  Each path is
+    stepped in windows of ``streams.BLOCK_STEPS`` steps, and the alive paths
+    of a window in chunks within ``streams.GROUP_BYTES``; windows and chunks
+    set memory and speed, never the records.  A mini-batch path draws one
+    batch per step up to its exit, as ``run_sgd`` would.
     """
     chain = isinstance(process, SgdConfig)
     if not chain and not isinstance(process, SdeConfig):
@@ -180,7 +179,7 @@ def hitting_time_mc(
     eta = process.eta
     time_per_step = eta if chain else process.dt
     max_steps = _step_count(horizon, time_per_step)
-    kernel = chain_kernel(process, max_steps, domain) if chain else sde_kernel(process)
+    kernel = chain_kernel(process, domain) if chain else sde_kernel(process, domain=domain)
     exit_step, exit_points, states = streams.lockstep(
         kernel, x0, process.seed, experiment, indices, max_steps, domain=domain
     )

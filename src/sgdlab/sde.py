@@ -35,7 +35,7 @@ from .potentials import (
     diagonal_quadratic_coefficients,
     double_well_tilt,
 )
-from .sgd import SgdConfig, sgd_ensemble_chunk
+from .sgd import SgdConfig, _live_noise, sgd_ensemble_chunk
 
 FIRST_ORDER = "first"
 SECOND_ORDER = "second"
@@ -244,9 +244,13 @@ def _double_well_block_step(tilt: float, steps: float | np.ndarray) -> Callable:
     return block_step
 
 
-def sde_kernel(cfg: SdeConfig, times: np.ndarray | None = None) -> streams.Kernel:
+def sde_kernel(
+    cfg: SdeConfig, times: np.ndarray | None = None, domain=None
+) -> streams.Kernel:
     """The ``streams.Kernel`` of Euler-Maruyama steps on the grid ``times``,
-    or on the unbounded uniform grid k cfg.dt when ``times`` is None.
+    or on the unbounded uniform grid k cfg.dt when ``times`` is None.  Give
+    the ``domain`` a first-exit run stops at, so that a state-dependent
+    diffusion is never evaluated on paths that have already left it.
 
     A scalar or constant-matrix diffusion shapes the draws, and the
     ``step_scale(k0, k1)`` that ``streams.gaussian_kernel`` scales them by
@@ -263,7 +267,7 @@ def sde_kernel(cfg: SdeConfig, times: np.ndarray | None = None) -> streams.Kerne
     AVX-512 x86-64 CPU), so a numpy table would move annealing's bits and
     make them depend on the CPU.  So the step only adds the drift; a
     state-dependent diffusion is evaluated inside the step, one call on the
-    whole stack of states, as the stacked product S(x) xi.
+    stack of live rows (``sgd._live_noise``), as the stacked product S(x) xi.
 
     The kernel has a ``block_step`` only under first-order drift with a
     scalar or constant-matrix diffusion, with or without a noise schedule,
@@ -293,7 +297,7 @@ def sde_kernel(cfg: SdeConfig, times: np.ndarray | None = None) -> streams.Kerne
 
         def step_fn(x, xi, k):
             h = step_of(k)
-            noise = (np.asarray(diffusion(x), dtype=float) @ xi[..., None])[..., 0]
+            noise = _live_noise(diffusion, x, xi, domain)
             return x + drift(x) * h + cfg.amplitude(time_of(k)) * math.sqrt(h) * noise
 
         return streams.gaussian_kernel(step_fn, d)

@@ -128,15 +128,24 @@ def _live_rows(x: np.ndarray, domain) -> np.ndarray:
     return np.flatnonzero(live)
 
 
+def _live_noise(diffusion, x: np.ndarray, xi: np.ndarray, domain) -> np.ndarray:
+    """The noise S(x_i) @ xi_i of a map S on the live rows of ``x`` (see
+    ``_live_rows``), one call on their stack, and zero on the others."""
+    noise = np.zeros_like(x)
+    rows = _live_rows(x, domain)
+    if rows.size:
+        noise[rows] = (np.asarray(diffusion(x[rows]), dtype=float) @ xi[rows, :, None])[..., 0]
+    return noise
+
+
 def _additive_gaussian_kernel(cfg: SgdConfig, domain=None) -> streams.Kernel:
     """The kernel of an ``AdditiveGaussianOracle`` chain, on d standard
     normals per step.
 
     Step k is x - eta (grad F(x) + S xi_k), with S = ``oracle.diffusion``.
     A constant S shapes the draws (``streams.gaussian_kernel``); a map S is
-    evaluated inside the step, one call on the stack of live rows (see
-    ``_live_rows``; the others take no noise), and each row takes the
-    product S(x_i) @ xi_i that ``oracle.sample`` takes.
+    evaluated inside the step on the live rows (``_live_noise``), and each
+    takes the product S(x_i) @ xi_i that ``oracle.sample`` takes.
     """
     eta = cfg.eta
     gradient = cfg.oracle.potential.gradient
@@ -150,46 +159,32 @@ def _additive_gaussian_kernel(cfg: SgdConfig, domain=None) -> streams.Kernel:
         return streams.gaussian_kernel(step_fn, d, diffusion)
 
     def step_fn(x, xi, k):
-        noise = np.zeros_like(x)
-        rows = _live_rows(x, domain)
-        if rows.size:
-            noise[rows] = (diffusion(x[rows]) @ xi[rows, :, None])[..., 0]
-        return x - eta * (gradient(x) + noise)
+        return x - eta * (gradient(x) + _live_noise(diffusion, x, xi, domain))
 
     return streams.gaussian_kernel(step_fn, d)
 
 
-def _minibatch_kernel(cfg: SgdConfig, n_steps: int, domain=None) -> streams.Kernel:
-    """The kernel of a ``MinibatchOracle`` chain of ``n_steps`` steps.
+def _minibatch_kernel(cfg: SgdConfig, domain=None) -> streams.Kernel:
+    """The kernel of a ``MinibatchOracle`` chain.
 
-    Each path draws the batch of step k from its own stream
-    (``oracle.batch``) into a block row padded to the run's widest batch.
-    The step evaluates each component that occurs in the live rows' batches
-    (see ``_live_rows``; the others stay as they are) once, on the rows
-    that drew it, so a step costs at most min(M, rows * m) calls and
-    rows * m * d floats, and averages every path's batch in
-    ``oracle.sample``'s bits.
+    Step k draws each live row's batch (see ``_live_rows``; the others stay
+    as they are and draw nothing) from its path's stream (``oracle.batch``),
+    as ``run_sgd`` does, and evaluates each component that occurs in those
+    batches once, on the rows that drew it, so a step costs at most
+    min(M, rows * m) calls and rows * m * d floats, and averages every
+    path's batch in ``oracle.sample``'s bits.
     """
     oracle, schedule, eta = cfg.oracle, cfg.schedule, cfg.eta
     components = oracle.fs.component_gradients
-    if schedule is None:
-        size_of = lambda k: oracle.m  # noqa: E731
-    else:
-        size_of = lambda k: schedule_m(schedule, k * eta)  # noqa: E731
-    # The schedule never shrinks a batch, so the last step's is the widest.
-    width = size_of(max(n_steps - 1, 0))
 
-    def fill(gens, ids, k0, k1, out):
-        out[...] = 0
-        sizes = [size_of(k) for k in range(k0, k1)]
-        for c, i in enumerate(ids):
-            for j, m in enumerate(sizes):
-                out[j, c, :m] = oracle.batch(gens[i], m)
-
-    def step_fn(x, batches, k):
-        m, d = size_of(k), x.shape[1]
+    def step_fn(x, gens, k):
+        m = oracle.m if schedule is None else schedule_m(schedule, k * eta)
+        d = x.shape[1]
         rows = _live_rows(x, domain)
-        picks = batches[rows, :m].ravel()
+        picks = np.empty((rows.size, m), dtype=np.int64)
+        for c, r in enumerate(rows.tolist()):
+            picks[c] = oracle.batch(gens[r], m)
+        picks = picks.ravel()
         # The live rows' batch slots sorted by the component they drew, so
         # that each drawn component is called once, on a contiguous run.
         order = np.argsort(picks, kind="stable")
@@ -205,15 +200,15 @@ def _minibatch_kernel(cfg: SgdConfig, n_steps: int, domain=None) -> streams.Kern
         out[rows] = x[rows] - eta * (np.add.reduce(slots.reshape(rows.size, m, d), axis=1) / m)
         return out
 
-    return streams.Kernel(step_fn, streams.PathDraw(fill, width, np.int64))
+    return streams.Kernel(step_fn)
 
 
-def chain_kernel(cfg: SgdConfig, n_steps: int, domain=None) -> streams.Kernel:
-    """The ``streams.Kernel`` of any chain of ``n_steps`` steps: the one
-    stepping form of every oracle.  Give the ``domain`` a first-exit run
-    stops at, so that a step skips paths that have already left it."""
+def chain_kernel(cfg: SgdConfig, domain=None) -> streams.Kernel:
+    """The ``streams.Kernel`` of any chain: the one stepping form of every
+    oracle.  Give the ``domain`` a first-exit run stops at, so that a step
+    skips paths that have already left it."""
     if isinstance(cfg.oracle, MinibatchOracle):
-        return _minibatch_kernel(cfg, n_steps, domain)
+        return _minibatch_kernel(cfg, domain)
     return _additive_gaussian_kernel(cfg, domain)
 
 
@@ -264,13 +259,9 @@ def run_sgd_ensemble(
     max_k ||x_k - ref_k|| per path, used to compare the chain against its
     deterministic gradient-flow limit.  Every oracle is stepped by one
     ``streams.lockstep`` through ``chain_kernel``, with the draws ``run_sgd``
-    takes from each path's stream.  So an additive-Gaussian chain without
-    ``reference_states`` runs in groups and holds its endpoints and one
-    group's streams and noise, within ``streams.GROUP_BYTES``; a tracked
-    run, whose sup-gaps see every path at every step, and a mini-batch chain
-    run as one group, with one stream per path, and hold one chunk of paths'
-    noise (and a mini-batch's own rows of states) at a time, within the same
-    ``streams.GROUP_BYTES``.
+    takes from each path's stream, in groups: a run holds its endpoints (and
+    sup-gaps) and one group's streams and block, within
+    ``streams.GROUP_BYTES``, whatever ``n_paths``.
     """
     indices = n_paths if isinstance(n_paths, range) else range(check_count("n_paths", n_paths))
     d = cfg.oracle.potential.dim
@@ -285,16 +276,19 @@ def run_sgd_ensemble(
         gaps = np.zeros(len(indices))
 
         def track(k0, states, paths):
-            # A slab of steps at a time bounds the temporaries, as the exit
-            # scan does; the max over steps then over slabs is exact.
+            # Slabs of at most SCAN_BYTES of states bound the temporaries,
+            # which are squared and summed in place, in np.linalg.norm's
+            # bits; the max over steps then over slabs is exact.
             chunk = gaps[paths]
-            slab = streams.scan_slab(states.shape)
+            slab = max(1, streams.SCAN_BYTES // states[0].nbytes)
             for j0 in range(0, len(states), slab):
                 part = states[j0 : j0 + slab]
-                ref = reference_states[k0 + j0 + 1 : k0 + j0 + 1 + len(part), None]
-                np.maximum(chunk, np.linalg.norm(part - ref, axis=2).max(axis=0), out=chunk)
+                sq = part - reference_states[k0 + j0 + 1 : k0 + j0 + 1 + len(part), None]
+                sq *= sq
+                dist = np.add.reduce(sq, axis=2)
+                np.maximum(chunk, np.sqrt(dist, out=dist).max(axis=0), out=chunk)
 
-    kernel = chain_kernel(cfg, cfg.steps)
+    kernel = chain_kernel(cfg)
     endpoints = streams.lockstep(
         kernel, cfg.x0, cfg.seed, experiment, indices, cfg.steps, on_block=track
     )[2]

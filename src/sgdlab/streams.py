@@ -28,27 +28,23 @@ path's ``SeedSequence`` is built only when a caller spawns from its stream.
 SGD chain, first exits and annealing all run through it, and it is the one
 caller of ``path_streams``: it builds each path's stream itself.
 
-Memory: ``lockstep`` holds at most ``GROUP_BYTES`` of noise at once.  It
+Memory: ``lockstep`` holds at most ``GROUP_BYTES`` of blocks at once.  It
 steps in windows of ``BLOCK_STEPS`` steps, whatever the path count, and
 each window's alive paths in contiguous chunks of columns: as many paths as
-fit ``GROUP_BYTES`` with their window's draws and, where a draw is not d
-floats per step and the states are kept (under a domain or an observer),
-their rows of states.  A chunk is filled, stepped, observed, scanned and
-freed before the next is allocated, so a run holds one chunk's block at a
-time.  A run without a domain and without an observer whose draw is d
-floats per step (``sde.em_endpoints``, ``sgd.run_sgd_ensemble`` without
-sup-gaps) also runs in contiguous groups of paths, one at a time, each on
-its own ``path_streams`` call, and only a group's final states outlive it.
-A group holds as many paths as fit ``GROUP_BYTES`` with each path's first
-window (``BLOCK_STEPS`` steps, or the whole run if shorter) and its stream,
-so each of its windows is one chunk, and such a run holds its output and
-one group, whatever its path count.  Every other run is one group, with
-every path's stream: a first exit, from whose windows compaction drops each
-path that has left; a run with an ``on_block`` observer (annealing's
-checkpoints, the chain's sup-gaps); and a draw that is not d floats per
-step (a mini-batch's, one Python call per path and step), to which more
-groups would add only dispatch.  Since a path's states depend on its own
-stream alone, neither groups nor chunks move a bit.
+fit ``GROUP_BYTES`` with their window's block of d floats per step, which
+holds a Gaussian kernel's noise and then the states that overwrite it.  A
+chunk is filled, stepped, observed, scanned and freed before the next is
+allocated, so a run holds one chunk's block at a time.  A run without a
+domain (``sde.em_endpoints``, annealing, ``sgd.run_sgd_ensemble``, with or
+without an observer) also runs in contiguous groups of paths, one at a
+time, each on its own ``path_streams`` call, and only a group's final
+states outlive it.  A group holds as many paths as fit ``GROUP_BYTES`` with
+each path's first window (``BLOCK_STEPS`` steps, or the whole run if
+shorter) and its stream, so each of its windows is one chunk, and such a
+run holds its output and one group, whatever its path count.  A first exit
+is one group, with every path's stream, from whose windows compaction drops
+each path that has left.  Since a path's states depend on its own stream
+alone, neither groups nor chunks move a bit.
 
 Two-thread contract: where a second CPU is free, ``lockstep`` splits a
 chunk's block of d floats per path and step (the standard normals of
@@ -69,11 +65,12 @@ after the join.  The per-step loop, the exit scan, compaction, every
 ``NumericalError`` guard and ``on_block`` run on the calling thread after
 the join.  Since every path's stream is drawn by one thread in step order,
 and shaping, scaling and the block steppers act on each path's column
-alone, the split moves no bit.  Any other block, a mini-batch draw among
-them, is filled by one ``fill`` call on the calling thread.  ``import sgdlab`` starts
-no thread, and neither a forked child nor a worker of the command line's
-pool, however it was started, ever starts one: the pool already keeps the
-CPUs busy, and a child inherits its parent's executor without its thread.
+alone, the split moves no bit.  A kernel without a ``fill`` (a mini-batch
+chain, which draws inside its step) runs on the calling thread.
+``import sgdlab`` starts no thread, and neither a forked child nor a worker
+of the command line's pool, however it was started, ever starts one: the
+pool already keeps the CPUs busy, and a child inherits its parent's
+executor without its thread.
 
 Every ensemble experiment takes a ``scatter(fn, n, *args) -> list``: it
 runs the module-level chunk function ``fn(*args, lo, hi)`` over contiguous
@@ -116,15 +113,13 @@ BLOCK_STEPS = 1024
 # whole block, so that a block costs a few calls and not one per 64 steps.
 SCAN_BYTES = 2**20
 
-# The fewest steps of a scan slab, and the first block under a domain of a
-# draw that is not d floats per step.
+# The fewest steps of a scan slab.
 SCAN_SLAB = 64
 
-# The bytes of noise that ``lockstep`` holds at once: one chunk's block of
-# each window (with the chunk's own rows of states, where it takes them),
-# and for a grouped run one group's first block and streams.  Results do
-# not depend on it.  It bounds the memory of a run, while groups that fit
-# the CPU caches step faster: a weak ladder of 40,000 one-dimensional
+# The bytes of blocks that ``lockstep`` holds at once: one chunk's block of
+# each window, and for a grouped run one group's first block and streams.
+# Results do not depend on it.  It bounds the memory of a run, while groups
+# that fit the CPU caches step faster: a weak ladder of 40,000 one-dimensional
 # double-well paths a side (four rungs of 5 to 40 chain and 50 to 400 Euler
 # steps) and a 2-D chain of 5,000 paths took 1.12, 1.06, 1.03, 1.03 and
 # 1.05 s with budgets of 2, 4, 8, 16 and 32 MiB, and 1.12 s as one group
@@ -341,34 +336,27 @@ if hasattr(os, "register_at_fork"):  # POSIX only; elsewhere nothing forks
     os.register_at_fork(after_in_child=_start_without_helper)
 
 
-class PathDraw(NamedTuple):
-    """A kernel's draws for ``lockstep``: ``width`` values of ``dtype`` per
-    path and step.
-
-    ``fill(gens, ids, k0, k1, out)`` takes the draws of steps k0, ...,
-    k1 - 1 of path ``ids[c]`` from its generator ``gens[ids[c]]``, in step
-    order, and writes them into ``out[:, c]`` of the (k1 - k0, len(ids),
-    width) block ``out``.  It touches no other generator or column, so
-    ``lockstep`` may fill two halves of a block on two threads at once.
-    """
-
-    fill: Callable[[list, np.ndarray, int, int, np.ndarray], None]
-    width: int
-    dtype: type
-
-
 class Kernel(NamedTuple):
     """One step of an ensemble and the noise it takes, for ``lockstep``.
 
-    ``step(x, noise, k)`` advances the states ``x`` (one row per path) by
-    step k = 0, 1, ..., where ``noise`` is the block row of step k, as
-    ``draw`` filled it: for ``gaussian_kernel``'s kernels, noise that is
-    already shaped and scaled, ready to add.  A ``block_step(x, buf, k0)``,
-    if given, replaces the per-step loop: it steps the states ``x`` through
-    the whole block ``buf`` of steps k0, k0 + 1, ... in one call, writes
-    each step's states over the noise row they used and returns the states
-    after the block, and ``step`` is not called.  ``gaussian_kernel`` builds
-    the kernels that draw d standard normals per step.
+    With a ``fill``, ``lockstep`` draws each block of noise before it steps:
+    ``fill(gens, ids, k0, k1, out)`` takes the draws of steps k0, ..., k1 - 1
+    of path ``ids[c]`` from its generator ``gens[ids[c]]``, in step order,
+    and writes them into ``out[:, c]`` of the (k1 - k0, len(ids), d) float
+    block ``out``; it touches no other generator or column, so ``lockstep``
+    may fill two halves of a block on two threads at once.  Then ``step(x,
+    noise, k)`` advances the states ``x`` (one row per path) by step k = 0,
+    1, ..., where ``noise`` is the block row of step k: for
+    ``gaussian_kernel``'s kernels, noise that is already shaped and scaled,
+    ready to add.  A ``block_step(x, buf, k0)``, if given, replaces the
+    per-step loop: it steps the states ``x`` through the whole block ``buf``
+    of steps k0, k0 + 1, ... in one call, writes each step's states over the
+    noise row they used and returns the states after the block, and
+    ``step`` is not called.
+
+    Without a ``fill`` (a mini-batch chain, whose draws are not d floats per
+    step), ``step(x, gens, k)`` draws what step k needs itself, from
+    ``gens[c]``, the generator of the path in row c of ``x``.
 
     ``block_step_releases_gil`` is internal, set by ``sde.sde_kernel`` for
     a block stepper that runs outside the GIL (the compiled linear filter),
@@ -376,8 +364,8 @@ class Kernel(NamedTuple):
     module docstring's two-thread contract).
     """
 
-    step: Callable[[np.ndarray, np.ndarray, int], np.ndarray]
-    draw: PathDraw
+    step: Callable[[np.ndarray, object, int], np.ndarray]
+    fill: Callable[[list, np.ndarray, int, int, np.ndarray], None] | None = None
     block_step: Callable[[np.ndarray, np.ndarray, int], np.ndarray] | None = None
     block_step_releases_gil: bool = False
 
@@ -439,7 +427,7 @@ def gaussian_kernel(step, d: int, s=1.0, step_scale=None, block_step=None) -> Ke
         if step_scale is not None:
             out *= np.reshape(step_scale(k0, k1), (-1, 1, 1))
 
-    return Kernel(step, PathDraw(fill, d, float), block_step)
+    return Kernel(step, fill, block_step)
 
 
 def _prepare(kernel: Kernel, gens, ids, k0, k1, buf, x, block_step) -> np.ndarray:
@@ -449,7 +437,7 @@ def _prepare(kernel: Kernel, gens, ids, k0, k1, buf, x, block_step) -> np.ndarra
     was.  numpy's error state belongs to a thread's context, so this sets
     ``lockstep``'s own for the helper thread too."""
     with np.errstate(over="ignore", invalid="ignore"):
-        kernel.draw.fill(gens, ids, k0, k1, buf)
+        kernel.fill(gens, ids, k0, k1, buf)
         return x if block_step is None else block_step(x, buf, k0)
 
 
@@ -479,57 +467,48 @@ def lockstep(
 
     The steps run in windows of ``BLOCK_STEPS`` steps (the last one
     shorter), whatever the path count, and each window's alive paths in
-    contiguous chunks of columns whose block, with the chunk's own rows of
-    states where it takes them, fits ``GROUP_BYTES``.  A chunk's block is
-    filled from each of its paths' streams, stepped, observed, scanned and
-    freed before the next chunk's is allocated, so the result is independent
-    of the budget, of the groups and of how paths are cut into chunks.  A
-    block is time-major: ``buf[j, c]`` is step j of the path in column c, so
-    the noise of one step is the view ``buf[j]``.  It may be split between
-    two threads, as the module docstring's two-thread contract states.
+    contiguous chunks of columns whose (steps, paths, d) float block fits
+    ``GROUP_BYTES``.  A chunk's block is filled from each of its paths'
+    streams (by a kernel with a ``fill``), stepped, with each step's states
+    written over its row, observed, scanned and freed before the next
+    chunk's is allocated, so the result is independent of the budget, of
+    the groups and of how paths are cut into chunks.  A block is
+    time-major: ``buf[j, c]`` is step j of the path in column c, so the
+    noise of one step is the view ``buf[j]``.  It may be split between two
+    threads, as the module docstring's two-thread contract states.
 
     Observer contract: ``on_block(k0, states, paths)``, if given, is called
-    once per chunk, windows in step order and a window's chunks in column
-    order, after the chunk is stepped and before the window's
+    once per chunk, a group's windows in step order and a window's chunks in
+    column order, after the chunk is stepped and before the window's
     ``NumericalError`` guard.  ``paths`` is the slice of positions in
     ``indices`` that the chunk holds, and ``states`` the (k1 - k0,
     len(chunk), d) stack of their states after steps k0 + 1, ..., k1, so
     ``states[j, c]`` holds path ``paths.start + c`` after step k0 + j + 1.
-    It is a view of the chunk's rows, which the block stepper or the
-    per-step loop wrote over the noise they used (rows of their own, counted
-    in the budget, for a draw that is not d floats per step), and is valid
-    only during the call: later chunks reuse that memory, so an observer
-    that keeps states copies them.
+    It is a view of the chunk's block, valid only during the call: later
+    chunks reuse that memory, so an observer that keeps states copies them.
 
     Block-scan contract, with a ``domain``: every path alive at the start of
-    a window is stepped through the whole window, each step's states
-    overwriting the noise row they used, and then ``domain.contains`` scans
-    its chunk for first exits one slab at a time: ``scan_slab`` steps,
-    ``SCAN_BYTES`` of the chunk's states, so a few alive paths are scanned
-    in one call per window and many in slabs of as few as ``SCAN_SLAB``
-    steps.  Unless the draw is d floats per step (a mini-batch's component
-    indices, say), the states take rows of their own, and windows start at
-    ``SCAN_SLAB`` steps and double up to ``BLOCK_STEPS``, since such a draw
-    may cost a Python call per step: a path that exits at step t draws at
-    most t + ``SCAN_SLAB`` steps past it.  So a step may be evaluated on a
-    path after its exit, until the end of the window; those states are
-    discarded, and overflow in them is ignored (the chain kernels,
-    ``sgd.chain_kernel``, leave such paths as they are).  Exits are
-    recorded, and the alive states and path ids compacted, once per window,
-    after its last chunk.  A non-finite exit point raises ``NumericalError``
-    at its exact step, the earliest such step of the window over all its
-    chunks; the states still alive are checked once per window, so a
-    non-finite alive state is reported at the end of its window.
+    a window is stepped through the whole window, and then
+    ``domain.contains`` scans its chunk for first exits one slab at a time:
+    ``scan_slab`` steps, ``SCAN_BYTES`` of the chunk's states, so a few
+    alive paths are scanned in one call per window and many in slabs of as
+    few as ``SCAN_SLAB`` steps.  So a step may be evaluated on a path after
+    its exit, until the end of the window; those states are discarded, and
+    overflow in them is ignored (the chain and Euler kernels leave such
+    paths as they are where their noise may not be defined, and a
+    mini-batch path draws no batch after its exit).  Exits are recorded, and
+    the alive states and path ids compacted, once per window, after its last
+    chunk.  A non-finite exit point raises ``NumericalError`` at its exact
+    step, the earliest such step of the window over all its chunks; the
+    states still alive are checked once per window, so a non-finite alive
+    state is reported at the end of its window.
     """
     if on_block is not None and domain is not None:
         raise ValueError("lockstep takes on_block only without a domain")
     n, d = len(indices), x0.size
-    draw = kernel.draw
-    d_floats = (draw.width, np.dtype(draw.dtype)) == (d, np.float64)
     size = max(n, 1)
-    if domain is None and on_block is None and d_floats:
-        size = max(1, GROUP_BYTES // (8 * d * min(BLOCK_STEPS, n_steps) + _STREAM_BYTES))
     if domain is None:
+        size = max(1, GROUP_BYTES // (8 * d * min(BLOCK_STEPS, n_steps) + _STREAM_BYTES))
         # No path leaves: read-only views, which hold no memory per path.
         exit_step = np.broadcast_to(np.int64(-1), (n,))
         exit_points = np.broadcast_to(0.0, (n, d))
@@ -544,28 +523,19 @@ def lockstep(
         hi = min(lo + size, n)
         gens = path_streams(base_seed, experiment, indices[lo:hi])
         _run_group(
-            kernel, gens, n_steps, domain, on_block, d_floats,
+            kernel, gens, n_steps, domain, on_block, lo,
             exit_step[lo:hi], exit_points[lo:hi], states[lo:hi],
         )
         del gens
     return exit_step, exit_points, states
 
 
-def _run_group(
-    kernel, gens, n_steps, domain, on_block, d_floats, exit_step, exit_points, states
-) -> None:
-    """``lockstep`` of one group: the paths of ``gens`` from the rows of
-    ``states``, writing each path's exit step, exit point and final state
-    into its row of ``exit_step``, ``exit_points`` and ``states``.
-    ``d_floats`` says whether the kernel draws d floats per step.  A run
-    with an observer is one group without a domain, so the column c it
-    tells the observer of is position c of ``lockstep``'s ``indices``."""
-    draw = kernel.draw
+def _run_group(kernel, gens, n_steps, domain, on_block, lo, exit_step, exit_points, states) -> None:
+    """``lockstep`` of one group: the paths of ``gens``, at positions lo,
+    lo + 1, ... of ``lockstep``'s ``indices``, from the rows of ``states``,
+    writing each path's exit step, exit point and final state into its row
+    of ``exit_step``, ``exit_points`` and ``states``."""
     d = states.shape[1]
-    keep_rows = domain is not None or on_block is not None
-    own_rows = keep_rows and not d_floats
-    row_bytes = draw.width * np.dtype(draw.dtype).itemsize + (8 * d if own_rows else 0)
-    longest = min(BLOCK_STEPS, SCAN_SLAB) if domain is not None and not d_floats else BLOCK_STEPS
     x = states.copy()
     ids = np.arange(len(gens))
     step0 = 0
@@ -573,21 +543,18 @@ def _run_group(
     # intermediate warnings would only add noise.
     with np.errstate(over="ignore", invalid="ignore"):
         while ids.size and step0 < n_steps:
-            kblock = min(longest, n_steps - step0)
-            longest = min(2 * longest, BLOCK_STEPS)
+            kblock = min(BLOCK_STEPS, n_steps - step0)
             step1 = step0 + kblock
-            width = max(1, GROUP_BYTES // (row_bytes * kblock))
+            width = max(1, GROUP_BYTES // (8 * d * kblock))
             # Window step of each path's first outside state, -1 if none,
             # and the columns, steps and points of the chunks' exits.
             first = np.full(ids.size, -1, dtype=np.int64)
             exits = []
             for c0 in range(0, ids.size, width):
                 c1 = min(c0 + width, ids.size)
-                x[c0:c1], rows = _step_chunk(
-                    kernel, gens, ids[c0:c1], step0, step1, x[c0:c1], d_floats, keep_rows
-                )
+                x[c0:c1], rows = _step_chunk(kernel, gens, ids[c0:c1], step0, step1, x[c0:c1])
                 if on_block is not None:
-                    on_block(step0, rows, slice(c0, c1))
+                    on_block(step0, rows, slice(lo + c0, lo + c1))
                 if domain is not None:
                     chunk = first[c0:c1]
                     slab = scan_slab(rows.shape)
@@ -618,17 +585,21 @@ def _run_group(
     states[ids] = x
 
 
-def _step_chunk(kernel, gens, ids, step0, step1, x, d_floats, keep_rows):
-    """Fill the block of steps step0, ..., step1 - 1 of the paths ``ids``
-    and step their states ``x`` through it; returns the states after the
-    block and, with ``keep_rows``, the (steps, paths, d) rows of the states
-    after each step: the block itself, written over, unless the draw is not
-    d floats per step, whose states take rows of their own."""
-    step_fn, draw, block_step, releases_gil = kernel
-    buf = np.empty((step1 - step0, ids.size, draw.width), dtype=draw.dtype)
+def _step_chunk(kernel, gens, ids, step0, step1, x):
+    """Step the states ``x`` of the paths ``ids`` through steps step0, ...,
+    step1 - 1; returns the states after the block and the (steps, paths, d)
+    block of the states after each step.  A kernel with a ``fill`` fills the
+    block with noise first, and each step's states go over the noise row
+    they used."""
+    step_fn, fill, block_step, releases_gil = kernel
+    buf = np.empty((step1 - step0, ids.size, x.shape[1]))
+    if fill is None:
+        column_gens = [gens[i] for i in ids]
+        for j in range(len(buf)):
+            x = buf[j] = step_fn(x, column_gens, step0 + j)
+        return x, buf
     split = (
-        d_floats
-        and ids.size >= 2
+        ids.size >= 2
         and buf.shape[0] * buf.shape[2] >= SPLIT_VALUES
         and buf.size >= SPLIT_BLOCK_VALUES
     )
@@ -648,10 +619,7 @@ def _step_chunk(kernel, gens, ids, step0, step1, x, d_floats, keep_rows):
         x = np.concatenate([head, tail.result()])
         if per_half is None and block_step is not None:
             x = block_step(x, buf, step0)
-    rows = np.empty(buf.shape[:2] + x.shape[1:]) if keep_rows and not d_floats else buf
     if block_step is None:
         for j in range(len(buf)):
-            x = step_fn(x, buf[j], step0 + j)
-            if keep_rows:
-                rows[j] = x
-    return x, rows
+            x = buf[j] = step_fn(x, buf[j], step0 + j)
+    return x, buf

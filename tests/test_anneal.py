@@ -161,7 +161,7 @@ def test_the_cooling_table_is_the_per_step_math_product(monkeypatch):
     times = grabbed["times"]
     steps = np.diff(times)
     assert times.size == 25_001 and steps[-1] < 0.02  # a shortened last step
-    fill = sde_kernel(grabbed["cfg"], times).draw.fill
+    fill = sde_kernel(grabbed["cfg"], times).fill
     expected = np.array(
         [math.sqrt(0.4 / math.log(2.0 + t)) * math.sqrt(h) for t, h in zip(times, steps)]
     )

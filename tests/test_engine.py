@@ -46,6 +46,7 @@ from test_exit_times import (
     _engine_baseline,
     _engine_records,
     _per_path_diffusion,
+    _reference_records,
 )
 
 WELL = builtin("quadratic_well")
@@ -311,7 +312,7 @@ def _sgd_chunk(case, block, lo, hi):
         for j, x in enumerate(states):
             gaps[paths] = np.maximum(gaps[paths], np.linalg.norm(x - ref[k0 + j + 1], axis=1))
 
-    kernel = chain_kernel(cfg, cfg.steps)
+    kernel = chain_kernel(cfg)
     with mock.patch.object(streams, "BLOCK_STEPS", block):
         ends = streams.lockstep(
             kernel, cfg.x0, cfg.seed, f"sgd:{case}", range(lo, hi), cfg.steps, on_block=track
@@ -334,7 +335,7 @@ def _chain_chunk(cfg, label, block, lo, hi):
         for j, x in enumerate(states):
             gaps[paths] = np.maximum(gaps[paths], np.linalg.norm(x - ref[k0 + j + 1], axis=1))
 
-    kernel = chain_kernel(cfg, cfg.steps)
+    kernel = chain_kernel(cfg)
     with mock.patch.object(streams, "BLOCK_STEPS", block):
         ends = streams.lockstep(
             kernel, cfg.x0, cfg.seed, label, range(lo, hi), cfg.steps, on_block=track
@@ -589,83 +590,89 @@ def test_minibatch_exits_ignore_the_noise_block_byte_cap(case, cap, monkeypatch)
     _assert_same_records(got, [(r.exit_time, r.exit_point, r.censored) for r in expected])
 
 
-def _per_path_draw(fn, width):
-    """A ``PathDraw`` of int64 rows from ``fn(gen, k0, k1)``, one call per
-    path and block."""
-
-    def fill(gens, ids, k0, k1, out):
-        for c, i in enumerate(ids):
-            out[:, c] = fn(gens[i], k0, k1)
-
-    return streams.PathDraw(fill, width, np.int64)
-
-
 @pytest.mark.parametrize("with_domain", [False, True])
 @pytest.mark.parametrize("dtype", [float, np.int64])
 def test_windows_keep_their_steps_and_chunks_fit_the_budget(dtype, with_domain, monkeypatch):
-    # 16 two-dimensional paths over 12 steps in windows of 8 and 4 steps,
-    # drawing 2 floats or 6 int64 per step: 16 or 48 bytes a row, and for
-    # the int64 draw 16 more for the states' own rows.  A budget of 5 rows
-    # of every path fits 10 columns of the 8-step window and all 16 of the
-    # 4-step one, and no window is shortened.  Without a domain an observer
-    # keeps the run in one group, and is told each chunk's columns.
-    width = 2 if dtype is float else 6
-    row = 8 * width + (0 if dtype is float else 8 * 2)
-    monkeypatch.setattr(streams, "GROUP_BYTES", row * 16 * 5)
+    # 16 two-dimensional paths over 12 steps in windows of 8 and 4 steps:
+    # a kernel that fills 2 floats of noise per step, or one without a fill
+    # that draws 6 int64 per step inside its step, as a mini-batch chain
+    # draws its batches.  Either block is 2 floats, 16 bytes, a row.  A
+    # budget of 5 rows of every path fits 10 columns of the 8-step window
+    # and all 16 of the 4-step one, and no window is shortened.  Without a
+    # domain the run is cut into groups too, here (with streams patched to
+    # cost nothing) of 10 and 6 paths, and the observer is told each chunk's
+    # positions among all 16 paths.
+    monkeypatch.setattr(streams, "GROUP_BYTES", 16 * 16 * 5)
     monkeypatch.setattr(streams, "BLOCK_STEPS", 8)
+    monkeypatch.setattr(streams, "_STREAM_BYTES", 0)
     blocks, observed = [], []
 
-    def step(x, noise, k):
-        blocks.append((k, noise.base.shape[:2]))
-        return x + 0.0 * noise[:, :2]
+    def record(x, k):
+        blocks.append((k, len(x)))
+        return x + 0.0
 
     if dtype is float:
-        draw = streams.gaussian_kernel(step, 2).draw
+        kernel = streams.gaussian_kernel(lambda x, noise, k: record(x, k) + 0.0 * noise, 2)
     else:
-        draw = _per_path_draw(lambda gen, k0, k1: gen.integers(0, 9, size=(k1 - k0, 6)), 6)
+
+        def step(x, gens, k):
+            draws = np.array([gen.integers(0, 9, size=6) for gen in gens])
+            assert draws.shape == (len(x), 6)
+            return record(x, k)
+
+        kernel = streams.Kernel(step)
     if with_domain:
         domain, observe = Domain.box([-1.0, -1.0], [1.0, 1.0]), None
+        chunks = [(0, 8, (10, 6)), (8, 4, (16,))]
     else:
-        domain, observe = None, lambda k0, states, paths: observed.append((k0, paths))
+        domain = None
+
+        def observe(k0, states, paths):
+            assert states.shape[:2] == (8 if k0 == 0 else 4, paths.stop - paths.start)
+            observed.append((k0, paths))
+
+        chunks = [(0, 8, (10,)), (8, 4, (10,)), (0, 8, (6,)), (8, 4, (6,))]
     exit_step, _, _ = streams.lockstep(
-        streams.Kernel(step, draw), np.zeros(2), 0, "budget", range(16), 12,
-        domain=domain, on_block=observe,
+        kernel, np.zeros(2), 0, "budget", range(16), 12, domain=domain, on_block=observe
     )
     assert blocks == [
-        (k0 + j, (steps, columns))
-        for k0, steps, chunks in ((0, 8, (10, 6)), (8, 4, (16,)))
-        for columns in chunks
-        for j in range(steps)
+        (k0 + j, columns) for k0, steps, parts in chunks for columns in parts for j in range(steps)
     ]
     assert exit_step.tolist() == [-1] * 16
     if not with_domain:
-        assert observed == [(0, slice(0, 10)), (0, slice(10, 16)), (8, slice(0, 16))]
+        assert observed == [
+            (0, slice(0, 10)), (8, slice(0, 10)), (0, slice(10, 16)), (8, slice(10, 16))
+        ]
 
 
-def test_draw_blocks_under_a_domain_grow_from_the_scan_slab(monkeypatch):
-    """A kernel's draw can cost a Python call per step, so under a domain
-    its blocks start at SCAN_SLAB steps and double: a path that leaves at
-    once draws one short block, not ``BLOCK_STEPS`` steps."""
-    monkeypatch.setattr(streams, "BLOCK_STEPS", 300)
-    lengths = []
+@pytest.mark.parametrize("block", [7, 1024])
+@pytest.mark.parametrize("case", ["without_replacement-d2-schedule", "with_replacement-d1"])
+def test_a_minibatch_exit_draws_one_batch_per_step_it_takes(case, block, monkeypatch):
+    """A mini-batch path draws its batch inside the step, so it draws one
+    batch per step up to its exit, as ``run_sgd`` does, and none of the
+    steps its window runs past the exit; a censored path draws one per step
+    of the horizon."""
+    cfg, domain = _minibatch_exit_case(case)
+    expected = hitting_time_mc(cfg, domain, CHAIN_PATHS, 6.0, experiment="count")
+    position, calls = {}, np.zeros(CHAIN_PATHS, dtype=np.int64)
 
-    def fn(gen, k0, k1):
-        lengths.append(k1 - k0)
-        return gen.integers(0, 9, size=(k1 - k0, 1))
+    def path_streams(*args):
+        gens = streams_path_streams(*args)
+        position.update((id(gen), p) for p, gen in enumerate(gens))
+        return gens
 
-    draw = _per_path_draw(fn, 1)
-    stay = streams.Kernel(lambda x, batches, k: x + 0.0 * batches, draw)
-    wide = Domain.interval(-1.0, 1.0)
-    streams.lockstep(stay, np.zeros(1), 0, "grow", range(3), 1000, domain=wide)
-    slab = streams.SCAN_SLAB
-    assert lengths == [n for n in (slab, 2 * slab, 4 * slab, 300, 1000 - 7 * slab - 300)
-                       for _ in range(3)]
-    lengths.clear()
-    leave = streams.Kernel(lambda x, batches, k: x + 1.0, draw)
-    exit_step, _, _ = streams.lockstep(
-        leave, np.zeros(1), 0, "grow", range(3), 1000, domain=Domain.interval(-0.5, 0.5)
-    )
-    assert lengths == [slab] * 3 and exit_step.tolist() == [1, 1, 1]
+    def batch(self, rng, m=None):
+        calls[position[id(rng)]] += 1
+        return oracle_batch(self, rng, m)
+
+    streams_path_streams, oracle_batch = streams.path_streams, MinibatchOracle.batch
+    monkeypatch.setattr(streams, "path_streams", path_streams)
+    monkeypatch.setattr(MinibatchOracle, "batch", batch)
+    monkeypatch.setattr(streams, "BLOCK_STEPS", block)
+    records = hitting_time_mc(cfg, domain, CHAIN_PATHS, 6.0, experiment="count")
+    _assert_same_records(records, [(r.exit_time, r.exit_point, r.censored) for r in expected])
+    assert calls.tolist() == [round(r.exit_steps) for r in records]
+    assert 0 < sum(r.censored for r in records) < CHAIN_PATHS
 
 
 def _run_sgd_exits(cfg, domain, label, n_paths, max_steps):
@@ -700,6 +707,13 @@ def test_state_dependent_noise_exits_where_the_covariance_ends(block, monkeypatc
         assert rec.censored == (k is None)
         assert rec.exit_steps == (60 if k is None else k)
         np.testing.assert_array_equal(rec.exit_point, x)
+    assert 0 < sum(r.censored for r in records) < CHAIN_PATHS
+    # The diffusion of the same noise, whose Euler step evaluates S(x) only
+    # on the paths still inside.
+    sde = SdeConfig(DOUBLE_WELL, 0.05, 0.05, 3.0, cfg.x0, diffusion=oracle.diffusion, seed=5)
+    records = hitting_time_mc(sde, domain, CHAIN_PATHS, 3.0, experiment="psd-sde")
+    expected = _reference_records(sde, domain, CHAIN_PATHS, 3.0, 5, "psd-sde", block)
+    _assert_same_records(records, expected)
     assert 0 < sum(r.censored for r in records) < CHAIN_PATHS
 
 
@@ -876,7 +890,7 @@ def test_windows_keep_their_length_beyond_8192_paths():
         fills.append((k0, k1, ids.copy()))
         out[...] = 0.0
 
-    kernel = streams.Kernel(lambda x, noise, k: x + noise, streams.PathDraw(fill, 1, float))
+    kernel = streams.Kernel(lambda x, noise, k: x + noise, fill)
     n = 8_200
     exit_step, _, states = streams.lockstep(
         kernel, np.zeros(1), 0, "wide", range(n), 2048, domain=Domain.interval(-1.0, 1.0)

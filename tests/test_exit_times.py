@@ -743,7 +743,7 @@ def test_non_finite_exit_is_reported_at_its_earliest_step_over_all_chunks(monkey
     def step_fn(x, noise, k):
         return np.where(k + 1 >= noise, np.inf, x)
 
-    kernel = streams.Kernel(step_fn, streams.PathDraw(fill, 1, float))
+    kernel = streams.Kernel(step_fn, fill)
     with pytest.raises(NumericalError) as info:
         streams.lockstep(kernel, np.zeros(1), 0, "blow-up", range(3), 12, domain=UNIT)
     assert info.value.step == 3

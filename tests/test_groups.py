@@ -1,11 +1,11 @@
 """Domain-free ensembles stepped in groups of paths.
 
-``streams.lockstep`` runs the paths of an ensemble without a domain or an
-observer one group at a time, each on its own ``path_streams`` call.  The
-groups must move no bit: its final states equal those of one group over the
+``streams.lockstep`` runs the paths of an ensemble without a domain one
+group at a time, each on its own ``path_streams`` call, with or without an
+observer and whatever its kernel.  The groups must move no bit: its final
+states (and an observer's sup-gaps) equal those of one group over the
 streams of every path, whatever the group budget, the block, the path count
-and the step count.  A run with an observer or a mini-batch draw is one
-group, as before; and the traced memory of a grouped run stays within one
+and the step count; and the traced memory of a grouped run stays within one
 group's budget and its output, whatever the path count.
 """
 
@@ -52,7 +52,7 @@ def _sde(potential, x0, **kwargs):
 def _chain():
     oracle = AdditiveGaussianOracle(WELL_2D, _covariance)
     cfg = SgdConfig(eta=0.05, steps=1, x0=np.array([0.2, 0.1]), oracle=oracle)
-    return chain_kernel(cfg, cfg.steps), cfg.x0
+    return chain_kernel(cfg), cfg.x0
 
 
 # Every kind of kernel that runs in groups, as (kernel, x0).
@@ -122,8 +122,9 @@ def test_groups_move_no_bit(case, budget, block, lo, n, n_steps):
         assert calls == 1
 
 
-def _today(cfg, experiment, indices, reference=None):
-    """``run_sgd_ensemble`` as one ``lockstep`` over every path's stream."""
+def _one_group(cfg, experiment, indices, reference=None):
+    """``run_sgd_ensemble`` as one ``lockstep`` group over every path's
+    stream, with sup-gaps taken one step at a time."""
     gaps = track = None
     if reference is not None:
         gaps = np.zeros(len(indices))
@@ -133,10 +134,14 @@ def _today(cfg, experiment, indices, reference=None):
                 step_gaps = np.linalg.norm(x - reference[k0 + j + 1], axis=1)
                 gaps[paths] = np.maximum(gaps[paths], step_gaps)
 
-    kernel = chain_kernel(cfg, cfg.steps)
-    ends = streams.lockstep(
-        kernel, cfg.x0, cfg.seed, experiment, indices, cfg.steps, on_block=track
-    )[2]
+    counting = CountingStreams()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(streams, "GROUP_BYTES", 2**62)
+        mp.setattr(streams, "path_streams", counting)
+        ends = streams.lockstep(
+            chain_kernel(cfg), cfg.x0, cfg.seed, experiment, indices, cfg.steps, on_block=track
+        )[2]
+    assert counting.calls == 1
     return ends, gaps
 
 
@@ -153,16 +158,16 @@ def _tracked_cfg():
 
 @pytest.mark.parametrize("budget", [0, streams.GROUP_BYTES])
 @pytest.mark.parametrize("kind", ["minibatch", "reference-states"])
-def test_minibatch_and_tracked_ensembles_are_one_group(kind, budget, monkeypatch):
+def test_minibatch_and_tracked_ensembles_run_in_groups(kind, budget, monkeypatch):
     cfg = _minibatch_cfg() if kind == "minibatch" else _tracked_cfg()
     reference = None if kind == "minibatch" else np.linspace(1.2, 1.0, cfg.steps + 1)[:, None]
     indices = range(5, 45)
-    expected, expected_gaps = _today(cfg, kind, indices, reference)
+    expected, expected_gaps = _one_group(cfg, kind, indices, reference)
     counting = CountingStreams()
     monkeypatch.setattr(streams, "GROUP_BYTES", budget)
     monkeypatch.setattr(streams, "path_streams", counting)
     result = run_sgd_ensemble(cfg, indices, kind, reference)
-    assert counting.calls == 1
+    assert counting.calls == (len(indices) if budget == 0 else 1)
     assert result.endpoints.tobytes() == expected.tobytes()
     if reference is None:
         assert result.sup_gaps is None
@@ -179,22 +184,37 @@ def _traced_peak(run):
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("ensemble", ["em_endpoints", "run_sgd_ensemble"])
+@pytest.mark.parametrize(
+    "ensemble", ["em_endpoints", "run_sgd_ensemble", "minibatch", "reference_states"]
+)
 def test_a_grouped_ensemble_holds_one_group_at_a_time(ensemble):
     # 40,000 paths in one group held about 33 MB of streams and, for 400
-    # Euler steps, a 64 MiB noise block.  In groups, a run holds its output,
-    # one group's streams and block within GROUP_BYTES, and the fill's tile
-    # of at most SCAN_BYTES on each of two threads.
-    n = 40_000
+    # Euler steps, a 64 MiB noise block.  In groups, a run holds its output
+    # (endpoints, and sup-gaps if tracked), one group's streams and block
+    # within GROUP_BYTES, and the fill's tile of at most SCAN_BYTES on each
+    # of two threads, or the tracker's slabs of at most SCAN_BYTES.  A
+    # mini-batch ensemble, one Python call per path and step, takes 20,000
+    # paths and 2 steps, whose streams alone would exceed the bound.
+    n, reference = 40_000, None
     if ensemble == "em_endpoints":
         cfg = SdeConfig(DOUBLE_WELL, 0.3, 0.0025, 1.0, np.array([0.8]), seed=4)
-        peak, out = _traced_peak(lambda: em_endpoints(cfg, n))
+        run = lambda: [em_endpoints(cfg, n)]  # noqa: E731
     else:
-        cfg = _tracked_cfg()
-        cfg = SgdConfig(eta=0.025, steps=40, x0=cfg.x0, oracle=cfg.oracle, seed=4)
-        peak, out = _traced_peak(lambda: run_sgd_ensemble(cfg, n).endpoints)
-    assert out.shape == (n, 1)
-    bound = out.nbytes + streams.GROUP_BYTES + 4 * streams.SCAN_BYTES
+        if ensemble == "minibatch":
+            n, cfg, eta, steps = 20_000, _minibatch_cfg(), 0.05, 2
+        else:
+            cfg, eta, steps = _tracked_cfg(), 0.025, 40
+        if ensemble == "reference_states":
+            reference = np.linspace(1.2, 1.0, steps + 1)[:, None]
+        cfg = SgdConfig(eta=eta, steps=steps, x0=cfg.x0, oracle=cfg.oracle, seed=4)
+
+        def run():
+            result = run_sgd_ensemble(cfg, n, reference_states=reference)
+            return [a for a in (result.endpoints, result.sup_gaps) if a is not None]
+
+    peak, out = _traced_peak(run)
+    assert [a.shape[0] for a in out] == [n] * len(out)
+    bound = sum(a.nbytes for a in out) + streams.GROUP_BYTES + 4 * streams.SCAN_BYTES
     assert peak <= bound, f"traced peak {peak / 2**20:.1f} MiB > {bound / 2**20:.1f} MiB"
 
 

@@ -384,13 +384,13 @@ def test_a_noise_schedule_is_evaluated_once_per_step(monkeypatch):
     monkeypatch.setattr(streams, "GROUP_BYTES", 8 * 64 * streams.BLOCK_STEPS)
     fills = []
     kernel = sde_kernel(cfg)
-    fill = kernel.draw.fill
+    fill = kernel.fill
 
     def counting_fill(gens, ids, k0, k1, out):
         fills.append(len(ids))
         fill(gens, ids, k0, k1, out)
 
-    kernel = kernel._replace(draw=kernel.draw._replace(fill=counting_fill))
+    kernel = kernel._replace(fill=counting_fill)
     with ThreadPoolExecutor(1) as helper, mock.patch.object(streams, "_helper", lambda: helper):
         exit_step, _, _ = streams.lockstep(
             kernel, cfg.x0, 0, "schedule", range(200), 2048, domain=Domain.interval(0.0, 2.0)

@@ -74,16 +74,20 @@ NOISES = {
 def _per_step_states(kernel, x0, n, n_steps):
     """The states of n paths after each of steps 1, ..., ``n_steps``, one
     step at a time: each step fills a one-step block and steps it with
-    ``kernel.block_step`` if there is one, else with ``kernel.step``,
+    ``kernel.block_step`` if there is one, else with ``kernel.step``, or,
+    for a kernel without a ``fill``, steps on the paths' generators,
     outside ``lockstep``."""
     gens = streams.path_streams(7, "threads", range(n))
     ids = np.arange(n)
     x = np.tile(x0, (n, 1))
     out = np.empty((n_steps, n, x0.size))
     for k in range(n_steps):
-        buf = np.empty((1, n, kernel.draw.width), dtype=kernel.draw.dtype)
-        kernel.draw.fill(gens, ids, k, k + 1, buf)
-        x = kernel.block_step(x, buf, k) if kernel.block_step else kernel.step(x, buf[0], k)
+        if kernel.fill is None:
+            x = kernel.step(x, gens, k)
+        else:
+            buf = np.empty((1, n, x0.size))
+            kernel.fill(gens, ids, k, k + 1, buf)
+            x = kernel.block_step(x, buf, k) if kernel.block_step else kernel.step(x, buf[0], k)
         out[k] = x
     return out
 
@@ -116,13 +120,13 @@ def test_split_blocks_keep_every_bit(
     if mode == "domain":
         domain = Domain.interval(-1.0, 1.0) if d == 1 else Domain.ball(np.zeros(d), 1.0)
     if minibatch:
-        # A mini-batch draw (component indices, one Python call per path and
-        # step) never splits, and under an observer takes rows of its own.
+        # A mini-batch chain draws its batches inside its step (one Python
+        # call per path and step) and never splits.
         n, n_steps = min(n, 5), min(n_steps, 1500)
         centers = np.random.default_rng(d).normal(size=(6, d))
         oracle = MinibatchOracle(gaussian_cloud(centers), m=2)
         chain = SgdConfig(eta=0.05, steps=n_steps, x0=cfg.x0, oracle=oracle)
-        kernel = chain_kernel(chain, n_steps, domain)
+        kernel = chain_kernel(chain, domain)
     else:
         kernel = sde_kernel(cfg)
         # sde_kernel gives a diagonal quadratic the linear block stepper.
@@ -168,15 +172,21 @@ def test_split_blocks_keep_every_bit(
     assert (helper.splits > 0) == first_splits
 
 
-def _fill_threads(kernel):
-    """The kernel with its fill recording the thread of each call."""
+def _draw_threads(kernel):
+    """The kernel with the calls that draw recording their thread: its
+    ``fill``, or the step of a kernel without one."""
     threads = []
 
-    def fill(*args):
-        threads.append(threading.get_ident())
-        kernel.draw.fill(*args)
+    def record(fn):
+        def recorded(*args):
+            threads.append(threading.get_ident())
+            return fn(*args)
 
-    return kernel._replace(draw=kernel.draw._replace(fill=fill)), threads
+        return recorded
+
+    if kernel.fill is None:
+        return kernel._replace(step=record(kernel.step)), threads
+    return kernel._replace(fill=record(kernel.fill)), threads
 
 
 @pytest.mark.parametrize("kind", ["gaussian", "minibatch"])
@@ -187,7 +197,7 @@ def test_only_gaussian_fills_leave_the_calling_thread(kind):
     else:
         oracle = MinibatchOracle(fs, 1)
     cfg = SgdConfig(eta=0.01, steps=1024, x0=np.zeros(1), oracle=oracle, seed=3)
-    kernel, threads = _fill_threads(chain_kernel(cfg, cfg.steps))
+    kernel, threads = _draw_threads(chain_kernel(cfg))
     helper = CountingHelper()
     _lockstep(helper, kernel, cfg.x0, 64, cfg.steps)
     if kind == "gaussian":
@@ -206,20 +216,19 @@ def test_the_double_well_stepper_runs_once_per_block_after_a_split_fill(monkeypa
     domain, horizon, label = Domain.interval(0.4, 1.6), 4.0, "threads:double-well"
     events = []
 
-    def recording_kernel(process):
-        kernel = sde_kernel(process)
+    def recording_kernel(process, domain=None):
+        kernel = sde_kernel(process, domain=domain)
         assert kernel.block_step is not None and not kernel.block_step_releases_gil
 
         def fill(gens, ids, *args):
             events.append(("fill", threading.get_ident(), len(ids)))
-            kernel.draw.fill(gens, ids, *args)
+            kernel.fill(gens, ids, *args)
 
         def block_step(x, buf, k0):
             events.append(("step", threading.get_ident(), buf.shape[1]))
             return kernel.block_step(x, buf, k0)
 
-        draw = kernel.draw._replace(fill=fill)
-        return kernel._replace(draw=draw, block_step=block_step)
+        return kernel._replace(fill=fill, block_step=block_step)
 
     monkeypatch.setattr(exit_times, "sde_kernel", recording_kernel)
     helper = CountingHelper()
