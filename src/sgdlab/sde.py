@@ -35,7 +35,7 @@ from .potentials import (
     diagonal_quadratic_coefficients,
     double_well_tilt,
 )
-from .sgd import SgdConfig, _live_noise, sgd_ensemble_chunk
+from .sgd import SgdConfig, sgd_ensemble_chunk
 
 FIRST_ORDER = "first"
 SECOND_ORDER = "second"
@@ -252,22 +252,20 @@ def sde_kernel(
     the ``domain`` a first-exit run stops at, so that a state-dependent
     diffusion is never evaluated on paths that have already left it.
 
-    A scalar or constant-matrix diffusion shapes the draws, and the
-    ``step_scale(k0, k1)`` that ``streams.gaussian_kernel`` scales them by
-    is amplitude(t_k) sqrt(h_k): one number on the unbounded grid without a
-    noise schedule, one value per step otherwise.  On ``times`` it is
-    tabulated once per kernel, one Python ``amplitude(t_k) *
-    math.sqrt(h_k)`` per step, and each block slices the table; a schedule
-    on the unbounded grid computes each window's steps the same way, once
-    per window, however many chunks and threads fill it.  The
+    The step only adds the drift: ``streams.gaussian_kernel`` forms the
+    noise from the diffusion, in any of its forms, and scales it by
+    ``step_scale(k0, k1)`` = amplitude(t_k) sqrt(h_k): one number on the
+    unbounded grid without a noise schedule, one value per step otherwise.
+    On ``times`` it is tabulated once per kernel, one Python
+    ``amplitude(t_k) * math.sqrt(h_k)`` per step, and each block slices the
+    table; a schedule on the unbounded grid computes each window's steps the
+    same way, once per window, however many chunks and threads fill it.  The
     table keeps ``math``'s scalar calls because numpy's vectorised ones may
     round differently: on the annealing grid (T = 500, dt = 0.02, 25,001
     times) ``np.log(2 + s)`` differs from ``math.log(2.0 + s)`` at 7 times
     and the cooling amplitude sqrt(0.4 / log(2 + s)) at 2 (numpy 2.4 on an
     AVX-512 x86-64 CPU), so a numpy table would move annealing's bits and
-    make them depend on the CPU.  So the step only adds the drift; a
-    state-dependent diffusion is evaluated inside the step, one call on the
-    stack of live rows (``sgd._live_noise``), as the stacked product S(x) xi.
+    make them depend on the CPU.
 
     The kernel has a ``block_step`` only under first-order drift with a
     scalar or constant-matrix diffusion, with or without a noise schedule,
@@ -290,18 +288,6 @@ def sde_kernel(
     else:
         steps = np.diff(times)
         time_of, step_of = times.tolist().__getitem__, steps.tolist().__getitem__
-    diffusion = cfg.diffusion
-    drift = cfg.drift
-    d = cfg.x0.size
-    if callable(diffusion):
-
-        def step_fn(x, xi, k):
-            h = step_of(k)
-            noise = _live_noise(diffusion, x, xi, domain)
-            return x + drift(x) * h + cfg.amplitude(time_of(k)) * math.sqrt(h) * noise
-
-        return streams.gaussian_kernel(step_fn, d)
-
     scale_of = lambda k: cfg.amplitude(time_of(k)) * math.sqrt(step_of(k))  # noqa: E731
     if times is not None:
         table = np.array([scale_of(k) for k in range(steps.size)])
@@ -325,24 +311,29 @@ def sde_kernel(
     if cfg.drift_order == FIRST_ORDER:
         gradient = cfg.potential.gradient
 
-        # x + (-g) h + noise in the same bits, since IEEE negation is exact,
-        # without the drift call and the negated copy of g.
+        # x - g h + noise: the double-well block stepper's IEEE operations in
+        # order, so a nan state has the stepper's sign bit, which
+        # x + (-g) h + noise would flip.
         def step_fn(x, noise, k):
             return x - np.asarray(gradient(x), dtype=float) * step_of(k) + noise
 
-        q = diagonal_quadratic_coefficients(cfg.potential)
-        tilt = double_well_tilt(cfg.potential)
+        constant = not callable(cfg.diffusion)  # a map takes no block stepper
+        q = diagonal_quadratic_coefficients(cfg.potential) if constant else None
+        tilt = double_well_tilt(cfg.potential) if constant else None
         if times is None and q is not None:
             block_step, releases_gil = _linear_block_step(1.0 - q * dt), True
         elif tilt is not None:
             block_step = _double_well_block_step(tilt, float(dt) if times is None else steps)
 
     else:
+        drift = cfg.drift
 
         def step_fn(x, noise, k):
             return x + drift(x) * step_of(k) + noise
 
-    kernel = streams.gaussian_kernel(step_fn, d, diffusion, step_scale, block_step)
+    kernel = streams.gaussian_kernel(
+        step_fn, cfg.x0.size, cfg.diffusion, step_scale, block_step, domain
+    )
     return kernel._replace(block_step_releases_gil=releases_gil)
 
 

@@ -116,63 +116,29 @@ class SgdConfig:
                 )
 
 
-def _live_rows(x: np.ndarray, domain) -> np.ndarray:
-    """Indices of the rows of ``x`` a chain step must advance: finite and,
-    under a ``domain``, inside it.  ``lockstep`` steps a path on after its
-    exit until the block ends and discards those states, so a step leaves
-    such rows as they are rather than evaluate the model where it may not
-    be defined (a covariance that is PSD only inside the domain)."""
-    live = np.isfinite(x).all(axis=1)
-    if domain is not None:
-        live &= domain.contains(x)
-    return np.flatnonzero(live)
-
-
-def _live_noise(diffusion, x: np.ndarray, xi: np.ndarray, domain) -> np.ndarray:
-    """The noise S(x_i) @ xi_i of a map S on the live rows of ``x`` (see
-    ``_live_rows``), one call on their stack, and zero on the others."""
-    noise = np.zeros_like(x)
-    rows = _live_rows(x, domain)
-    if rows.size:
-        noise[rows] = (np.asarray(diffusion(x[rows]), dtype=float) @ xi[rows, :, None])[..., 0]
-    return noise
-
-
 def _additive_gaussian_kernel(cfg: SgdConfig, domain=None) -> streams.Kernel:
-    """The kernel of an ``AdditiveGaussianOracle`` chain, on d standard
-    normals per step.
-
-    Step k is x - eta (grad F(x) + S xi_k), with S = ``oracle.diffusion``.
-    A constant S shapes the draws (``streams.gaussian_kernel``); a map S is
-    evaluated inside the step on the live rows (``_live_noise``), and each
-    takes the product S(x_i) @ xi_i that ``oracle.sample`` takes.
-    """
+    """The kernel of an ``AdditiveGaussianOracle`` chain: step k is
+    x - eta (grad F(x) + S xi_k), whose noise ``streams.gaussian_kernel``
+    forms from S = ``oracle.diffusion``, constant or a map, in the bits of
+    ``oracle.sample``'s S(x_i) @ xi_i."""
     eta = cfg.eta
     gradient = cfg.oracle.potential.gradient
-    diffusion = cfg.oracle.diffusion
-    d = cfg.x0.size
-    if not callable(diffusion):
 
-        def step_fn(x, noise, k):
-            return x - eta * (gradient(x) + noise)
+    def step_fn(x, noise, k):
+        return x - eta * (gradient(x) + noise)
 
-        return streams.gaussian_kernel(step_fn, d, diffusion)
-
-    def step_fn(x, xi, k):
-        return x - eta * (gradient(x) + _live_noise(diffusion, x, xi, domain))
-
-    return streams.gaussian_kernel(step_fn, d)
+    return streams.gaussian_kernel(step_fn, cfg.x0.size, cfg.oracle.diffusion, domain=domain)
 
 
 def _minibatch_kernel(cfg: SgdConfig, domain=None) -> streams.Kernel:
     """The kernel of a ``MinibatchOracle`` chain.
 
-    Step k draws each live row's batch (see ``_live_rows``; the others stay
-    as they are and draw nothing) from its path's stream (``oracle.batch``),
-    as ``run_sgd`` does, and evaluates each component that occurs in those
-    batches once, on the rows that drew it, so a step costs at most
-    min(M, rows * m) calls and rows * m * d floats, and averages every
-    path's batch in ``oracle.sample``'s bits.
+    Step k draws each live row's batch (``streams.live_rows``; the others
+    stay as they are and draw nothing) from its path's stream
+    (``oracle.batch``), as ``run_sgd`` does, and evaluates each component
+    that occurs in those batches once, on the rows that drew it, so a step
+    costs at most min(M, rows * m) calls and rows * m * d floats, and
+    averages every path's batch in ``oracle.sample``'s bits.
     """
     oracle, schedule, eta = cfg.oracle, cfg.schedule, cfg.eta
     components = oracle.fs.component_gradients
@@ -180,7 +146,7 @@ def _minibatch_kernel(cfg: SgdConfig, domain=None) -> streams.Kernel:
     def step_fn(x, gens, k):
         m = oracle.m if schedule is None else schedule_m(schedule, k * eta)
         d = x.shape[1]
-        rows = _live_rows(x, domain)
+        rows = streams.live_rows(x, domain)
         picks = np.empty((rows.size, m), dtype=np.int64)
         for c, r in enumerate(rows.tolist()):
             picks[c] = oracle.batch(gens[r], m)
@@ -276,11 +242,11 @@ def run_sgd_ensemble(
         gaps = np.zeros(len(indices))
 
         def track(k0, states, paths):
-            # Slabs of at most SCAN_BYTES of states bound the temporaries,
-            # which are squared and summed in place, in np.linalg.norm's
-            # bits; the max over steps then over slabs is exact.
+            # Slabs (``streams.scan_slab``) bound the temporaries, which are
+            # squared and summed in place, in np.linalg.norm's bits; the max
+            # over steps then over slabs is exact.
             chunk = gaps[paths]
-            slab = max(1, streams.SCAN_BYTES // states[0].nbytes)
+            slab = streams.scan_slab(states.shape)
             for j0 in range(0, len(states), slab):
                 part = states[j0 : j0 + slab]
                 sq = part - reference_states[k0 + j0 + 1 : k0 + j0 + 1 + len(part), None]

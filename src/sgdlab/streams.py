@@ -27,6 +27,8 @@ path's ``SeedSequence`` is built only when a caller spawns from its stream.
 ``lockstep`` is the one engine that steps an ensemble: the diffusion, the
 SGD chain, first exits and annealing all run through it, and it is the one
 caller of ``path_streams``: it builds each path's stream itself.
+``gaussian_kernel`` is the one home of Gaussian noise: the chain's and the
+diffusion's kernels hand it their step and their diffusion, of any form.
 
 Memory: ``lockstep`` holds at most ``GROUP_BYTES`` of blocks at once.  It
 steps in windows of ``BLOCK_STEPS`` steps, whatever the path count, and
@@ -106,15 +108,12 @@ from .errors import NumericalError, check_count
 # blocks of 1024 steps.
 BLOCK_STEPS = 1024
 
-# The states that one ``domain.contains`` call scans for first exits, and
-# that one call of a block stepper steps, in bytes.  Exits do not depend on
-# it; it bounds the scan's temporaries, which for a whole chunk can be as
-# large as the chunk's block itself, while a slab of few paths spans the
-# whole block, so that a block costs a few calls and not one per 64 steps.
+# The bytes of one slab (``scan_slab``): of the states of one exit scan, one
+# block-stepper call or one sup-gap reduction, or of one fill's tile.  It
+# bounds their temporaries, which for a whole chunk could be as large as its
+# block, while a slab of few paths spans the whole block.  Results do not
+# depend on it.
 SCAN_BYTES = 2**20
-
-# The fewest steps of a scan slab.
-SCAN_SLAB = 64
 
 # The bytes of blocks that ``lockstep`` holds at once: one chunk's block of
 # each window, and for a grouped run one group's first block and streams.
@@ -295,11 +294,20 @@ def in_process(fn: Callable, n: int, *args) -> list:
 
 
 def scan_slab(shape: tuple[int, int, int]) -> int:
-    """The steps of a (steps, paths, d) block of states that one scan or one
-    block-stepper call covers: ``SCAN_BYTES`` of states, but at least
-    ``SCAN_SLAB`` steps and at most the whole block."""
-    steps, paths, d = shape
-    return min(steps, max(SCAN_SLAB, SCAN_BYTES // (8 * d * paths)))
+    """How many entries of the leading axis of an (n, m, d) float block fit
+    ``SCAN_BYTES``: at least 1 and at most n."""
+    n, m, d = shape
+    return min(n, max(1, SCAN_BYTES // (8 * m * d)))
+
+
+def live_rows(x: np.ndarray, domain) -> np.ndarray:
+    """Indices of the rows of ``x`` that are finite and, under a ``domain``,
+    inside it: the rows a step must advance, since ``lockstep`` discards a
+    path's states after its exit, where the model may not be defined."""
+    live = np.isfinite(x).all(axis=1)
+    if domain is not None:
+        live &= domain.contains(x)
+    return np.flatnonzero(live)
 
 
 def _usable_cpus() -> int:
@@ -347,12 +355,12 @@ class Kernel(NamedTuple):
     may fill two halves of a block on two threads at once.  Then ``step(x,
     noise, k)`` advances the states ``x`` (one row per path) by step k = 0,
     1, ..., where ``noise`` is the block row of step k: for
-    ``gaussian_kernel``'s kernels, noise that is already shaped and scaled,
-    ready to add.  A ``block_step(x, buf, k0)``, if given, replaces the
-    per-step loop: it steps the states ``x`` through the whole block ``buf``
-    of steps k0, k0 + 1, ... in one call, writes each step's states over the
-    noise row they used and returns the states after the block, and
-    ``step`` is not called.
+    ``gaussian_kernel``'s kernels, unit normals for a state-dependent
+    diffusion, else noise that is already shaped and scaled, ready to add.
+    A ``block_step(x, buf, k0)``, if given, replaces the per-step loop: it
+    steps the states ``x`` through the whole block ``buf`` of steps k0,
+    k0 + 1, ... in one call, writes each step's states over the noise row
+    they used and returns the states after the block; ``step`` is unused.
 
     Without a ``fill`` (a mini-batch chain, whose draws are not d floats per
     step), ``step(x, gens, k)`` draws what step k needs itself, from
@@ -370,21 +378,36 @@ class Kernel(NamedTuple):
     block_step_releases_gil: bool = False
 
 
-def gaussian_kernel(step, d: int, s=1.0, step_scale=None, block_step=None) -> Kernel:
-    """The ``Kernel`` of ``step`` on d standard normals xi per step and path,
-    shaped by a constant diffusion ``s`` into xi @ s.T and then scaled,
-    steps k0, ..., k1 - 1, by ``step_scale(k0, k1)`` unless that is None:
-    one number for the whole block or one value per step.  Its ``fill``
-    does both, in place on its own columns, so it hands ``lockstep`` noise
-    ready to add.
+def gaussian_kernel(step, d: int, s=1.0, step_scale=None, block_step=None, domain=None) -> Kernel:
+    """The ``Kernel`` of ``step(x, noise, k)`` on d standard normals xi per
+    step and path, which ``step`` gets as noise ready to add: shaped by the
+    diffusion ``s`` and then scaled, steps k0, ..., k1 - 1, by
+    ``step_scale(k0, k1)`` unless that is None (one number or one per step).
 
-    A scalar, or the diagonal of a diagonal ``s`` whose diagonal entries are
-    all nonzero, is multiplied into the filled block at once: every element
-    of ``xi @ s.T`` then has one nonzero term, which the product gives in
-    the same bits.  Unit noise is not shaped, since multiplying by 1.0
-    changes no bit.  Any other matrix (a zero on the diagonal could flip the
-    sign of a zero) is applied to each path's draws as they are drawn.
+    A constant ``s`` is shaped and scaled by the ``fill``, in place on its
+    own columns.  A scalar, or the diagonal of a diagonal ``s`` whose
+    diagonal entries are all nonzero, is multiplied into the block at once:
+    every element of ``xi @ s.T`` then has one nonzero term, which the
+    product gives in the same bits.  Unit noise is not shaped (1.0 changes
+    no bit).  Any other matrix (a zero on the diagonal could flip the sign of
+    a zero) is applied to each path's draws as they are drawn.  A map ``s``,
+    (..., d) -> (..., d, d), has unit normals filled; each step forms
+    S(x_i) @ xi_i in one call of ``s`` on the stack of ``live_rows(x,
+    domain)``, leaves zero on the other rows and multiplies by
+    ``step_scale(k, k + 1)``.  A map takes no ``block_step``.
     """
+    if callable(s):
+
+        def map_step(x, xi, k):
+            noise = np.zeros_like(x)
+            rows = live_rows(x, domain)
+            if rows.size:
+                noise[rows] = (np.asarray(s(x[rows]), dtype=float) @ xi[rows, :, None])[..., 0]
+            if step_scale is not None:
+                noise *= step_scale(k, k + 1)
+            return step(x, noise, k)
+
+        return Kernel(map_step, gaussian_kernel(None, d).fill)
     s_t = None
     if np.ndim(s) == 0:
         shape = float(s)
@@ -401,10 +424,10 @@ def gaussian_kernel(step, d: int, s=1.0, step_scale=None, block_step=None) -> Ke
     def fill(gens, ids, k0, k1, out):
         if s_t is None:
             # Each path draws into a contiguous row of a path-major tile of
-            # ``SCAN_BYTES``, and a tile goes into the time-major block in
-            # one transposed copy, not one strided column per path.
+            # one slab, and a tile goes into the time-major block in one
+            # transposed copy, not one strided column per path.
             k = k1 - k0
-            tile = np.empty((min(len(ids), max(1, SCAN_BYTES // (8 * k * d))), k, d))
+            tile = np.empty((scan_slab((len(ids), k, d)), k, d))
             for c0 in range(0, len(ids), len(tile)):
                 part = ids[c0 : c0 + len(tile)]
                 for c, i in enumerate(part):
@@ -491,14 +514,13 @@ def lockstep(
     a window is stepped through the whole window, and then
     ``domain.contains`` scans its chunk for first exits one slab at a time:
     ``scan_slab`` steps, ``SCAN_BYTES`` of the chunk's states, so a few
-    alive paths are scanned in one call per window and many in slabs of as
-    few as ``SCAN_SLAB`` steps.  So a step may be evaluated on a path after
-    its exit, until the end of the window; those states are discarded, and
-    overflow in them is ignored (the chain and Euler kernels leave such
-    paths as they are where their noise may not be defined, and a
-    mini-batch path draws no batch after its exit).  Exits are recorded, and
-    the alive states and path ids compacted, once per window, after its last
-    chunk.  A non-finite exit point raises ``NumericalError`` at its exact
+    alive paths are scanned in one call per window.  So a step may be
+    evaluated on a path after its exit, until the end of the window; those
+    states are discarded, and overflow in them is ignored (a
+    state-dependent diffusion leaves such paths' noise at zero, see
+    ``live_rows``, and a mini-batch path draws no batch after its exit).
+    Exits are recorded, and the alive states and path ids compacted, once
+    per window, after its last chunk.  A non-finite exit point raises ``NumericalError`` at its exact
     step, the earliest such step of the window over all its chunks; the
     states still alive are checked once per window, so a non-finite alive
     state is reported at the end of its window.

@@ -390,6 +390,26 @@ def test_passing_check_reports_and_exits_0(tmp_path, capsys):
     assert manifest["check_passed"] is True
 
 
+def test_weak_order_mc_runs_on_a_nonconvex_builtin(tmp_path, capsys):
+    # The Monte Carlo source takes any 1-D builtin: on the double well the
+    # chain's weak error against its diffusion falls at first order.
+    text = (
+        WEAK_ORDER_CFG.replace("quadratic_well", "double_well_1d")
+        .replace("sigma = 1.0", "sigma = 0.5")
+        .replace("x0 = 1.0", "x0 = 1.2")
+        .replace("drift_order = both", "drift_order = first")
+        .replace("source = exact", "source = mc\nn_paths = 40000")
+    )
+    cfg = _write(tmp_path, "dw.cfg", text)
+    out = str(tmp_path / "dw")
+    assert main(["weak-order", "--config", cfg, "--out", out, "--check"]) == 0
+    assert capsys.readouterr().out.count("[PASS]") == 3
+    text = text.replace("source = mc\nn_paths = 40000", "source = exact")
+    cfg = _write(tmp_path, "dw-exact.cfg", text)
+    assert main(["weak-order", "--config", cfg, "--out", out]) == 2
+    assert "source = exact" in capsys.readouterr().err
+
+
 def test_console_script_is_installed():
     proc = subprocess.run(["sgdlab", "--help"], capture_output=True, text=True)
     assert proc.returncode == 0

@@ -799,6 +799,54 @@ def test_constant_noise_shapes_keep_the_per_path_bits(shape, block, monkeypatch)
     assert np.signbit(expected).sum() > 0
 
 
+class _LeftHalfPlane:
+    def contains(self, x):
+        return x[..., 0] < 1.0
+
+
+def test_a_map_diffusion_is_formed_once_per_step_on_the_live_rows():
+    """A state-dependent diffusion fills unit normals; each step calls the
+    map once, on the stack of the rows that are finite and inside the
+    domain, gives every other row zero noise and applies the step scale
+    after the map."""
+    a, b = np.array([[0.3, -0.2], [0.1, 0.4]]), np.array([[1.0, 0.5], [-0.25, 2.0]])
+    calls = []
+
+    def law(x):
+        return b + x[..., :, None] * a
+
+    def s(x):
+        calls.append(x.copy())
+        return law(x)
+
+    seen = []
+
+    def step(x, noise, k):
+        seen.append(noise.copy())
+        return x
+
+    n_steps, n = 4, 6
+    scale = np.linspace(0.5, 1.5, n_steps)
+    kernel = streams.gaussian_kernel(
+        step, 2, s, lambda k0, k1: scale[k0:k1], domain=_LeftHalfPlane()
+    )
+    draws = [g.standard_normal((n_steps, 2)) for g in streams.path_streams(1, "m", range(n))]
+    xi = np.stack(draws, axis=1)
+    buf = np.empty((n_steps, n, 2))
+    kernel.fill(streams.path_streams(1, "m", range(n)), np.arange(n), 0, n_steps, buf)
+    assert buf.tobytes() == xi.tobytes()
+    x = np.array([[0.2, 0.3], [np.nan, 0.0], [2.0, 0.0], [0.5, -np.inf], [-0.4, 0.9], [0.9, 5.0]])
+    live = np.array([0, 4, 5])
+    for k in range(n_steps):
+        x[1:, 1] *= -1.0  # the rows' status stays, their states change
+        assert kernel.step(x, buf[k], k) is x
+        assert len(calls) == k + 1
+        assert calls[k].tobytes() == x[live].tobytes()
+        expected = np.zeros_like(x)
+        expected[live] = (law(x[live]) @ xi[k, live, :, None])[..., 0] * scale[k]
+        assert seen[k].tobytes() == expected.tobytes()
+
+
 @pytest.mark.parametrize("shape", ["diagonal", "zero-on-diagonal"])
 def test_diagonal_diffusions_match_reference_loops(shape):
     s = SHAPES[shape]

@@ -767,10 +767,10 @@ def _long_records(case):
 
 @pytest.mark.parametrize("slab", [1, 7, "block"])
 def test_exit_records_ignore_the_scan_slab(slab, monkeypatch):
-    """Scans of 1 and 7 steps, and of whole blocks, against scans of
-    ``SCAN_SLAB`` steps: a byte budget of 0 gives the fewest steps, and one
-    above any block gives the whole block."""
-    monkeypatch.setattr(streams, "SCAN_BYTES", 0)
+    """Scans of 1 and 7 steps, and of whole blocks, against scans at the
+    default byte budget: a budget of 8 * slab bytes gives slab steps of one
+    1-D path (and one step of many), and one above any block gives the
+    whole block."""
     expected = {case: _engine_baseline(case) for case in ENGINE_CASES}
     expected_long = {
         case: [(r.exit_time, r.exit_point, r.censored) for r in _long_records(case)]
@@ -780,8 +780,9 @@ def test_exit_records_ignore_the_scan_slab(slab, monkeypatch):
         monkeypatch.setattr(streams, "SCAN_BYTES", 2**62)
         assert streams.scan_slab((1024, 2000, 2)) == 1024
     else:
-        monkeypatch.setattr(streams, "SCAN_SLAB", slab)
+        monkeypatch.setattr(streams, "SCAN_BYTES", 8 * slab)
         assert streams.scan_slab((1024, 1, 1)) == slab
+        assert streams.scan_slab((1024, 2000, 2)) == 1
     for case in ENGINE_CASES:
         _assert_same_records(_engine_records(case), expected[case])
         _assert_same_records(_engine_records(case, block=7), expected[case])

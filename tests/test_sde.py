@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.signal import lfilter
 
@@ -322,6 +322,11 @@ def test_double_well_exits_keep_their_bits_through_the_engine(
     start=st.sampled_from(EDGE_STATES),
     sigma=st.sampled_from([0.0, 1.0]),
     scheduled=st.booleans(),
+)
+# A state that overflows to -inf and then turns nan: the per-step step must
+# give the nan the block stepper's sign bit, which x + (-g) h + noise flips.
+@example(
+    tilt=0.0, dt=1e-3, steps=2, paths=1, block=300, start=1e120, sigma=0.0, scheduled=False
 )
 def test_double_well_grid_ensembles_keep_their_bits_through_the_engine(
     tilt, dt, steps, paths, block, start, sigma, scheduled
