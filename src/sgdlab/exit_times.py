@@ -746,7 +746,13 @@ def saddle_scaling_fit(
 
 @dataclass(frozen=True)
 class AnnealResult:
-    """Success statistics of an annealing arm."""
+    """Success statistics of an annealing arm.
+
+    ``ci_low`` and ``ci_high``, the 95% Clopper-Pearson interval of the
+    success probability, are computed from ``successes`` and ``n_paths``
+    each time they are read, so an arm whose interval nobody reads never
+    imports ``scipy.special``.
+    """
 
     mode: str  # "cooling" | "constant"
     gamma: float
@@ -755,10 +761,16 @@ class AnnealResult:
     n_paths: int
     successes: int
     success_prob: float
-    ci_low: float
-    ci_high: float
     occupancy_times: np.ndarray
     occupancy_fracs: np.ndarray
+
+    @property
+    def ci_low(self) -> float:
+        return _binomial_ci(self.successes, self.n_paths)[0]
+
+    @property
+    def ci_high(self) -> float:
+        return _binomial_ci(self.successes, self.n_paths)[1]
 
 
 def _binomial_ci(k: int, n: int, level: float = 0.95) -> tuple[float, float]:
@@ -815,7 +827,6 @@ def anneal_experiment(
         anneal_chunk, n_paths, potential, gamma, T, epsilon, start, mode, seed, dt, check_times
     )
     successes = sum(k for k, _ in parts)
-    lo, hi = _binomial_ci(successes, n_paths)
     return AnnealResult(
         mode=mode,
         gamma=float(gamma),
@@ -824,8 +835,6 @@ def anneal_experiment(
         n_paths=n_paths,
         successes=successes,
         success_prob=successes / n_paths,
-        ci_low=lo,
-        ci_high=hi,
         occupancy_times=check_times,
         occupancy_fracs=sum(counts for _, counts in parts) / n_paths,
     )

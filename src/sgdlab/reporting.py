@@ -161,8 +161,9 @@ def write_deviation_csv(path: PathLike, report: DeviationReport) -> Path:
     return write_csv(path, header, rows, footer_comments=comments)
 
 
-#: The ``AnnealResult`` fields of one arm: the columns of the CLI's table of
-#: arms, and the footer of each arm's occupancy table.
+#: The ``AnnealResult`` fields of one arm and its two interval properties
+#: (``ci_low``, ``ci_high``, computed when read): the columns of the CLI's
+#: table of arms, and the footer of each arm's occupancy table.
 ANNEAL_COLUMNS = (
     "mode",
     "gamma",

@@ -127,6 +127,27 @@ def test_clopper_pearson_quantile_equals_the_beta_ppf():
             assert hi == (1.0 if kk == nn else beta.ppf(q, kk + 1, nn - kk))
 
 
+def test_the_interval_is_computed_only_when_read(monkeypatch):
+    # ``anneal_experiment`` computes no interval; each read of ``ci_low`` or
+    # ``ci_high`` computes it afresh, with ``_binomial_ci``'s bits.
+    calls = []
+    binomial_ci = exit_times._binomial_ci
+
+    def counted(k, n):
+        calls.append((k, n))
+        return binomial_ci(k, n)
+
+    monkeypatch.setattr(exit_times, "_binomial_ci", counted)
+    res = anneal_experiment(TILTED, gamma=0.4, T=20.0, n_paths=16, epsilon=0.25, dt=0.05)
+    assert res.success_prob == res.successes / 16
+    assert calls == []
+    lo, hi = binomial_ci(res.successes, res.n_paths)
+    assert res.ci_low.hex() == lo.hex()
+    assert calls == [(res.successes, 16)]
+    assert res.ci_high.hex() == hi.hex()
+    assert calls == [(res.successes, 16)] * 2
+
+
 def test_an_annealing_arm_holds_one_small_block():
     # A 500-path arm of 25,000 steps holds lockstep's 1024-step noise block,
     # 3.9 MiB, and its streams; a 4096-step block alone would be 15.6 MiB.

@@ -54,6 +54,15 @@ CASES = {
         assert len(report.entries) == 2
         assert sde._linear_filter.cache_info().currsize == 1  # the block stepper ran
         """,
+    # An arm whose interval is never read computes none, so it loads no scipy.
+    "anneal-counts": """\
+        from sgdlab import anneal_experiment, builtin
+        tilted = builtin("asym_double_well_1d", (-0.05,))
+        result = anneal_experiment(tilted, 0.4, 20.0, 16, 0.25, dt=0.05)
+        assert 0 <= result.successes <= 16
+        assert result.success_prob == result.successes / 16
+        assert result.occupancy_fracs[-1] == result.success_prob
+        """,
 }
 
 
