@@ -23,7 +23,6 @@ import argparse
 import hashlib
 import json
 import math
-import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -271,7 +270,7 @@ def _run_kramers(cfg: ExperimentConfig, out: str, scatter: Callable):
     if potential.dim != 1:
         raise ConfigError("kramers runs on 1-D double-well objectives")
     domain = build_domain(cfg)
-    if domain.kind != "interval":
+    if domain.kind != "box" or domain.dim != 1:
         raise ConfigError("kramers needs an interval domain")
     sigma = cfg.get("sigma", 1.0)
     x0 = cfg.get("x0")
@@ -544,7 +543,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=None,
-        help="worker processes (default: SDL_WORKERS or 1)",
+        help="worker processes (default: the config's workers key, else 1)",
     )
     common.add_argument("--out", type=str, default=None, help="output path prefix")
     common.add_argument(
@@ -587,27 +586,12 @@ def _resolve_config(args) -> ExperimentConfig:
     return validate_config(raw)
 
 
-def _resolve_workers(cfg: ExperimentConfig) -> int:
-    if "workers" in cfg:
-        return cfg.get("workers")
-    env = os.environ.get("SDL_WORKERS")
-    if env is not None:
-        try:
-            workers = int(env)
-        except ValueError:
-            raise ConfigError(f"SDL_WORKERS={env!r} is not an integer") from None
-        if workers < 1:
-            raise ConfigError(f"SDL_WORKERS={env!r} must be >= 1")
-        return workers
-    return 1
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     t0 = time.perf_counter()
     try:
         cfg = _resolve_config(args)
-        workers = _resolve_workers(cfg)
+        workers = cfg.get("workers", 1)
         out = cfg.get("out", "run")
         with Pool(workers) as pool:
             files, summary, checks = _RUNNERS[cfg.experiment](cfg, out, pool._scatter)

@@ -43,12 +43,12 @@ BVP_RTOL = 1e-6
 @dataclass(frozen=True)
 class Domain:
     """A bounded open domain; exit means leaving its closure.  The
-    constructors refuse a non-finite bound, centre or radius.  ``dim`` is 1
-    for an interval, the centre's size for a ball and the bounds' for a box;
-    ``hitting_time_mc`` and ``flow_exit_time`` refuse a start point of any
-    other size."""
+    constructors refuse a non-finite bound, centre or radius.  An interval
+    is the one-coordinate box.  ``dim`` is the centre's size for a ball and
+    the bounds' for a box; ``hitting_time_mc`` and ``flow_exit_time`` refuse
+    a start point of any other size."""
 
-    kind: str  # "interval" | "ball" | "box"
+    kind: str  # "ball" | "box"
     lo: Optional[np.ndarray] = None
     hi: Optional[np.ndarray] = None
     center: Optional[np.ndarray] = None
@@ -59,7 +59,7 @@ class Domain:
         check_finite("interval bounds", [lo, hi])
         if not lo < hi:
             raise ValueError(f"interval needs lo < hi, got ({lo}, {hi})")
-        return cls(kind="interval", lo=np.array([float(lo)]), hi=np.array([float(hi)]))
+        return cls.box([lo], [hi])
 
     @classmethod
     def ball(cls, center, radius: float) -> "Domain":
@@ -79,15 +79,12 @@ class Domain:
 
     @property
     def dim(self) -> int:
-        """The dimension of the space the domain lies in: 1 for an interval."""
+        """The dimension of the space the domain lies in."""
         return self.center.size if self.kind == "ball" else self.lo.size
 
     def contains(self, x) -> np.ndarray:
         """Membership in the closed domain; vectorized over a leading axis."""
         x = np.asarray(x, dtype=float)
-        if self.kind == "interval":
-            s = x[..., 0]
-            return (s >= self.lo[0]) & (s <= self.hi[0])
         if self.kind == "ball":
             # A running sum in axis order: np.sum's bits for d <= 7, where
             # numpy adds in order too, without a (..., d) temporary.
@@ -97,12 +94,16 @@ class Domain:
                 diff = x[..., k] - self.center[k]
                 r2 += diff * diff
             return r2 <= self.radius**2
-        return np.all((x >= self.lo) & (x <= self.hi), axis=-1)
+        # One axis at a time, like the ball, without (..., d) temporaries.
+        s = x[..., 0]
+        inside = (s >= self.lo[0]) & (s <= self.hi[0])
+        for k in range(1, self.lo.size):
+            s = x[..., k]
+            inside &= (s >= self.lo[k]) & (s <= self.hi[k])
+        return inside
 
     def strictly_inside(self, x) -> bool:
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        if self.kind == "interval":
-            return bool(self.lo[0] < x[0] < self.hi[0])
         if self.kind == "ball":
             return bool(np.linalg.norm(x - self.center) < self.radius)
         return bool(np.all((x > self.lo) & (x < self.hi)))
@@ -134,6 +135,8 @@ class ExitStats:
 
 def exit_time_stats(records: Sequence[ExitRecord]) -> ExitStats:
     """Mean exit time over non-censored records, with standard error."""
+    if not records:
+        raise ValueError("no exit records; cannot estimate a mean exit time")
     times = np.array([r.exit_time for r in records if not r.censored])
     n_total = len(records)
     if times.size == 0:
@@ -568,8 +571,9 @@ class ScalingReport:
 def _interval_log_mean(
     potential: PotentialSpec, eta_sigma2: float, domain: Domain, start: np.ndarray
 ) -> Optional[float]:
-    """The oracle's log mean exit time from ``start``; None off a 1-D interval."""
-    if potential.dim != 1 or domain.kind != "interval":
+    """The oracle's log mean exit time from ``start``; None off an interval
+    (a one-coordinate box)."""
+    if potential.dim != 1 or domain.kind != "box" or domain.dim != 1:
         return None
     interval = (domain.lo[0], domain.hi[0])
     return log_mean_exit_bvp_1d(potential, eta_sigma2, interval, float(start[0]))
@@ -854,10 +858,8 @@ def anneal_chunk(
     else:
         const = math.sqrt(gamma / math.log(2.0 + T))
         amp_fn = lambda s: const
-    # eta is unused: the schedule sets the noise amplitude.
-    cfg = SdeConfig(
-        potential=potential, eta=1.0, dt=dt, T=T, x0=start, noise_schedule=amp_fn
-    )
+    # eta is unused: amp_fn sets the noise amplitude.
+    cfg = SdeConfig(potential=potential, eta=1.0, dt=dt, T=T, x0=start)
     targets = np.stack([cp.location for cp in potential.global_minimizers()])
     times = _time_grid(T, dt)
     # Checkpoint i counts the paths at the first step k >= 1 whose time
@@ -874,8 +876,8 @@ def anneal_chunk(
         for i in np.flatnonzero(due):
             counts[i] += in_target(states[check_steps[i] - k0 - 1]).sum()
 
+    kernel = sde_kernel(cfg, times, amplitude=amp_fn)
     x = streams.lockstep(
-        sde_kernel(cfg, times), cfg.x0, seed, f"anneal:{mode}", range(lo, hi), times.size - 1,
-        on_block=checkpoint,
+        kernel, cfg.x0, seed, f"anneal:{mode}", range(lo, hi), times.size - 1, on_block=checkpoint
     )[2]
     return int(in_target(x).sum()), counts

@@ -20,9 +20,8 @@ import importlib.util
 import math
 import os
 import sys
-import threading
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Union
 
 import numpy as np
 
@@ -54,14 +53,13 @@ Diffusion = Union[float, np.ndarray, Callable[[np.ndarray], np.ndarray]]
 
 @dataclass(frozen=True)
 class SdeConfig:
-    """Configuration of one diffusion integration.
+    """Configuration of one integration of dX = b(X) ds + sqrt(eta) S(X) dB.
 
     ``diffusion`` is S(x): a scalar (isotropic S = sigma I), a constant
     matrix, or a map (..., d) -> (..., d, d) of a stack of states, checked
-    at construction on probes next to ``x0``.  ``noise_schedule``
-    optionally replaces the constant noise amplitude sqrt(eta) by a
-    function of time, which is how the log-cooling schedule
-    sqrt(gamma / log(2 + s)) is expressed.
+    at construction on probes next to ``x0``.  The noise amplitude is the
+    constant sqrt(eta); a time-varying one, such as annealing's log
+    cooling, is handed to ``sde_kernel`` with its time grid.
     """
 
     potential: PotentialSpec
@@ -72,7 +70,6 @@ class SdeConfig:
     diffusion: Diffusion = 1.0
     drift_order: str = FIRST_ORDER
     seed: int = 0
-    noise_schedule: Optional[Callable[[float], float]] = None
 
     def __post_init__(self):
         x0 = check_point("x0", self.x0)
@@ -101,12 +98,6 @@ class SdeConfig:
         h = np.asarray(self.potential.hessian(x), dtype=float)
         correction = np.einsum("...ij,...j->...i", h, g)
         return -g - 0.5 * self.eta * correction
-
-    def amplitude(self, s: float) -> float:
-        """Noise amplitude multiplying S(x) dB at time s."""
-        if self.noise_schedule is not None:
-            return float(self.noise_schedule(s))
-        return math.sqrt(self.eta)
 
 
 def _step_count(span: float, h: float) -> int:
@@ -245,30 +236,30 @@ def _double_well_block_step(tilt: float, steps: float | np.ndarray) -> Callable:
 
 
 def sde_kernel(
-    cfg: SdeConfig, times: np.ndarray | None = None, domain=None
+    cfg: SdeConfig, times: np.ndarray | None = None, domain=None, amplitude=None
 ) -> streams.Kernel:
     """The ``streams.Kernel`` of Euler-Maruyama steps on the grid ``times``,
     or on the unbounded uniform grid k cfg.dt when ``times`` is None.  Give
     the ``domain`` a first-exit run stops at, so that a state-dependent
-    diffusion is never evaluated on paths that have already left it.
+    diffusion is never evaluated on paths that have already left it.  On
+    ``times`` only, an ``amplitude``, a function beta of time, replaces the
+    noise amplitude beta = sqrt(eta): annealing's log cooling
+    sqrt(gamma / log(2 + s)) steps so.
 
     The step only adds the drift: ``streams.gaussian_kernel`` forms the
-    noise from the diffusion, in any of its forms, and scales it by
-    ``step_scale(k0, k1)`` = amplitude(t_k) sqrt(h_k): one number on the
-    unbounded grid without a noise schedule, one value per step otherwise.
-    On ``times`` it is tabulated once per kernel, one Python
-    ``amplitude(t_k) * math.sqrt(h_k)`` per step, and each block slices the
-    table; a schedule on the unbounded grid computes each window's steps the
-    same way, once per window, however many chunks and threads fill it.  The
-    table keeps ``math``'s scalar calls because numpy's vectorised ones may
-    round differently: on the annealing grid (T = 500, dt = 0.02, 25,001
-    times) ``np.log(2 + s)`` differs from ``math.log(2.0 + s)`` at 7 times
-    and the cooling amplitude sqrt(0.4 / log(2 + s)) at 2 (numpy 2.4 on an
-    AVX-512 x86-64 CPU), so a numpy table would move annealing's bits and
-    make them depend on the CPU.
+    noise from the diffusion, in any of its forms, and multiplies it by the
+    step scale, beta(t_k) sqrt(h_k), built once per kernel: one float
+    sqrt(eta) sqrt(dt) on the unbounded grid, and on ``times`` a table of
+    one Python ``beta(t_k) * math.sqrt(h_k)`` per step, which each block
+    slices.  The table keeps ``math``'s scalar calls because numpy's
+    vectorised ones may round differently: on the annealing grid (T = 500,
+    dt = 0.02, 25,001 times) ``np.log(2 + s)`` differs from
+    ``math.log(2.0 + s)`` at 7 times and the cooling amplitude
+    sqrt(0.4 / log(2 + s)) at 2 (numpy 2.4 on an AVX-512 x86-64 CPU), so a
+    numpy table would move annealing's bits and make them depend on the CPU.
 
     The kernel has a ``block_step`` only under first-order drift with a
-    scalar or constant-matrix diffusion, with or without a noise schedule,
+    scalar or constant-matrix diffusion, with or without an ``amplitude``,
     and only for two builtin families, recognised by their bound Hessians:
     - a diagonal quadratic (``potentials.diagonal_quadratic_coefficients``),
       on the uniform grid only: each axis's step x -> (1 - q dt) x + noise
@@ -283,29 +274,17 @@ def sde_kernel(
       ``lockstep`` runs it once on the whole block, on the calling thread.
     """
     if times is None:
+        if amplitude is not None:
+            raise ValueError("a time-varying amplitude needs a time grid")
         dt = cfg.dt
-        time_of, step_of = (lambda k: k * dt), (lambda k: dt)
+        step_of = lambda k: dt  # noqa: E731
+        scale = math.sqrt(cfg.eta) * math.sqrt(dt)
     else:
         steps = np.diff(times)
-        time_of, step_of = times.tolist().__getitem__, steps.tolist().__getitem__
-    scale_of = lambda k: cfg.amplitude(time_of(k)) * math.sqrt(step_of(k))  # noqa: E731
-    if times is not None:
-        table = np.array([scale_of(k) for k in range(steps.size)])
-        step_scale = lambda k0, k1: table[k0:k1]  # noqa: E731
-    elif cfg.noise_schedule is not None:
-        # Every chunk of a window, and each thread's half of a split chunk,
-        # asks for the window's scales: they are computed once per window.
-        lock, last = threading.Lock(), [None, None]
-
-        def step_scale(k0, k1):
-            with lock:
-                if last[0] != (k0, k1):
-                    last[:] = (k0, k1), np.array([scale_of(k) for k in range(k0, k1)])
-                return last[1]
-
-    else:
-        scale = scale_of(0)
-        step_scale = lambda k0, k1: scale  # noqa: E731
+        hs = steps.tolist()
+        step_of = hs.__getitem__
+        beta = amplitude or (lambda t: math.sqrt(cfg.eta))
+        scale = np.array([beta(t) * math.sqrt(h) for t, h in zip(times.tolist(), hs)])
 
     block_step, releases_gil = None, False
     if cfg.drift_order == FIRST_ORDER:
@@ -331,9 +310,7 @@ def sde_kernel(
         def step_fn(x, noise, k):
             return x + drift(x) * step_of(k) + noise
 
-    kernel = streams.gaussian_kernel(
-        step_fn, cfg.x0.size, cfg.diffusion, step_scale, block_step, domain
-    )
+    kernel = streams.gaussian_kernel(step_fn, cfg.x0.size, cfg.diffusion, scale, block_step, domain)
     return kernel._replace(block_step_releases_gil=releases_gil)
 
 

@@ -28,7 +28,9 @@ path's ``SeedSequence`` is built only when a caller spawns from its stream.
 SGD chain, first exits and annealing all run through it, and it is the one
 caller of ``path_streams``: it builds each path's stream itself.
 ``gaussian_kernel`` is the one home of Gaussian noise: the chain's and the
-diffusion's kernels hand it their step and their diffusion, of any form.
+diffusion's kernels hand it their step, their diffusion, of any form, and
+the diffusion's step scale, built before the run as one number or a table
+of one per step.
 
 Memory: ``lockstep`` holds at most ``GROUP_BYTES`` of blocks at once.  It
 steps in windows of ``BLOCK_STEPS`` steps, whatever the path count, and
@@ -356,7 +358,8 @@ class Kernel(NamedTuple):
     noise, k)`` advances the states ``x`` (one row per path) by step k = 0,
     1, ..., where ``noise`` is the block row of step k: for
     ``gaussian_kernel``'s kernels, unit normals for a state-dependent
-    diffusion, else noise that is already shaped and scaled, ready to add.
+    diffusion, else noise already shaped by the diffusion and multiplied by
+    the step scale, ready to add.
     A ``block_step(x, buf, k0)``, if given, replaces the per-step loop: it
     steps the states ``x`` through the whole block ``buf`` of steps k0,
     k0 + 1, ... in one call, writes each step's states over the noise row
@@ -378,11 +381,12 @@ class Kernel(NamedTuple):
     block_step_releases_gil: bool = False
 
 
-def gaussian_kernel(step, d: int, s=1.0, step_scale=None, block_step=None, domain=None) -> Kernel:
+def gaussian_kernel(step, d: int, s=1.0, scale=None, block_step=None, domain=None) -> Kernel:
     """The ``Kernel`` of ``step(x, noise, k)`` on d standard normals xi per
     step and path, which ``step`` gets as noise ready to add: shaped by the
-    diffusion ``s`` and then scaled, steps k0, ..., k1 - 1, by
-    ``step_scale(k0, k1)`` unless that is None (one number or one per step).
+    diffusion ``s`` and then multiplied by the step ``scale``, unless that
+    is None: one number for every step, or an array of one per step, of
+    which steps k0, ..., k1 - 1 take ``scale[k0:k1]``.
 
     A constant ``s`` is shaped and scaled by the ``fill``, in place on its
     own columns.  A scalar, or the diagonal of a diagonal ``s`` whose
@@ -393,9 +397,10 @@ def gaussian_kernel(step, d: int, s=1.0, step_scale=None, block_step=None, domai
     a zero) is applied to each path's draws as they are drawn.  A map ``s``,
     (..., d) -> (..., d, d), has unit normals filled; each step forms
     S(x_i) @ xi_i in one call of ``s`` on the stack of ``live_rows(x,
-    domain)``, leaves zero on the other rows and multiplies by
-    ``step_scale(k, k + 1)``.  A map takes no ``block_step``.
+    domain)``, leaves zero on the other rows and multiplies by step k's
+    scale.  A map takes no ``block_step``.
     """
+    per_step = np.ndim(scale) > 0
     if callable(s):
 
         def map_step(x, xi, k):
@@ -403,8 +408,8 @@ def gaussian_kernel(step, d: int, s=1.0, step_scale=None, block_step=None, domai
             rows = live_rows(x, domain)
             if rows.size:
                 noise[rows] = (np.asarray(s(x[rows]), dtype=float) @ xi[rows, :, None])[..., 0]
-            if step_scale is not None:
-                noise *= step_scale(k, k + 1)
+            if scale is not None:
+                noise *= scale[k] if per_step else scale
             return step(x, noise, k)
 
         return Kernel(map_step, gaussian_kernel(None, d).fill)
@@ -447,8 +452,8 @@ def gaussian_kernel(step, d: int, s=1.0, step_scale=None, block_step=None, domai
                     # more, so a one-row block is padded to two rows: a
                     # path's noise must not depend on the block.
                     out[:, c] = (np.concatenate([xi, xi]) @ s_t)[:1]
-        if step_scale is not None:
-            out *= np.reshape(step_scale(k0, k1), (-1, 1, 1))
+        if scale is not None:
+            out *= scale[k0:k1, None, None] if per_step else scale
 
     return Kernel(step, fill, block_step)
 
@@ -520,10 +525,11 @@ def lockstep(
     state-dependent diffusion leaves such paths' noise at zero, see
     ``live_rows``, and a mini-batch path draws no batch after its exit).
     Exits are recorded, and the alive states and path ids compacted, once
-    per window, after its last chunk.  A non-finite exit point raises ``NumericalError`` at its exact
-    step, the earliest such step of the window over all its chunks; the
-    states still alive are checked once per window, so a non-finite alive
-    state is reported at the end of its window.
+    per window, after its last chunk.  A non-finite exit point raises
+    ``NumericalError`` at its exact step, the earliest such step of the
+    window over all its chunks; the states still alive are checked once per
+    window, so a non-finite alive state is reported at the end of its
+    window.
     """
     if on_block is not None and domain is not None:
         raise ValueError("lockstep takes on_block only without a domain")

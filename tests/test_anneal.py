@@ -173,16 +173,16 @@ def test_the_cooling_table_is_the_per_step_math_product(monkeypatch):
     # math.log(2.0 + s) at 7 of these 25,001 times on an AVX-512 CPU.
     grabbed = {}
 
-    def grab(cfg, times=None):
-        grabbed.update(cfg=cfg, times=times)
-        return sde_kernel(cfg, times)
+    def grab(cfg, times=None, amplitude=None):
+        grabbed.update(cfg=cfg, times=times, amplitude=amplitude)
+        return sde_kernel(cfg, times, amplitude=amplitude)
 
     monkeypatch.setattr(exit_times, "sde_kernel", grab)
     anneal_experiment(TILTED, gamma=0.4, T=500.0, n_paths=1, epsilon=0.25, dt=0.02)
     times = grabbed["times"]
     steps = np.diff(times)
     assert times.size == 25_001 and steps[-1] < 0.02  # a shortened last step
-    fill = sde_kernel(grabbed["cfg"], times).fill
+    fill = sde_kernel(grabbed["cfg"], times, amplitude=grabbed["amplitude"]).fill
     expected = np.array(
         [math.sqrt(0.4 / math.log(2.0 + t)) * math.sqrt(h) for t, h in zip(times, steps)]
     )

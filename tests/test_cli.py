@@ -286,21 +286,6 @@ def test_pool_workers_that_are_not_forked_start_no_helper_thread(tmp_path):
     assert proc.stdout.splitlines()[-1] == "[True, True]"
 
 
-def test_workers_env_variable_is_honoured(tmp_path):
-    cfg = _write(tmp_path, "d.cfg", DEVIATION_CFG)
-    env = dict(os.environ, SDL_WORKERS="2")
-    out = str(tmp_path / "dev")
-    proc = subprocess.run(
-        [sys.executable, "-m", "sgdlab.cli", "deviation", "--config", cfg, "--out", out],
-        env=env,
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 0, proc.stderr
-    manifest = json.loads((tmp_path / "dev.manifest").read_text())
-    assert manifest["workers"] == 2
-
-
 def test_the_manifest_records_peak_memory_and_lists_only_the_csvs(tmp_path):
     cfg = _write(tmp_path, "d.cfg", DEVIATION_CFG)
     out = str(tmp_path / "dev")
@@ -340,6 +325,19 @@ def test_non_finite_config_values_exit_2(key, value, tmp_path, capsys):
     argv = ["kramers", "--config", KRAMERS_CFG, "--out", str(tmp_path / "x"), "--set", text]
     assert main(argv) == 2
     assert "config-error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("experiment", ["exit-min", "kramers"])
+def test_an_interval_and_its_one_coordinate_box_write_the_same_csvs(experiment, tmp_path):
+    """Both experiments used to refuse a one-coordinate box with exit code 2."""
+    config = Path(KRAMERS_CFG).with_name(f"{experiment.replace('-', '_')}.cfg")
+    csvs = {}
+    for kind in ("interval", "box"):
+        argv = [experiment, "--config", str(config), "--out", str(tmp_path / kind)]
+        assert main([*argv, "--set", f"domain={kind}"]) == 0
+        csvs[kind] = {p.name[len(kind):]: p.read_bytes() for p in tmp_path.glob(f"{kind}.*csv")}
+    assert ".csv" in csvs["interval"] and ".summary.csv" in csvs["interval"]
+    assert csvs["box"] == csvs["interval"]
 
 
 def test_kramers_scales_its_predictor_and_slope_by_sigma(tmp_path):

@@ -49,7 +49,6 @@ from test_exit_times import (
     _reference_records,
 )
 
-WELL = builtin("quadratic_well")
 WELL_2D = builtin("quadratic_well", (1.0, 2.0))
 SADDLE_2D = builtin("saddle_2d")
 DOUBLE_WELL = builtin("double_well_1d")
@@ -79,7 +78,7 @@ def _reference_em_endpoints(cfg, n_paths, experiment="sde-ensemble", path_indice
     for k in range(n_steps):
         h = times[k + 1] - times[k]
         s_xi = _per_path_diffusion(cfg.diffusion, x, noise[:, k])
-        x = x + cfg.drift(x) * h + cfg.amplitude(times[k]) * math.sqrt(h) * s_xi
+        x = x + cfg.drift(x) * h + math.sqrt(cfg.eta) * math.sqrt(h) * s_xi
         if not np.all(np.isfinite(x)):
             raise NumericalError(f"non-finite state at step {k + 1}", step=k + 1)
     return x
@@ -184,9 +183,6 @@ SDE_CASES = {
     "scalar": _sde(DOUBLE_WELL, [0.5], diffusion=0.7),
     "short-last-step": _sde(DOUBLE_WELL, [0.5], T=0.537),
     "second-order": _sde(DOUBLE_WELL, [0.5], drift_order="second"),
-    "noise-schedule": _sde(
-        WELL, [0.5], noise_schedule=lambda s: 0.9 / math.sqrt(1.0 + 10.0 * s)
-    ),
     "matrix": _sde(WELL_2D, [0.4, -0.2], diffusion=NON_DIAGONAL),
     "state-dependent": _sde(
         DOUBLE_WELL, [0.5], diffusion=lambda x: (1.0 + x[..., :1] * x[..., :1])[..., None]
@@ -784,7 +780,7 @@ def test_constant_noise_shapes_keep_the_per_path_bits(shape, block, monkeypatch)
         xi = gen.standard_normal((n_steps, 2))
         expected.append(s * xi if np.ndim(s) == 0 else xi @ np.asarray(s).T)
     expected = np.stack(expected, axis=1)
-    scale = lambda k0, k1: np.linspace(0.5, 1.5, n_steps)[k0:k1]  # noqa: E731
+    scale = np.linspace(0.5, 1.5, n_steps)
     seen = []
 
     def step(x, noise, k):
@@ -794,7 +790,7 @@ def test_constant_noise_shapes_keep_the_per_path_bits(shape, block, monkeypatch)
     kernel = streams.gaussian_kernel(step, 2, s, scale)
     monkeypatch.setattr(streams, "BLOCK_STEPS", block)
     streams.lockstep(kernel, np.zeros(2), 1, "shape", range(5), n_steps)
-    expected *= np.linspace(0.5, 1.5, n_steps)[:, None, None]
+    expected *= scale[:, None, None]
     assert np.stack(seen).tobytes() == expected.tobytes()
     assert np.signbit(expected).sum() > 0
 
@@ -827,9 +823,7 @@ def test_a_map_diffusion_is_formed_once_per_step_on_the_live_rows():
 
     n_steps, n = 4, 6
     scale = np.linspace(0.5, 1.5, n_steps)
-    kernel = streams.gaussian_kernel(
-        step, 2, s, lambda k0, k1: scale[k0:k1], domain=_LeftHalfPlane()
-    )
+    kernel = streams.gaussian_kernel(step, 2, s, scale, domain=_LeftHalfPlane())
     draws = [g.standard_normal((n_steps, 2)) for g in streams.path_streams(1, "m", range(n))]
     xi = np.stack(draws, axis=1)
     buf = np.empty((n_steps, n, 2))

@@ -230,6 +230,28 @@ def test_exit_time_stats_handles_censoring():
     assert st.n_used == 2
 
 
+def test_exit_time_stats_of_no_records_says_there_are_none():
+    """An empty run used to be reported as "all paths were censored"."""
+    cfg = SdeConfig(potential=WELL, eta=0.25, dt=1e-3, T=1.0, x0=np.array([0.0]))
+    records = hitting_time_mc(cfg, UNIT, n_paths=0, horizon=1.0)
+    assert records == []
+    with pytest.raises(ValueError, match="no exit records"):
+        exit_time_stats(records)
+    censored = [ExitRecord(0, 1.0, 4.0, np.array([0.2]), True)]
+    with pytest.raises(ValueError, match="all paths were censored"):
+        exit_time_stats(censored)
+
+
+def test_an_interval_is_the_one_coordinate_box():
+    interval = Domain.interval(-1.0, 2.0)
+    assert (interval.kind, interval.lo.tolist(), interval.hi.tolist()) == ("box", [-1.0], [2.0])
+    x = np.array([[-1.0], [-1.5], [2.0], [2.0 + 1e-15], [np.nan], [0.3]])
+    assert interval.contains(x).tolist() == [True, False, True, False, False, True]
+    assert [interval.strictly_inside(p) for p in (-1.0, 0.0, 2.0)] == [False, True, False]
+    with pytest.raises(ValueError, match="interval needs lo < hi"):
+        Domain.interval(1.0, 1.0)
+
+
 def test_hitting_mc_path_subsets_match_full_run():
     cfg = SdeConfig(potential=WELL, eta=0.25, dt=1e-3, T=1.0, x0=np.array([0.0]), seed=5)
     dom = Domain.interval(-0.5, 0.5)
@@ -392,7 +414,7 @@ def _reference_records(process, domain, n_paths, horizon, seed, label, block, li
         sqrt_dt = math.sqrt(dt)
 
         def noise(x, xi, s):
-            return process.amplitude(s) * sqrt_dt * _per_path_diffusion(process.diffusion, x, xi)
+            return math.sqrt(process.eta) * sqrt_dt * _per_path_diffusion(process.diffusion, x, xi)
 
         if linear:
             c = 1.0 - np.diagonal(process.potential.hessian(x0)) * dt
@@ -448,10 +470,6 @@ def _chain(covariance):
 ENGINE_CASES = {
     "interval-well": (_sde(WELL, [0.4]), Domain.interval(-0.5, 0.5)),
     "interval-inverted": (_sde(INVERTED, [0.4]), Domain.interval(-0.5, 0.5)),
-    "noise-schedule": (
-        _sde(WELL, [0.4], noise_schedule=lambda s: 0.9 / math.sqrt(1.0 + 10.0 * s)),
-        Domain.interval(-0.5, 0.5),
-    ),
     "box-matrix-diffusion": (
         _sde(WELL_2D, [0.4, 0.0], diffusion=np.array([[0.6, 0.25], [-0.1, 0.4]])),
         BOX,
@@ -475,7 +493,7 @@ ENGINE_PATHS = 48
 ENGINE_HORIZON = 0.3
 #: The cases of builtin diagonal quadratics, which the engine steps through
 #: the block stepper of ``sde.sde_kernel``.
-LINEAR_CASES = ("interval-well", "interval-inverted", "noise-schedule", "box-matrix-diffusion")
+LINEAR_CASES = ("interval-well", "interval-inverted", "box-matrix-diffusion")
 
 
 def _engine_records(case, block=1024, paths=ENGINE_PATHS):

@@ -1,7 +1,6 @@
 """Tests for diffusion integrators, the OU closed forms, and gradient flow."""
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
 import numpy as np
@@ -282,22 +281,12 @@ def test_double_well_block_stepper_keeps_the_bits_of_the_euler_loop(
     paths=st.sampled_from([1, SCALAR_PATHS, SCALAR_PATHS + 1, 64]),
     block=st.integers(1, 300),
     scan_bytes=st.sampled_from([8, 2**12, 2**20]),
-    scheduled=st.booleans(),
 )
-def test_double_well_exits_keep_their_bits_through_the_engine(
-    tilt, paths, block, scan_bytes, scheduled
-):
+def test_double_well_exits_keep_their_bits_through_the_engine(tilt, paths, block, scan_bytes):
     # lockstep with the block stepper against its per-step loop, under any
     # block length and scan slab; the alive paths cross SCALAR_PATHS as
     # they exit.
-    cfg = SdeConfig(
-        _double_well(tilt),
-        eta=0.5,
-        dt=0.01,
-        T=1.0,
-        x0=np.ones(1),
-        noise_schedule=(lambda s: 1.0 / (1.0 + s)) if scheduled else None,
-    )
+    cfg = SdeConfig(_double_well(tilt), eta=0.5, dt=0.01, T=1.0, x0=np.ones(1))
     kernel = sde_kernel(cfg)
     runs = []
     for k in (kernel, kernel._replace(block_step=None)):
@@ -344,9 +333,8 @@ def test_double_well_grid_ensembles_keep_their_bits_through_the_engine(
         T=times[-1],
         x0=np.array([start]),
         diffusion=sigma,
-        noise_schedule=(lambda s: 1.0 / (1.0 + s)) if scheduled else None,
     )
-    kernel = sde_kernel(cfg, times)
+    kernel = sde_kernel(cfg, times, amplitude=(lambda s: 1.0 / (1.0 + s)) if scheduled else None)
     assert kernel.block_step is not None and not kernel.block_step_releases_gil
     runs = []
     for k in (kernel, kernel._replace(block_step=None)):
@@ -375,31 +363,7 @@ def test_double_well_grid_ensembles_keep_their_bits_through_the_engine(
         np.testing.assert_array_equal(stepped_end.view(np.int64), looped_end.view(np.int64))
 
 
-def test_a_noise_schedule_is_evaluated_once_per_step(monkeypatch):
-    # 200 one-dimensional paths over 2,048 steps, none of which leaves, in
-    # chunks of 64 paths that the forced helper splits in two: each window's
-    # scales come from one schedule call per step, not one per half-chunk.
-    calls = []
-
-    def schedule(s):
-        calls.append(s)
-        return 0.1
-
-    cfg = SdeConfig(builtin("double_well_1d"), 1.0, 1e-3, 1.0, np.ones(1), noise_schedule=schedule)
-    monkeypatch.setattr(streams, "GROUP_BYTES", 8 * 64 * streams.BLOCK_STEPS)
-    fills = []
-    kernel = sde_kernel(cfg)
-    fill = kernel.fill
-
-    def counting_fill(gens, ids, k0, k1, out):
-        fills.append(len(ids))
-        fill(gens, ids, k0, k1, out)
-
-    kernel = kernel._replace(fill=counting_fill)
-    with ThreadPoolExecutor(1) as helper, mock.patch.object(streams, "_helper", lambda: helper):
-        exit_step, _, _ = streams.lockstep(
-            kernel, cfg.x0, 0, "schedule", range(200), 2048, domain=Domain.interval(0.0, 2.0)
-        )
-    assert exit_step.tolist() == [-1] * 200
-    assert fills == [32, 32, 32, 32, 32, 32, 8] * 2
-    assert len(calls) == 2048
+def test_a_time_varying_amplitude_needs_a_time_grid():
+    cfg = SdeConfig(_double_well(0.0), eta=1.0, dt=0.01, T=1.0, x0=np.ones(1))
+    with pytest.raises(ValueError, match="needs a time grid"):
+        sde_kernel(cfg, amplitude=lambda s: 1.0)

@@ -97,16 +97,13 @@ def _per_step_states(kernel, x0, n, n_steps):
     d=st.sampled_from([1, 2, 3]),
     noise=st.sampled_from(sorted(NOISES)),
     linear=st.booleans(),
-    scheduled=st.booleans(),
     minibatch=st.booleans(),
     mode=st.sampled_from(["plain", "domain", "on_block"]),
     n=st.sampled_from([1, 2, 5, 33, 200]),
     block=st.sampled_from([1, 170, 171, 256, 511, 512, 1024, 4096]),
     n_steps=st.one_of(st.integers(1, 1500), st.integers(4097, 9000)),
 )
-def test_split_blocks_keep_every_bit(
-    d, noise, linear, scheduled, minibatch, mode, n, block, n_steps
-):
+def test_split_blocks_keep_every_bit(d, noise, linear, minibatch, mode, n, block, n_steps):
     cfg = SdeConfig(
         potential=builtin("quadratic_well", (0.5, 1.0, 2.0)[:d]),
         eta=1.0,
@@ -114,7 +111,6 @@ def test_split_blocks_keep_every_bit(
         T=1.0,
         x0=np.full(d, 0.5),
         diffusion=NOISES[noise](d),
-        noise_schedule=(lambda s: 1.0 / (1.0 + s)) if scheduled else None,
     )
     domain = None
     if mode == "domain":
@@ -255,7 +251,7 @@ def test_an_overflowing_split_block_warns_nothing(linear):
         lambda x, noise, k: x + noise,
         1,
         1e300,
-        step_scale=lambda k0, k1: 1e10,
+        scale=1e10,
         block_step=(lambda x, buf, k0: buf[-1] * 2.0) if linear else None,
     )
     helper = CountingHelper()
