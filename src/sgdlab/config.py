@@ -191,9 +191,6 @@ class ExperimentConfig:
         }
         return {library.get(k, k): self.values[k] for k in keys if k in self.values}
 
-    def __contains__(self, key: str) -> bool:
-        return key in self.values
-
 
 # ---------------------------------------------------------------------------
 # Parsing and validation.

@@ -40,13 +40,15 @@ BVP_RTOL = 1e-6
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Domain:
     """A bounded open domain; exit means leaving its closure.  The
     constructors refuse a non-finite bound, centre or radius.  An interval
-    is the one-coordinate box.  ``dim`` is the centre's size for a ball and
-    the bounds' for a box; ``hitting_time_mc`` and ``flow_exit_time`` refuse
-    a start point of any other size."""
+    is the one-coordinate box, and every 1-D domain, a ball included, has
+    two ``ends``.  ``dim`` is the centre's size for a ball and the bounds'
+    for a box; ``hitting_time_mc`` and ``flow_exit_time`` refuse a start
+    point of any other size.  Only these methods read the fields, and
+    domains compare and hash by identity."""
 
     kind: str  # "ball" | "box"
     lo: Optional[np.ndarray] = None
@@ -107,6 +109,40 @@ class Domain:
         if self.kind == "ball":
             return bool(np.linalg.norm(x - self.center) < self.radius)
         return bool(np.all((x > self.lo) & (x < self.hi)))
+
+    def ends(self) -> tuple[float, float]:
+        """The two ends of a 1-D domain: lo, hi of an interval, c - r,
+        c + r of a ball."""
+        if self.dim != 1:
+            raise ValueError(f"a {self.dim}-D domain has no two ends")
+        if self.kind == "ball":
+            return self.center[0] - self.radius, self.center[0] + self.radius
+        return self.lo[0], self.hi[0]
+
+    def boundary_point(self, u) -> np.ndarray:
+        """Where the ray from the centre along direction ``u`` meets the
+        boundary; vectorized over a leading axis.  A ball's point is
+        c + r u / |u|, a box's c + min_i(h_i / |u_i|) u with h its
+        half-widths."""
+        u = np.asarray(u, dtype=float)
+        if self.kind == "ball":
+            return self.center + self.radius * (u / np.linalg.norm(u, axis=-1, keepdims=True))
+        half = 0.5 * (self.hi - self.lo)
+        with np.errstate(divide="ignore"):
+            reach = np.min(half / np.abs(u), axis=-1, keepdims=True)
+        return 0.5 * (self.lo + self.hi) + reach * u
+
+    def boundary_directions(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """``n`` random directions whose ``boundary_point``s spread evenly:
+        standard normals, uniform on a ball's sphere; on a box, u uniform
+        on the centred box, whose ray meets the face of the largest
+        |u_i| / h_i, so every face is equally likely and uniform within
+        (a face's share of normal directions is its solid angle, near zero
+        for the short face of a long box)."""
+        if self.kind == "ball":
+            return rng.standard_normal((n, self.dim))
+        half = 0.5 * (self.hi - self.lo)
+        return rng.uniform(-half, half, size=(n, self.dim))
 
 
 # ---------------------------------------------------------------------------
@@ -361,79 +397,22 @@ def mean_exit_bvp_1d(
 
 
 def _boundary_min(potential: PotentialSpec, domain: Domain) -> float:
-    """Minimum of F over the domain boundary (dense sampling + refinement)."""
+    """Minimum of F over the domain boundary.  A 1-D domain's boundary is
+    its two ``ends``.  Any other is charted by direction from the centre
+    (``Domain.boundary_point``): the best of 10^4 directions from
+    ``Domain.boundary_directions`` is refined by one Nelder-Mead search
+    over the direction."""
     value = potential.value
-    n_samples = 10**4
-    if domain.dim == 1:  # the two end points
-        if domain.kind == "ball":
-            c, r = domain.center[0], domain.radius
-            ends = [[c - r], [c + r]]
-        else:
-            ends = [[domain.lo[0]], [domain.hi[0]]]
-        return float(np.min(value(np.array(ends))))
-    if domain.kind == "ball":
-        c, r = domain.center, domain.radius
-        d = c.size
-        if d == 2:
-            from scipy.optimize import minimize_scalar
-
-            theta = np.linspace(0.0, 2.0 * np.pi, n_samples, endpoint=False)
-            pts = c + r * np.column_stack([np.cos(theta), np.sin(theta)])
-            vals = np.asarray(value(pts), dtype=float)
-            k = int(np.argmin(vals))
-            width = 2.0 * np.pi / n_samples
-
-            def on_circle(t: float) -> float:
-                return float(value(c + r * np.array([math.cos(t), math.sin(t)])))
-
-            res = minimize_scalar(
-                on_circle,
-                bounds=(theta[k] - 2 * width, theta[k] + 2 * width),
-                method="bounded",
-                options={"xatol": 1e-12},
-            )
-            return float(min(res.fun, vals[k]))
-        from scipy.optimize import minimize
-
-        rng = np.random.default_rng(0)
-        dirs = rng.standard_normal((n_samples, d))
-        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        vals = np.asarray(value(c + r * dirs), dtype=float)
-        best = dirs[int(np.argmin(vals))]
-
-        def on_sphere(u: np.ndarray) -> float:
-            u = u / np.linalg.norm(u)
-            return float(value(c + r * u))
-
-        res = minimize(on_sphere, best, method="Nelder-Mead", options={"xatol": 1e-10})
-        return float(min(res.fun, vals.min()))
-    # box: sample every face, refine the best face with a local search
-    lo, hi = domain.lo, domain.hi
-    d = lo.size
+    if domain.dim == 1:
+        return float(np.min(value(np.array(domain.ends())[:, None])))
     from scipy.optimize import minimize
 
-    rng = np.random.default_rng(0)
-    per_face = max(1, n_samples // (2 * d))
-    best_val, best_pt, best_face = np.inf, None, None
-    for axis in range(d):
-        for side, bound in ((0, lo[axis]), (1, hi[axis])):
-            pts = rng.uniform(lo, hi, size=(per_face, d))
-            pts[:, axis] = bound
-            vals = np.asarray(value(pts), dtype=float)
-            k = int(np.argmin(vals))
-            if vals[k] < best_val:
-                best_val, best_pt, best_face = float(vals[k]), pts[k].copy(), (axis, bound)
-    axis, bound = best_face
-    free = [j for j in range(d) if j != axis]
-
-    def on_face(u: np.ndarray) -> float:
-        p = best_pt.copy()
-        p[free] = np.clip(u, lo[free], hi[free])
-        p[axis] = bound
-        return float(value(p))
-
-    res = minimize(on_face, best_pt[free], method="Nelder-Mead", options={"xatol": 1e-10})
-    return float(min(res.fun, best_val))
+    dirs = domain.boundary_directions(np.random.default_rng(0), 10**4)
+    vals = np.asarray(value(domain.boundary_point(dirs)), dtype=float)
+    k = int(np.argmin(vals))
+    on_boundary = lambda u: float(value(domain.boundary_point(u)))  # noqa: E731
+    res = minimize(on_boundary, dirs[k], method="Nelder-Mead", options={"xatol": 1e-10})
+    return float(min(res.fun, vals[k]))
 
 
 def quasi_potential_isotropic(
@@ -442,7 +421,9 @@ def quasi_potential_isotropic(
     domain: Domain,
     x_star=None,
 ) -> float:
-    """Escape cost (2/sigma^2) * (min_boundary F - F(x*)) for isotropic noise."""
+    """Escape cost (2/sigma^2) * (min_boundary F - F(x*)) for isotropic noise,
+    with the boundary minimum of ``_boundary_min``: the two ends of a 1-D
+    domain, one search over the directions from the centre otherwise."""
     if np.ndim(sigma) != 0:
         raise ValueError("only scalar (isotropic) noise amplitudes are supported here")
     sigma = check_positive("sigma", float(sigma))
@@ -571,12 +552,11 @@ class ScalingReport:
 def _interval_log_mean(
     potential: PotentialSpec, eta_sigma2: float, domain: Domain, start: np.ndarray
 ) -> Optional[float]:
-    """The oracle's log mean exit time from ``start``; None off an interval
-    (a one-coordinate box)."""
-    if potential.dim != 1 or domain.kind != "box" or domain.dim != 1:
+    """The oracle's log mean exit time from ``start`` between the ``ends``
+    of a 1-D domain; None off one."""
+    if potential.dim != 1 or domain.dim != 1:
         return None
-    interval = (domain.lo[0], domain.hi[0])
-    return log_mean_exit_bvp_1d(potential, eta_sigma2, interval, float(start[0]))
+    return log_mean_exit_bvp_1d(potential, eta_sigma2, domain.ends(), float(start[0]))
 
 
 def _exit_ladder(
@@ -588,7 +568,7 @@ def _exit_ladder(
 ) -> tuple[tuple[ScalingEntry, ...], float, dict]:
     """The entries of a scaling fit, its fitted constant and its extras.
 
-    "bvp_1d" solves the oracle once per eta, on a 1-D interval only (a
+    "bvp_1d" solves the oracle once per eta, on a 1-D domain only (a
     mean past a float's range reads inf); "mc" runs first-order diffusion
     from ``start`` to ``horizon_of(eta)`` with dt = min(eta/10, 1e-3) unless
     ``dt`` is given, every rung in one ``scatter`` over path-major (path,
@@ -601,7 +581,7 @@ def _exit_ladder(
     if source == "bvp_1d":
         log_means = [_interval_log_mean(potential, eta * sigma**2, domain, start) for eta in etas]
         if None in log_means:
-            raise ValueError("the bvp_1d source needs a 1-D interval domain")
+            raise ValueError("the bvp_1d source needs a 1-D domain")
         ladder = [ExitStats(math.exp(u) if u <= 709 else math.inf, 0.0, 0.0, 0) for u in log_means]
         records = {}
     elif source == "mc":
@@ -655,7 +635,7 @@ def minimizer_scaling_fit(
     ``source`` selects the exact 1-D boundary-value oracle ("bvp_1d") or
     first-exit Monte Carlo of the diffusion ("mc", with dt <= min(eta/10,
     1e-3) and a horizon of 20x the oracle prediction by default).  On a 1-D
-    interval the oracle is solved once per rung for either source.  The
+    domain the oracle is solved once per rung for either source.  The
     rungs run as one ladder (see ``_exit_ladder``): every rung is checked,
     then one ``scatter`` covers ``len(eta_list) * n_paths`` cells.
     """

@@ -270,19 +270,16 @@ def _cloud_value(centers: np.ndarray, x) -> np.ndarray:
     return 0.5 * np.mean(np.sum(diffs * diffs, axis=-1), axis=-1)
 
 
-def _cloud_gradient(mean_center: np.ndarray, x) -> np.ndarray:
+def _cloud_gradient(center: np.ndarray, x) -> np.ndarray:
+    """x - c: the base's gradient about the mean centre, a component's
+    about its own."""
     x = np.asarray(x, dtype=float)
-    return x - mean_center
+    return x - center
 
 
 def _cloud_hessian(dim: int, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     return np.broadcast_to(np.eye(dim), x.shape[:-1] + (dim, dim)).copy()
-
-
-def _cloud_component_gradient(center: np.ndarray, x) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    return x - center
 
 
 def _diag_quadratic(name: str, coeffs: np.ndarray, kind: str) -> PotentialSpec:
@@ -415,7 +412,7 @@ def gaussian_cloud(centers) -> FiniteSumSpec:
         hessian=partial(_cloud_hessian, d),
         critical_points=(cp,),
     )
-    components = tuple(partial(_cloud_component_gradient, c.copy()) for c in centers)
+    components = tuple(partial(_cloud_gradient, c.copy()) for c in centers)
     return FiniteSumSpec(base=base, component_gradients=components, M=m_count)
 
 

@@ -396,9 +396,9 @@ def deviation_covariance(
     """Covariance C(t) of the rescaled SGD fluctuations around the flow.
 
     Solves the joint system dY = -grad F(Y), dC = M C + C M^T + S S^T with
-    M = -hessian F(Y) and C(0) = 0 by RK4 on the pair (Y, C) with steps of
-    at most 1e-3, returning C at each requested time.  A constant S has its
-    S S^T formed once.
+    M = -hessian F(Y) and C(0) = 0 by ``_rk4_step`` on the joined vector
+    (Y, vec C) with steps of at most 1e-3, returning C at each requested
+    time.  A constant S has its S S^T formed once.
     """
     x0 = check_point("x0", x0)
     t_grid = check_point("t_grid", t_grid)
@@ -420,14 +420,13 @@ def deviation_covariance(
         constant = s @ s.T
         gram = lambda y: constant  # noqa: E731
 
-    def rhs(y: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def rhs(z: np.ndarray) -> np.ndarray:
+        y, c = z[:d], z[d:].reshape(d, d)
         g = np.asarray(potential.gradient(y), dtype=float)
         m = -np.asarray(potential.hessian(y), dtype=float)
-        return -g, m @ c + c @ m.T + gram(y)
+        return np.concatenate([-g, (m @ c + c @ m.T + gram(y)).ravel()])
 
-    # The same elementwise arithmetic as RK4 on the concatenated vector,
-    # without joining and splitting one per stage.
-    y, c = x0, np.zeros((d, d))
+    z = np.concatenate([x0, np.zeros(d * d)])
     out = np.empty((t_grid.size, d, d))
     t = 0.0
     for j, target in enumerate(t_grid):
@@ -436,14 +435,9 @@ def deviation_covariance(
             n = _step_count(span, 1e-3)
             h = span / n
             for _ in range(n):
-                ky1, kc1 = rhs(y, c)
-                ky2, kc2 = rhs(y + 0.5 * h * ky1, c + 0.5 * h * kc1)
-                ky3, kc3 = rhs(y + 0.5 * h * ky2, c + 0.5 * h * kc2)
-                ky4, kc4 = rhs(y + h * ky3, c + h * kc3)
-                y = y + (h / 6.0) * (ky1 + 2.0 * ky2 + 2.0 * ky3 + ky4)
-                c = c + (h / 6.0) * (kc1 + 2.0 * kc2 + 2.0 * kc3 + kc4)
+                z = _rk4_step(rhs, z, h)
         t = target
-        out[j] = c
+        out[j] = z[d:].reshape(d, d)
     return out
 
 

@@ -327,17 +327,28 @@ def test_non_finite_config_values_exit_2(key, value, tmp_path, capsys):
     assert "config-error" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("experiment", ["exit-min", "kramers"])
+# The centre and radius of the 1-D ball with the ends of each config's interval.
+INTERVAL_AS_BALL = {"exit-min": ("0", "1"), "kramers": ("0.5", "1.5")}
+
+
+@pytest.mark.parametrize("experiment", sorted(INTERVAL_AS_BALL))
 def test_an_interval_and_its_one_coordinate_box_write_the_same_csvs(experiment, tmp_path):
-    """Both experiments used to refuse a one-coordinate box with exit code 2."""
+    """Both experiments used to refuse a one-coordinate box, and then a 1-D
+    ball with the same ends, with exit code 2."""
     config = Path(KRAMERS_CFG).with_name(f"{experiment.replace('-', '_')}.cfg")
+    center, radius = INTERVAL_AS_BALL[experiment]
     csvs = {}
-    for kind in ("interval", "box"):
+    for kind, sets in (
+        ("interval", []),
+        ("box", []),
+        ("ball", ["--set", f"domain_center={center}", "--set", f"domain_radius={radius}"]),
+    ):
         argv = [experiment, "--config", str(config), "--out", str(tmp_path / kind)]
-        assert main([*argv, "--set", f"domain={kind}"]) == 0
+        assert main([*argv, "--set", f"domain={kind}", *sets]) == 0
         csvs[kind] = {p.name[len(kind):]: p.read_bytes() for p in tmp_path.glob(f"{kind}.*csv")}
     assert ".csv" in csvs["interval"] and ".summary.csv" in csvs["interval"]
     assert csvs["box"] == csvs["interval"]
+    assert csvs["ball"] == csvs["interval"]
 
 
 def test_kramers_scales_its_predictor_and_slope_by_sigma(tmp_path):

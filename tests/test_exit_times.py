@@ -860,6 +860,56 @@ def test_a_domain_has_the_dimension_of_its_bounds_or_centre():
     assert Domain.box([-1.0, -1.0], [1.0, 1.0]).dim == 2
 
 
+def test_domains_compare_and_hash_by_identity():
+    """Comparing two 2-D domains used to raise ValueError (an ambiguous
+    array truth value), and hashing any domain TypeError."""
+    box, twin = Domain.box([0.0, 0.0], [1.0, 1.0]), Domain.box([0.0, 0.0], [1.0, 1.0])
+    ball = Domain.ball([0.0, 0.0], 1.0)
+    assert box == box and box != twin and box != ball
+    assert len({box, twin, ball, box}) == 3
+    assert hash(box) == hash(box)
+
+
+def test_every_one_dimensional_domain_has_two_ends():
+    assert [d.ends() for d in ONE_DIMENSIONAL.values()] == [(-1.0, 1.0)] * 3
+    assert Domain.ball([1.0], 0.8).ends() == (1.0 - 0.8, 1.0 + 0.8)
+    with pytest.raises(ValueError, match="a 2-D domain has no two ends"):
+        Domain.box([0.0, 0.0], [1.0, 1.0]).ends()
+
+
+def test_a_boundary_point_lies_on_the_ray_from_the_centre():
+    dirs = np.array([[3.0, 4.0], [0.0, -2.0], [1.0, 1.0], [-4.0, 1.0]])
+    ball = Domain.ball([1.0, -1.0], 2.0)
+    r17 = math.sqrt(17.0)
+    expected = [
+        [2.2, 0.6], [1.0, -3.0], [1.0 + math.sqrt(2), -1.0 + math.sqrt(2)],
+        [1.0 - 8.0 / r17, -1.0 + 2.0 / r17],
+    ]
+    np.testing.assert_allclose(ball.boundary_point(dirs), expected, rtol=0, atol=1e-15)
+    box = Domain.box([-1.0, 0.0], [3.0, 1.0])  # centre (1, 0.5), half-widths (2, 0.5)
+    expected = [[1.375, 1.0], [1.0, 0.0], [1.5, 1.0], [-1.0, 1.0]]
+    np.testing.assert_allclose(box.boundary_point(dirs), expected, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(box.boundary_point(dirs[0]), expected[0], rtol=0, atol=1e-15)
+
+
+def test_boundary_directions_give_every_face_of_a_long_box_its_share():
+    """Normal directions would reach a short face of this box about once
+    in 10^5 draws (its solid angle); each face must get about 1/6."""
+    box = Domain.box([-1000.0, -1.0, -1.0], [1000.0, 1.0, 1.0])
+    dirs = box.boundary_directions(np.random.default_rng(0), 6000)
+    assert dirs.shape == (6000, 3)
+    pts = box.boundary_point(dirs)
+    on_face = np.isclose(np.abs(pts), [1000.0, 1.0, 1.0], rtol=0, atol=1e-9)
+    assert np.all(on_face.sum(axis=1) >= 1)
+    for axis in range(3):
+        for sign in (-1.0, 1.0):
+            share = np.mean(on_face[:, axis] & (np.sign(pts[:, axis]) == sign))
+            assert 0.13 < share < 0.2
+    ball = Domain.ball([1.0, -1.0, 0.5], 2.0)
+    normals = np.random.default_rng(0).standard_normal((6000, 3))
+    assert np.array_equal(ball.boundary_directions(np.random.default_rng(0), 6000), normals)
+
+
 @pytest.mark.parametrize("kind", sorted(ONE_DIMENSIONAL))
 def test_a_start_point_of_another_dimension_than_the_domain_is_refused(kind, monkeypatch):
     """A 2-D process in a 1-D domain used to run, its exits decided by the

@@ -1,6 +1,7 @@
 """Tests for the built-in potential catalogue and its analysis helpers."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -9,8 +10,10 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from sgdlab import (
+    CriticalPoint,
     Domain,
     FiniteSumSpec,
+    PotentialSpec,
     builtin,
     classify_stationary,
     gaussian_cloud,
@@ -245,3 +248,74 @@ def test_quasi_potential_reference_values():
     box = Domain.box([-1.0, -0.4], [1.0, 0.4])
     assert quasi_potential_isotropic(flat, 1.0, box) == pytest.approx(0.64)
     assert quasi_potential_isotropic(flat, 2.0, box) == pytest.approx(0.16)
+    # Minima the search must reach: the corners of a square, the short face
+    # of a 1000:1 box, one face of a 4-D box and a well 0.01 rad wide on a
+    # circle.
+    square = Domain.box([-1.0, -1.0], [1.0, 1.0])
+    assert quasi_potential_isotropic(_corner_well(), 1.0, square) == pytest.approx(0.5)
+    thin = Domain.box([-1000.0, -1.0], [1000.0, 1.0])
+    long_well = builtin("quadratic_well", (1e-7, 1.0))
+    assert quasi_potential_isotropic(long_well, 1.0, thin) == pytest.approx(0.1)
+    # The short faces of long boxes in 3-D and 4-D: a face's share of the
+    # starting directions must not be its tiny solid angle.
+    for lo, hi, eigs in [
+        ([-1000.0, -1.0, -1.0], [1000.0, 1.0, 1.0], (1e-7, 1.0, 1.0)),
+        ([-100.0, -1.0, -1.0], [100.0, 1.0, 1.0], (1e-5, 1.0, 1.0)),
+        ([-100.0, -1.0, -1.0, -1.0], [100.0, 1.0, 1.0, 1.0], (1e-5, 1.0, 1.0, 1.0)),
+    ]:
+        long_well = builtin("quadratic_well", eigs)
+        assert quasi_potential_isotropic(long_well, 1.0, Domain.box(lo, hi)) == pytest.approx(0.1)
+    box_4d = Domain.box([-1.0, -0.5, -0.6, -0.7], [1.2, 0.8, 0.9, 0.75])
+    well_4d = builtin("quadratic_well", (1.0, 2.0, 3.0, 4.0))
+    assert quasi_potential_isotropic(well_4d, 1.0, box_4d) == pytest.approx(0.5)
+    assert quasi_potential_isotropic(_circle_well(), 1.0, disc) == pytest.approx(0.5)
+
+
+def _corner_well(b=0.75):
+    """F = |x|^2 / 2 - b x1^2 x2^2: a minimizer at 0 and, for b > 1/2, the
+    least value on the square's boundary, 1 - b, at its four corners."""
+
+    def value(x):
+        x = np.asarray(x, dtype=float)
+        return 0.5 * (x[..., 0] ** 2 + x[..., 1] ** 2) - b * x[..., 0] ** 2 * x[..., 1] ** 2
+
+    def gradient(x):
+        x = np.asarray(x, dtype=float)
+        return x - 2.0 * b * x * (x[..., ::-1] ** 2)
+
+    def hessian(x):
+        x = np.asarray(x, dtype=float)
+        x1, x2 = x[..., 0], x[..., 1]
+        off = -4.0 * b * x1 * x2
+        rows = [np.stack([1.0 - 2.0 * b * x2**2, off], -1), np.stack([off, 1.0 - 2.0 * b * x1**2], -1)]
+        return np.stack(rows, -2)
+
+    cp = CriticalPoint(np.zeros(2), "minimizer", np.ones(2))
+    return PotentialSpec("corner_well", 2, value, gradient, hessian, (cp,))
+
+
+def _circle_well(depth=0.25, width=0.01, angle=1.234):
+    """F = |x|^2 / 2 - depth exp(-|x - p|^2 / (2 width^2)) with p on the unit
+    circle: the least value on that circle, 1/2 - depth, at p, in a well
+    about ``width`` rad wide."""
+    p = np.array([math.cos(angle), math.sin(angle)])
+
+    def bump(x):
+        d = np.asarray(x, dtype=float) - p
+        return d, depth * np.exp(-np.sum(d * d, axis=-1) / (2.0 * width**2))
+
+    def value(x):
+        x = np.asarray(x, dtype=float)
+        return 0.5 * np.sum(x * x, axis=-1) - bump(x)[1]
+
+    def gradient(x):
+        d, g = bump(x)
+        return np.asarray(x, dtype=float) + g[..., None] * d / width**2
+
+    def hessian(x):
+        d, g = bump(x)
+        outer = d[..., :, None] * d[..., None, :] / width**4
+        return np.eye(2) + g[..., None, None] * (np.eye(2) / width**2 - outer)
+
+    cp = CriticalPoint(np.zeros(2), "minimizer", np.ones(2))
+    return PotentialSpec("circle_well", 2, value, gradient, hessian, (cp,))
