@@ -399,9 +399,10 @@ def mean_exit_bvp_1d(
 def _boundary_min(potential: PotentialSpec, domain: Domain) -> float:
     """Minimum of F over the domain boundary.  A 1-D domain's boundary is
     its two ``ends``.  Any other is charted by direction from the centre
-    (``Domain.boundary_point``): the best of 10^4 directions from
-    ``Domain.boundary_directions`` is refined by one Nelder-Mead search
-    over the direction."""
+    (``Domain.boundary_point``): each of the best 10 of 10^4 directions from
+    ``Domain.boundary_directions`` starts a Nelder-Mead search over the
+    direction, and the least value found is the minimum (one search can end
+    in a local minimum of a multimodal boundary)."""
     value = potential.value
     if domain.dim == 1:
         return float(np.min(value(np.array(domain.ends())[:, None])))
@@ -409,10 +410,11 @@ def _boundary_min(potential: PotentialSpec, domain: Domain) -> float:
 
     dirs = domain.boundary_directions(np.random.default_rng(0), 10**4)
     vals = np.asarray(value(domain.boundary_point(dirs)), dtype=float)
-    k = int(np.argmin(vals))
+    starts = np.argsort(vals, kind="stable")[:10]
     on_boundary = lambda u: float(value(domain.boundary_point(u)))  # noqa: E731
-    res = minimize(on_boundary, dirs[k], method="Nelder-Mead", options={"xatol": 1e-10})
-    return float(min(res.fun, vals[k]))
+    found = [minimize(on_boundary, dirs[k], method="Nelder-Mead", options={"xatol": 1e-10}).fun
+             for k in starts]
+    return float(min(*found, vals[starts[0]]))
 
 
 def quasi_potential_isotropic(
@@ -444,35 +446,48 @@ def _resolve_minimizer(potential: PotentialSpec, domain: Domain | None, x_star) 
             raise ValueError("no annotated minimizer inside the domain; pass x_star")
         values = [float(potential.value(cp.location)) for cp in inside]
         return inside[int(np.argmin(values))].location
-    x_star = check_point("x_star", x_star)
-    g = np.asarray(potential.gradient(x_star), dtype=float)
-    if np.linalg.norm(g) > 1e-8:
-        raise ValueError(f"x_star={x_star} is not a stationary point")
+    x_star = _stationary(potential, "x_star", x_star)
     w = np.linalg.eigvalsh(np.asarray(potential.hessian(x_star), dtype=float))
     if w.min() <= 0:
         raise ValueError(f"x_star={x_star} is not a local minimizer")
     return x_star
 
 
+def _stationary(potential: PotentialSpec, name: str, point) -> np.ndarray:
+    """``point`` as a checked point, refused unless the gradient's norm there
+    is at most 1e-8."""
+    point = check_point(name, point)
+    norm = np.linalg.norm(np.asarray(potential.gradient(point), dtype=float))
+    if norm > 1e-8:
+        raise ValueError(f"{name}={point} is not a stationary point: gradient norm {norm:.3g}")
+    return point
+
+
 def kramers_predictor(potential: PotentialSpec, eta: float, x_star, z_star) -> float:
     """Barrier-crossing time prediction for 1-D unit-variance gradient noise.
 
     Returns 2*pi / sqrt(F''(x*) |F''(z*)|) * exp(2 (F(z*) - F(x*)) / eta)
-    for a well bottom x* and barrier top z*; noise of variance sigma^2 takes
-    eta sigma^2 in place of eta.
+    for a well bottom x* and barrier top z*, both critical points; noise of
+    variance sigma^2 takes eta sigma^2 in place of eta.  Raises
+    ``NumericalError`` when the exponent passes 709, where the time
+    overflows a float.
     """
     if potential.dim != 1:
         raise ValueError("the barrier-crossing predictor is one-dimensional")
     check_positive("eta", eta)
-    x_star, z_star = check_point("x_star", x_star), check_point("z_star", z_star)
+    x_star = _stationary(potential, "x_star", x_star)
+    z_star = _stationary(potential, "z_star", z_star)
     curv_min = float(potential.hessian(x_star)[0, 0])
     curv_top = float(potential.hessian(z_star)[0, 0])
     if curv_min <= 0:
         raise ValueError(f"x_star={x_star} must have positive curvature")
     if curv_top >= 0:
         raise ValueError(f"z_star={z_star} must have negative curvature")
-    barrier = float(potential.value(z_star)) - float(potential.value(x_star))
-    return 2.0 * math.pi / math.sqrt(curv_min * abs(curv_top)) * math.exp(2.0 * barrier / eta)
+    exponent = 2.0 * (float(potential.value(z_star)) - float(potential.value(x_star))) / eta
+    if exponent > 709.0:
+        raise NumericalError(f"the exponent 2 dF / eta = {exponent:.4g} passes 709: "
+                             "the predicted time overflows a float")
+    return 2.0 * math.pi / math.sqrt(curv_min * abs(curv_top)) * math.exp(exponent)
 
 
 # ---------------------------------------------------------------------------

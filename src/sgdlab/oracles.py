@@ -152,8 +152,7 @@ class MinibatchOracle:
 
     def sample(self, x, rng: np.random.Generator, m: int | None = None) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        grads = [self.fs.component_gradients[i](x) for i in self.batch(rng, m)]
-        return np.mean(grads, axis=0)
+        return np.mean(self.fs.component_gradients(x, self.batch(rng, m)), axis=0)
 
 
 GradientOracle = Union[AdditiveGaussianOracle, MinibatchOracle]
@@ -167,9 +166,10 @@ def _check_batch_size(m: int, big: int, with_replacement: bool = False) -> None:
 
 
 def component_gradients(fs: FiniteSumSpec, x) -> np.ndarray:
-    """Stacked component gradients at x of shape (..., dim): (..., M, dim)."""
+    """Stacked component gradients at x of shape (..., dim): (..., M, dim),
+    from one call of the indexed map on every (point, index) pair."""
     x = np.asarray(x, dtype=float)
-    return np.stack([g(x) for g in fs.component_gradients], axis=-2)
+    return fs.component_gradients(x[..., None, :], np.arange(fs.M))
 
 
 def _deviation_gram(fs: FiniteSumSpec, x) -> np.ndarray:

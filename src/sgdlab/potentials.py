@@ -6,8 +6,9 @@ arrays of shape ``(..., dim)`` to ``(...,)``, ``gradient`` to ``(..., dim)``,
 and ``hessian`` to ``(..., dim, dim)``.  The families are smooth and cheap,
 so Monte Carlo engines and quadrature oracles can evaluate them freely.
 
-Finite-sum objectives (``F = (1/M) sum_i f_i``) additionally expose the list
-of component gradients, which is what mini-batch sampling consumes.
+Finite-sum objectives (``F = (1/M) sum_i f_i``) additionally expose the
+indexed map of component gradients, which is what mini-batch sampling
+consumes.
 """
 
 from __future__ import annotations
@@ -142,29 +143,30 @@ class PotentialSpec:
 class FiniteSumSpec:
     """A finite-sum objective ``F = (1/M) sum_i f_i`` for mini-batch sampling.
 
-    ``base`` carries the full objective; ``component_gradients`` are the M
-    maps ``x -> grad f_i(x)``, which, like ``PotentialSpec.gradient``, take
-    stacks of points, ``(..., dim)``.  Both are checked at construction on
-    probe points (``check_stacked_maps``), and so is the components' average
-    against the base gradient.
+    ``base`` carries the full objective; ``component_gradients`` is the one
+    map ``g(x, i) = grad f_i(x)`` of points ``x`` of shape ``(..., dim)`` and
+    integer indices ``i`` that broadcast against ``x.shape[:-1]``, so one
+    call evaluates any stack of (point, component) pairs.  It is checked at
+    construction on probe points (``check_stacked_maps``), one index at a
+    time and for all M indices in one call, and so is the components'
+    average against the base gradient.
     """
 
     base: PotentialSpec
-    component_gradients: tuple[Callable[[np.ndarray], np.ndarray], ...]
+    component_gradients: Callable[[np.ndarray, np.ndarray], np.ndarray]
     M: int
 
     def __post_init__(self):
-        object.__setattr__(self, "component_gradients", tuple(self.component_gradients))
-        if self.M != len(self.component_gradients):
-            raise ValueError(
-                f"M={self.M} does not match {len(self.component_gradients)} components"
-            )
         check_count("M", self.M, 1)
-        probes, values = check_stacked_maps(
-            self.component_gradients, "component gradient {}", np.zeros(self.base.dim)
-        )
-        mean = np.mean(values, axis=0)
-        if not np.allclose(mean, self.base.gradient(probes), atol=1e-12, rtol=1e-12):
+        g, M = self.component_gradients, self.M
+        maps = [lambda x, i=i: g(x, i) for i in range(M)]
+        probes, values = check_stacked_maps(maps, "component gradient {}", np.zeros(self.base.dim))
+        values = np.stack(values, axis=1)  # (probes, M, dim)
+        got = np.asarray(g(probes[:, None, :], np.arange(M)), dtype=float)
+        if got.shape != values.shape or not np.allclose(got, values, 1e-12, 1e-12, equal_nan=True):
+            raise ValueError("component gradients do not map a stack of indices one by one: "
+                             "g(x, i) must broadcast i against x.shape[:-1]")
+        if not np.allclose(values.mean(axis=1), self.base.gradient(probes), 1e-12, 1e-12):
             raise ValueError("component gradients do not average to the base gradient")
 
     @property
@@ -270,11 +272,11 @@ def _cloud_value(centers: np.ndarray, x) -> np.ndarray:
     return 0.5 * np.mean(np.sum(diffs * diffs, axis=-1), axis=-1)
 
 
-def _cloud_gradient(center: np.ndarray, x) -> np.ndarray:
-    """x - c: the base's gradient about the mean centre, a component's
-    about its own."""
+def _cloud_gradient(centers: np.ndarray, x, i) -> np.ndarray:
+    """x - c_i, component i's gradient, for each (point, index) pair.  The
+    base's, x - mean(c), is component 0 of the cloud of the mean centre."""
     x = np.asarray(x, dtype=float)
-    return x - center
+    return x - centers[i]
 
 
 def _cloud_hessian(dim: int, x) -> np.ndarray:
@@ -397,7 +399,7 @@ def gaussian_cloud(centers) -> FiniteSumSpec:
 
     The base objective averages the components; its gradient is x - mean(c).
     """
-    centers = np.atleast_2d(np.asarray(centers, dtype=float))
+    centers = np.array(centers, dtype=float, ndmin=2)
     if centers.ndim != 2:
         raise ValueError("centers must be an (M, dim) array")
     check_finite("centers", centers)
@@ -408,12 +410,11 @@ def gaussian_cloud(centers) -> FiniteSumSpec:
         name="gaussian_cloud_finite_sum",
         dim=d,
         value=partial(_cloud_value, centers),
-        gradient=partial(_cloud_gradient, mean_center),
+        gradient=partial(_cloud_gradient, mean_center[None], i=0),
         hessian=partial(_cloud_hessian, d),
         critical_points=(cp,),
     )
-    components = tuple(partial(_cloud_gradient, c.copy()) for c in centers)
-    return FiniteSumSpec(base=base, component_gradients=components, M=m_count)
+    return FiniteSumSpec(base, partial(_cloud_gradient, centers), m_count)
 
 
 def builtin(name: str, params: Sequence[float] = (), dim: int = 1):

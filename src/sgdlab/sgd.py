@@ -135,35 +135,24 @@ def _minibatch_kernel(cfg: SgdConfig, domain=None) -> streams.Kernel:
 
     Step k draws each live row's batch (``streams.live_rows``; the others
     stay as they are and draw nothing) from its path's stream
-    (``oracle.batch``), as ``run_sgd`` does, and evaluates each component
-    that occurs in those batches once, on the rows that drew it, so a step
-    costs at most min(M, rows * m) calls and rows * m * d floats, and
-    averages every path's batch in ``oracle.sample``'s bits.
+    (``oracle.batch``), as ``run_sgd`` does, evaluates the drawn components
+    with one call of the indexed map, ``g(x[rows][:, None, :], picks)``, on
+    rows * m (point, index) pairs, and averages every path's batch in
+    ``oracle.sample``'s bits.
     """
     oracle, schedule, eta = cfg.oracle, cfg.schedule, cfg.eta
-    components = oracle.fs.component_gradients
+    gradients = oracle.fs.component_gradients
 
     def step_fn(x, gens, k):
         m = oracle.m if schedule is None else schedule_m(schedule, k * eta)
-        d = x.shape[1]
         rows = streams.live_rows(x, domain)
-        picks = np.empty((rows.size, m), dtype=np.int64)
-        for c, r in enumerate(rows.tolist()):
-            picks[c] = oracle.batch(gens[r], m)
-        picks = picks.ravel()
-        # The live rows' batch slots sorted by the component they drew, so
-        # that each drawn component is called once, on a contiguous run.
-        order = np.argsort(picks, kind="stable")
-        drawn = picks[order]
-        starts = np.flatnonzero(np.diff(drawn, prepend=-1)).tolist()
-        points = x[rows[order // m]]
-        grads = np.empty_like(points)
-        for a, b in zip(starts, starts[1:] + [drawn.size]):
-            grads[a:b] = components[drawn[a]](points[a:b])
-        slots = np.empty_like(grads)
-        slots[order] = grads
         out = x.copy()
-        out[rows] = x[rows] - eta * (np.add.reduce(slots.reshape(rows.size, m, d), axis=1) / m)
+        if rows.size:
+            picks = np.empty((rows.size, m), dtype=np.int64)
+            for c, r in enumerate(rows.tolist()):
+                picks[c] = oracle.batch(gens[r], m)
+            live = x[rows]
+            out[rows] = live - eta * (np.add.reduce(gradients(live[:, None, :], picks), axis=1) / m)
         return out
 
     return streams.Kernel(step_fn)

@@ -375,6 +375,20 @@ def test_numerical_failure_exits_3(tmp_path, capsys):
     assert not (tmp_path / "x.manifest").exists()
 
 
+def test_kramers_overflowing_predictor_exits_3(tmp_path, capsys):
+    argv = ["kramers", "--config", KRAMERS_CFG, "--out", str(tmp_path / "x")]
+    assert main([*argv, "--set", "eta_list=0.1, 0.0005"]) == 3
+    assert "numerical-error" in capsys.readouterr().err
+
+
+def test_kramers_start_off_a_critical_point_exits_2(tmp_path, capsys):
+    """x0 = 0.8 used to report the predictor for F(0.8) and F''(0.8)."""
+    argv = ["kramers", "--config", KRAMERS_CFG, "--out", str(tmp_path / "x")]
+    assert main([*argv, "--set", "x0=0.8"]) == 2
+    err = capsys.readouterr().err
+    assert "config-error" in err and "x_star=[0.8] is not a stationary point" in err
+
+
 def test_failed_check_exits_4(tmp_path, capsys):
     # step sizes near the stability edge break the first-order slope band
     text = WEAK_ORDER_CFG.replace(

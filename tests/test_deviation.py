@@ -62,17 +62,18 @@ def test_sup_gap_to_flow_shrinks_with_eta():
     assert g_lo + 3 * se_lo < g_hi - 3 * se_hi
 
 
-def _affine_component(a, b, x):
+def _affine_components(a, b, x, i):
     x = np.asarray(x, dtype=float)
-    return x + a + b * x
+    return x + a[i] + b[i] * x
 
 
 def test_minibatch_deviations_read_the_noise_along_the_flow():
     """Components x + a_i + b_i x average to the well's gradient x, and the
     batch noise grows with |x|: the Lyapunov side must read S(Y(s)) along
     the flow (variance 0.496), not S(x0) frozen at the start (0.781)."""
-    a, b = (1.0, -1.0, 0.5, -0.5), (0.6, -0.6, -0.3, 0.3)
-    comps = [functools.partial(_affine_component, ai, bi) for ai, bi in zip(a, b)]
+    a = np.array([[1.0], [-1.0], [0.5], [-0.5]])
+    b = np.array([[0.6], [-0.6], [-0.3], [0.3]])
+    comps = functools.partial(_affine_components, a, b)
     oracle = MinibatchOracle(FiniteSumSpec(WELL, comps, M=4), m=1)
     x0 = np.array([1.5])
     rep = deviation_empirical(WELL, oracle, eta=0.05, T=1.0, x0=x0, n_paths=4000, seed=2)

@@ -730,30 +730,28 @@ def test_state_dependent_noise_exit_raises_on_a_blow_up():
     assert info.value.step == expected.value.step == 6
 
 
-def _counting(g, rows):
-    def gradient(x):
-        rows.append(len(x))
-        return g(x)
+def _counting(g, pairs):
+    def gradients(x, i):
+        pairs.append(np.broadcast_shapes(np.shape(x)[:-1], np.shape(i)))
+        return g(x, i)
 
-    return gradient
+    return gradients
 
 
 @pytest.mark.parametrize("mode", [WITHOUT_REPLACEMENT, WITH_REPLACEMENT])
 def test_minibatch_steps_evaluate_only_the_drawn_components(mode):
-    """With M far above paths * m, a step evaluates each drawn component on
-    the rows that drew it, one row per batch slot, never all M."""
+    """With M far above paths * m, a step calls the indexed map once, on the
+    rows * m (point, index) pairs its batches drew, never on rows * M."""
     fs = gaussian_cloud(np.random.default_rng(3).normal(size=(500, 2)))
-    rows = []
-    counted = FiniteSumSpec(
-        fs.base, tuple(_counting(g, rows) for g in fs.component_gradients), fs.M
-    )
+    pairs = []
+    counted = FiniteSumSpec(fs.base, _counting(fs.component_gradients, pairs), fs.M)
     cfg = SgdConfig(eta=0.1, steps=6, x0=np.zeros(2), oracle=MinibatchOracle(fs, 3, mode), seed=2)
     expected = np.array([states[-1] for states in _run_sgd_paths(cfg, "sparse", 8)])
-    rows.clear()
+    pairs.clear()
     counted_cfg = dataclasses.replace(cfg, oracle=MinibatchOracle(counted, 3, mode))
     got = run_sgd_ensemble(counted_cfg, 8, experiment="sparse").endpoints
     np.testing.assert_array_equal(got, expected)
-    assert sum(rows) == 6 * 8 * 3 and len(rows) <= 6 * 8 * 3
+    assert pairs == [(8, 3)] * 6
 
 
 SHAPES = {

@@ -187,6 +187,21 @@ def test_kramers_predictor_reference_value():
     assert slope == pytest.approx(0.5, abs=1e-12)
 
 
+def test_kramers_predictor_refuses_an_overflowing_time():
+    """2 dF / eta = 1000 at eta = 5e-4: math.exp used to raise OverflowError."""
+    with pytest.raises(NumericalError, match=r"2 dF / eta = 1000 passes 709"):
+        kramers_predictor(DOUBLE_WELL, 5e-4, x_star=[1.0], z_star=[0.0])
+
+
+def test_kramers_predictor_refuses_a_non_critical_point():
+    """Positive curvature at 0.8 and negative at 0.1 used to pass for a well
+    bottom and a barrier top, and the predictor read F and F'' there."""
+    with pytest.raises(ValueError, match=re.escape("x_star=[0.8] is not a stationary point")):
+        kramers_predictor(DOUBLE_WELL, 0.1, x_star=[0.8], z_star=[0.0])
+    with pytest.raises(ValueError, match=re.escape("z_star=[0.1] is not a stationary point")):
+        kramers_predictor(DOUBLE_WELL, 0.1, x_star=[1.0], z_star=[0.1])
+
+
 def test_flow_travel_times():
     assert flow_exit_time(INVERTED, np.array([0.5]), UNIT) == pytest.approx(
         math.log(2.0), abs=1e-6

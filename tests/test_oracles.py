@@ -156,11 +156,12 @@ def test_additive_gaussian_oracle_moments():
 # ---------------------------------------------------------------------------
 
 
-def _affine_component(center, tilt, x):
-    """x - c + B x, summed elementwise so that a stack of states gives each
-    row the bits of its own call (a matrix product need not)."""
+def _affine_components(centers, tilts, x, i):
+    """x - c_i + B_i x, summed elementwise so that a stack of (state, index)
+    pairs gives each pair the bits of its own call (a matrix product need
+    not)."""
     x = np.asarray(x, dtype=float)
-    return x - center + np.sum(x[..., None, :] * tilt, axis=-1)
+    return x - centers[i] + np.sum(x[..., None, :] * tilts[i], axis=-1)
 
 
 def _drawn_finite_sum(rng, M, d):
@@ -170,7 +171,7 @@ def _drawn_finite_sum(rng, M, d):
     centers = rng.normal(size=(M, d))
     tilts = rng.normal(scale=0.5, size=(M, d, d))
     tilts -= tilts.mean(axis=0)
-    comps = [functools.partial(_affine_component, c, b) for c, b in zip(centers, tilts)]
+    comps = functools.partial(_affine_components, centers, tilts)
     return FiniteSumSpec(gaussian_cloud(centers).base, comps, M)
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.optimize import brentq
+from scipy.optimize import brentq, minimize_scalar
 
 from sgdlab import (
     CriticalPoint,
@@ -20,6 +20,7 @@ from sgdlab import (
     population_covariance,
     quasi_potential_isotropic,
 )
+from sgdlab.exit_times import _boundary_min
 from sgdlab.potentials import _brentq, diagonal_quadratic_coefficients, double_well_tilt
 
 ALL_BUILTINS = [
@@ -193,7 +194,7 @@ def test_gaussian_cloud_component_structure():
     centers = rng.normal(size=(5, 2))
     fs = gaussian_cloud(centers)
     x = rng.normal(size=2)
-    grads = np.array([g(x) for g in fs.component_gradients])
+    grads = fs.component_gradients(x, np.arange(5))
     assert grads.shape == (5, 2)
     np.testing.assert_allclose(grads, x[None, :] - centers)
     np.testing.assert_allclose(grads.mean(axis=0), fs.base.gradient(x))
@@ -207,19 +208,27 @@ def test_gaussian_cloud_component_structure():
 
 @pytest.mark.parametrize("d", [1, 2])
 def test_finite_sum_rejects_per_point_component_gradients(d):
-    """The SGD engine evaluates a component on (n, dim) stacks of points, so
-    a gradient written for one point (x[0] taken as a coordinate) is
-    refused at construction."""
+    """The SGD engine evaluates the indexed map on (n, dim) stacks of points
+    and stacks of indices, so a gradient written for one point (x[0] taken
+    as a coordinate) or for one index (the first of a stack taken for all)
+    is refused at construction."""
     centers = np.array([[0.5, 0.0], [-0.5, 0.0], [0.0, 0.5]])[:, :d]
     fs = gaussian_cloud(centers)
-    if d == 1:
-        per_point = [lambda x, c=c: np.array([x[0] - c[0]]) for c in centers]
-    else:
-        per_point = [lambda x, c=c: np.array([x[0] - c[0], x[1] - c[1]]) for c in centers]
+
+    def per_point(x, i):
+        return np.array([x[j] - centers[i][j] for j in range(d)])
+
+    def first_index(x, i):
+        return np.asarray(x) - centers[int(np.ravel(i)[0])]
+
+    def batched(x, i):
+        return np.asarray(x) - centers[i]
+
     with pytest.raises(ValueError, match="row by row"):
-        FiniteSumSpec(fs.base, tuple(per_point), len(centers))
-    batched = [lambda x, c=c: np.asarray(x) - c for c in centers]
-    assert FiniteSumSpec(fs.base, tuple(batched), len(centers)).M == len(centers)
+        FiniteSumSpec(fs.base, per_point, len(centers))
+    with pytest.raises(ValueError, match="stack of indices"):
+        FiniteSumSpec(fs.base, first_index, len(centers))
+    assert FiniteSumSpec(fs.base, batched, len(centers)).M == len(centers)
 
 
 def test_finite_sum_builtin_matches_cloud_helper():
@@ -269,6 +278,59 @@ def test_quasi_potential_reference_values():
     well_4d = builtin("quadratic_well", (1.0, 2.0, 3.0, 4.0))
     assert quasi_potential_isotropic(well_4d, 1.0, box_4d) == pytest.approx(0.5)
     assert quasi_potential_isotropic(_circle_well(), 1.0, disc) == pytest.approx(0.5)
+
+
+def _separable(q, a, w, phase):
+    """F = sum_i q_i x_i^2 / 2 + a_i sin(w_i x_i + phase_i): several local
+    minima on each face of a box, and the exact boundary minimum from 1-D
+    minima alone."""
+
+    def value(x):
+        x = np.asarray(x, dtype=float)
+        return np.sum(0.5 * q * x * x + a * np.sin(w * x + phase), axis=-1)
+
+    def gradient(x):
+        x = np.asarray(x, dtype=float)
+        return q * x + a * w * np.cos(w * x + phase)
+
+    def hessian(x):
+        x = np.asarray(x, dtype=float)
+        return (q - a * w * w * np.sin(w * x + phase))[..., :, None] * np.eye(x.shape[-1])
+
+    return PotentialSpec("separable", q.size, value, gradient, hessian)
+
+
+def _min_on_interval(f, lo, hi):
+    """The minimum of a smooth f on [lo, hi]: the best of 2001 grid points,
+    refined by a bounded search between its neighbours."""
+    grid = np.linspace(lo, hi, 2001)
+    values = f(grid)
+    k = int(np.argmin(values))
+    bracket = (grid[max(k - 1, 0)], grid[min(k + 1, grid.size - 1)])
+    refined = minimize_scalar(f, bounds=bracket, method="bounded", options={"xatol": 1e-12})
+    return min(float(refined.fun), float(values[k]))
+
+
+def test_boundary_minimum_of_multimodal_separable_boxes():
+    """On a box (-h, h) a separable F has its boundary minimum on a face
+    x_i = +-h_i, at f_i(+-h_i) plus the other coordinates' 1-D minima.  One
+    Nelder-Mead search from the best sample used to end in a local minimum
+    of the face: cases 10, 15, 23, 24 and 26 read high by 0.027, 0.053,
+    0.013, 0.022 and 1e-4."""
+    rng = np.random.default_rng(0)
+    laws = [(0.5, 2.0), (0.2, 3.0), (0.0, 0.5), (1.0, 6.0), (0.0, 2.0 * math.pi)]
+    for case in range(30):
+        half, q, a, w, phase = (rng.uniform(lo, hi, 4) for lo, hi in laws)
+        f = [lambda s, i=i: 0.5 * q[i] * s * s + a[i] * np.sin(w[i] * s + phase[i])
+             for i in range(4)]
+        inner = [_min_on_interval(f[i], -half[i], half[i]) for i in range(4)]
+        exact = min(
+            float(f[i](side * half[i])) + sum(inner[:i] + inner[i + 1:])
+            for i in range(4)
+            for side in (-1.0, 1.0)
+        )
+        got = _boundary_min(_separable(q, a, w, phase), Domain.box(-half, half))
+        assert got == pytest.approx(exact, abs=1e-6), case
 
 
 def _corner_well(b=0.75):
