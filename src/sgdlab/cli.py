@@ -161,8 +161,6 @@ def _emit_scaling(out: str, report) -> tuple[list[Path], dict]:
 def _run_weak_order(cfg: ExperimentConfig, out: str, scatter: Callable):
     potential = base_of(build_potential(cfg))
     source = cfg.get("source", "exact")
-    if source == "bvp_1d":
-        raise ConfigError("weak-order source must be 'exact' or 'mc'")
     lam = well_rate(potential)
     if source == "exact" and lam is None:
         raise ConfigError("weak-order source = exact runs on the 1-D quadratic_well benchmark")

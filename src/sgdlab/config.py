@@ -280,6 +280,13 @@ def _cross_validate(experiment: str, values: dict[str, object]) -> None:
     # Every ladder keys its rungs by eta (a scaling fit's records, the gap keys).
     if "eta_list" in values and len(set(values["eta_list"])) < len(values["eta_list"]):
         raise ConfigError("key 'eta_list': entries must be distinct")
+    # Only weak-order, exit-min and exit-saddle take a source, each its own two.
+    sources = ("exact", "mc") if experiment == "weak-order" else ("bvp_1d", "mc")
+    if values.get("source", "mc") not in sources:
+        raise ConfigError(
+            f"key 'source': expected one of {list(sources)} for {experiment}, "
+            f"got {values['source']!r}"
+        )
     if "gamma" in values and values["gamma"] < 0:
         raise ConfigError("key 'gamma': must be non-negative")
     kind = values.get("domain")

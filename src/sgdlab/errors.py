@@ -77,3 +77,16 @@ def check_count(name: str, value, least: int = 0, purpose: str = "") -> int:
         bound = "non-negative" if least == 0 else f"at least {least}{purpose}"
         raise ValueError(f"{name} must be {bound}, got {value}")
     return n
+
+
+def check_oracle_potential(potential, oracle):
+    """``potential``, unless it is not the very object ``oracle`` draws its
+    gradients from (``oracle.potential``; a mini-batch oracle's finite sum's
+    base): an entry point that runs the chain on one and its diffusion or
+    flow on the other would compare two objectives."""
+    if potential is not oracle.potential:
+        raise ValueError(
+            f"potential {potential.name!r} is not the oracle's potential "
+            f"{oracle.potential.name!r}: pass oracle.potential"
+        )
+    return potential

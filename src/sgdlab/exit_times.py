@@ -22,7 +22,7 @@ from .errors import (
     NumericalError, check_count, check_dimension, check_finite, check_non_negative, check_point,
     check_positive,
 )
-from .potentials import PotentialSpec
+from .potentials import PotentialSpec, sign_change
 from .sde import (
     FIRST_ORDER, SdeConfig, _rk4_step, _step_count, _time_grid, sde_kernel,
 )
@@ -504,8 +504,9 @@ def flow_exit_time(
 ) -> float | None:
     """Exit time of the noiseless gradient flow, or None if it never leaves.
 
-    Integrates with RK4 and refines the boundary crossing by bisection
-    within the crossing step.  Returns None early once the flow stalls
+    Integrates with RK4 and bisects the fraction of the crossing step with
+    ``potentials.sign_change`` down to two adjacent floats, returning the
+    time of the outside one.  Returns None early once the flow stalls
     (speed below 1e-12): from there it cannot reach the boundary within any
     practical horizon, which is how starts on a stable manifold terminate.
     """
@@ -520,14 +521,8 @@ def flow_exit_time(
     for _ in range(_step_count(horizon, dt)):
         x_new = _rk4_step(f, x, dt)
         if not domain.contains(x_new):
-            a_lo, a_hi = 0.0, 1.0
-            for _ in range(60):
-                mid = 0.5 * (a_lo + a_hi)
-                if domain.contains(x + mid * (x_new - x)):
-                    a_lo = mid
-                else:
-                    a_hi = mid
-            return t + a_hi * dt
+            inside = lambda a: 1.0 if domain.contains(x + a * (x_new - x)) else -1.0
+            return t + sign_change(inside, 0.0, 1.0)[1] * dt
         if np.max(np.abs(x_new - x)) < stall:
             return None
         x = x_new

@@ -300,58 +300,28 @@ def _diag_quadratic(name: str, coeffs: np.ndarray, kind: str) -> PotentialSpec:
     )
 
 
-def _brentq(f: Callable[[float], float], lo: float, hi: float) -> float:
-    """The root of ``f`` in [lo, hi] by Brent's method (Brent 1973, ch. 4).
-
-    A statement-for-statement port of scipy's C ``brentq``
-    (``scipy/optimize/Zeros/brentq.c``) called as ``brentq(f, lo, hi,
-    xtol=1e-14, rtol=8.9e-16)``: it evaluates ``f`` at the same Python floats
-    and runs the same IEEE double operations in the same order, so it returns
-    the same root bit for bit without importing scipy.  A bracket whose ends
-    have the same sign raises ``ValueError``, and 100 iterations without
-    convergence raise ``RuntimeError``, as ``brentq`` does.  Where C would
-    divide by zero (an extrapolation whose secant slopes underflow, which no
-    bracket of the tilted well's gradient reaches), Python raises instead.
+def sign_change(f: Callable[[float], float], lo: float, hi: float) -> tuple[float, float]:
+    """Bisect a bracket across which ``f`` changes sign down to two adjacent
+    floats, and return them as ``(lo', hi')`` with f(lo') of f(lo)'s sign and
+    f(hi') of f(hi)'s.  A midpoint where ``f`` is exactly zero is returned
+    as ``(z, z)``.  ``f`` is evaluated at ``lo`` and at each midpoint
+    ``0.5 * (lo + hi)``, never at ``hi``, and its own arithmetic is plain
+    IEEE double, so for an ``f`` that is too the ends are the same bits on
+    any machine.
     """
-    xtol, rtol = 1e-14, 8.9e-16
-    xpre, xcur = float(lo), float(hi)
-    xblk = fblk = spre = scur = 0.0
-    fpre, fcur = f(xpre), f(xcur)
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    # For nonzero values, ``x < 0`` is C's ``signbit(x)``.
-    if (fpre < 0) == (fcur < 0):
-        raise ValueError("f(a) and f(b) must have different signs")
-    for _ in range(100):
-        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # good short step
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
+    lo, hi = float(lo), float(hi)
+    low_negative = f(lo) < 0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            return lo, hi
+        f_mid = f(mid)
+        if f_mid == 0:
+            return mid, mid
+        if (f_mid < 0) == low_negative:
+            lo = mid
         else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = f(xcur)
-    raise RuntimeError(f"Failed to converge after 100 iterations, value is {xcur}")
+            hi = mid
 
 
 def _double_well(name: str, tilt: float) -> PotentialSpec:
@@ -359,28 +329,25 @@ def _double_well(name: str, tilt: float) -> PotentialSpec:
     double wells are built here, so their bound ``_double_well_*`` maps are
     what ``double_well_tilt`` recognises.
 
-    At tilt 0 the roots of the gradient x^3 - x + tilt are -1, 0 and 1
-    exactly, and so are the curvatures 3 x^2 - 1 there (2, -1 and 2).
-    Otherwise the gradient is monotone on each interval delimited by
+    The gradient x^3 - x + tilt is monotone on each interval delimited by
     +-1/sqrt(3), so each bracket holds exactly one root when the wells have
-    not merged (|tilt| < 2/(3*sqrt(3))).  ``_brentq`` finds each root by
-    Brent's method (Brent 1973) and returns what scipy's ``brentq`` returns,
-    bit for bit, so the critical points, and the annealing start point and
-    targets read from them, are those of the scipy-built well.
+    not merged (|tilt| < 2/(3*sqrt(3))).  ``sign_change`` bisects the
+    gradient, computed as ``_double_well_gradient`` computes it, on each
+    bracket, and the critical point is the end of the final pair with the
+    smaller |gradient|.  At tilt 0 the middle bracket's first midpoint is
+    the exact root 0, and the outer roots come out as -1 and 1, so the
+    curvatures 3 x^2 - 1 are 2, -1 and 2 exactly.
     """
     t_merge = 2.0 / (3.0 * np.sqrt(3.0))
     if abs(tilt) >= t_merge - 1e-9:
         raise ValueError(
             f"tilt {tilt} too large: the double well degenerates at |t| = {t_merge:.6f}"
         )
-    if tilt == 0.0:
-        roots = [-1.0, 0.0, 1.0]
-    else:
-        elbow = 1.0 / np.sqrt(3.0)
-        brackets = [(-2.0, -elbow), (-elbow, elbow), (elbow, 2.0)]
-        roots = [_brentq(lambda s: s ** 3 - s + tilt, lo, hi) for lo, hi in brackets]
+    grad = lambda s: s * s * s - s + tilt
+    elbow = 1.0 / np.sqrt(3.0)
     cps = []
-    for root in roots:
+    for lo, hi in [(-2.0, -elbow), (-elbow, elbow), (elbow, 2.0)]:
+        root = min(sign_change(grad, lo, hi), key=lambda s: abs(grad(s)))
         curv = 3.0 * root * root - 1.0
         kind = MINIMIZER if curv > 0 else MAXIMIZER
         cps.append(CriticalPoint(np.array([root]), kind, np.array([curv])))
@@ -424,8 +391,11 @@ def builtin(name: str, params: Sequence[float] = (), dim: int = 1):
     curvatures for ``inverted_quadratic``, ``(gamma1, lam)`` for
     ``saddle_2d``, nothing for ``double_well_1d``, the tilt for
     ``asym_double_well_1d`` (default -0.05), and flattened centers for
-    ``gaussian_cloud_finite_sum`` (reshaped to ``(M, dim)``).
+    ``gaussian_cloud_finite_sum`` (reshaped to ``(M, dim)``).  Only that
+    family reads ``dim``; the others refuse any ``dim`` but 1.
     """
+    if dim != 1 and name in _BUILTIN_NAMES and name != "gaussian_cloud_finite_sum":
+        raise ValueError(f"{name} takes no dim (only gaussian_cloud_finite_sum does), got {dim}")
     params = tuple(float(p) for p in params)
     if name in ("quadratic_well", "inverted_quadratic", "saddle_2d"):
         params = params or ((1.0, 1.0) if name == "saddle_2d" else (1.0,))

@@ -26,7 +26,10 @@ from typing import Callable, Union
 import numpy as np
 
 from . import streams
-from .errors import check_count, check_finite, check_non_negative, check_point, check_positive
+from .errors import (
+    check_count, check_finite, check_non_negative, check_oracle_potential, check_point,
+    check_positive,
+)
 from .oracles import GradientOracle
 from .potentials import (
     PotentialSpec,
@@ -469,8 +472,9 @@ def deviation_empirical(
     The Lyapunov side integrates ``oracle.diffusion`` along the flow, so a
     state-dependent noise law (any mini-batch oracle) is read at Y(s), not
     frozen at x0.  The SGD ensemble runs through ``scatter`` (see
-    ``streams``).
+    ``streams``).  ``potential`` must be ``oracle.potential``.
     """
+    check_oracle_potential(potential, oracle)
     check_count("n_paths", n_paths, 2, " for a sample variance")
     k = _horizon_steps(T, eta)
     x0 = check_point("x0", x0)
@@ -508,7 +512,9 @@ def flow_sup_gap(
     """Mean and standard error of max_k ||x_k - Y(eta k)|| over an ensemble.
 
     The SGD ensemble runs through ``scatter`` (see ``streams``).
+    ``potential`` must be ``oracle.potential``.
     """
+    check_oracle_potential(potential, oracle)
     check_count("n_paths", n_paths, 2, " for a sample variance")
     k = _horizon_steps(T, eta)
     x0 = check_point("x0", x0)

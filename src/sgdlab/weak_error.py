@@ -21,7 +21,8 @@ import numpy as np
 
 from . import streams
 from .errors import (
-    NumericalError, check_count, check_finite, check_non_negative, check_point, check_positive,
+    NumericalError, check_count, check_finite, check_non_negative, check_oracle_potential,
+    check_point, check_positive,
 )
 from .oracles import GradientOracle
 from .potentials import PotentialSpec, diagonal_quadratic_coefficients
@@ -60,11 +61,15 @@ def _phi_x2(s):
 
 
 def _phi_tanh(s):
-    return np.tanh(s)
+    """tanh of each value by stdlib ``math``, one at a time: numpy's SIMD
+    loops for ``np.tanh`` round differently by CPU feature level, so the
+    bytes of a tanh row would depend on the machine's SIMD level."""
+    return np.fromiter(map(math.tanh, s.ravel().tolist()), float, s.size).reshape(s.shape)
 
 
 def _phi_tanh_x2(s):
-    return np.tanh(s * s)
+    """tanh(s^2), by ``math`` as ``_phi_tanh``."""
+    return _phi_tanh(s * s)
 
 
 #: The observable suite of every ladder: two polynomial moments plus two
@@ -374,8 +379,10 @@ def weak_error_mc(
     of all its paths' states.  Standard
     errors combine both sides and feed the noise-floor filter of the order
     fit.  Both ensembles run through ``scatter`` (see ``streams``), after
-    the arguments and every rung's horizon are checked.
+    the arguments and every rung's horizon are checked; ``potential`` must
+    be ``oracle.potential``.
     """
+    check_oracle_potential(potential, oracle)
     if potential.dim != 1:
         raise ValueError("the Monte Carlo weak-error ladder is one-dimensional")
     check_count("n_paths", n_paths, 2, " for a sample variance")

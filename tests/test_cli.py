@@ -327,6 +327,28 @@ def test_non_finite_config_values_exit_2(key, value, tmp_path, capsys):
     assert "config-error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "experiment, setting",
+    [
+        ("exit-min", "dim=3"),
+        ("deviation", "dim=2"),
+        ("exit-min", "source=exact"),
+        ("exit-saddle", "source=exact"),
+        ("weak-order", "source=bvp_1d"),
+    ],
+)
+def test_a_value_the_run_would_ignore_or_fail_on_exits_2(experiment, setting, tmp_path, capsys):
+    """exit-min and deviation used to run the 1-D well at dim = 3 or 2 and
+    record that dim in the manifest; exit-min at source = exact failed in
+    its ladder, past the config check."""
+    config = Path(KRAMERS_CFG).with_name(f"{experiment.replace('-', '_')}.cfg")
+    argv = [experiment, "--config", str(config), "--out", str(tmp_path / "x")]
+    assert main([*argv, "--set", setting]) == 2
+    err = capsys.readouterr().err
+    assert "config-error" in err and setting.split("=")[0] in err
+    assert not (tmp_path / "x.manifest").exists()
+
+
 # The centre and radius of the 1-D ball with the ends of each config's interval.
 INTERVAL_AS_BALL = {"exit-min": ("0", "1"), "kramers": ("0.5", "1.5")}
 

@@ -5,25 +5,31 @@ run; this test checks that a change to the program does not change them
 either.  Each ``TINY_CONFIGS`` entry runs at ``--workers 1`` and the
 sha256 of every emitted CSV must equal the digest recorded below, and the
 run's manifest must list exactly those CSVs, so a run writes each result
-once and in no other format.  The
-digests were recorded with numpy 2.4 on x86-64 Linux; a platform whose
-libm or SIMD kernels round differently in the last bit would need them
-recorded afresh.
+once and in no other format.  A second leg runs them all again in a child
+process whose numpy dispatches no SIMD loop beyond its baseline, and
+checks the same digests, so they hold at any SIMD level of one platform.
+The digests were recorded with numpy 2.4 on x86-64 Linux; a platform whose
+libm rounds differently in the last bit would need them recorded afresh.
 """
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from test_acceptance import TINY_CONFIGS
 
+import sgdlab
 from sgdlab.cli import main as cli_main
 
 GOLDEN_DIGESTS = {
     "weak-order": {
-        "run.first.csv": "7be3a44e6716fda38271e12c10777c5888e8a4764ec64e7bda55a870aaab4d9a",
-        "run.second.csv": "3405747cb4f063982e36249aeb66c8db3281707931ea407b27d68e9fbb507fdf",
-        "run.summary.csv": "872c7f3d5e3b8019258806a7d7f3d253097ce53c3e197deef8794c7067ccd704",
+        "run.first.csv": "4d3894ca03f1ad0060bf737562e5ce3237c37c6c953fd7ff8e9af083b357a889",
+        "run.second.csv": "a2738169e0a01d6a99158620eb2b064718a58c1a896649eff48f8597c8d68f11",
+        "run.summary.csv": "5585886b77526f88cdd47d7c570fcbb45b776dbabb56626f1d3fe2fbf79750ae",
     },
     "exit-min": {
         "run.csv": "b0cf491d4eb71e74e66bca74c93186c2d9a82f1c994bb6234524ff8472841869",
@@ -75,3 +81,61 @@ def test_tiny_config_csvs_match_golden_digests(name, tmp_path):
     assert digests == GOLDEN_DIGESTS[name]
     manifest = json.loads((out_dir / "run.manifest").read_text())
     assert sorted(manifest["files"]) == sorted(GOLDEN_DIGESTS[name])
+
+
+# Runs each config of the JSON on stdin and writes the CSV digests, and the
+# SIMD features numpy still dispatches to, to digests.json.
+BASELINE_RUN = """\
+import hashlib, json, pathlib, sys
+
+from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+
+from sgdlab.cli import main
+
+digests = {}
+for name, text in json.load(sys.stdin).items():
+    out = pathlib.Path(name)
+    out.mkdir()
+    (out / "run.cfg").write_text(text)
+    argv = [name, "--config", str(out / "run.cfg"), "--out", str(out / "run"), "--workers", "1"]
+    assert main(argv) == 0, name
+    csvs = sorted(out.glob("*.csv"))
+    digests[name] = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in csvs}
+dispatched = [f for f in __cpu_dispatch__ if __cpu_features__[f]]
+pathlib.Path("digests.json").write_text(json.dumps({"digests": digests, "dispatched": dispatched}))
+"""
+
+
+def _simd_features_beyond_baseline() -> list[str]:
+    """The SIMD features numpy found on this CPU beyond its build baseline."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:
+        return []
+    return [f for f in __cpu_dispatch__ if __cpu_features__.get(f)]
+
+
+def test_tiny_config_csvs_keep_their_digests_at_baseline_simd_dispatch(tmp_path):
+    """np.tanh in the weak-order observables used to give other last bits
+    with numpy's dispatch held to its baseline, and so other digests."""
+    features = _simd_features_beyond_baseline()
+    if not features:
+        pytest.skip("numpy dispatches no SIMD loop beyond its baseline on this CPU")
+    env = dict(
+        os.environ,
+        NPY_DISABLE_CPU_FEATURES=" ".join(features),
+        PYTHONPATH=str(Path(sgdlab.__file__).resolve().parents[1]),
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", BASELINE_RUN],
+        input=json.dumps(TINY_CONFIGS),
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads((tmp_path / "digests.json").read_text())
+    assert result["dispatched"] == []
+    assert result["digests"] == GOLDEN_DIGESTS

@@ -173,6 +173,31 @@ def test_sample_variances_need_two_paths_before_any_path_runs(entry, n_paths, mo
         SAMPLE_VARIANCE_ENTRY_POINTS[entry](n_paths)
 
 
+DOUBLE_WELL = builtin("double_well_1d")
+
+# Each entry point that runs the chain on the oracle's potential and the
+# diffusion or the flow on its own ``potential``, called with the two apart.
+MISMATCHED_ENTRY_POINTS = {
+    "deviation_empirical": lambda: deviation_empirical(
+        WELL, AdditiveGaussianOracle.isotropic(DOUBLE_WELL, 0.5), 0.1, 0.3, [1.0], 4
+    ),
+    # an equal spec that is another object
+    "flow_sup_gap": lambda: flow_sup_gap(builtin("quadratic_well"), ORACLE, 0.1, 0.3, [1.0], 4),
+    "weak_error_mc": lambda: weak_error_mc(DOUBLE_WELL, ORACLE, 0.3, [1.2], [0.1], n_paths=4),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(MISMATCHED_ENTRY_POINTS))
+def test_a_potential_that_is_not_the_oracles_is_refused_before_any_path_runs(entry, monkeypatch):
+    """A double well against a quadratic oracle used to run: weak_error_mc
+    reported "weak errors" near 0.85 between a quadratic chain and a
+    double-well diffusion, and deviation_empirical measured against the
+    wrong Lyapunov equation."""
+    monkeypatch.setattr(streams, "path_streams", _no_streams)
+    with pytest.raises(ValueError, match="potential '.*' is not the oracle's potential '.*'"):
+        MISMATCHED_ENTRY_POINTS[entry]()
+
+
 @pytest.mark.parametrize("name", ["eta", "dt", "T"])
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=str)
 def test_sde_config_refuses_a_non_finite_rate_step_or_horizon(name, bad):
